@@ -21,18 +21,26 @@ Zones are processed in index order along x, which is harmless because zones
 sharing one scale menu are interchangeable.  A greedy run seeds the
 incumbent; a node is cut as soon as its optimistic bound cannot beat the
 incumbent by more than ``epsilon``.
+
+Per-node work does not scan candidate sets or demand.  A candidate set with
+more than one value is always a contiguous slice of its own scale's grid
+(splitting only cuts slices), so its reward-matrix rows or columns form one
+index range, found from the slice's end values through the matrix's exact
+value-to-index map; a zone's bound is the maximum over that block of the
+matrix (a range maximum).  Only a singleton may lie off the grid, at an
+abutment position.  Child priorities are read from tables built once per
+solve for every own-scale grid value (``CandidateGrids``).
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .geometry import EPS, Axis
-from .critical import contains_value, dedup_sorted, inner_demand_grid
+from .critical import contains_value, dedup_sorted, inner_demand_grid, service_breakpoints
 from .greedy import greedy
 from .model import Dimension, Instance, Placement, QosSet, Solution, reward_rate
 from .reward import RewardMatrix, build_reward_matrix, covered_reward
@@ -86,23 +94,35 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class CandidateGrids:
-    """Per-scale candidate grids plus their cross-scale unions."""
+    """Per-scale candidate grids, their cross-scale unions and child priorities.
+
+    ``x_priority[z][v]`` equals ``priority_score(v, dzs, z, eta, Axis.X)`` for
+    every value ``v`` of ``x_by_scale[z]`` (likewise ``y_priority`` on y).  The
+    tables are built once per solve, so ordering children looks priorities up
+    instead of scanning the demand per candidate.
+    """
 
     x_by_scale: Mapping[float, tuple[float, ...]]
     y_by_scale: Mapping[float, tuple[float, ...]]
     x_union: tuple[float, ...]
     y_union: tuple[float, ...]
+    x_priority: Mapping[float, Mapping[float, float]]
+    y_priority: Mapping[float, Mapping[float, float]]
 
     @staticmethod
     def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
         xs = {}
         ys = {}
+        xp = {}
+        yp = {}
         for z in instance.scale_values():
             xs[z] = inner_demand_grid(instance.dzs, z, instance.base, Axis.X, eps).values
             ys[z] = inner_demand_grid(instance.dzs, z, instance.base, Axis.Y, eps).values
+            xp[z] = {v: priority_score(v, instance.dzs, z, instance.eta, Axis.X) for v in xs[z]}
+            yp[z] = {v: priority_score(v, instance.dzs, z, instance.eta, Axis.Y) for v in ys[z]}
         x_union = dedup_sorted([v for vals in xs.values() for v in vals], eps)
         y_union = dedup_sorted([v for vals in ys.values() for v in vals], eps)
-        return CandidateGrids(xs, ys, x_union, y_union)
+        return CandidateGrids(xs, ys, x_union, y_union, xp, yp)
 
 
 def partition(values: Sequence[float], beta: float) -> list[tuple[float, ...]]:
@@ -181,8 +201,6 @@ def _service_candidates(
     scale-1 zone that sits on a scale-1 grid value always lands on a scale-2
     grid value, so dropping them loses real optima).
     """
-    from .critical import service_breakpoints
-
     eps = config.epsilon
     sets = node.x_sets if axis is Axis.X else node.y_sets
     fixed = [
@@ -208,12 +226,10 @@ def _service_candidates(
 
 
 def _order_children(
-    node: Node, parts: list[tuple[float, ...]], z: float, instance: Instance, axis: Axis
+    parts: list[tuple[float, ...]], priority: Mapping[float, float]
 ) -> list[tuple[float, ...]]:
-    def part_priority(part: tuple[float, ...]) -> float:
-        return max(priority_score(v, instance.dzs, z, instance.eta, axis) for v in part)
-
-    return sorted(parts, key=part_priority, reverse=True)
+    """``parts`` by decreasing priority of their best value, stable on ties."""
+    return sorted(parts, key=lambda part: max(priority[v] for v in part), reverse=True)
 
 
 def _order_step_children(node: Node, instance: Instance, grids: CandidateGrids, eps: float) -> list[Node]:
@@ -266,7 +282,7 @@ def branch(
             parts = partition(xs, config.beta)
             if len(parts) == 1 and len(xs) > 1:
                 parts = [(v,) for v in xs]
-            parts = _order_children(node, parts, z, instance, Axis.X)
+            parts = _order_children(parts, grids.x_priority[z])
             children = [
                 replace(
                     node,
@@ -294,7 +310,7 @@ def branch(
     parts = partition(ys, config.beta)
     if len(parts) == 1 and len(ys) > 1:
         parts = [(v,) for v in ys]
-    parts = _order_children(node, parts, z, instance, Axis.Y)
+    parts = _order_children(parts, grids.y_priority[z])
     children = [
         replace(node, y_sets=_replace_at(node.y_sets, j, part)) for part in parts
     ]
@@ -304,39 +320,51 @@ def branch(
     return children
 
 
-def _axis_indices(
-    candidates: tuple[float, ...], grid: np.ndarray, eps: float
-) -> list[int]:
-    """Matrix indices bounding a candidate set along one axis.
+def _axis_indices(v: float, grid: Sequence[float], eps: float) -> tuple[int, int]:
+    """Half-open matrix index range bounding an off-grid singleton ``v``.
 
-    Grid members map to their own column.  A singleton off the grid is
-    bounded by its two bracketing grid values (the isolated reward is
-    piecewise linear with no local maximum strictly between neighbouring grid
-    values), or by the nearest endpoint when it lies outside the grid range.
+    A value within ``eps`` of a grid value maps to that value alone.
+    Otherwise the isolated reward is piecewise linear with no local maximum
+    strictly between neighbouring grid values, so ``v`` is bounded by its two
+    bracketing grid values, or by the nearest endpoint when it lies outside
+    the grid's range.
     """
     n = len(grid)
+    i = bisect_left(grid, v)
+    if i < n and abs(grid[i] - v) < eps:
+        return i, i + 1
+    if i > 0 and abs(grid[i - 1] - v) < eps:
+        return i - 1, i
+    if i == 0:
+        return 0, 1
+    if i >= n:
+        return n - 1, n
+    return i - 1, i + 1
+
+
+def _axis_range(
+    candidates: tuple[float, ...], index: Mapping[float, int], grid: Sequence[float], eps: float
+) -> tuple[int, int]:
+    """Half-open matrix index range ``[lo, hi)`` covering a candidate set.
+
+    ``index`` maps each value of ``grid`` exactly to its position.  A set of
+    several values must be a contiguous slice of ``grid``: its first value
+    gives ``lo``, its length ``hi``, and its last value must sit at
+    ``hi - 1``, which is checked in O(1) rather than value by value.  A
+    singleton on the grid maps to its own index; one off the grid is
+    bracketed by :func:`_axis_indices`.
+    """
+    lo = index.get(candidates[0])
     if len(candidates) == 1:
-        v = candidates[0]
-        i = int(np.searchsorted(grid, v))
-        if i < n and abs(grid[i] - v) < eps:
-            return [i]
-        if i > 0 and abs(grid[i - 1] - v) < eps:
-            return [i - 1]
-        if i == 0:
-            return [0]
-        if i >= n:
-            return [n - 1]
-        return [i - 1, i]
-    out = []
-    for v in candidates:
-        i = int(np.searchsorted(grid, v))
-        if i < n and abs(grid[i] - v) < eps:
-            out.append(i)
-        elif i > 0 and abs(grid[i - 1] - v) < eps:
-            out.append(i - 1)
-        else:  # pragma: no cover - candidate sets are grid subsets by construction
-            raise ValueError(f"candidate {v} not on grid")
-    return out
+        return (lo, lo + 1) if lo is not None else _axis_indices(candidates[0], grid, eps)
+    if lo is not None:
+        hi = lo + len(candidates)
+        if index.get(candidates[-1]) == hi - 1:
+            return lo, hi
+    raise ValueError(
+        f"candidate set {candidates[0]}..{candidates[-1]} ({len(candidates)} values) "
+        "is not a slice of its grid"
+    )
 
 
 def upper_bound(
@@ -349,24 +377,29 @@ def upper_bound(
 
     Leaves are evaluated exactly.  Otherwise each zone contributes the best
     isolated reward reachable from its candidate sets (overlap between zones
-    only lowers the true value, so the sum is a valid bound); a zone with an
-    open scale contributes the best entry over all scale matrices.
+    only lowers the true value, so the sum is a valid bound): the maximum of
+    the block ``entries[xlo:xhi, ylo:yhi]`` of its scale's reward matrix,
+    whose ranges :func:`_axis_range` finds in O(1) per axis.  A zone with an
+    open scale contributes the best entry over all scale matrices, taken once
+    per call and only when some scale is open.
     """
     if is_leaf(node):
         return covered_reward(
             instance.dzs, leaf_placements(node), instance.base, instance.eta, eps
         )
     total = 0.0
-    best_any = max(m.max_entry for m in matrices.values())
+    best_any = None
     for j in range(instance.p):
         z = node.z_vec[j]
         if z == _UNSET:
+            if best_any is None:
+                best_any = max(m.max_entry for m in matrices.values())
             total += best_any
             continue
         m = matrices[z]
-        xi = _axis_indices(node.x_sets[j], m.xs_array, eps)
-        yi = _axis_indices(node.y_sets[j], m.ys_array, eps)
-        total += float(m.entries[np.ix_(xi, yi)].max())
+        xlo, xhi = _axis_range(node.x_sets[j], m.x_index, m.xs.values, eps)
+        ylo, yhi = _axis_range(node.y_sets[j], m.y_index, m.ys.values, eps)
+        total += float(m.entries[xlo:xhi, ylo:yhi].max())
     return total
 
 

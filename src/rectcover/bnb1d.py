@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from .geometry import EPS, Axis
 from .critical import service_breakpoints
 from .greedy import greedy
 from .model import Dimension, Instance, Placement, Solution
 from .reward import RewardMatrix, build_reward_matrix, covered_reward
-from .bnb import CandidateGrids, SolverConfig, SolverStats, _axis_indices, partition, priority_score
+from .bnb import CandidateGrids, SolverConfig, SolverStats, _axis_range, _order_children, partition
 
 
 @dataclass(frozen=True)
@@ -71,14 +69,7 @@ def branch_1d(
         parts = partition(xs, config.beta)
         if len(parts) == 1:
             parts = [(v,) for v in xs]
-        z = scale_of(j)
-        parts = sorted(
-            parts,
-            key=lambda part: max(
-                priority_score(v, instance.dzs, z, instance.eta, Axis.X) for v in part
-            ),
-            reverse=True,
-        )
+        parts = _order_children(parts, grids.x_priority[scale_of(j)])
         return [
             replace(node, x_sets=node.x_sets[:j] + (part,) + node.x_sets[j + 1 :])
             for part in parts
@@ -114,16 +105,22 @@ def upper_bound_1d(
     instance: Instance,
     eps: float = EPS,
 ) -> float:
-    """Optimistic value below ``node``: sum of per-zone best isolated rewards."""
+    """Optimistic value below ``node``: sum of per-zone best isolated rewards.
+
+    Each zone contributes the maximum of ``entries[xlo:xhi, 0]`` of its
+    scale's reward matrix over the index range of its candidate set (see
+    ``bnb.upper_bound``).  Leaves are evaluated exactly, on the demand and
+    base lifted once per instance (``Instance.planar``) rather than at every
+    leaf.
+    """
     if is_leaf_1d(node):
-        return covered_reward(
-            instance.dzs, leaf_placements_1d(node, instance), instance.base, instance.eta, eps
-        )
+        dzs, base = instance.planar
+        return covered_reward(dzs, leaf_placements_1d(node, instance), base, instance.eta, eps)
     total = 0.0
     for j in range(instance.p):
         m = matrices[instance.qos_for(j).factors[0]]
-        xi = _axis_indices(node.x_sets[j], m.xs_array, eps)
-        total += float(m.entries[xi, 0].max())
+        lo, hi = _axis_range(node.x_sets[j], m.x_index, m.xs.values, eps)
+        total += float(m.entries[lo:hi, 0].max())
     return total
 
 

@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .geometry import EPS, Rect
 from .model import (
@@ -78,11 +80,36 @@ def _need(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _number(v: Any, where: str) -> float:
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            value = float(v)
+        except OverflowError:  # an integer literal beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise CliError(f"{where}: expected a finite number, got {v!r}")
+
+
 def _num(obj: dict, key: str, path: str) -> float:
-    v = _need(obj, key, path)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise CliError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _number(_need(obj, key, path), f"{path}.{key}")
+
+
+@contextmanager
+def _validated(where: str) -> Iterator[None]:
+    """Report a model constructor's ``ValueError`` as a ``CliError`` at ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"{where}: {exc}") from None
+
+
+def _menu(raw: Any, where: str) -> QosSet:
+    if not isinstance(raw, list):
+        raise CliError(f"{where}: expected a list of scale factors")
+    factors = tuple(_number(z, f"{where}[{k}]") for k, z in enumerate(raw))
+    with _validated(where):
+        return QosSet(factors)
 
 
 def instance_from_dict(data: Any, path: str = "instance") -> Instance:
@@ -101,7 +128,10 @@ def instance_from_dict(data: Any, path: str = "instance") -> Instance:
     base_obj = _need(data, "base_sz", path)
     if not isinstance(base_obj, dict):
         raise CliError(f"{path}.base_sz: expected an object")
-    base = BaseServiceZone(_num(base_obj, "w", f"{path}.base_sz"), _num(base_obj, "l", f"{path}.base_sz"))
+    w0 = _num(base_obj, "w", f"{path}.base_sz")
+    l0 = _num(base_obj, "l", f"{path}.base_sz")
+    with _validated(f"{path}.base_sz"):
+        base = BaseServiceZone(w0, l0)
     p = _need(data, "p", path)
     if not isinstance(p, int) or isinstance(p, bool):
         raise CliError(f"{path}.p: expected an integer, got {p!r}")
@@ -110,9 +140,12 @@ def instance_from_dict(data: Any, path: str = "instance") -> Instance:
         raise CliError(f"{path}.qos: expected an object")
     qos: QosSet | tuple[QosSet, ...]
     if "shared" in qos_obj:
-        qos = QosSet(tuple(float(z) for z in qos_obj["shared"]))
+        qos = _menu(qos_obj["shared"], f"{path}.qos.shared")
     elif "per_sz" in qos_obj:
-        qos = tuple(QosSet(tuple(float(z) for z in row)) for row in qos_obj["per_sz"])
+        rows = qos_obj["per_sz"]
+        if not isinstance(rows, list):
+            raise CliError(f"{path}.qos.per_sz: expected a list of menus")
+        qos = tuple(_menu(row, f"{path}.qos.per_sz[{k}]") for k, row in enumerate(rows))
     else:
         raise CliError(f"{path}.qos: needs 'shared' or 'per_sz'")
     dzs_raw = _need(data, "dzs", path)
@@ -123,15 +156,11 @@ def instance_from_dict(data: Any, path: str = "instance") -> Instance:
         where = f"{path}.dzs[{i}]"
         if not isinstance(item, dict):
             raise CliError(f"{where}: expected an object")
-        rect = Rect(
-            _num(item, "x", where), _num(item, "y", where),
-            _num(item, "w", where), _num(item, "l", where),
-        )
-        dzs.append(DemandZone(rect, _num(item, "v", where)))
-    try:
+        x, y, w, l, v = (_num(item, key, where) for key in ("x", "y", "w", "l", "v"))
+        with _validated(where):
+            dzs.append(DemandZone(Rect(x, y, w, l), v))
+    with _validated(path):
         return Instance(tuple(dzs), base, p, qos, eta, dimension)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
 
 
 def solution_to_dict(solution: Solution, stats: SolverStats) -> dict[str, Any]:
@@ -162,9 +191,10 @@ def solution_from_dict(data: Any, path: str = "solution") -> tuple[Solution, boo
         where = f"{path}.placements[{i}]"
         if not isinstance(item, dict):
             raise CliError(f"{where}: expected an object")
-        placements.append(
-            Placement(_num(item, "x", where), _num(item, "y", where), _num(item, "z", where))
-        )
+        x, y, z = (_num(item, key, where) for key in ("x", "y", "z"))
+        if z < 1:
+            raise CliError(f"{where}.z: scale factors must be >= 1, got {z!r}")
+        placements.append(Placement(x, y, z))
     return Solution(tuple(placements), reward), optimal
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Sequence
 
 from .geometry import Rect
 
@@ -117,6 +119,25 @@ def service_rect(base: BaseServiceZone, placement: Placement) -> Rect:
     return Rect(placement.x, placement.y, base.w0 * placement.z, base.l0 * placement.z)
 
 
+def planar_form(
+    dzs: Sequence[DemandZone], base: BaseServiceZone
+) -> tuple[tuple[DemandZone, ...], BaseServiceZone]:
+    """Return a planar equivalent of ``(dzs, base)``.
+
+    Two-dimensional data passes through unchanged.  One-dimensional data
+    (``base.l0 == 0``) is lifted: every demand segment becomes a unit-height
+    box at ``y = 0`` and the base gets unit length, which makes every overlap
+    height exactly 1 and so turns areas into covered lengths.  Lifting is
+    idempotent.
+    """
+    if base.l0 > 0:
+        return tuple(dzs), base
+    lifted = tuple(
+        DemandZone(Rect(d.rect.x, 0.0, d.rect.w, 1.0), d.v) for d in dzs
+    )
+    return lifted, BaseServiceZone(base.w0, 1.0)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A full problem instance.
@@ -158,6 +179,11 @@ class Instance:
     @property
     def one_d(self) -> bool:
         return self.dimension is Dimension.ONE_D
+
+    @cached_property
+    def planar(self) -> tuple[tuple[DemandZone, ...], BaseServiceZone]:
+        """``(dzs, base)`` through :func:`planar_form`, lifted once per instance."""
+        return planar_form(self.dzs, self.base)
 
     def qos_for(self, j: int) -> QosSet:
         """Scale menu of service zone ``j`` (0-based)."""

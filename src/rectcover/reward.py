@@ -20,9 +20,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import EPS, Axis, Rect, _trim_bounds, area, intersect
+from .geometry import EPS, Axis, _trim_bounds, area, intersect
 from .critical import CriticalValueSet, CvKind, inner_demand_grid
-from .model import BaseServiceZone, DemandZone, Eta, Placement, QosSet, reward_rate, service_rect
+from .model import (
+    BaseServiceZone,
+    DemandZone,
+    Eta,
+    Placement,
+    QosSet,
+    planar_form,
+    reward_rate,
+    service_rect,
+)
 
 #: Signature shared by the exact single-zone solver and any approximate
 #: substitute: ``(dzs, qos, base, eta) -> (reward, x, y, z)``.
@@ -30,25 +39,6 @@ SingleZoneSolver = Callable[
     [Sequence[DemandZone], QosSet, BaseServiceZone, Eta],
     tuple[float, float, float, float],
 ]
-
-
-def planar_form(
-    dzs: Sequence[DemandZone], base: BaseServiceZone
-) -> tuple[tuple[DemandZone, ...], BaseServiceZone]:
-    """Return a planar equivalent of ``(dzs, base)``.
-
-    Two-dimensional data passes through unchanged.  One-dimensional data
-    (``base.l0 == 0``) is lifted: every demand segment becomes a unit-height
-    box at ``y = 0`` and the base gets unit length, which makes every overlap
-    height exactly 1 and so turns areas into covered lengths.  Lifting is
-    idempotent.
-    """
-    if base.l0 > 0:
-        return tuple(dzs), base
-    lifted = tuple(
-        DemandZone(Rect(d.rect.x, 0.0, d.rect.w, 1.0), d.v) for d in dzs
-    )
-    return lifted, BaseServiceZone(base.w0, 1.0)
 
 
 def single_zone_reward(
@@ -75,7 +65,8 @@ class RewardMatrix:
     """Single-zone rewards of one scale tabulated over its candidate grid.
 
     ``entries[i, j]`` is the isolated reward of a scale-``scale`` zone placed
-    at ``(xs.values[i], ys.values[j])``.
+    at ``(xs.values[i], ys.values[j])``.  ``x_index`` and ``y_index`` map each
+    grid value (exactly, no tolerance) back to its row or column.
     """
 
     scale: float
@@ -84,12 +75,12 @@ class RewardMatrix:
     entries: np.ndarray
 
     @cached_property
-    def xs_array(self) -> np.ndarray:
-        return np.asarray(self.xs.values)
+    def x_index(self) -> dict[float, int]:
+        return {v: i for i, v in enumerate(self.xs.values)}
 
     @cached_property
-    def ys_array(self) -> np.ndarray:
-        return np.asarray(self.ys.values)
+    def y_index(self) -> dict[float, int]:
+        return {v: i for i, v in enumerate(self.ys.values)}
 
     @cached_property
     def max_entry(self) -> float:

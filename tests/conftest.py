@@ -13,6 +13,7 @@ tractable.
 from __future__ import annotations
 
 from rectcover import (
+    EPS,
     BaseServiceZone,
     DemandZone,
     Dimension,
@@ -76,3 +77,20 @@ def small_1d(seed: int, n: int, p: int) -> Instance:
             dimension=Dimension.ONE_D,
         )
     )
+
+
+def reference_indices(candidates, grid):
+    """Reward-matrix indices of a candidate set by exact grid membership.
+
+    An off-grid singleton takes the grid value within ``EPS`` of it, else its
+    bracketing grid values (just one beyond either end of the grid).
+    """
+    if len(candidates) == 1 and candidates[0] not in grid:
+        v = candidates[0]
+        near = [k for k, g in enumerate(grid) if abs(g - v) < EPS]
+        if near:
+            return near
+        below = [k for k, g in enumerate(grid) if g < v]
+        above = [k for k, g in enumerate(grid) if g > v]
+        return below[-1:] + above[:1]
+    return [grid.index(v) for v in candidates]

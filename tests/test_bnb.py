@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rectcover import (
@@ -14,6 +15,7 @@ from rectcover import (
     Rect,
     brute_force_2d,
     build_reward_matrix,
+    covered_reward,
     generate,
     greedy,
     partition,
@@ -33,7 +35,7 @@ from rectcover.bnb import (
     upper_bound,
 )
 
-from conftest import small_1d, small_2d, square_instance
+from conftest import reference_indices, small_1d, small_2d, square_instance
 
 
 # ---------------------------------------------------------------- partition
@@ -197,7 +199,84 @@ def test_upper_bound_off_grid_singleton_brackets():
     assert got == 4.0 + 8.0
 
 
+def _reference_bound(node, mats, inst):
+    if is_leaf(node):
+        return covered_reward(inst.dzs, leaf_placements(node), inst.base, inst.eta)
+    best_any = max(m.max_entry for m in mats.values())
+    total = 0.0
+    for j in range(inst.p):
+        z = node.z_vec[j]
+        if z == _UNSET:
+            total += best_any
+            continue
+        m = mats[z]
+        xi = reference_indices(node.x_sets[j], m.xs.values)
+        yi = reference_indices(node.y_sets[j], m.ys.values)
+        total += float(m.entries[np.ix_(xi, yi)].max())
+    return total
+
+
+def test_upper_bound_equals_index_set_reference_on_every_node():
+    # the full trees that acceptance check 8 walks, without pruning
+    tiny = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
+    cfg = SolverConfig()
+    for seed in range(5):
+        for m in (1, 2):
+            inst = generate(GenConfig(seed=seed, n=2, p=2, m=m, **tiny))
+            grids = CandidateGrids.from_instance(inst)
+            mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+            stack = [Node(
+                x_sets=(grids.x_union,) * inst.p,
+                y_sets=(grids.y_union,) * inst.p,
+                z_vec=(_UNSET,) * inst.p,
+            )]
+            while stack:
+                node = stack.pop()
+                assert upper_bound(node, mats, inst) == _reference_bound(node, mats, inst), node
+                if not is_leaf(node):
+                    stack.extend(branch(node, inst, grids, cfg))
+
+
+def test_upper_bound_rejects_a_set_that_is_not_a_grid_slice():
+    inst = small_2d(seed=3, n=6, m=2)
+    grids = CandidateGrids.from_instance(inst)
+    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+    xs = grids.x_by_scale[1.0]
+    ys = grids.y_by_scale[1.0]
+    assert len(xs) >= 3
+    for bad in ((xs[0], xs[2]), (xs[0], (xs[0] + xs[1]) / 2), xs[:2] + (xs[-1] + 1.0,)):
+        node = Node(x_sets=(bad, xs), y_sets=(ys, ys), z_vec=(1.0, 1.0))
+        with pytest.raises(ValueError, match="not a slice"):
+            upper_bound(node, mats, inst)
+
+
+def test_priority_tables_equal_priority_score_at_every_grid_value():
+    inst = generate(GenConfig(seed=3, n=30, p=2, m=2))
+    grids = CandidateGrids.from_instance(inst)
+    for z in inst.scale_values():
+        for axis, values, table in (
+            (Axis.X, grids.x_by_scale[z], grids.x_priority[z]),
+            (Axis.Y, grids.y_by_scale[z], grids.y_priority[z]),
+        ):
+            assert tuple(table) == values
+            for v in values:
+                assert table[v] == priority_score(v, inst.dzs, z, inst.eta, axis)
+
+
 # ------------------------------------------------------------- whole solves
+
+
+@pytest.mark.parametrize(
+    "seed, nodes, reward",
+    [(3, 419, 28074.27451427053), (19, 451, 25041.271161217206)],
+)
+def test_node_count_fingerprint(seed, nodes, reward):
+    # Recorded from the search before its bound and child ordering moved to
+    # index ranges and priority tables; a pure speed-up must not move them.
+    sol, stats = solve(generate(GenConfig(seed=seed, n=30, p=2, m=2)))
+    assert stats.nodes_explored == nodes
+    assert stats.optimal
+    assert math.isclose(sol.reward, reward, rel_tol=1e-9)
 
 def test_square_solved_to_optimum():
     inst = square_instance()

@@ -5,19 +5,22 @@ import math
 import pytest
 
 from rectcover import (
+    Axis,
     BaseServiceZone,
     DemandZone,
     Dimension,
+    GenConfig,
     Instance,
     Placement,
     QosSet,
     Rect,
     brute_force_1d,
     covered_reward,
+    generate_1d,
     greedy,
     solve_1d,
 )
-from rectcover.bnb import CandidateGrids, SolverConfig
+from rectcover.bnb import CandidateGrids, SolverConfig, priority_score
 from rectcover.bnb1d import (
     Node1D,
     branch_1d,
@@ -25,9 +28,9 @@ from rectcover.bnb1d import (
     leaf_placements_1d,
     upper_bound_1d,
 )
-from rectcover.reward import build_reward_matrix
+from rectcover.reward import build_reward_matrix, planar_form
 
-from conftest import micro_line, small_1d, square_instance
+from conftest import micro_line, reference_indices, small_1d, square_instance
 
 
 def test_micro_line_optimum():
@@ -129,6 +132,70 @@ def test_upper_bound_sound_on_micro_tree():
         return best
 
     assert max_leaf_below(root) <= upper_bound_1d(root, mats, inst) + 1e-9
+
+
+def test_upper_bound_equals_index_set_reference_on_every_node():
+    inst = small_1d(seed=1, n=5, p=2)
+    cfg = SolverConfig()
+    grids = CandidateGrids.from_instance(inst)
+    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+    stack = [Node1D(x_sets=tuple(grids.x_by_scale[inst.qos_for(j).factors[0]] for j in range(inst.p)))]
+    while stack:
+        node = stack.pop()
+        if is_leaf_1d(node):
+            continue
+        expected = 0.0
+        for j in range(inst.p):
+            m = mats[inst.qos_for(j).factors[0]]
+            expected += float(m.entries[reference_indices(node.x_sets[j], m.xs.values), 0].max())
+        assert upper_bound_1d(node, mats, inst) == expected, node
+        stack.extend(branch_1d(node, inst, grids, cfg))
+
+
+def test_upper_bound_rejects_a_set_that_is_not_a_grid_slice():
+    inst = small_1d(seed=1, n=5, p=2)
+    grids = CandidateGrids.from_instance(inst)
+    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+    xs = grids.x_by_scale[1.0]
+    assert len(xs) >= 3
+    node = Node1D(x_sets=((xs[0], xs[2]), grids.x_by_scale[2.0]), bs=0, bsfl=0)
+    with pytest.raises(ValueError, match="not a slice"):
+        upper_bound_1d(node, mats, inst)
+
+
+def test_leaf_bound_on_lifted_demand_is_exact():
+    inst = small_1d(seed=1, n=5, p=2)
+    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+    leaf = Node1D(x_sets=((28.0,), (85.0,)), bs=1, bsfl=0)
+    exact = covered_reward(inst.dzs, leaf_placements_1d(leaf, inst), inst.base, inst.eta)
+    assert exact > 0
+    assert upper_bound_1d(leaf, mats, inst) == exact
+    # the leaf read the demand lifted once for the instance
+    assert inst.planar is inst.planar
+    assert inst.planar == planar_form(inst.dzs, inst.base)
+
+
+def test_priority_table_equals_priority_score_at_every_grid_value():
+    inst = generate_1d(GenConfig(seed=38, n=12, p=3, dimension=Dimension.ONE_D))
+    grids = CandidateGrids.from_instance(inst)
+    for z in inst.scale_values():
+        for axis, values, table in (
+            (Axis.X, grids.x_by_scale[z], grids.x_priority[z]),
+            (Axis.Y, grids.y_by_scale[z], grids.y_priority[z]),
+        ):
+            assert tuple(table) == values
+            for v in values:
+                assert table[v] == priority_score(v, inst.dzs, z, inst.eta, axis)
+
+
+@pytest.mark.parametrize("seed, nodes, reward", [(38, 1334, 584.8876482173569), (4, 2530, 953.3261811933497)])
+def test_node_count_fingerprint(seed, nodes, reward):
+    # Recorded from the search before its bound and child ordering moved to
+    # index ranges and priority tables; a pure speed-up must not move them.
+    sol, stats = solve_1d(generate_1d(GenConfig(seed=seed, n=12, p=3, dimension=Dimension.ONE_D)))
+    assert stats.nodes_explored == nodes
+    assert stats.optimal
+    assert math.isclose(sol.reward, reward, rel_tol=1e-9)
 
 
 def test_matches_reference_on_generated_lines():

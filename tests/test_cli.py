@@ -324,3 +324,57 @@ def test_render_rejects_mismatched_pair(square_file, tmp_path, capsys):
                  "--solution", str(bogus), "--out", str(tmp_path / "x.svg")])
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- malformed input files
+
+def _assert_clean_error(code: int, err: str, where: str) -> None:
+    # ``main`` turns only ``CliError`` into exit code 1; any other exception
+    # escapes it and fails the test with its traceback.
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors and where in errors[0], err
+
+
+INSTANCE_MUTATIONS = {
+    "negative extent": (lambda d: d["dzs"][0].update(w=-1), "instance.dzs[0]"),
+    "menu not increasing": (lambda d: d["qos"].update(shared=[2, 1]), "instance.qos.shared"),
+    "factor below one": (lambda d: d["qos"].update(shared=[0.5]), "instance.qos.shared"),
+    "non-numeric factor": (lambda d: d["qos"].update(shared=["a"]), "instance.qos.shared[0]"),
+    "menu not a list": (lambda d: d["qos"].update(shared=2), "instance.qos.shared"),
+    "zero base width": (lambda d: d["base_sz"].update(w=0), "instance.base_sz"),
+    "zero rate": (lambda d: d["dzs"][0].update(v=0), "instance.dzs[0]"),
+    "non-finite coordinate": (lambda d: d["dzs"][1].update(x=float("nan")), "instance.dzs[1].x"),
+    "integer beyond float range": (lambda d: d["dzs"][1].update(l=10**400), "instance.dzs[1].l"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(INSTANCE_MUTATIONS))
+def test_malformed_instance_file_gives_error_line(mutation, tmp_path, capsys):
+    mutate, where = INSTANCE_MUTATIONS[mutation]
+    data = instance_to_dict(generate(GenConfig(seed=1, n=5, p=2, m=2)))
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["solve", "--algo", "greedy", "--instance", str(path), "--out", str(tmp_path / "s.json")])
+    _assert_clean_error(code, capsys.readouterr().err, where)
+
+
+SOLUTION_MUTATIONS = {
+    "negative scale": (lambda d: d["placements"][0].update(z=-1.0), "solution.placements[0].z"),
+    "scale below one": (lambda d: d["placements"][1].update(z=0.5), "solution.placements[1].z"),
+    "non-finite coordinate": (lambda d: d["placements"][0].update(x=float("inf")), "solution.placements[0].x"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SOLUTION_MUTATIONS))
+def test_malformed_solution_file_gives_error_line(mutation, square_file, tmp_path, capsys):
+    mutate, where = SOLUTION_MUTATIONS[mutation]
+    sol = Solution((Placement(0.0, 0.0, 1.0), Placement(2.0, 2.0, 1.0)), 8.0)
+    data = solution_to_dict(sol, SolverStats(nodes_explored=1, optimal=True))
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["render", "--instance", str(square_file), "--solution", str(path),
+                 "--out", str(tmp_path / "x.svg")])
+    _assert_clean_error(code, capsys.readouterr().err, where)
