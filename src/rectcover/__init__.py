@@ -16,13 +16,10 @@ from .model import (
 )
 from .critical import (
     CriticalValueSet,
-    CvKind,
     contains_value,
     dedup_sorted,
     demand_breakpoints,
     inner_demand_grid,
-    inner_service_values,
-    outer_service_values,
     service_breakpoints,
 )
 from .reward import (
@@ -57,13 +54,10 @@ __all__ = [
     "reward_rate",
     "service_rect",
     "CriticalValueSet",
-    "CvKind",
     "contains_value",
     "dedup_sorted",
     "demand_breakpoints",
     "inner_demand_grid",
-    "inner_service_values",
-    "outer_service_values",
     "service_breakpoints",
     "RewardMatrix",
     "build_reward_matrix",

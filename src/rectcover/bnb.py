@@ -18,7 +18,11 @@ search tree narrows those per-zone candidate sets step by step:
   zone sitting on an abutment value.
 
 Zones are processed in index order along x, which is harmless because zones
-sharing one scale menu are interchangeable.  A greedy run seeds the
+sharing one scale menu are interchangeable.
+
+The depth-first loop, :func:`branch_and_bound`, is shared with the line
+solver (``bnb1d.solve_1d``); each solver passes its own root, bound,
+branching rule, leaf test and leaf placements.  A greedy run seeds the
 incumbent; a node is cut as soon as its optimistic bound cannot beat the
 incumbent by more than ``epsilon``.
 
@@ -34,13 +38,14 @@ solve for every own-scale grid value (``CandidateGrids``).
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .geometry import EPS, Axis
-from .critical import contains_value, dedup_sorted, inner_demand_grid, service_breakpoints
+from .critical import abutment_values, contains_value, dedup_sorted, inner_demand_grid
 from .greedy import greedy
 from .model import Dimension, Instance, Placement, QosSet, Solution, reward_rate
 from .reward import RewardMatrix, build_reward_matrix, covered_reward
@@ -60,6 +65,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not self.time_limit_s >= 0:
+            raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
         if self.scv_mode not in ("outer", "full"):
             raise ValueError(f"scv_mode must be 'outer' or 'full', got {self.scv_mode!r}")
 
@@ -182,49 +191,6 @@ def _replace_at(sets: tuple[tuple[float, ...], ...], j: int, values: tuple[float
     return sets[:j] + (values,) + sets[j + 1 :]
 
 
-def _service_candidates(
-    node: Node,
-    j: int,
-    z: float,
-    instance: Instance,
-    axis: Axis,
-    exclude: tuple[float, ...],
-    config: SolverConfig,
-) -> list[float]:
-    """Abutment (and, in ``full`` mode, nesting) coordinates for zone ``j``.
-
-    Values are generated by zones whose coordinate on ``axis`` is already a
-    singleton with a chosen scale, and filtered against ``exclude`` — zone
-    ``j``'s own-scale grid, whose members its interval branching enumerates
-    anyway.  Values on *another* scale's grid must stay: they are never
-    enumerated for this zone otherwise (with a {1, 2} menu, left-abutting a
-    scale-1 zone that sits on a scale-1 grid value always lands on a scale-2
-    grid value, so dropping them loses real optima).
-    """
-    eps = config.epsilon
-    sets = node.x_sets if axis is Axis.X else node.y_sets
-    fixed = [
-        (sets[k][0], node.z_vec[k])
-        for k in range(instance.p)
-        if k != j and len(sets[k]) == 1 and node.z_vec[k] != _UNSET
-    ]
-    outer: list[float] = []
-    inner: list[float] = []
-    for coord, owner in fixed:
-        o1, i1, i2, o2 = service_breakpoints(coord, owner, z, instance.base, axis)
-        outer.extend((o1, o2))
-        inner.extend((i1, i2))
-    raw = outer + inner if config.scv_mode == "full" else outer
-    out: list[float] = []
-    for v in raw:
-        if contains_value(exclude, v, eps):
-            continue
-        if any(abs(v - u) < eps for u in out):
-            continue
-        out.append(v)
-    return out
-
-
 def _order_children(
     parts: list[tuple[float, ...]], priority: Mapping[float, float]
 ) -> list[tuple[float, ...]]:
@@ -258,66 +224,61 @@ def branch(
     node: Node, instance: Instance, grids: CandidateGrids, config: SolverConfig
 ) -> list[Node]:
     """Children of a non-leaf node, in exploration order."""
-    p = instance.p
-    eps = config.epsilon
-    if node.ba is Axis.X:
-        if node.bs < p:
-            j = node.bs
-            if node.z_vec[j] == _UNSET:
-                # Scale step: one child per menu entry for zone j.
-                children = []
-                for z in instance.qos_for(j).factors:
-                    children.append(
-                        replace(
-                            node,
-                            z_vec=node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
-                            x_sets=_replace_at(node.x_sets, j, grids.x_by_scale[z]),
-                            y_sets=_replace_at(node.y_sets, j, grids.y_by_scale[z]),
-                        )
-                    )
-                return children
-            # Interval step on x.
-            z = node.z_vec[j]
-            xs = node.x_sets[j]
-            parts = partition(xs, config.beta)
-            if len(parts) == 1 and len(xs) > 1:
-                parts = [(v,) for v in xs]
-            parts = _order_children(parts, grids.x_priority[z])
-            children = [
+    j = node.bs
+    if node.ba is Axis.X and j < instance.p:
+        if node.z_vec[j] == _UNSET:
+            # Scale step: one child per menu entry for zone j.
+            return [
                 replace(
                     node,
-                    x_sets=_replace_at(node.x_sets, j, part),
-                    bs=j + 1 if len(part) == 1 else j,
+                    z_vec=node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
+                    x_sets=_replace_at(node.x_sets, j, grids.x_by_scale[z]),
+                    y_sets=_replace_at(node.y_sets, j, grids.y_by_scale[z]),
                 )
-                for part in parts
+                for z in instance.qos_for(j).factors
             ]
-            if xs == grids.x_by_scale[z]:
-                # First split of zone j: also pin it at abutment positions of
-                # zones already fixed on x.
-                for v in _service_candidates(node, j, z, instance, Axis.X, grids.x_by_scale[z], config):
-                    children.append(
-                        replace(node, x_sets=_replace_at(node.x_sets, j, (v,)), bs=j + 1)
-                    )
-            return children
-        # Every x fixed: hand over to y via the order step.
-        return _order_step_children(node, instance, grids, eps)
-    # y axis.
-    j = node.bs
-    ys = node.y_sets[j]
-    if len(ys) == 1:
-        return _order_step_children(node, instance, grids, eps)
+        return _interval_children(node, j, Axis.X, instance, grids, config)
+    if node.ba is Axis.X or len(node.y_sets[j]) == 1:
+        # Every x fixed, or zone j's y settled: the order step picks who is next.
+        return _order_step_children(node, instance, grids, config.epsilon)
+    return _interval_children(node, j, Axis.Y, instance, grids, config)
+
+
+def _interval_children(
+    node: Node, j: int, axis: Axis, instance: Instance, grids: CandidateGrids, config: SolverConfig
+) -> list[Node]:
+    """Interval step: split zone ``j``'s candidate set on ``axis``.
+
+    On its first split (the set is still the whole own-scale grid) zone ``j``
+    is also pinned at the abutment positions of zones already fixed on
+    ``axis``.  Values on *another* scale's grid stay among them: they are
+    never enumerated for this zone otherwise (with a {1, 2} menu,
+    left-abutting a scale-1 zone that sits on a scale-1 grid value always
+    lands on a scale-2 grid value, so dropping them loses real optima).  On x
+    a singleton child moves on to zone ``j + 1``.
+    """
+    on_x = axis is Axis.X
+    sets = node.x_sets if on_x else node.y_sets
     z = node.z_vec[j]
-    parts = partition(ys, config.beta)
-    if len(parts) == 1 and len(ys) > 1:
-        parts = [(v,) for v in ys]
-    parts = _order_children(parts, grids.y_priority[z])
-    children = [
-        replace(node, y_sets=_replace_at(node.y_sets, j, part)) for part in parts
-    ]
-    if ys == grids.y_by_scale[z]:
-        for v in _service_candidates(node, j, z, instance, Axis.Y, grids.y_by_scale[z], config):
-            children.append(replace(node, y_sets=_replace_at(node.y_sets, j, (v,))))
-    return children
+    vals = sets[j]
+    parts = partition(vals, config.beta)
+    if len(parts) == 1 and len(vals) > 1:
+        parts = [(v,) for v in vals]
+    parts = _order_children(parts, (grids.x_priority if on_x else grids.y_priority)[z])
+    if vals == (grids.x_by_scale if on_x else grids.y_by_scale)[z]:
+        fixed = [
+            (s[0], zk)
+            for k, (s, zk) in enumerate(zip(sets, node.z_vec))
+            if k != j and len(s) == 1 and zk != _UNSET
+        ]
+        full = config.scv_mode == "full"
+        parts += [(v,) for v in abutment_values(fixed, z, instance.base, axis, full, vals, config.epsilon)]
+    if on_x:
+        return [
+            replace(node, x_sets=_replace_at(sets, j, part), bs=j + 1 if len(part) == 1 else j)
+            for part in parts
+        ]
+    return [replace(node, y_sets=_replace_at(sets, j, part)) for part in parts]
 
 
 def _axis_indices(v: float, grid: Sequence[float], eps: float) -> tuple[int, int]:
@@ -403,18 +364,26 @@ def upper_bound(
     return total
 
 
-def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solution, SolverStats]:
-    """Exact solve of a planar instance with a shared scale menu.
+def branch_and_bound(
+    instance: Instance,
+    config: SolverConfig,
+    root: Callable[[Instance, CandidateGrids], Any],
+    bound: Callable[[Any, Mapping[float, RewardMatrix], Instance, float], float],
+    children: Callable[[Any, Instance, CandidateGrids, SolverConfig], list],
+    at_leaf: Callable[[Any], bool],
+    placements: Callable[[Any], tuple[Placement, ...]],
+) -> tuple[Solution, SolverStats]:
+    """Depth-first branch and bound, shared by the planar and line solvers.
 
-    Returns the optimal solution unless the time limit is hit first, in which
-    case the best feasible solution found is returned with
-    ``stats.optimal == False``.
+    A greedy run seeds the incumbent.  ``root(instance, grids)`` builds the
+    root node; every popped node is bounded with ``bound(node, matrices,
+    instance, eps)``, which must be exact at leaves (``at_leaf(node)``), and
+    is cut when the bound cannot beat the incumbent by more than ``epsilon``.
+    A surviving leaf becomes the incumbent (``placements(node)``); any other
+    node is replaced by ``children(node, instance, grids, config)``, explored
+    in the order given.  When the time limit is hit the incumbent is returned
+    with ``stats.optimal == False``.
     """
-    if instance.dimension is not Dimension.TWO_D:
-        raise ValueError("solve() handles planar instances; use solve_1d() for segments")
-    if not isinstance(instance.qos, QosSet):
-        raise ValueError("solve() needs a shared scale menu")
-    config = config or SolverConfig()
     eps = config.epsilon
     stats = SolverStats()
     start = time.perf_counter()
@@ -431,29 +400,45 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
             z: build_reward_matrix(instance.dzs, z, instance.base, instance.eta, eps)
             for z in instance.scale_values()
         }
-        p = instance.p
-        root = Node(
-            x_sets=(grids.x_union,) * p,
-            y_sets=(grids.y_union,) * p,
-            z_vec=(_UNSET,) * p,
-        )
-        stack = [root]
+        stack = [root(instance, grids)]
         while stack:
             if time.perf_counter() - start > config.time_limit_s:
                 stats.optimal = False
                 break
             node = stack.pop()
             stats.nodes_explored += 1
-            bound = upper_bound(node, matrices, instance, eps)
-            if bound <= lower + eps:
+            value = bound(node, matrices, instance, eps)
+            if value <= lower + eps:
                 continue
-            if is_leaf(node):
-                lower = bound
-                incumbent = leaf_placements(node)
+            if at_leaf(node):
+                lower = value
+                incumbent = placements(node)
                 stats.best_reward_history.append((stats.nodes_explored, lower))
                 stats.optimal_found_time = time.perf_counter() - start
                 continue
-            stack.extend(reversed(branch(node, instance, grids, config)))
+            stack.extend(reversed(children(node, instance, grids, config)))
 
     stats.wall_time = time.perf_counter() - start
     return Solution(incumbent, lower), stats
+
+
+def root_node(instance: Instance, grids: CandidateGrids) -> Node:
+    """Every zone open: scale unset, candidate sets the cross-scale unions."""
+    p = instance.p
+    return Node(x_sets=(grids.x_union,) * p, y_sets=(grids.y_union,) * p, z_vec=(_UNSET,) * p)
+
+
+def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solution, SolverStats]:
+    """Exact solve of a planar instance with a shared scale menu.
+
+    Returns the optimal solution unless the time limit is hit first, in which
+    case the best feasible solution found is returned with
+    ``stats.optimal == False``.
+    """
+    if instance.dimension is not Dimension.TWO_D:
+        raise ValueError("solve() handles planar instances; use solve_1d() for segments")
+    if not isinstance(instance.qos, QosSet):
+        raise ValueError("solve() needs a shared scale menu")
+    return branch_and_bound(
+        instance, config or SolverConfig(), root_node, upper_bound, branch, is_leaf, leaf_placements
+    )

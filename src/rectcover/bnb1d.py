@@ -14,20 +14,31 @@ explicitly:
   by the already-fixed zones, plus — only when ``l`` exceeds the subtree's
   first-level index, which stops two subtrees from re-deriving the same
   grid-only assignments — one child keeping zone ``l``'s whole grid.
+
+The search loop is the planar solver's (``bnb.branch_and_bound``), run with
+this module's root, bound, branching rule and leaf.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping
 
 from .geometry import EPS, Axis
-from .critical import service_breakpoints
-from .greedy import greedy
+from .critical import abutment_values
 from .model import Dimension, Instance, Placement, Solution
-from .reward import RewardMatrix, build_reward_matrix, covered_reward
-from .bnb import CandidateGrids, SolverConfig, SolverStats, _axis_range, _order_children, partition
+from .reward import RewardMatrix, covered_reward
+from .bnb import (
+    CandidateGrids,
+    SolverConfig,
+    SolverStats,
+    _axis_range,
+    _order_children,
+    _replace_at,
+    branch_and_bound,
+    partition,
+)
 
 
 @dataclass(frozen=True)
@@ -58,10 +69,8 @@ def branch_1d(
     node: Node1D, instance: Instance, grids: CandidateGrids, config: SolverConfig
 ) -> list[Node1D]:
     """Children of a non-leaf node, in exploration order."""
-    p = instance.p
-    eps = config.epsilon
     if node.bsfl < 0:
-        return [replace(node, bs=j, bsfl=j) for j in range(p)]
+        return [replace(node, bs=j, bsfl=j) for j in range(instance.p)]
     j = node.bs
     xs = node.x_sets[j]
     scale_of = lambda k: instance.qos_for(k).factors[0]
@@ -70,30 +79,16 @@ def branch_1d(
         if len(parts) == 1:
             parts = [(v,) for v in xs]
         parts = _order_children(parts, grids.x_priority[scale_of(j)])
-        return [
-            replace(node, x_sets=node.x_sets[:j] + (part,) + node.x_sets[j + 1 :])
-            for part in parts
-        ]
+        return [replace(node, x_sets=_replace_at(node.x_sets, j, part)) for part in parts]
     # Current zone settled: branch on which open zone to place next.
-    fixed = [k for k in range(p) if len(node.x_sets[k]) == 1]
+    fixed = [(s[0], scale_of(k)) for k, s in enumerate(node.x_sets) if len(s) == 1]
+    full = config.scv_mode == "full"
     children: list[Node1D] = []
-    for l in range(p):
-        if l in fixed:
+    for l, s in enumerate(node.x_sets):
+        if len(s) == 1:
             continue
-        z = scale_of(l)
-        vals: list[float] = []
-        for k in fixed:
-            o1, i1, i2, o2 = service_breakpoints(
-                node.x_sets[k][0], scale_of(k), z, instance.base, Axis.X
-            )
-            cand = (o1, o2, i1, i2) if config.scv_mode == "full" else (o1, o2)
-            for v in cand:
-                if not any(abs(v - u) < eps for u in vals):
-                    vals.append(v)
-        for v in vals:
-            children.append(
-                replace(node, x_sets=node.x_sets[:l] + ((v,),) + node.x_sets[l + 1 :], bs=l)
-            )
+        for v in abutment_values(fixed, scale_of(l), instance.base, Axis.X, full, eps=config.epsilon):
+            children.append(replace(node, x_sets=_replace_at(node.x_sets, l, (v,)), bs=l))
         if l > node.bsfl:
             children.append(replace(node, bs=l))
     return children
@@ -124,47 +119,21 @@ def upper_bound_1d(
     return total
 
 
+def root_node_1d(instance: Instance, grids: CandidateGrids) -> Node1D:
+    """Every zone on its own scale's whole grid; dispatches first-level subtrees."""
+    return Node1D(x_sets=tuple(grids.x_by_scale[instance.qos_for(j).factors[0]] for j in range(instance.p)))
+
+
 def solve_1d(instance: Instance, config: SolverConfig | None = None) -> tuple[Solution, SolverStats]:
     """Exact solve of a line instance (per-zone fixed scales)."""
     if instance.dimension is not Dimension.ONE_D:
         raise ValueError("solve_1d() handles line instances; use solve() in the plane")
-    config = config or SolverConfig()
-    eps = config.epsilon
-    stats = SolverStats()
-    start = time.perf_counter()
-
-    trace = greedy(instance, eps)
-    incumbent = trace.solution.placements
-    lower = trace.solution.reward
-    stats.best_reward_history.append((0, lower))
-    stats.optimal_found_time = time.perf_counter() - start
-
-    if instance.dzs:
-        grids = CandidateGrids.from_instance(instance, eps)
-        matrices = {
-            z: build_reward_matrix(instance.dzs, z, instance.base, instance.eta, eps)
-            for z in instance.scale_values()
-        }
-        root = Node1D(
-            x_sets=tuple(grids.x_by_scale[instance.qos_for(j).factors[0]] for j in range(instance.p))
-        )
-        stack = [root]
-        while stack:
-            if time.perf_counter() - start > config.time_limit_s:
-                stats.optimal = False
-                break
-            node = stack.pop()
-            stats.nodes_explored += 1
-            bound = upper_bound_1d(node, matrices, instance, eps)
-            if bound <= lower + eps:
-                continue
-            if is_leaf_1d(node):
-                lower = bound
-                incumbent = leaf_placements_1d(node, instance)
-                stats.best_reward_history.append((stats.nodes_explored, lower))
-                stats.optimal_found_time = time.perf_counter() - start
-                continue
-            stack.extend(reversed(branch_1d(node, instance, grids, config)))
-
-    stats.wall_time = time.perf_counter() - start
-    return Solution(incumbent, lower), stats
+    return branch_and_bound(
+        instance,
+        config or SolverConfig(),
+        root_node_1d,
+        upper_bound_1d,
+        branch_1d,
+        is_leaf_1d,
+        partial(leaf_placements_1d, instance=instance),
+    )

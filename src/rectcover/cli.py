@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -477,6 +478,14 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
 # commands
 
 
+def _out_path(text: str) -> Path:
+    """An ``--out`` file in a writable directory, checked before any work is done."""
+    path = Path(text)
+    if path.is_dir() or not os.access(path.parent, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a file in an existing, writable directory")
+    return path
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -490,10 +499,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         region=args.region, r=args.r,
     )
     if args.base_dims is not None:
-        parts = args.base_dims.split(",")
-        if len(parts) != 2:
-            raise CliError(f"--base-dims expects 'w,l', got {args.base_dims!r}")
-        kwargs["base_dims"] = (float(parts[0]), float(parts[1]))
+        try:
+            w, l = (float(part) for part in args.base_dims.split(","))
+        except ValueError:
+            raise CliError(f"--base-dims expects 'w,l', got {args.base_dims!r}") from None
+        kwargs["base_dims"] = (w, l)
     try:
         if args.one_d:
             config = GenConfig(dimension=Dimension.ONE_D, **kwargs)
@@ -508,14 +518,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    with _validated("solver options"):
+        return SolverConfig(
+            beta=args.beta, epsilon=args.epsilon, time_limit_s=args.time_limit, scv_mode=args.scv_mode,
+        )
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
+    config = _solver_config(args)
     instance = load_instance(args.instance)
-    config = SolverConfig(
-        beta=args.beta,
-        epsilon=args.epsilon,
-        time_limit_s=args.time_limit,
-        scv_mode=args.scv_mode,
-    )
     if args.algo == "greedy":
         t0 = time.perf_counter()
         trace = greedy(instance, config.epsilon)
@@ -554,9 +566,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = SolverConfig(
-        beta=args.beta, epsilon=args.epsilon, time_limit_s=args.time_limit, scv_mode=args.scv_mode,
-    )
+    config = _solver_config(args)
     report = run_bench(
         ps=_parse_int_list(args.p),
         ms=_parse_int_list(args.m),
@@ -604,13 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--r", type=float, default=270.0, help="concentration radius")
     gen.add_argument("--base-dims", default=None, help="base zone as 'w,l'")
     gen.add_argument("--one-d", action="store_true", help="line variant")
-    gen.add_argument("--out", required=True)
+    gen.add_argument("--out", required=True, type=_out_path)
     gen.set_defaults(func=cmd_generate)
 
     slv = sub.add_parser("solve", help="solve an instance file")
     slv.add_argument("--instance", required=True)
     slv.add_argument("--algo", choices=("greedy", "exact", "oracle"), default="exact")
-    slv.add_argument("--out", required=True)
+    slv.add_argument("--out", required=True, type=_out_path)
     slv.add_argument("--time-limit", type=float, default=18000.0)
     slv.add_argument("--beta", type=float, default=0.5)
     slv.add_argument("--epsilon", type=float, default=EPS)
@@ -629,13 +639,13 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--scv-mode", choices=("outer", "full"), default="outer")
     ben.add_argument("--oracle-budget", type=int, default=0,
                      help="cross-check rows whose enumeration fits this budget (0 = off)")
-    ben.add_argument("--out", required=True)
+    ben.add_argument("--out", required=True, type=_out_path)
     ben.set_defaults(func=cmd_bench)
 
     ren = sub.add_parser("render", help="draw instance (and solution) as SVG")
     ren.add_argument("--instance", required=True)
     ren.add_argument("--solution", default=None)
-    ren.add_argument("--out", required=True)
+    ren.add_argument("--out", required=True, type=_out_path)
     ren.set_defaults(func=cmd_render)
 
     return parser

@@ -19,18 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .geometry import EPS, Axis
 from .model import BaseServiceZone, DemandZone
-
-
-class CvKind(Enum):
-    INNER_DEMAND = "inner_demand"
-    OUTER_DEMAND = "outer_demand"
-    INNER_SERVICE = "inner_service"
-    OUTER_SERVICE = "outer_service"
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,6 @@ class CriticalValueSet:
 
     values: tuple[float, ...]
     axis: Axis
-    kind: CvKind
     scale: float
 
     def __len__(self) -> int:
@@ -99,7 +90,7 @@ def inner_demand_grid(
         _, i1, i2, _ = demand_breakpoints(d, z, base, axis)
         vals.append(i1)
         vals.append(i2)
-    return CriticalValueSet(dedup_sorted(vals, eps), axis, CvKind.INNER_DEMAND, z)
+    return CriticalValueSet(dedup_sorted(vals, eps), axis, z)
 
 
 def service_breakpoints(
@@ -118,37 +109,28 @@ def service_breakpoints(
     return (coord - reach, coord, coord + size - reach, coord + size)
 
 
-def outer_service_values(
-    fixed: Sequence[tuple[float, float]],
+def abutment_values(
+    fixed: Iterable[tuple[float, float]],
     z: float,
     base: BaseServiceZone,
     axis: Axis,
+    full: bool,
+    exclude: Sequence[float] = (),
     eps: float = EPS,
-) -> CriticalValueSet:
-    """Outer service breakpoints of every fixed zone for a scale-``z`` query.
+) -> list[float]:
+    """Service breakpoints of positioned zones at which to try a scale-``z`` zone.
 
     ``fixed`` holds ``(coordinate, scale)`` pairs of already-positioned zones.
-    Cardinality is at most ``2 * len(fixed)``.
+    The outer values of every fixed zone come first, then, when ``full``,
+    their inner values.  A value within ``eps`` of a member of the sorted
+    ``exclude`` or of an earlier value is dropped.
     """
-    vals: list[float] = []
-    for coord, owner_scale in fixed:
-        o1, _, _, o2 = service_breakpoints(coord, owner_scale, z, base, axis)
-        vals.append(o1)
-        vals.append(o2)
-    return CriticalValueSet(dedup_sorted(vals, eps), axis, CvKind.OUTER_SERVICE, z)
-
-
-def inner_service_values(
-    fixed: Sequence[tuple[float, float]],
-    z: float,
-    base: BaseServiceZone,
-    axis: Axis,
-    eps: float = EPS,
-) -> CriticalValueSet:
-    """Inner service breakpoints of every fixed zone for a scale-``z`` query."""
-    vals: list[float] = []
-    for coord, owner_scale in fixed:
-        _, i1, i2, _ = service_breakpoints(coord, owner_scale, z, base, axis)
-        vals.append(i1)
-        vals.append(i2)
-    return CriticalValueSet(dedup_sorted(vals, eps), axis, CvKind.INNER_SERVICE, z)
+    points = [service_breakpoints(coord, owner, z, base, axis) for coord, owner in fixed]
+    raw = [v for o1, _, _, o2 in points for v in (o1, o2)]
+    if full:
+        raw += [v for _, i1, i2, _ in points for v in (i1, i2)]
+    out: list[float] = []
+    for v in raw:
+        if not contains_value(exclude, v, eps) and not any(abs(v - u) < eps for u in out):
+            out.append(v)
+    return out

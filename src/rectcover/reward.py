@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import EPS, Axis, _trim_bounds, area, intersect
-from .critical import CriticalValueSet, CvKind, inner_demand_grid
+from .critical import CriticalValueSet, inner_demand_grid
 from .model import (
     BaseServiceZone,
     DemandZone,
@@ -103,7 +103,7 @@ def build_reward_matrix(
     pdzs, pbase = planar_form(dzs, base)
     xs = inner_demand_grid(dzs, z, base, Axis.X, eps)
     if one_d:
-        ys = CriticalValueSet((0.0,), Axis.Y, CvKind.INNER_DEMAND, z)
+        ys = CriticalValueSet((0.0,), Axis.Y, z)
     else:
         ys = inner_demand_grid(dzs, z, base, Axis.Y, eps)
     xv = np.asarray(xs.values)

@@ -27,7 +27,6 @@ from rectcover.bnb import (
     Node,
     SolverConfig,
     _UNSET,
-    _service_candidates,
     branch,
     is_leaf,
     leaf_placements,
@@ -135,10 +134,12 @@ def test_abutment_candidates_keep_other_scale_grid_values():
         ba=Axis.X,
         bs=1,
     )
-    vals = _service_candidates(node, 1, 2.0, inst, Axis.X, grids.x_by_scale[2.0], cfg)
-    assert 2.0 in vals
-    assert -4.0 in vals  # left abutment
-    assert 0.0 not in vals  # own-grid value: interval branching covers it
+    assert grids.x_by_scale[2.0] == (0.0,)
+    children = branch(node, inst, grids, cfg)
+    # the own-grid child, then the left (-4) and right (2) abutments; the
+    # own-grid value 0.0 is not repeated as an abutment
+    assert [c.x_sets[1] for c in children] == [(0.0,), (-4.0,), (2.0,)]
+    assert all(c.bs == 2 for c in children)
 
 
 def test_leaf_detection_and_placements():
@@ -267,13 +268,20 @@ def test_priority_tables_equal_priority_score_at_every_grid_value():
 
 
 @pytest.mark.parametrize(
-    "seed, nodes, reward",
-    [(3, 419, 28074.27451427053), (19, 451, 25041.271161217206)],
+    "seed, n, mode, nodes, reward",
+    [
+        pytest.param(3, 30, "outer", 419, 28074.27451427053, id="3-419-28074.27451427053"),
+        pytest.param(19, 30, "outer", 451, 25041.271161217206, id="19-451-25041.271161217206"),
+        pytest.param(0, 10, "outer", 2895, 16855.812708256984, id="0-n10-outer-2895"),
+        pytest.param(0, 10, "full", 3409, 16855.812708256984, id="0-n10-full-3409"),
+    ],
 )
-def test_node_count_fingerprint(seed, nodes, reward):
+def test_node_count_fingerprint(seed, n, mode, nodes, reward):
     # Recorded from the search before its bound and child ordering moved to
-    # index ranges and priority tables; a pure speed-up must not move them.
-    sol, stats = solve(generate(GenConfig(seed=seed, n=30, p=2, m=2)))
+    # index ranges and priority tables, and (n=10) before plane and line
+    # shared one search loop; a pure speed-up or refactor must not move them.
+    inst = generate(GenConfig(seed=seed, n=n, p=2, m=2))
+    sol, stats = solve(inst, SolverConfig(scv_mode=mode))
     assert stats.nodes_explored == nodes
     assert stats.optimal
     assert math.isclose(sol.reward, reward, rel_tol=1e-9)
@@ -368,6 +376,20 @@ def test_solver_config_validation():
         SolverConfig(beta=1.0)
     with pytest.raises(ValueError):
         SolverConfig(scv_mode="inner")
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+def test_solver_config_rejects_epsilon_not_finite_positive(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        SolverConfig(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("time_limit_s", [-1.0, math.nan])
+def test_solver_config_rejects_negative_or_nan_time_limit(time_limit_s):
+    with pytest.raises(ValueError, match="time_limit_s"):
+        SolverConfig(time_limit_s=time_limit_s)
+    SolverConfig(time_limit_s=0.0)
+    SolverConfig(time_limit_s=math.inf)
 
 
 def test_matches_oracle_on_a_mixed_menu_instance():

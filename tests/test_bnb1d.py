@@ -188,11 +188,21 @@ def test_priority_table_equals_priority_score_at_every_grid_value():
                 assert table[v] == priority_score(v, inst.dzs, z, inst.eta, axis)
 
 
-@pytest.mark.parametrize("seed, nodes, reward", [(38, 1334, 584.8876482173569), (4, 2530, 953.3261811933497)])
-def test_node_count_fingerprint(seed, nodes, reward):
+@pytest.mark.parametrize(
+    "seed, n, mode, nodes, reward",
+    [
+        pytest.param(38, 12, "outer", 1334, 584.8876482173569, id="38-1334-584.8876482173569"),
+        pytest.param(4, 12, "outer", 2530, 953.3261811933497, id="4-2530-953.3261811933497"),
+        pytest.param(3, 8, "outer", 7719, 763.7557453323485, id="3-n8-outer-7719"),
+        pytest.param(3, 8, "full", 10888, 763.7557453323485, id="3-n8-full-10888"),
+    ],
+)
+def test_node_count_fingerprint(seed, n, mode, nodes, reward):
     # Recorded from the search before its bound and child ordering moved to
-    # index ranges and priority tables; a pure speed-up must not move them.
-    sol, stats = solve_1d(generate_1d(GenConfig(seed=seed, n=12, p=3, dimension=Dimension.ONE_D)))
+    # index ranges and priority tables, and (n=8) before plane and line
+    # shared one search loop; a pure speed-up or refactor must not move them.
+    inst = generate_1d(GenConfig(seed=seed, n=n, p=3, dimension=Dimension.ONE_D))
+    sol, stats = solve_1d(inst, SolverConfig(scv_mode=mode))
     assert stats.nodes_explored == nodes
     assert stats.optimal
     assert math.isclose(sol.reward, reward, rel_tol=1e-9)

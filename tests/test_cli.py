@@ -378,3 +378,29 @@ def test_malformed_solution_file_gives_error_line(mutation, square_file, tmp_pat
     code = main(["render", "--instance", str(square_file), "--solution", str(path),
                  "--out", str(tmp_path / "x.svg")])
     _assert_clean_error(code, capsys.readouterr().err, where)
+
+
+# ------------------------------------------------------- bad command-line values
+
+BAD_OPTIONS = {
+    "generate base dims not numbers": (["generate", "--base-dims", "a,b"], "--base-dims"),
+    "solve beta above one": (["solve", "--beta", "1.5"], "beta"),
+    "bench beta zero": (["bench", "--beta", "0"], "beta"),
+    "solve negative epsilon": (["solve", "--epsilon", "-1"], "epsilon"),
+    "generate out in missing directory": (["generate", "--out", "{tmp}/missing/x.json"], "--out"),
+    "solve out in missing directory": (["solve", "--out", "{tmp}/missing/x.json"], "--out"),
+    "bench out in missing directory": (["bench", "--out", "{tmp}/missing/x.csv"], "--out"),
+    "render out in missing directory": (["render", "--out", "{tmp}/missing/x.svg"], "--out"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_bad_option_gives_error_line(case, square_file, tmp_path, capsys):
+    argv, where = BAD_OPTIONS[case]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    command = argv[0]
+    if command in ("solve", "render"):
+        argv += ["--instance", str(square_file)]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out.txt")]
+    _assert_clean_error(main(argv), capsys.readouterr().err, where)

@@ -12,11 +12,9 @@ from rectcover import (
     dedup_sorted,
     demand_breakpoints,
     inner_demand_grid,
-    inner_service_values,
-    outer_service_values,
     service_breakpoints,
 )
-from rectcover.critical import CvKind
+from rectcover.critical import abutment_values
 
 
 def test_dedup_sorted_merges_near_duplicates():
@@ -63,7 +61,6 @@ def test_inner_demand_grid_small_case():
     base = BaseServiceZone(2.0, 2.0)
     grid = inner_demand_grid(dzs, 1.0, base, Axis.X)
     assert grid.values == (0.0, 2.0, 10.0, 12.0)
-    assert grid.kind is CvKind.INNER_DEMAND
     assert grid.scale == 1.0
     assert len(grid) == 4
 
@@ -83,11 +80,25 @@ def test_service_breakpoints_against_fixed_zone():
 def test_outer_and_inner_service_values():
     base = BaseServiceZone(2.0, 1.0)
     fixed = [(10.0, 2.0), (0.0, 1.0)]
-    outer = outer_service_values(fixed, 1.0, base, Axis.X)
-    assert outer.values == (-2.0, 2.0, 8.0, 14.0)
-    assert outer.kind is CvKind.OUTER_SERVICE
-    inner = inner_service_values(fixed, 1.0, base, Axis.X)
-    assert inner.values == (0.0, 10.0, 12.0)  # 0.0 appears for both zones
+    # outer pairs of every fixed zone, in fixed order
+    outer = abutment_values(fixed, 1.0, base, Axis.X, False)
+    assert outer == [8.0, 14.0, -2.0, 2.0]
+    # then the inner pairs: 0.0 appears for both zones and is kept once
+    full = abutment_values(fixed, 1.0, base, Axis.X, True)
+    assert full == [8.0, 14.0, -2.0, 2.0, 10.0, 12.0, 0.0]
+
+
+def test_abutment_values_exclude_and_dedup_within_eps():
+    base = BaseServiceZone(2.0, 1.0)
+    fixed = [(10.0, 2.0), (0.0, 1.0)]
+    # 14.0 and 0.0 lie within eps of an excluded value; 2.0 is not excluded
+    exclude = (0.0 + 1e-12, 5.0, 14.0 - 1e-12)
+    assert abutment_values(fixed, 1.0, base, Axis.X, True, exclude) == [8.0, -2.0, 2.0, 10.0, 12.0]
+    # values closer than eps keep the first one seen; farther ones stay apart
+    near = [(4.0, 1.0), (4.0 + 1e-12, 1.0), (4.25, 1.0)]
+    assert abutment_values(near, 1.0, base, Axis.X, False) == [2.0, 6.0, 2.25, 6.25]
+    assert abutment_values(near, 1.0, base, Axis.X, False, eps=0.5) == [2.0, 6.0]
+    assert abutment_values((), 1.0, base, Axis.X, True) == []
 
 
 demand_zones = st.lists(
