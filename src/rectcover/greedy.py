@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import EPS
+from .geometry import EPS, area, trim_out
 from .model import BaseServiceZone, DemandZone, Instance, Placement, Solution, service_rect
 from .reward import (
     SingleZoneSolver,
@@ -33,8 +33,6 @@ class GreedyTrace:
 def _trim(
     dzs: list[DemandZone], zone_base: BaseServiceZone, placement: Placement, eps: float
 ) -> list[DemandZone]:
-    from .geometry import trim_out, area
-
     srect = service_rect(zone_base, placement)
     min_area = eps * eps
     out: list[DemandZone] = []

@@ -87,6 +87,25 @@ class RewardMatrix:
         return float(self.entries.max()) if self.entries.size else 0.0
 
 
+def _overlaps(grid: Sequence[float], ext: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Overlap length of ``[g, g + ext]`` with ``[lo[k], hi[k]]``, one row per ``k``."""
+    g = np.asarray(grid)
+    return np.clip(np.minimum(g + ext, hi[:, None]) - np.maximum(g, lo[:, None]), 0.0, None)
+
+
+def _support(overlaps: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per row, the half-open range from its first to its last nonzero entry.
+
+    A row without a nonzero entry gets the empty range ``(0, 0)``.
+    """
+    nonzero = overlaps > 0.0
+    start = nonzero.argmax(axis=1)
+    stop = np.where(
+        nonzero.any(axis=1), overlaps.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0
+    )
+    return start.tolist(), stop.tolist()
+
+
 def build_reward_matrix(
     dzs: Sequence[DemandZone],
     z: float,
@@ -98,6 +117,14 @@ def build_reward_matrix(
 
     The grid is the inner-demand grid per axis.  For one-dimensional input
     the y axis collapses to the single index ``y = 0``.
+
+    Each demand zone adds ``r * outer(ox, oy)`` (rate times its x and y
+    overlap with the zone at every grid value) only over its support block,
+    the rows from its first to its last nonzero ``ox`` and the columns from
+    its first to its last nonzero ``oy``.  Outside that block the term is an
+    exact zero, so every cell receives the same terms in the same demand
+    order as a sum over the whole grid, and the entries are bitwise equal to
+    that sum.
     """
     one_d = base.l0 == 0
     pdzs, pbase = planar_form(dzs, base)
@@ -106,16 +133,23 @@ def build_reward_matrix(
         ys = CriticalValueSet((0.0,), Axis.Y, z)
     else:
         ys = inner_demand_grid(dzs, z, base, Axis.Y, eps)
-    xv = np.asarray(xs.values)
-    yv = np.asarray(ys.values)
-    entries = np.zeros((len(xv), len(yv)))
-    wz = pbase.w0 * z
-    lz = pbase.l0 * z
-    for d in pdzs:
-        r = reward_rate(d.v, z, eta)
-        ox = np.clip(np.minimum(xv + wz, d.rect.x2) - np.maximum(xv, d.rect.x), 0.0, None)
-        oy = np.clip(np.minimum(yv + lz, d.rect.y2) - np.maximum(yv, d.rect.y), 0.0, None)
-        entries += r * np.outer(ox, oy)
+    entries = np.zeros((len(xs.values), len(ys.values)))
+    if entries.size == 0:
+        return RewardMatrix(z, xs, ys, entries)
+    rects = [d.rect for d in pdzs]
+    ox = _overlaps(
+        xs.values, pbase.w0 * z, np.array([b.x for b in rects]), np.array([b.x2 for b in rects])
+    )
+    oy = _overlaps(
+        ys.values, pbase.l0 * z, np.array([b.y for b in rects]), np.array([b.y2 for b in rects])
+    )
+    x_start, x_stop = _support(ox)
+    y_start, y_stop = _support(oy)
+    for k, d in enumerate(pdzs):
+        i0, i1, j0, j1 = x_start[k], x_stop[k], y_start[k], y_stop[k]
+        if i0 < i1 and j0 < j1:
+            r = reward_rate(d.v, z, eta)
+            entries[i0:i1, j0:j1] += r * np.outer(ox[k, i0:i1], oy[k, j0:j1])
     return RewardMatrix(z, xs, ys, entries)
 
 

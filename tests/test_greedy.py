@@ -2,14 +2,18 @@
 
 import math
 
+import pytest
+
 from rectcover import (
     BaseServiceZone,
     DemandZone,
+    GenConfig,
     Instance,
     Placement,
     QosSet,
     Rect,
     brute_force_2d,
+    generate,
     greedy,
     pseudo_greedy,
     solve_single_zone,
@@ -84,3 +88,37 @@ def test_first_round_times_p_bounds_the_optimum():
         tr = greedy(inst)
         opt = brute_force_2d(inst).reward
         assert inst.p * tr.rewards[0] >= opt - 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, rewards, placements",
+    [
+        pytest.param(
+            0,
+            (36167.9045759943, 23712.37263229131, 22825.445010841613),
+            (
+                Placement(x=757.8129536378472, y=891.5016605909569, z=3.0),
+                Placement(x=588.1425148337381, y=252.71332310179577, z=3.0),
+                Placement(x=4.376657527635757, y=1.3594184150708486, z=3.0),
+            ),
+            id="0",
+        ),
+        pytest.param(
+            52,
+            (28774.851835549794, 24757.958360655302, 23336.739801294567),
+            (
+                Placement(x=561.6361207377925, y=612.6843793472576, z=3.0),
+                Placement(x=413.6646706137809, y=-5.960756380519361, z=3.0),
+                Placement(x=565.522309965237, y=492.6843793472576, z=3.0),
+            ),
+            id="52",
+        ),
+    ],
+)
+def test_greedy_fingerprint(seed, rewards, placements):
+    # Recorded from the full-grid reward matrices, before each demand zone
+    # was added over its support block only; a pure speed-up must not move
+    # a single bit of them.
+    tr = greedy(generate(GenConfig(seed=seed, n=150, p=3, m=3)))
+    assert tr.rewards == rewards
+    assert tr.solution.placements == placements

@@ -9,13 +9,19 @@ import pytest
 from rectcover import (
     BaseServiceZone,
     DemandZone,
+    Dimension,
     Eta,
+    GenConfig,
     Placement,
     QosSet,
     Rect,
     build_reward_matrix,
     covered_reward,
+    generate,
+    generate_1d,
     planar_form,
+    pseudo_greedy,
+    reward_rate,
     single_zone_reward,
     solve_single_zone,
 )
@@ -171,3 +177,82 @@ def test_reward_matrix_max_entry():
     inst = square_instance()
     m = build_reward_matrix(inst.dzs, 1.0, inst.base, inst.eta)
     assert m.max_entry == 4.0
+
+
+# ------------------------------------------------- support-block bitwise check
+
+
+def full_grid_entries(dzs, z, base, eta, xs, ys):
+    """The reward matrix as one full-grid outer product per demand zone."""
+    pdzs, pbase = planar_form(dzs, base)
+    xv = np.asarray(xs)
+    yv = np.asarray(ys)
+    entries = np.zeros((len(xv), len(yv)))
+    wz = pbase.w0 * z
+    lz = pbase.l0 * z
+    for d in pdzs:
+        r = reward_rate(d.v, z, eta)
+        ox = np.clip(np.minimum(xv + wz, d.rect.x2) - np.maximum(xv, d.rect.x), 0.0, None)
+        oy = np.clip(np.minimum(yv + lz, d.rect.y2) - np.maximum(yv, d.rect.y), 0.0, None)
+        entries += r * np.outer(ox, oy)
+    return entries
+
+
+def assert_bitwise_full_grid(dzs, z, base, eta):
+    m = build_reward_matrix(dzs, z, base, eta)
+    want = full_grid_entries(dzs, z, base, eta, m.xs.values, m.ys.values)
+    assert np.array_equal(m.entries, want)
+
+
+def test_reward_matrix_bitwise_equal_to_full_grid_on_trimmed_greedy_rounds():
+    # Later rounds see demand trimmed into pieces that abut; their overlaps
+    # leave rounding slivers next to exact zeros at the block edges.
+    inst = generate(GenConfig(seed=52, n=150, p=3, m=3))
+    rounds = []
+
+    def checked(dzs, qos, base, eta):
+        for z in qos.factors:
+            assert_bitwise_full_grid(dzs, z, base, eta)
+        rounds.append(set(dzs) - set(inst.dzs))
+        return solve_single_zone(dzs, qos, base, eta)
+
+    pseudo_greedy(inst, checked)
+    assert len(rounds) == 3 and not rounds[0] and rounds[2]  # trimmed pieces
+
+
+@pytest.mark.parametrize("seed", [0, 3, 19])
+def test_reward_matrix_bitwise_equal_to_full_grid_plane(seed):
+    inst = generate(GenConfig(seed=seed, n=30, p=2, m=2))
+    for z in inst.scale_values():
+        assert_bitwise_full_grid(inst.dzs, z, inst.base, inst.eta)
+
+
+@pytest.mark.parametrize("seed", [4, 38])
+def test_reward_matrix_bitwise_equal_to_full_grid_line(seed):
+    inst = generate_1d(GenConfig(seed=seed, n=12, p=3, dimension=Dimension.ONE_D))
+    for z in inst.scale_values():
+        assert_bitwise_full_grid(inst.dzs, z, inst.base, inst.eta)
+
+
+def test_reward_matrix_skips_zones_without_overlap_on_one_axis():
+    # A zero-height zone overlaps in x but never in y, a zero-width one the
+    # reverse; both must leave every cell as the square alone sets it.
+    square = DemandZone(Rect(0.0, 0.0, 4.0, 4.0), 1.0)
+    flat = DemandZone(Rect(1.0, 3.0, 2.0, 0.0), 5.0)
+    thin = DemandZone(Rect(3.0, 1.0, 0.0, 2.0), 5.0)
+    base = BaseServiceZone(2.0, 2.0)
+    for z in (1.0, 2.0):
+        m = build_reward_matrix((square, flat, thin), z, base, Eta.LINEAR)
+        xv, yv = m.xs.values, m.ys.values
+        ox = np.clip(np.minimum(np.asarray(xv) + 2.0 * z, 3.0) - np.maximum(xv, 1.0), 0.0, None)
+        oy = np.clip(np.minimum(np.asarray(yv) + 2.0 * z, 3.0) - np.maximum(yv, 3.0), 0.0, None)
+        assert ox.any() and not oy.any()
+        assert np.array_equal(m.entries, full_grid_entries((square,), z, base, Eta.LINEAR, xv, yv))
+        assert_bitwise_full_grid((square, flat, thin), z, base, Eta.LINEAR)
+
+
+def test_reward_matrix_empty_demand():
+    for base in (BaseServiceZone(2.0, 2.0), BaseServiceZone(2.0, 0.0)):
+        m = build_reward_matrix((), 1.0, base, Eta.LINEAR)
+        assert not m.entries.any()
+        assert_bitwise_full_grid((), 1.0, base, Eta.LINEAR)
