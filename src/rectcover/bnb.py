@@ -31,9 +31,21 @@ more than one value is always a contiguous slice of its own scale's grid
 (splitting only cuts slices), so its reward-matrix rows or columns form one
 index range, found from the slice's end values through the matrix's exact
 value-to-index map; a zone's bound is the maximum over that block of the
-matrix (a range maximum).  Only a singleton may lie off the grid, at an
-abutment position.  Child priorities are read from tables built once per
-solve for every own-scale grid value (``CandidateGrids``).
+matrix (a range maximum), memoised per block by ``RewardMatrix.block_max``
+because a solve asks for few distinct blocks many times.  Only a singleton
+may lie off the grid, at an abutment position.  Child priorities are read
+from tables built once per solve for every own-scale grid value
+(``CandidateGrids``).
+
+The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
+exact value, which trims overlapping coverage, is never above the sum of its
+zones' isolated rewards, so a leaf whose isolated sum is already within
+``epsilon`` of ``floor`` is cut on that sum and never evaluated exactly.
+
+When the time limit stops a search, every node still on the stack is bounded
+once more; the largest of those bounds (at least the incumbent plus
+``epsilon``, the margin every cut node was within) is a certified upper bound
+on the optimum, reported with the relative gap in :class:`SolverStats`.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from .geometry import EPS, Axis
@@ -92,13 +104,22 @@ class Node:
 
 @dataclass
 class SolverStats:
-    """Search statistics for one solve call."""
+    """Search statistics for one solve call.
+
+    ``upper_bound`` is a certified upper bound on the optimum and ``gap`` the
+    relative distance ``(upper_bound - reward) / upper_bound`` of the returned
+    reward from it (0 when ``upper_bound`` is 0).  A proven solve reports
+    ``upper_bound`` equal to its reward and ``gap == 0``; ``None`` means no
+    bound is known (a heuristic run).
+    """
 
     nodes_explored: int = 0
     best_reward_history: list[tuple[int, float]] = field(default_factory=list)
     wall_time: float = 0.0
     optimal_found_time: float = 0.0
     optimal: bool = True
+    upper_bound: float | None = None
+    gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -174,9 +195,9 @@ def priority_score(
 
 def is_leaf(node: Node) -> bool:
     return (
-        all(z != _UNSET for z in node.z_vec)
-        and all(len(s) == 1 for s in node.x_sets)
-        and all(len(s) == 1 for s in node.y_sets)
+        _UNSET not in node.z_vec
+        and max(map(len, node.x_sets)) == 1
+        and max(map(len, node.y_sets)) == 1
     )
 
 
@@ -217,7 +238,7 @@ def _order_step_children(node: Node, instance: Instance, grids: CandidateGrids, 
                 rep_found = True
         else:
             chosen.append(j)
-    return [replace(node, ba=Axis.Y, bs=j) for j in sorted(chosen)]
+    return [Node(node.x_sets, node.y_sets, node.z_vec, Axis.Y, j) for j in sorted(chosen)]
 
 
 def branch(
@@ -229,11 +250,12 @@ def branch(
         if node.z_vec[j] == _UNSET:
             # Scale step: one child per menu entry for zone j.
             return [
-                replace(
-                    node,
-                    z_vec=node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
-                    x_sets=_replace_at(node.x_sets, j, grids.x_by_scale[z]),
-                    y_sets=_replace_at(node.y_sets, j, grids.y_by_scale[z]),
+                Node(
+                    _replace_at(node.x_sets, j, grids.x_by_scale[z]),
+                    _replace_at(node.y_sets, j, grids.y_by_scale[z]),
+                    node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
+                    node.ba,
+                    j,
                 )
                 for z in instance.qos_for(j).factors
             ]
@@ -275,10 +297,10 @@ def _interval_children(
         parts += [(v,) for v in abutment_values(fixed, z, instance.base, axis, full, vals, config.epsilon)]
     if on_x:
         return [
-            replace(node, x_sets=_replace_at(sets, j, part), bs=j + 1 if len(part) == 1 else j)
+            Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, Axis.X, j + 1 if len(part) == 1 else j)
             for part in parts
         ]
-    return [replace(node, y_sets=_replace_at(sets, j, part)) for part in parts]
+    return [Node(node.x_sets, _replace_at(sets, j, part), node.z_vec, Axis.Y, j) for part in parts]
 
 
 def _axis_indices(v: float, grid: Sequence[float], eps: float) -> tuple[int, int]:
@@ -333,21 +355,24 @@ def upper_bound(
     matrices: Mapping[float, RewardMatrix],
     instance: Instance,
     eps: float = EPS,
+    floor: float = -math.inf,
 ) -> float:
     """Optimistic value of the best completion below ``node``.
 
-    Leaves are evaluated exactly.  Otherwise each zone contributes the best
-    isolated reward reachable from its candidate sets (overlap between zones
-    only lowers the true value, so the sum is a valid bound): the maximum of
-    the block ``entries[xlo:xhi, ylo:yhi]`` of its scale's reward matrix,
-    whose ranges :func:`_axis_range` finds in O(1) per axis.  A zone with an
-    open scale contributes the best entry over all scale matrices, taken once
-    per call and only when some scale is open.
+    Each zone contributes the best isolated reward reachable from its
+    candidate sets (overlap between zones only lowers the true value, so the
+    sum is a valid bound): the maximum of the block
+    ``entries[xlo:xhi, ylo:yhi]`` of its scale's reward matrix, whose ranges
+    :func:`_axis_range` finds in O(1) per axis and whose maximum
+    ``RewardMatrix.block_max`` memoises.  A zone with an open scale
+    contributes the best entry over all scale matrices, taken once per call
+    and only when some scale is open.
+
+    A leaf whose sum exceeds ``floor + eps`` is evaluated exactly with
+    ``covered_reward``.  A leaf at or below it returns the sum, which is at
+    least its exact value, so a caller cutting at ``floor + eps`` cuts the
+    same leaves.  With the default ``floor`` every leaf is exact.
     """
-    if is_leaf(node):
-        return covered_reward(
-            instance.dzs, leaf_placements(node), instance.base, instance.eta, eps
-        )
     total = 0.0
     best_any = None
     for j in range(instance.p):
@@ -360,7 +385,9 @@ def upper_bound(
         m = matrices[z]
         xlo, xhi = _axis_range(node.x_sets[j], m.x_index, m.xs.values, eps)
         ylo, yhi = _axis_range(node.y_sets[j], m.y_index, m.ys.values, eps)
-        total += float(m.entries[xlo:xhi, ylo:yhi].max())
+        total += m.block_max(xlo, xhi, ylo, yhi)
+    if total > floor + eps and is_leaf(node):
+        return covered_reward(instance.dzs, leaf_placements(node), instance.base, instance.eta, eps)
     return total
 
 
@@ -368,7 +395,7 @@ def branch_and_bound(
     instance: Instance,
     config: SolverConfig,
     root: Callable[[Instance, CandidateGrids], Any],
-    bound: Callable[[Any, Mapping[float, RewardMatrix], Instance, float], float],
+    bound: Callable[[Any, Mapping[float, RewardMatrix], Instance, float, float], float],
     children: Callable[[Any, Instance, CandidateGrids, SolverConfig], list],
     at_leaf: Callable[[Any], bool],
     placements: Callable[[Any], tuple[Placement, ...]],
@@ -377,12 +404,18 @@ def branch_and_bound(
 
     A greedy run seeds the incumbent.  ``root(instance, grids)`` builds the
     root node; every popped node is bounded with ``bound(node, matrices,
-    instance, eps)``, which must be exact at leaves (``at_leaf(node)``), and
+    instance, eps, lower)``, where ``lower`` is the incumbent's reward, and
     is cut when the bound cannot beat the incumbent by more than ``epsilon``.
-    A surviving leaf becomes the incumbent (``placements(node)``); any other
+    The bound must be exact at a leaf (``at_leaf(node)``) whose value exceeds
+    ``lower + eps``, and at least the leaf's exact value otherwise.  A
+    surviving leaf becomes the incumbent (``placements(node)``); any other
     node is replaced by ``children(node, instance, grids, config)``, explored
-    in the order given.  When the time limit is hit the incumbent is returned
-    with ``stats.optimal == False``.
+    in the order given.
+
+    When the time limit is hit the incumbent is returned with
+    ``stats.optimal == False``; ``stats.upper_bound`` is then the largest of
+    ``lower + epsilon`` and the bounds (exact at leaves) of the nodes left on
+    the stack.  A proven solve reports ``upper_bound == lower``.
     """
     eps = config.epsilon
     stats = SolverStats()
@@ -407,7 +440,7 @@ def branch_and_bound(
                 break
             node = stack.pop()
             stats.nodes_explored += 1
-            value = bound(node, matrices, instance, eps)
+            value = bound(node, matrices, instance, eps, lower)
             if value <= lower + eps:
                 continue
             if at_leaf(node):
@@ -418,6 +451,13 @@ def branch_and_bound(
                 continue
             stack.extend(reversed(children(node, instance, grids, config)))
 
+    if stats.optimal:
+        stats.upper_bound = lower
+    else:
+        # Every cut node was within eps of an incumbent no better than the
+        # last; the open nodes are bounded once more, exactly at leaves.
+        stats.upper_bound = max([lower + eps] + [bound(n, matrices, instance, eps) for n in stack])
+    stats.gap = (stats.upper_bound - lower) / stats.upper_bound if stats.upper_bound > 0 else 0.0
     stats.wall_time = time.perf_counter() - start
     return Solution(incumbent, lower), stats
 

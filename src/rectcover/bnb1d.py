@@ -21,7 +21,8 @@ this module's root, bound, branching rule and leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
@@ -55,14 +56,11 @@ class Node1D:
 
 
 def is_leaf_1d(node: Node1D) -> bool:
-    return node.bsfl >= 0 and all(len(s) == 1 for s in node.x_sets)
+    return node.bsfl >= 0 and max(map(len, node.x_sets)) == 1
 
 
 def leaf_placements_1d(node: Node1D, instance: Instance) -> tuple[Placement, ...]:
-    return tuple(
-        Placement(node.x_sets[j][0], 0.0, instance.qos_for(j).factors[0])
-        for j in range(instance.p)
-    )
+    return tuple(Placement(s[0], 0.0, q.factors[0]) for s, q in zip(node.x_sets, instance.qos))
 
 
 def branch_1d(
@@ -70,7 +68,7 @@ def branch_1d(
 ) -> list[Node1D]:
     """Children of a non-leaf node, in exploration order."""
     if node.bsfl < 0:
-        return [replace(node, bs=j, bsfl=j) for j in range(instance.p)]
+        return [Node1D(node.x_sets, j, j) for j in range(instance.p)]
     j = node.bs
     xs = node.x_sets[j]
     scale_of = lambda k: instance.qos_for(k).factors[0]
@@ -79,7 +77,7 @@ def branch_1d(
         if len(parts) == 1:
             parts = [(v,) for v in xs]
         parts = _order_children(parts, grids.x_priority[scale_of(j)])
-        return [replace(node, x_sets=_replace_at(node.x_sets, j, part)) for part in parts]
+        return [Node1D(_replace_at(node.x_sets, j, part), j, node.bsfl) for part in parts]
     # Current zone settled: branch on which open zone to place next.
     fixed = [(s[0], scale_of(k)) for k, s in enumerate(node.x_sets) if len(s) == 1]
     full = config.scv_mode == "full"
@@ -88,9 +86,9 @@ def branch_1d(
         if len(s) == 1:
             continue
         for v in abutment_values(fixed, scale_of(l), instance.base, Axis.X, full, eps=config.epsilon):
-            children.append(replace(node, x_sets=_replace_at(node.x_sets, l, (v,)), bs=l))
+            children.append(Node1D(_replace_at(node.x_sets, l, (v,)), l, node.bsfl))
         if l > node.bsfl:
-            children.append(replace(node, bs=l))
+            children.append(Node1D(node.x_sets, l, node.bsfl))
     return children
 
 
@@ -99,23 +97,26 @@ def upper_bound_1d(
     matrices: Mapping[float, RewardMatrix],
     instance: Instance,
     eps: float = EPS,
+    floor: float = -math.inf,
 ) -> float:
     """Optimistic value below ``node``: sum of per-zone best isolated rewards.
 
     Each zone contributes the maximum of ``entries[xlo:xhi, 0]`` of its
-    scale's reward matrix over the index range of its candidate set (see
-    ``bnb.upper_bound``).  Leaves are evaluated exactly, on the demand and
-    base lifted once per instance (``Instance.planar``) rather than at every
-    leaf.
+    scale's reward matrix over the index range of its candidate set, read
+    through the memo ``RewardMatrix.block_max`` (see ``bnb.upper_bound``).
+    A leaf whose sum exceeds ``floor + eps`` is evaluated exactly, on the
+    demand and base lifted once per instance (``Instance.planar``); a leaf at
+    or below it returns the sum, which is at least its exact value.  With the
+    default ``floor`` every leaf is exact.
     """
-    if is_leaf_1d(node):
+    total = 0.0
+    for xs, q in zip(node.x_sets, instance.qos):
+        m = matrices[q.factors[0]]
+        lo, hi = _axis_range(xs, m.x_index, m.xs.values, eps)
+        total += m.block_max(lo, hi, 0, 1)
+    if total > floor + eps and is_leaf_1d(node):
         dzs, base = instance.planar
         return covered_reward(dzs, leaf_placements_1d(node, instance), base, instance.eta, eps)
-    total = 0.0
-    for j in range(instance.p):
-        m = matrices[instance.qos_for(j).factors[0]]
-        lo, hi = _axis_range(node.x_sets[j], m.x_index, m.xs.values, eps)
-        total += float(m.entries[lo:hi, 0].max())
     return total
 
 

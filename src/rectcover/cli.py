@@ -165,7 +165,8 @@ def instance_from_dict(data: Any, path: str = "instance") -> Instance:
 
 
 def solution_to_dict(solution: Solution, stats: SolverStats) -> dict[str, Any]:
-    return {
+    """JSON form of a solution; ``stats`` carries ``upper_bound`` and ``gap`` when known."""
+    data = {
         "reward": solution.reward,
         "optimal": stats.optimal,
         "placements": [{"x": pl.x, "y": pl.y, "z": pl.z} for pl in solution.placements],
@@ -175,6 +176,10 @@ def solution_to_dict(solution: Solution, stats: SolverStats) -> dict[str, Any]:
             "t1_s": stats.optimal_found_time,
         },
     }
+    if stats.upper_bound is not None:
+        data["stats"]["upper_bound"] = stats.upper_bound
+        data["stats"]["gap"] = stats.gap
+    return data
 
 
 def solution_from_dict(data: Any, path: str = "solution") -> tuple[Solution, bool]:
@@ -556,10 +561,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
             wall_time=elapsed,
             optimal_found_time=elapsed,
             optimal=True,
+            upper_bound=result.reward,
+            gap=0.0,
         )
     dump_solution(solution, stats, args.out)
+    if stats.upper_bound is None:
+        bound = "upper_bound=- gap=-"
+    else:
+        bound = f"upper_bound={stats.upper_bound:.9g} gap={stats.gap:.3g}"
     print(
-        f"{args.algo}: reward={solution.reward:.9g} optimal={stats.optimal} "
+        f"{args.algo}: reward={solution.reward:.9g} optimal={stats.optimal} {bound} "
         f"nodes={stats.nodes_explored} time={stats.wall_time:.3f}s"
     )
     return 0 if stats.optimal or args.algo == "greedy" else 2

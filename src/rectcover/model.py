@@ -54,6 +54,12 @@ class DemandZone:
         if not (math.isfinite(self.v) and self.v > 0):
             raise ValueError(f"demand rate must be positive and finite, got {self.v!r}")
 
+    @cached_property
+    def box(self) -> tuple[float, float, float, float, float]:
+        """``(x, y, x2, y2, v)``: the rectangle in bounds form plus the rate, built once."""
+        r = self.rect
+        return (r.x, r.y, r.x2, r.y2, self.v)
+
 
 @dataclass(frozen=True)
 class BaseServiceZone:

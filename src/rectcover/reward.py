@@ -14,7 +14,7 @@ covered area coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -67,12 +67,20 @@ class RewardMatrix:
     ``entries[i, j]`` is the isolated reward of a scale-``scale`` zone placed
     at ``(xs.values[i], ys.values[j])``.  ``x_index`` and ``y_index`` map each
     grid value (exactly, no tolerance) back to its row or column.
+
+    :meth:`block_max` memoises the maximum of each index block it is asked
+    for.  The search bounds every node by such blocks, and one solve asks for
+    few distinct ones (on the order of a thousand at planar n=30) many times
+    over, so the memo lives as long as the matrix, which is one solve.
     """
 
     scale: float
     xs: CriticalValueSet
     ys: CriticalValueSet
     entries: np.ndarray
+    _block_maxima: dict[tuple[int, int, int, int], float] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @cached_property
     def x_index(self) -> dict[float, int]:
@@ -85,6 +93,15 @@ class RewardMatrix:
     @cached_property
     def max_entry(self) -> float:
         return float(self.entries.max()) if self.entries.size else 0.0
+
+    def block_max(self, xlo: int, xhi: int, ylo: int, yhi: int) -> float:
+        """``float(entries[xlo:xhi, ylo:yhi].max())``, computed once per block."""
+        key = (xlo, xhi, ylo, yhi)
+        try:
+            return self._block_maxima[key]
+        except KeyError:
+            value = self._block_maxima[key] = float(self.entries[xlo:xhi, ylo:yhi].max())
+            return value
 
 
 def _overlaps(grid: Sequence[float], ext: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -165,13 +182,14 @@ def covered_reward(
     Placements are processed by ascending scale (ties by original order);
     each is paid for its overlap with the not-yet-served demand set, which is
     then trimmed.  Near-degenerate trim slivers (area below ``eps**2``) are
-    dropped to bound bookkeeping growth.
+    dropped to bound bookkeeping growth.  Each demand zone's bounds come from
+    its ``DemandZone.box``, built once per zone.
     """
     if not placements or not dzs:
         return 0.0
     pdzs, pbase = planar_form(dzs, base)
     order = sorted(range(len(placements)), key=lambda i: (placements[i].z, i))
-    boxes = [(d.rect.x, d.rect.y, d.rect.x2, d.rect.y2, d.v) for d in pdzs]
+    boxes = [d.box for d in pdzs]
     min_area = eps * eps
     w0 = pbase.w0
     l0 = pbase.l0
@@ -184,13 +202,14 @@ def covered_reward(
         sy2 = pl.y + l0 * pl.z
         eta_z = eta.apply(pl.z)
         remaining: list[tuple[float, float, float, float, float]] = []
-        for x1, y1, x2, y2, v in boxes:
+        for box in boxes:
+            x1, y1, x2, y2, v = box
             ix1 = x1 if x1 > sx1 else sx1
             iy1 = y1 if y1 > sy1 else sy1
             ix2 = x2 if x2 < sx2 else sx2
             iy2 = y2 if y2 < sy2 else sy2
             if ix2 - ix1 <= 0 or iy2 - iy1 <= 0:
-                remaining.append((x1, y1, x2, y2, v))
+                remaining.append(box)
                 continue
             total += (v / eta_z) * ((ix2 - ix1) * (iy2 - iy1))
             for px1, py1, px2, py2 in _trim_bounds(x1, y1, x2, y2, sx1, sy1, sx2, sy2):

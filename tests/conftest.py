@@ -12,6 +12,10 @@ tractable.
 
 from __future__ import annotations
 
+import itertools
+from types import SimpleNamespace
+
+from rectcover import bnb
 from rectcover import (
     EPS,
     BaseServiceZone,
@@ -94,3 +98,14 @@ def reference_indices(candidates, grid):
         above = [k for k, g in enumerate(grid) if g > v]
         return below[-1:] + above[:1]
     return [grid.index(v) for v in candidates]
+
+
+def tick_search_clock(monkeypatch):
+    """Make the exact search's clock advance one second per reading.
+
+    The driver reads the clock once before and once after the greedy seed,
+    once per popped node and once per incumbent update, so a time limit of
+    ``k`` seconds stops the search after a fixed number of nodes.
+    """
+    ticks = itertools.count()
+    monkeypatch.setattr(bnb, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))

@@ -22,6 +22,7 @@ from rectcover import (
     solve,
     solve_single_zone,
 )
+from rectcover import bnb
 from rectcover.bnb import (
     CandidateGrids,
     Node,
@@ -31,10 +32,11 @@ from rectcover.bnb import (
     is_leaf,
     leaf_placements,
     priority_score,
+    root_node,
     upper_bound,
 )
 
-from conftest import reference_indices, small_1d, small_2d, square_instance
+from conftest import reference_indices, small_1d, small_2d, square_instance, tick_search_clock
 
 
 # ---------------------------------------------------------------- partition
@@ -236,6 +238,74 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
                 assert upper_bound(node, mats, inst) == _reference_bound(node, mats, inst), node
                 if not is_leaf(node):
                     stack.extend(branch(node, inst, grids, cfg))
+
+
+def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
+    # every leaf of the full trees that acceptance check 8 walks
+    tiny = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
+    cfg = SolverConfig()
+    exact_calls = []
+    monkeypatch.setattr(
+        bnb, "covered_reward", lambda *args: exact_calls.append(1) or covered_reward(*args)
+    )
+    skipped = 0
+    for seed in range(5):
+        for m in (1, 2):
+            inst = generate(GenConfig(seed=seed, n=2, p=2, m=m, **tiny))
+            grids = CandidateGrids.from_instance(inst)
+            mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+            stack = [root_node(inst, grids)]
+            while stack:
+                node = stack.pop()
+                if not is_leaf(node):
+                    stack.extend(branch(node, inst, grids, cfg))
+                    continue
+                exact = covered_reward(inst.dzs, leaf_placements(node), inst.base, inst.eta)
+                for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
+                    exact_calls.clear()
+                    got = upper_bound(node, mats, inst, floor=floor)
+                    if exact_calls:
+                        assert got == exact, (node, floor)
+                    else:
+                        assert floor >= exact, (node, floor)
+                        assert exact <= got <= floor + cfg.epsilon, (node, floor)
+                        skipped += 1
+    assert skipped > 0
+
+
+@pytest.fixture(scope="module")
+def greedy_below_optimum():
+    # greedy 786.13 < optimum 867.86; the incumbent improves at nodes 30, 89
+    # and 99 of a 5967-node search
+    inst = small_2d(seed=2, n=4, m=2)
+    return inst, brute_force_2d(inst).reward
+
+
+@pytest.mark.parametrize("limit", [0, 20, 60, 95, 400])
+def test_timeout_reports_a_certified_upper_bound(limit, greedy_below_optimum, monkeypatch):
+    inst, optimum = greedy_below_optimum
+    tick_search_clock(monkeypatch)
+    sol, stats = solve(inst, SolverConfig(time_limit_s=limit))
+    eps = SolverConfig().epsilon
+    assert not stats.optimal
+    assert sol.reward <= optimum + 1e-9
+    assert optimum <= stats.upper_bound
+    assert stats.upper_bound >= sol.reward + eps
+    assert stats.gap == (stats.upper_bound - sol.reward) / stats.upper_bound
+    if limit == 0:
+        grids = CandidateGrids.from_instance(inst)
+        mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+        assert stats.nodes_explored == 0
+        assert stats.upper_bound == upper_bound(root_node(inst, grids), mats, inst)
+
+
+def test_proven_solve_reports_zero_gap(greedy_below_optimum):
+    inst, optimum = greedy_below_optimum
+    sol, stats = solve(inst)
+    assert stats.optimal
+    assert stats.upper_bound == sol.reward
+    assert stats.gap == 0.0
+    assert math.isclose(sol.reward, optimum, rel_tol=1e-9)
 
 
 def test_upper_bound_rejects_a_set_that_is_not_a_grid_slice():

@@ -20,17 +20,19 @@ from rectcover import (
     greedy,
     solve_1d,
 )
+from rectcover import bnb1d
 from rectcover.bnb import CandidateGrids, SolverConfig, priority_score
 from rectcover.bnb1d import (
     Node1D,
     branch_1d,
     is_leaf_1d,
     leaf_placements_1d,
+    root_node_1d,
     upper_bound_1d,
 )
 from rectcover.reward import build_reward_matrix, planar_form
 
-from conftest import micro_line, reference_indices, small_1d, square_instance
+from conftest import micro_line, reference_indices, small_1d, square_instance, tick_search_clock
 
 
 def test_micro_line_optimum():
@@ -134,6 +136,35 @@ def test_upper_bound_sound_on_micro_tree():
     assert max_leaf_below(root) <= upper_bound_1d(root, mats, inst) + 1e-9
 
 
+def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
+    inst = micro_line()
+    cfg = SolverConfig()
+    grids = CandidateGrids.from_instance(inst)
+    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+    exact_calls = []
+    monkeypatch.setattr(
+        bnb1d, "covered_reward", lambda *args: exact_calls.append(1) or covered_reward(*args)
+    )
+    skipped = 0
+    stack = [root_node_1d(inst, grids)]
+    while stack:
+        node = stack.pop()
+        if not is_leaf_1d(node):
+            stack.extend(branch_1d(node, inst, grids, cfg))
+            continue
+        exact = covered_reward(inst.dzs, leaf_placements_1d(node, inst), inst.base, inst.eta)
+        for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
+            exact_calls.clear()
+            got = upper_bound_1d(node, mats, inst, floor=floor)
+            if exact_calls:
+                assert got == exact, (node, floor)
+            else:
+                assert floor >= exact, (node, floor)
+                assert exact <= got <= floor + cfg.epsilon, (node, floor)
+                skipped += 1
+    assert skipped > 0
+
+
 def test_upper_bound_equals_index_set_reference_on_every_node():
     inst = small_1d(seed=1, n=5, p=2)
     cfg = SolverConfig()
@@ -227,3 +258,31 @@ def test_zero_time_limit_returns_greedy_incumbent():
     sol, stats = solve_1d(inst, SolverConfig(time_limit_s=0.0))
     assert not stats.optimal
     assert math.isclose(sol.reward, greedy(inst).solution.reward, rel_tol=0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("limit", [0, 10, 14, 30, 60])
+def test_timeout_reports_a_certified_upper_bound(limit, monkeypatch):
+    # greedy 143.14 < optimum 164.43; the incumbent improves at nodes 12, 13
+    # and 26 of a 68-node search
+    inst = small_1d(seed=4, n=6, p=2)
+    optimum = brute_force_1d(inst).reward
+    tick_search_clock(monkeypatch)
+    sol, stats = solve_1d(inst, SolverConfig(time_limit_s=limit))
+    assert not stats.optimal
+    assert sol.reward <= optimum + 1e-9
+    assert optimum <= stats.upper_bound
+    assert stats.upper_bound >= sol.reward + SolverConfig().epsilon
+    assert stats.gap == (stats.upper_bound - sol.reward) / stats.upper_bound
+    if limit == 0:
+        grids = CandidateGrids.from_instance(inst)
+        mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+        assert stats.nodes_explored == 0
+        assert stats.upper_bound == upper_bound_1d(root_node_1d(inst, grids), mats, inst)
+
+
+def test_proven_solve_reports_zero_gap():
+    inst = small_1d(seed=4, n=6, p=2)
+    sol, stats = solve_1d(inst)
+    assert stats.optimal
+    assert stats.upper_bound == sol.reward
+    assert stats.gap == 0.0

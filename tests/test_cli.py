@@ -138,6 +138,31 @@ def test_solve_oracle_on_square(square_file, tmp_path):
     assert math.isclose(sol.reward, 10.0, abs_tol=1e-9)
 
 
+def test_solve_reports_upper_bound_and_gap(square_file, tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--instance", str(square_file), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["stats"]["upper_bound"] == data["reward"]
+    assert data["stats"]["gap"] == 0.0
+    assert "upper_bound=10 gap=0 " in capsys.readouterr().out
+
+    assert main(["solve", "--instance", str(square_file), "--algo", "greedy", "--out", str(out)]) == 0
+    assert "upper_bound" not in json.loads(out.read_text())["stats"]
+    assert "upper_bound=- gap=- " in capsys.readouterr().out
+
+
+def test_solve_timeout_reports_gap(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    dump_instance(small_2d(seed=0, n=8, m=2), inst_path)
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--instance", str(inst_path), "--out", str(out), "--time-limit", "0"])
+    assert code == 2
+    data = json.loads(out.read_text())
+    assert data["stats"]["upper_bound"] > data["reward"]
+    assert 0 < data["stats"]["gap"] < 1
+    assert f"gap={data['stats']['gap']:.3g} " in capsys.readouterr().out
+
+
 def test_solve_timeout_exits_two(tmp_path):
     inst_path = tmp_path / "inst.json"
     dump_instance(small_2d(seed=0, n=8, m=2), inst_path)

@@ -122,3 +122,10 @@ def test_two_d_instance_rejects_degenerate_demand():
             p=1,
             qos=QosSet((1.0,)),
         )
+
+
+def test_demand_zone_box_is_bounds_form_built_once():
+    d = DemandZone(Rect(1.5, -2.0, 3.25, 4.0), 2.5)
+    assert d.box == (1.5, -2.0, 4.75, 2.0, 2.5)
+    assert d.box is d.box
+    assert d == DemandZone(Rect(1.5, -2.0, 3.25, 4.0), 2.5)

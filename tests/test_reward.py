@@ -179,6 +179,22 @@ def test_reward_matrix_max_entry():
     assert m.max_entry == 4.0
 
 
+def test_reward_matrix_block_max_equals_numpy_max_and_is_memoised():
+    inst = small_2d(seed=3, n=6, m=2)
+    m = build_reward_matrix(inst.dzs, 1.0, inst.base, inst.eta)
+    nx, ny = m.entries.shape
+    blocks = [
+        (xlo, xhi, ylo, yhi)
+        for xlo in range(nx) for xhi in range(xlo + 1, nx + 1)
+        for ylo in range(ny) for yhi in range(ylo + 1, ny + 1)
+    ]
+    for xlo, xhi, ylo, yhi in blocks:
+        want = float(m.entries[xlo:xhi, ylo:yhi].max())
+        assert m.block_max(xlo, xhi, ylo, yhi) == want
+        assert m.block_max(xlo, xhi, ylo, yhi) == want
+    assert len(m._block_maxima) == len(blocks)
+
+
 # ------------------------------------------------- support-block bitwise check
 
 
