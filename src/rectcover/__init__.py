@@ -15,7 +15,6 @@ from .model import (
     service_rect,
 )
 from .critical import (
-    CriticalValueSet,
     contains_value,
     dedup_sorted,
     demand_breakpoints,
@@ -23,17 +22,16 @@ from .critical import (
     service_breakpoints,
 )
 from .reward import (
-    RewardMatrix,
     build_reward_matrix,
     covered_reward,
     planar_form,
     single_zone_reward,
     solve_single_zone,
 )
-from .greedy import GreedyTrace, greedy, pseudo_greedy
-from .bnb import CandidateGrids, Node, SolverConfig, SolverStats, partition, solve, upper_bound
-from .bnb1d import Node1D, solve_1d
-from .oracle import OracleResult, OracleSizeError, brute_force_1d, brute_force_2d
+from .greedy import greedy, pseudo_greedy
+from .bnb import partition, solve
+from .bnb1d import solve_1d
+from .oracle import OracleSizeError, brute_force_1d, brute_force_2d
 from .instgen import GenConfig, generate, generate_1d
 
 __all__ = [
@@ -53,31 +51,21 @@ __all__ = [
     "Solution",
     "reward_rate",
     "service_rect",
-    "CriticalValueSet",
     "contains_value",
     "dedup_sorted",
     "demand_breakpoints",
     "inner_demand_grid",
     "service_breakpoints",
-    "RewardMatrix",
     "build_reward_matrix",
     "covered_reward",
     "planar_form",
     "single_zone_reward",
     "solve_single_zone",
-    "GreedyTrace",
     "greedy",
     "pseudo_greedy",
-    "CandidateGrids",
-    "Node",
-    "SolverConfig",
-    "SolverStats",
     "partition",
     "solve",
-    "upper_bound",
-    "Node1D",
     "solve_1d",
-    "OracleResult",
     "OracleSizeError",
     "brute_force_1d",
     "brute_force_2d",

@@ -26,16 +26,16 @@ branching rule, leaf test and leaf placements.  A greedy run seeds the
 incumbent; a node is cut as soon as its optimistic bound cannot beat the
 incumbent by more than ``epsilon``.
 
-Per-node work does not scan candidate sets or demand.  A candidate set with
-more than one value is always a contiguous slice of its own scale's grid
-(splitting only cuts slices), so its reward-matrix rows or columns form one
-index range, found from the slice's end values through the matrix's exact
-value-to-index map; a zone's bound is the maximum over that block of the
-matrix (a range maximum), memoised per block by ``RewardMatrix.block_max``
-because a solve asks for few distinct blocks many times.  Only a singleton
-may lie off the grid, at an abutment position.  Child priorities are read
-from tables built once per solve for every own-scale grid value
-(``CandidateGrids``).
+Per-node work scans no candidate set or demand and maps no value to an
+index.  Each scale's grids, reward matrix and priority tables are built once
+per solve (``CandidateGrids``), and a candidate set is a triple ``(lo, hi,
+v)`` of positions in its zone's own-scale grid: the slice ``grid[lo:hi]``
+when ``v`` is None (splitting only cuts slices), else the abutment position
+``v``, on no grid, bounded by the block ``[lo, hi)`` (:func:`_axis_indices`,
+computed once per child).  A zone's bound is its matrix's maximum over the
+block its two sets name, memoised by ``RewardMatrix.block_max`` because a
+solve asks for few distinct blocks many times; a child's priority is a table
+maximum over its range.
 
 The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
 exact value, which trims overlapping coverage, is never above the sum of its
@@ -57,12 +57,20 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from .geometry import EPS, Axis
-from .critical import abutment_values, contains_value, dedup_sorted, inner_demand_grid
+from .critical import abutment_values
 from .greedy import greedy
 from .model import Dimension, Instance, Placement, QosSet, Solution, reward_rate
 from .reward import RewardMatrix, build_reward_matrix, covered_reward
 
 _UNSET = 0.0  # marker for a scale not chosen yet (real scales are >= 1)
+
+#: A candidate set ``(lo, hi, v)`` on one axis of a zone's own-scale grid:
+#: the slice ``grid[lo:hi]`` when ``v`` is None, else the single value ``v``
+#: bounded by the block ``[lo, hi)``.
+CandidateSet = tuple[int, int, float | None]
+
+#: The candidate set of a zone whose scale is still open; it indexes no grid.
+_OPEN: CandidateSet = (0, 0, None)
 
 
 @dataclass(frozen=True)
@@ -89,14 +97,16 @@ class SolverConfig:
 class Node:
     """Search node: per-zone candidate sets plus branching bookkeeping.
 
-    ``z_vec[j] == 0`` means zone ``j``'s scale is still open (its candidate
-    sets then hold the cross-scale grid unions).  ``bs`` is the zone currently
-    being narrowed; on the x axis it advances left to right and ``bs == p``
-    means every x is fixed.  ``ba`` is the axis being narrowed.
+    ``x_sets[j]`` and ``y_sets[j]`` are zone ``j``'s :data:`CandidateSet` on
+    the grids of its scale ``z_vec[j]`` (``CandidateGrids.x_by_scale``,
+    ``y_by_scale``); ``z_vec[j] == 0`` means that scale is still open and
+    both sets are :data:`_OPEN`.  ``bs`` is the zone being narrowed; on x it
+    advances left to right and ``bs == p`` means every x is fixed.  ``ba`` is
+    the axis being narrowed.
     """
 
-    x_sets: tuple[tuple[float, ...], ...]
-    y_sets: tuple[tuple[float, ...], ...]
+    x_sets: tuple[CandidateSet, ...]
+    y_sets: tuple[CandidateSet, ...]
     z_vec: tuple[float, ...]
     ba: Axis = Axis.X
     bs: int = 0
@@ -124,57 +134,59 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class CandidateGrids:
-    """Per-scale candidate grids, their cross-scale unions and child priorities.
+    """Per-scale reward matrices, their grids and child priorities, built once per solve.
 
-    ``x_priority[z][v]`` equals ``priority_score(v, dzs, z, eta, Axis.X)`` for
-    every value ``v`` of ``x_by_scale[z]`` (likewise ``y_priority`` on y).  The
-    tables are built once per solve, so ordering children looks priorities up
-    instead of scanning the demand per candidate.
+    ``x_by_scale[z]`` and ``y_by_scale[z]`` are the grids ``matrices[z]`` is
+    tabulated over (its ``xs.values`` and ``ys.values``); every candidate set
+    of a scale-``z`` zone indexes them.  ``x_priority[z][i]`` equals
+    ``priority_score(x_by_scale[z][i], dzs, z, eta, Axis.X)`` (likewise
+    ``y_priority`` on y), so ordering children reads a table range instead of
+    scanning the demand per candidate.
     """
 
+    matrices: Mapping[float, RewardMatrix]
     x_by_scale: Mapping[float, tuple[float, ...]]
     y_by_scale: Mapping[float, tuple[float, ...]]
-    x_union: tuple[float, ...]
-    y_union: tuple[float, ...]
-    x_priority: Mapping[float, Mapping[float, float]]
-    y_priority: Mapping[float, Mapping[float, float]]
+    x_priority: Mapping[float, tuple[float, ...]]
+    y_priority: Mapping[float, tuple[float, ...]]
 
     @staticmethod
     def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
+        matrices = {}
         xs = {}
         ys = {}
         xp = {}
         yp = {}
         for z in instance.scale_values():
-            xs[z] = inner_demand_grid(instance.dzs, z, instance.base, Axis.X, eps).values
-            ys[z] = inner_demand_grid(instance.dzs, z, instance.base, Axis.Y, eps).values
-            xp[z] = {v: priority_score(v, instance.dzs, z, instance.eta, Axis.X) for v in xs[z]}
-            yp[z] = {v: priority_score(v, instance.dzs, z, instance.eta, Axis.Y) for v in ys[z]}
-        x_union = dedup_sorted([v for vals in xs.values() for v in vals], eps)
-        y_union = dedup_sorted([v for vals in ys.values() for v in vals], eps)
-        return CandidateGrids(xs, ys, x_union, y_union, xp, yp)
+            m = matrices[z] = build_reward_matrix(instance.dzs, z, instance.base, instance.eta, eps)
+            xs[z] = m.xs.values
+            ys[z] = m.ys.values
+            xp[z] = tuple(priority_score(v, instance.dzs, z, instance.eta, Axis.X) for v in xs[z])
+            yp[z] = tuple(priority_score(v, instance.dzs, z, instance.eta, Axis.Y) for v in ys[z])
+        return CandidateGrids(matrices, xs, ys, xp, yp)
 
 
-def partition(values: Sequence[float], beta: float) -> list[tuple[float, ...]]:
+def partition(values: Sequence[float], beta: float) -> list[tuple[int, int]]:
     """Split sorted ``values`` at every gap wider than ``beta`` times the rest.
 
-    A gap is cut when it exceeds ``beta`` times the widest *other* gap, so a
-    two-element set (a single gap, nothing to compare against) always stays
-    whole; callers that need progress on an unsplit set enumerate singletons
-    instead.
+    The parts are returned in order as half-open position ranges ``(start,
+    stop)`` into ``values``.  A gap is cut when it exceeds ``beta`` times the
+    widest *other* gap, so a two-element set (a single gap, nothing to
+    compare against) always stays whole; callers that need progress on an
+    unsplit set enumerate singletons instead.
     """
-    vals = tuple(values)
-    if len(vals) <= 2:
-        return [vals]
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    n = len(values)
+    if n <= 2:
+        return [(0, n)]
+    gaps = [b - a for a, b in zip(values, values[1:])]
     gmax = max(gaps)
-    parts: list[tuple[float, ...]] = []
+    parts: list[tuple[int, int]] = []
     start = 0
     for i, g in enumerate(gaps):
         if g > beta * gmax:
-            parts.append(vals[start : i + 1])
+            parts.append((start, i + 1))
             start = i + 1
-    parts.append(vals[start:])
+    parts.append((start, n))
     return parts
 
 
@@ -193,52 +205,70 @@ def priority_score(
     return total
 
 
+def _is_single(s: CandidateSet) -> bool:
+    return s[2] is not None or s[1] - s[0] == 1
+
+
+def _value(s: CandidateSet, grid: Sequence[float]) -> float:
+    """The coordinate of a singleton set on ``grid``."""
+    return grid[s[0]] if s[2] is None else s[2]
+
+
+def _pin(v: float, grid: Sequence[float], eps: float) -> CandidateSet:
+    """The singleton set of an abutment position ``v``, with its bounding block."""
+    return (*_axis_indices(v, grid, eps), v)
+
+
 def is_leaf(node: Node) -> bool:
     return (
         _UNSET not in node.z_vec
-        and max(map(len, node.x_sets)) == 1
-        and max(map(len, node.y_sets)) == 1
+        and all(map(_is_single, node.x_sets))
+        and all(map(_is_single, node.y_sets))
     )
 
 
-def leaf_placements(node: Node) -> tuple[Placement, ...]:
+def leaf_placements(node: Node, matrices: Mapping[float, RewardMatrix]) -> tuple[Placement, ...]:
+    """A leaf's placements, its grid positions read from its scales' matrices."""
     return tuple(
-        Placement(node.x_sets[j][0], node.y_sets[j][0], node.z_vec[j])
-        for j in range(len(node.z_vec))
+        Placement(_value(xs, matrices[z].xs.values), _value(ys, matrices[z].ys.values), z)
+        for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec)
     )
 
 
-def _replace_at(sets: tuple[tuple[float, ...], ...], j: int, values: tuple[float, ...]):
-    return sets[:j] + (values,) + sets[j + 1 :]
+def _replace_at(sets: tuple[CandidateSet, ...], j: int, s: CandidateSet) -> tuple[CandidateSet, ...]:
+    return sets[:j] + (s,) + sets[j + 1 :]
 
 
-def _order_children(
-    parts: list[tuple[float, ...]], priority: Mapping[float, float]
-) -> list[tuple[float, ...]]:
-    """``parts`` by decreasing priority of their best value, stable on ties."""
-    return sorted(parts, key=lambda part: max(priority[v] for v in part), reverse=True)
+def _split(
+    s: CandidateSet, grid: Sequence[float], priority: Sequence[float], beta: float
+) -> list[CandidateSet]:
+    """Interval step on the slice ``s`` of ``grid``, shared by plane and line.
+
+    :func:`partition` cuts the slice at its widest gaps; a slice it leaves
+    whole falls apart into singletons.  The parts come by decreasing maximum
+    of ``priority`` (indexed like ``grid``) over their range, stable on ties.
+    """
+    lo, hi, _ = s
+    parts = [(lo + a, lo + b, None) for a, b in partition(grid[lo:hi], beta)]
+    if len(parts) == 1 and hi - lo > 1:
+        parts = [(i, i + 1, None) for i in range(lo, hi)]
+    return sorted(parts, key=lambda part: max(priority[part[0] : part[1]]), reverse=True)
 
 
-def _order_step_children(node: Node, instance: Instance, grids: CandidateGrids, eps: float) -> list[Node]:
+def _order_step_children(node: Node, instance: Instance) -> list[Node]:
     """Pick which zone settles its y next (see module docstring, order step).
 
     Interchangeability holds only for zones sitting on their *own* scale's
     grid (any other assignment of their (x, scale) pairs exists elsewhere in
     the tree); a zone pinned at an abutment position is tied to the zones
     that generated it, even if the value happens to equal some other scale's
-    grid value, so each such zone gets its own child.
+    grid value, so each such zone gets its own child.  Abutment positions lie
+    more than ``epsilon`` off the own-scale grid, so a set without ``v`` is on it.
     """
-    open_idx = [j for j in range(instance.p) if len(node.y_sets[j]) > 1]
-    chosen: list[int] = []
-    rep_found = False
-    for j in open_idx:
-        if contains_value(grids.x_by_scale[node.z_vec[j]], node.x_sets[j][0], eps):
-            if not rep_found:
-                chosen.append(j)
-                rep_found = True
-        else:
-            chosen.append(j)
-    return [Node(node.x_sets, node.y_sets, node.z_vec, Axis.Y, j) for j in sorted(chosen)]
+    open_idx = [j for j in range(instance.p) if not _is_single(node.y_sets[j])]
+    on_grid = [j for j in open_idx if node.x_sets[j][2] is None]
+    chosen = sorted(on_grid[:1] + [j for j in open_idx if node.x_sets[j][2] is not None])
+    return [Node(node.x_sets, node.y_sets, node.z_vec, Axis.Y, j) for j in chosen]
 
 
 def branch(
@@ -248,11 +278,11 @@ def branch(
     j = node.bs
     if node.ba is Axis.X and j < instance.p:
         if node.z_vec[j] == _UNSET:
-            # Scale step: one child per menu entry for zone j.
+            # Scale step: one child per menu entry for zone j, on its whole grids.
             return [
                 Node(
-                    _replace_at(node.x_sets, j, grids.x_by_scale[z]),
-                    _replace_at(node.y_sets, j, grids.y_by_scale[z]),
+                    _replace_at(node.x_sets, j, (0, len(grids.x_by_scale[z]), None)),
+                    _replace_at(node.y_sets, j, (0, len(grids.y_by_scale[z]), None)),
                     node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
                     node.ba,
                     j,
@@ -260,9 +290,9 @@ def branch(
                 for z in instance.qos_for(j).factors
             ]
         return _interval_children(node, j, Axis.X, instance, grids, config)
-    if node.ba is Axis.X or len(node.y_sets[j]) == 1:
+    if node.ba is Axis.X or _is_single(node.y_sets[j]):
         # Every x fixed, or zone j's y settled: the order step picks who is next.
-        return _order_step_children(node, instance, grids, config.epsilon)
+        return _order_step_children(node, instance)
     return _interval_children(node, j, Axis.Y, instance, grids, config)
 
 
@@ -281,23 +311,22 @@ def _interval_children(
     """
     on_x = axis is Axis.X
     sets = node.x_sets if on_x else node.y_sets
+    by_scale = grids.x_by_scale if on_x else grids.y_by_scale
     z = node.z_vec[j]
-    vals = sets[j]
-    parts = partition(vals, config.beta)
-    if len(parts) == 1 and len(vals) > 1:
-        parts = [(v,) for v in vals]
-    parts = _order_children(parts, (grids.x_priority if on_x else grids.y_priority)[z])
-    if vals == (grids.x_by_scale if on_x else grids.y_by_scale)[z]:
+    grid = by_scale[z]
+    parts = _split(sets[j], grid, (grids.x_priority if on_x else grids.y_priority)[z], config.beta)
+    if sets[j] == (0, len(grid), None):
         fixed = [
-            (s[0], zk)
+            (_value(s, by_scale[zk]), zk)
             for k, (s, zk) in enumerate(zip(sets, node.z_vec))
-            if k != j and len(s) == 1 and zk != _UNSET
+            if k != j and zk != _UNSET and _is_single(s)
         ]
         full = config.scv_mode == "full"
-        parts += [(v,) for v in abutment_values(fixed, z, instance.base, axis, full, vals, config.epsilon)]
+        eps = config.epsilon
+        parts += [_pin(v, grid, eps) for v in abutment_values(fixed, z, instance.base, axis, full, grid, eps)]
     if on_x:
         return [
-            Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, Axis.X, j + 1 if len(part) == 1 else j)
+            Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, Axis.X, j + 1 if _is_single(part) else j)
             for part in parts
         ]
     return [Node(node.x_sets, _replace_at(sets, j, part), node.z_vec, Axis.Y, j) for part in parts]
@@ -325,31 +354,6 @@ def _axis_indices(v: float, grid: Sequence[float], eps: float) -> tuple[int, int
     return i - 1, i + 1
 
 
-def _axis_range(
-    candidates: tuple[float, ...], index: Mapping[float, int], grid: Sequence[float], eps: float
-) -> tuple[int, int]:
-    """Half-open matrix index range ``[lo, hi)`` covering a candidate set.
-
-    ``index`` maps each value of ``grid`` exactly to its position.  A set of
-    several values must be a contiguous slice of ``grid``: its first value
-    gives ``lo``, its length ``hi``, and its last value must sit at
-    ``hi - 1``, which is checked in O(1) rather than value by value.  A
-    singleton on the grid maps to its own index; one off the grid is
-    bracketed by :func:`_axis_indices`.
-    """
-    lo = index.get(candidates[0])
-    if len(candidates) == 1:
-        return (lo, lo + 1) if lo is not None else _axis_indices(candidates[0], grid, eps)
-    if lo is not None:
-        hi = lo + len(candidates)
-        if index.get(candidates[-1]) == hi - 1:
-            return lo, hi
-    raise ValueError(
-        f"candidate set {candidates[0]}..{candidates[-1]} ({len(candidates)} values) "
-        "is not a slice of its grid"
-    )
-
-
 def upper_bound(
     node: Node,
     matrices: Mapping[float, RewardMatrix],
@@ -362,11 +366,12 @@ def upper_bound(
     Each zone contributes the best isolated reward reachable from its
     candidate sets (overlap between zones only lowers the true value, so the
     sum is a valid bound): the maximum of the block
-    ``entries[xlo:xhi, ylo:yhi]`` of its scale's reward matrix, whose ranges
-    :func:`_axis_range` finds in O(1) per axis and whose maximum
-    ``RewardMatrix.block_max`` memoises.  A zone with an open scale
-    contributes the best entry over all scale matrices, taken once per call
-    and only when some scale is open.
+    ``entries[xlo:xhi, ylo:yhi]`` of its scale's reward matrix, whose index
+    ranges its sets ``(xlo, xhi, _)`` and ``(ylo, yhi, _)`` hold and whose
+    maximum ``RewardMatrix.block_max`` memoises.  ``matrices`` must be
+    tabulated over the grids the node's sets index (``CandidateGrids``).  A
+    zone with an open scale contributes the best entry over all scale
+    matrices, taken once per call and only when some scale is open.
 
     A leaf whose sum exceeds ``floor + eps`` is evaluated exactly with
     ``covered_reward``.  A leaf at or below it returns the sum, which is at
@@ -375,19 +380,17 @@ def upper_bound(
     """
     total = 0.0
     best_any = None
-    for j in range(instance.p):
-        z = node.z_vec[j]
+    for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
         if z == _UNSET:
             if best_any is None:
                 best_any = max(m.max_entry for m in matrices.values())
             total += best_any
             continue
-        m = matrices[z]
-        xlo, xhi = _axis_range(node.x_sets[j], m.x_index, m.xs.values, eps)
-        ylo, yhi = _axis_range(node.y_sets[j], m.y_index, m.ys.values, eps)
-        total += m.block_max(xlo, xhi, ylo, yhi)
+        total += matrices[z].block_max(xs[0], xs[1], ys[0], ys[1])
     if total > floor + eps and is_leaf(node):
-        return covered_reward(instance.dzs, leaf_placements(node), instance.base, instance.eta, eps)
+        return covered_reward(
+            instance.dzs, leaf_placements(node, matrices), instance.base, instance.eta, eps
+        )
     return total
 
 
@@ -398,17 +401,18 @@ def branch_and_bound(
     bound: Callable[[Any, Mapping[float, RewardMatrix], Instance, float, float], float],
     children: Callable[[Any, Instance, CandidateGrids, SolverConfig], list],
     at_leaf: Callable[[Any], bool],
-    placements: Callable[[Any], tuple[Placement, ...]],
+    placements: Callable[[Any, Mapping[float, RewardMatrix]], tuple[Placement, ...]],
 ) -> tuple[Solution, SolverStats]:
     """Depth-first branch and bound, shared by the planar and line solvers.
 
-    A greedy run seeds the incumbent.  ``root(instance, grids)`` builds the
-    root node; every popped node is bounded with ``bound(node, matrices,
-    instance, eps, lower)``, where ``lower`` is the incumbent's reward, and
-    is cut when the bound cannot beat the incumbent by more than ``epsilon``.
-    The bound must be exact at a leaf (``at_leaf(node)``) whose value exceeds
-    ``lower + eps``, and at least the leaf's exact value otherwise.  A
-    surviving leaf becomes the incumbent (``placements(node)``); any other
+    A greedy run seeds the incumbent.  ``grids`` (:class:`CandidateGrids`)
+    is built once, and ``root(instance, grids)`` builds the root node; every
+    popped node is bounded with ``bound(node, grids.matrices, instance, eps,
+    lower)``, where ``lower`` is the incumbent's reward, and is cut when the
+    bound cannot beat the incumbent by more than ``epsilon``.  The bound must
+    be exact at a leaf (``at_leaf(node)``) whose value exceeds ``lower +
+    eps``, and at least the leaf's exact value otherwise.  A surviving leaf
+    becomes the incumbent (``placements(node, grids.matrices)``); any other
     node is replaced by ``children(node, instance, grids, config)``, explored
     in the order given.
 
@@ -429,10 +433,6 @@ def branch_and_bound(
 
     if instance.dzs:
         grids = CandidateGrids.from_instance(instance, eps)
-        matrices = {
-            z: build_reward_matrix(instance.dzs, z, instance.base, instance.eta, eps)
-            for z in instance.scale_values()
-        }
         stack = [root(instance, grids)]
         while stack:
             if time.perf_counter() - start > config.time_limit_s:
@@ -440,12 +440,12 @@ def branch_and_bound(
                 break
             node = stack.pop()
             stats.nodes_explored += 1
-            value = bound(node, matrices, instance, eps, lower)
+            value = bound(node, grids.matrices, instance, eps, lower)
             if value <= lower + eps:
                 continue
             if at_leaf(node):
                 lower = value
-                incumbent = placements(node)
+                incumbent = placements(node, grids.matrices)
                 stats.best_reward_history.append((stats.nodes_explored, lower))
                 stats.optimal_found_time = time.perf_counter() - start
                 continue
@@ -456,16 +456,16 @@ def branch_and_bound(
     else:
         # Every cut node was within eps of an incumbent no better than the
         # last; the open nodes are bounded once more, exactly at leaves.
-        stats.upper_bound = max([lower + eps] + [bound(n, matrices, instance, eps) for n in stack])
+        stats.upper_bound = max([lower + eps] + [bound(n, grids.matrices, instance, eps) for n in stack])
     stats.gap = (stats.upper_bound - lower) / stats.upper_bound if stats.upper_bound > 0 else 0.0
     stats.wall_time = time.perf_counter() - start
     return Solution(incumbent, lower), stats
 
 
 def root_node(instance: Instance, grids: CandidateGrids) -> Node:
-    """Every zone open: scale unset, candidate sets the cross-scale unions."""
+    """Every zone open: scale unset, candidate sets :data:`_OPEN`."""
     p = instance.p
-    return Node(x_sets=(grids.x_union,) * p, y_sets=(grids.y_union,) * p, z_vec=(_UNSET,) * p)
+    return Node(x_sets=(_OPEN,) * p, y_sets=(_OPEN,) * p, z_vec=(_UNSET,) * p)
 
 
 def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solution, SolverStats]:

@@ -32,13 +32,15 @@ from .model import Dimension, Instance, Placement, Solution
 from .reward import RewardMatrix, covered_reward
 from .bnb import (
     CandidateGrids,
+    CandidateSet,
     SolverConfig,
     SolverStats,
-    _axis_range,
-    _order_children,
+    _is_single,
+    _pin,
     _replace_at,
+    _split,
+    _value,
     branch_and_bound,
-    partition,
 )
 
 
@@ -46,21 +48,30 @@ from .bnb import (
 class Node1D:
     """Per-zone x candidate sets plus branching bookkeeping.
 
-    ``bsfl`` is the first-level zone index of the enclosing subtree; the root
-    (which only dispatches to first-level subtrees) carries ``bsfl == -1``.
+    ``x_sets[j]`` is zone ``j``'s ``bnb.CandidateSet`` on its scale's grid
+    (``CandidateGrids.x_by_scale``).  An abutment value ``v`` may equal a grid
+    value; it is the placement coordinate either way.  ``bsfl`` is the
+    first-level zone index of the enclosing subtree; the root (which only
+    dispatches to first-level subtrees) carries ``bsfl == -1``.
     """
 
-    x_sets: tuple[tuple[float, ...], ...]
+    x_sets: tuple[CandidateSet, ...]
     bs: int = 0
     bsfl: int = -1
 
 
 def is_leaf_1d(node: Node1D) -> bool:
-    return node.bsfl >= 0 and max(map(len, node.x_sets)) == 1
+    return node.bsfl >= 0 and all(map(_is_single, node.x_sets))
 
 
-def leaf_placements_1d(node: Node1D, instance: Instance) -> tuple[Placement, ...]:
-    return tuple(Placement(s[0], 0.0, q.factors[0]) for s, q in zip(node.x_sets, instance.qos))
+def leaf_placements_1d(
+    node: Node1D, matrices: Mapping[float, RewardMatrix], instance: Instance
+) -> tuple[Placement, ...]:
+    """A leaf's placements, its grid positions read from its scales' matrices."""
+    return tuple(
+        Placement(_value(s, matrices[q.factors[0]].xs.values), 0.0, q.factors[0])
+        for s, q in zip(node.x_sets, instance.qos)
+    )
 
 
 def branch_1d(
@@ -70,23 +81,21 @@ def branch_1d(
     if node.bsfl < 0:
         return [Node1D(node.x_sets, j, j) for j in range(instance.p)]
     j = node.bs
-    xs = node.x_sets[j]
     scale_of = lambda k: instance.qos_for(k).factors[0]
-    if len(xs) > 1:
-        parts = partition(xs, config.beta)
-        if len(parts) == 1:
-            parts = [(v,) for v in xs]
-        parts = _order_children(parts, grids.x_priority[scale_of(j)])
+    grid_of = lambda k: grids.x_by_scale[scale_of(k)]
+    if not _is_single(node.x_sets[j]):
+        parts = _split(node.x_sets[j], grid_of(j), grids.x_priority[scale_of(j)], config.beta)
         return [Node1D(_replace_at(node.x_sets, j, part), j, node.bsfl) for part in parts]
     # Current zone settled: branch on which open zone to place next.
-    fixed = [(s[0], scale_of(k)) for k, s in enumerate(node.x_sets) if len(s) == 1]
+    fixed = [(_value(s, grid_of(k)), scale_of(k)) for k, s in enumerate(node.x_sets) if _is_single(s)]
     full = config.scv_mode == "full"
+    eps = config.epsilon
     children: list[Node1D] = []
     for l, s in enumerate(node.x_sets):
-        if len(s) == 1:
+        if _is_single(s):
             continue
-        for v in abutment_values(fixed, scale_of(l), instance.base, Axis.X, full, eps=config.epsilon):
-            children.append(Node1D(_replace_at(node.x_sets, l, (v,)), l, node.bsfl))
+        for v in abutment_values(fixed, scale_of(l), instance.base, Axis.X, full, eps=eps):
+            children.append(Node1D(_replace_at(node.x_sets, l, _pin(v, grid_of(l), eps)), l, node.bsfl))
         if l > node.bsfl:
             children.append(Node1D(node.x_sets, l, node.bsfl))
     return children
@@ -102,27 +111,26 @@ def upper_bound_1d(
     """Optimistic value below ``node``: sum of per-zone best isolated rewards.
 
     Each zone contributes the maximum of ``entries[xlo:xhi, 0]`` of its
-    scale's reward matrix over the index range of its candidate set, read
-    through the memo ``RewardMatrix.block_max`` (see ``bnb.upper_bound``).
-    A leaf whose sum exceeds ``floor + eps`` is evaluated exactly, on the
+    scale's reward matrix over its candidate set ``(xlo, xhi, _)``, read
+    through the memo ``RewardMatrix.block_max`` (see ``bnb.upper_bound``).  A
+    leaf whose sum exceeds ``floor + eps`` is evaluated exactly, on the
     demand and base lifted once per instance (``Instance.planar``); a leaf at
     or below it returns the sum, which is at least its exact value.  With the
     default ``floor`` every leaf is exact.
     """
     total = 0.0
     for xs, q in zip(node.x_sets, instance.qos):
-        m = matrices[q.factors[0]]
-        lo, hi = _axis_range(xs, m.x_index, m.xs.values, eps)
-        total += m.block_max(lo, hi, 0, 1)
+        total += matrices[q.factors[0]].block_max(xs[0], xs[1], 0, 1)
     if total > floor + eps and is_leaf_1d(node):
         dzs, base = instance.planar
-        return covered_reward(dzs, leaf_placements_1d(node, instance), base, instance.eta, eps)
+        return covered_reward(dzs, leaf_placements_1d(node, matrices, instance), base, instance.eta, eps)
     return total
 
 
 def root_node_1d(instance: Instance, grids: CandidateGrids) -> Node1D:
     """Every zone on its own scale's whole grid; dispatches first-level subtrees."""
-    return Node1D(x_sets=tuple(grids.x_by_scale[instance.qos_for(j).factors[0]] for j in range(instance.p)))
+    scales = [instance.qos_for(j).factors[0] for j in range(instance.p)]
+    return Node1D(x_sets=tuple((0, len(grids.x_by_scale[z]), None) for z in scales))
 
 
 def solve_1d(instance: Instance, config: SolverConfig | None = None) -> tuple[Solution, SolverStats]:

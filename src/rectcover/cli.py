@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -578,10 +579,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _solver_config(args)
+    ps, ms, ns = _parse_int_list(args.p), _parse_int_list(args.m), _parse_int_list(args.n)
+    if args.seeds < 0:
+        raise CliError(f"--seeds must be >= 0, got {args.seeds}")
+    with _validated("bench sizes"):
+        for p, m, n in itertools.product(ps, ms, ns):
+            GenConfig(n=n, p=p, m=m)
     report = run_bench(
-        ps=_parse_int_list(args.p),
-        ms=_parse_int_list(args.m),
-        ns=_parse_int_list(args.n),
+        ps=ps,
+        ms=ms,
+        ns=ns,
         seeds=args.seeds,
         one_d=args.one_d,
         config=config,

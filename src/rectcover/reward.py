@@ -65,8 +65,8 @@ class RewardMatrix:
     """Single-zone rewards of one scale tabulated over its candidate grid.
 
     ``entries[i, j]`` is the isolated reward of a scale-``scale`` zone placed
-    at ``(xs.values[i], ys.values[j])``.  ``x_index`` and ``y_index`` map each
-    grid value (exactly, no tolerance) back to its row or column.
+    at ``(xs.values[i], ys.values[j])``.  The exact search's candidate sets
+    are index ranges into these two grids.
 
     :meth:`block_max` memoises the maximum of each index block it is asked
     for.  The search bounds every node by such blocks, and one solve asks for
@@ -81,14 +81,6 @@ class RewardMatrix:
     _block_maxima: dict[tuple[int, int, int, int], float] = field(
         default_factory=dict, init=False, repr=False
     )
-
-    @cached_property
-    def x_index(self) -> dict[float, int]:
-        return {v: i for i, v in enumerate(self.xs.values)}
-
-    @cached_property
-    def y_index(self) -> dict[float, int]:
-        return {v: i for i, v in enumerate(self.ys.values)}
 
     @cached_property
     def max_entry(self) -> float:

@@ -83,6 +83,12 @@ def small_1d(seed: int, n: int, p: int) -> Instance:
     )
 
 
+def candidate_values(s, grid):
+    """The coordinates a search node's candidate set ``(lo, hi, v)`` on ``grid`` stands for."""
+    lo, hi, v = s
+    return tuple(grid[lo:hi]) if v is None else (v,)
+
+
 def reference_indices(candidates, grid):
     """Reward-matrix indices of a candidate set by exact grid membership.
 

@@ -28,7 +28,6 @@ from rectcover import (
     solve_1d,
 )
 from rectcover.bnb import (
-    _UNSET,
     CandidateGrids,
     Node,
     SolverConfig,
@@ -36,6 +35,7 @@ from rectcover.bnb import (
     branch,
     is_leaf,
     leaf_placements,
+    root_node,
     upper_bound,
 )
 from rectcover.cli import (
@@ -291,11 +291,7 @@ def _max_leaf_vs_bound(inst, cap=400_000):
         z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta)
         for z in inst.scale_values()
     }
-    root = Node(
-        x_sets=(grids.x_union,) * inst.p,
-        y_sets=(grids.y_union,) * inst.p,
-        z_vec=(_UNSET,) * inst.p,
-    )
+    root = root_node(inst, grids)
     order: list[Node] = []
     kids: dict[int, list[Node]] = {}
     stack = [(root, False)]
@@ -317,7 +313,7 @@ def _max_leaf_vs_bound(inst, cap=400_000):
     worst = math.inf
     for node in order:
         if is_leaf(node):
-            value = covered_reward(inst.dzs, leaf_placements(node), inst.base, inst.eta)
+            value = covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
         else:
             value = max((best_under[id(c)] for c in kids[id(node)]), default=0.0)
         best_under[id(node)] = value

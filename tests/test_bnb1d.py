@@ -21,7 +21,7 @@ from rectcover import (
     solve_1d,
 )
 from rectcover import bnb1d
-from rectcover.bnb import CandidateGrids, SolverConfig, priority_score
+from rectcover.bnb import CandidateGrids, SolverConfig, _axis_indices, _pin, priority_score
 from rectcover.bnb1d import (
     Node1D,
     branch_1d,
@@ -30,9 +30,17 @@ from rectcover.bnb1d import (
     root_node_1d,
     upper_bound_1d,
 )
+from rectcover.geometry import EPS
 from rectcover.reward import build_reward_matrix, planar_form
 
-from conftest import micro_line, reference_indices, small_1d, square_instance, tick_search_clock
+from conftest import (
+    candidate_values,
+    micro_line,
+    reference_indices,
+    small_1d,
+    square_instance,
+    tick_search_clock,
+)
 
 
 def test_micro_line_optimum():
@@ -56,7 +64,10 @@ def test_root_dispatches_one_subtree_per_zone():
     inst = micro_line()
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
-    root = Node1D(x_sets=tuple(grids.x_by_scale[inst.qos_for(j).factors[0]] for j in range(inst.p)))
+    root = root_node_1d(inst, grids)
+    # every zone on its whole grid: scale 1 (0.0, 2.0), scale 2 (0.0,)
+    assert grids.x_by_scale == {1.0: (0.0, 2.0), 2.0: (0.0,)}
+    assert root.x_sets == ((0, 2, None), (0, 1, None))
     assert root.bsfl == -1 and not is_leaf_1d(root)
     children = branch_1d(root, inst, grids, cfg)
     assert [c.bsfl for c in children] == [0, 1]
@@ -67,9 +78,11 @@ def test_root_dispatches_one_subtree_per_zone():
 
 def test_leaf_uses_per_zone_scales():
     inst = micro_line()
-    leaf = Node1D(x_sets=((0.0,), (2.0,)), bs=1, bsfl=0)
+    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+    # zone 0 on the scale-1 grid at 0.0; zone 1 at 2.0, off the scale-2 grid (0.0,)
+    leaf = Node1D(x_sets=((0, 1, None), (0, 1, 2.0)), bs=1, bsfl=0)
     assert is_leaf_1d(leaf)
-    assert leaf_placements_1d(leaf, inst) == (
+    assert leaf_placements_1d(leaf, mats, inst) == (
         Placement(0.0, 0.0, 1.0),
         Placement(2.0, 0.0, 2.0),
     )
@@ -93,16 +106,18 @@ def test_abutment_children_generated_for_open_zones():
     inst = two_segment_line()
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
+    assert grids.x_by_scale[1.0][0] == 0.0
     assert grids.x_by_scale[2.0] == (0.0, 6.0)
     # zone 0 settled at x=0 (scale 1, width 2); zone 1 still open
-    node = Node1D(x_sets=((0.0,), grids.x_by_scale[2.0]), bs=0, bsfl=0)
+    node = Node1D(x_sets=((0, 1, None), (0, 2, None)), bs=0, bsfl=0)
     children = branch_1d(node, inst, grids, cfg)
-    pinned = [c.x_sets[1] for c in children if len(c.x_sets[1]) == 1]
-    # left abutment: 0 - 4 = -4; right abutment: 0 + 2 = 2
-    assert (-4.0,) in pinned
-    assert (2.0,) in pinned
+    pinned = [c.x_sets[1] for c in children if c.x_sets[1][2] is not None]
+    # left abutment: 0 - 4 = -4 (below the grid); right abutment: 0 + 2 = 2
+    # (between 0.0 and 6.0), each with the block that bounds it
+    assert (0, 1, -4.0) in pinned
+    assert (0, 2, 2.0) in pinned
     # zone 1 > bsfl, so its whole grid also stays in play as one child
-    assert any(c.x_sets[1] == grids.x_by_scale[2.0] for c in children)
+    assert any(c.x_sets[1] == (0, 2, None) for c in children)
 
 
 def test_no_duplicate_grid_subtree_for_lower_index():
@@ -110,10 +125,12 @@ def test_no_duplicate_grid_subtree_for_lower_index():
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
     # inside subtree 1: zone 1 settled first, zone 0 open; the grid-keeping
-    # child for zone 0 must not appear (subtree 0 already owns those)
-    node = Node1D(x_sets=(grids.x_by_scale[1.0], (0.0,)), bs=1, bsfl=1)
+    # child for zone 0 must not appear (subtree 0 already owns those), so
+    # every child pins zone 0 at an abutment value
+    node = Node1D(x_sets=((0, 2, None), (0, 1, None)), bs=1, bsfl=1)
     children = branch_1d(node, inst, grids, cfg)
-    assert all(len(c.x_sets[0]) == 1 for c in children)
+    assert children
+    assert all(c.x_sets[0][2] is not None for c in children)
 
 
 def test_upper_bound_sound_on_micro_tree():
@@ -121,11 +138,11 @@ def test_upper_bound_sound_on_micro_tree():
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
     mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-    root = Node1D(x_sets=tuple(grids.x_by_scale[inst.qos_for(j).factors[0]] for j in range(inst.p)))
+    root = root_node_1d(inst, grids)
 
     def max_leaf_below(node):
         if is_leaf_1d(node):
-            return covered_reward(inst.dzs, leaf_placements_1d(node, inst), inst.base, inst.eta)
+            return covered_reward(inst.dzs, leaf_placements_1d(node, mats, inst), inst.base, inst.eta)
         best = 0.0
         for child in branch_1d(node, inst, grids, cfg):
             below = max_leaf_below(child)
@@ -134,6 +151,28 @@ def test_upper_bound_sound_on_micro_tree():
         return best
 
     assert max_leaf_below(root) <= upper_bound_1d(root, mats, inst) + 1e-9
+
+
+def test_every_node_holds_slices_or_bracketed_abutments():
+    # every node of the micro tree: a non-empty slice of the zone's grid, or
+    # an abutment value (which may sit on the grid) with the block bounding it
+    inst = micro_line()
+    cfg = SolverConfig()
+    grids = CandidateGrids.from_instance(inst)
+    pinned = 0
+    stack = [root_node_1d(inst, grids)]
+    while stack:
+        node = stack.pop()
+        for j, (lo, hi, v) in enumerate(node.x_sets):
+            grid = grids.x_by_scale[inst.qos_for(j).factors[0]]
+            if v is None:
+                assert 0 <= lo < hi <= len(grid), node
+            else:
+                assert (lo, hi) == _axis_indices(v, grid, cfg.epsilon), node
+                pinned += 1
+        if not is_leaf_1d(node):
+            stack.extend(branch_1d(node, inst, grids, cfg))
+    assert pinned > 0
 
 
 def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
@@ -152,7 +191,7 @@ def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
         if not is_leaf_1d(node):
             stack.extend(branch_1d(node, inst, grids, cfg))
             continue
-        exact = covered_reward(inst.dzs, leaf_placements_1d(node, inst), inst.base, inst.eta)
+        exact = covered_reward(inst.dzs, leaf_placements_1d(node, mats, inst), inst.base, inst.eta)
         for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
             exact_calls.clear()
             got = upper_bound_1d(node, mats, inst, floor=floor)
@@ -170,7 +209,7 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
     mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-    stack = [Node1D(x_sets=tuple(grids.x_by_scale[inst.qos_for(j).factors[0]] for j in range(inst.p)))]
+    stack = [root_node_1d(inst, grids)]
     while stack:
         node = stack.pop()
         if is_leaf_1d(node):
@@ -178,27 +217,24 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
         expected = 0.0
         for j in range(inst.p):
             m = mats[inst.qos_for(j).factors[0]]
-            expected += float(m.entries[reference_indices(node.x_sets[j], m.xs.values), 0].max())
+            values = candidate_values(node.x_sets[j], m.xs.values)
+            expected += float(m.entries[reference_indices(values, m.xs.values), 0].max())
         assert upper_bound_1d(node, mats, inst) == expected, node
         stack.extend(branch_1d(node, inst, grids, cfg))
 
 
-def test_upper_bound_rejects_a_set_that_is_not_a_grid_slice():
-    inst = small_1d(seed=1, n=5, p=2)
-    grids = CandidateGrids.from_instance(inst)
-    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-    xs = grids.x_by_scale[1.0]
-    assert len(xs) >= 3
-    node = Node1D(x_sets=((xs[0], xs[2]), grids.x_by_scale[2.0]), bs=0, bsfl=0)
-    with pytest.raises(ValueError, match="not a slice"):
-        upper_bound_1d(node, mats, inst)
-
-
 def test_leaf_bound_on_lifted_demand_is_exact():
     inst = small_1d(seed=1, n=5, p=2)
-    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-    leaf = Node1D(x_sets=((28.0,), (85.0,)), bs=1, bsfl=0)
-    exact = covered_reward(inst.dzs, leaf_placements_1d(leaf, inst), inst.base, inst.eta)
+    grids = CandidateGrids.from_instance(inst)
+    mats = grids.matrices
+    scales = [inst.qos_for(j).factors[0] for j in range(inst.p)]
+    leaf = Node1D(
+        x_sets=tuple(_pin(v, grids.x_by_scale[z], EPS) for v, z in zip((28.0, 85.0), scales)),
+        bs=1,
+        bsfl=0,
+    )
+    assert [pl.x for pl in leaf_placements_1d(leaf, mats, inst)] == [28.0, 85.0]
+    exact = covered_reward(inst.dzs, leaf_placements_1d(leaf, mats, inst), inst.base, inst.eta)
     assert exact > 0
     assert upper_bound_1d(leaf, mats, inst) == exact
     # the leaf read the demand lifted once for the instance
@@ -214,9 +250,9 @@ def test_priority_table_equals_priority_score_at_every_grid_value():
             (Axis.X, grids.x_by_scale[z], grids.x_priority[z]),
             (Axis.Y, grids.y_by_scale[z], grids.y_priority[z]),
         ):
-            assert tuple(table) == values
-            for v in values:
-                assert table[v] == priority_score(v, inst.dzs, z, inst.eta, axis)
+            assert len(table) == len(values)
+            for i, v in enumerate(values):
+                assert table[i] == priority_score(v, inst.dzs, z, inst.eta, axis)
 
 
 @pytest.mark.parametrize(

@@ -416,6 +416,13 @@ BAD_OPTIONS = {
     "solve out in missing directory": (["solve", "--out", "{tmp}/missing/x.json"], "--out"),
     "bench out in missing directory": (["bench", "--out", "{tmp}/missing/x.csv"], "--out"),
     "render out in missing directory": (["render", "--out", "{tmp}/missing/x.svg"], "--out"),
+    "bench p zero": (["bench", "--p", "0"], "bench sizes"),
+    "bench n negative": (["bench", "--n", "-1"], "bench sizes"),
+    "bench m zero": (["bench", "--m", "0"], "bench sizes"),
+    "bench line p zero": (["bench", "--one-d", "--p", "0"], "bench sizes"),
+    "bench line n negative": (["bench", "--one-d", "--n", "-1"], "bench sizes"),
+    "bench line m zero": (["bench", "--one-d", "--m", "0"], "bench sizes"),
+    "bench seeds negative": (["bench", "--seeds", "-1"], "--seeds"),
 }
 
 
