@@ -22,9 +22,9 @@ sharing one scale menu are interchangeable.
 
 The depth-first loop, :func:`branch_and_bound`, is shared with the line
 solver (``bnb1d.solve_1d``); each solver passes its own root, bound,
-branching rule, leaf test and leaf placements.  A greedy run seeds the
-incumbent; a node is cut as soon as its optimistic bound cannot beat the
-incumbent by more than ``epsilon``.
+branching rule, leaf test and leaf placements.  The covered reward of a
+greedy run's placements seeds the incumbent; a node is cut as soon as its
+optimistic bound cannot beat the incumbent by more than ``epsilon``.
 
 Per-node work scans no candidate set or demand and maps no value to an
 index.  Each scale's grids, reward matrix and priority tables are built once
@@ -42,6 +42,38 @@ exact value, which trims overlapping coverage, is never above the sum of its
 zones' isolated rewards, so a leaf whose isolated sum is already within
 ``epsilon`` of ``floor`` is cut on that sum and never evaluated exactly.
 
+Residual bound.  The isolated sum ignores that zones already placed have
+served demand.  Let ``S`` be the zones whose coordinates are all singletons
+and ``T`` the others.  Covered reward ``f`` in best-rate form (each point
+paid once, at the best rate covering it) is a weighted-coverage function,
+which is monotone submodular, so ``f(S + T) <= f(S) + sum over t in T of
+max_c [f(S + t@c) - f(S)]`` (Nemhauser, Wolsey and Fisher, 1978).  One run
+of the trimming loop of ``covered_reward`` over ``S`` gives ``f(S)`` and the
+demand pieces with the rate each is already paid (0 if unserved); adding
+``t`` at scale ``z`` gains ``max(0, v / eta(z) - paid)`` per unit of piece
+it covers (``reward.ResidualDemand``).  The bound applies once every scale
+and x is fixed (the y phase; on the line, below the root), where ``t`` has
+a fixed corner on one axis and a candidate set on the other, so its gain
+is one vector over its own-scale grid.  Which positions ``c`` the maximum
+must cover:
+
+* a strict slice of the grid: its own values, because the search adds
+  abutment positions only at a set's first split;
+* the whole grid: ``t`` may still be pinned at an abutment of a zone that is
+  open now, so every real position.  The gain is a non-negative sum of
+  overlap lengths of ``t`` with the pieces, piecewise linear in ``c``, and
+  its concave kinks lie where ``t`` sits flush inside a piece.  A piece
+  edge is a demand edge or an edge of a zone of ``S``, so those kinks are
+  values of ``t``'s own-scale inner demand grid or one of the four
+  ``service_breakpoints`` of a zone of ``S`` (whatever ``scv_mode`` is), and
+  the maximum over all positions is the maximum over those.
+
+A node's bound is the smaller of the isolated sum and this residual bound.
+The residual bound is only computed when the isolated sum is above the
+incumbent plus ``epsilon``, so nodes the sum already cuts cost what they did.
+Its per-``S`` state is cached for the solve in ``CandidateGrids.residuals``,
+at most :data:`RESIDUAL_CACHE_SIZE` states, least recently used dropped.
+
 When the time limit stops a search, every node still on the stack is bounded
 once more; the largest of those bounds (at least the incumbent plus
 ``epsilon``, the margin every cut node was within) is a certified upper bound
@@ -56,11 +88,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 from .geometry import EPS, Axis
 from .critical import abutment_values
 from .greedy import greedy
 from .model import Dimension, Instance, Placement, QosSet, Solution, reward_rate
-from .reward import RewardMatrix, build_reward_matrix, covered_reward
+from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward
 
 _UNSET = 0.0  # marker for a scale not chosen yet (real scales are >= 1)
 
@@ -71,6 +105,13 @@ CandidateSet = tuple[int, int, float | None]
 
 #: The candidate set of a zone whose scale is still open; it indexes no grid.
 _OPEN: CandidateSet = (0, 0, None)
+
+#: Most residual states a solve keeps, least recently used dropped first.
+#: At planar p=3 m=2 n=8 (seed 9, 161k nodes) a solve builds 9.5k distinct
+#: states: keeping all of them raises its peak memory by about 35 MB,
+#: keeping 1024 rebuilds 6% more of them, and keeping only those on the
+#: current search path rebuilds 5x more and runs 1.8x slower.
+RESIDUAL_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -141,7 +182,9 @@ class CandidateGrids:
     of a scale-``z`` zone indexes them.  ``x_priority[z][i]`` equals
     ``priority_score(x_by_scale[z][i], dzs, z, eta, Axis.X)`` (likewise
     ``y_priority`` on y), so ordering children reads a table range instead of
-    scanning the demand per candidate.
+    scanning the demand per candidate.  ``residuals`` is the residual
+    bound's cache, one :class:`~rectcover.reward.ResidualDemand` per set of
+    placed zones, for the life of the solve.
     """
 
     matrices: Mapping[float, RewardMatrix]
@@ -149,6 +192,7 @@ class CandidateGrids:
     y_by_scale: Mapping[float, tuple[float, ...]]
     x_priority: Mapping[float, tuple[float, ...]]
     y_priority: Mapping[float, tuple[float, ...]]
+    residuals: dict[tuple, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
@@ -157,13 +201,32 @@ class CandidateGrids:
         ys = {}
         xp = {}
         yp = {}
+        rects = [d.rect for d in instance.dzs]
+        x_lo = np.array([r.x for r in rects])
+        y_lo = np.array([r.y for r in rects])
+        x_hi = x_lo + np.array([r.w for r in rects])
+        y_hi = y_lo + np.array([r.l for r in rects])
         for z in instance.scale_values():
             m = matrices[z] = build_reward_matrix(instance.dzs, z, instance.base, instance.eta, eps)
             xs[z] = m.xs.values
             ys[z] = m.ys.values
-            xp[z] = tuple(priority_score(v, instance.dzs, z, instance.eta, Axis.X) for v in xs[z])
-            yp[z] = tuple(priority_score(v, instance.dzs, z, instance.eta, Axis.Y) for v in ys[z])
+            rates = np.array([reward_rate(d.v, z, instance.eta) for d in instance.dzs])
+            xp[z] = _priority_table(xs[z], x_lo, x_hi, rates)
+            yp[z] = _priority_table(ys[z], y_lo, y_hi, rates)
         return CandidateGrids(matrices, xs, ys, xp, yp)
+
+
+def _priority_table(
+    values: Sequence[float], lo: np.ndarray, hi: np.ndarray, rates: np.ndarray
+) -> tuple[float, ...]:
+    """:func:`priority_score` at every value: the rates of the spans ``[lo, hi)`` holding it.
+
+    The reduction over axis 0 adds the rates in demand order, as the scan
+    does, so every entry equals the scan's bit for bit.
+    """
+    v = np.asarray(values)
+    inside = (lo[:, None] <= v) & (v < hi[:, None])
+    return tuple(np.where(inside, rates[:, None], 0.0).sum(axis=0).tolist())
 
 
 def partition(values: Sequence[float], beta: float) -> list[tuple[int, int]]:
@@ -360,6 +423,7 @@ def upper_bound(
     instance: Instance,
     eps: float = EPS,
     floor: float = -math.inf,
+    cache: dict[tuple, ResidualDemand] | None = None,
 ) -> float:
     """Optimistic value of the best completion below ``node``.
 
@@ -373,10 +437,12 @@ def upper_bound(
     zone with an open scale contributes the best entry over all scale
     matrices, taken once per call and only when some scale is open.
 
-    A leaf whose sum exceeds ``floor + eps`` is evaluated exactly with
-    ``covered_reward``.  A leaf at or below it returns the sum, which is at
-    least its exact value, so a caller cutting at ``floor + eps`` cuts the
-    same leaves.  With the default ``floor`` every leaf is exact.
+    A node at or below ``floor + eps`` on that isolated sum returns it.  A
+    leaf above it is evaluated exactly with ``covered_reward``.  Any other
+    node in the y phase (every scale and x fixed) with some zone placed
+    returns the smaller of the sum and the residual bound (module
+    docstring), whose per-``S`` state ``cache`` keeps (a fresh one per call
+    when None).  With the default ``floor`` every leaf is exact.
     """
     total = 0.0
     best_any = None
@@ -387,10 +453,60 @@ def upper_bound(
             total += best_any
             continue
         total += matrices[z].block_max(xs[0], xs[1], ys[0], ys[1])
-    if total > floor + eps and is_leaf(node):
+    if total <= floor + eps:
+        return total
+    if is_leaf(node):
         return covered_reward(
             instance.dzs, leaf_placements(node, matrices), instance.base, instance.eta, eps
         )
+    if node.ba is Axis.X and node.bs < instance.p:
+        return total
+    placed = []
+    opened = []
+    for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
+        m = matrices[z]
+        x = _value(xs, m.xs.values)
+        if _is_single(ys):
+            placed.append((z, x, _value(ys, m.ys.values)))
+        else:
+            opened.append((z, x, m.ys.values, ys))
+    return min(total, residual_bound(placed, opened, Axis.Y, instance, eps, cache))
+
+
+def residual_bound(
+    placed: list[tuple[float, float, float]],
+    opened: list[tuple[float, float, Sequence[float], CandidateSet]],
+    axis: Axis,
+    instance: Instance,
+    eps: float,
+    cache: dict[tuple, ResidualDemand] | None,
+) -> float:
+    """``f(S) + sum_t`` of ``t``'s best gain over ``S`` (module docstring).
+
+    ``placed`` holds the ``(z, x, y)`` of the zones of ``S`` in planar form;
+    ``opened`` one ``(z, fixed, grid, set)`` per other zone: its scale, its
+    lower corner on the axis other than ``axis``, and its candidate set on
+    its own-scale ``grid`` along ``axis``.  A set that is its whole grid
+    takes the gain's maximum over every real position, a strict slice its
+    maximum over the slice.  With ``S`` empty the bound is infinite.
+    """
+    if not placed:
+        return math.inf
+    key = tuple(sorted(placed))
+    if cache is None:
+        cache = {}
+    residual = cache.pop(key, None)
+    if residual is None:
+        dzs, base = instance.planar
+        placements = [Placement(x, y, z) for z, x, y in key]
+        residual = ResidualDemand(dzs, placements, base, instance.eta, eps)
+        if len(cache) >= RESIDUAL_CACHE_SIZE:
+            del cache[next(iter(cache))]
+    cache[key] = residual
+    total = residual.served
+    for z, fixed, grid, (lo, hi, _) in opened:
+        column, best = residual.gains(z, fixed, axis, grid)
+        total += best if lo == 0 and hi == len(grid) else float(column[lo:hi].max())
     return total
 
 
@@ -398,20 +514,21 @@ def branch_and_bound(
     instance: Instance,
     config: SolverConfig,
     root: Callable[[Instance, CandidateGrids], Any],
-    bound: Callable[[Any, Mapping[float, RewardMatrix], Instance, float, float], float],
+    bound: Callable[[Any, Mapping[float, RewardMatrix], Instance, float, float, dict], float],
     children: Callable[[Any, Instance, CandidateGrids, SolverConfig], list],
     at_leaf: Callable[[Any], bool],
     placements: Callable[[Any, Mapping[float, RewardMatrix]], tuple[Placement, ...]],
 ) -> tuple[Solution, SolverStats]:
     """Depth-first branch and bound, shared by the planar and line solvers.
 
-    A greedy run seeds the incumbent.  ``grids`` (:class:`CandidateGrids`)
-    is built once, and ``root(instance, grids)`` builds the root node; every
-    popped node is bounded with ``bound(node, grids.matrices, instance, eps,
-    lower)``, where ``lower`` is the incumbent's reward, and is cut when the
-    bound cannot beat the incumbent by more than ``epsilon``.  The bound must
-    be exact at a leaf (``at_leaf(node)``) whose value exceeds ``lower +
-    eps``, and at least the leaf's exact value otherwise.  A surviving leaf
+    A greedy run seeds the incumbent, valued at the covered reward of its
+    placements.  ``grids`` (:class:`CandidateGrids`) is built once, and
+    ``root(instance, grids)`` builds the root node; every popped node is
+    bounded with ``bound(node, grids.matrices, instance, eps, lower,
+    grids.residuals)``, where ``lower`` is the incumbent's reward, and is
+    cut when the bound cannot beat the incumbent by more than ``epsilon``.
+    The bound must be exact at a leaf (``at_leaf(node)``) whose value
+    exceeds ``lower + eps``, and at least the leaf's exact value otherwise.  A surviving leaf
     becomes the incumbent (``placements(node, grids.matrices)``); any other
     node is replaced by ``children(node, instance, grids, config)``, explored
     in the order given.
@@ -425,9 +542,11 @@ def branch_and_bound(
     stats = SolverStats()
     start = time.perf_counter()
 
-    trace = greedy(instance, eps)
-    incumbent = trace.solution.placements
-    lower = trace.solution.reward
+    incumbent = greedy(instance, eps).solution.placements
+    # Greedy claims the sum of its rounds' gains, which pays a later round's
+    # smaller zone nothing over demand an earlier, larger zone already
+    # served; the covered reward pays the better rate there.
+    lower = covered_reward(instance.dzs, incumbent, instance.base, instance.eta, eps)
     stats.best_reward_history.append((0, lower))
     stats.optimal_found_time = time.perf_counter() - start
 
@@ -440,7 +559,7 @@ def branch_and_bound(
                 break
             node = stack.pop()
             stats.nodes_explored += 1
-            value = bound(node, grids.matrices, instance, eps, lower)
+            value = bound(node, grids.matrices, instance, eps, lower, grids.residuals)
             if value <= lower + eps:
                 continue
             if at_leaf(node):
@@ -456,7 +575,10 @@ def branch_and_bound(
     else:
         # Every cut node was within eps of an incumbent no better than the
         # last; the open nodes are bounded once more, exactly at leaves.
-        stats.upper_bound = max([lower + eps] + [bound(n, grids.matrices, instance, eps) for n in stack])
+        stats.upper_bound = max(
+            [lower + eps]
+            + [bound(n, grids.matrices, instance, eps, -math.inf, grids.residuals) for n in stack]
+        )
     stats.gap = (stats.upper_bound - lower) / stats.upper_bound if stats.upper_bound > 0 else 0.0
     stats.wall_time = time.perf_counter() - start
     return Solution(incumbent, lower), stats

@@ -29,7 +29,7 @@ from typing import Mapping
 from .geometry import EPS, Axis
 from .critical import abutment_values
 from .model import Dimension, Instance, Placement, Solution
-from .reward import RewardMatrix, covered_reward
+from .reward import ResidualDemand, RewardMatrix, covered_reward
 from .bnb import (
     CandidateGrids,
     CandidateSet,
@@ -41,6 +41,7 @@ from .bnb import (
     _split,
     _value,
     branch_and_bound,
+    residual_bound,
 )
 
 
@@ -107,24 +108,38 @@ def upper_bound_1d(
     instance: Instance,
     eps: float = EPS,
     floor: float = -math.inf,
+    cache: dict[tuple, ResidualDemand] | None = None,
 ) -> float:
-    """Optimistic value below ``node``: sum of per-zone best isolated rewards.
+    """Optimistic value below ``node``: sum of per-zone best isolated rewards, or less.
 
     Each zone contributes the maximum of ``entries[xlo:xhi, 0]`` of its
     scale's reward matrix over its candidate set ``(xlo, xhi, _)``, read
     through the memo ``RewardMatrix.block_max`` (see ``bnb.upper_bound``).  A
-    leaf whose sum exceeds ``floor + eps`` is evaluated exactly, on the
-    demand and base lifted once per instance (``Instance.planar``); a leaf at
-    or below it returns the sum, which is at least its exact value.  With the
-    default ``floor`` every leaf is exact.
+    node at or below ``floor + eps`` on that sum returns it.  A leaf above it
+    is evaluated exactly, on the demand and base lifted once per instance
+    (``Instance.planar``).  Any other node below the root with some zone
+    placed returns the smaller of the sum and ``bnb.residual_bound``, taken
+    on x with the lifted zones' y fixed at 0, so that every piece's overlap
+    on y is 1.  With the default ``floor`` every leaf is exact.
     """
     total = 0.0
     for xs, q in zip(node.x_sets, instance.qos):
         total += matrices[q.factors[0]].block_max(xs[0], xs[1], 0, 1)
-    if total > floor + eps and is_leaf_1d(node):
+    if total <= floor + eps or node.bsfl < 0:
+        return total
+    if is_leaf_1d(node):
         dzs, base = instance.planar
         return covered_reward(dzs, leaf_placements_1d(node, matrices, instance), base, instance.eta, eps)
-    return total
+    placed = []
+    opened = []
+    for xs, q in zip(node.x_sets, instance.qos):
+        z = q.factors[0]
+        grid = matrices[z].xs.values
+        if _is_single(xs):
+            placed.append((z, _value(xs, grid), 0.0))
+        else:
+            opened.append((z, 0.0, grid, xs))
+    return min(total, residual_bound(placed, opened, Axis.X, instance, eps, cache))
 
 
 def root_node_1d(instance: Instance, grids: CandidateGrids) -> Node1D:

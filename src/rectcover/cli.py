@@ -492,11 +492,14 @@ def _out_path(text: str) -> Path:
     return path
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(option: str, text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise CliError(f"expected a comma-separated integer list, got {text!r}") from None
+    if not values:
+        raise CliError(f"{option} needs at least one value, got {text!r}")
+    return values
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -579,9 +582,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _solver_config(args)
-    ps, ms, ns = _parse_int_list(args.p), _parse_int_list(args.m), _parse_int_list(args.n)
-    if args.seeds < 0:
-        raise CliError(f"--seeds must be >= 0, got {args.seeds}")
+    ps = _parse_int_list("--p", args.p)
+    ms = _parse_int_list("--m", args.m)
+    ns = _parse_int_list("--n", args.n)
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be >= 1, got {args.seeds}")
     with _validated("bench sizes"):
         for p, m, n in itertools.product(ps, ms, ns):
             GenConfig(n=n, p=p, m=m)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import EPS, Axis, _trim_bounds, area, intersect
-from .critical import CriticalValueSet, inner_demand_grid
+from .critical import CriticalValueSet, inner_demand_grid, service_breakpoints
 from .model import (
     BaseServiceZone,
     DemandZone,
@@ -179,6 +179,25 @@ def covered_reward(
     """
     if not placements or not dzs:
         return 0.0
+    return _serve(dzs, placements, base, eta, eps)[0]
+
+
+Box = tuple[float, float, float, float, float]
+
+
+def _serve(
+    dzs: Sequence[DemandZone],
+    placements: Sequence[Placement],
+    base: BaseServiceZone,
+    eta: Eta,
+    eps: float,
+    paid: list[tuple[Box, float]] | None = None,
+) -> tuple[float, list[Box]]:
+    """The trimming loop of :func:`covered_reward`: ``(reward, unserved boxes)``.
+
+    Boxes are ``(x1, y1, x2, y2, v)`` in planar form.  When ``paid`` is a
+    list, every served piece is appended to it with the rate it was paid.
+    """
     pdzs, pbase = planar_form(dzs, base)
     order = sorted(range(len(placements)), key=lambda i: (placements[i].z, i))
     boxes = [d.box for d in pdzs]
@@ -193,7 +212,7 @@ def covered_reward(
         sx2 = pl.x + w0 * pl.z
         sy2 = pl.y + l0 * pl.z
         eta_z = eta.apply(pl.z)
-        remaining: list[tuple[float, float, float, float, float]] = []
+        remaining: list[Box] = []
         for box in boxes:
             x1, y1, x2, y2, v = box
             ix1 = x1 if x1 > sx1 else sx1
@@ -204,13 +223,82 @@ def covered_reward(
                 remaining.append(box)
                 continue
             total += (v / eta_z) * ((ix2 - ix1) * (iy2 - iy1))
+            if paid is not None:
+                paid.append(((ix1, iy1, ix2, iy2, v), v / eta_z))
             for px1, py1, px2, py2 in _trim_bounds(x1, y1, x2, y2, sx1, sy1, sx2, sy2):
                 if (px2 - px1) * (py2 - py1) >= min_area:
                     remaining.append((px1, py1, px2, py2, v))
         boxes = remaining
         if not boxes:
             break
-    return total
+    return total, boxes
+
+
+class ResidualDemand:
+    """The demand a set of placements ``S`` leaves, for marginal gains over ``S``.
+
+    ``served`` is ``f(S)``, the covered reward of ``S``.  Every piece of
+    demand carries the rate it is already paid: the rate of the zone of
+    ``S`` that served it, or 0 for the unserved pieces.  Adding a scale-``z``
+    zone gains ``max(0, v / eta(z) - paid)`` per unit of a piece it covers,
+    because covered reward pays each point at its best rate.
+    """
+
+    def __init__(
+        self,
+        dzs: Sequence[DemandZone],
+        placements: Sequence[Placement],
+        base: BaseServiceZone,
+        eta: Eta,
+        eps: float = EPS,
+    ) -> None:
+        paid: list[tuple[Box, float]] = []
+        self.served, unserved = _serve(dzs, placements, base, eta, eps, paid)
+        pieces = [box for box, _ in paid] + unserved
+        self._x1, self._y1, self._x2, self._y2, self._v = np.array(pieces, dtype=float).reshape(-1, 5).T
+        self._paid = np.array([rate for _, rate in paid] + [0.0] * len(unserved))
+        self._placements = tuple(placements)
+        self._base = planar_form((), base)[1]
+        self._eta = eta
+        self._gains: dict[tuple[float, float, bool], tuple[np.ndarray, float]] = {}
+
+    def gains(
+        self, z: float, fixed: float, axis: Axis, grid: Sequence[float]
+    ) -> tuple[np.ndarray, float]:
+        """Gains ``f(S + t) - f(S)`` of a scale-``z`` zone ``t``: ``(column, best)``.
+
+        ``t``'s lower corner is at ``fixed`` on the other axis and moves
+        along ``axis``.  ``column`` holds its gain at each ``grid`` value:
+        each piece's weight (gain rate times its overlap with ``t``'s fixed
+        span) times its ``_overlaps`` with ``t`` on ``axis``.  ``best`` is the
+        largest gain over every real position, which lies on ``t``'s
+        own-scale inner demand grid (``grid`` must be that grid) or on a
+        ``service_breakpoints`` value of a zone of ``S``; ``best`` looks at
+        both (the argument is in the ``bnb`` module docstring).  Memoised
+        per ``(z, fixed, axis)``, so one ``grid`` per scale and axis must be
+        used.
+        """
+        on_x = axis is Axis.X
+        key = (z, fixed, on_x)
+        try:
+            return self._gains[key]
+        except KeyError:
+            pass
+        w0, l0 = self._base.w0, self._base.l0
+        if on_x:
+            lo, hi, ext, other_lo, other_hi, other_ext = self._x1, self._x2, w0 * z, self._y1, self._y2, l0 * z
+        else:
+            lo, hi, ext, other_lo, other_hi, other_ext = self._y1, self._y2, l0 * z, self._x1, self._x2, w0 * z
+        overlap = np.maximum(np.minimum(fixed + other_ext, other_hi) - np.maximum(fixed, other_lo), 0.0)
+        # a piece already paid at least t's rate has a weight <= 0 and is dropped
+        weights = (self._v / self._eta.apply(z) - self._paid) * overlap
+        keep = weights > 0.0
+        points = list(grid)
+        for pl in self._placements:
+            points += service_breakpoints(pl.x if on_x else pl.y, pl.z, z, self._base, axis)
+        full = weights[keep] @ _overlaps(points, ext, lo[keep], hi[keep])
+        out = self._gains[key] = (full[: len(grid)], float(full.max(initial=0.0)))
+        return out
 
 
 def solve_single_zone(

@@ -241,7 +241,10 @@ def _reference_bound(node, mats, inst):
 
 
 def test_upper_bound_equals_index_set_reference_on_every_node():
-    # the full trees that acceptance check 8 walks, without pruning
+    # the full trees that acceptance check 8 walks, without pruning: a leaf's
+    # bound is exact; elsewhere the isolated sum (returned whole when the
+    # floor is above it) equals the reference, and the bound, which may also
+    # take the residual bound, is never above it
     tiny = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
     cfg = SolverConfig()
     for seed in range(5):
@@ -252,9 +255,13 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
             stack = [root_node(inst, grids)]
             while stack:
                 node = stack.pop()
-                assert upper_bound(node, mats, inst) == _reference_bound(node, mats, inst), node
-                if not is_leaf(node):
-                    stack.extend(branch(node, inst, grids, cfg))
+                reference = _reference_bound(node, mats, inst)
+                if is_leaf(node):
+                    assert upper_bound(node, mats, inst) == reference, node
+                    continue
+                assert upper_bound(node, mats, inst, floor=math.inf) == reference, node
+                assert upper_bound(node, mats, inst) <= reference, node
+                stack.extend(branch(node, inst, grids, cfg))
 
 
 def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
@@ -322,8 +329,8 @@ def test_every_node_holds_slices_or_bracketed_abutments():
 
 @pytest.fixture(scope="module")
 def greedy_below_optimum():
-    # greedy 786.13 < optimum 867.86; the incumbent improves at nodes 30, 89
-    # and 99 of a 5967-node search
+    # greedy 786.13 < optimum 867.86; the incumbent improves at nodes 20, 39,
+    # 49 and 228 of a 1202-node search
     inst = small_2d(seed=2, n=4, m=2)
     return inst, brute_force_2d(inst).reward
 
@@ -374,16 +381,16 @@ def test_priority_tables_equal_priority_score_at_every_grid_value():
 @pytest.mark.parametrize(
     "seed, n, mode, nodes, reward",
     [
-        pytest.param(3, 30, "outer", 419, 28074.27451427053, id="3-419-28074.27451427053"),
-        pytest.param(19, 30, "outer", 451, 25041.271161217206, id="19-451-25041.271161217206"),
-        pytest.param(0, 10, "outer", 2895, 16855.812708256984, id="0-n10-outer-2895"),
-        pytest.param(0, 10, "full", 3409, 16855.812708256984, id="0-n10-full-3409"),
+        pytest.param(3, 30, "outer", 67, 28074.27451427053, id="3-419-28074.27451427053"),
+        pytest.param(19, 30, "outer", 147, 25041.271161217206, id="19-451-25041.271161217206"),
+        pytest.param(0, 10, "outer", 771, 16855.812708256984, id="0-n10-outer-2895"),
+        pytest.param(0, 10, "full", 869, 16855.812708256984, id="0-n10-full-3409"),
     ],
 )
 def test_node_count_fingerprint(seed, n, mode, nodes, reward):
-    # Recorded from the search before its bound and child ordering moved to
-    # index ranges and priority tables, and (n=10) before plane and line
-    # shared one search loop; a pure speed-up or refactor must not move them.
+    # Recorded with the residual bound; the ids keep the counts of the
+    # isolated-sum bound alone (419, 451, 2895, 3409), from before it.  A
+    # pure speed-up or refactor must not move them.
     inst = generate(GenConfig(seed=seed, n=n, p=2, m=2))
     sol, stats = solve(inst, SolverConfig(scv_mode=mode))
     assert stats.nodes_explored == nodes
@@ -435,6 +442,21 @@ def test_zero_time_limit_returns_greedy_incumbent():
     sol, stats = solve(inst, SolverConfig(time_limit_s=0.0))
     assert not stats.optimal
     assert math.isclose(sol.reward, greedy(inst).solution.reward, rel_tol=0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [24, 41])
+def test_greedy_seed_is_the_covered_reward_of_its_placements(seed):
+    # plane p=3 m=3 n=150 instances where greedy claims the sum of its rounds'
+    # gains, 87733.63 (seed 24) and 84273.37 (seed 41), below what its
+    # placements cover, 88116.95 and 84634.18
+    inst = generate(GenConfig(seed=seed, n=150, p=3, m=3))
+    trace = greedy(inst)
+    covered = covered_reward(inst.dzs, trace.solution.placements, inst.base, inst.eta)
+    assert covered > trace.solution.reward + 300.0
+    sol, stats = solve(inst, SolverConfig(time_limit_s=0.0))
+    assert stats.best_reward_history[0] == (0, covered)
+    assert sol.reward == covered
+    assert sol.placements == trace.solution.placements
 
 
 def test_mixed_scale_abutment_regression():
@@ -507,8 +529,8 @@ def test_matches_oracle_on_a_mixed_menu_instance():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_matches_oracle_with_three_zones(seed):
     # Planar p=3 at the largest size the oracle reaches in seconds (n=3,
-    # m=1): seed 0 searches 84,633 nodes against 576,072 oracle evaluations,
-    # seed 1 130,594 against 571,536; most of the time is the oracle's.
+    # m=1): seed 0 searches 5,141 nodes against 576,072 oracle evaluations,
+    # seed 1 6,444 against 571,536; most of the time is the oracle's.
     inst = small_2d(seed=seed, n=3, m=1, p=3)
     sol, stats = solve(inst)
     ref = brute_force_2d(inst)

@@ -423,6 +423,11 @@ BAD_OPTIONS = {
     "bench line n negative": (["bench", "--one-d", "--n", "-1"], "bench sizes"),
     "bench line m zero": (["bench", "--one-d", "--m", "0"], "bench sizes"),
     "bench seeds negative": (["bench", "--seeds", "-1"], "--seeds"),
+    "bench seeds zero": (["bench", "--seeds", "0"], "--seeds"),
+    "bench p empty": (["bench", "--p", ""], "--p"),
+    "bench m empty": (["bench", "--m", ""], "--m"),
+    "bench n empty": (["bench", "--n", ""], "--n"),
+    "bench line p empty": (["bench", "--one-d", "--p", ","], "--p"),
 }
 
 
