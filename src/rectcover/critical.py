@@ -21,6 +21,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .geometry import EPS, Axis
 from .model import BaseServiceZone, DemandZone
 
@@ -84,13 +86,33 @@ def inner_demand_grid(
     """Grid of inner demand breakpoints over all of ``dzs`` for scale ``z``.
 
     Empty input yields an empty grid.  Cardinality is at most ``2 * len(dzs)``.
+    The values are exactly ``dedup_sorted`` of every zone's inner pair from
+    :func:`demand_breakpoints`, computed with numpy: after a stable sort, a
+    value at least ``eps`` above its predecessor is kept and an exact
+    duplicate is dropped.  The rare values closer than ``eps`` to a
+    distinct predecessor are resolved in order against the last kept value.
     """
-    vals: list[float] = []
-    for d in dzs:
-        _, i1, i2, _ = demand_breakpoints(d, z, base, axis)
-        vals.append(i1)
-        vals.append(i2)
-    return CriticalValueSet(dedup_sorted(vals, eps), axis, z)
+    # d.box is (x, y, x + w, y + l, v); the inner pair is (lo, (lo + extent) - reach)
+    bounds = np.array([d.box for d in dzs], dtype=float).reshape(-1, 5)
+    k = 0 if axis is Axis.X else 1
+    reach = (base.w0 if axis is Axis.X else base.l0) * z
+    values = np.empty(2 * len(bounds))
+    # pairs interleaved as demand_breakpoints lists them, so ties sort alike
+    values[0::2] = bounds[:, k]
+    values[1::2] = bounds[:, k + 2] - reach
+    values.sort(kind="stable")
+    if not values.size:
+        return CriticalValueSet((), axis, z)
+    gap = values[1:] - values[:-1]
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.greater_equal(gap, eps, out=keep[1:])
+    for i in (((gap > 0.0) & (gap < eps)).nonzero()[0] + 1).tolist():
+        last = i - 1
+        while not keep[last]:
+            last -= 1
+        keep[i] = values[i] - values[last] >= eps
+    return CriticalValueSet(tuple(values[keep].tolist()), axis, z)
 
 
 def service_breakpoints(

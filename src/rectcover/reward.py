@@ -96,23 +96,125 @@ class RewardMatrix:
             return value
 
 
+#: Grid values per tile side in :func:`solve_single_zone`'s tile-bounded argmax.
+TILE = 8
+#: Relative slack under which a tile bound counts as below the lower bound.
+TILE_MARGIN = 1e-9
+
+
 def _overlaps(grid: Sequence[float], ext: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Overlap length of ``[g, g + ext]`` with ``[lo[k], hi[k]]``, one row per ``k``."""
     g = np.asarray(grid)
-    return np.clip(np.minimum(g + ext, hi[:, None]) - np.maximum(g, lo[:, None]), 0.0, None)
+    return np.maximum(np.minimum(g + ext, hi[:, None]) - np.maximum(g, lo[:, None]), 0.0)
 
 
-def _support(overlaps: np.ndarray) -> tuple[list[int], list[int]]:
-    """Per row, the half-open range from its first to its last nonzero entry.
+@dataclass(frozen=True)
+class _Axis:
+    """One axis of one scale: the grid, the zone's extent, each piece's span and support.
 
-    A row without a nonzero entry gets the empty range ``(0, 0)``.
+    ``[start[k], stop[k])`` is the index range of ``grid`` outside which
+    piece ``k``'s ``_overlaps`` row is an exact zero.  ``_overlaps`` is
+    positive exactly where ``g + ext > lo``, ``g < hi``, ``lo < hi`` and
+    ``g + ext > g`` hold as computed.  The first two hold on a suffix and a
+    prefix of the sorted grid, so the range is found by bisection.  It runs
+    from the first to the last nonzero entry whenever ``ext`` is not lost in
+    rounding (``g + ext > g`` on the whole grid), and contains that range
+    otherwise.
     """
-    nonzero = overlaps > 0.0
-    start = nonzero.argmax(axis=1)
-    stop = np.where(
-        nonzero.any(axis=1), overlaps.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0
-    )
-    return start.tolist(), stop.tolist()
+
+    grid: np.ndarray
+    ext: float
+    lo: np.ndarray
+    hi: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+
+    @classmethod
+    def of(cls, grid: Sequence[float], ext: float, lo: np.ndarray, hi: np.ndarray) -> "_Axis":
+        g = np.array(grid, dtype=float)
+        start = (g + ext).searchsorted(lo, side="right")
+        stop = np.where(lo < hi, np.maximum(g.searchsorted(hi, side="left"), start), start)
+        return cls(g, ext, lo, hi, start, stop)
+
+    def overlaps(
+        self, pieces: np.ndarray | slice = slice(None), at: np.ndarray | slice = slice(None)
+    ) -> np.ndarray:
+        """``_overlaps`` of ``pieces`` at the grid positions ``at``."""
+        return _overlaps(self.grid[at], self.ext, self.lo[pieces], self.hi[pieces])
+
+    def tile_bounds(self) -> np.ndarray:
+        """Per piece and tile of ``TILE`` grid values, an upper bound on its overlaps there.
+
+        The overlap of ``[g, g + ext]`` with ``[lo, hi]`` is a trapezoid in
+        ``g``: ``min(g + ext - lo, hi - g, ext, hi - lo)``, clipped at 0.  Over
+        a tile the first term peaks at its last value ``g_last`` and the
+        second at its first value ``g_first``.  Each term is bounded as
+        ``_overlaps`` rounds it, ``ext`` by the tile's largest ``(g + ext) -
+        g``, so the bound holds for the computed overlaps, not only for exact
+        ones.
+        """
+        n = len(self.grid)
+        starts = np.arange(0, n, TILE)
+        reach = self.grid + self.ext
+        plateau = np.maximum.reduceat(reach - self.grid, starts)
+        rising = reach[np.minimum(starts + TILE - 1, n - 1)] - self.lo[:, None]
+        falling = self.hi[:, None] - self.grid[starts]
+        bound = np.minimum(np.minimum(rising, falling), plateau)
+        return np.maximum(np.minimum(bound, (self.hi - self.lo)[:, None]), 0.0)
+
+
+class _Demand:
+    """Demand zones as planar-form arrays, from which each scale's grids and axes are built."""
+
+    def __init__(self, dzs: Sequence[DemandZone], base: BaseServiceZone) -> None:
+        self.dzs = dzs
+        self.base = base
+        self.pbase = planar_form((), base)[1]
+        boxes = np.array([d.box for d in dzs], dtype=float).reshape(-1, 5)
+        self.x1, self.y1, self.x2, self.y2, self.v = boxes.T
+        if base.l0 == 0:  # planar_form lifts a segment to the box [0, 1] in y
+            self.y1, self.y2 = np.zeros(len(boxes)), np.ones(len(boxes))
+
+    def scale(
+        self, z: float, eta: Eta, eps: float
+    ) -> tuple[CriticalValueSet, CriticalValueSet, np.ndarray, _Axis, _Axis]:
+        """``(xs, ys, rates, x, y)`` of scale ``z``.
+
+        The grid is the inner-demand grid per axis.  For one-dimensional
+        input the y axis collapses to the single value ``y = 0``.
+        """
+        xs = inner_demand_grid(self.dzs, z, self.base, Axis.X, eps)
+        if self.base.l0 == 0:
+            ys = CriticalValueSet((0.0,), Axis.Y, z)
+        else:
+            ys = inner_demand_grid(self.dzs, z, self.base, Axis.Y, eps)
+        rates = self.v / eta.apply(z)  # reward_rate per piece
+        x = _Axis.of(xs.values, self.pbase.w0 * z, self.x1, self.x2)
+        y = _Axis.of(ys.values, self.pbase.l0 * z, self.y1, self.y2)
+        return xs, ys, rates, x, y
+
+
+def _add_blocks(
+    entries: np.ndarray,
+    rates: np.ndarray,
+    ox: np.ndarray,
+    oy: np.ndarray,
+    x_start: np.ndarray,
+    x_stop: np.ndarray,
+    y_start: np.ndarray,
+    y_stop: np.ndarray,
+) -> None:
+    """Add ``rates[k] * outer(ox[k], oy[k])`` to ``entries`` over each piece's block, in order.
+
+    Piece ``k``'s block is rows ``[x_start[k], x_stop[k])`` by columns
+    ``[y_start[k], y_stop[k])``; outside it the term must be an exact zero.
+    Then every cell receives the same nonzero terms in the same order as a
+    sum over the whole array, and the entries are bitwise equal to that sum.
+    """
+    bounds = (x_start.tolist(), x_stop.tolist(), y_start.tolist(), y_stop.tolist())
+    for r, ax, ay, i0, i1, j0, j1 in zip(rates.tolist(), ox, oy, *bounds):
+        if i0 < i1 and j0 < j1:
+            entries[i0:i1, j0:j1] += r * (ax[i0:i1, None] * ay[j0:j1])
 
 
 def build_reward_matrix(
@@ -128,37 +230,13 @@ def build_reward_matrix(
     the y axis collapses to the single index ``y = 0``.
 
     Each demand zone adds ``r * outer(ox, oy)`` (rate times its x and y
-    overlap with the zone at every grid value) only over its support block,
-    the rows from its first to its last nonzero ``ox`` and the columns from
-    its first to its last nonzero ``oy``.  Outside that block the term is an
-    exact zero, so every cell receives the same terms in the same demand
-    order as a sum over the whole grid, and the entries are bitwise equal to
-    that sum.
+    overlap with the zone at every grid value) only over its support block
+    (:class:`_Axis`), so the entries are bitwise equal to the sum over the
+    whole grid (:func:`_add_blocks`).
     """
-    one_d = base.l0 == 0
-    pdzs, pbase = planar_form(dzs, base)
-    xs = inner_demand_grid(dzs, z, base, Axis.X, eps)
-    if one_d:
-        ys = CriticalValueSet((0.0,), Axis.Y, z)
-    else:
-        ys = inner_demand_grid(dzs, z, base, Axis.Y, eps)
-    entries = np.zeros((len(xs.values), len(ys.values)))
-    if entries.size == 0:
-        return RewardMatrix(z, xs, ys, entries)
-    rects = [d.rect for d in pdzs]
-    ox = _overlaps(
-        xs.values, pbase.w0 * z, np.array([b.x for b in rects]), np.array([b.x2 for b in rects])
-    )
-    oy = _overlaps(
-        ys.values, pbase.l0 * z, np.array([b.y for b in rects]), np.array([b.y2 for b in rects])
-    )
-    x_start, x_stop = _support(ox)
-    y_start, y_stop = _support(oy)
-    for k, d in enumerate(pdzs):
-        i0, i1, j0, j1 = x_start[k], x_stop[k], y_start[k], y_stop[k]
-        if i0 < i1 and j0 < j1:
-            r = reward_rate(d.v, z, eta)
-            entries[i0:i1, j0:j1] += r * np.outer(ox[k, i0:i1], oy[k, j0:j1])
+    xs, ys, rates, x, y = _Demand(dzs, base).scale(z, eta, eps)
+    entries = np.zeros((len(xs), len(ys)))
+    _add_blocks(entries, rates, x.overlaps(), y.overlaps(), x.start, x.stop, y.start, y.stop)
     return RewardMatrix(z, xs, ys, entries)
 
 
@@ -301,6 +379,41 @@ class ResidualDemand:
         return out
 
 
+def _kept_argmax(kept: np.ndarray, rates: np.ndarray, x: _Axis, y: _Axis) -> tuple[float, int, int]:
+    """First maximum ``(reward, i, j)`` in row-major order over the cells of the ``kept`` tiles.
+
+    The cells are those of the full reward matrix, bit for bit.  They are
+    summed on the grid rows of every tile row and the grid columns of every
+    tile column that holds a kept tile, from the pieces whose support block
+    meets a kept tile, in demand order (:func:`_add_blocks`); a piece that
+    meets no kept tile adds only exact zeros to kept cells.  Cells outside
+    the kept tiles are left out of the maximum.
+    """
+    rows = np.repeat(kept.any(axis=1), TILE)[: len(x.grid)].nonzero()[0]
+    cols = np.repeat(kept.any(axis=0), TILE)[: len(y.grid)].nonzero()[0]
+    # summed-area table of the kept tiles: one lookup per piece block
+    table = np.zeros((kept.shape[0] + 1, kept.shape[1] + 1), dtype=np.int64)
+    kept.cumsum(axis=0).cumsum(axis=1, out=table[1:, 1:])
+    a0, a1 = x.start // TILE, (x.stop + TILE - 1) // TILE
+    b0, b1 = y.start // TILE, (y.stop + TILE - 1) // TILE
+    hits = table[a1, b1] - table[a0, b1] - table[a1, b0] + table[a0, b0]
+    touch = ((x.start < x.stop) & (y.start < y.stop) & (hits > 0)).nonzero()[0]
+    entries = np.zeros((len(rows), len(cols)))
+    _add_blocks(
+        entries,
+        rates[touch],
+        x.overlaps(touch, rows),
+        y.overlaps(touch, cols),
+        rows.searchsorted(x.start[touch]),
+        rows.searchsorted(x.stop[touch]),
+        cols.searchsorted(y.start[touch]),
+        cols.searchsorted(y.stop[touch]),
+    )
+    entries[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
+    i, j = divmod(int(entries.argmax()), len(cols))
+    return float(entries[i, j]), int(rows[i]), int(cols[j])
+
+
 def solve_single_zone(
     dzs: Sequence[DemandZone],
     qos: QosSet,
@@ -315,19 +428,50 @@ def solve_single_zone(
     for the isolated one-zone problem.  Ties break toward the smallest scale,
     then smallest x, then smallest y.  An empty demand set returns reward 0 at
     the origin with the smallest scale.
+
+    The result is bitwise that of taking the first maximum in row-major
+    order of each scale's :func:`build_reward_matrix` and keeping a later
+    scale only when its maximum is strictly larger, but most cells are never
+    summed.  Per scale:
+
+    * Both grids are cut into tiles of ``TILE`` consecutive values.  A
+      piece's overlap with the zone is a trapezoid in the zone's position,
+      so its maximum over a tile's span is the trapezoid at the plateau
+      start clipped into that span.  :meth:`_Axis.tile_bounds` bounds it as
+      the overlaps are rounded.  One matrix product of the rate times the x
+      bounds with the y bounds then bounds every tile.
+    * The lower bound is the larger of the best-bounded tile's maximum and
+      the best reward of the earlier scales.  A tile whose bound is below it
+      times ``1 - TILE_MARGIN`` cannot hold a maximum and is skipped.  The
+      margin absorbs rounding: the tile bounds and that tile's maximum are
+      sums of nonnegative terms taken by matrix products, in another order
+      than the matrix entries, so they differ from the entries' sums by a
+      relative error of about the number of pieces times 2**-52.
+    * The cells of the kept tiles receive, in demand order, the terms of
+      every piece whose support block meets a kept tile
+      (:func:`_kept_argmax`), so they equal the matrix entries bit for bit.
+      Every cell that holds the scale's maximum lies in a kept tile, so the
+      first maximum over the kept tiles, in row-major order, is the
+      matrix's first maximum; a later scale replaces it only when strictly
+      larger.
     """
     if not dzs:
         return 0.0, 0.0, 0.0, qos.min_factor
+    demand = _Demand(dzs, base)
     best_r = -1.0
     best = (0.0, 0.0, 0.0, qos.min_factor)
     for z in qos.factors:
-        m = build_reward_matrix(dzs, z, base, eta, eps)
-        if m.entries.size == 0:
-            continue
-        flat = int(np.argmax(m.entries))
-        i, j = divmod(flat, m.entries.shape[1])
-        r = float(m.entries[i, j])
+        xs, ys, rates, x, y = demand.scale(z, eta, eps)
+        bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
+        a, b = divmod(int(bound.argmax()), bound.shape[1])
+        tile_x, tile_y = slice(a * TILE, (a + 1) * TILE), slice(b * TILE, (b + 1) * TILE)
+        tile = (x.overlaps(at=tile_x) * rates[:, None]).T @ y.overlaps(at=tile_y)
+        lower = max(float(tile.max()), best_r)
+        kept = bound >= lower * (1.0 - TILE_MARGIN)
+        if not kept.any():
+            continue  # no tile of this scale can beat the earlier scales
+        r, i, j = _kept_argmax(kept, rates, x, y)
         if r > best_r:
             best_r = r
-            best = (r, m.xs.values[i], m.ys.values[j], z)
+            best = (r, xs.values[i], ys.values[j], z)
     return best

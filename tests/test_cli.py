@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from rectcover import GenConfig, Placement, Solution, generate
+from rectcover import GenConfig, Placement, Solution, covered_reward, generate
 from rectcover.bnb import SolverStats
 from rectcover.cli import (
     BenchReport,
@@ -349,6 +349,45 @@ def test_render_rejects_mismatched_pair(square_file, tmp_path, capsys):
                  "--solution", str(bogus), "--out", str(tmp_path / "x.svg")])
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_render_accepts_greedy_solution_file(tmp_path, capsys):
+    # greedy claims its sum of round gains, here less than its placements cover
+    inst, sol, svg = (str(tmp_path / name) for name in ("inst.json", "greedy.json", "g.svg"))
+    assert main(["generate", "--seed", "24", "--n", "150", "--p", "3", "--m", "3", "--out", inst]) == 0
+    assert main(["solve", "--instance", inst, "--algo", "greedy", "--out", sol]) == 0
+    claim, optimal = load_solution(sol)
+    covered = _covered(load_instance(inst), claim)
+    assert not optimal and claim.reward < covered - 1.0
+    assert main(["render", "--instance", inst, "--solution", sol, "--out", svg]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimal, shift, accepted", [
+    (False, -1.0, True),
+    (False, 0.0, True),
+    (False, 1.0, False),
+    (True, -1.0, False),
+    (True, 0.0, True),
+    (True, 1.0, False),
+])
+def test_render_claim_rule(optimal, shift, accepted, square_file, tmp_path, capsys):
+    # an unproven file may claim less than its placements cover, never more;
+    # a proven file must match
+    inst = load_instance(square_file)
+    placements = (Placement(0.0, 0.0, 1.0), Placement(2.0, 2.0, 1.0))
+    covered = _covered(inst, Solution(placements, 0.0))
+    path = tmp_path / "sol.json"
+    stats = SolverStats(nodes_explored=1, optimal=optimal)
+    path.write_text(json.dumps(solution_to_dict(Solution(placements, covered + shift), stats)))
+    code = main(["render", "--instance", str(square_file), "--solution", str(path),
+                 "--out", str(tmp_path / "x.svg")])
+    assert code == (0 if accepted else 1)
+    assert ("does not match" in capsys.readouterr().err) == (not accepted)
+
+
+def _covered(inst, solution):
+    return covered_reward(inst.dzs, solution.placements, inst.base, inst.eta)
 
 
 # ------------------------------------------------------- malformed input files

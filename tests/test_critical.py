@@ -144,3 +144,74 @@ def test_inner_demand_grid_translation_equivariant(dzs, shift):
     assert len(before) == len(after)
     for a, b in zip(before, after):
         assert abs((a + shift) - b) < 1e-6
+
+
+# ------------------------------------- inner_demand_grid against dedup_sorted
+
+
+def reference_grid(dzs, z, base, axis, eps=1e-9):
+    """``dedup_sorted`` over every zone's inner pair, the grid's definition."""
+    return dedup_sorted([v for d in dzs for v in demand_breakpoints(d, z, base, axis)[1:3]], eps)
+
+
+def assert_grid_is_reference(dzs, z, base, eps=1e-9):
+    for axis in (Axis.X, Axis.Y):
+        got = inner_demand_grid(dzs, z, base, axis, eps).values
+        assert got == reference_grid(dzs, z, base, axis, eps)
+        assert all(type(v) is float for v in got)
+
+
+def test_inner_demand_grid_run_of_values_closer_than_eps():
+    # lower edges at k * 0.6 eps: the second is within eps of the first and
+    # dropped, the third is eps clear of the first kept value and stays, the
+    # fourth is not; the upper inner values form the same run near 8
+    eps = 1e-9
+    base = BaseServiceZone(2.0, 2.0)
+    dzs = [DemandZone(Rect(k * 0.6 * eps, -k * 0.6 * eps, 10.0, 10.0), 1.0) for k in range(4)]
+    xs = inner_demand_grid(dzs, 1.0, base, Axis.X, eps).values
+    ys = inner_demand_grid(dzs, 1.0, base, Axis.Y, eps).values
+    assert xs[:2] == (0.0, 1.2e-9) and len(xs) == 4
+    assert ys[:2] == (-1.8e-9, -6e-10) and len(ys) == 4
+    assert_grid_is_reference(dzs, 1.0, base, eps)
+    assert_grid_is_reference(dzs[::-1], 1.0, base, eps)
+
+
+def test_inner_demand_grid_duplicates_negatives_and_oversized_zones():
+    base = BaseServiceZone(3.0, 2.0)
+    dzs = [
+        DemandZone(Rect(-5.5, -7.25, 4.0, 6.0), 1.0),
+        DemandZone(Rect(-5.5, -7.25, 4.0, 6.0), 2.0),  # exact duplicate
+        DemandZone(Rect(-1.0, 3.0, 1.0, 0.5), 1.0),  # oversized: inner pair inverted
+        DemandZone(Rect(0.0, 0.0, 0.0, 0.0), 1.0),  # degenerate
+        DemandZone(Rect(-2.5, -5.25, 6.0, 4.0), 1.0),  # shares values with the first
+    ]
+    for z in (1.0, 2.0, 3.0):
+        assert_grid_is_reference(dzs, z, base)
+    assert inner_demand_grid(dzs, 2.0, base, Axis.X).values == (-7.5, -6.0, -5.5, -2.5, -1.0, 0.0)
+
+
+def test_inner_demand_grid_empty_both_axes():
+    for base in (BaseServiceZone(2.0, 2.0), BaseServiceZone(2.0, 0.0)):
+        assert_grid_is_reference((), 1.0, base)
+
+
+# coordinates on a coarse lattice plus offsets below, at and above eps, so
+# drawn zones produce exact duplicates and runs of values closer than eps
+near_lattice = st.tuples(st.integers(-6, 6), st.sampled_from([0.0, 3e-10, 6e-10, 1e-9, 1.5e-9])).map(
+    lambda t: t[0] * 0.5 + t[1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    zones=st.lists(
+        st.tuples(near_lattice, near_lattice, st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]),
+                  st.sampled_from([0.0, 0.5, 2.0, 3.0])),
+        max_size=12,
+    ),
+    z=st.sampled_from([1.0, 2.0]),
+)
+def test_inner_demand_grid_equals_dedup_sorted(zones, z):
+    dzs = [DemandZone(Rect(x, y, w, l), 1.0) for x, y, w, l in zones]
+    assert_grid_is_reference(dzs, z, BaseServiceZone(1.0, 0.5))
+    assert_grid_is_reference(dzs, z, BaseServiceZone(1.0, 0.0))
