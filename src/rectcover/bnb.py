@@ -93,7 +93,7 @@ import numpy as np
 from .geometry import EPS, Axis
 from .critical import abutment_values
 from .greedy import greedy
-from .model import Dimension, Instance, Placement, QosSet, Solution, reward_rate
+from .model import Dimension, Instance, Placement, QosSet, Solution, demand_rows, reward_rate
 from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward
 
 _UNSET = 0.0  # marker for a scale not chosen yet (real scales are >= 1)
@@ -201,16 +201,15 @@ class CandidateGrids:
         ys = {}
         xp = {}
         yp = {}
-        rects = [d.rect for d in instance.dzs]
-        x_lo = np.array([r.x for r in rects])
-        y_lo = np.array([r.y for r in rects])
-        x_hi = x_lo + np.array([r.w for r in rects])
-        y_hi = y_lo + np.array([r.l for r in rects])
+        rows = demand_rows(instance.dzs)  # one array for every scale's matrix and tables
+        x_lo, y_lo, w, l, v = rows.T
+        x_hi = x_lo + w
+        y_hi = y_lo + l
         for z in instance.scale_values():
-            m = matrices[z] = build_reward_matrix(instance.dzs, z, instance.base, instance.eta, eps)
+            m = matrices[z] = build_reward_matrix(rows, z, instance.base, instance.eta, eps)
             xs[z] = m.xs.values
             ys[z] = m.ys.values
-            rates = np.array([reward_rate(d.v, z, instance.eta) for d in instance.dzs])
+            rates = v / instance.eta.apply(z)  # reward_rate per zone
             xp[z] = _priority_table(xs[z], x_lo, x_hi, rates)
             yp[z] = _priority_table(ys[z], y_lo, y_hi, rates)
         return CandidateGrids(matrices, xs, ys, xp, yp)

@@ -251,31 +251,48 @@ class BenchRow:
     alpha: float | None
     optimal: bool
     error: str | None = None
+    upper_bound: float | None = None
+    gap: float | None = None
 
 
 @dataclass(frozen=True)
 class BenchReport:
+    """Rows of a sweep; the CSV names each row's instance and says how far it is from proven.
+
+    ``upper_bound`` and ``gap`` are the exact solve's certified bound and
+    relative gap (``SolverStats``), written in full precision: a proven row
+    has gap 0, a timed-out one a positive gap.
+    """
+
     rows: tuple[BenchRow, ...]
 
-    COLUMNS = ("n", "p", "m", "nodes", "T", "T1", "T1_over_T", "T_H", "alpha")
+    COLUMNS = (
+        "n", "p", "m", "seed", "nodes", "T", "T1", "T1_over_T", "T_H", "alpha",
+        "optimal", "upper_bound", "gap",
+    )
 
     def csv_rows(self) -> list[dict[str, Any]]:
         out = []
         for row in self.rows:
+            m = row.m if row.m is not None else "-"
             if row.error is not None:
                 rec = {c: "-" for c in self.COLUMNS}
-                rec.update({"n": row.n, "p": row.p, "m": row.m if row.m is not None else "-"})
+                rec.update({"n": row.n, "p": row.p, "m": m, "seed": row.seed, "optimal": False})
             else:
                 rec = {
                     "n": row.n,
                     "p": row.p,
-                    "m": row.m if row.m is not None else "-",
+                    "m": m,
+                    "seed": row.seed,
                     "nodes": row.nodes,
                     "T": f"{row.t:.6f}",
                     "T1": f"{row.t1:.6f}",
                     "T1_over_T": f"{row.t1 / row.t:.6f}" if row.t else "-",
                     "T_H": f"{row.t_h:.6f}",
                     "alpha": f"{row.alpha:.6f}" if row.optimal else "-",
+                    "optimal": row.optimal,
+                    "upper_bound": row.upper_bound if row.upper_bound is not None else "-",
+                    "gap": row.gap if row.gap is not None else "-",
                 }
             out.append(rec)
         return out
@@ -378,6 +395,8 @@ def run_bench(
                                 t_h=t_h,
                                 alpha=alpha,
                                 optimal=stats.optimal,
+                                upper_bound=stats.upper_bound,
+                                gap=stats.gap,
                             )
                         )
                     except Exception as exc:  # noqa: BLE001 - keep the sweep alive

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import EPS, Axis
-from .model import BaseServiceZone, DemandZone
+from .model import BaseServiceZone, DemandZone, demand_rows
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def demand_breakpoints(
 
 
 def inner_demand_grid(
-    dzs: Sequence[DemandZone],
+    dzs: Sequence[DemandZone] | np.ndarray,
     z: float,
     base: BaseServiceZone,
     axis: Axis,
@@ -85,21 +85,22 @@ def inner_demand_grid(
 ) -> CriticalValueSet:
     """Grid of inner demand breakpoints over all of ``dzs`` for scale ``z``.
 
-    Empty input yields an empty grid.  Cardinality is at most ``2 * len(dzs)``.
-    The values are exactly ``dedup_sorted`` of every zone's inner pair from
-    :func:`demand_breakpoints`, computed with numpy: after a stable sort, a
-    value at least ``eps`` above its predecessor is kept and an exact
-    duplicate is dropped.  The rare values closer than ``eps`` to a
+    ``dzs`` is a sequence of zones or their :func:`~rectcover.model.demand_rows`
+    array.  Empty input yields an empty grid.  Cardinality is at most ``2 *
+    len(dzs)``.  The values are exactly ``dedup_sorted`` of every zone's
+    inner pair from :func:`demand_breakpoints`, computed with numpy: after a
+    stable sort, a value at least ``eps`` above its predecessor is kept and
+    an exact duplicate is dropped.  The rare values closer than ``eps`` to a
     distinct predecessor are resolved in order against the last kept value.
     """
-    # d.box is (x, y, x + w, y + l, v); the inner pair is (lo, (lo + extent) - reach)
-    bounds = np.array([d.box for d in dzs], dtype=float).reshape(-1, 5)
+    # rows are (x, y, w, l, v); the inner pair is (lo, (lo + extent) - reach)
+    rows = demand_rows(dzs)
     k = 0 if axis is Axis.X else 1
     reach = (base.w0 if axis is Axis.X else base.l0) * z
-    values = np.empty(2 * len(bounds))
+    values = np.empty(2 * len(rows))
     # pairs interleaved as demand_breakpoints lists them, so ties sort alike
-    values[0::2] = bounds[:, k]
-    values[1::2] = bounds[:, k + 2] - reach
+    values[0::2] = rows[:, k]
+    values[1::2] = (rows[:, k] + rows[:, k + 2]) - reach
     values.sort(kind="stable")
     if not values.size:
         return CriticalValueSet((), axis, z)

@@ -17,6 +17,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .geometry import Rect
 
 
@@ -142,6 +144,26 @@ def planar_form(
         DemandZone(Rect(d.rect.x, 0.0, d.rect.w, 1.0), d.v) for d in dzs
     )
     return lifted, BaseServiceZone(base.w0, 1.0)
+
+
+def demand_rows(dzs: Sequence[DemandZone] | np.ndarray) -> np.ndarray:
+    """Demand zones as one ``(n, 5)`` float array of rows ``(x, y, w, l, v)``.
+
+    Rows are in rect form, as :class:`Rect` stores a rectangle: a far edge is
+    recomputed as ``x + w``, exactly as ``Rect.x2`` does, so every value
+    derived from a row equals the one derived from its ``DemandZone``.  (In
+    bounds form, ``x1 + (x2 - x1)`` need not give back ``x2``.)  An array
+    passes through unchanged.
+    """
+    if isinstance(dzs, np.ndarray):
+        return dzs
+    rows = [(d.rect.x, d.rect.y, d.rect.w, d.rect.l, d.v) for d in dzs]
+    return np.array(rows, dtype=float).reshape(-1, 5)
+
+
+def demand_zones(rows: np.ndarray) -> tuple[DemandZone, ...]:
+    """The :class:`DemandZone` of every row of a :func:`demand_rows` array."""
+    return tuple(DemandZone(Rect(x, y, w, l), v) for x, y, w, l, v in rows.tolist())
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .model import (
     Eta,
     Placement,
     QosSet,
+    demand_rows,
     planar_form,
     reward_rate,
     service_rect,
@@ -164,16 +165,22 @@ class _Axis:
 
 
 class _Demand:
-    """Demand zones as planar-form arrays, from which each scale's grids and axes are built."""
+    """Demand zones as planar-form arrays, from which each scale's grids and axes are built.
 
-    def __init__(self, dzs: Sequence[DemandZone], base: BaseServiceZone) -> None:
-        self.dzs = dzs
+    ``dzs`` is a sequence of zones or their :func:`demand_rows` array, which
+    is read without a copy.
+    """
+
+    def __init__(self, dzs: Sequence[DemandZone] | np.ndarray, base: BaseServiceZone) -> None:
+        self.rows = demand_rows(dzs)
         self.base = base
         self.pbase = planar_form((), base)[1]
-        boxes = np.array([d.box for d in dzs], dtype=float).reshape(-1, 5)
-        self.x1, self.y1, self.x2, self.y2, self.v = boxes.T
+        x, y, w, l, self.v = self.rows.T
+        self.x1, self.x2 = x, x + w
         if base.l0 == 0:  # planar_form lifts a segment to the box [0, 1] in y
-            self.y1, self.y2 = np.zeros(len(boxes)), np.ones(len(boxes))
+            self.y1, self.y2 = np.zeros(len(x)), np.ones(len(x))
+        else:
+            self.y1, self.y2 = y, y + l
 
     def scale(
         self, z: float, eta: Eta, eps: float
@@ -183,11 +190,11 @@ class _Demand:
         The grid is the inner-demand grid per axis.  For one-dimensional
         input the y axis collapses to the single value ``y = 0``.
         """
-        xs = inner_demand_grid(self.dzs, z, self.base, Axis.X, eps)
+        xs = inner_demand_grid(self.rows, z, self.base, Axis.X, eps)
         if self.base.l0 == 0:
             ys = CriticalValueSet((0.0,), Axis.Y, z)
         else:
-            ys = inner_demand_grid(self.dzs, z, self.base, Axis.Y, eps)
+            ys = inner_demand_grid(self.rows, z, self.base, Axis.Y, eps)
         rates = self.v / eta.apply(z)  # reward_rate per piece
         x = _Axis.of(xs.values, self.pbase.w0 * z, self.x1, self.x2)
         y = _Axis.of(ys.values, self.pbase.l0 * z, self.y1, self.y2)
@@ -218,7 +225,7 @@ def _add_blocks(
 
 
 def build_reward_matrix(
-    dzs: Sequence[DemandZone],
+    dzs: Sequence[DemandZone] | np.ndarray,
     z: float,
     base: BaseServiceZone,
     eta: Eta,
@@ -226,8 +233,9 @@ def build_reward_matrix(
 ) -> RewardMatrix:
     """Tabulate isolated single-zone rewards of scale ``z`` over its grid.
 
-    The grid is the inner-demand grid per axis.  For one-dimensional input
-    the y axis collapses to the single index ``y = 0``.
+    ``dzs`` is a sequence of zones or their :func:`demand_rows` array.  The
+    grid is the inner-demand grid per axis.  For one-dimensional input the y
+    axis collapses to the single index ``y = 0``.
 
     Each demand zone adds ``r * outer(ox, oy)`` (rate times its x and y
     overlap with the zone at every grid value) only over its support block
@@ -415,7 +423,7 @@ def _kept_argmax(kept: np.ndarray, rates: np.ndarray, x: _Axis, y: _Axis) -> tup
 
 
 def solve_single_zone(
-    dzs: Sequence[DemandZone],
+    dzs: Sequence[DemandZone] | np.ndarray,
     qos: QosSet,
     base: BaseServiceZone,
     eta: Eta,
@@ -423,6 +431,7 @@ def solve_single_zone(
 ) -> tuple[float, float, float, float]:
     """Best single placement ``(reward, x, y, z)`` over the candidate grids.
 
+    ``dzs`` is a sequence of zones or their :func:`demand_rows` array.
     Searches every scale in ``qos`` over its inner-demand grid (times
     ``{0}`` on y for one-dimensional input), which contains an exact optimum
     for the isolated one-zone problem.  Ties break toward the smallest scale,
@@ -455,7 +464,7 @@ def solve_single_zone(
       matrix's first maximum; a later scale replaces it only when strictly
       larger.
     """
-    if not dzs:
+    if len(dzs) == 0:
         return 0.0, 0.0, 0.0, qos.min_factor
     demand = _Demand(dzs, base)
     best_r = -1.0

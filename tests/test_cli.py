@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from rectcover import GenConfig, Placement, Solution, covered_reward, generate
-from rectcover.bnb import SolverStats
+from rectcover import Dimension, GenConfig, Placement, Solution, covered_reward, generate, generate_1d
+from rectcover.bnb import SolverConfig, SolverStats
+from rectcover.bnb1d import solve_1d
 from rectcover.cli import (
     BenchReport,
     CliError,
@@ -286,6 +287,44 @@ def test_bench_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "group means" in capsys.readouterr().out
+
+
+LINE_SWEEP = dict(region=100.0, r=27.0, dim_range=(1.0, 10.0), base_dims=(10.0, 8.0))
+
+
+def bench_csv_rows(tmp_path, config):
+    report = run_bench(ps=[2], ms=[1], ns=[4], seeds=2, one_d=True, config=config,
+                       gen_overrides=LINE_SWEEP)
+    path = tmp_path / "bench.csv"
+    report.write_csv(path)
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def sweep_reward(seed, config):
+    # the instance run_bench draws for this row, solved as it solves it
+    inst = generate_1d(GenConfig(seed=seed, n=4, p=2, dimension=Dimension.ONE_D, **LINE_SWEEP))
+    return solve_1d(inst, config)[0].reward
+
+
+def test_bench_csv_reports_a_timed_out_search(tmp_path):
+    config = SolverConfig(time_limit_s=0)
+    rows = bench_csv_rows(tmp_path, config)
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    for row in rows:
+        assert row["optimal"] == "False"
+        assert float(row["gap"]) > 0
+        assert float(row["upper_bound"]) >= sweep_reward(int(row["seed"]), config)
+
+
+def test_bench_csv_reports_a_proven_search(tmp_path):
+    config = SolverConfig()
+    rows = bench_csv_rows(tmp_path, config)
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    for row in rows:
+        assert row["optimal"] == "True"
+        assert float(row["gap"]) == 0.0
+        assert float(row["upper_bound"]) == sweep_reward(int(row["seed"]), config)
 
 
 # ------------------------------------------------------------------ render

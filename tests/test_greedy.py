@@ -7,6 +7,7 @@ import pytest
 from rectcover import (
     BaseServiceZone,
     DemandZone,
+    Dimension,
     GenConfig,
     Instance,
     Placement,
@@ -14,6 +15,7 @@ from rectcover import (
     Rect,
     brute_force_2d,
     generate,
+    generate_1d,
     greedy,
     pseudo_greedy,
     solve_single_zone,
@@ -91,10 +93,10 @@ def test_first_round_times_p_bounds_the_optimum():
 
 
 @pytest.mark.parametrize(
-    "seed, rewards, placements",
+    "config, rewards, placements",
     [
         pytest.param(
-            0,
+            GenConfig(seed=0, n=150, p=3, m=3),
             (36167.9045759943, 23712.37263229131, 22825.445010841613),
             (
                 Placement(x=757.8129536378472, y=891.5016605909569, z=3.0),
@@ -104,7 +106,7 @@ def test_first_round_times_p_bounds_the_optimum():
             id="0",
         ),
         pytest.param(
-            52,
+            GenConfig(seed=52, n=150, p=3, m=3),
             (28774.851835549794, 24757.958360655302, 23336.739801294567),
             (
                 Placement(x=561.6361207377925, y=612.6843793472576, z=3.0),
@@ -113,12 +115,25 @@ def test_first_round_times_p_bounds_the_optimum():
             ),
             id="52",
         ),
+        pytest.param(
+            GenConfig(seed=0, n=40, p=4, dimension=Dimension.ONE_D),
+            (1256.2066195044426, 854.7787472514041, 625.6998813263626, 317.1335156275916),
+            (
+                Placement(x=129.28663797807312, y=0.0, z=1.0),
+                Placement(x=-21.54901000702013, y=0.0, z=2.0),
+                Placement(x=179.28663797807312, y=0.0, z=3.0),
+                Placement(x=428.2959112188504, y=0.0, z=4.0),
+            ),
+            id="line-0",
+        ),
     ],
 )
-def test_greedy_fingerprint(seed, rewards, placements):
+def test_greedy_fingerprint(config, rewards, placements):
     # Recorded from the full-grid reward matrices, before each demand zone
     # was added over its support block only; a pure speed-up must not move
-    # a single bit of them.
-    tr = greedy(generate(GenConfig(seed=seed, n=150, p=3, m=3)))
+    # a single bit of them.  The line case was recorded from the loop over
+    # DemandZone objects, before the rounds kept their demand in one array.
+    make = generate_1d if config.dimension is Dimension.ONE_D else generate
+    tr = greedy(make(config))
     assert tr.rewards == rewards
     assert tr.solution.placements == placements
