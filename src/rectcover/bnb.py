@@ -35,7 +35,9 @@ when ``v`` is None (splitting only cuts slices), else the abutment position
 computed once per child).  A zone's bound is its matrix's maximum over the
 block its two sets name, memoised by ``RewardMatrix.block_max`` because a
 solve asks for few distinct blocks many times; a child's priority is a table
-maximum over its range.
+maximum over its range.  A slice's interval split depends only on its scale,
+axis and range (``beta`` is fixed per solve), so :meth:`CandidateGrids.split`
+computes it once per solve and keeps the parts as a tuple.
 
 The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
 exact value, which trims overlapping coverage, is never above the sum of its
@@ -54,19 +56,21 @@ demand pieces with the rate each is already paid (0 if unserved); adding
 it covers (``reward.ResidualDemand``).  The bound applies once every scale
 and x is fixed (the y phase; on the line, below the root), where ``t`` has
 a fixed corner on one axis and a candidate set on the other, so its gain
-is one vector over its own-scale grid.  Which positions ``c`` the maximum
-must cover:
+is a function of one coordinate ``c``.  Which positions the maximum must
+cover:
 
 * a strict slice of the grid: its own values, because the search adds
-  abutment positions only at a set's first split;
+  abutment positions only at a set's first split; the gain column over the
+  grid is computed only when such a slice asks for it;
 * the whole grid: ``t`` may still be pinned at an abutment of a zone that is
-  open now, so every real position.  The gain is a non-negative sum of
-  overlap lengths of ``t`` with the pieces, piecewise linear in ``c``, and
-  its concave kinks lie where ``t`` sits flush inside a piece.  A piece
-  edge is a demand edge or an edge of a zone of ``S``, so those kinks are
-  values of ``t``'s own-scale inner demand grid or one of the four
-  ``service_breakpoints`` of a zone of ``S`` (whatever ``scv_mode`` is), and
-  the maximum over all positions is the maximum over those.
+  open now, so every real position.  A piece ``[lo, hi]`` on the axis
+  overlaps ``t``'s span ``[c, c + ext]`` by a trapezoid in ``c`` whose
+  concave kinks are the flush positions ``c = lo`` and ``c = hi - ext``.
+  The gain is a positive-weighted sum of these trapezoids, so it is
+  piecewise linear and its maximum over all real positions lies at a
+  concave kink of one of them: the gain is evaluated at the flush positions
+  of the pieces it keeps, and is 0 with none (whatever ``scv_mode`` is; no
+  grid value and no ``service_breakpoints`` of ``S`` are needed).
 
 A node's bound is the smaller of the isolated sum and this residual bound.
 The residual bound is only computed when the isolated sum is above the
@@ -86,7 +90,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,8 +138,7 @@ class SolverConfig:
             raise ValueError(f"scv_mode must be 'outer' or 'full', got {self.scv_mode!r}")
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """Search node: per-zone candidate sets plus branching bookkeeping.
 
     ``x_sets[j]`` and ``y_sets[j]`` are zone ``j``'s :data:`CandidateSet` on
@@ -182,9 +185,10 @@ class CandidateGrids:
     of a scale-``z`` zone indexes them.  ``x_priority[z][i]`` equals
     ``priority_score(x_by_scale[z][i], dzs, z, eta, Axis.X)`` (likewise
     ``y_priority`` on y), so ordering children reads a table range instead of
-    scanning the demand per candidate.  ``residuals`` is the residual
-    bound's cache, one :class:`~rectcover.reward.ResidualDemand` per set of
-    placed zones, for the life of the solve.
+    scanning the demand per candidate.  ``splits`` tabulates :meth:`split`
+    and ``residuals`` is the residual bound's cache, one
+    :class:`~rectcover.reward.ResidualDemand` per set of placed zones; both
+    live as long as the solve.
     """
 
     matrices: Mapping[float, RewardMatrix]
@@ -192,6 +196,7 @@ class CandidateGrids:
     y_by_scale: Mapping[float, tuple[float, ...]]
     x_priority: Mapping[float, tuple[float, ...]]
     y_priority: Mapping[float, tuple[float, ...]]
+    splits: dict[tuple, tuple[CandidateSet, ...]] = field(default_factory=dict, compare=False, repr=False)
     residuals: dict[tuple, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
@@ -213,6 +218,32 @@ class CandidateGrids:
             xp[z] = _priority_table(xs[z], x_lo, x_hi, rates)
             yp[z] = _priority_table(ys[z], y_lo, y_hi, rates)
         return CandidateGrids(matrices, xs, ys, xp, yp)
+
+    def split(self, z: float, axis: Axis, s: CandidateSet, beta: float) -> tuple[CandidateSet, ...]:
+        """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
+
+        :func:`partition` cuts the slice at its widest gaps; a slice it
+        leaves whole falls apart into singletons.  The parts come by
+        decreasing maximum of the axis's priority table over their range,
+        stable on ties.  They depend only on ``(z, axis, lo, hi)``, as
+        ``beta`` is fixed per solve, so each range is split once and its
+        parts kept in ``splits``: at most ``2 * len(grid) - 1`` ranges per
+        scale and axis, the nodes of the grid's partition tree.  The tuple
+        is shared, so callers build new sequences from it.
+        """
+        lo, hi, _ = s
+        on_x = axis is Axis.X
+        key = (z, on_x, lo, hi)
+        out = self.splits.get(key)
+        if out is None:
+            grid = (self.x_by_scale if on_x else self.y_by_scale)[z]
+            priority = (self.x_priority if on_x else self.y_priority)[z]
+            parts = [(lo + a, lo + b, None) for a, b in partition(grid[lo:hi], beta)]
+            if len(parts) == 1 and hi - lo > 1:
+                parts = [(i, i + 1, None) for i in range(lo, hi)]
+            parts.sort(key=lambda part: max(priority[part[0] : part[1]]), reverse=True)
+            out = self.splits[key] = tuple(parts)
+        return out
 
 
 def _priority_table(
@@ -301,22 +332,6 @@ def _replace_at(sets: tuple[CandidateSet, ...], j: int, s: CandidateSet) -> tupl
     return sets[:j] + (s,) + sets[j + 1 :]
 
 
-def _split(
-    s: CandidateSet, grid: Sequence[float], priority: Sequence[float], beta: float
-) -> list[CandidateSet]:
-    """Interval step on the slice ``s`` of ``grid``, shared by plane and line.
-
-    :func:`partition` cuts the slice at its widest gaps; a slice it leaves
-    whole falls apart into singletons.  The parts come by decreasing maximum
-    of ``priority`` (indexed like ``grid``) over their range, stable on ties.
-    """
-    lo, hi, _ = s
-    parts = [(lo + a, lo + b, None) for a, b in partition(grid[lo:hi], beta)]
-    if len(parts) == 1 and hi - lo > 1:
-        parts = [(i, i + 1, None) for i in range(lo, hi)]
-    return sorted(parts, key=lambda part: max(priority[part[0] : part[1]]), reverse=True)
-
-
 def _order_step_children(node: Node, instance: Instance) -> list[Node]:
     """Pick which zone settles its y next (see module docstring, order step).
 
@@ -376,7 +391,7 @@ def _interval_children(
     by_scale = grids.x_by_scale if on_x else grids.y_by_scale
     z = node.z_vec[j]
     grid = by_scale[z]
-    parts = _split(sets[j], grid, (grids.x_priority if on_x else grids.y_priority)[z], config.beta)
+    parts = grids.split(z, axis, sets[j], config.beta)
     if sets[j] == (0, len(grid), None):
         fixed = [
             (_value(s, by_scale[zk]), zk)
@@ -385,7 +400,8 @@ def _interval_children(
         ]
         full = config.scv_mode == "full"
         eps = config.epsilon
-        parts += [_pin(v, grid, eps) for v in abutment_values(fixed, z, instance.base, axis, full, grid, eps)]
+        pins = abutment_values(fixed, z, instance.base, axis, full, grid, eps)
+        parts += tuple(_pin(v, grid, eps) for v in pins)
     if on_x:
         return [
             Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, Axis.X, j + 1 if _is_single(part) else j)
@@ -454,12 +470,9 @@ def upper_bound(
         total += matrices[z].block_max(xs[0], xs[1], ys[0], ys[1])
     if total <= floor + eps:
         return total
-    if is_leaf(node):
-        return covered_reward(
-            instance.dzs, leaf_placements(node, matrices), instance.base, instance.eta, eps
-        )
-    if node.ba is Axis.X and node.bs < instance.p:
+    if node.ba is Axis.X and node.bs < instance.p and not is_leaf(node):
         return total
+    # every x is fixed from here on, so the node is a leaf when no y is open
     placed = []
     opened = []
     for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
@@ -469,6 +482,8 @@ def upper_bound(
             placed.append((z, x, _value(ys, m.ys.values)))
         else:
             opened.append((z, x, m.ys.values, ys))
+    if not opened:
+        return covered_reward(instance.dzs, leaf_placements(node, matrices), instance.base, instance.eta, eps)
     return min(total, residual_bound(placed, opened, Axis.Y, instance, eps, cache))
 
 
@@ -504,8 +519,10 @@ def residual_bound(
     cache[key] = residual
     total = residual.served
     for z, fixed, grid, (lo, hi, _) in opened:
-        column, best = residual.gains(z, fixed, axis, grid)
-        total += best if lo == 0 and hi == len(grid) else float(column[lo:hi].max())
+        if lo == 0 and hi == len(grid):
+            total += residual.best_gain(z, fixed, axis)
+        else:
+            total += float(residual.gain_column(z, fixed, axis, grid)[lo:hi].max())
     return total
 
 

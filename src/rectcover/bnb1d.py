@@ -22,9 +22,8 @@ this module's root, bound, branching rule and leaf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .geometry import EPS, Axis
 from .critical import abutment_values
@@ -38,15 +37,13 @@ from .bnb import (
     _is_single,
     _pin,
     _replace_at,
-    _split,
     _value,
     branch_and_bound,
     residual_bound,
 )
 
 
-@dataclass(frozen=True)
-class Node1D:
+class Node1D(NamedTuple):
     """Per-zone x candidate sets plus branching bookkeeping.
 
     ``x_sets[j]`` is zone ``j``'s ``bnb.CandidateSet`` on its scale's grid
@@ -85,7 +82,7 @@ def branch_1d(
     scale_of = lambda k: instance.qos_for(k).factors[0]
     grid_of = lambda k: grids.x_by_scale[scale_of(k)]
     if not _is_single(node.x_sets[j]):
-        parts = _split(node.x_sets[j], grid_of(j), grids.x_priority[scale_of(j)], config.beta)
+        parts = grids.split(scale_of(j), Axis.X, node.x_sets[j], config.beta)
         return [Node1D(_replace_at(node.x_sets, j, part), j, node.bsfl) for part in parts]
     # Current zone settled: branch on which open zone to place next.
     fixed = [(_value(s, grid_of(k)), scale_of(k)) for k, s in enumerate(node.x_sets) if _is_single(s)]
@@ -127,9 +124,6 @@ def upper_bound_1d(
         total += matrices[q.factors[0]].block_max(xs[0], xs[1], 0, 1)
     if total <= floor + eps or node.bsfl < 0:
         return total
-    if is_leaf_1d(node):
-        dzs, base = instance.planar
-        return covered_reward(dzs, leaf_placements_1d(node, matrices, instance), base, instance.eta, eps)
     placed = []
     opened = []
     for xs, q in zip(node.x_sets, instance.qos):
@@ -139,6 +133,9 @@ def upper_bound_1d(
             placed.append((z, _value(xs, grid), 0.0))
         else:
             opened.append((z, 0.0, grid, xs))
+    if not opened:
+        dzs, base = instance.planar
+        return covered_reward(dzs, leaf_placements_1d(node, matrices, instance), base, instance.eta, eps)
     return min(total, residual_bound(placed, opened, Axis.X, instance, eps, cache))
 
 

@@ -58,8 +58,8 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.n < 0 or self.p < 1 or self.m < 1:
             raise ValueError("n must be >= 0, p and m >= 1")
-        if self.region <= 0 or self.r <= 0 or self.num_concentrations < 1:
-            raise ValueError("region, r, and num_concentrations must be positive")
+        if not (0 < self.region < math.inf and 0 < self.r < math.inf) or self.num_concentrations < 1:
+            raise ValueError("region and r must be finite and positive, num_concentrations >= 1")
         if not (0 < self.dim_range[0] <= self.dim_range[1]):
             raise ValueError(f"bad dim_range {self.dim_range}")
         if not (0 < self.rate_range[0] <= self.rate_range[1]):

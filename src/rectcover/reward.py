@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import EPS, Axis, _trim_bounds, area, intersect
-from .critical import CriticalValueSet, inner_demand_grid, service_breakpoints
+from .critical import CriticalValueSet, inner_demand_grid
 from .model import (
     BaseServiceZone,
     DemandZone,
@@ -326,8 +326,16 @@ class ResidualDemand:
     ``served`` is ``f(S)``, the covered reward of ``S``.  Every piece of
     demand carries the rate it is already paid: the rate of the zone of
     ``S`` that served it, or 0 for the unserved pieces.  Adding a scale-``z``
-    zone gains ``max(0, v / eta(z) - paid)`` per unit of a piece it covers,
-    because covered reward pays each point at its best rate.
+    zone ``t`` gains ``max(0, v / eta(z) - paid)`` per unit of a piece it
+    covers, because covered reward pays each point at its best rate.
+
+    ``t``'s lower corner is at ``fixed`` on the axis other than ``axis`` and
+    moves along ``axis``.  Its gain is then a sum over the pieces of a
+    weight (gain rate times the piece's overlap with ``t``'s fixed span)
+    times the piece's ``_overlaps`` with ``t`` on ``axis``; pieces with a
+    weight ``<= 0`` (already paid at least ``t``'s rate, or off the span)
+    are dropped.  :meth:`best_gain` and :meth:`gain_column` are memoised per
+    ``(z, fixed, axis)``.
     """
 
     def __init__(
@@ -343,48 +351,49 @@ class ResidualDemand:
         pieces = [box for box, _ in paid] + unserved
         self._x1, self._y1, self._x2, self._y2, self._v = np.array(pieces, dtype=float).reshape(-1, 5).T
         self._paid = np.array([rate for _, rate in paid] + [0.0] * len(unserved))
-        self._placements = tuple(placements)
         self._base = planar_form((), base)[1]
         self._eta = eta
-        self._gains: dict[tuple[float, float, bool], tuple[np.ndarray, float]] = {}
+        self._best: dict[tuple[float, float, bool], float] = {}
+        self._columns: dict[tuple[float, float, bool], np.ndarray] = {}
 
-    def gains(
-        self, z: float, fixed: float, axis: Axis, grid: Sequence[float]
-    ) -> tuple[np.ndarray, float]:
-        """Gains ``f(S + t) - f(S)`` of a scale-``z`` zone ``t``: ``(column, best)``.
-
-        ``t``'s lower corner is at ``fixed`` on the other axis and moves
-        along ``axis``.  ``column`` holds its gain at each ``grid`` value:
-        each piece's weight (gain rate times its overlap with ``t``'s fixed
-        span) times its ``_overlaps`` with ``t`` on ``axis``.  ``best`` is the
-        largest gain over every real position, which lies on ``t``'s
-        own-scale inner demand grid (``grid`` must be that grid) or on a
-        ``service_breakpoints`` value of a zone of ``S``; ``best`` looks at
-        both (the argument is in the ``bnb`` module docstring).  Memoised
-        per ``(z, fixed, axis)``, so one ``grid`` per scale and axis must be
-        used.
-        """
-        on_x = axis is Axis.X
-        key = (z, fixed, on_x)
-        try:
-            return self._gains[key]
-        except KeyError:
-            pass
+    def _terms(self, z: float, fixed: float, on_x: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """``(weights, lo, hi, ext)``: the kept pieces' weights and spans on the axis; ``t``'s extent."""
         w0, l0 = self._base.w0, self._base.l0
         if on_x:
             lo, hi, ext, other_lo, other_hi, other_ext = self._x1, self._x2, w0 * z, self._y1, self._y2, l0 * z
         else:
             lo, hi, ext, other_lo, other_hi, other_ext = self._y1, self._y2, l0 * z, self._x1, self._x2, w0 * z
         overlap = np.maximum(np.minimum(fixed + other_ext, other_hi) - np.maximum(fixed, other_lo), 0.0)
-        # a piece already paid at least t's rate has a weight <= 0 and is dropped
         weights = (self._v / self._eta.apply(z) - self._paid) * overlap
         keep = weights > 0.0
-        points = list(grid)
-        for pl in self._placements:
-            points += service_breakpoints(pl.x if on_x else pl.y, pl.z, z, self._base, axis)
-        full = weights[keep] @ _overlaps(points, ext, lo[keep], hi[keep])
-        out = self._gains[key] = (full[: len(grid)], float(full.max(initial=0.0)))
-        return out
+        return weights[keep], lo[keep], hi[keep], ext
+
+    def best_gain(self, z: float, fixed: float, axis: Axis) -> float:
+        """The largest gain ``f(S + t) - f(S)`` over every real position of ``t``.
+
+        A piece's overlap with ``t`` is a trapezoid in ``t``'s position ``c``
+        with corners ``lo - ext``, ``min(lo, hi - ext)``, ``max(lo, hi - ext)``
+        and ``hi``; the gain, a positive-weighted sum of them, is piecewise
+        linear and reaches its maximum at a concave kink, where ``t`` sits
+        flush inside a piece: ``c = lo`` or ``c = hi - ext`` of some piece.
+        Only those positions are evaluated; the gain is 0 with no piece.
+        """
+        key = (z, fixed, axis is Axis.X)
+        best = self._best.get(key)
+        if best is None:
+            weights, lo, hi, ext = self._terms(*key)
+            flush = np.concatenate((lo, hi - ext))
+            best = self._best[key] = float((weights @ _overlaps(flush, ext, lo, hi)).max(initial=0.0))
+        return best
+
+    def gain_column(self, z: float, fixed: float, axis: Axis, grid: Sequence[float]) -> np.ndarray:
+        """The gain of ``t`` at each ``grid`` value; one ``grid`` per scale and axis must be used."""
+        key = (z, fixed, axis is Axis.X)
+        column = self._columns.get(key)
+        if column is None:
+            weights, lo, hi, ext = self._terms(*key)
+            column = self._columns[key] = weights @ _overlaps(grid, ext, lo, hi)
+        return column
 
 
 def _kept_argmax(kept: np.ndarray, rates: np.ndarray, x: _Axis, y: _Axis) -> tuple[float, int, int]:

@@ -137,6 +137,41 @@ def test_order_step_single_representative():
     assert children[0].bs == 0
 
 
+def _pins(node):
+    return sum(s[2] is not None for s in node.x_sets + node.y_sets)
+
+
+def test_split_table_survives_abutment_pins():
+    # A whole grid's first split also pins the zone at abutment positions.
+    # The parts are tabulated once per solve, so the pins must go into a new
+    # sequence: appended to the tabulated parts, every later visit of the
+    # range would find them there again.
+    inst = generate(GenConfig(seed=2, n=15, p=2, m=2))
+    grids = CandidateGrids.from_instance(inst)
+    cfg = SolverConfig()
+    stack, pinned = [root_node(inst, grids)], {Axis.X: 0, Axis.Y: 0}
+    for _ in range(3000):
+        node = stack.pop()
+        if is_leaf(node):
+            continue
+        children = branch(node, inst, grids, cfg)
+        assert branch(node, inst, grids, cfg) == children
+        if any(_pins(c) > _pins(node) for c in children):
+            pinned[Axis.Y if children[0].ba is Axis.Y and node.ba is Axis.Y else Axis.X] += 1
+        stack.extend(reversed(children))
+    assert pinned[Axis.X] and pinned[Axis.Y]
+    # every entry is a fresh partition-and-priority split of its range
+    assert grids.splits
+    for (z, on_x, lo, hi), parts in grids.splits.items():
+        grid = (grids.x_by_scale if on_x else grids.y_by_scale)[z]
+        priority = (grids.x_priority if on_x else grids.y_priority)[z]
+        fresh = [(lo + a, lo + b, None) for a, b in partition(grid[lo:hi], cfg.beta)]
+        if len(fresh) == 1:
+            fresh = [(i, i + 1, None) for i in range(lo, hi)]
+        fresh.sort(key=lambda part: max(priority[part[0] : part[1]]), reverse=True)
+        assert parts == tuple(fresh), (z, on_x, lo, hi)
+
+
 def test_abutment_candidates_keep_other_scale_grid_values():
     # Zone 0 sits at x=0 with scale 1 (width 2).  Right-abutting a scale-2
     # zone against it lands at x=2 — a scale-1 grid value but not a scale-2

@@ -229,6 +229,17 @@ def test_generate_bad_base_dims(tmp_path, capsys):
     assert "base-dims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("one_d", [False, True])
+@pytest.mark.parametrize("option", ["--region", "--r"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0"])
+def test_generate_rejects_a_non_finite_or_non_positive_size(tmp_path, capsys, one_d, option, value):
+    argv = ["generate", f"{option}={value}", "--out", str(tmp_path / "x.json")]
+    assert main(argv + ["--one-d"] * one_d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite and positive" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 # ------------------------------------------------------------------- bench
 
 def test_run_bench_rows_and_columns(tmp_path):

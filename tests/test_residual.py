@@ -1,4 +1,4 @@
-"""The residual-demand bound: marginal-gain columns and soundness on search trees."""
+"""The residual-demand bound: marginal gains, their maxima and soundness on search trees."""
 
 import math
 
@@ -6,7 +6,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcover import Axis, GenConfig, Placement, covered_reward, generate, solve
+from rectcover import (
+    Axis,
+    BaseServiceZone,
+    DemandZone,
+    Eta,
+    GenConfig,
+    Placement,
+    Rect,
+    covered_reward,
+    generate,
+    solve,
+)
 from rectcover.bnb import (
     CandidateGrids,
     SolverConfig,
@@ -19,7 +30,7 @@ from rectcover.bnb import (
     upper_bound,
 )
 from rectcover.bnb1d import branch_1d, is_leaf_1d, leaf_placements_1d, root_node_1d, upper_bound_1d
-from rectcover.critical import service_breakpoints
+from rectcover.critical import inner_demand_grid, service_breakpoints
 from rectcover.reward import ResidualDemand
 
 from conftest import micro_line, small_1d
@@ -55,7 +66,8 @@ def _check_gains(inst, placed, z, fixed, axis, grid, seen):
     served = covered_reward(dzs, placed, base, inst.eta)
     residual = ResidualDemand(dzs, placed, base, inst.eta)
     assert math.isclose(residual.served, served, rel_tol=1e-12, abs_tol=1e-9)
-    column, best = residual.gains(z, fixed, axis, grid)
+    column = residual.gain_column(z, fixed, axis, grid)
+    best = residual.best_gain(z, fixed, axis)
 
     def gain(c):
         t = Placement(c, fixed, z) if axis is Axis.X else Placement(fixed, c, z)
@@ -70,6 +82,66 @@ def _check_gains(inst, placed, z, fixed, axis, grid, seen):
     swept = [gain(c) for c in sweep]
     assert max(swept) <= best + 1e-9, (placed, z, fixed)
     assert math.isclose(max(swept), best, rel_tol=1e-9, abs_tol=1e-9), (placed, z, fixed)
+
+
+_LATTICE = st.integers(-5, 40).map(float)
+# spans from shorter than the smallest extent (8) to longer than the largest (20)
+_SPAN = st.integers(1, 30).map(float)
+_DEMAND = st.builds(lambda x, y, w, l, v: DemandZone(Rect(x, y, w, l), v), _LATTICE, _LATTICE, _SPAN, _SPAN,
+                    st.floats(0.5, 10.0))
+
+
+@st.composite
+def _demand_zones(draw):
+    """Demand zones on an integer lattice, some of them touching the one before on x or y."""
+    zones = [draw(_DEMAND)]
+    for _ in range(draw(st.integers(0, 7))):
+        d = draw(_DEMAND)
+        prev = zones[-1].rect
+        touch = draw(st.sampled_from(["none", "x", "y"]))
+        if touch == "x":
+            d = DemandZone(Rect(prev.x2, prev.y, d.rect.w, d.rect.l), d.v)
+        elif touch == "y":
+            d = DemandZone(Rect(prev.x, prev.y2, d.rect.w, d.rect.l), d.v)
+        zones.append(d)
+    return zones
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dzs=_demand_zones(),
+    placed=st.lists(st.tuples(_LATTICE, _LATTICE, st.sampled_from([1.0, 2.0])), min_size=1, max_size=2),
+    z=st.sampled_from([1.0, 2.0]),
+    fixed=_LATTICE,
+    axis=st.sampled_from([Axis.X, Axis.Y]),
+)
+def test_whole_grid_maximum_is_read_at_flush_positions(dzs, placed, z, fixed, axis):
+    base, eta = BaseServiceZone(10.0, 8.0), Eta.LINEAR
+    placements = [Placement(x, y, s) for x, y, s in placed]
+    best = ResidualDemand(dzs, placements, base, eta).best_gain(z, fixed, axis)
+
+    def gain_at(points):
+        # a fresh state per call: the column is memoised per (z, fixed, axis)
+        fresh = ResidualDemand(dzs, placements, base, eta)
+        column = fresh.gain_column(z, fixed, axis, np.asarray(points, float))
+        return float(column.max(initial=0.0))
+
+    on_x = axis is Axis.X
+    # what the whole-grid maximum used to be taken over: t's own-scale
+    # inner demand grid and the four service breakpoints of every zone of S
+    old = list(inner_demand_grid(dzs, z, base, axis).values)
+    for pl in placements:
+        old += service_breakpoints(pl.x if on_x else pl.y, pl.z, z, base, axis)
+    assert best >= gain_at(old) * (1 - 1e-12)
+    # every piece edge is a demand edge or an edge of a zone of S, so these
+    # hold the four trapezoid breakpoints (e - ext and e) of every piece
+    unit = base.w0 if on_x else base.l0
+    edges = [e for d in dzs for e in ((d.rect.x, d.rect.x2) if on_x else (d.rect.y, d.rect.y2))]
+    for pl in placements:
+        corner = pl.x if on_x else pl.y
+        edges += [corner, corner + unit * pl.z]
+    corners = edges + [e - unit * z for e in edges]
+    assert math.isclose(best, gain_at(corners), rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_plane_columns_match_covered_reward_differences():
