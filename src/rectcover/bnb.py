@@ -21,10 +21,15 @@ Zones are processed in index order along x, which is harmless because zones
 sharing one scale menu are interchangeable.
 
 The depth-first loop, :func:`branch_and_bound`, is shared with the line
-solver (``bnb1d.solve_1d``); each solver passes its own root, bound,
-branching rule, leaf test and leaf placements.  The covered reward of a
-greedy run's placements seeds the incumbent; a node is cut as soon as its
-optimistic bound cannot beat the incumbent by more than ``epsilon``.
+solver (``bnb1d.solve_1d``); each solver passes only its root and its
+branching rule.  The bound (:func:`upper_bound`), the leaf test
+(:func:`is_leaf`) and the leaf placements (:func:`leaf_placements`) serve
+both: a line node (``bnb1d.Node1D``) carries the same per-zone candidate
+sets and scales, each zone's y set the one index of its matrix's single y
+value, and each node type names the axis its residual bound runs on.  The
+covered reward of a greedy run's placements seeds the incumbent; a node is
+cut as soon as its optimistic bound cannot beat the incumbent by more than
+``epsilon``.
 
 Per-node work scans no candidate set or demand and maps no value to an
 index.  Each scale's grids, reward matrix and priority tables are built once
@@ -90,7 +95,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,6 +160,11 @@ class Node(NamedTuple):
     ba: Axis = Axis.X
     bs: int = 0
 
+    @property
+    def residual_axis(self) -> Axis | None:
+        """The axis the residual bound runs on: y once every x is fixed, None before."""
+        return None if self.ba is Axis.X and self.bs < len(self.x_sets) else Axis.Y
+
 
 @dataclass
 class SolverStats:
@@ -164,13 +174,18 @@ class SolverStats:
     relative distance ``(upper_bound - reward) / upper_bound`` of the returned
     reward from it (0 when ``upper_bound`` is 0).  A proven solve reports
     ``upper_bound`` equal to its reward and ``gap == 0``; ``None`` means no
-    bound is known (a heuristic run).
+    bound is known (a heuristic run).  ``greedy_reward`` is the reward the
+    greedy seed claims (the sum of its rounds' gains) and ``greedy_time`` its
+    run time; ``optimal_found_time`` is when the incumbent was last improved,
+    the seed counting at the end of its greedy run.
     """
 
     nodes_explored: int = 0
     best_reward_history: list[tuple[int, float]] = field(default_factory=list)
     wall_time: float = 0.0
     optimal_found_time: float = 0.0
+    greedy_reward: float = 0.0
+    greedy_time: float = 0.0
     optimal: bool = True
     upper_bound: float | None = None
     gap: float | None = None
@@ -313,15 +328,21 @@ def _pin(v: float, grid: Sequence[float], eps: float) -> CandidateSet:
 
 
 def is_leaf(node: Node) -> bool:
+    """Every scale and candidate set fixed, outside the line's dispatching root (``bs == -1``).
+
+    On the plane this holds in the x phase too when each of a scale's grids
+    holds one value, so such a node is evaluated there and not branched.
+    """
     return (
-        _UNSET not in node.z_vec
+        node.bs >= 0
+        and _UNSET not in node.z_vec
         and all(map(_is_single, node.x_sets))
         and all(map(_is_single, node.y_sets))
     )
 
 
 def leaf_placements(node: Node, matrices: Mapping[float, RewardMatrix]) -> tuple[Placement, ...]:
-    """A leaf's placements, its grid positions read from its scales' matrices."""
+    """A leaf's placements, its grid positions read from its scales' matrices (y is 0 on the line)."""
     return tuple(
         Placement(_value(xs, matrices[z].xs.values), _value(ys, matrices[z].ys.values), z)
         for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec)
@@ -440,7 +461,7 @@ def upper_bound(
     floor: float = -math.inf,
     cache: dict[tuple, ResidualDemand] | None = None,
 ) -> float:
-    """Optimistic value of the best completion below ``node``.
+    """Optimistic value of the best completion below ``node``, plane or line.
 
     Each zone contributes the best isolated reward reachable from its
     candidate sets (overlap between zones only lowers the true value, so the
@@ -450,14 +471,16 @@ def upper_bound(
     maximum ``RewardMatrix.block_max`` memoises.  ``matrices`` must be
     tabulated over the grids the node's sets index (``CandidateGrids``).  A
     zone with an open scale contributes the best entry over all scale
-    matrices, taken once per call and only when some scale is open.
+    matrices, taken once per call and only when some scale is open.  A line
+    zone's y set is the single index of its matrix's one y value, 0.
 
     A node at or below ``floor + eps`` on that isolated sum returns it.  A
-    leaf above it is evaluated exactly with ``covered_reward``.  Any other
-    node in the y phase (every scale and x fixed) with some zone placed
-    returns the smaller of the sum and the residual bound (module
-    docstring), whose per-``S`` state ``cache`` keeps (a fresh one per call
-    when None).  With the default ``floor`` every leaf is exact.
+    leaf above it is evaluated exactly with ``covered_reward`` on
+    ``instance.planar``.  Any other node with a ``residual_axis`` (the plane's
+    y phase, the line below its root), where every coordinate on the other
+    axis is fixed, returns the smaller of the sum and the residual bound
+    (module docstring), whose per-``S`` state ``cache`` keeps (a fresh one
+    per call when None).  With the default ``floor`` every leaf is exact.
     """
     total = 0.0
     best_any = None
@@ -470,21 +493,26 @@ def upper_bound(
         total += matrices[z].block_max(xs[0], xs[1], ys[0], ys[1])
     if total <= floor + eps:
         return total
-    if node.ba is Axis.X and node.bs < instance.p and not is_leaf(node):
-        return total
-    # every x is fixed from here on, so the node is a leaf when no y is open
+    axis = node.residual_axis
+    if axis is None:
+        if not is_leaf(node):
+            return total
+        axis = Axis.Y  # every set is a singleton, so none is opened below
+    # the other axis is fixed from here on, so the node is a leaf when no set is open
+    on_x = axis is Axis.X
     placed = []
     opened = []
     for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
         m = matrices[z]
-        x = _value(xs, m.xs.values)
-        if _is_single(ys):
-            placed.append((z, x, _value(ys, m.ys.values)))
+        free, grid = (xs, m.xs.values) if on_x else (ys, m.ys.values)
+        if _is_single(free):
+            placed.append((z, _value(xs, m.xs.values), _value(ys, m.ys.values)))
         else:
-            opened.append((z, x, m.ys.values, ys))
+            opened.append((z, _value(ys, m.ys.values) if on_x else _value(xs, m.xs.values), grid, free))
     if not opened:
-        return covered_reward(instance.dzs, leaf_placements(node, matrices), instance.base, instance.eta, eps)
-    return min(total, residual_bound(placed, opened, Axis.Y, instance, eps, cache))
+        dzs, base = instance.planar
+        return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta, eps)
+    return min(total, residual_bound(placed, opened, axis, instance, eps, cache))
 
 
 def residual_bound(
@@ -529,25 +557,23 @@ def residual_bound(
 def branch_and_bound(
     instance: Instance,
     config: SolverConfig,
-    root: Callable[[Instance, CandidateGrids], Any],
-    bound: Callable[[Any, Mapping[float, RewardMatrix], Instance, float, float, dict], float],
-    children: Callable[[Any, Instance, CandidateGrids, SolverConfig], list],
-    at_leaf: Callable[[Any], bool],
-    placements: Callable[[Any, Mapping[float, RewardMatrix]], tuple[Placement, ...]],
+    root: Callable[[Instance, CandidateGrids], Node],
+    children: Callable[[Node, Instance, CandidateGrids, SolverConfig], list[Node]],
 ) -> tuple[Solution, SolverStats]:
     """Depth-first branch and bound, shared by the planar and line solvers.
 
     A greedy run seeds the incumbent, valued at the covered reward of its
-    placements.  ``grids`` (:class:`CandidateGrids`) is built once, and
-    ``root(instance, grids)`` builds the root node; every popped node is
-    bounded with ``bound(node, grids.matrices, instance, eps, lower,
-    grids.residuals)``, where ``lower`` is the incumbent's reward, and is
-    cut when the bound cannot beat the incumbent by more than ``epsilon``.
-    The bound must be exact at a leaf (``at_leaf(node)``) whose value
-    exceeds ``lower + eps``, and at least the leaf's exact value otherwise.  A surviving leaf
-    becomes the incumbent (``placements(node, grids.matrices)``); any other
-    node is replaced by ``children(node, instance, grids, config)``, explored
-    in the order given.
+    placements; ``stats`` keeps greedy's claimed reward and run time.
+    ``grids`` (:class:`CandidateGrids`) is built once, and ``root(instance,
+    grids)`` builds the root node.  Every popped node is bounded with
+    :func:`upper_bound` against ``lower``, the incumbent's reward, and is cut
+    when the bound cannot beat the incumbent by more than ``epsilon``.  A
+    surviving leaf (:func:`is_leaf`), whose bound is then its exact value,
+    becomes the incumbent (:func:`leaf_placements`); any other node is
+    replaced by ``children(node, instance, grids, config)``, explored in the
+    order given.  The solvers differ only in ``root`` and ``children``; their
+    node types, :class:`Node` and ``bnb1d.Node1D``, carry the same candidate
+    sets and scales and state their own ``residual_axis``.
 
     When the time limit is hit the incumbent is returned with
     ``stats.optimal == False``; ``stats.upper_bound`` is then the largest of
@@ -558,13 +584,15 @@ def branch_and_bound(
     stats = SolverStats()
     start = time.perf_counter()
 
-    incumbent = greedy(instance, eps).solution.placements
+    seed = greedy(instance, eps).solution
+    stats.greedy_time = stats.optimal_found_time = time.perf_counter() - start
+    stats.greedy_reward = seed.reward
+    incumbent = seed.placements
     # Greedy claims the sum of its rounds' gains, which pays a later round's
     # smaller zone nothing over demand an earlier, larger zone already
     # served; the covered reward pays the better rate there.
     lower = covered_reward(instance.dzs, incumbent, instance.base, instance.eta, eps)
     stats.best_reward_history.append((0, lower))
-    stats.optimal_found_time = time.perf_counter() - start
 
     if instance.dzs:
         grids = CandidateGrids.from_instance(instance, eps)
@@ -575,12 +603,12 @@ def branch_and_bound(
                 break
             node = stack.pop()
             stats.nodes_explored += 1
-            value = bound(node, grids.matrices, instance, eps, lower, grids.residuals)
+            value = upper_bound(node, grids.matrices, instance, eps, lower, grids.residuals)
             if value <= lower + eps:
                 continue
-            if at_leaf(node):
+            if is_leaf(node):
                 lower = value
-                incumbent = placements(node, grids.matrices)
+                incumbent = leaf_placements(node, grids.matrices)
                 stats.best_reward_history.append((stats.nodes_explored, lower))
                 stats.optimal_found_time = time.perf_counter() - start
                 continue
@@ -593,7 +621,7 @@ def branch_and_bound(
         # last; the open nodes are bounded once more, exactly at leaves.
         stats.upper_bound = max(
             [lower + eps]
-            + [bound(n, grids.matrices, instance, eps, -math.inf, grids.residuals) for n in stack]
+            + [upper_bound(n, grids.matrices, instance, eps, -math.inf, grids.residuals) for n in stack]
         )
     stats.gap = (stats.upper_bound - lower) / stats.upper_bound if stats.upper_bound > 0 else 0.0
     stats.wall_time = time.perf_counter() - start
@@ -617,6 +645,4 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
         raise ValueError("solve() handles planar instances; use solve_1d() for segments")
     if not isinstance(instance.qos, QosSet):
         raise ValueError("solve() needs a shared scale menu")
-    return branch_and_bound(
-        instance, config or SolverConfig(), root_node, upper_bound, branch, is_leaf, leaf_placements
-    )
+    return branch_and_bound(instance, config or SolverConfig(), root_node, branch)

@@ -173,7 +173,9 @@ class Instance:
     ``qos`` is either a single :class:`QosSet` shared by every service zone
     or a tuple with one :class:`QosSet` per zone.  One-dimensional instances
     must use per-zone singleton menus and have all demand segments on the
-    x-axis (``y == 0``, ``l == 0``).
+    x-axis (``y == 0``, ``l == 0``).  Every demand zone's far edge must
+    differ from its near edge in floating point: ``x + w != x``, and in the
+    plane ``y + l != y``.
     """
 
     dzs: tuple[DemandZone, ...]
@@ -189,20 +191,23 @@ class Instance:
         if isinstance(self.qos, tuple):
             if len(self.qos) != self.p:
                 raise ValueError(f"per-zone qos list has {len(self.qos)} entries for p={self.p}")
-        if self.dimension is Dimension.ONE_D:
+        one_d = self.dimension is Dimension.ONE_D
+        if one_d:
             if self.base.l0 != 0:
                 raise ValueError("1d instances need a zero-length base (l0 == 0)")
             if not isinstance(self.qos, tuple) or any(len(q.factors) != 1 for q in self.qos):
                 raise ValueError("1d instances need one single-scale menu per service zone")
-            for i, d in enumerate(self.dzs):
-                if d.rect.l != 0 or d.rect.y != 0:
-                    raise ValueError(f"dz[{i}] is not a segment on the x-axis")
-        else:
-            if self.base.l0 <= 0:
-                raise ValueError("2d instances need a positive-length base")
-            for i, d in enumerate(self.dzs):
-                if d.rect.w <= 0 or d.rect.l <= 0:
-                    raise ValueError(f"dz[{i}] must have positive extents in 2d")
+        elif self.base.l0 <= 0:
+            raise ValueError("2d instances need a positive-length base")
+        for i, d in enumerate(self.dzs):
+            r = d.rect
+            if one_d and (r.l != 0 or r.y != 0):
+                raise ValueError(f"dz[{i}] is not a segment on the x-axis")
+            # An extent that is 0, or too small for its far edge to differ
+            # from its near edge in floating point, leaves nothing to cover.
+            if r.x2 == r.x or (not one_d and r.y2 == r.y):
+                axes = "x + w == x" if one_d else "x + w == x or y + l == y"
+                raise ValueError(f"dz[{i}] must have extents that do not vanish ({axes}), got {r}")
 
     @property
     def one_d(self) -> bool:

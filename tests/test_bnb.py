@@ -7,9 +7,11 @@ import pytest
 
 from rectcover import (
     Axis,
+    BaseServiceZone,
     DemandZone,
     Eta,
     GenConfig,
+    Instance,
     Placement,
     QosSet,
     Rect,
@@ -209,6 +211,28 @@ def test_leaf_detection_and_placements():
     assert not is_leaf(Node(x_sets=((0, 2, None),), y_sets=((0, 1, None),), z_vec=(1.0,)))
     # an off-grid value is one candidate, however wide the block bounding it
     assert is_leaf(Node(x_sets=((0, 2, 1.0),), y_sets=((0, 1, None),), z_vec=(1.0,)))
+
+
+@pytest.mark.parametrize("p, nodes", [(2, 4), (3, 10)])
+def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p, nodes):
+    # one demand zone of the base's size and the menu {1}: each zone's x and
+    # y grids hold one value, so once the last zone's scale is fixed every set
+    # is a singleton while the x phase is still on.  That node is a leaf,
+    # evaluated exactly; a leaf rule that waited for the y phase would branch
+    # it on and explore 7 and 21 nodes.
+    inst = Instance(
+        dzs=(DemandZone(Rect(3.0, 4.0, 10.0, 8.0), 2.0),), base=BaseServiceZone(10.0, 8.0), p=p, qos=QosSet((1.0,))
+    )
+    grids = CandidateGrids.from_instance(inst)
+    assert grids.x_by_scale[1.0] == (3.0,) and grids.y_by_scale[1.0] == (4.0,)
+    node = root_node(inst, grids)
+    while not is_leaf(node):
+        node = branch(node, inst, grids, SolverConfig())[0]
+    assert node.ba is Axis.X and node.bs == p - 1 and node.residual_axis is None
+    assert upper_bound(node, grids.matrices, inst) == 160.0
+    sol, stats = solve(inst)
+    assert stats.nodes_explored == nodes
+    assert stats.optimal and sol.reward == 160.0
 
 
 # -------------------------------------------------------------- upper bound
@@ -506,8 +530,6 @@ def test_mixed_scale_abutment_regression():
 
 
 def test_empty_demand_solves_to_zero():
-    from rectcover import BaseServiceZone, Instance
-
     inst = Instance(dzs=(), base=BaseServiceZone(2.0, 2.0), p=2, qos=QosSet((1.0, 2.0)))
     sol, stats = solve(inst)
     assert sol.reward == 0.0

@@ -20,16 +20,18 @@ from rectcover import (
     greedy,
     solve_1d,
 )
-from rectcover import bnb1d
-from rectcover.bnb import CandidateGrids, SolverConfig, _axis_indices, _pin, priority_score
-from rectcover.bnb1d import (
-    Node1D,
-    branch_1d,
-    is_leaf_1d,
-    leaf_placements_1d,
-    root_node_1d,
-    upper_bound_1d,
+from rectcover import bnb
+from rectcover.bnb import (
+    CandidateGrids,
+    SolverConfig,
+    _axis_indices,
+    _pin,
+    is_leaf,
+    leaf_placements,
+    priority_score,
+    upper_bound,
 )
+from rectcover.bnb1d import Node1D, branch_1d, root_node_1d
 from rectcover.geometry import EPS
 from rectcover.reward import build_reward_matrix, planar_form
 
@@ -41,6 +43,11 @@ from conftest import (
     square_instance,
     tick_search_clock,
 )
+
+
+def line_node(inst, x_sets, bs, bsfl):
+    """A line node: each zone at its one scale, its y set the single index 0."""
+    return Node1D(x_sets, ((0, 1, None),) * inst.p, tuple(q.factors[0] for q in inst.qos), bs, bsfl)
 
 
 def test_micro_line_optimum():
@@ -68,21 +75,25 @@ def test_root_dispatches_one_subtree_per_zone():
     # every zone on its whole grid: scale 1 (0.0, 2.0), scale 2 (0.0,)
     assert grids.x_by_scale == {1.0: (0.0, 2.0), 2.0: (0.0,)}
     assert root.x_sets == ((0, 2, None), (0, 1, None))
-    assert root.bsfl == -1 and not is_leaf_1d(root)
+    assert root.y_sets == ((0, 1, None), (0, 1, None))
+    assert root.z_vec == (1.0, 2.0)
+    assert root.bs == root.bsfl == -1 and not is_leaf(root)
+    assert root.residual_axis is None
     children = branch_1d(root, inst, grids, cfg)
     assert [c.bsfl for c in children] == [0, 1]
     assert [c.bs for c in children] == [0, 1]
-    # dispatching changes no candidate set
-    assert all(c.x_sets == root.x_sets for c in children)
+    assert all(c.residual_axis is Axis.X for c in children)
+    # dispatching changes no candidate set and no scale
+    assert all(c[:3] == root[:3] for c in children)
 
 
 def test_leaf_uses_per_zone_scales():
     inst = micro_line()
     mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
     # zone 0 on the scale-1 grid at 0.0; zone 1 at 2.0, off the scale-2 grid (0.0,)
-    leaf = Node1D(x_sets=((0, 1, None), (0, 1, 2.0)), bs=1, bsfl=0)
-    assert is_leaf_1d(leaf)
-    assert leaf_placements_1d(leaf, mats, inst) == (
+    leaf = line_node(inst, ((0, 1, None), (0, 1, 2.0)), bs=1, bsfl=0)
+    assert is_leaf(leaf)
+    assert leaf_placements(leaf, mats) == (
         Placement(0.0, 0.0, 1.0),
         Placement(2.0, 0.0, 2.0),
     )
@@ -109,7 +120,7 @@ def test_abutment_children_generated_for_open_zones():
     assert grids.x_by_scale[1.0][0] == 0.0
     assert grids.x_by_scale[2.0] == (0.0, 6.0)
     # zone 0 settled at x=0 (scale 1, width 2); zone 1 still open
-    node = Node1D(x_sets=((0, 1, None), (0, 2, None)), bs=0, bsfl=0)
+    node = line_node(inst, ((0, 1, None), (0, 2, None)), bs=0, bsfl=0)
     children = branch_1d(node, inst, grids, cfg)
     pinned = [c.x_sets[1] for c in children if c.x_sets[1][2] is not None]
     # left abutment: 0 - 4 = -4 (below the grid); right abutment: 0 + 2 = 2
@@ -127,7 +138,7 @@ def test_no_duplicate_grid_subtree_for_lower_index():
     # inside subtree 1: zone 1 settled first, zone 0 open; the grid-keeping
     # child for zone 0 must not appear (subtree 0 already owns those), so
     # every child pins zone 0 at an abutment value
-    node = Node1D(x_sets=((0, 2, None), (0, 1, None)), bs=1, bsfl=1)
+    node = line_node(inst, ((0, 2, None), (0, 1, None)), bs=1, bsfl=1)
     children = branch_1d(node, inst, grids, cfg)
     assert children
     assert all(c.x_sets[0][2] is not None for c in children)
@@ -141,16 +152,16 @@ def test_upper_bound_sound_on_micro_tree():
     root = root_node_1d(inst, grids)
 
     def max_leaf_below(node):
-        if is_leaf_1d(node):
-            return covered_reward(inst.dzs, leaf_placements_1d(node, mats, inst), inst.base, inst.eta)
+        if is_leaf(node):
+            return covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
         best = 0.0
         for child in branch_1d(node, inst, grids, cfg):
             below = max_leaf_below(child)
-            assert upper_bound_1d(child, mats, inst) >= below - 1e-9
+            assert upper_bound(child, mats, inst) >= below - 1e-9
             best = max(best, below)
         return best
 
-    assert max_leaf_below(root) <= upper_bound_1d(root, mats, inst) + 1e-9
+    assert max_leaf_below(root) <= upper_bound(root, mats, inst) + 1e-9
 
 
 def test_every_node_holds_slices_or_bracketed_abutments():
@@ -160,9 +171,12 @@ def test_every_node_holds_slices_or_bracketed_abutments():
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
     pinned = 0
+    scales = tuple(inst.qos_for(j).factors[0] for j in range(inst.p))
     stack = [root_node_1d(inst, grids)]
     while stack:
         node = stack.pop()
+        # every zone keeps its one scale and the single y index
+        assert node.z_vec == scales and node.y_sets == ((0, 1, None),) * inst.p, node
         for j, (lo, hi, v) in enumerate(node.x_sets):
             grid = grids.x_by_scale[inst.qos_for(j).factors[0]]
             if v is None:
@@ -170,7 +184,7 @@ def test_every_node_holds_slices_or_bracketed_abutments():
             else:
                 assert (lo, hi) == _axis_indices(v, grid, cfg.epsilon), node
                 pinned += 1
-        if not is_leaf_1d(node):
+        if not is_leaf(node):
             stack.extend(branch_1d(node, inst, grids, cfg))
     assert pinned > 0
 
@@ -182,19 +196,19 @@ def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
     mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
     exact_calls = []
     monkeypatch.setattr(
-        bnb1d, "covered_reward", lambda *args: exact_calls.append(1) or covered_reward(*args)
+        bnb, "covered_reward", lambda *args: exact_calls.append(1) or covered_reward(*args)
     )
     skipped = 0
     stack = [root_node_1d(inst, grids)]
     while stack:
         node = stack.pop()
-        if not is_leaf_1d(node):
+        if not is_leaf(node):
             stack.extend(branch_1d(node, inst, grids, cfg))
             continue
-        exact = covered_reward(inst.dzs, leaf_placements_1d(node, mats, inst), inst.base, inst.eta)
+        exact = covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
         for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
             exact_calls.clear()
-            got = upper_bound_1d(node, mats, inst, floor=floor)
+            got = upper_bound(node, mats, inst, floor=floor)
             if exact_calls:
                 assert got == exact, (node, floor)
             else:
@@ -212,7 +226,7 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
     stack = [root_node_1d(inst, grids)]
     while stack:
         node = stack.pop()
-        if is_leaf_1d(node):
+        if is_leaf(node):
             continue
         expected = 0.0
         for j in range(inst.p):
@@ -221,8 +235,8 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
             expected += float(m.entries[reference_indices(values, m.xs.values), 0].max())
         # the isolated sum, returned whole when the floor is above it; the
         # bound, which may also take the residual bound, is never above it
-        assert upper_bound_1d(node, mats, inst, floor=math.inf) == expected, node
-        assert upper_bound_1d(node, mats, inst) <= expected, node
+        assert upper_bound(node, mats, inst, floor=math.inf) == expected, node
+        assert upper_bound(node, mats, inst) <= expected, node
         stack.extend(branch_1d(node, inst, grids, cfg))
 
 
@@ -231,18 +245,35 @@ def test_leaf_bound_on_lifted_demand_is_exact():
     grids = CandidateGrids.from_instance(inst)
     mats = grids.matrices
     scales = [inst.qos_for(j).factors[0] for j in range(inst.p)]
-    leaf = Node1D(
-        x_sets=tuple(_pin(v, grids.x_by_scale[z], EPS) for v, z in zip((28.0, 85.0), scales)),
-        bs=1,
-        bsfl=0,
+    leaf = line_node(
+        inst, tuple(_pin(v, grids.x_by_scale[z], EPS) for v, z in zip((28.0, 85.0), scales)), bs=1, bsfl=0
     )
-    assert [pl.x for pl in leaf_placements_1d(leaf, mats, inst)] == [28.0, 85.0]
-    exact = covered_reward(inst.dzs, leaf_placements_1d(leaf, mats, inst), inst.base, inst.eta)
+    assert [pl.x for pl in leaf_placements(leaf, mats)] == [28.0, 85.0]
+    exact = covered_reward(inst.dzs, leaf_placements(leaf, mats), inst.base, inst.eta)
     assert exact > 0
-    assert upper_bound_1d(leaf, mats, inst) == exact
+    assert upper_bound(leaf, mats, inst) == exact
     # the leaf read the demand lifted once for the instance
     assert inst.planar is inst.planar
     assert inst.planar == planar_form(inst.dzs, inst.base)
+
+
+@pytest.mark.parametrize("p, nodes", [(2, 3), (3, 4)])
+def test_root_is_no_leaf_when_every_grid_holds_one_value(p, nodes):
+    # one segment [0, 4] and zones of width 4: every grid is (0.0,), so the
+    # root's sets are all singletons, yet it still dispatches p subtrees,
+    # whose leaves are cut at the greedy seed's value
+    inst = Instance(
+        dzs=(DemandZone(Rect(0.0, 0.0, 4.0, 0.0), 1.0),),
+        base=BaseServiceZone(2.0, 0.0),
+        p=p,
+        qos=(QosSet((2.0,)),) * p,
+        dimension=Dimension.ONE_D,
+    )
+    root = root_node_1d(inst, CandidateGrids.from_instance(inst))
+    assert root.x_sets == ((0, 1, None),) * p and not is_leaf(root)
+    sol, stats = solve_1d(inst)
+    assert stats.nodes_explored == nodes
+    assert stats.optimal and sol.reward == 2.0
 
 
 def test_priority_table_equals_priority_score_at_every_grid_value():
@@ -316,7 +347,7 @@ def test_timeout_reports_a_certified_upper_bound(limit, monkeypatch):
         grids = CandidateGrids.from_instance(inst)
         mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
         assert stats.nodes_explored == 0
-        assert stats.upper_bound == upper_bound_1d(root_node_1d(inst, grids), mats, inst)
+        assert stats.upper_bound == upper_bound(root_node_1d(inst, grids), mats, inst)
 
 
 def test_proven_solve_reports_zero_gap():

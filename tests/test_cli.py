@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import sys
+from importlib import import_module
 
 import pytest
 
-from rectcover import Dimension, GenConfig, Placement, Solution, covered_reward, generate, generate_1d
+from rectcover import Dimension, GenConfig, Placement, Solution, covered_reward, generate, generate_1d, solve
 from rectcover.bnb import SolverConfig, SolverStats
 from rectcover.bnb1d import solve_1d
 from rectcover.cli import (
@@ -25,6 +27,9 @@ from rectcover.cli import (
 )
 
 from conftest import micro_line, small_1d, small_2d, square_instance
+
+# The package re-exports the function ``greedy`` under the module's name.
+greedy_module = import_module("rectcover.greedy")
 
 
 # ------------------------------------------------------------- file formats
@@ -240,6 +245,29 @@ def test_generate_rejects_a_non_finite_or_non_positive_size(tmp_path, capsys, on
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("one_d", [False, True])
+def test_generate_refuses_demand_that_vanishes_in_floating_point(tmp_path, capsys, one_d):
+    # at r = 1e308 every demand zone lies so far out that x + w == x
+    argv = ["generate", "--r", "1e308", "--out", str(tmp_path / "x.json")]
+    assert main(argv + ["--one-d"] * one_d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must have extents that do not vanish" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("algo", ["greedy", "exact"])
+@pytest.mark.parametrize("one_d, field, far", [(False, "x", 1e300), (False, "y", -1e300), (True, "x", 1e300)])
+def test_solve_refuses_demand_that_vanishes_in_floating_point(tmp_path, capsys, algo, one_d, field, far):
+    inst = small_1d(seed=0, n=4, p=2) if one_d else small_2d(seed=0, n=4, m=2)
+    data = instance_to_dict(inst)
+    data["dzs"][1][field] = far  # a width or length of at most 10 vanishes next to 1e300
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    code = main(["solve", "--algo", algo, "--instance", str(path), "--out", str(tmp_path / "s.json")])
+    _assert_clean_error(code, capsys.readouterr().err, "instance: dz[1] must have extents that do not vanish")
+    assert not (tmp_path / "s.json").exists()
+
+
 # ------------------------------------------------------------------- bench
 
 def test_run_bench_rows_and_columns(tmp_path):
@@ -261,6 +289,34 @@ def test_run_bench_rows_and_columns(tmp_path):
     assert len(rows) == 1 + 4
     table = report.human_table()
     assert "group means" in table
+
+
+def test_run_bench_runs_greedy_once_per_row(monkeypatch):
+    # T_H and alpha come from the solver's greedy seed, not from a second run
+    real = greedy_module.greedy
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rectcover" or name.startswith("rectcover."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    plane = run_bench(ps=[2], ms=[1, 2], ns=[3], seeds=2, gen_overrides=LINE_SWEEP)
+    line = run_bench(ps=[2, 3], ms=[1], ns=[4], seeds=2, one_d=True, gen_overrides=LINE_SWEEP)
+    rows = plane.rows + line.rows
+    assert len(rows) == 8 and all(r.error is None and r.optimal for r in rows)
+    assert len(calls) == len(rows)
+    monkeypatch.undo()
+    # alpha is still greedy's claimed reward over the optimum
+    for r in plane.rows:
+        inst = generate(GenConfig(seed=r.seed, n=r.n, p=r.p, m=r.m, **LINE_SWEEP))
+        sol, _ = solve(inst)
+        assert r.alpha == min(real(inst).solution.reward / sol.reward, 1.0)
+        assert r.t_h > 0
 
 
 def test_run_bench_oracle_cross_check():

@@ -124,6 +124,29 @@ def test_two_d_instance_rejects_degenerate_demand():
         )
 
 
+@pytest.mark.parametrize(
+    "rect, one_d",
+    [
+        (Rect(1e300, 0.0, 5.0, 5.0), False),  # x + w == x far out
+        (Rect(0.0, -1e300, 5.0, 5.0), False),  # y + l == y far out
+        (Rect(1.0, 0.0, 1e-17, 5.0), False),  # a width below the spacing at x
+        (Rect(1e300, 0.0, 5.0, 0.0), True),
+        (Rect(2.0, 0.0, 0.0, 0.0), True),  # a segment of length 0
+    ],
+)
+def test_instance_refuses_demand_that_vanishes_in_floating_point(rect, one_d):
+    if one_d:
+        kind = dict(base=BaseServiceZone(2.0, 0.0), qos=(QosSet((1.0,)),), dimension=Dimension.ONE_D)
+    else:
+        kind = dict(base=BaseServiceZone(2.0, 2.0), qos=QosSet((1.0,)))
+    ok = DemandZone(Rect(0.0, 0.0, 4.0, 0.0 if one_d else 4.0), 1.0)
+    with pytest.raises(ValueError, match=r"dz\[1\] must have extents that do not vanish"):
+        Instance(dzs=(ok, DemandZone(rect, 1.0)), p=1, **kind)
+    # far out is fine while the extent still moves the far edge
+    far = Rect(1e300, 0.0, 1e290, 0.0 if one_d else 1e290)
+    assert Instance(dzs=(ok, DemandZone(far, 1.0)), p=1, **kind).dzs[1].rect == far
+
+
 def test_demand_zone_box_is_bounds_form_built_once():
     d = DemandZone(Rect(1.5, -2.0, 3.25, 4.0), 2.5)
     assert d.box == (1.5, -2.0, 4.75, 2.0, 2.5)

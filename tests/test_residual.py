@@ -29,7 +29,7 @@ from rectcover.bnb import (
     root_node,
     upper_bound,
 )
-from rectcover.bnb1d import branch_1d, is_leaf_1d, leaf_placements_1d, root_node_1d, upper_bound_1d
+from rectcover.bnb1d import branch_1d, root_node_1d
 from rectcover.critical import inner_demand_grid, service_breakpoints
 from rectcover.reward import ResidualDemand
 
@@ -183,10 +183,11 @@ def test_line_columns_match_covered_reward_differences():
         stack = [root_node_1d(inst, grids)]
         while stack:
             node = stack.pop()
-            if is_leaf_1d(node):
+            if is_leaf(node):
                 continue
             stack.extend(branch_1d(node, inst, grids, cfg))
             scales = [q.factors[0] for q in inst.qos]
+            assert node.z_vec == tuple(scales)
             placed = [
                 Placement(_value(s, grids.x_by_scale[z]), 0.0, z)
                 for s, z in zip(node.x_sets, scales)
@@ -200,23 +201,32 @@ def test_line_columns_match_covered_reward_differences():
     assert len(seen) > 20
 
 
-def _assert_bound_dominates(root, children, at_leaf, value, bound, cap):
-    """Below ``root`` (at most ``cap`` nodes): every bound is at least every leaf below it."""
+def _assert_bound_dominates(inst, grids, root, children, cap):
+    """Below ``root`` (at most ``cap`` nodes): every bound is at least every leaf below it.
+
+    Leaves, their values and the bounds are the shared ``is_leaf``,
+    ``leaf_placements`` and ``upper_bound``, the bounds sharing one residual
+    cache as in a solve; ``children`` is the solver's branching rule.
+    """
     order, kids, stack = [], {}, [root]
     while stack:
         node = stack.pop()
         order.append(node)
         assert len(order) <= cap
-        kids[id(node)] = [] if at_leaf(node) else children(node)
+        kids[id(node)] = [] if is_leaf(node) else children(node)
         stack.extend(kids[id(node)])
     best = {}
     for node in reversed(order):
-        below = value(node) if at_leaf(node) else max((best[id(c)] for c in kids[id(node)]), default=-math.inf)
+        if is_leaf(node):
+            below = covered_reward(inst.dzs, leaf_placements(node, grids.matrices), inst.base, inst.eta)
+        else:
+            below = max((best[id(c)] for c in kids[id(node)]), default=-math.inf)
         best[id(node)] = below
-        assert bound(node) >= below - 1e-9 * max(1.0, abs(below)), node
+        bound = upper_bound(node, grids.matrices, inst, cache=grids.residuals)
+        assert bound >= below - 1e-9 * max(1.0, abs(below)), node
 
 
-def _small_subtree(root, children, at_leaf, path, cap):
+def _small_subtree(root, children, path, cap):
     """Walk ``path`` (child choices) from ``root`` to the first node whose subtree has at most ``cap`` nodes."""
     steps = iter(path)
     node = root
@@ -225,7 +235,7 @@ def _small_subtree(root, children, at_leaf, path, cap):
         while stack and count <= cap:
             n = stack.pop()
             count += 1
-            if not at_leaf(n):
+            if not is_leaf(n):
                 stack.extend(children(n))
         if count <= cap:
             return node
@@ -248,15 +258,8 @@ def test_plane_bound_dominates_every_leaf_below(seed, p, n, m, path):
     grids = CandidateGrids.from_instance(inst)
     cfg = SolverConfig()
     children = lambda node: branch(node, inst, grids, cfg)
-    top = _small_subtree(root_node(inst, grids), children, is_leaf, path, cap=4000)
-    _assert_bound_dominates(
-        top,
-        children,
-        is_leaf,
-        lambda node: covered_reward(inst.dzs, leaf_placements(node, grids.matrices), inst.base, inst.eta),
-        lambda node: upper_bound(node, grids.matrices, inst, cache=grids.residuals),
-        cap=4000,
-    )
+    top = _small_subtree(root_node(inst, grids), children, path, cap=4000)
+    _assert_bound_dominates(inst, grids, top, children, cap=4000)
 
 
 @settings(max_examples=25, deadline=None)
@@ -266,14 +269,7 @@ def test_line_bound_dominates_every_leaf_below(seed, p, n):
     grids = CandidateGrids.from_instance(inst)
     cfg = SolverConfig()
     _assert_bound_dominates(
-        root_node_1d(inst, grids),
-        lambda node: branch_1d(node, inst, grids, cfg),
-        is_leaf_1d,
-        lambda node: covered_reward(
-            inst.dzs, leaf_placements_1d(node, grids.matrices, inst), inst.base, inst.eta
-        ),
-        lambda node: upper_bound_1d(node, grids.matrices, inst, cache=grids.residuals),
-        cap=20_000,
+        inst, grids, root_node_1d(inst, grids), lambda node: branch_1d(node, inst, grids, cfg), cap=20_000
     )
 
 
