@@ -1,7 +1,10 @@
 """Exact and greedy solvers for placing scalable rectangular service zones
-over weighted rectangular demand, maximizing the covered reward."""
+over weighted rectangular demand, maximizing the covered reward.
 
-from .geometry import EPS, Axis, Rect, area, intersect, trim_out
+The top level holds the paper's model, the instance generators and the
+solvers; everything else is imported from its module."""
+
+from .geometry import Rect
 from .model import (
     BaseServiceZone,
     DemandZone,
@@ -11,36 +14,16 @@ from .model import (
     Placement,
     QosSet,
     Solution,
-    reward_rate,
-    service_rect,
 )
-from .critical import (
-    contains_value,
-    dedup_sorted,
-    demand_breakpoints,
-    inner_demand_grid,
-    service_breakpoints,
-)
-from .reward import (
-    build_reward_matrix,
-    covered_reward,
-    planar_form,
-    single_zone_reward,
-    solve_single_zone,
-)
+from .reward import covered_reward
 from .greedy import greedy, pseudo_greedy
-from .bnb import partition, solve
+from .bnb import solve
 from .bnb1d import solve_1d
 from .oracle import OracleSizeError, brute_force_1d, brute_force_2d
 from .instgen import GenConfig, generate, generate_1d
 
 __all__ = [
-    "EPS",
-    "Axis",
     "Rect",
-    "area",
-    "intersect",
-    "trim_out",
     "BaseServiceZone",
     "DemandZone",
     "Dimension",
@@ -49,21 +32,9 @@ __all__ = [
     "Placement",
     "QosSet",
     "Solution",
-    "reward_rate",
-    "service_rect",
-    "contains_value",
-    "dedup_sorted",
-    "demand_breakpoints",
-    "inner_demand_grid",
-    "service_breakpoints",
-    "build_reward_matrix",
     "covered_reward",
-    "planar_form",
-    "single_zone_reward",
-    "solve_single_zone",
     "greedy",
     "pseudo_greedy",
-    "partition",
     "solve",
     "solve_1d",
     "OracleSizeError",

@@ -244,12 +244,12 @@ class BenchRow:
     p: int
     m: int | None
     seed: int
-    nodes: int | None
-    t: float | None
-    t1: float | None
-    t_h: float | None
-    alpha: float | None
-    optimal: bool
+    nodes: int | None = None
+    t: float | None = None
+    t1: float | None = None
+    t_h: float | None = None
+    alpha: float | None = None
+    optimal: bool = False
     error: str | None = None
     upper_bound: float | None = None
     gap: float | None = None
@@ -274,26 +274,21 @@ class BenchReport:
     def csv_rows(self) -> list[dict[str, Any]]:
         out = []
         for row in self.rows:
-            m = row.m if row.m is not None else "-"
-            if row.error is not None:
-                rec = {c: "-" for c in self.COLUMNS}
-                rec.update({"n": row.n, "p": row.p, "m": m, "seed": row.seed, "optimal": False})
-            else:
-                rec = {
-                    "n": row.n,
-                    "p": row.p,
-                    "m": m,
-                    "seed": row.seed,
+            rec = dict.fromkeys(self.COLUMNS, "-")
+            rec.update({"n": row.n, "p": row.p, "seed": row.seed, "optimal": row.optimal})
+            if row.m is not None:
+                rec["m"] = row.m
+            if row.error is None:
+                rec.update({
                     "nodes": row.nodes,
                     "T": f"{row.t:.6f}",
                     "T1": f"{row.t1:.6f}",
                     "T1_over_T": f"{row.t1 / row.t:.6f}" if row.t else "-",
                     "T_H": f"{row.t_h:.6f}",
                     "alpha": f"{row.alpha:.6f}" if row.optimal else "-",
-                    "optimal": row.optimal,
                     "upper_bound": row.upper_bound if row.upper_bound is not None else "-",
                     "gap": row.gap if row.gap is not None else "-",
-                }
+                })
             out.append(rec)
         return out
 
@@ -330,6 +325,13 @@ class BenchReport:
         return "\n".join(lines)
 
 
+def _generate(one_d: bool, **kwargs: Any) -> Instance:
+    """``generate_1d`` of a line ``GenConfig(**kwargs)`` when ``one_d``, else ``generate``."""
+    if one_d:
+        return generate_1d(GenConfig(dimension=Dimension.ONE_D, **kwargs))
+    return generate(GenConfig(**kwargs))
+
+
 def run_bench(
     ps: Sequence[int],
     ms: Sequence[int],
@@ -357,13 +359,8 @@ def run_bench(
         for m in ms if not one_d else [None]:
             for n in ns:
                 for seed in range(seeds):
-                    kwargs = dict(seed=seed, n=n, p=p, **overrides)
-                    if one_d:
-                        cfg = GenConfig(dimension=Dimension.ONE_D, **kwargs)
-                        instance = generate_1d(cfg)
-                    else:
-                        cfg = GenConfig(m=m, **kwargs)
-                        instance = generate(cfg)
+                    sizes = {} if one_d else {"m": m}
+                    instance = _generate(one_d, seed=seed, n=n, p=p, **sizes, **overrides)
                     try:
                         # the solver's greedy seed gives T_H and alpha
                         solution, stats = (solve_1d if one_d else solve)(instance, config)
@@ -395,13 +392,7 @@ def run_bench(
                         )
                     except Exception as exc:  # noqa: BLE001 - keep the sweep alive
                         print(f"bench: n={n} p={p} m={m} seed={seed} failed: {exc}", file=sys.stderr)
-                        rows.append(
-                            BenchRow(
-                                n=n, p=p, m=m, seed=seed,
-                                nodes=None, t=None, t1=None, t_h=None, alpha=None,
-                                optimal=False, error=str(exc),
-                            )
-                        )
+                        rows.append(BenchRow(n=n, p=p, m=m, seed=seed, error=str(exc)))
     return BenchReport(tuple(rows))
 
 
@@ -422,20 +413,17 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
         )
     one_d = instance.one_d
     band = 12.0
-    rects: list[tuple[Rect, str]] = []
-    for d in instance.dzs:
-        r = d.rect if not one_d else Rect(d.rect.x, -band, d.rect.w, band)
-        rects.append((r, "dz"))
-    if solution is not None:
-        for pl in solution.placements:
-            s = service_rect(instance.base, pl)
-            r = s if not one_d else Rect(s.x, 2.0, s.w, band)
-            rects.append((r, "sz"))
+    dz_rects = [d.rect if not one_d else Rect(d.rect.x, -band, d.rect.w, band) for d in instance.dzs]
+    sz_rects = []
+    for pl in solution.placements if solution is not None else ():
+        s = service_rect(instance.base, pl)
+        sz_rects.append(s if not one_d else Rect(s.x, 2.0, s.w, band))
+    rects = dz_rects + sz_rects
     if rects:
-        min_x = min(r.x for r, _ in rects)
-        min_y = min(r.y for r, _ in rects)
-        max_x = max(r.x2 for r, _ in rects)
-        max_y = max(r.y2 for r, _ in rects)
+        min_x = min(r.x for r in rects)
+        min_y = min(r.y for r in rects)
+        max_x = max(r.x2 for r in rects)
+        max_y = max(r.y2 for r in rects)
     else:
         min_x = min_y = 0.0
         max_x = max_y = 1.0
@@ -459,8 +447,7 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width * scale)}" '
         f'height="{fmt(height * scale)}" viewBox="0 0 {fmt(width * scale)} {fmt(height * scale)}">',
     ]
-    for d in instance.dzs:
-        r = d.rect if not one_d else Rect(d.rect.x, -band, d.rect.w, band)
+    for d, r in zip(instance.dzs, dz_rects):
         opacity = 0.15 + 0.6 * (d.v / vmax)
         lines.append(
             f'<rect class="dz" x="{fmt(sx(r.x))}" y="{fmt(sy(r.y2))}" '
@@ -468,9 +455,7 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
             f'fill="#4878a8" fill-opacity="{opacity:.3f}" stroke="#28506e" stroke-width="0.6"/>'
         )
     if solution is not None:
-        for idx, pl in enumerate(solution.placements):
-            s = service_rect(instance.base, pl)
-            r = s if not one_d else Rect(s.x, 2.0, s.w, band)
+        for idx, (pl, r) in enumerate(zip(solution.placements, sz_rects)):
             lines.append(
                 f'<rect class="sz" x="{fmt(sx(r.x))}" y="{fmt(sy(r.y2))}" '
                 f'width="{fmt(r.w * scale)}" height="{fmt(r.l * scale)}" '
@@ -527,12 +512,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise CliError(f"--base-dims expects 'w,l', got {args.base_dims!r}") from None
         kwargs["base_dims"] = (w, l)
     try:
-        if args.one_d:
-            config = GenConfig(dimension=Dimension.ONE_D, **kwargs)
-            instance = generate_1d(config)
-        else:
-            config = GenConfig(**kwargs)
-            instance = generate(config)
+        instance = _generate(args.one_d, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     dump_instance(instance, args.out)
@@ -623,6 +603,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     solution = None
     if args.solution is not None:
         solution, optimal = load_solution(args.solution)
+        # placements past p have no menu; render_svg refuses their count
+        for j, pl in enumerate(solution.placements[: instance.p]):
+            if pl.z not in instance.qos_for(j).factors:
+                raise CliError(f"placement {j} has scale {pl.z!r}, not on its menu; wrong instance/solution pair?")
         recomputed = covered_reward(
             instance.dzs, solution.placements, instance.base, instance.eta
         )
@@ -644,6 +628,11 @@ def cmd_render(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rectcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    solver_flags = argparse.ArgumentParser(add_help=False)
+    solver_flags.add_argument("--time-limit", type=float, default=18000.0)
+    solver_flags.add_argument("--beta", type=float, default=0.5)
+    solver_flags.add_argument("--epsilon", type=float, default=EPS)
+    solver_flags.add_argument("--scv-mode", choices=("outer", "full"), default="outer")
 
     gen = sub.add_parser("generate", help="write a random instance as JSON")
     gen.add_argument("--seed", type=int, default=0)
@@ -657,26 +646,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, type=_out_path)
     gen.set_defaults(func=cmd_generate)
 
-    slv = sub.add_parser("solve", help="solve an instance file")
+    slv = sub.add_parser("solve", help="solve an instance file", parents=[solver_flags])
     slv.add_argument("--instance", required=True)
     slv.add_argument("--algo", choices=("greedy", "exact", "oracle"), default="exact")
     slv.add_argument("--out", required=True, type=_out_path)
-    slv.add_argument("--time-limit", type=float, default=18000.0)
-    slv.add_argument("--beta", type=float, default=0.5)
-    slv.add_argument("--epsilon", type=float, default=EPS)
-    slv.add_argument("--scv-mode", choices=("outer", "full"), default="outer")
     slv.set_defaults(func=cmd_solve)
 
-    ben = sub.add_parser("bench", help="seeded sweep with CSV report")
+    ben = sub.add_parser("bench", help="seeded sweep with CSV report", parents=[solver_flags])
     ben.add_argument("--p", default="2", help="comma-separated list")
     ben.add_argument("--m", default="2", help="comma-separated list (planar)")
     ben.add_argument("--n", default="10", help="comma-separated list")
     ben.add_argument("--seeds", type=int, default=3)
     ben.add_argument("--one-d", action="store_true")
-    ben.add_argument("--time-limit", type=float, default=18000.0)
-    ben.add_argument("--beta", type=float, default=0.5)
-    ben.add_argument("--epsilon", type=float, default=EPS)
-    ben.add_argument("--scv-mode", choices=("outer", "full"), default="outer")
     ben.add_argument("--oracle-budget", type=int, default=0,
                      help="cross-check rows whose enumeration fits this budget (0 = off)")
     ben.add_argument("--out", required=True, type=_out_path)

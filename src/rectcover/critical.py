@@ -32,8 +32,6 @@ class CriticalValueSet:
     """Sorted, deduplicated candidate coordinates along one axis for one scale."""
 
     values: tuple[float, ...]
-    axis: Axis
-    scale: float
 
     def __len__(self) -> int:
         return len(self.values)
@@ -103,7 +101,7 @@ def inner_demand_grid(
     values[1::2] = (rows[:, k] + rows[:, k + 2]) - reach
     values.sort(kind="stable")
     if not values.size:
-        return CriticalValueSet((), axis, z)
+        return CriticalValueSet(())
     gap = values[1:] - values[:-1]
     keep = np.empty(values.size, dtype=bool)
     keep[0] = True
@@ -113,7 +111,7 @@ def inner_demand_grid(
         while not keep[last]:
             last -= 1
         keep[i] = values[i] - values[last] >= eps
-    return CriticalValueSet(tuple(values[keep].tolist()), axis, z)
+    return CriticalValueSet(tuple(values[keep].tolist()))
 
 
 def service_breakpoints(

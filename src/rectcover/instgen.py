@@ -78,14 +78,12 @@ def _category(rng: np.random.Generator, config: GenConfig) -> int:
     return k if k < config.num_concentrations else -1
 
 
-def generate(config: GenConfig) -> Instance:
-    """Planar instance with a shared scale menu ``{1, ..., m}``."""
-    if config.dimension is not Dimension.TWO_D:
-        raise ValueError("generate() builds planar instances; use generate_1d()")
+def _draw(config: GenConfig, plane: bool) -> tuple[DemandZone, ...]:
+    """Demand zones in the documented draw order; a line skips every y and l draw."""
     rng = np.random.default_rng(config.seed)
     std = config.r / 3.0
     centers = [
-        (rng.uniform(0.0, config.region), rng.uniform(0.0, config.region))
+        (rng.uniform(0.0, config.region), rng.uniform(0.0, config.region) if plane else 0.0)
         for _ in range(config.num_concentrations)
     ]
     dzs = []
@@ -93,16 +91,23 @@ def generate(config: GenConfig) -> Instance:
         k = _category(rng, config)
         if k >= 0:
             x = rng.normal(centers[k][0], std)
-            y = rng.normal(centers[k][1], std)
+            y = rng.normal(centers[k][1], std) if plane else 0.0
         else:
             x = rng.uniform(0.0, config.region)
-            y = rng.uniform(0.0, config.region)
+            y = rng.uniform(0.0, config.region) if plane else 0.0
         w = rng.uniform(*config.dim_range)
-        l = rng.uniform(*config.dim_range)
+        l = rng.uniform(*config.dim_range) if plane else 0.0
         v = rng.uniform(*config.rate_range)
         dzs.append(DemandZone(Rect(x, y, w, l), v))
+    return tuple(dzs)
+
+
+def generate(config: GenConfig) -> Instance:
+    """Planar instance with a shared scale menu ``{1, ..., m}``."""
+    if config.dimension is not Dimension.TWO_D:
+        raise ValueError("generate() builds planar instances; use generate_1d()")
     return Instance(
-        dzs=tuple(dzs),
+        dzs=_draw(config, plane=True),
         base=BaseServiceZone(*config.base_dims),
         p=config.p,
         qos=QosSet(tuple(float(k) for k in range(1, config.m + 1))),
@@ -120,21 +125,8 @@ def generate_1d(config: GenConfig) -> Instance:
     """
     if config.dimension is not Dimension.ONE_D:
         raise ValueError("generate_1d() needs config.dimension == ONE_D")
-    rng = np.random.default_rng(config.seed)
-    std = config.r / 3.0
-    centers = [rng.uniform(0.0, config.region) for _ in range(config.num_concentrations)]
-    dzs = []
-    for _ in range(config.n):
-        k = _category(rng, config)
-        if k >= 0:
-            x = rng.normal(centers[k], std)
-        else:
-            x = rng.uniform(0.0, config.region)
-        w = rng.uniform(*config.dim_range)
-        v = rng.uniform(*config.rate_range)
-        dzs.append(DemandZone(Rect(x, 0.0, w, 0.0), v))
     return Instance(
-        dzs=tuple(dzs),
+        dzs=_draw(config, plane=False),
         base=BaseServiceZone(config.base_dims[0], 0.0),
         p=config.p,
         qos=tuple(QosSet((float(j),)) for j in range(1, config.p + 1)),

@@ -175,7 +175,9 @@ class Instance:
     must use per-zone singleton menus and have all demand segments on the
     x-axis (``y == 0``, ``l == 0``).  Every demand zone's far edge must
     differ from its near edge in floating point: ``x + w != x``, and in the
-    plane ``y + l != y``.
+    plane ``y + l != y``.  Its far edges, and each of its edges moved by the
+    largest footprint (``w0 * z_max``, ``l0 * z_max``), must be finite, so
+    that no candidate position or service edge overflows.
     """
 
     dzs: tuple[DemandZone, ...]
@@ -199,6 +201,8 @@ class Instance:
                 raise ValueError("1d instances need one single-scale menu per service zone")
         elif self.base.l0 <= 0:
             raise ValueError("2d instances need a positive-length base")
+        z_max = self.scale_values()[-1]
+        reach_x, reach_y = self.base.w0 * z_max, self.base.l0 * z_max
         for i, d in enumerate(self.dzs):
             r = d.rect
             if one_d and (r.l != 0 or r.y != 0):
@@ -208,6 +212,9 @@ class Instance:
             if r.x2 == r.x or (not one_d and r.y2 == r.y):
                 axes = "x + w == x" if one_d else "x + w == x or y + l == y"
                 raise ValueError(f"dz[{i}] must have extents that do not vanish ({axes}), got {r}")
+            reach = (max(abs(r.x), abs(r.x2)) + reach_x, max(abs(r.y), abs(r.y2)) + reach_y)
+            if not all(map(math.isfinite, reach)):
+                raise ValueError(f"dz[{i}] overflows: an edge plus the largest footprint is not finite, got {r}")
 
     @property
     def one_d(self) -> bool:

@@ -107,17 +107,14 @@ def _estimate(instance: Instance, identity_only: bool) -> int:
     n_scales = 1
     for j in range(p):
         n_scales *= len(instance.qos_for(j).factors)
-    axes = 1 if instance.dimension is Dimension.ONE_D else 2
+    axes = 1 if instance.one_d else 2
     return n_scales * per_axis**axes
 
 
-def _best(
-    instance: Instance,
-    eps: float,
-    max_evaluations: int,
-    identity_only: bool,
-    one_d: bool,
-) -> OracleResult:
+def _best(instance: Instance, eps: float, max_evaluations: int, sequences: str) -> OracleResult:
+    if sequences not in ("all", "identity"):
+        raise ValueError(f"sequences must be 'all' or 'identity', got {sequences!r}")
+    identity_only = sequences == "identity"
     if not instance.dzs:
         fallback = tuple(
             Placement(0.0, 0.0, instance.qos_for(j).factors[0]) for j in range(instance.p)
@@ -136,7 +133,7 @@ def _best(
         x_tuples = _axis_tuples(instance, z_vec, True, eps, identity_only)
         y_tuples = (
             [(0.0,) * instance.p]
-            if one_d
+            if instance.one_d
             else _axis_tuples(instance, z_vec, False, eps, identity_only)
         )
         for xt in x_tuples:
@@ -168,9 +165,7 @@ def brute_force_2d(
     """
     if instance.dimension is not Dimension.TWO_D:
         raise ValueError("brute_force_2d needs a planar instance")
-    if sequences not in ("all", "identity"):
-        raise ValueError(f"sequences must be 'all' or 'identity', got {sequences!r}")
-    return _best(instance, eps, max_evaluations, sequences == "identity", one_d=False)
+    return _best(instance, eps, max_evaluations, sequences)
 
 
 def brute_force_1d(
@@ -182,6 +177,4 @@ def brute_force_1d(
     """Exhaustive reference optimum for a line instance."""
     if instance.dimension is not Dimension.ONE_D:
         raise ValueError("brute_force_1d needs a line instance")
-    if sequences not in ("all", "identity"):
-        raise ValueError(f"sequences must be 'all' or 'identity', got {sequences!r}")
-    return _best(instance, eps, max_evaluations, sequences == "identity", one_d=True)
+    return _best(instance, eps, max_evaluations, sequences)

@@ -65,7 +65,7 @@ def single_zone_reward(
 class RewardMatrix:
     """Single-zone rewards of one scale tabulated over its candidate grid.
 
-    ``entries[i, j]`` is the isolated reward of a scale-``scale`` zone placed
+    ``entries[i, j]`` is the isolated reward of a zone of that scale placed
     at ``(xs.values[i], ys.values[j])``.  The exact search's candidate sets
     are index ranges into these two grids.
 
@@ -75,7 +75,6 @@ class RewardMatrix:
     over, so the memo lives as long as the matrix, which is one solve.
     """
 
-    scale: float
     xs: CriticalValueSet
     ys: CriticalValueSet
     entries: np.ndarray
@@ -192,7 +191,7 @@ class _Demand:
         """
         xs = inner_demand_grid(self.rows, z, self.base, Axis.X, eps)
         if self.base.l0 == 0:
-            ys = CriticalValueSet((0.0,), Axis.Y, z)
+            ys = CriticalValueSet((0.0,))
         else:
             ys = inner_demand_grid(self.rows, z, self.base, Axis.Y, eps)
         rates = self.v / eta.apply(z)  # reward_rate per piece
@@ -245,7 +244,7 @@ def build_reward_matrix(
     xs, ys, rates, x, y = _Demand(dzs, base).scale(z, eta, eps)
     entries = np.zeros((len(xs), len(ys)))
     _add_blocks(entries, rates, x.overlaps(), y.overlaps(), x.start, x.stop, y.start, y.stop)
-    return RewardMatrix(z, xs, ys, entries)
+    return RewardMatrix(xs, ys, entries)
 
 
 def covered_reward(

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 from rectcover import bnb
 from rectcover import (
-    EPS,
     BaseServiceZone,
     DemandZone,
     Dimension,
@@ -28,6 +27,7 @@ from rectcover import (
     generate,
     generate_1d,
 )
+from rectcover.geometry import EPS
 
 
 def square_instance(m: int = 2, p: int = 2) -> Instance:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rectcover import (
-    Axis,
     BaseServiceZone,
     DemandZone,
     Eta,
@@ -16,13 +15,10 @@ from rectcover import (
     QosSet,
     Rect,
     brute_force_2d,
-    build_reward_matrix,
     covered_reward,
     generate,
     greedy,
-    partition,
     solve,
-    solve_single_zone,
 )
 from rectcover import bnb
 from rectcover.bnb import (
@@ -36,12 +32,14 @@ from rectcover.bnb import (
     branch,
     is_leaf,
     leaf_placements,
+    partition,
     priority_score,
     root_node,
     upper_bound,
 )
 from rectcover.critical import contains_value
-from rectcover.geometry import EPS
+from rectcover.geometry import EPS, Axis
+from rectcover.reward import build_reward_matrix, solve_single_zone
 
 from conftest import (
     candidate_values,

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from rectcover import (
-    Axis,
     BaseServiceZone,
     DemandZone,
     Dimension,
@@ -32,7 +31,7 @@ from rectcover.bnb import (
     upper_bound,
 )
 from rectcover.bnb1d import Node1D, branch_1d, root_node_1d
-from rectcover.geometry import EPS
+from rectcover.geometry import EPS, Axis
 from rectcover.reward import build_reward_matrix, planar_form
 
 from conftest import (

@@ -492,6 +492,21 @@ def test_render_claim_rule(optimal, shift, accepted, square_file, tmp_path, caps
     assert ("does not match" in capsys.readouterr().err) == (not accepted)
 
 
+
+@pytest.mark.parametrize("z", [1.5, 3.0, 1e308])
+def test_render_refuses_a_scale_off_the_menu(z, square_file, tmp_path, capsys):
+    # an unproven claim of 0 passes the reward check, so only the menu check
+    # stands between z = 1e308 and an infinite service rectangle
+    placements = (Placement(0.0, 0.0, 1.0), Placement(2.0, 2.0, z))
+    path = tmp_path / "sol.json"
+    stats = SolverStats(nodes_explored=1, optimal=False)
+    path.write_text(json.dumps(solution_to_dict(Solution(placements, 0.0), stats)))
+    code = main(["render", "--instance", str(square_file), "--solution", str(path),
+                 "--out", str(tmp_path / "x.svg")])
+    _assert_clean_error(code, capsys.readouterr().err, "not on its menu; wrong instance/solution pair?")
+    assert not (tmp_path / "x.svg").exists()
+
+
 def _covered(inst, solution):
     return covered_reward(inst.dzs, solution.placements, inst.base, inst.eta)
 
@@ -504,6 +519,29 @@ def _assert_clean_error(code: int, err: str, where: str) -> None:
     assert code == 1
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors and where in errors[0], err
+
+
+
+@pytest.mark.parametrize("algo", ["greedy", "exact"])
+@pytest.mark.parametrize("edit", ["footprint", "far edge"])
+def test_solve_refuses_an_instance_whose_edges_overflow(tmp_path, capsys, algo, edit):
+    data = instance_to_dict(small_2d(seed=0, n=4, m=2))
+    if edit == "footprint":
+        data["base_sz"]["w"] = 1e308  # w0 * z_max = 2e308 is infinite
+    else:
+        data["dzs"][1].update(x=1e308, w=1e308)  # x + w = 2e308 is infinite
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code = main(["solve", "--algo", algo, "--instance", str(path), "--out", str(tmp_path / "s.json")])
+    _assert_clean_error(code, capsys.readouterr().err, "overflows")
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_generate_refuses_a_base_whose_footprint_overflows(tmp_path, capsys, one_d):
+    argv = ["generate", "--base-dims", "1e308,40", "--m", "2", "--p", "2", "--out", str(tmp_path / "x.json")]
+    _assert_clean_error(main(argv + ["--one-d"] * one_d), capsys.readouterr().err, "overflows")
+    assert not (tmp_path / "x.json").exists()
 
 
 INSTANCE_MUTATIONS = {

@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcover import (
-    Axis,
     BaseServiceZone,
     DemandZone,
     Rect,
+)
+from rectcover.critical import (
+    abutment_values,
     contains_value,
     dedup_sorted,
     demand_breakpoints,
     inner_demand_grid,
     service_breakpoints,
 )
-from rectcover.critical import abutment_values
+from rectcover.geometry import Axis
 
 
 def test_dedup_sorted_merges_near_duplicates():
@@ -61,7 +63,6 @@ def test_inner_demand_grid_small_case():
     base = BaseServiceZone(2.0, 2.0)
     grid = inner_demand_grid(dzs, 1.0, base, Axis.X)
     assert grid.values == (0.0, 2.0, 10.0, 12.0)
-    assert grid.scale == 1.0
     assert len(grid) == 4
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcover import Rect, area, intersect, trim_out
-from rectcover.geometry import EPS
+from rectcover import Rect
+from rectcover.geometry import EPS, area, intersect, trim_out
 
 
 def test_rect_edges():

@@ -18,8 +18,8 @@ from rectcover import (
     generate_1d,
     greedy,
     pseudo_greedy,
-    solve_single_zone,
 )
+from rectcover.reward import solve_single_zone
 
 from conftest import small_2d, square_instance
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcover import (
-    EPS,
     BaseServiceZone,
     DemandZone,
     Dimension,
@@ -20,18 +19,15 @@ from rectcover import (
     GenConfig,
     Placement,
     Rect,
-    area,
     generate,
     generate_1d,
     greedy,
     pseudo_greedy,
-    service_rect,
-    single_zone_reward,
-    solve_single_zone,
-    trim_out,
 )
+from rectcover.geometry import EPS, area, trim_out
 from rectcover.greedy import _take
-from rectcover.model import demand_rows, demand_zones, planar_form
+from rectcover.model import demand_rows, demand_zones, planar_form, service_rect
+from rectcover.reward import single_zone_reward, solve_single_zone
 
 
 def hexes(values):

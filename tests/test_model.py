@@ -11,9 +11,8 @@ from rectcover import (
     Placement,
     QosSet,
     Rect,
-    reward_rate,
-    service_rect,
 )
+from rectcover.model import reward_rate, service_rect
 
 from conftest import square_instance
 
@@ -145,6 +144,33 @@ def test_instance_refuses_demand_that_vanishes_in_floating_point(rect, one_d):
     # far out is fine while the extent still moves the far edge
     far = Rect(1e300, 0.0, 1e290, 0.0 if one_d else 1e290)
     assert Instance(dzs=(ok, DemandZone(far, 1.0)), p=1, **kind).dzs[1].rect == far
+
+
+
+@pytest.mark.parametrize(
+    "rect, base, menu, one_d",
+    [
+        (Rect(1e308, 0.0, 1e308, 5.0), (2.0, 2.0), (1.0,), False),  # x + w overflows
+        (Rect(0.0, 1e308, 5.0, 1e308), (2.0, 2.0), (1.0,), False),  # y + l overflows
+        (Rect(-1e308, 0.0, 1e306, 5.0), (1e308, 2.0), (1.0,), False),  # x - w0 overflows
+        (Rect(0.0, 0.0, 5.0, 5.0), (1e308, 8.0), (1.0, 2.0), False),  # w0 * z_max overflows
+        (Rect(0.0, 1.7e308, 5.0, 1e306), (2.0, 1e307), (1.0, 2.0), False),  # y2 + l0 * z_max
+        (Rect(1e308, 0.0, 1e308, 0.0), (2.0, 0.0), (1.0,), True),
+        (Rect(1.7e308, 0.0, 1e306, 0.0), (1e307, 0.0), (2.0,), True),
+    ],
+)
+def test_instance_refuses_demand_whose_edges_overflow(rect, base, menu, one_d):
+    if one_d:
+        kind = dict(qos=(QosSet(menu),), dimension=Dimension.ONE_D)
+    else:
+        kind = dict(qos=QosSet(menu))
+    ok = DemandZone(Rect(0.0, 0.0, 4.0, 0.0 if one_d else 4.0), 1.0)
+    with pytest.raises(ValueError, match=r"dz\[\d\] overflows"):
+        Instance(dzs=(ok, DemandZone(rect, 1.0)), base=BaseServiceZone(*base), p=1, **kind)
+    # the largest edge and footprint still fit below the float maximum
+    near = Rect(-1e308, 1e308, 1e307, 1e307)
+    big = Instance(dzs=(DemandZone(near, 1.0),), base=BaseServiceZone(1e307, 1e307), p=1, qos=QosSet((1.0, 5.0)))
+    assert big.dzs[0].rect == near
 
 
 def test_demand_zone_box_is_bounds_form_built_once():

@@ -42,7 +42,7 @@ def test_size_guard_refuses_big_enumerations():
 def test_single_zone_case_agrees_with_the_reward_module():
     # with one zone the oracle must land on the single-zone optimum, which the
     # reward module computes by a different route (matrix argmax)
-    from rectcover import solve_single_zone
+    from rectcover.reward import solve_single_zone
 
     inst = small_2d(seed=2, n=4, m=2, p=1)
     res = brute_force_2d(inst)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcover import (
-    Axis,
     BaseServiceZone,
     DemandZone,
     Eta,
@@ -31,6 +30,7 @@ from rectcover.bnb import (
 )
 from rectcover.bnb1d import branch_1d, root_node_1d
 from rectcover.critical import inner_demand_grid, service_breakpoints
+from rectcover.geometry import Axis
 from rectcover.reward import ResidualDemand
 
 from conftest import micro_line, small_1d

@@ -15,13 +15,15 @@ from rectcover import (
     Placement,
     QosSet,
     Rect,
-    build_reward_matrix,
     covered_reward,
     generate,
     generate_1d,
-    planar_form,
     pseudo_greedy,
-    reward_rate,
+)
+from rectcover.model import reward_rate
+from rectcover.reward import (
+    build_reward_matrix,
+    planar_form,
     single_zone_reward,
     solve_single_zone,
 )
