@@ -431,6 +431,8 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
     min_x, min_y, max_x, max_y = min_x - pad, min_y - pad, max_x + pad, max_y + pad
     width = max_x - min_x
     height = max_y - min_y
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise CliError("the drawing's extent overflows")
     scale = 720.0 / max(width, height)
 
     def sx(x: float) -> float:

@@ -7,16 +7,12 @@ always better than ``1 - 1/e``).  :func:`pseudo_greedy` runs the same loop
 with a pluggable, possibly approximate single-zone solver; a solver within
 factor ``a`` of the exact one yields at least ``1 - ((p-a)/p)**p``.
 
-The unserved demand is one float array from the lifted instance to the last
-round (:func:`~rectcover.model.demand_rows`): a row ``(x, y, w, l, v)`` per
-piece, in planar form.  Each round's single-zone solve reads it directly,
-and one pass over it (:func:`_take`) yields both the round's gain and the
-pieces left.  The rows are kept in rect form, like :class:`Rect`, because a
-far edge is then always recomputed as ``x + w``, exactly as ``Rect.x2``
-does; in bounds form ``x1 + (x2 - x1)`` need not give back ``x2``, and the
-rounds would drift off the object path by a bit.  So every round matches,
-bit for bit, the loop over pieces it replaces: ``single_zone_reward`` for
-the gain and ``trim_out`` for the trim.
+The unserved demand is a list of planar rect-form rows ``(x, y, w, l, v)``
+from the lifted instance to the last round.  Each round's single-zone solver
+reads them as one array (:func:`~rectcover.model.demand_rows` form), and
+:func:`~rectcover.reward.serve_zone`, the trimming loop of
+:func:`~rectcover.reward.covered_reward`, yields both the round's gain and
+the rows left.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import EPS, Rect
+from .geometry import EPS
 from .model import (
     BaseServiceZone,
     Eta,
@@ -38,7 +34,7 @@ from .model import (
     demand_zones,
     service_rect,
 )
-from .reward import SingleZoneSolver, solve_single_zone
+from .reward import SingleZoneSolver, serve_zone, solve_single_zone
 
 
 @dataclass(frozen=True)
@@ -49,60 +45,6 @@ class GreedyTrace:
     solution: Solution
 
 
-#: Bounds ``(x1, y1, x2, y2)`` of the five pieces :func:`_take` may leave of
-#: a row (untouched, bottom, top, left and right strip), as columns of the
-#: row's ``(x, y, x2, y2, ix1, iy1, ix2, iy2)``: its bounds, then those of
-#: its overlap with the zone.  The bottom strip, for one, is ``(x, y, x2, iy1)``.
-_PIECE_BOUNDS = np.array([
-    [0, 1, 2, 3],
-    [0, 1, 2, 5],
-    [0, 7, 2, 3],
-    [0, 5, 4, 7],
-    [6, 5, 2, 7],
-])
-
-
-def _take(rows: np.ndarray, zone: Rect, eta_z: float, eps: float) -> tuple[float, np.ndarray]:
-    """What ``zone`` collects from the demand ``rows`` and the rows it leaves.
-
-    The gain pays each piece its rate ``v / eta_z`` times its overlap with
-    ``zone``, added one piece after another in row order, as
-    ``single_zone_reward`` adds them (``cumsum``, neither numpy's pairwise
-    sum nor the builtin ``sum``, which compensates on Python 3.12).
-
-    The rows left are ``trim_out`` of every piece, in row order: the piece
-    itself when ``zone`` misses it (if it is not degenerate), else its
-    bottom, top, left and right strips outside ``zone``, each where the
-    piece reaches past the zone on that side.  The comparisons are those of
-    ``intersect`` and ``_trim_bounds`` (``a if a > b else b`` as
-    ``np.where``), a strip's extents are its bounds' differences as
-    ``trim_out`` takes them, and a piece with area under ``eps**2`` is
-    dropped, so every row equals the ``Rect`` the loop over pieces builds.
-    """
-    lo, ext, v = rows[:, :2], rows[:, 2:4], rows[:, 4]
-    hi = lo + ext
-    zlo, zhi = np.array([zone.x, zone.y]), np.array([zone.x2, zone.y2])
-    ilo = np.where(lo > zlo, lo, zlo)
-    ihi = np.where(hi < zhi, hi, zhi)
-    iext = ihi - ilo
-    hit = (iext[:, 0] > 0) & (iext[:, 1] > 0)
-    terms = ((v / eta_z) * (iext[:, 0] * iext[:, 1]))[hit]
-    gain = float(terms.cumsum()[-1]) if terms.size else 0.0
-    bounds = np.concatenate([lo, hi, ilo, ihi], axis=1)[:, _PIECE_BOUNDS]
-    pieces = np.empty((len(rows), 5, 5))
-    pieces[:, :, :2] = bounds[:, :, :2]
-    np.subtract(bounds[:, :, 2:], bounds[:, :, :2], out=pieces[:, :, 2:4])
-    pieces[:, :, 4] = v[:, None]
-    pieces[:, 0] = rows  # an untouched piece keeps its own extents
-    keep = np.empty((len(rows), 5), dtype=bool)
-    keep[:, 0] = ~hit & (ext[:, 0] > 0) & (ext[:, 1] > 0)
-    # the extent across the cut: the bottom and top strips' l, the left and right strips' w
-    np.greater(pieces[:, [1, 2, 3, 4], [3, 3, 2, 2]], 0.0, out=keep[:, 1:])
-    keep[:, 1:] &= hit[:, None]
-    keep &= pieces[:, :, 2] * pieces[:, :, 3] >= eps * eps
-    return gain, pieces[keep]
-
-
 #: A round's single-zone solver on the demand rows: ``(rows, qos, base, eta)
 #: -> (reward, x, y, z)``.
 _RowSolver = Callable[[np.ndarray, QosSet, BaseServiceZone, Eta], tuple[float, float, float, float]]
@@ -110,15 +52,17 @@ _RowSolver = Callable[[np.ndarray, QosSet, BaseServiceZone, Eta], tuple[float, f
 
 def _run(instance: Instance, solver: _RowSolver, eps: float) -> GreedyTrace:
     lifted, lifted_base = instance.planar
-    rows = demand_rows(lifted)
+    rows = demand_rows(lifted).tolist()
     placements: list[Placement] = []
     rewards: list[float] = []
     for j in range(instance.p):
-        _, x, y, z = solver(rows, instance.qos_for(j), instance.base, instance.eta)
+        demand = np.array(rows, dtype=float).reshape(-1, 5)
+        _, x, y, z = solver(demand, instance.qos_for(j), instance.base, instance.eta)
         pl = Placement(x, y, z)
         # Marginal value is re-evaluated at the returned position so the trace
         # stays truthful even if the solver's own reward claim is off.
-        gain, rows = _take(rows, service_rect(lifted_base, pl), instance.eta.apply(z), eps)
+        zone = service_rect(lifted_base, pl)
+        gain, rows = serve_zone(rows, (zone.x, zone.y, zone.x2, zone.y2), instance.eta.apply(z), eps)
         rewards.append(gain)
         placements.append(pl)
     # The claimed value is what the rounds actually collected: each round pays

@@ -57,10 +57,10 @@ class DemandZone:
             raise ValueError(f"demand rate must be positive and finite, got {self.v!r}")
 
     @cached_property
-    def box(self) -> tuple[float, float, float, float, float]:
-        """``(x, y, x2, y2, v)``: the rectangle in bounds form plus the rate, built once."""
+    def row(self) -> tuple[float, float, float, float, float]:
+        """``(x, y, w, l, v)``: the rectangle in rect form plus the rate, built once."""
         r = self.rect
-        return (r.x, r.y, r.x2, r.y2, self.v)
+        return (r.x, r.y, r.w, r.l, self.v)
 
 
 @dataclass(frozen=True)
@@ -147,18 +147,13 @@ def planar_form(
 
 
 def demand_rows(dzs: Sequence[DemandZone] | np.ndarray) -> np.ndarray:
-    """Demand zones as one ``(n, 5)`` float array of rows ``(x, y, w, l, v)``.
+    """Demand zones as one ``(n, 5)`` float array of their rect-form ``DemandZone.row``.
 
-    Rows are in rect form, as :class:`Rect` stores a rectangle: a far edge is
-    recomputed as ``x + w``, exactly as ``Rect.x2`` does, so every value
-    derived from a row equals the one derived from its ``DemandZone``.  (In
-    bounds form, ``x1 + (x2 - x1)`` need not give back ``x2``.)  An array
-    passes through unchanged.
+    An array passes through unchanged.
     """
     if isinstance(dzs, np.ndarray):
         return dzs
-    rows = [(d.rect.x, d.rect.y, d.rect.w, d.rect.l, d.v) for d in dzs]
-    return np.array(rows, dtype=float).reshape(-1, 5)
+    return np.array([d.row for d in dzs], dtype=float).reshape(-1, 5)
 
 
 def demand_zones(rows: np.ndarray) -> tuple[DemandZone, ...]:
@@ -177,7 +172,12 @@ class Instance:
     differ from its near edge in floating point: ``x + w != x``, and in the
     plane ``y + l != y``.  Its far edges, and each of its edges moved by the
     largest footprint (``w0 * z_max``, ``l0 * z_max``), must be finite, so
-    that no candidate position or service edge overflows.
+    that no candidate position or service edge overflows.  Its area ``w * l``
+    and the products ``v * w`` and ``v * l`` must be finite (``l`` counts as
+    1 on a line, as lifted), and so must ``p`` times the total demand reward
+    ``sum(v * w * l)``.  These are the intermediate products of the reward
+    matrices, tile bounds, residual gains and trims, and the search's root
+    bound adds up ``p`` zone maxima.
     """
 
     dzs: tuple[DemandZone, ...]
@@ -203,6 +203,7 @@ class Instance:
             raise ValueError("2d instances need a positive-length base")
         z_max = self.scale_values()[-1]
         reach_x, reach_y = self.base.w0 * z_max, self.base.l0 * z_max
+        total = 0.0
         for i, d in enumerate(self.dzs):
             r = d.rect
             if one_d and (r.l != 0 or r.y != 0):
@@ -215,6 +216,12 @@ class Instance:
             reach = (max(abs(r.x), abs(r.x2)) + reach_x, max(abs(r.y), abs(r.y2)) + reach_y)
             if not all(map(math.isfinite, reach)):
                 raise ValueError(f"dz[{i}] overflows: an edge plus the largest footprint is not finite, got {r}")
+            l = 1.0 if one_d else r.l
+            if not all(map(math.isfinite, (r.w * l, d.v * r.w, d.v * l))):
+                raise ValueError(f"dz[{i}] overflows: its area or reward is not finite, got {r} at rate {d.v!r}")
+            total += d.v * r.w * l
+        if not math.isfinite(self.p * total):
+            raise ValueError("the demand overflows: p times its total reward is not finite")
 
     @property
     def one_d(self) -> bool:

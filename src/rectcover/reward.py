@@ -5,7 +5,9 @@ area, weighted by the demand rate divided by the covering zone's decay value,
 where any point covered several times pays at its best (smallest-scale)
 covering zone.  Equivalently: process placements from best scale to worst,
 pay each for what it newly covers, and trim the paid region out of the
-demand set.
+demand set.  One routine, :func:`serve_zone`, pays and trims for one zone;
+:func:`covered_reward`, :class:`ResidualDemand` and greedy's rounds all
+trim served demand through it.
 
 One-dimensional instances (``base.l0 == 0``) reuse the planar machinery by
 lifting every demand segment to a unit-height box, so covered length and
@@ -258,16 +260,58 @@ def covered_reward(
 
     Placements are processed by ascending scale (ties by original order);
     each is paid for its overlap with the not-yet-served demand set, which is
-    then trimmed.  Near-degenerate trim slivers (area below ``eps**2``) are
-    dropped to bound bookkeeping growth.  Each demand zone's bounds come from
-    its ``DemandZone.box``, built once per zone.
+    then trimmed (:func:`serve_zone`).  Near-degenerate pieces (area below
+    ``eps**2``) are dropped to bound bookkeeping growth.
     """
     if not placements or not dzs:
         return 0.0
     return _serve(dzs, placements, base, eta, eps)[0]
 
 
-Box = tuple[float, float, float, float, float]
+def serve_zone(
+    rows: Sequence[Sequence[float]],
+    zone: tuple[float, float, float, float],
+    eta_z: float,
+    eps: float,
+    total: float = 0.0,
+    paid: list[tuple[float, ...]] | None = None,
+) -> tuple[float, list[Sequence[float]]]:
+    """Serve the demand ``rows`` by the zone with bounds ``(x1, y1, x2, y2)``: ``(total, rows left)``.
+
+    Rows are ``(x, y, w, l, v)`` in planar rect form, as :class:`Rect`
+    stores a rectangle: a far edge is recomputed as ``x + w``, exactly as
+    ``Rect.x2`` does.  (In bounds form ``x1 + (x2 - x1)`` need not give back
+    ``x2``, and the result would drift off the object path by a bit.)  So
+    the result equals, bit for bit, the loop over ``Rect`` pieces: each
+    piece the zone meets adds ``reward_rate * area(intersect)`` to
+    ``total``, one piece after another in row order, and the rows left are
+    ``trim_out`` of every piece, in row order, without those of area below
+    ``eps**2``.  When ``paid`` is a list, every served piece is appended to
+    it as ``(x, y, w, l, v, rate)``, with the rate it was paid.
+    """
+    sx1, sy1, sx2, sy2 = zone
+    min_area = eps * eps
+    left: list[Sequence[float]] = []
+    for row in rows:
+        x1, y1, w, l, v = row
+        x2 = x1 + w
+        y2 = y1 + l
+        ix1 = x1 if x1 > sx1 else sx1
+        iy1 = y1 if y1 > sy1 else sy1
+        ix2 = x2 if x2 < sx2 else sx2
+        iy2 = y2 if y2 < sy2 else sy2
+        if ix2 - ix1 <= 0 or iy2 - iy1 <= 0:
+            if w > 0 and l > 0 and w * l >= min_area:
+                left.append(row)
+            continue
+        rate = v / eta_z
+        total += rate * ((ix2 - ix1) * (iy2 - iy1))
+        if paid is not None:
+            paid.append((ix1, iy1, ix2 - ix1, iy2 - iy1, v, rate))
+        for px1, py1, px2, py2 in _trim_bounds(x1, y1, x2, y2, sx1, sy1, sx2, sy2):
+            if (px2 - px1) * (py2 - py1) >= min_area:
+                left.append((px1, py1, px2 - px1, py2 - py1, v))
+    return total, left
 
 
 def _serve(
@@ -276,47 +320,18 @@ def _serve(
     base: BaseServiceZone,
     eta: Eta,
     eps: float,
-    paid: list[tuple[Box, float]] | None = None,
-) -> tuple[float, list[Box]]:
-    """The trimming loop of :func:`covered_reward`: ``(reward, unserved boxes)``.
-
-    Boxes are ``(x1, y1, x2, y2, v)`` in planar form.  When ``paid`` is a
-    list, every served piece is appended to it with the rate it was paid.
-    """
+    paid: list[tuple[float, ...]] | None = None,
+) -> tuple[float, list[Sequence[float]]]:
+    """:func:`serve_zone` for each placement by ascending scale: ``(reward, unserved rows)``."""
     pdzs, pbase = planar_form(dzs, base)
-    order = sorted(range(len(placements)), key=lambda i: (placements[i].z, i))
-    boxes = [d.box for d in pdzs]
-    min_area = eps * eps
-    w0 = pbase.w0
-    l0 = pbase.l0
+    rows: list[Sequence[float]] = [d.row for d in pdzs]
     total = 0.0
-    for i in order:
-        pl = placements[i]
-        sx1 = pl.x
-        sy1 = pl.y
-        sx2 = pl.x + w0 * pl.z
-        sy2 = pl.y + l0 * pl.z
-        eta_z = eta.apply(pl.z)
-        remaining: list[Box] = []
-        for box in boxes:
-            x1, y1, x2, y2, v = box
-            ix1 = x1 if x1 > sx1 else sx1
-            iy1 = y1 if y1 > sy1 else sy1
-            ix2 = x2 if x2 < sx2 else sx2
-            iy2 = y2 if y2 < sy2 else sy2
-            if ix2 - ix1 <= 0 or iy2 - iy1 <= 0:
-                remaining.append(box)
-                continue
-            total += (v / eta_z) * ((ix2 - ix1) * (iy2 - iy1))
-            if paid is not None:
-                paid.append(((ix1, iy1, ix2, iy2, v), v / eta_z))
-            for px1, py1, px2, py2 in _trim_bounds(x1, y1, x2, y2, sx1, sy1, sx2, sy2):
-                if (px2 - px1) * (py2 - py1) >= min_area:
-                    remaining.append((px1, py1, px2, py2, v))
-        boxes = remaining
-        if not boxes:
+    for pl in sorted(placements, key=lambda q: q.z):  # stable: ties keep their order
+        zone = (pl.x, pl.y, pl.x + pbase.w0 * pl.z, pl.y + pbase.l0 * pl.z)
+        total, rows = serve_zone(rows, zone, eta.apply(pl.z), eps, total, paid)
+        if not rows:
             break
-    return total, boxes
+    return total, rows
 
 
 class ResidualDemand:
@@ -345,11 +360,11 @@ class ResidualDemand:
         eta: Eta,
         eps: float = EPS,
     ) -> None:
-        paid: list[tuple[Box, float]] = []
+        paid: list[tuple[float, ...]] = []
         self.served, unserved = _serve(dzs, placements, base, eta, eps, paid)
-        pieces = [box for box, _ in paid] + unserved
-        self._x1, self._y1, self._x2, self._y2, self._v = np.array(pieces, dtype=float).reshape(-1, 5).T
-        self._paid = np.array([rate for _, rate in paid] + [0.0] * len(unserved))
+        pieces = np.array(paid + [(*row, 0.0) for row in unserved], dtype=float).reshape(-1, 6)
+        self._x1, self._y1, w, l, self._v, self._paid = pieces.T
+        self._x2, self._y2 = self._x1 + w, self._y1 + l
         self._base = planar_form((), base)[1]
         self._eta = eta
         self._best: dict[tuple[float, float, bool], float] = {}

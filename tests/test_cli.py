@@ -537,6 +537,59 @@ def test_solve_refuses_an_instance_whose_edges_overflow(tmp_path, capsys, algo, 
     assert not (tmp_path / "s.json").exists()
 
 
+def _one_zone_file(tmp_path, one_d, zone, base):
+    data = {
+        "dimension": "1d" if one_d else "2d",
+        "eta": "linear",
+        "base_sz": base,
+        "p": 1,
+        "qos": {"per_sz": [[1]]} if one_d else {"shared": [1]},
+        "dzs": [zone],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+# each solved to reward=inf optimal=True before the area and reward checks
+AREA_OVERFLOWS = {
+    "plane area": (False, {"x": 0, "y": 0, "w": 1e200, "l": 1e200, "v": 1}, {"w": 1e200, "l": 1e200}),
+    "line reward": (True, {"x": 0, "y": 0, "w": 1e300, "l": 0, "v": 1e10}, {"w": 1e300, "l": 0}),
+}
+
+
+@pytest.mark.parametrize("algo", ["exact", "greedy", "oracle"])
+@pytest.mark.parametrize("case", sorted(AREA_OVERFLOWS))
+def test_solve_refuses_an_instance_whose_area_or_reward_overflows(tmp_path, capsys, algo, case):
+    path = _one_zone_file(tmp_path, *AREA_OVERFLOWS[case])
+    code = main(["solve", "--algo", algo, "--instance", str(path), "--out", str(tmp_path / "s.json")])
+    _assert_clean_error(code, capsys.readouterr().err, "overflows: its area or reward is not finite")
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_render_refuses_a_drawing_whose_extent_overflows(tmp_path, capsys):
+    # a valid instance with demand 3e308 apart: the padded width is infinite
+    data = {
+        "dimension": "2d",
+        "eta": "linear",
+        "base_sz": {"w": 1e296, "l": 8},
+        "p": 2,
+        "qos": {"shared": [1]},
+        "dzs": [{"x": x, "y": 0, "w": 1e300, "l": 5, "v": 1} for x in (-1.5e308, 1.5e308)],
+    }
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(data))
+    code = main(["render", "--instance", str(far), "--out", str(tmp_path / "far.svg")])
+    _assert_clean_error(code, capsys.readouterr().err, "the drawing's extent overflows")
+    assert not (tmp_path / "far.svg").exists()
+    # a placement at the float maximum: its far edges are infinite
+    inst = square_instance()
+    top = 1.7976931348623157e308
+    solution = Solution((Placement(0.0, 0.0, 1.0), Placement(top, top, 1.0)), 0.0)
+    with pytest.raises(CliError, match="the drawing's extent overflows"):
+        render_svg(inst, solution)
+
+
 @pytest.mark.parametrize("one_d", [False, True])
 def test_generate_refuses_a_base_whose_footprint_overflows(tmp_path, capsys, one_d):
     argv = ["generate", "--base-dims", "1e308,40", "--m", "2", "--p", "2", "--out", str(tmp_path / "x.json")]

@@ -1,14 +1,17 @@
-"""Greedy's rounds on the demand array against the loops over pieces they replace.
+"""The one trimming routine against the loops over pieces it replaces.
 
-``greedy._take`` computes a round's gain and trim on one ``(x, y, w, l, v)``
-row array.  Its references are the object paths: ``single_zone_reward`` for
-the gain and ``trim_out`` plus the ``area >= eps**2`` filter for the trim.
-Both must agree bit for bit (compared as ``float.hex``, which also tells
-``0.0`` from ``-0.0``), piece for piece and in order.
+``reward.serve_zone`` computes a zone's gain and trim on rect-form rows
+``(x, y, w, l, v)``; greedy rounds, ``covered_reward`` and
+``ResidualDemand`` all trim through it.  Its references are the object
+paths: ``single_zone_reward`` for the gain, ``trim_out`` plus the ``area >=
+eps**2`` filter for the trim, and for ``covered_reward`` the two applied
+placement by placement in ascending scale.  Both must agree bit for bit
+(compared as ``float.hex``, which also tells ``0.0`` from ``-0.0``), piece
+for piece and in order.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectcover import (
@@ -24,10 +27,9 @@ from rectcover import (
     greedy,
     pseudo_greedy,
 )
-from rectcover.geometry import EPS, area, trim_out
-from rectcover.greedy import _take
-from rectcover.model import demand_rows, demand_zones, planar_form, service_rect
-from rectcover.reward import single_zone_reward, solve_single_zone
+from rectcover.geometry import EPS, area, intersect, trim_out
+from rectcover.model import demand_rows, demand_zones, planar_form, reward_rate, service_rect
+from rectcover.reward import ResidualDemand, covered_reward, serve_zone, single_zone_reward, solve_single_zone
 
 
 def hexes(values):
@@ -43,9 +45,13 @@ def reference_trim(dzs, zone, eps):
     ]
 
 
+def serve(dzs, zone, eta_z=1.0, eps=EPS):
+    return serve_zone(demand_rows(dzs).tolist(), (zone.x, zone.y, zone.x2, zone.y2), eta_z, eps)
+
+
 def assert_trim_matches(dzs, zone, eps=EPS):
-    _, rows = _take(demand_rows(dzs), zone, 1.0, eps)
-    assert [hexes(row) for row in rows.tolist()] == reference_trim(dzs, zone, eps)
+    _, rows = serve(dzs, zone, eps=eps)
+    assert [hexes(row) for row in rows] == reference_trim(dzs, zone, eps)
 
 
 # Coordinates on a coarse lattice, so that edges often coincide: pieces that
@@ -116,13 +122,13 @@ def test_trim_matches_trim_out_on_lifted_segments(segments, x, z):
 def test_trim_built_cases(d, zone, pieces):
     dzs = [DemandZone(d, 2.0), DemandZone(Rect(-9, -9, 1, 1), 1.0)]
     assert_trim_matches(dzs, zone)
-    _, rows = _take(demand_rows(dzs), zone, 1.0, EPS)
+    _, rows = serve(dzs, zone)
     assert len(rows) == pieces + 1  # the far square is never touched
 
 
 def test_trim_of_no_rows():
-    gain, rows = _take(demand_rows([]), Rect(0, 0, 1, 1), 1.0, EPS)
-    assert gain == 0.0 and rows.shape == (0, 5)
+    gain, rows = serve([], Rect(0, 0, 1, 1))
+    assert gain == 0.0 and rows == []
 
 
 def test_rows_round_trip_to_demand_zones():
@@ -136,7 +142,7 @@ def test_rows_round_trip_to_demand_zones():
 def assert_gain_matches(dzs, x, y, z, base, eta=Eta.LINEAR):
     pdzs, pbase = planar_form(dzs, base)
     zone = service_rect(pbase, Placement(x, y, z))
-    got, _ = _take(demand_rows(pdzs), zone, eta.apply(z), EPS)
+    got, _ = serve(pdzs, zone, eta.apply(z))
     assert got.hex() == single_zone_reward(dzs, x, y, z, base, eta).hex()
 
 
@@ -175,3 +181,70 @@ def test_gain_matches_single_zone_reward_on_line_input(segments, x, z):
 def test_pseudo_greedy_with_the_exact_solver_is_greedy(inst):
     # greedy hands the solver the row array, pseudo_greedy DemandZone objects
     assert pseudo_greedy(inst, solve_single_zone) == greedy(inst)
+
+
+# ------------------------------------------------------------- covered reward
+
+
+def reference_covered(dzs, placements, base, eta, eps=EPS):
+    """The object path: by ascending scale, pay each overlap, keep the filtered ``trim_out`` pieces."""
+    pdzs, pbase = planar_form(dzs, base)
+    pieces = [(d.rect, d.v) for d in pdzs]
+    total = 0.0
+    for pl in sorted(placements, key=lambda q: q.z):
+        zone = service_rect(pbase, pl)
+        left = []
+        for r, v in pieces:
+            overlap = intersect(r, zone)
+            if overlap is not None:
+                total += reward_rate(v, pl.z, eta) * area(overlap)
+            left += [(piece, v) for piece in trim_out(r, zone) if area(piece) >= eps * eps]
+        pieces = left
+    return total
+
+
+def assert_covered_matches(pieces, placements, base):
+    dzs = [DemandZone(Rect(*r), v) for r, v in pieces]
+    pls = [Placement(x, y, z) for x, y, z in placements]
+    got = covered_reward(dzs, pls, base, Eta.LINEAR)
+    assert got.hex() == reference_covered(dzs, pls, base, Eta.LINEAR).hex()
+    assert ResidualDemand(dzs, pls, base, Eta.LINEAR).served.hex() == got.hex()
+
+
+scale = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.tuples(rects(lattice, lattice_extent), rate), max_size=10),
+    placements=st.lists(st.tuples(lattice, lattice, scale), max_size=4),
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda d: (d[0] / 2, d[1] / 2)),
+)
+def test_covered_reward_matches_the_object_path_on_a_lattice(pieces, placements, dims):
+    assert_covered_matches(pieces, placements, BaseServiceZone(*dims))
+
+
+# A trim in bounds form, whose far edges then differ from x + w by an ulp,
+# paid 274346.9544286293 here against the object path's 274346.9544286294.
+@example(
+    pieces=[
+        ((9.356617798855225, -45.86351060812595, 5.595478511237331, 19.69584726510265), 8350.640356339942),
+        ((13.960903944973523, -16.97943826514502, 38.308970987037945, 17.935913869507264), 2594.633556668036),
+    ],
+    placements=[
+        (42.26677868396894, -47.226073711532536, 3.0),
+        (-20.951113582392512, -27.415913119677793, 1.5),
+        (-46.28841939888223, -24.056887882485633, 1.5),
+    ],
+    dims=(25.0, 40.0),
+)
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.tuples(rects(fine, fine_extent), st.floats(0.01, 1e4)), max_size=10),
+    placements=st.lists(st.tuples(fine, fine, scale), max_size=4),
+    dims=st.sampled_from([(10.0, 8.0), (3.0, 2.0), (25.0, 40.0), (6.0, 0.0)]),
+)
+def test_covered_reward_matches_the_object_path_off_the_lattice(pieces, placements, dims):
+    if dims[1] == 0:  # a line: segments on the x-axis
+        pieces = [((x, 0.0, w, 0.0), v) for (x, _, w, _), v in pieces]
+    assert_covered_matches(pieces, placements, BaseServiceZone(*dims))

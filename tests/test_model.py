@@ -141,8 +141,9 @@ def test_instance_refuses_demand_that_vanishes_in_floating_point(rect, one_d):
     ok = DemandZone(Rect(0.0, 0.0, 4.0, 0.0 if one_d else 4.0), 1.0)
     with pytest.raises(ValueError, match=r"dz\[1\] must have extents that do not vanish"):
         Instance(dzs=(ok, DemandZone(rect, 1.0)), p=1, **kind)
-    # far out is fine while the extent still moves the far edge
-    far = Rect(1e300, 0.0, 1e290, 0.0 if one_d else 1e290)
+    # far out is fine while the extent still moves the far edge (and the
+    # area w * l stays finite)
+    far = Rect(1e300, 0.0, 1e290, 0.0 if one_d else 5.0)
     assert Instance(dzs=(ok, DemandZone(far, 1.0)), p=1, **kind).dzs[1].rect == far
 
 
@@ -167,14 +168,44 @@ def test_instance_refuses_demand_whose_edges_overflow(rect, base, menu, one_d):
     ok = DemandZone(Rect(0.0, 0.0, 4.0, 0.0 if one_d else 4.0), 1.0)
     with pytest.raises(ValueError, match=r"dz\[\d\] overflows"):
         Instance(dzs=(ok, DemandZone(rect, 1.0)), base=BaseServiceZone(*base), p=1, **kind)
-    # the largest edge and footprint still fit below the float maximum
-    near = Rect(-1e308, 1e308, 1e307, 1e307)
+    # the largest edge and footprint still fit below the float maximum (with
+    # an area that fits too: a zone at y = 1e308 would need l >= 1e292)
+    near = Rect(-1e308, 0.0, 1e307, 5.0)
     big = Instance(dzs=(DemandZone(near, 1.0),), base=BaseServiceZone(1e307, 1e307), p=1, qos=QosSet((1.0, 5.0)))
     assert big.dzs[0].rect == near
 
 
-def test_demand_zone_box_is_bounds_form_built_once():
+def _one_zone(rect, v, base, p=1, one_d=False):
+    kind = dict(qos=(QosSet((1.0,)),) * p, dimension=Dimension.ONE_D) if one_d else dict(qos=QosSet((1.0,)))
+    return Instance(dzs=(DemandZone(rect, v),), base=BaseServiceZone(*base), p=p, **kind)
+
+
+@pytest.mark.parametrize(
+    "rect, v, base, one_d",
+    [
+        pytest.param(Rect(0.0, 0.0, 1e200, 1e200), 1.0, (1e200, 1e200), False, id="area"),
+        pytest.param(Rect(0.0, 0.0, 1e200, 1.0), 1e200, (2.0, 2.0), False, id="v * w"),
+        pytest.param(Rect(0.0, 0.0, 1.0, 1e200), 1e200, (2.0, 2.0), False, id="v * l"),
+        pytest.param(Rect(0.0, 0.0, 1e300, 0.0), 1e10, (1e300, 0.0), True, id="line v * w"),
+    ],
+)
+def test_instance_refuses_demand_whose_area_or_reward_overflows(rect, v, base, one_d):
+    with pytest.raises(ValueError, match=r"dz\[0\] overflows: its area or reward is not finite"):
+        _one_zone(rect, v, base, one_d=one_d)
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_instance_refuses_demand_whose_total_reward_overflows_over_p_zones(one_d):
+    # v * w * l is 1e308 and fits; the bound over p = 2 zones, 2e308, does not
+    rect = Rect(0.0, 0.0, 1e154, 0.0 if one_d else 1e154)
+    v = 1e154 if one_d else 1.0
+    assert _one_zone(rect, v, (2.0, 0.0 if one_d else 2.0), one_d=one_d).p == 1
+    with pytest.raises(ValueError, match="p times its total reward is not finite"):
+        _one_zone(rect, v, (2.0, 0.0 if one_d else 2.0), p=2, one_d=one_d)
+
+
+def test_demand_zone_row_is_rect_form_built_once():
     d = DemandZone(Rect(1.5, -2.0, 3.25, 4.0), 2.5)
-    assert d.box == (1.5, -2.0, 4.75, 2.0, 2.5)
-    assert d.box is d.box
+    assert d.row == (1.5, -2.0, 3.25, 4.0, 2.5)
+    assert d.row is d.row
     assert d == DemandZone(Rect(1.5, -2.0, 3.25, 4.0), 2.5)
