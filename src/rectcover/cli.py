@@ -76,10 +76,18 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
     }
 
 
-def _need(obj: dict, key: str, path: str) -> Any:
+def _expect(value: Any, where: str, kind: str) -> Any:
+    """``value`` if it is a ``list`` (``kind`` "a list ...") or else a ``dict`` ("an object")."""
+    if not isinstance(value, list if kind.startswith("a list") else dict):
+        raise CliError(f"{where}: expected {kind}")
+    return value
+
+
+def _need(obj: dict, key: str, path: str, kind: str | None = None) -> Any:
+    """``obj[key]``, checked to be ``kind`` (see :func:`_expect`) when one is given."""
     if key not in obj:
         raise CliError(f"{path}: missing field '{key}'")
-    return obj[key]
+    return obj[key] if kind is None else _expect(obj[key], f"{path}.{key}", kind)
 
 
 def _number(v: Any, where: str) -> float:
@@ -97,6 +105,20 @@ def _num(obj: dict, key: str, path: str) -> float:
     return _number(_need(obj, key, path), f"{path}.{key}")
 
 
+def _nums(obj: Any, where: str, keys: str) -> list[float]:
+    """The finite numbers under the one-letter ``keys`` of the object ``obj``."""
+    obj = _expect(obj, where, "an object")
+    return [_num(obj, key, where) for key in keys]
+
+
+def _enum(kind: type[Dimension] | type[Eta], obj: dict, key: str, path: str) -> Any:
+    raw = _need(obj, key, path)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise CliError(f"{path}.{key}: unknown value {raw!r}") from None
+
+
 @contextmanager
 def _validated(where: str) -> Iterator[None]:
     """Report a model constructor's ``ValueError`` as a ``CliError`` at ``where``."""
@@ -107,59 +129,35 @@ def _validated(where: str) -> Iterator[None]:
 
 
 def _menu(raw: Any, where: str) -> QosSet:
-    if not isinstance(raw, list):
-        raise CliError(f"{where}: expected a list of scale factors")
+    raw = _expect(raw, where, "a list of scale factors")
     factors = tuple(_number(z, f"{where}[{k}]") for k, z in enumerate(raw))
     with _validated(where):
         return QosSet(factors)
 
 
 def instance_from_dict(data: Any, path: str = "instance") -> Instance:
-    if not isinstance(data, dict):
-        raise CliError(f"{path}: expected an object")
-    dim_raw = _need(data, "dimension", path)
-    try:
-        dimension = Dimension(dim_raw)
-    except ValueError:
-        raise CliError(f"{path}.dimension: unknown value {dim_raw!r}") from None
-    eta_raw = _need(data, "eta", path)
-    try:
-        eta = Eta(eta_raw)
-    except ValueError:
-        raise CliError(f"{path}.eta: unknown value {eta_raw!r}") from None
-    base_obj = _need(data, "base_sz", path)
-    if not isinstance(base_obj, dict):
-        raise CliError(f"{path}.base_sz: expected an object")
-    w0 = _num(base_obj, "w", f"{path}.base_sz")
-    l0 = _num(base_obj, "l", f"{path}.base_sz")
+    _expect(data, path, "an object")
+    dimension = _enum(Dimension, data, "dimension", path)
+    eta = _enum(Eta, data, "eta", path)
+    w0, l0 = _nums(_need(data, "base_sz", path), f"{path}.base_sz", "wl")
     with _validated(f"{path}.base_sz"):
         base = BaseServiceZone(w0, l0)
     p = _need(data, "p", path)
     if not isinstance(p, int) or isinstance(p, bool):
         raise CliError(f"{path}.p: expected an integer, got {p!r}")
-    qos_obj = _need(data, "qos", path)
-    if not isinstance(qos_obj, dict):
-        raise CliError(f"{path}.qos: expected an object")
+    qos_obj = _need(data, "qos", path, "an object")
     qos: QosSet | tuple[QosSet, ...]
     if "shared" in qos_obj:
         qos = _menu(qos_obj["shared"], f"{path}.qos.shared")
     elif "per_sz" in qos_obj:
-        rows = qos_obj["per_sz"]
-        if not isinstance(rows, list):
-            raise CliError(f"{path}.qos.per_sz: expected a list of menus")
+        rows = _need(qos_obj, "per_sz", f"{path}.qos", "a list of menus")
         qos = tuple(_menu(row, f"{path}.qos.per_sz[{k}]") for k, row in enumerate(rows))
     else:
         raise CliError(f"{path}.qos: needs 'shared' or 'per_sz'")
-    dzs_raw = _need(data, "dzs", path)
-    if not isinstance(dzs_raw, list):
-        raise CliError(f"{path}.dzs: expected a list")
     dzs = []
-    for i, item in enumerate(dzs_raw):
-        where = f"{path}.dzs[{i}]"
-        if not isinstance(item, dict):
-            raise CliError(f"{where}: expected an object")
-        x, y, w, l, v = (_num(item, key, where) for key in ("x", "y", "w", "l", "v"))
-        with _validated(where):
+    for i, item in enumerate(_need(data, "dzs", path, "a list")):
+        x, y, w, l, v = _nums(item, f"{path}.dzs[{i}]", "xywlv")
+        with _validated(f"{path}.dzs[{i}]"):
             dzs.append(DemandZone(Rect(x, y, w, l), v))
     with _validated(path):
         return Instance(tuple(dzs), base, p, qos, eta, dimension)
@@ -184,23 +182,15 @@ def solution_to_dict(solution: Solution, stats: SolverStats) -> dict[str, Any]:
 
 
 def solution_from_dict(data: Any, path: str = "solution") -> tuple[Solution, bool]:
-    if not isinstance(data, dict):
-        raise CliError(f"{path}: expected an object")
-    reward = _num(data, "reward", path)
+    reward = _num(_expect(data, path, "an object"), "reward", path)
     optimal = _need(data, "optimal", path)
     if not isinstance(optimal, bool):
         raise CliError(f"{path}.optimal: expected a boolean")
-    raw = _need(data, "placements", path)
-    if not isinstance(raw, list):
-        raise CliError(f"{path}.placements: expected a list")
     placements = []
-    for i, item in enumerate(raw):
-        where = f"{path}.placements[{i}]"
-        if not isinstance(item, dict):
-            raise CliError(f"{where}: expected an object")
-        x, y, z = (_num(item, key, where) for key in ("x", "y", "z"))
+    for i, item in enumerate(_need(data, "placements", path, "a list")):
+        x, y, z = _nums(item, f"{path}.placements[{i}]", "xyz")
         if z < 1:
-            raise CliError(f"{where}.z: scale factors must be >= 1, got {z!r}")
+            raise CliError(f"{path}.placements[{i}].z: scale factors must be >= 1, got {z!r}")
         placements.append(Placement(x, y, z))
     return Solution(tuple(placements), reward), optimal
 
@@ -299,28 +289,23 @@ class BenchReport:
             writer.writerows(self.csv_rows())
 
     def human_table(self) -> str:
-        header = f"{'n':>5} {'p':>3} {'m':>3} {'nodes':>8} {'T':>10} {'T1':>10} {'T1/T':>8} {'T_H':>10} {'alpha':>8}"
-        lines = [header, "-" * len(header)]
-        for rec in self.csv_rows():
-            lines.append(
-                f"{rec['n']:>5} {rec['p']:>3} {rec['m']:>3} {rec['nodes']:>8} "
-                f"{rec['T']:>10} {rec['T1']:>10} {rec['T1_over_T']:>8} {rec['T_H']:>10} {rec['alpha']:>8}"
-            )
+        """The CSV records right-aligned under their column names, then the optimal rows' group means."""
+        cells = [self.COLUMNS] + [tuple(str(rec[c]) for c in self.COLUMNS) for rec in self.csv_rows()]
+        widths = [max(len(row[k]) for row in cells) for k in range(len(self.COLUMNS))]
+        lines = [" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
+        lines.insert(1, "-" * len(lines[0]))
         groups: dict[tuple, list[BenchRow]] = {}
         for row in self.rows:
             if row.error is None and row.optimal:
                 groups.setdefault((row.p, row.m, row.n), []).append(row)
         if groups:
-            lines.append("")
-            lines.append("group means (optimal rows):")
-            for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
-                rows = groups[key]
-                k = len(rows)
-                mean = lambda f: sum(f(r) for r in rows) / k
+            lines += ["", "group means (optimal rows):"]
+            for (p, m, n), rows in sorted(groups.items(), key=lambda item: tuple(map(str, item[0]))):
+                nodes, t, t1, t_h, alpha = (
+                    sum(getattr(r, field) for r in rows) / len(rows) for field in ("nodes", "t", "t1", "t_h", "alpha")
+                )
                 lines.append(
-                    f"  p={key[0]} m={key[1]} n={key[2]}: nodes={mean(lambda r: r.nodes):.1f} "
-                    f"T={mean(lambda r: r.t):.4f}s T1={mean(lambda r: r.t1):.4f}s "
-                    f"T_H={mean(lambda r: r.t_h):.4f}s alpha={mean(lambda r: r.alpha):.4f}"
+                    f"  p={p} m={m} n={n}: nodes={nodes:.1f} T={t:.4f}s T1={t1:.4f}s T_H={t_h:.4f}s alpha={alpha:.4f}"
                 )
         return "\n".join(lines)
 
@@ -330,6 +315,16 @@ def _generate(one_d: bool, **kwargs: Any) -> Instance:
     if one_d:
         return generate_1d(GenConfig(dimension=Dimension.ONE_D, **kwargs))
     return generate(GenConfig(**kwargs))
+
+
+def _cross_check(instance: Instance, reward: float, eps: float, budget: int) -> None:
+    """Raise unless the brute-force optimum equals ``reward``; skip when it exceeds ``budget``."""
+    try:
+        check = (brute_force_1d if instance.one_d else brute_force_2d)(instance, eps, budget)
+    except OracleSizeError:
+        return
+    if abs(check.reward - reward) > 1e-9 * max(1.0, abs(check.reward)):
+        raise RuntimeError(f"reference mismatch: {check.reward} vs {reward}")
 
 
 def run_bench(
@@ -355,44 +350,31 @@ def run_bench(
     config = config or SolverConfig()
     overrides = gen_overrides or {}
     rows: list[BenchRow] = []
-    for p in ps:
-        for m in ms if not one_d else [None]:
-            for n in ns:
-                for seed in range(seeds):
-                    sizes = {} if one_d else {"m": m}
-                    instance = _generate(one_d, seed=seed, n=n, p=p, **sizes, **overrides)
-                    try:
-                        # the solver's greedy seed gives T_H and alpha
-                        solution, stats = (solve_1d if one_d else solve)(instance, config)
-                        alpha = min(stats.greedy_reward / solution.reward, 1.0) if solution.reward > 0 else 1.0
-                        if oracle_budget > 0 and stats.optimal:
-                            ref = brute_force_1d if one_d else brute_force_2d
-                            try:
-                                check = ref(instance, config.epsilon, oracle_budget)
-                            except OracleSizeError:
-                                check = None
-                            if check is not None:
-                                gap = abs(check.reward - solution.reward)
-                                if gap > 1e-9 * max(1.0, abs(check.reward)):
-                                    raise RuntimeError(
-                                        f"reference mismatch: {check.reward} vs {solution.reward}"
-                                    )
-                        rows.append(
-                            BenchRow(
-                                n=n, p=p, m=m, seed=seed,
-                                nodes=stats.nodes_explored,
-                                t=stats.wall_time,
-                                t1=stats.optimal_found_time,
-                                t_h=stats.greedy_time,
-                                alpha=alpha,
-                                optimal=stats.optimal,
-                                upper_bound=stats.upper_bound,
-                                gap=stats.gap,
-                            )
-                        )
-                    except Exception as exc:  # noqa: BLE001 - keep the sweep alive
-                        print(f"bench: n={n} p={p} m={m} seed={seed} failed: {exc}", file=sys.stderr)
-                        rows.append(BenchRow(n=n, p=p, m=m, seed=seed, error=str(exc)))
+    for p, m, n, seed in itertools.product(ps, [None] if one_d else ms, ns, range(seeds)):
+        sizes = {} if one_d else {"m": m}
+        instance = _generate(one_d, seed=seed, n=n, p=p, **sizes, **overrides)
+        try:
+            # the solver's greedy seed gives T_H and alpha
+            solution, stats = (solve_1d if one_d else solve)(instance, config)
+            alpha = min(stats.greedy_reward / solution.reward, 1.0) if solution.reward > 0 else 1.0
+            if oracle_budget > 0 and stats.optimal:
+                _cross_check(instance, solution.reward, config.epsilon, oracle_budget)
+            rows.append(
+                BenchRow(
+                    n=n, p=p, m=m, seed=seed,
+                    nodes=stats.nodes_explored,
+                    t=stats.wall_time,
+                    t1=stats.optimal_found_time,
+                    t_h=stats.greedy_time,
+                    alpha=alpha,
+                    optimal=stats.optimal,
+                    upper_bound=stats.upper_bound,
+                    gap=stats.gap,
+                )
+            )
+        except Exception as exc:  # noqa: BLE001 - keep the sweep alive
+            print(f"bench: n={n} p={p} m={m} seed={seed} failed: {exc}", file=sys.stderr)
+            rows.append(BenchRow(n=n, p=p, m=m, seed=seed, error=str(exc)))
     return BenchReport(tuple(rows))
 
 
@@ -414,8 +396,9 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
     one_d = instance.one_d
     band = 12.0
     dz_rects = [d.rect if not one_d else Rect(d.rect.x, -band, d.rect.w, band) for d in instance.dzs]
+    placements = solution.placements if solution is not None else ()
     sz_rects = []
-    for pl in solution.placements if solution is not None else ():
+    for pl in placements:
         s = service_rect(instance.base, pl)
         sz_rects.append(s if not one_d else Rect(s.x, 2.0, s.w, band))
     rects = dz_rects + sz_rects
@@ -444,6 +427,9 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
     def fmt(v: float) -> str:
         return f"{v:.3f}"
 
+    def box(r: Rect) -> str:
+        return f'x="{fmt(sx(r.x))}" y="{fmt(sy(r.y2))}" width="{fmt(r.w * scale)}" height="{fmt(r.l * scale)}"'
+
     vmax = max((d.v for d in instance.dzs), default=1.0)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width * scale)}" '
@@ -452,30 +438,19 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
     for d, r in zip(instance.dzs, dz_rects):
         opacity = 0.15 + 0.6 * (d.v / vmax)
         lines.append(
-            f'<rect class="dz" x="{fmt(sx(r.x))}" y="{fmt(sy(r.y2))}" '
-            f'width="{fmt(r.w * scale)}" height="{fmt(r.l * scale)}" '
+            f'<rect class="dz" {box(r)} '
             f'fill="#4878a8" fill-opacity="{opacity:.3f}" stroke="#28506e" stroke-width="0.6"/>'
         )
+    for idx, (pl, r) in enumerate(zip(placements, sz_rects)):
+        lines.append(f'<rect class="sz" {box(r)} fill="none" stroke="#c0392b" stroke-width="1.4"/>')
+        lines.append(
+            f'<text class="sz-label" x="{fmt(sx(r.x) + 3)}" y="{fmt(sy(r.y2) + 12)}" '
+            f'font-size="11" fill="#c0392b">s{idx + 1} z={pl.z:g}</text>'
+        )
+    legend = f"demand={len(instance.dzs)}"
     if solution is not None:
-        for idx, (pl, r) in enumerate(zip(solution.placements, sz_rects)):
-            lines.append(
-                f'<rect class="sz" x="{fmt(sx(r.x))}" y="{fmt(sy(r.y2))}" '
-                f'width="{fmt(r.w * scale)}" height="{fmt(r.l * scale)}" '
-                f'fill="none" stroke="#c0392b" stroke-width="1.4"/>'
-            )
-            lines.append(
-                f'<text class="sz-label" x="{fmt(sx(r.x) + 3)}" y="{fmt(sy(r.y2) + 12)}" '
-                f'font-size="11" fill="#c0392b">s{idx + 1} z={pl.z:g}</text>'
-            )
-        lines.append(
-            f'<text class="legend" x="4" y="14" font-size="12" fill="#222">'
-            f"reward={solution.reward:.6f} | zones={instance.p} | demand={len(instance.dzs)}</text>"
-        )
-    else:
-        lines.append(
-            f'<text class="legend" x="4" y="14" font-size="12" fill="#222">'
-            f"demand={len(instance.dzs)}</text>"
-        )
+        legend = f"reward={solution.reward:.6f} | zones={instance.p} | {legend}"
+    lines.append(f'<text class="legend" x="4" y="14" font-size="12" fill="#222">{legend}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -532,36 +507,25 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 def cmd_solve(args: argparse.Namespace) -> int:
     config = _solver_config(args)
     instance = load_instance(args.instance)
-    if args.algo == "greedy":
-        t0 = time.perf_counter()
-        trace = greedy(instance, config.epsilon)
-        elapsed = time.perf_counter() - t0
-        stats = SolverStats(
-            nodes_explored=0, wall_time=elapsed, optimal_found_time=elapsed, optimal=False,
-        )
-        solution = trace.solution
-    elif args.algo == "exact":
-        solver = solve_1d if instance.one_d else solve
+    t0 = time.perf_counter()
+    if args.algo == "exact":
         try:
-            solution, stats = solver(instance, config)
+            solution, stats = (solve_1d if instance.one_d else solve)(instance, config)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-    else:  # oracle
-        ref = brute_force_1d if instance.one_d else brute_force_2d
-        t0 = time.perf_counter()
-        try:
-            result = ref(instance, config.epsilon)
-        except OracleSizeError as exc:
-            raise CliError(f"oracle refused: {exc}") from None
+    else:
+        if args.algo == "greedy":
+            solution, nodes, proven = greedy(instance, config.epsilon).solution, 0, False
+        else:
+            try:
+                result = (brute_force_1d if instance.one_d else brute_force_2d)(instance, config.epsilon)
+            except OracleSizeError as exc:
+                raise CliError(f"oracle refused: {exc}") from None
+            solution, nodes, proven = Solution(result.placements, result.reward), result.evaluations, True
         elapsed = time.perf_counter() - t0
-        solution = Solution(result.placements, result.reward)
         stats = SolverStats(
-            nodes_explored=result.evaluations,
-            wall_time=elapsed,
-            optimal_found_time=elapsed,
-            optimal=True,
-            upper_bound=result.reward,
-            gap=0.0,
+            nodes_explored=nodes, wall_time=elapsed, optimal_found_time=elapsed, optimal=proven,
+            upper_bound=solution.reward if proven else None, gap=0.0 if proven else None,
         )
     dump_solution(solution, stats, args.out)
     if stats.upper_bound is None:
@@ -580,19 +544,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ps = _parse_int_list("--p", args.p)
     ms = _parse_int_list("--m", args.m)
     ns = _parse_int_list("--n", args.n)
-    if args.seeds < 1:
-        raise CliError(f"--seeds must be >= 1, got {args.seeds}")
+    for option, value, low in (("--seeds", args.seeds, 1), ("--oracle-budget", args.oracle_budget, 0)):
+        if value < low:
+            raise CliError(f"{option} must be >= {low}, got {value}")
     with _validated("bench sizes"):
         for p, m, n in itertools.product(ps, ms, ns):
             GenConfig(n=n, p=p, m=m)
     report = run_bench(
-        ps=ps,
-        ms=ms,
-        ns=ns,
-        seeds=args.seeds,
-        one_d=args.one_d,
-        config=config,
-        oracle_budget=args.oracle_budget,
+        ps=ps, ms=ms, ns=ns, seeds=args.seeds, one_d=args.one_d, config=config, oracle_budget=args.oracle_budget,
     )
     report.write_csv(args.out)
     print(report.human_table())

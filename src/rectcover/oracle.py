@@ -14,9 +14,7 @@ the real solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from math import perm
-from typing import Sequence
+from itertools import chain, permutations, product
 
 from .geometry import EPS
 from .model import Dimension, Instance, Placement
@@ -69,13 +67,11 @@ def _axis_tuples(
     z_vec: tuple[float, ...],
     axis_x: bool,
     eps: float,
-    identity_only: bool,
 ) -> list[tuple[float, ...]]:
     """All candidate coordinate vectors along one axis for fixed scales."""
     p = instance.p
     unit = instance.base.w0 if axis_x else instance.base.l0
     grids = {z: _grid(instance, z, axis_x, eps) for z in set(z_vec)}
-    orders = [tuple(range(p))] if identity_only else list(permutations(range(p)))
     tuples: set[tuple[float, ...]] = set()
 
     def assign(order: tuple[int, ...], k: int, coords: dict[int, float]) -> None:
@@ -92,49 +88,49 @@ def _axis_tuples(
             assign(order, k + 1, coords)
         del coords[j]
 
-    for order in orders:
+    for order in permutations(range(p)):
         assign(order, 0, {})
     return sorted(tuples)
 
 
-def _estimate(instance: Instance, identity_only: bool) -> int:
+def _estimate(instance: Instance, limit: int) -> int:
+    """The enumeration's size estimate, or ``limit + 1`` once it passes ``limit``.
+
+    The estimate is the product of the menu lengths and, per axis, of
+    ``(k + 1) * (2n + 2k)`` for k < p: the placement orders times each zone's
+    demand-edge and abutment candidates.  No factor is below 1, so the product
+    is multiplied out lazily and stops as soon as it passes ``limit``; the
+    axis factors, which are at least 2, come first, so a huge ``p`` stops
+    within a few dozen steps.
+    """
     n = len(instance.dzs)
-    p = instance.p
-    orders = 1 if identity_only else perm(p)
-    per_axis = orders
-    for k in range(p):
-        per_axis *= 2 * n + 2 * k
-    n_scales = 1
-    for j in range(p):
-        n_scales *= len(instance.qos_for(j).factors)
     axes = 1 if instance.one_d else 2
-    return n_scales * per_axis**axes
+    per_axis = ((k + 1) * (2 * n + 2 * k) for _ in range(axes) for k in range(instance.p))
+    menus = (len(instance.qos_for(j).factors) for j in range(instance.p))
+    estimate = 1
+    for factor in chain(per_axis, menus):
+        estimate *= factor
+        if estimate > limit:
+            return limit + 1
+    return estimate
 
 
-def _best(instance: Instance, eps: float, max_evaluations: int, sequences: str) -> OracleResult:
-    if sequences not in ("all", "identity"):
-        raise ValueError(f"sequences must be 'all' or 'identity', got {sequences!r}")
-    identity_only = sequences == "identity"
+def _best(instance: Instance, eps: float, max_evaluations: int) -> OracleResult:
     if not instance.dzs:
         fallback = tuple(
             Placement(0.0, 0.0, instance.qos_for(j).factors[0]) for j in range(instance.p)
         )
         return OracleResult(0.0, fallback, 0)
-    estimate = _estimate(instance, identity_only)
-    if estimate > max_evaluations:
-        raise OracleSizeError(
-            f"estimated {estimate} evaluations exceed the {max_evaluations} guard"
-        )
+    if _estimate(instance, max_evaluations) > max_evaluations:
+        raise OracleSizeError(f"more than {max_evaluations} evaluations estimated")
     menus = [instance.qos_for(j).factors for j in range(instance.p)]
     best_reward = -1.0
     best_placements: tuple[Placement, ...] | None = None
     evaluations = 0
     for z_vec in product(*menus):
-        x_tuples = _axis_tuples(instance, z_vec, True, eps, identity_only)
+        x_tuples = _axis_tuples(instance, z_vec, True, eps)
         y_tuples = (
-            [(0.0,) * instance.p]
-            if instance.one_d
-            else _axis_tuples(instance, z_vec, False, eps, identity_only)
+            [(0.0,) * instance.p] if instance.one_d else _axis_tuples(instance, z_vec, False, eps)
         )
         for xt in x_tuples:
             for yt in y_tuples:
@@ -154,27 +150,23 @@ def brute_force_2d(
     instance: Instance,
     eps: float = EPS,
     max_evaluations: int = 10**8,
-    sequences: str = "all",
 ) -> OracleResult:
     """Exhaustive reference optimum for a planar instance.
 
-    ``sequences="identity"`` restricts placement orders to 1..p on both axes
-    (useful for checking that order enumeration is redundant under a shared
-    scale menu).  Raises :class:`OracleSizeError` when the estimated work
-    exceeds ``max_evaluations``.
+    Raises :class:`OracleSizeError` when the estimated work exceeds
+    ``max_evaluations``.
     """
     if instance.dimension is not Dimension.TWO_D:
         raise ValueError("brute_force_2d needs a planar instance")
-    return _best(instance, eps, max_evaluations, sequences)
+    return _best(instance, eps, max_evaluations)
 
 
 def brute_force_1d(
     instance: Instance,
     eps: float = EPS,
     max_evaluations: int = 10**8,
-    sequences: str = "all",
 ) -> OracleResult:
     """Exhaustive reference optimum for a line instance."""
     if instance.dimension is not Dimension.ONE_D:
         raise ValueError("brute_force_1d needs a line instance")
-    return _best(instance, eps, max_evaluations, sequences)
+    return _best(instance, eps, max_evaluations)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import sys
+import time
 from importlib import import_module
 
 import pytest
@@ -199,6 +200,21 @@ def test_solve_oracle_refuses_oversized(tmp_path, capsys, monkeypatch):
     assert "oracle refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [3000, 10**30])
+def test_solve_oracle_refuses_a_huge_p_at_once(p, tmp_path, capsys):
+    # the size estimate stops at the budget instead of multiplying out p factors
+    data = instance_to_dict(generate(GenConfig(seed=1, n=3, p=2, m=2)))
+    data["p"] = p
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    code = main(["solve", "--instance", str(path), "--algo", "oracle", "--out", str(tmp_path / "s.json")])
+    assert time.perf_counter() - t0 < 1.0
+    _assert_clean_error(code, capsys.readouterr().err,
+                        "oracle refused: more than 100000000 evaluations estimated")
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_bad_flags_exit_one(square_file, tmp_path, capsys):
     code = main(["solve", "--instance", str(square_file), "--algo", "magic",
                  "--out", str(tmp_path / "x.json")])
@@ -289,6 +305,18 @@ def test_run_bench_rows_and_columns(tmp_path):
     assert len(rows) == 1 + 4
     table = report.human_table()
     assert "group means" in table
+
+
+def test_human_table_prints_the_csv_records():
+    report = run_bench(ps=[2], ms=[1], ns=[3], seeds=2, one_d=True, gen_overrides=LINE_SWEEP)
+    lines = report.human_table().splitlines()
+    assert tuple(lines[0].split()) == BenchReport.COLUMNS
+    assert set(lines[1]) == {"-"}
+    records = report.csv_rows()
+    for line, rec in zip(lines[2:], records):
+        assert line.split() == [str(rec[c]) for c in BenchReport.COLUMNS]
+    # right-aligned: every column ends where its header ends
+    assert len({len(line) for line in lines[: 2 + len(records)]}) == 1
 
 
 def test_run_bench_runs_greedy_once_per_row(monkeypatch):
@@ -607,6 +635,15 @@ INSTANCE_MUTATIONS = {
     "zero rate": (lambda d: d["dzs"][0].update(v=0), "instance.dzs[0]"),
     "non-finite coordinate": (lambda d: d["dzs"][1].update(x=float("nan")), "instance.dzs[1].x"),
     "integer beyond float range": (lambda d: d["dzs"][1].update(l=10**400), "instance.dzs[1].l"),
+    "unknown dimension": (lambda d: d.update(dimension="3d"), "instance.dimension: unknown value '3d'"),
+    "unknown eta": (lambda d: d.update(eta="cubic"), "instance.eta: unknown value 'cubic'"),
+    "base not an object": (lambda d: d.update(base_sz=[10, 8]), "instance.base_sz: expected an object"),
+    "qos not an object": (lambda d: d.update(qos=[1, 2]), "instance.qos: expected an object"),
+    "per-zone menus not a list": (
+        lambda d: d.update(qos={"per_sz": {"0": [1]}}), "instance.qos.per_sz: expected a list",
+    ),
+    "demand not a list": (lambda d: d.update(dzs={"x": 0}), "instance.dzs: expected a list"),
+    "demand zone not an object": (lambda d: d["dzs"].insert(2, [0, 0, 1, 1, 1]), "instance.dzs[2]: expected an object"),
 }
 
 
@@ -625,6 +662,9 @@ SOLUTION_MUTATIONS = {
     "negative scale": (lambda d: d["placements"][0].update(z=-1.0), "solution.placements[0].z"),
     "scale below one": (lambda d: d["placements"][1].update(z=0.5), "solution.placements[1].z"),
     "non-finite coordinate": (lambda d: d["placements"][0].update(x=float("inf")), "solution.placements[0].x"),
+    "optimal not a boolean": (lambda d: d.update(optimal="yes"), "solution.optimal: expected a boolean"),
+    "placements not a list": (lambda d: d.update(placements={"x": 0}), "solution.placements: expected a list"),
+    "placement not an object": (lambda d: d["placements"].insert(1, 3), "solution.placements[1]: expected an object"),
 }
 
 
@@ -639,6 +679,15 @@ def test_malformed_solution_file_gives_error_line(mutation, square_file, tmp_pat
     code = main(["render", "--instance", str(square_file), "--solution", str(path),
                  "--out", str(tmp_path / "x.svg")])
     _assert_clean_error(code, capsys.readouterr().err, where)
+
+
+@pytest.mark.parametrize("what", ["instance", "solution"])
+def test_file_that_is_not_an_object_gives_error_line(what, square_file, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    argv = ["render", "--instance", str(square_file), "--out", str(tmp_path / "x.svg")]
+    code = main(argv + ["--instance" if what == "instance" else "--solution", str(path)])
+    _assert_clean_error(code, capsys.readouterr().err, f"{what}: expected an object")
 
 
 # ------------------------------------------------------- bad command-line values
@@ -664,6 +713,7 @@ BAD_OPTIONS = {
     "bench m empty": (["bench", "--m", ""], "--m"),
     "bench n empty": (["bench", "--n", ""], "--n"),
     "bench line p empty": (["bench", "--one-d", "--p", ","], "--p"),
+    "bench oracle budget negative": (["bench", "--oracle-budget", "-1"], "--oracle-budget must be >= 0"),
 }
 
 

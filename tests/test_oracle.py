@@ -11,6 +11,7 @@ from rectcover import (
     brute_force_2d,
     covered_reward,
 )
+from rectcover.oracle import _estimate
 
 from conftest import micro_line, small_1d, small_2d, square_instance
 
@@ -25,18 +26,38 @@ def test_square_optimum():
     assert math.isclose(got, res.reward, rel_tol=0, abs_tol=1e-9)
 
 
-def test_identity_sequences_are_a_subset():
-    inst = small_2d(seed=1, n=3, m=2)
-    full = brute_force_2d(inst)
-    identity = brute_force_2d(inst, sequences="identity")
-    assert identity.evaluations < full.evaluations
-    assert identity.reward <= full.reward + 1e-9
-
-
 def test_size_guard_refuses_big_enumerations():
     inst = small_2d(seed=0, n=6, m=2)
     with pytest.raises(OracleSizeError):
         brute_force_2d(inst, max_evaluations=100)
+
+
+def _closed_form_estimate(inst):
+    # scale vectors times, per axis, the placement orders and every zone's candidates
+    n, p = len(inst.dzs), inst.p
+    per_axis = math.perm(p) * math.prod(2 * n + 2 * k for k in range(p))
+    menus = math.prod(len(inst.qos_for(j).factors) for j in range(p))
+    return menus * per_axis ** (1 if inst.one_d else 2)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [square_instance(), small_2d(seed=1, n=3, m=2, p=3), small_1d(seed=0, n=4, p=3), micro_line()],
+    ids=["square", "plane p3", "line p3", "micro line"],
+)
+def test_estimate_is_exact_up_to_the_limit(inst):
+    full = _closed_form_estimate(inst)
+    assert _estimate(inst, 10**30) == full
+    assert _estimate(inst, full) == full
+    assert _estimate(inst, full - 1) == full  # limit + 1
+
+
+@pytest.mark.parametrize("p", [200, 3000, 10**30])
+def test_huge_p_is_refused_at_once_with_the_budget_in_the_message(p):
+    inst = square_instance(p=p)
+    assert _estimate(inst, 10**8) == 10**8 + 1
+    with pytest.raises(OracleSizeError, match=r"^more than 100000000 evaluations estimated$"):
+        brute_force_2d(inst)
 
 
 def test_single_zone_case_agrees_with_the_reward_module():
@@ -61,8 +82,6 @@ def test_dimension_checks():
         brute_force_1d(square_instance())
     with pytest.raises(ValueError):
         brute_force_2d(small_1d(seed=0, n=3, p=2))
-    with pytest.raises(ValueError):
-        brute_force_2d(square_instance(), sequences="sorted")
 
 
 def test_empty_demand_is_zero():
