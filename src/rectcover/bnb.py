@@ -8,8 +8,10 @@ search tree narrows those per-zone candidate sets step by step:
 * scale step — while a zone's scale is open, one child per menu entry fixes
   it and swaps in that scale's grids;
 * interval step — a zone's x (later y) candidate set is split at its widest
-  coordinate gaps; children are visited in order of decreasing demand mass
-  near their candidates, and once a set is a singleton the next zone is up.
+  coordinate gaps; children are visited by decreasing best isolated reward
+  over their candidates (their block of the scale's reward matrix, taken
+  over every position on the other axis), and once a set is a singleton the
+  next zone is up.
   When a zone is first split, extra children pin it directly at the abutment
   positions of already-fixed zones (positions no demand grid contains);
 * order step — once every x is fixed, y branching picks which zone to settle
@@ -32,17 +34,19 @@ cut as soon as its optimistic bound cannot beat the incumbent by more than
 ``epsilon``.
 
 Per-node work scans no candidate set or demand and maps no value to an
-index.  Each scale's grids, reward matrix and priority tables are built once
-per solve (``CandidateGrids``), and a candidate set is a triple ``(lo, hi,
-v)`` of positions in its zone's own-scale grid: the slice ``grid[lo:hi]``
-when ``v`` is None (splitting only cuts slices), else the abutment position
-``v``, on no grid, bounded by the block ``[lo, hi)`` (:func:`_axis_indices`,
-computed once per child).  A zone's bound is its matrix's maximum over the
-block its two sets name, memoised by ``RewardMatrix.block_max`` because a
-solve asks for few distinct blocks many times; a child's priority is a table
-maximum over its range.  A slice's interval split depends only on its scale,
-axis and range (``beta`` is fixed per solve), so :meth:`CandidateGrids.split`
-computes it once per solve and keeps the parts as a tuple.
+index.  Each scale's reward matrix, and with it the grids it is tabulated
+over, is built once per solve (``CandidateGrids``), and a candidate set is a
+triple ``(lo, hi, v)`` of positions in its zone's own-scale grid: the slice
+``grid[lo:hi]`` when ``v`` is None (splitting only cuts slices), else the
+abutment position ``v``, on no grid, bounded by the block ``[lo, hi)``
+(:func:`_axis_indices`, computed once per child).  A zone's bound is its
+matrix's maximum over the block its two sets name, memoised by
+``RewardMatrix.block_max`` because a solve asks for few distinct blocks many
+times; a child's rank is the same memoised maximum over its range on one
+axis and the whole grid on the other.  A slice's interval split depends only
+on its scale, axis and range (``beta`` is fixed per solve), so
+:meth:`CandidateGrids.split` computes and ranks it once per solve and keeps
+the parts as a tuple.
 
 The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
 exact value, which trims overlapping coverage, is never above the sum of its
@@ -97,12 +101,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .geometry import EPS, Axis
 from .critical import abutment_values
 from .greedy import greedy
-from .model import Dimension, Instance, Placement, QosSet, Solution, demand_rows, reward_rate
+from .model import Dimension, Instance, Placement, QosSet, Solution, reward_rate
 from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward
 
 _UNSET = 0.0  # marker for a scale not chosen yet (real scales are >= 1)
@@ -147,9 +149,9 @@ class Node(NamedTuple):
     """Search node: per-zone candidate sets plus branching bookkeeping.
 
     ``x_sets[j]`` and ``y_sets[j]`` are zone ``j``'s :data:`CandidateSet` on
-    the grids of its scale ``z_vec[j]`` (``CandidateGrids.x_by_scale``,
-    ``y_by_scale``); ``z_vec[j] == 0`` means that scale is still open and
-    both sets are :data:`_OPEN`.  ``bs`` is the zone being narrowed; on x it
+    the grids of its scale ``z_vec[j]`` (the ``xs`` and ``ys`` of
+    ``CandidateGrids.matrices[z_vec[j]]``); ``z_vec[j] == 0`` means that
+    scale is still open and both sets are :data:`_OPEN`.  ``bs`` is the zone being narrowed; on x it
     advances left to right and ``bs == p`` means every x is fixed.  ``ba`` is
     the axis being narrowed.
     """
@@ -193,85 +195,58 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class CandidateGrids:
-    """Per-scale reward matrices, their grids and child priorities, built once per solve.
+    """Per-scale reward matrices, built once per solve, and the solve's two memos.
 
-    ``x_by_scale[z]`` and ``y_by_scale[z]`` are the grids ``matrices[z]`` is
-    tabulated over (its ``xs.values`` and ``ys.values``); every candidate set
-    of a scale-``z`` zone indexes them.  ``x_priority[z][i]`` equals
-    ``priority_score(x_by_scale[z][i], dzs, z, eta, Axis.X)`` (likewise
-    ``y_priority`` on y), so ordering children reads a table range instead of
-    scanning the demand per candidate.  ``splits`` tabulates :meth:`split`
-    and ``residuals`` is the residual bound's cache, one
-    :class:`~rectcover.reward.ResidualDemand` per set of placed zones; both
-    live as long as the solve.
+    ``matrices[z]`` is tabulated over scale ``z``'s grids, ``xs.values`` and
+    ``ys.values``; every candidate set of a scale-``z`` zone indexes them.
+    ``splits`` tabulates :meth:`split` and ``residuals`` is the residual
+    bound's cache, one :class:`~rectcover.reward.ResidualDemand` per set of
+    placed zones; both live as long as the solve.
     """
 
     matrices: Mapping[float, RewardMatrix]
-    x_by_scale: Mapping[float, tuple[float, ...]]
-    y_by_scale: Mapping[float, tuple[float, ...]]
-    x_priority: Mapping[float, tuple[float, ...]]
-    y_priority: Mapping[float, tuple[float, ...]]
     splits: dict[tuple, tuple[CandidateSet, ...]] = field(default_factory=dict, compare=False, repr=False)
     residuals: dict[tuple, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
-        matrices = {}
-        xs = {}
-        ys = {}
-        xp = {}
-        yp = {}
-        rows = demand_rows(instance.dzs)  # one array for every scale's matrix and tables
-        x_lo, y_lo, w, l, v = rows.T
-        x_hi = x_lo + w
-        y_hi = y_lo + l
-        for z in instance.scale_values():
-            m = matrices[z] = build_reward_matrix(rows, z, instance.base, instance.eta, eps)
-            xs[z] = m.xs.values
-            ys[z] = m.ys.values
-            rates = v / instance.eta.apply(z)  # reward_rate per zone
-            xp[z] = _priority_table(xs[z], x_lo, x_hi, rates)
-            yp[z] = _priority_table(ys[z], y_lo, y_hi, rates)
-        return CandidateGrids(matrices, xs, ys, xp, yp)
+        dzs, base, eta = instance.dzs, instance.base, instance.eta
+        return CandidateGrids({z: build_reward_matrix(dzs, z, base, eta, eps) for z in instance.scale_values()})
 
     def split(self, z: float, axis: Axis, s: CandidateSet, beta: float) -> tuple[CandidateSet, ...]:
         """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
 
         :func:`partition` cuts the slice at its widest gaps; a slice it
         leaves whole falls apart into singletons.  The parts come by
-        decreasing maximum of the axis's priority table over their range,
-        stable on ties.  They depend only on ``(z, axis, lo, hi)``, as
-        ``beta`` is fixed per solve, so each range is split once and its
-        parts kept in ``splits``: at most ``2 * len(grid) - 1`` ranges per
-        scale and axis, the nodes of the grid's partition tree.  The tuple
-        is shared, so callers build new sequences from it.
+        decreasing maximum of the reward matrix over the block they span
+        (every index on the other axis), stable on ties, read through
+        ``RewardMatrix.block_max``.  They depend only on ``(z, axis, lo,
+        hi)``, as ``beta`` is fixed per solve, so each range is split once
+        and its parts kept in ``splits``: at most ``2 * len(grid) - 1``
+        ranges per scale and axis, the nodes of the grid's partition tree.
+        The tuple is shared, so callers build new sequences from it.
         """
         lo, hi, _ = s
         on_x = axis is Axis.X
         key = (z, on_x, lo, hi)
         out = self.splits.get(key)
         if out is None:
-            grid = (self.x_by_scale if on_x else self.y_by_scale)[z]
-            priority = (self.x_priority if on_x else self.y_priority)[z]
-            parts = [(lo + a, lo + b, None) for a, b in partition(grid[lo:hi], beta)]
+            m = self.matrices[z]
+            nx, ny = len(m.xs), len(m.ys)
+            parts = [(lo + a, lo + b, None) for a, b in partition(_grid(m, axis)[lo:hi], beta)]
             if len(parts) == 1 and hi - lo > 1:
                 parts = [(i, i + 1, None) for i in range(lo, hi)]
-            parts.sort(key=lambda part: max(priority[part[0] : part[1]]), reverse=True)
+            if on_x:
+                parts.sort(key=lambda part: m.block_max(part[0], part[1], 0, ny), reverse=True)
+            else:
+                parts.sort(key=lambda part: m.block_max(0, nx, part[0], part[1]), reverse=True)
             out = self.splits[key] = tuple(parts)
         return out
 
 
-def _priority_table(
-    values: Sequence[float], lo: np.ndarray, hi: np.ndarray, rates: np.ndarray
-) -> tuple[float, ...]:
-    """:func:`priority_score` at every value: the rates of the spans ``[lo, hi)`` holding it.
-
-    The reduction over axis 0 adds the rates in demand order, as the scan
-    does, so every entry equals the scan's bit for bit.
-    """
-    v = np.asarray(values)
-    inside = (lo[:, None] <= v) & (v < hi[:, None])
-    return tuple(np.where(inside, rates[:, None], 0.0).sum(axis=0).tolist())
+def _grid(m: RewardMatrix, axis: Axis) -> tuple[float, ...]:
+    """The grid ``m`` is tabulated over on ``axis``."""
+    return m.xs.values if axis is Axis.X else m.ys.values
 
 
 def partition(values: Sequence[float], beta: float) -> list[tuple[int, int]]:
@@ -301,7 +276,12 @@ def partition(values: Sequence[float], beta: float) -> list[tuple[int, int]]:
 def priority_score(
     value: float, dzs, z: float, eta, axis: Axis = Axis.X
 ) -> float:
-    """Decayed demand mass whose span contains ``value`` (spans half-open)."""
+    """Decayed demand mass whose span contains ``value`` (spans half-open).
+
+    The search no longer orders children by it (:meth:`CandidateGrids.split`
+    ranks them by the reward matrix); it is kept only for the benchmark's
+    tracer, which wraps it by name, and for its unit test.
+    """
     total = 0.0
     for d in dzs:
         if axis is Axis.X:
@@ -379,8 +359,8 @@ def branch(
             # Scale step: one child per menu entry for zone j, on its whole grids.
             return [
                 Node(
-                    _replace_at(node.x_sets, j, (0, len(grids.x_by_scale[z]), None)),
-                    _replace_at(node.y_sets, j, (0, len(grids.y_by_scale[z]), None)),
+                    _replace_at(node.x_sets, j, (0, len(grids.matrices[z].xs), None)),
+                    _replace_at(node.y_sets, j, (0, len(grids.matrices[z].ys), None)),
                     node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
                     node.ba,
                     j,
@@ -409,13 +389,12 @@ def _interval_children(
     """
     on_x = axis is Axis.X
     sets = node.x_sets if on_x else node.y_sets
-    by_scale = grids.x_by_scale if on_x else grids.y_by_scale
     z = node.z_vec[j]
-    grid = by_scale[z]
+    grid = _grid(grids.matrices[z], axis)
     parts = grids.split(z, axis, sets[j], config.beta)
     if sets[j] == (0, len(grid), None):
         fixed = [
-            (_value(s, by_scale[zk]), zk)
+            (_value(s, _grid(grids.matrices[zk], axis)), zk)
             for k, (s, zk) in enumerate(zip(sets, node.z_vec))
             if k != j and zk != _UNSET and _is_single(s)
         ]
@@ -575,6 +554,9 @@ def branch_and_bound(
     node types, :class:`Node` and ``bnb1d.Node1D``, carry the same candidate
     sets and scales and state their own ``residual_axis``.
 
+    No placement earns more than ``ceiling``, every demand zone's area paid
+    at the smallest scale's rate, so the search stops, proven, as soon as
+    the incumbent is within ``epsilon`` of it (the greedy seed included).
     When the time limit is hit the incumbent is returned with
     ``stats.optimal == False``; ``stats.upper_bound`` is then the largest of
     ``lower + epsilon`` and the bounds (exact at leaves) of the nodes left on
@@ -593,8 +575,11 @@ def branch_and_bound(
     # served; the covered reward pays the better rate there.
     lower = covered_reward(instance.dzs, incumbent, instance.base, instance.eta, eps)
     stats.best_reward_history.append((0, lower))
+    dzs, _ = instance.planar
+    z_min = instance.scale_values()[0]
+    ceiling = sum(reward_rate(d.v, z_min, instance.eta) * d.rect.w * d.rect.l for d in dzs)
 
-    if instance.dzs:
+    if lower + eps < ceiling:
         grids = CandidateGrids.from_instance(instance, eps)
         stack = [root(instance, grids)]
         while stack:
@@ -611,6 +596,8 @@ def branch_and_bound(
                 incumbent = leaf_placements(node, grids.matrices)
                 stats.best_reward_history.append((stats.nodes_explored, lower))
                 stats.optimal_found_time = time.perf_counter() - start
+                if lower + eps >= ceiling:
+                    break
                 continue
             stack.extend(reversed(children(node, instance, grids, config)))
 

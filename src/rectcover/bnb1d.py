@@ -51,8 +51,9 @@ class Node1D(NamedTuple):
     """Per-zone candidate sets and fixed scales plus branching bookkeeping.
 
     ``x_sets[j]`` is zone ``j``'s ``bnb.CandidateSet`` on the grid of its
-    scale ``z_vec[j]`` (``CandidateGrids.x_by_scale``).  An abutment value
-    ``v`` may equal a grid value; it is the placement coordinate either way.
+    scale ``z_vec[j]`` (``CandidateGrids.matrices[z_vec[j]].xs``).  An
+    abutment value ``v`` may equal a grid value; it is the placement
+    coordinate either way.
     ``y_sets[j]`` is ``(0, 1, None)``, the single y value 0 of a line
     matrix.  ``bs`` is the zone being narrowed and ``bsfl`` the first-level
     zone index of the enclosing subtree; the root, which only dispatches to
@@ -83,16 +84,17 @@ def branch_1d(
         parts = grids.split(z_vec[j], Axis.X, x_sets[j], config.beta)
         return [Node1D(_replace_at(x_sets, j, part), y_sets, z_vec, j, node.bsfl) for part in parts]
     # Current zone settled: branch on which open zone to place next.
-    by_scale = grids.x_by_scale
-    fixed = [(_value(s, by_scale[z]), z) for s, z in zip(x_sets, z_vec) if _is_single(s)]
+    matrices = grids.matrices
+    fixed = [(_value(s, matrices[z].xs.values), z) for s, z in zip(x_sets, z_vec) if _is_single(s)]
     full = config.scv_mode == "full"
     eps = config.epsilon
     children: list[Node1D] = []
     for l, (s, z) in enumerate(zip(x_sets, z_vec)):
         if _is_single(s):
             continue
+        grid = matrices[z].xs.values
         for v in abutment_values(fixed, z, instance.base, Axis.X, full, eps=eps):
-            children.append(Node1D(_replace_at(x_sets, l, _pin(v, by_scale[z], eps)), y_sets, z_vec, l, node.bsfl))
+            children.append(Node1D(_replace_at(x_sets, l, _pin(v, grid, eps)), y_sets, z_vec, l, node.bsfl))
         if l > node.bsfl:
             children.append(Node1D(x_sets, y_sets, z_vec, l, node.bsfl))
     return children
@@ -101,7 +103,7 @@ def branch_1d(
 def root_node_1d(instance: Instance, grids: CandidateGrids) -> Node1D:
     """Every zone at its scale on its whole grid; dispatches first-level subtrees."""
     z_vec = tuple(q.factors[0] for q in instance.qos)
-    x_sets = tuple((0, len(grids.x_by_scale[z]), None) for z in z_vec)
+    x_sets = tuple((0, len(grids.matrices[z].xs), None) for z in z_vec)
     return Node1D(x_sets, ((0, 1, None),) * instance.p, z_vec)
 
 

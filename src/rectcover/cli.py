@@ -289,24 +289,11 @@ class BenchReport:
             writer.writerows(self.csv_rows())
 
     def human_table(self) -> str:
-        """The CSV records right-aligned under their column names, then the optimal rows' group means."""
+        """The CSV records right-aligned under their column names and a rule."""
         cells = [self.COLUMNS] + [tuple(str(rec[c]) for c in self.COLUMNS) for rec in self.csv_rows()]
         widths = [max(len(row[k]) for row in cells) for k in range(len(self.COLUMNS))]
         lines = [" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
         lines.insert(1, "-" * len(lines[0]))
-        groups: dict[tuple, list[BenchRow]] = {}
-        for row in self.rows:
-            if row.error is None and row.optimal:
-                groups.setdefault((row.p, row.m, row.n), []).append(row)
-        if groups:
-            lines += ["", "group means (optimal rows):"]
-            for (p, m, n), rows in sorted(groups.items(), key=lambda item: tuple(map(str, item[0]))):
-                nodes, t, t1, t_h, alpha = (
-                    sum(getattr(r, field) for r in rows) / len(rows) for field in ("nodes", "t", "t1", "t_h", "alpha")
-                )
-                lines.append(
-                    f"  p={p} m={m} n={n}: nodes={nodes:.1f} T={t:.4f}s T1={t1:.4f}s T_H={t_h:.4f}s alpha={alpha:.4f}"
-                )
         return "\n".join(lines)
 
 

@@ -102,7 +102,8 @@ def _square_setup():
     root = root_node(inst, grids)
     assert root == Node(x_sets=(_OPEN,) * inst.p, y_sets=(_OPEN,) * inst.p, z_vec=(_UNSET,) * inst.p)
     # the square's grids: scale 1 (0.0, 2.0) on both axes, scale 2 (0.0,)
-    assert grids.x_by_scale == grids.y_by_scale == {1.0: (0.0, 2.0), 2.0: (0.0,)}
+    assert {z: m.xs.values for z, m in grids.matrices.items()} == {1.0: (0.0, 2.0), 2.0: (0.0,)}
+    assert {z: m.ys.values for z, m in grids.matrices.items()} == {1.0: (0.0, 2.0), 2.0: (0.0,)}
     return inst, cfg, grids, mats, root
 
 
@@ -160,15 +161,17 @@ def test_split_table_survives_abutment_pins():
             pinned[Axis.Y if children[0].ba is Axis.Y and node.ba is Axis.Y else Axis.X] += 1
         stack.extend(reversed(children))
     assert pinned[Axis.X] and pinned[Axis.Y]
-    # every entry is a fresh partition-and-priority split of its range
+    # every entry is a fresh partition of its range, ranked by decreasing
+    # maximum of the reward matrix over each part's block (the whole other axis)
     assert grids.splits
     for (z, on_x, lo, hi), parts in grids.splits.items():
-        grid = (grids.x_by_scale if on_x else grids.y_by_scale)[z]
-        priority = (grids.x_priority if on_x else grids.y_priority)[z]
+        m = grids.matrices[z]
+        grid = m.xs.values if on_x else m.ys.values
         fresh = [(lo + a, lo + b, None) for a, b in partition(grid[lo:hi], cfg.beta)]
         if len(fresh) == 1:
             fresh = [(i, i + 1, None) for i in range(lo, hi)]
-        fresh.sort(key=lambda part: max(priority[part[0] : part[1]]), reverse=True)
+        block = (lambda a, b: m.entries[a:b, :]) if on_x else (lambda a, b: m.entries[:, a:b])
+        fresh.sort(key=lambda part: float(block(part[0], part[1]).max()), reverse=True)
         assert parts == tuple(fresh), (z, on_x, lo, hi)
 
 
@@ -185,7 +188,7 @@ def test_abutment_candidates_keep_other_scale_grid_values():
         ba=Axis.X,
         bs=1,
     )
-    assert grids.x_by_scale[2.0] == (0.0,)
+    assert grids.matrices[2.0].xs.values == (0.0,)
     children = branch(node, inst, grids, cfg)
     # the own-grid child (0.0), then the left (-4) and right (2) abutments,
     # each bounded by the grid's one column; the own-grid value 0.0 is not
@@ -211,25 +214,26 @@ def test_leaf_detection_and_placements():
     assert is_leaf(Node(x_sets=((0, 2, 1.0),), y_sets=((0, 1, None),), z_vec=(1.0,)))
 
 
-@pytest.mark.parametrize("p, nodes", [(2, 4), (3, 10)])
-def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p, nodes):
+@pytest.mark.parametrize("p", [2, 3])
+def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p):
     # one demand zone of the base's size and the menu {1}: each zone's x and
     # y grids hold one value, so once the last zone's scale is fixed every set
     # is a singleton while the x phase is still on.  That node is a leaf,
-    # evaluated exactly; a leaf rule that waited for the y phase would branch
-    # it on and explore 7 and 21 nodes.
+    # evaluated exactly, not branched on into the y phase.
     inst = Instance(
         dzs=(DemandZone(Rect(3.0, 4.0, 10.0, 8.0), 2.0),), base=BaseServiceZone(10.0, 8.0), p=p, qos=QosSet((1.0,))
     )
     grids = CandidateGrids.from_instance(inst)
-    assert grids.x_by_scale[1.0] == (3.0,) and grids.y_by_scale[1.0] == (4.0,)
+    assert grids.matrices[1.0].xs.values == (3.0,) and grids.matrices[1.0].ys.values == (4.0,)
     node = root_node(inst, grids)
     while not is_leaf(node):
         node = branch(node, inst, grids, SolverConfig())[0]
     assert node.ba is Axis.X and node.bs == p - 1 and node.residual_axis is None
     assert upper_bound(node, grids.matrices, inst) == 160.0
+    # The greedy seed already earns all the demand at the menu's one rate,
+    # which no placement beats, so the solve stops before its root.
     sol, stats = solve(inst)
-    assert stats.nodes_explored == nodes
+    assert stats.nodes_explored == 0
     assert stats.optimal and sol.reward == 160.0
 
 
@@ -267,7 +271,7 @@ def test_upper_bound_off_grid_singleton_brackets():
     # an abutment-pinned coordinate between grid values is bounded by the
     # better of its two bracketing grid columns
     inst, _, grids, mats, _ = _square_setup()
-    pinned = _pin(1.0, grids.x_by_scale[1.0], EPS)
+    pinned = _pin(1.0, grids.matrices[1.0].xs.values, EPS)
     assert pinned == (0, 2, 1.0)
     node = Node(
         x_sets=(pinned, (0, 1, None)),
@@ -372,7 +376,7 @@ def test_every_node_holds_slices_or_bracketed_abutments():
                     if z == _UNSET:
                         assert xs == ys == _OPEN, node
                         continue
-                    for (lo, hi, v), grid in ((xs, grids.x_by_scale[z]), (ys, grids.y_by_scale[z])):
+                    for (lo, hi, v), grid in ((xs, grids.matrices[z].xs.values), (ys, grids.matrices[z].ys.values)):
                         if v is None:
                             assert 0 <= lo < hi <= len(grid), node
                         else:
@@ -419,17 +423,34 @@ def test_proven_solve_reports_zero_gap(greedy_below_optimum):
     assert math.isclose(sol.reward, optimum, rel_tol=1e-9)
 
 
-def test_priority_tables_equal_priority_score_at_every_grid_value():
-    inst = generate(GenConfig(seed=3, n=30, p=2, m=2))
-    grids = CandidateGrids.from_instance(inst)
-    for z in inst.scale_values():
-        for axis, values, table in (
-            (Axis.X, grids.x_by_scale[z], grids.x_priority[z]),
-            (Axis.Y, grids.y_by_scale[z], grids.y_priority[z]),
-        ):
-            assert len(table) == len(values)
-            for i, v in enumerate(values):
-                assert table[i] == priority_score(v, inst.dzs, z, inst.eta, axis)
+@pytest.mark.parametrize("p", [3, 5, 12, 3000])
+def test_search_stops_once_the_incumbent_earns_all_demand(p):
+    # Three demand zones: from p=3 on, the greedy seed already covers all of
+    # them at the smallest scale's rate, which no placement can beat.  The
+    # search must stop there, proven, instead of enumerating p zones (at
+    # p=5 it used to run past 155k nodes without proving).
+    inst = generate(GenConfig(seed=1, n=3, p=2))
+    inst = Instance(inst.dzs, inst.base, p, inst.qos, inst.eta, inst.dimension)
+    dzs, _ = inst.planar
+    ceiling = sum(d.v / inst.scale_values()[0] * d.rect.w * d.rect.l for d in dzs)
+    sol, stats = solve(inst, SolverConfig(time_limit_s=60))
+    assert stats.nodes_explored == 0
+    assert stats.optimal and stats.upper_bound == sol.reward and stats.gap == 0.0
+    assert math.isclose(sol.reward, ceiling, rel_tol=1e-12)
+    assert sol.reward == covered_reward(inst.dzs, sol.placements, inst.base, inst.eta)
+
+
+def test_search_stops_at_the_leaf_that_earns_all_demand():
+    # greedy's seed misses some demand, and the search finds a placement
+    # covering all of it at node 329; the search ends on that node (without
+    # the stop it went on to 47,243 nodes)
+    inst = generate(GenConfig(seed=2, n=3, p=3, m=2))
+    ceiling = sum(d.v / inst.scale_values()[0] * d.rect.w * d.rect.l for d in inst.dzs)
+    sol, stats = solve(inst)
+    assert stats.best_reward_history[0][1] < 0.95 * ceiling
+    assert stats.optimal and stats.upper_bound == sol.reward
+    assert math.isclose(sol.reward, ceiling, rel_tol=1e-12)
+    assert stats.nodes_explored == stats.best_reward_history[-1][0] > 0
 
 
 # ------------------------------------------------------------- whole solves

@@ -303,8 +303,8 @@ def test_run_bench_rows_and_columns(tmp_path):
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == BenchReport.COLUMNS
     assert len(rows) == 1 + 4
-    table = report.human_table()
-    assert "group means" in table
+    table = report.human_table().splitlines()
+    assert [line.split() for line in table[2:]] == rows[1:]
 
 
 def test_human_table_prints_the_csv_records():
@@ -313,6 +313,7 @@ def test_human_table_prints_the_csv_records():
     assert tuple(lines[0].split()) == BenchReport.COLUMNS
     assert set(lines[1]) == {"-"}
     records = report.csv_rows()
+    assert len(lines) == 2 + len(records)
     for line, rec in zip(lines[2:], records):
         assert line.split() == [str(rec[c]) for c in BenchReport.COLUMNS]
     # right-aligned: every column ends where its header ends
@@ -381,7 +382,11 @@ def test_bench_cli_end_to_end(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     assert out.exists()
-    assert "group means" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split() == rows[0]
+    assert [line.split() for line in printed[2 : len(rows) + 1]] == rows[1:]
 
 
 LINE_SWEEP = dict(region=100.0, r=27.0, dim_range=(1.0, 10.0), base_dims=(10.0, 8.0))

@@ -42,9 +42,9 @@ def _plane_split(node, grids):
     """``(S, open zones)`` of a y-phase node: placements and ``(z, x, y set)``."""
     placed, opened = [], []
     for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
-        x = _value(xs, grids.x_by_scale[z])
+        x = _value(xs, grids.matrices[z].xs.values)
         if _is_single(ys):
-            placed.append(Placement(x, _value(ys, grids.y_by_scale[z]), z))
+            placed.append(Placement(x, _value(ys, grids.matrices[z].ys.values), z))
         else:
             opened.append((z, x, ys))
     return placed, opened
@@ -167,7 +167,7 @@ def test_plane_columns_match_covered_reward_differences():
             if len(placed) != want:
                 continue
             for z, x, _ in opened:
-                _check_gains(inst, placed, z, x, Axis.Y, grids.y_by_scale[z], seen)
+                _check_gains(inst, placed, z, x, Axis.Y, grids.matrices[z].ys.values, seen)
             isolated = upper_bound(node, grids.matrices, inst, floor=math.inf)
             tighter += upper_bound(node, grids.matrices, inst) < isolated
         assert seen, inst
@@ -189,7 +189,7 @@ def test_line_columns_match_covered_reward_differences():
             scales = [q.factors[0] for q in inst.qos]
             assert node.z_vec == tuple(scales)
             placed = [
-                Placement(_value(s, grids.x_by_scale[z]), 0.0, z)
+                Placement(_value(s, grids.matrices[z].xs.values), 0.0, z)
                 for s, z in zip(node.x_sets, scales)
                 if _is_single(s)
             ]
@@ -197,7 +197,7 @@ def test_line_columns_match_covered_reward_differences():
                 continue
             for s, z in zip(node.x_sets, scales):
                 if not _is_single(s):
-                    _check_gains(inst, placed, z, 0.0, Axis.X, grids.x_by_scale[z], seen)
+                    _check_gains(inst, placed, z, 0.0, Axis.X, grids.matrices[z].xs.values, seen)
     assert len(seen) > 20
 
 
