@@ -81,11 +81,66 @@ cover:
   of the pieces it keeps, and is 0 with none (whatever ``scv_mode`` is; no
   grid value and no ``service_breakpoints`` of ``S`` are needed).
 
-A node's bound is the smaller of the isolated sum and this residual bound.
-The residual bound is only computed when the isolated sum is above the
-incumbent plus ``epsilon``, so nodes the sum already cuts cost what they did.
-Its per-``S`` state is cached for the solve in ``CandidateGrids.residuals``,
-at most :data:`RESIDUAL_CACHE_SIZE` states, least recently used dropped.
+Lagrangian bound.  The isolated sum pays demand that several zones reach
+once per zone.  Dualising the coverage constraints of the maximal-covering
+LP (Church and ReVelle 1974; Fisher 1981) prices that away: take any
+multipliers ``mu[d, z] >= 0``, one reward density per demand zone ``d`` and
+scale ``z``, and let ``r[d, z] = v_d / eta(z)``.  Then
+
+    f(X) <= T1 + sum over t in X of L_{z_t}(t),
+    T1 = sum_d area(d) * max(0, max_z (r[d, z] - mu[d, z])),
+    L_z(t) = sum_d mu[d, z] * area(t ∩ d).
+
+Proof: a covered point of ``d`` is paid the rate ``r[d, z*]`` of the best
+zone ``t*`` covering it, and ``r[d, z*] = (r[d, z*] - mu[d, z*]) + mu[d,
+z*]``.  The first part is at most ``T1``'s integrand, the second at most the
+sum of ``mu[d, z_t]`` over the zones ``t`` that cover the point, as every
+``mu`` is nonnegative; an uncovered point is paid 0.  Integrating over every
+demand zone gives the bound.  ``mu = r`` gives back the isolated sum (``T1 =
+0``) and ``mu = 0`` the total demand reward at the best rate.
+
+``L_z`` is the isolated reward of a scale-``z`` zone on demand that pays
+``mu`` instead of ``r``: the same rectangles reweighted.  Its overlap with
+one demand zone is a trapezoid in each coordinate, so on one axis ``L_z`` is
+a nonnegative-weighted sum of trapezoids whose concave kinks are the
+inner-demand grid values; between two neighbouring grid values it is convex,
+and outside the grid's range monotone toward it.  So its maximum over any
+block of the grid, over every real position in it and over a bracketed
+abutment position alike, is read at grid values, exactly as for the reward
+matrix, whatever the nonnegative weights.  ``L_z`` is tabulated over scale
+``z``'s own grids as ``(ox[z] * mu[:, z]).T @ oy[z]``, from the overlap tables
+of the ``reward._Demand.scale`` that ``build_reward_matrix`` sums, and a
+node's Lagrangian bound is ``T1`` plus one memoised ``block_max`` per zone
+(an open zone takes the best entry over its menu's matrices), what the
+isolated sum costs.
+
+``mu`` is fitted once per solve, at the root, by projected subgradient
+(:func:`fit_lagrangian`): it starts at ``mu = r``, where the root bound is
+the isolated sum, and steps toward ``lower`` (greedy's covered reward) with
+a Polyak step.  A subgradient of the root bound is ``-area(d)`` at each
+demand zone's maximising scale in ``T1`` (where positive), plus, per zone,
+the overlap with every demand zone of the argmax of its ``L_z``.  At most
+:data:`FIT_STEPS` steps; the step factor starts at :data:`FIT_STEP` and
+halves after :data:`FIT_HALVE_AFTER` steps without a new best; the fit stops
+after :data:`FIT_STALL` steps without a gain of :data:`FIT_GAIN` relative,
+or once the bound is at or below ``lower``.  The best ``mu`` seen is kept.
+When it does not beat the start by :data:`FIT_GAIN` the solve keeps no
+Lagrangian state, and its nodes and cost per node are those of the other
+two bounds alone.
+
+The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
+in another order than the reward matrix and ``covered_reward``, each a sum of
+nonnegative terms off by a relative error of about the number of demand
+zones times 2**-52.  So it is scaled by ``1 + LAG_MARGIN``
+(:data:`LAG_MARGIN`, relative, 1e-12) before it is compared.  The prune test
+then adds ``epsilon``, the absolute slack every bound shares.
+
+A node's bound is the smallest of the isolated sum, the Lagrangian bound
+and this residual bound, each computed only while the ones before it leave
+the node above the incumbent plus ``epsilon``, so nodes the sum already
+cuts cost what they did.  The residual bound's per-``S`` state is cached for
+the solve in ``CandidateGrids.residuals``, at most
+:data:`RESIDUAL_CACHE_SIZE` states, least recently used dropped.
 
 When the time limit stops a search, every node still on the stack is bounded
 once more; the largest of those bounds (at least the incumbent plus
@@ -98,14 +153,17 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .geometry import EPS, Axis
 from .critical import abutment_values
 from .greedy import greedy
 from .model import Dimension, Instance, Placement, QosSet, Solution, reward_rate
-from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward
+from .reward import ResidualDemand, RewardMatrix, _Demand, build_reward_matrix, covered_reward
 
 _UNSET = 0.0  # marker for a scale not chosen yet (real scales are >= 1)
 
@@ -123,6 +181,17 @@ _OPEN: CandidateSet = (0, 0, None)
 #: keeping 1024 rebuilds 6% more of them, and keeping only those on the
 #: current search path rebuilds 5x more and runs 1.8x slower.
 RESIDUAL_CACHE_SIZE = 1024
+
+#: The Lagrangian fit (module docstring): most steps, first Polyak step
+#: factor, steps without a new best before it halves, steps without a
+#: relative gain of ``FIT_GAIN`` before the fit stops.
+FIT_STEPS = 40
+FIT_STEP = 2.0
+FIT_HALVE_AFTER = 5
+FIT_STALL = 10
+FIT_GAIN = 1e-3
+#: Relative margin on the Lagrangian bound, for its rounding.
+LAG_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,7 +248,10 @@ class SolverStats:
     bound is known (a heuristic run).  ``greedy_reward`` is the reward the
     greedy seed claims (the sum of its rounds' gains) and ``greedy_time`` its
     run time; ``optimal_found_time`` is when the incumbent was last improved,
-    the seed counting at the end of its greedy run.
+    the seed counting at the end of its greedy run.  ``root_bound`` is the
+    certified bound of the root once the Lagrangian fit is done (``None``
+    when no root was bounded: a heuristic run, or a seed that already earns
+    all the demand) and ``fit_s`` the fit's run time.
     """
 
     nodes_explored: int = 0
@@ -191,6 +263,23 @@ class SolverStats:
     optimal: bool = True
     upper_bound: float | None = None
     gap: float | None = None
+    root_bound: float | None = None
+    fit_s: float = 0.0
+
+
+class Lagrangian(NamedTuple):
+    """The Lagrangian bound of one choice of ``mu`` (module docstring).
+
+    ``t1`` is ``T1`` and ``matrices[z]`` tabulates ``L_z`` over the grids of
+    the reward matrix of scale ``z``, so a node's candidate sets index it.
+    """
+
+    t1: float
+    matrices: Mapping[float, RewardMatrix]
+
+    def bound(self, node: Node) -> float:
+        """``T1`` plus each zone's best ``L`` over its candidate sets, with the rounding margin."""
+        return (self.t1 + _block_sum(node, self.matrices)) * (1.0 + LAG_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -199,12 +288,15 @@ class CandidateGrids:
 
     ``matrices[z]`` is tabulated over scale ``z``'s grids, ``xs.values`` and
     ``ys.values``; every candidate set of a scale-``z`` zone indexes them.
-    ``splits`` tabulates :meth:`split` and ``residuals`` is the residual
-    bound's cache, one :class:`~rectcover.reward.ResidualDemand` per set of
-    placed zones; both live as long as the solve.
+    ``lagrangian`` is the fitted Lagrangian bound, or None when the solve
+    keeps none (:meth:`fitted`).  ``splits`` tabulates :meth:`split` and
+    ``residuals`` is the residual bound's cache, one
+    :class:`~rectcover.reward.ResidualDemand` per set of placed zones; both
+    live as long as the solve.
     """
 
     matrices: Mapping[float, RewardMatrix]
+    lagrangian: Lagrangian | None = None
     splits: dict[tuple, tuple[CandidateSet, ...]] = field(default_factory=dict, compare=False, repr=False)
     residuals: dict[tuple, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
 
@@ -212,6 +304,10 @@ class CandidateGrids:
     def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
         dzs, base, eta = instance.dzs, instance.base, instance.eta
         return CandidateGrids({z: build_reward_matrix(dzs, z, base, eta, eps) for z in instance.scale_values()})
+
+    def fitted(self, root: Node, instance: Instance, lower: float, eps: float = EPS) -> "CandidateGrids":
+        """These grids with the Lagrangian bound fitted at ``root`` toward ``lower`` (:func:`fit_lagrangian`)."""
+        return replace(self, lagrangian=fit_lagrangian(root, instance, self.matrices, lower, eps))
 
     def split(self, z: float, axis: Axis, s: CandidateSet, beta: float) -> tuple[CandidateSet, ...]:
         """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
@@ -432,34 +528,11 @@ def _axis_indices(v: float, grid: Sequence[float], eps: float) -> tuple[int, int
     return i - 1, i + 1
 
 
-def upper_bound(
-    node: Node,
-    matrices: Mapping[float, RewardMatrix],
-    instance: Instance,
-    eps: float = EPS,
-    floor: float = -math.inf,
-    cache: dict[tuple, ResidualDemand] | None = None,
-) -> float:
-    """Optimistic value of the best completion below ``node``, plane or line.
+def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:
+    """Each zone's best entry of its scale's matrix over the block its sets name, summed.
 
-    Each zone contributes the best isolated reward reachable from its
-    candidate sets (overlap between zones only lowers the true value, so the
-    sum is a valid bound): the maximum of the block
-    ``entries[xlo:xhi, ylo:yhi]`` of its scale's reward matrix, whose index
-    ranges its sets ``(xlo, xhi, _)`` and ``(ylo, yhi, _)`` hold and whose
-    maximum ``RewardMatrix.block_max`` memoises.  ``matrices`` must be
-    tabulated over the grids the node's sets index (``CandidateGrids``).  A
-    zone with an open scale contributes the best entry over all scale
-    matrices, taken once per call and only when some scale is open.  A line
-    zone's y set is the single index of its matrix's one y value, 0.
-
-    A node at or below ``floor + eps`` on that isolated sum returns it.  A
-    leaf above it is evaluated exactly with ``covered_reward`` on
-    ``instance.planar``.  Any other node with a ``residual_axis`` (the plane's
-    y phase, the line below its root), where every coordinate on the other
-    axis is fixed, returns the smaller of the sum and the residual bound
-    (module docstring), whose per-``S`` state ``cache`` keeps (a fresh one
-    per call when None).  With the default ``floor`` every leaf is exact.
+    A zone with an open scale takes the best entry of every matrix, taken
+    once per call and only when some scale is open.
     """
     total = 0.0
     best_any = None
@@ -470,12 +543,47 @@ def upper_bound(
             total += best_any
             continue
         total += matrices[z].block_max(xs[0], xs[1], ys[0], ys[1])
+    return total
+
+
+def upper_bound(
+    node: Node,
+    matrices: Mapping[float, RewardMatrix],
+    instance: Instance,
+    eps: float = EPS,
+    floor: float = -math.inf,
+    cache: dict[tuple, ResidualDemand] | None = None,
+    lagrangian: Lagrangian | None = None,
+) -> float:
+    """Optimistic value of the best completion below ``node``, plane or line.
+
+    Each zone contributes the best isolated reward reachable from its
+    candidate sets (overlap between zones only lowers the true value, so the
+    sum is a valid bound): the maximum of the block
+    ``entries[xlo:xhi, ylo:yhi]`` of its scale's reward matrix, whose index
+    ranges its sets ``(xlo, xhi, _)`` and ``(ylo, yhi, _)`` hold and whose
+    maximum ``RewardMatrix.block_max`` memoises (:func:`_block_sum`).
+    ``matrices`` must be tabulated over the grids the node's sets index
+    (``CandidateGrids``).  A line zone's y set is the single index of its
+    matrix's one y value, 0.
+
+    A node at or below ``floor + eps`` on that isolated sum returns it.  A
+    leaf above it is evaluated exactly with ``covered_reward`` on
+    ``instance.planar``.  Any other node takes the smaller of the sum and
+    ``lagrangian``'s bound when one is given, and returns it when it is at
+    or below ``floor + eps``.  Past that, a node with a ``residual_axis``
+    (the plane's y phase, the line below its root), where every coordinate
+    on the other axis is fixed, takes the residual bound as well (module
+    docstring), whose per-``S`` state ``cache`` keeps (a fresh one per call
+    when None).  With the default ``floor`` every leaf is exact.
+    """
+    total = _block_sum(node, matrices)
     if total <= floor + eps:
         return total
     axis = node.residual_axis
     if axis is None:
         if not is_leaf(node):
-            return total
+            return total if lagrangian is None else min(total, lagrangian.bound(node))
         axis = Axis.Y  # every set is a singleton, so none is opened below
     # the other axis is fixed from here on, so the node is a leaf when no set is open
     on_x = axis is Axis.X
@@ -491,7 +599,97 @@ def upper_bound(
     if not opened:
         dzs, base = instance.planar
         return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta, eps)
+    if lagrangian is not None:
+        total = min(total, lagrangian.bound(node))
+        if total <= floor + eps:
+            return total
     return min(total, residual_bound(placed, opened, axis, instance, eps, cache))
+
+
+def fit_lagrangian(
+    root: Node, instance: Instance, matrices: Mapping[float, RewardMatrix], lower: float, eps: float = EPS
+) -> Lagrangian | None:
+    """The Lagrangian bound of the best ``mu`` a subgradient fit at ``root`` finds (module docstring).
+
+    ``matrices`` are the solve's reward matrices, one per scale.  Returns
+    None when the fit does not lower ``root``'s Lagrangian bound below its
+    start, the isolated sum, by a relative ``FIT_GAIN``.  Zones with the
+    same scale and candidate sets (at the root, every zone on the plane and
+    every zone of one scale on the line) share their argmax, so each such
+    group adds its subgradient once, times its size.
+    """
+    tables = LagrangianTables.of(instance, matrices, eps)
+    scales = list(matrices)
+    groups = Counter(zip(root.x_sets, root.y_sets, root.z_vec)).items()
+    rows = np.arange(len(tables.area))
+    mu = tables.rates
+    best, best_lagrangian, mark = math.inf, None, math.inf
+    step, since_best, since_gain = FIT_STEP, 0, 0
+    for n in range(FIT_STEPS):
+        lagrangian = tables.lagrangian(mu, matrices)
+        slack = tables.rates - mu
+        top = slack.argmax(axis=1)
+        paid = slack[rows, top] > 0.0
+        grad = np.zeros_like(mu)
+        grad[rows[paid], top[paid]] = -tables.area[paid]
+        value = lagrangian.t1
+        for (xs, ys, z), count in groups:
+            if z == _UNSET:  # an open zone takes the best scale's whole grid
+                z = max(scales, key=lambda w: lagrangian.matrices[w].max_entry)
+                xs, ys = (0, len(matrices[z].xs), None), (0, len(matrices[z].ys), None)
+            s = scales.index(z)
+            block = lagrangian.matrices[z].entries[xs[0] : xs[1], ys[0] : ys[1]]
+            i, k = divmod(int(block.argmax()), block.shape[1])
+            value += count * float(block[i, k])
+            grad[:, s] += count * tables.x[s][:, xs[0] + i] * tables.y[s][:, ys[0] + k]
+        start = value if n == 0 else start
+        if value < best:
+            best, best_lagrangian, since_best = value, lagrangian, 0
+        else:
+            since_best += 1
+            if since_best >= FIT_HALVE_AFTER:
+                step, since_best = step / 2.0, 0
+        if value < mark * (1.0 - FIT_GAIN):
+            mark, since_gain = value, 0
+        else:
+            since_gain += 1
+        norm = float((grad * grad).sum())
+        if value <= lower or since_gain >= FIT_STALL or norm == 0.0:
+            break
+        mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
+    return best_lagrangian if best < start * (1.0 - FIT_GAIN) else None
+
+
+class LagrangianTables(NamedTuple):
+    """Per-demand tables the Lagrangian bound is built from, one per scale of a solve.
+
+    The scales are the keys of the solve's reward matrices, in order.
+    ``x[s]`` (demand zone by x grid value) and ``y[s]`` hold each demand
+    zone's overlap with a zone of scale ``s`` on each axis, from the
+    ``reward._Demand.scale`` that ``build_reward_matrix`` sums, so they run
+    over the reward matrices' grids.  ``rates[d, s]`` is ``r[d, z]`` and
+    ``area[d]`` the area of demand zone ``d``, both in planar form.
+    """
+
+    area: np.ndarray
+    rates: np.ndarray
+    x: tuple[np.ndarray, ...]
+    y: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, instance: Instance, matrices: Mapping[float, RewardMatrix], eps: float = EPS) -> "LagrangianTables":
+        demand = _Demand(instance.dzs, instance.base)
+        _, _, rates, xs, ys = zip(*(demand.scale(z, instance.eta, eps) for z in matrices))
+        area = (demand.x2 - demand.x1) * (demand.y2 - demand.y1)
+        return cls(area, np.stack(rates, axis=1), tuple(x.overlaps() for x in xs), tuple(y.overlaps() for y in ys))
+
+    def lagrangian(self, mu: np.ndarray, matrices: Mapping[float, RewardMatrix]) -> Lagrangian:
+        """The Lagrangian bound of the multipliers ``mu[d, s]``, its ``L_z`` on the grids of ``matrices``."""
+        t1 = float(self.area @ (self.rates - mu).max(axis=1, initial=0.0))
+        return Lagrangian(t1, {
+            z: RewardMatrix(m.xs, m.ys, (x * mu[:, s, None]).T @ y)
+            for s, ((z, m), x, y) in enumerate(zip(matrices.items(), self.x, self.y))
+        })
 
 
 def residual_bound(
@@ -543,8 +741,10 @@ def branch_and_bound(
 
     A greedy run seeds the incumbent, valued at the covered reward of its
     placements; ``stats`` keeps greedy's claimed reward and run time.
-    ``grids`` (:class:`CandidateGrids`) is built once, and ``root(instance,
-    grids)`` builds the root node.  Every popped node is bounded with
+    ``grids`` (:class:`CandidateGrids`) is built once, ``root(instance,
+    grids)`` builds the root node, and the Lagrangian bound is fitted at it
+    (:meth:`CandidateGrids.fitted`; ``stats.fit_s``, and the root's bound in
+    ``stats.root_bound``).  Every popped node is bounded with
     :func:`upper_bound` against ``lower``, the incumbent's reward, and is cut
     when the bound cannot beat the incumbent by more than ``epsilon``.  A
     surviving leaf (:func:`is_leaf`), whose bound is then its exact value,
@@ -581,19 +781,25 @@ def branch_and_bound(
 
     if lower + eps < ceiling:
         grids = CandidateGrids.from_instance(instance, eps)
-        stack = [root(instance, grids)]
+        top = root(instance, grids)
+        fit_start = time.perf_counter()
+        grids = grids.fitted(top, instance, lower, eps)
+        stats.fit_s = time.perf_counter() - fit_start
+        matrices, residuals, lagrangian = grids.matrices, grids.residuals, grids.lagrangian
+        stats.root_bound = upper_bound(top, matrices, instance, eps, -math.inf, residuals, lagrangian)
+        stack = [top]
         while stack:
             if time.perf_counter() - start > config.time_limit_s:
                 stats.optimal = False
                 break
             node = stack.pop()
             stats.nodes_explored += 1
-            value = upper_bound(node, grids.matrices, instance, eps, lower, grids.residuals)
+            value = upper_bound(node, matrices, instance, eps, lower, residuals, lagrangian)
             if value <= lower + eps:
                 continue
             if is_leaf(node):
                 lower = value
-                incumbent = leaf_placements(node, grids.matrices)
+                incumbent = leaf_placements(node, matrices)
                 stats.best_reward_history.append((stats.nodes_explored, lower))
                 stats.optimal_found_time = time.perf_counter() - start
                 if lower + eps >= ceiling:
@@ -607,8 +813,7 @@ def branch_and_bound(
         # Every cut node was within eps of an incumbent no better than the
         # last; the open nodes are bounded once more, exactly at leaves.
         stats.upper_bound = max(
-            [lower + eps]
-            + [upper_bound(n, grids.matrices, instance, eps, -math.inf, grids.residuals) for n in stack]
+            [lower + eps] + [upper_bound(n, matrices, instance, eps, -math.inf, residuals, lagrangian) for n in stack]
         )
     stats.gap = (stats.upper_bound - lower) / stats.upper_bound if stats.upper_bound > 0 else 0.0
     stats.wall_time = time.perf_counter() - start

@@ -19,8 +19,10 @@ The search loop is the planar solver's (``bnb.branch_and_bound``), run with
 this module's root and branching rule.  Its bound, leaf test and leaf
 placements (``bnb.upper_bound``, ``bnb.is_leaf``, ``bnb.leaf_placements``)
 read a line node as a planar one whose every y set is fixed at 0: the
-residual bound runs on x below the root, and a leaf is evaluated on the
-demand lifted once per instance (``Instance.planar``).
+Lagrangian bound is fitted at the root, where each zone takes the maximum
+of its own scale's matrix, the residual bound runs on x below the root, and
+a leaf is evaluated on the demand lifted once per instance
+(``Instance.planar``).
 """
 
 from __future__ import annotations

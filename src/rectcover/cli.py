@@ -164,7 +164,11 @@ def instance_from_dict(data: Any, path: str = "instance") -> Instance:
 
 
 def solution_to_dict(solution: Solution, stats: SolverStats) -> dict[str, Any]:
-    """JSON form of a solution; ``stats`` carries ``upper_bound`` and ``gap`` when known."""
+    """JSON form of a solution.
+
+    ``stats`` carries ``upper_bound`` and ``gap`` when known, and the exact
+    search's ``root_bound`` and ``fit_s`` when it bounded a root.
+    """
     data = {
         "reward": solution.reward,
         "optimal": stats.optimal,
@@ -178,6 +182,9 @@ def solution_to_dict(solution: Solution, stats: SolverStats) -> dict[str, Any]:
     if stats.upper_bound is not None:
         data["stats"]["upper_bound"] = stats.upper_bound
         data["stats"]["gap"] = stats.gap
+    if stats.root_bound is not None:
+        data["stats"]["root_bound"] = stats.root_bound
+        data["stats"]["fit_s"] = stats.fit_s
     return data
 
 
@@ -243,6 +250,8 @@ class BenchRow:
     error: str | None = None
     upper_bound: float | None = None
     gap: float | None = None
+    root_bound: float | None = None
+    fit_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -251,14 +260,16 @@ class BenchReport:
 
     ``upper_bound`` and ``gap`` are the exact solve's certified bound and
     relative gap (``SolverStats``), written in full precision: a proven row
-    has gap 0, a timed-out one a positive gap.
+    has gap 0, a timed-out one a positive gap.  ``root_bound`` is the root's
+    certified bound after the Lagrangian fit and ``fit_s`` the fit's time
+    (``-`` when the greedy seed already earns all the demand).
     """
 
     rows: tuple[BenchRow, ...]
 
     COLUMNS = (
         "n", "p", "m", "seed", "nodes", "T", "T1", "T1_over_T", "T_H", "alpha",
-        "optimal", "upper_bound", "gap",
+        "optimal", "upper_bound", "gap", "root_bound", "fit_s",
     )
 
     def csv_rows(self) -> list[dict[str, Any]]:
@@ -278,6 +289,8 @@ class BenchReport:
                     "alpha": f"{row.alpha:.6f}" if row.optimal else "-",
                     "upper_bound": row.upper_bound if row.upper_bound is not None else "-",
                     "gap": row.gap if row.gap is not None else "-",
+                    "root_bound": row.root_bound if row.root_bound is not None else "-",
+                    "fit_s": f"{row.fit_s:.6f}" if row.root_bound is not None else "-",
                 })
             out.append(rec)
         return out
@@ -357,6 +370,8 @@ def run_bench(
                     optimal=stats.optimal,
                     upper_bound=stats.upper_bound,
                     gap=stats.gap,
+                    root_bound=stats.root_bound,
+                    fit_s=stats.fit_s,
                 )
             )
         except Exception as exc:  # noqa: BLE001 - keep the sweep alive

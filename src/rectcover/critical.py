@@ -37,15 +37,6 @@ class CriticalValueSet:
         return len(self.values)
 
 
-def dedup_sorted(values: Iterable[float], eps: float = EPS) -> tuple[float, ...]:
-    """Sort ``values`` and merge any pair closer than ``eps`` to the smaller one."""
-    out: list[float] = []
-    for v in sorted(float(v) for v in values):
-        if not out or v - out[-1] >= eps:
-            out.append(v)
-    return tuple(out)
-
-
 def contains_value(sorted_values: Sequence[float], v: float, eps: float = EPS) -> bool:
     """Membership test in a sorted sequence with absolute tolerance ``eps``."""
     i = bisect_left(sorted_values, v)
@@ -85,11 +76,13 @@ def inner_demand_grid(
 
     ``dzs`` is a sequence of zones or their :func:`~rectcover.model.demand_rows`
     array.  Empty input yields an empty grid.  Cardinality is at most ``2 *
-    len(dzs)``.  The values are exactly ``dedup_sorted`` of every zone's
-    inner pair from :func:`demand_breakpoints`, computed with numpy: after a
-    stable sort, a value at least ``eps`` above its predecessor is kept and
-    an exact duplicate is dropped.  The rare values closer than ``eps`` to a
-    distinct predecessor are resolved in order against the last kept value.
+    len(dzs)``.  The values are every zone's inner pair from
+    :func:`demand_breakpoints`, sorted, a value dropped when it lies closer
+    than ``eps`` above the last value kept.  They are computed with numpy:
+    after a stable sort, a value at least ``eps`` above its predecessor is
+    kept and an exact duplicate is dropped.  The rare values closer than
+    ``eps`` to a distinct predecessor are resolved in order against the last
+    kept value.
     """
     # rows are (x, y, w, l, v); the inner pair is (lo, (lo + extent) - reach)
     rows = demand_rows(dzs)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import EPS, Axis, _trim_bounds, area, intersect
+from .geometry import EPS, Axis, _trim_bounds
 from .critical import CriticalValueSet, inner_demand_grid
 from .model import (
     BaseServiceZone,
@@ -32,8 +32,6 @@ from .model import (
     QosSet,
     demand_rows,
     planar_form,
-    reward_rate,
-    service_rect,
 )
 
 #: Signature shared by the exact single-zone solver and any approximate
@@ -42,25 +40,6 @@ SingleZoneSolver = Callable[
     [Sequence[DemandZone], QosSet, BaseServiceZone, Eta],
     tuple[float, float, float, float],
 ]
-
-
-def single_zone_reward(
-    dzs: Sequence[DemandZone],
-    x: float,
-    y: float,
-    z: float,
-    base: BaseServiceZone,
-    eta: Eta,
-) -> float:
-    """Reward collected by one scale-``z`` zone at ``(x, y)`` in isolation."""
-    pdzs, pbase = planar_form(dzs, base)
-    zone = service_rect(pbase, Placement(x, y, z))
-    total = 0.0
-    for d in pdzs:
-        overlap = intersect(d.rect, zone)
-        if overlap is not None:
-            total += reward_rate(d.v, z, eta) * area(overlap)
-    return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -282,19 +282,21 @@ def test_root_is_no_leaf_when_every_grid_holds_one_value(p):
 @pytest.mark.parametrize(
     "seed, n, mode, nodes, reward",
     [
-        pytest.param(38, 12, "outer", 229, 584.8876482173569, id="38-1334-584.8876482173569"),
-        pytest.param(4, 12, "outer", 357, 953.3261811933497, id="4-2530-953.3261811933497"),
-        pytest.param(3, 8, "outer", 589, 763.7557453323485, id="3-n8-outer-7719"),
-        pytest.param(3, 8, "full", 710, 763.7557453323485, id="3-n8-full-10888"),
+        pytest.param(38, 12, "outer", 134, 584.8876482173569, id="38-1334-584.8876482173569"),
+        pytest.param(4, 12, "outer", 283, 953.3261811933497, id="4-2530-953.3261811933497"),
+        pytest.param(3, 8, "outer", 134, 763.7557453323485, id="3-n8-outer-7719"),
+        pytest.param(3, 8, "full", 167, 763.7557453323485, id="3-n8-full-10888"),
     ],
 )
 def test_node_count_fingerprint(seed, n, mode, nodes, reward):
-    # Recorded with the residual bound; the ids keep the counts of the
-    # isolated-sum bound alone (1334, 2530, 7719, 10888), from before it.  A
-    # pure speed-up or refactor must not move them.  Seed 4 went from 442 to
-    # 357 nodes when children came to be ranked by their reward-matrix block
-    # maximum instead of a demand-mass table: the same optimum is reached
-    # sooner.
+    # Recorded with the Lagrangian bound as well as the residual bound; the
+    # ids keep the counts of the isolated-sum bound alone (1334, 2530, 7719,
+    # 10888).  With the residual bound, before the Lagrangian bound, they
+    # were 229, 357, 589 and 710; the Lagrangian bound cuts nodes the other
+    # two keep, and the optima stay the same.  A pure speed-up or refactor
+    # must not move them.  Seed 4 had gone from 442 to 357 nodes when
+    # children came to be ranked by their reward-matrix block maximum
+    # instead of a demand-mass table.
     inst = generate_1d(GenConfig(seed=seed, n=n, p=3, dimension=Dimension.ONE_D))
     sol, stats = solve_1d(inst, SolverConfig(scv_mode=mode))
     assert stats.nodes_explored == nodes

