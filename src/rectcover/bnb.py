@@ -108,11 +108,12 @@ and outside the grid's range monotone toward it.  So its maximum over any
 block of the grid, over every real position in it and over a bracketed
 abutment position alike, is read at grid values, exactly as for the reward
 matrix, whatever the nonnegative weights.  ``L_z`` is tabulated over scale
-``z``'s own grids as ``(ox[z] * mu[:, z]).T @ oy[z]``, from the overlap tables
-of the ``reward._Demand.scale`` that ``build_reward_matrix`` sums, and a
-node's Lagrangian bound is ``T1`` plus one memoised ``block_max`` per zone
-(an open zone takes the best entry over its menu's matrices), what the
-isolated sum costs.
+``z``'s own grids as ``RewardMatrix.reweighted(mu[:, z])``, the one product
+``(ox * mu[:, z]).T @ oy`` of the overlap tables that
+``build_reward_matrix`` sums and keeps on scale ``z``'s matrix
+(:meth:`Lagrangian.of`), and a node's Lagrangian bound is ``T1`` plus one
+memoised ``block_max`` per zone (an open zone takes the best entry over its
+menu's matrices), what the isolated sum costs.
 
 ``mu`` is fitted once per solve, at the root, by projected subgradient
 (:func:`fit_lagrangian`): it starts at ``mu = r``, where the root bound is
@@ -142,6 +143,14 @@ cuts cost what they did.  The residual bound's per-``S`` state is cached for
 the solve in ``CandidateGrids.residuals``, at most
 :data:`RESIDUAL_CACHE_SIZE` states, least recently used dropped.
 
+No placement earns more than ``ceiling``, every demand zone's area paid
+at the smallest scale's rate, so the search stops, proven, once the
+incumbent is within a relative ``LAG_MARGIN`` of it.  The margin is
+relative because the incumbent's covered reward and ``ceiling`` sum the
+same terms in another order: an incumbent that earns all the demand can
+fall a few ulps short of ``ceiling``, more than an absolute ``epsilon`` at
+large coordinates.
+
 When the time limit stops a search, every node still on the stack is bounded
 once more; the largest of those bounds (at least the incumbent plus
 ``epsilon``, the margin every cut node was within) is a certified upper bound
@@ -162,8 +171,8 @@ import numpy as np
 from .geometry import EPS, Axis
 from .critical import abutment_values
 from .greedy import greedy
-from .model import Dimension, Instance, Placement, QosSet, Solution, reward_rate
-from .reward import ResidualDemand, RewardMatrix, _Demand, build_reward_matrix, covered_reward
+from .model import Dimension, Instance, Placement, QosSet, Solution, demand_rows, reward_rate
+from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward
 
 _UNSET = 0.0  # marker for a scale not chosen yet (real scales are >= 1)
 
@@ -190,7 +199,8 @@ FIT_STEP = 2.0
 FIT_HALVE_AFTER = 5
 FIT_STALL = 10
 FIT_GAIN = 1e-3
-#: Relative margin on the Lagrangian bound, for its rounding.
+#: Relative margin on the Lagrangian bound and on the total demand reward,
+#: for their rounding.
 LAG_MARGIN = 1e-12
 
 
@@ -277,6 +287,20 @@ class Lagrangian(NamedTuple):
     t1: float
     matrices: Mapping[float, RewardMatrix]
 
+    @classmethod
+    def of(
+        cls, mu: np.ndarray, rates: np.ndarray, area: np.ndarray, matrices: Mapping[float, RewardMatrix]
+    ) -> "Lagrangian":
+        """The bound of the multipliers ``mu[d, s]``, column ``s`` for the ``s``-th scale of ``matrices``.
+
+        ``matrices`` are a solve's reward matrices, ``rates[d, s]`` the
+        ``rates[d]`` of the ``s``-th of them, and ``area[d]`` demand zone
+        ``d``'s area in planar form; ``L_z`` is
+        ``matrices[z].reweighted(mu[:, s])``.
+        """
+        t1 = float(area @ (rates - mu).max(axis=1, initial=0.0))
+        return cls(t1, {z: m.reweighted(mu[:, s]) for s, (z, m) in enumerate(matrices.items())})
+
     def bound(self, node: Node) -> float:
         """``T1`` plus each zone's best ``L`` over its candidate sets, with the rounding margin."""
         return (self.t1 + _block_sum(node, self.matrices)) * (1.0 + LAG_MARGIN)
@@ -289,7 +313,7 @@ class CandidateGrids:
     ``matrices[z]`` is tabulated over scale ``z``'s grids, ``xs.values`` and
     ``ys.values``; every candidate set of a scale-``z`` zone indexes them.
     ``lagrangian`` is the fitted Lagrangian bound, or None when the solve
-    keeps none (:meth:`fitted`).  ``splits`` tabulates :meth:`split` and
+    keeps none (:func:`fit_lagrangian`).  ``splits`` tabulates :meth:`split` and
     ``residuals`` is the residual bound's cache, one
     :class:`~rectcover.reward.ResidualDemand` per set of placed zones; both
     live as long as the solve.
@@ -304,10 +328,6 @@ class CandidateGrids:
     def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
         dzs, base, eta = instance.dzs, instance.base, instance.eta
         return CandidateGrids({z: build_reward_matrix(dzs, z, base, eta, eps) for z in instance.scale_values()})
-
-    def fitted(self, root: Node, instance: Instance, lower: float, eps: float = EPS) -> "CandidateGrids":
-        """These grids with the Lagrangian bound fitted at ``root`` toward ``lower`` (:func:`fit_lagrangian`)."""
-        return replace(self, lagrangian=fit_lagrangian(root, instance, self.matrices, lower, eps))
 
     def split(self, z: float, axis: Axis, s: CandidateSet, beta: float) -> tuple[CandidateSet, ...]:
         """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
@@ -607,41 +627,44 @@ def upper_bound(
 
 
 def fit_lagrangian(
-    root: Node, instance: Instance, matrices: Mapping[float, RewardMatrix], lower: float, eps: float = EPS
+    root: Node, instance: Instance, matrices: Mapping[float, RewardMatrix], lower: float
 ) -> Lagrangian | None:
     """The Lagrangian bound of the best ``mu`` a subgradient fit at ``root`` finds (module docstring).
 
-    ``matrices`` are the solve's reward matrices, one per scale.  Returns
-    None when the fit does not lower ``root``'s Lagrangian bound below its
-    start, the isolated sum, by a relative ``FIT_GAIN``.  Zones with the
-    same scale and candidate sets (at the root, every zone on the plane and
-    every zone of one scale on the line) share their argmax, so each such
-    group adds its subgradient once, times its size.
+    ``matrices`` are the solve's reward matrices, one per scale, whose rates
+    and overlap tables the fit reads.  Returns None when the fit does not
+    lower ``root``'s Lagrangian bound below its start, the isolated sum, by
+    a relative ``FIT_GAIN``.  Zones with the same scale and candidate sets
+    (at the root, every zone on the plane and every zone of one scale on the
+    line) share their argmax, so each such group adds its subgradient once,
+    times its size.
     """
-    tables = LagrangianTables.of(instance, matrices, eps)
+    x, y, w, l, _ = demand_rows(instance.planar[0]).T
+    area = ((x + w) - x) * ((y + l) - y)
     scales = list(matrices)
+    rates = np.stack([matrices[z].rates for z in scales], axis=1)
     groups = Counter(zip(root.x_sets, root.y_sets, root.z_vec)).items()
-    rows = np.arange(len(tables.area))
-    mu = tables.rates
+    rows = np.arange(len(area))
+    mu = rates
     best, best_lagrangian, mark = math.inf, None, math.inf
     step, since_best, since_gain = FIT_STEP, 0, 0
     for n in range(FIT_STEPS):
-        lagrangian = tables.lagrangian(mu, matrices)
-        slack = tables.rates - mu
+        lagrangian = Lagrangian.of(mu, rates, area, matrices)
+        slack = rates - mu
         top = slack.argmax(axis=1)
         paid = slack[rows, top] > 0.0
         grad = np.zeros_like(mu)
-        grad[rows[paid], top[paid]] = -tables.area[paid]
+        grad[rows[paid], top[paid]] = -area[paid]
         value = lagrangian.t1
         for (xs, ys, z), count in groups:
             if z == _UNSET:  # an open zone takes the best scale's whole grid
-                z = max(scales, key=lambda w: lagrangian.matrices[w].max_entry)
+                z = max(scales, key=lambda v: lagrangian.matrices[v].max_entry)
                 xs, ys = (0, len(matrices[z].xs), None), (0, len(matrices[z].ys), None)
-            s = scales.index(z)
+            m = matrices[z]
             block = lagrangian.matrices[z].entries[xs[0] : xs[1], ys[0] : ys[1]]
             i, k = divmod(int(block.argmax()), block.shape[1])
             value += count * float(block[i, k])
-            grad[:, s] += count * tables.x[s][:, xs[0] + i] * tables.y[s][:, ys[0] + k]
+            grad[:, scales.index(z)] += count * m.ox[:, xs[0] + i] * m.oy[:, ys[0] + k]
         start = value if n == 0 else start
         if value < best:
             best, best_lagrangian, since_best = value, lagrangian, 0
@@ -658,38 +681,6 @@ def fit_lagrangian(
             break
         mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
     return best_lagrangian if best < start * (1.0 - FIT_GAIN) else None
-
-
-class LagrangianTables(NamedTuple):
-    """Per-demand tables the Lagrangian bound is built from, one per scale of a solve.
-
-    The scales are the keys of the solve's reward matrices, in order.
-    ``x[s]`` (demand zone by x grid value) and ``y[s]`` hold each demand
-    zone's overlap with a zone of scale ``s`` on each axis, from the
-    ``reward._Demand.scale`` that ``build_reward_matrix`` sums, so they run
-    over the reward matrices' grids.  ``rates[d, s]`` is ``r[d, z]`` and
-    ``area[d]`` the area of demand zone ``d``, both in planar form.
-    """
-
-    area: np.ndarray
-    rates: np.ndarray
-    x: tuple[np.ndarray, ...]
-    y: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, instance: Instance, matrices: Mapping[float, RewardMatrix], eps: float = EPS) -> "LagrangianTables":
-        demand = _Demand(instance.dzs, instance.base)
-        _, _, rates, xs, ys = zip(*(demand.scale(z, instance.eta, eps) for z in matrices))
-        area = (demand.x2 - demand.x1) * (demand.y2 - demand.y1)
-        return cls(area, np.stack(rates, axis=1), tuple(x.overlaps() for x in xs), tuple(y.overlaps() for y in ys))
-
-    def lagrangian(self, mu: np.ndarray, matrices: Mapping[float, RewardMatrix]) -> Lagrangian:
-        """The Lagrangian bound of the multipliers ``mu[d, s]``, its ``L_z`` on the grids of ``matrices``."""
-        t1 = float(self.area @ (self.rates - mu).max(axis=1, initial=0.0))
-        return Lagrangian(t1, {
-            z: RewardMatrix(m.xs, m.ys, (x * mu[:, s, None]).T @ y)
-            for s, ((z, m), x, y) in enumerate(zip(matrices.items(), self.x, self.y))
-        })
 
 
 def residual_bound(
@@ -743,7 +734,7 @@ def branch_and_bound(
     placements; ``stats`` keeps greedy's claimed reward and run time.
     ``grids`` (:class:`CandidateGrids`) is built once, ``root(instance,
     grids)`` builds the root node, and the Lagrangian bound is fitted at it
-    (:meth:`CandidateGrids.fitted`; ``stats.fit_s``, and the root's bound in
+    (:func:`fit_lagrangian`; ``stats.fit_s``, and the root's bound in
     ``stats.root_bound``).  Every popped node is bounded with
     :func:`upper_bound` against ``lower``, the incumbent's reward, and is cut
     when the bound cannot beat the incumbent by more than ``epsilon``.  A
@@ -756,7 +747,9 @@ def branch_and_bound(
 
     No placement earns more than ``ceiling``, every demand zone's area paid
     at the smallest scale's rate, so the search stops, proven, as soon as
-    the incumbent is within ``epsilon`` of it (the greedy seed included).
+    the incumbent is at least ``ceiling * (1 - LAG_MARGIN)`` (the greedy
+    seed included), a relative tolerance of 1e-12 for the two sums' rounding
+    (module docstring).
     When the time limit is hit the incumbent is returned with
     ``stats.optimal == False``; ``stats.upper_bound`` is then the largest of
     ``lower + epsilon`` and the bounds (exact at leaves) of the nodes left on
@@ -777,13 +770,14 @@ def branch_and_bound(
     stats.best_reward_history.append((0, lower))
     dzs, _ = instance.planar
     z_min = instance.scale_values()[0]
-    ceiling = sum(reward_rate(d.v, z_min, instance.eta) * d.rect.w * d.rect.l for d in dzs)
+    # the docstring's ceiling, less its relative margin
+    enough = sum(reward_rate(d.v, z_min, instance.eta) * d.rect.w * d.rect.l for d in dzs) * (1.0 - LAG_MARGIN)
 
-    if lower + eps < ceiling:
+    if lower < enough:
         grids = CandidateGrids.from_instance(instance, eps)
         top = root(instance, grids)
         fit_start = time.perf_counter()
-        grids = grids.fitted(top, instance, lower, eps)
+        grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower))
         stats.fit_s = time.perf_counter() - fit_start
         matrices, residuals, lagrangian = grids.matrices, grids.residuals, grids.lagrangian
         stats.root_bound = upper_bound(top, matrices, instance, eps, -math.inf, residuals, lagrangian)
@@ -802,7 +796,7 @@ def branch_and_bound(
                 incumbent = leaf_placements(node, matrices)
                 stats.best_reward_history.append((stats.nodes_explored, lower))
                 stats.optimal_found_time = time.perf_counter() - start
-                if lower + eps >= ceiling:
+                if lower >= enough:
                     break
                 continue
             stack.extend(reversed(children(node, instance, grids, config)))

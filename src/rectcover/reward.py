@@ -44,11 +44,17 @@ SingleZoneSolver = Callable[
 
 @dataclass(frozen=True, eq=False)
 class RewardMatrix:
-    """Single-zone rewards of one scale tabulated over its candidate grid.
+    """Single-zone rewards of one scale tabulated over its candidate grid, with the tables they sum.
 
     ``entries[i, j]`` is the isolated reward of a zone of that scale placed
     at ``(xs.values[i], ys.values[j])``.  The exact search's candidate sets
-    are index ranges into these two grids.
+    are index ranges into these two grids.  ``rates[d]`` is demand zone
+    ``d``'s reward per unit area at this scale, and ``ox[d, i]`` and
+    ``oy[d, j]`` its overlap with the zone at ``xs.values[i]`` on x and at
+    ``ys.values[j]`` on y, so that ``entries[i, j]`` is the sum over ``d``
+    of ``rates[d] * ox[d, i] * oy[d, j]`` (summed as
+    :func:`build_reward_matrix` states).  :meth:`reweighted` reads the same
+    tables with other rates.
 
     :meth:`block_max` memoises the maximum of each index block it is asked
     for.  The search bounds every node by such blocks, and one solve asks for
@@ -59,6 +65,9 @@ class RewardMatrix:
     xs: CriticalValueSet
     ys: CriticalValueSet
     entries: np.ndarray
+    rates: np.ndarray
+    ox: np.ndarray
+    oy: np.ndarray
     _block_maxima: dict[tuple[int, int, int, int], float] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -75,6 +84,17 @@ class RewardMatrix:
         except KeyError:
             value = self._block_maxima[key] = float(self.entries[xlo:xhi, ylo:yhi].max())
             return value
+
+    def reweighted(self, weights: np.ndarray) -> "RewardMatrix":
+        """The same demand paying ``weights[d]`` per unit area instead of ``rates[d]``, on the same grids.
+
+        Its entries are one matrix product, ``(ox * weights).T @ oy``, so
+        they are summed in another order than :func:`build_reward_matrix`'s
+        and ``reweighted(rates)`` equals ``entries`` only to a relative
+        error of about the number of demand zones times 2**-52.  Its block
+        maxima get a memo of their own.
+        """
+        return RewardMatrix(self.xs, self.ys, (self.ox * weights[:, None]).T @ self.oy, weights, self.ox, self.oy)
 
 
 #: Grid values per tile side in :func:`solve_single_zone`'s tile-bounded argmax.
@@ -220,12 +240,15 @@ def build_reward_matrix(
     Each demand zone adds ``r * outer(ox, oy)`` (rate times its x and y
     overlap with the zone at every grid value) only over its support block
     (:class:`_Axis`), so the entries are bitwise equal to the sum over the
-    whole grid (:func:`_add_blocks`).
+    whole grid (:func:`_add_blocks`).  The rates and the two overlap tables
+    stay on the matrix, one row per demand zone in input order, for
+    :meth:`RewardMatrix.reweighted`.
     """
     xs, ys, rates, x, y = _Demand(dzs, base).scale(z, eta, eps)
+    ox, oy = x.overlaps(), y.overlaps()
     entries = np.zeros((len(xs), len(ys)))
-    _add_blocks(entries, rates, x.overlaps(), y.overlaps(), x.start, x.stop, y.start, y.stop)
-    return RewardMatrix(xs, ys, entries)
+    _add_blocks(entries, rates, ox, oy, x.start, x.stop, y.start, y.stop)
+    return RewardMatrix(xs, ys, entries, rates, ox, oy)
 
 
 def covered_reward(

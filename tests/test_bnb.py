@@ -1,6 +1,8 @@
 """Exact planar branch-and-bound: branching rules, bound, end-to-end solves."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from rectcover import (
     generate,
     greedy,
     solve,
+    solve_1d,
 )
-from rectcover import bnb
+from rectcover import bnb, reward
 from rectcover.bnb import (
     CandidateGrids,
     Node,
@@ -30,6 +33,7 @@ from rectcover.bnb import (
     _axis_indices,
     _pin,
     branch,
+    fit_lagrangian,
     is_leaf,
     leaf_placements,
     partition,
@@ -413,7 +417,7 @@ def test_timeout_reports_a_certified_upper_bound(limit, greedy_below_optimum, mo
         grids = CandidateGrids.from_instance(inst)
         mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
         root = root_node(inst, grids)
-        grids = grids.fitted(root, inst, stats.best_reward_history[0][1])
+        grids = replace(grids, lagrangian=fit_lagrangian(root, inst, grids.matrices, stats.best_reward_history[0][1]))
         assert stats.nodes_explored == 0
         assert stats.upper_bound == stats.root_bound == upper_bound(root, mats, inst, lagrangian=grids.lagrangian)
         assert stats.upper_bound < upper_bound(root, mats, inst)
@@ -445,6 +449,23 @@ def test_search_stops_once_the_incumbent_earns_all_demand(p):
     assert sol.reward == covered_reward(inst.dzs, sol.placements, inst.base, inst.eta)
 
 
+def test_search_stops_at_all_demand_at_large_coordinates():
+    # Every length times 1e3 and p=6: the greedy seed earns all the demand,
+    # but its covered reward sums the terms in another order than the total
+    # and falls short of it by more than the absolute epsilon; the search
+    # then ran to its time limit unproven (about 200k nodes in 3 s).
+    inst = generate(GenConfig(seed=30, n=3, p=2, m=2))
+    k = 1e3
+    dzs = tuple(DemandZone(Rect(d.rect.x * k, d.rect.y * k, d.rect.w * k, d.rect.l * k), d.v) for d in inst.dzs)
+    inst = Instance(dzs, BaseServiceZone(inst.base.w0 * k, inst.base.l0 * k), 6, inst.qos, inst.eta, inst.dimension)
+    ceiling = sum(d.v / inst.scale_values()[0] * d.rect.w * d.rect.l for d in dzs)
+    sol, stats = solve(inst, SolverConfig(time_limit_s=3))
+    assert sol.reward + SolverConfig().epsilon < ceiling
+    assert math.isclose(sol.reward, ceiling, rel_tol=1e-12)
+    assert stats.nodes_explored == 0
+    assert stats.optimal and stats.upper_bound == sol.reward and stats.gap == 0.0
+
+
 def test_search_stops_at_the_leaf_that_earns_all_demand():
     # greedy's seed misses some demand, and the search finds a placement
     # covering all of it at node 329; the search ends on that node (without
@@ -459,6 +480,31 @@ def test_search_stops_at_the_leaf_that_earns_all_demand():
 
 
 # ------------------------------------------------------------- whole solves
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_each_scale_grids_are_derived_once_per_solve(one_d, monkeypatch):
+    # Outside greedy's rounds a solve derives each inner-demand grid once,
+    # for its reward matrix (one per axis and scale, x only on the line);
+    # the Lagrangian fit reads the matrices' tables instead of a second set.
+    if one_d:
+        inst, run, axes = small_1d(seed=3, n=8, p=3), solve_1d, (Axis.X,)
+    else:
+        inst, run, axes = small_2d(seed=2, n=6, m=2), solve, (Axis.X, Axis.Y)
+    calls = Counter()
+    grid = reward.inner_demand_grid
+
+    def counted(dzs, z, base, axis, eps=EPS):
+        calls[z, axis] += 1
+        return grid(dzs, z, base, axis, eps)
+
+    monkeypatch.setattr(reward, "inner_demand_grid", counted)
+    greedy(inst)
+    by_greedy = calls.copy()
+    calls.clear()
+    _, stats = run(inst)
+    assert stats.root_bound is not None  # the search ran and the fit with it
+    assert calls == by_greedy + Counter({(z, axis): 1 for z in inst.scale_values() for axis in axes})
 
 
 @pytest.mark.parametrize(

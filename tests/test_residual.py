@@ -1,6 +1,7 @@
 """The residual-demand bound: marginal gains, their maxima and soundness on search trees."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from rectcover import (
 from rectcover.bnb import (
     _UNSET,
     CandidateGrids,
-    LagrangianTables,
+    Lagrangian,
     SolverConfig,
     _is_single,
     _value,
     branch,
+    fit_lagrangian,
     is_leaf,
     leaf_placements,
     root_node,
@@ -263,7 +265,7 @@ def test_plane_bound_dominates_every_leaf_below(seed, p, n, m, path):
     inst = generate(GenConfig(seed=seed, n=n, p=p, m=m, **TINY))
     grids = CandidateGrids.from_instance(inst)
     root = root_node(inst, grids)
-    grids = grids.fitted(root, inst, _greedy_lower(inst))
+    grids = _fitted(inst, grids, root)
     cfg = SolverConfig()
     children = lambda node: branch(node, inst, grids, cfg)
     top = _small_subtree(root, children, path, cap=4000)
@@ -276,14 +278,15 @@ def test_line_bound_dominates_every_leaf_below(seed, p, n):
     inst = small_1d(seed=seed, n=n, p=p)
     grids = CandidateGrids.from_instance(inst)
     root = root_node_1d(inst, grids)
-    grids = grids.fitted(root, inst, _greedy_lower(inst))
+    grids = _fitted(inst, grids, root)
     cfg = SolverConfig()
     _assert_bound_dominates(inst, grids, root, lambda node: branch_1d(node, inst, grids, cfg), cap=20_000)
 
 
-def _greedy_lower(inst):
-    """The covered reward of the greedy seed, which a solve fits the Lagrangian bound toward."""
-    return covered_reward(inst.dzs, greedy(inst).solution.placements, inst.base, inst.eta)
+def _fitted(inst, grids, root):
+    """``grids`` with the Lagrangian bound fitted at ``root`` toward the greedy seed's covered reward, as in a solve."""
+    lower = covered_reward(inst.dzs, greedy(inst).solution.placements, inst.base, inst.eta)
+    return replace(grids, lagrangian=fit_lagrangian(root, inst, grids.matrices, lower))
 
 
 @pytest.mark.parametrize("one_d", [False, True])
@@ -301,7 +304,7 @@ def test_fitted_lagrangian_bound_dominates_every_leaf_below(one_d):
             inst = generate(GenConfig(seed=seed, n=2, p=2, m=2, **TINY))
             grids = CandidateGrids.from_instance(inst)
             root, children = root_node(inst, grids), lambda node: branch(node, inst, grids, cfg)
-        grids = grids.fitted(root, inst, _greedy_lower(inst))
+        grids = _fitted(inst, grids, root)
         if grids.lagrangian is None:
             continue
         kept += 1
@@ -338,18 +341,18 @@ def _draw_position(data, s, grid, reach):
 
 def _assert_lagrangian_bounds_drawn_placements(data, inst, grids, node):
     """For drawn ``mu >= 0``, ``node``'s Lagrangian bound is at least the covered reward of drawn placements."""
-    tables = LagrangianTables.of(inst, grids.matrices)
+    rates = np.stack([m.rates for m in grids.matrices.values()], axis=1)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["scaled", "sparse", "zero", "large"]))
-    mu = tables.rates * rng.uniform(0.0, 2.0, tables.rates.shape)
+    mu = rates * rng.uniform(0.0, 2.0, rates.shape)
     if kind == "sparse":
         mu *= rng.random(mu.shape) < 0.5
     elif kind == "zero":
         mu *= 0.0
     elif kind == "large":
         mu *= 10.0
-    lagrangian = tables.lagrangian(mu, grids.matrices)
     dzs, base = inst.planar
+    lagrangian = Lagrangian.of(mu, rates, np.array([d.rect.w * d.rect.l for d in dzs]), grids.matrices)
     placements = []
     for j, (xs, ys, z) in enumerate(zip(node.x_sets, node.y_sets, node.z_vec)):
         if z == _UNSET:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectcover import (
     BaseServiceZone,
@@ -20,6 +22,7 @@ from rectcover import (
     generate_1d,
     pseudo_greedy,
 )
+from rectcover.bnb import LAG_MARGIN
 from rectcover.model import reward_rate
 from rectcover.reward import (
     build_reward_matrix,
@@ -195,6 +198,24 @@ def test_reward_matrix_block_max_equals_numpy_max_and_is_memoised():
         assert m.block_max(xlo, xhi, ylo, yhi) == want
         assert m.block_max(xlo, xhi, ylo, yhi) == want
     assert len(m._block_maxima) == len(blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(0, 30), one_d=st.booleans())
+def test_reward_matrix_reweighted_identities(seed, n, one_d):
+    # at its own rates the demand gives back the entries, up to the
+    # product's rounding; at zero rates it earns nothing; the grids are shared
+    if one_d:
+        inst = generate_1d(GenConfig(seed=seed, n=n, p=3, dimension=Dimension.ONE_D))
+    else:
+        inst = generate(GenConfig(seed=seed, n=n, p=2, m=3))
+    for z in inst.scale_values():
+        m = build_reward_matrix(inst.dzs, z, inst.base, inst.eta)
+        same, zero = m.reweighted(m.rates), m.reweighted(np.zeros_like(m.rates))
+        for r in (same, zero):
+            assert r.xs is m.xs and r.ys is m.ys and r.entries.shape == m.entries.shape
+        assert np.all(np.abs(same.entries - m.entries) <= LAG_MARGIN * m.entries)
+        assert not zero.entries.any()
 
 
 # ------------------------------------------------- support-block bitwise check
