@@ -637,7 +637,9 @@ def fit_lagrangian(
     a relative ``FIT_GAIN``.  Zones with the same scale and candidate sets
     (at the root, every zone on the plane and every zone of one scale on the
     line) share their argmax, so each such group adds its subgradient once,
-    times its size.
+    times its size.  A step tabulates each scale's ``L_z`` as
+    :meth:`Lagrangian.of` does and takes its first maximum once; the
+    :class:`Lagrangian` itself is built once, for the best ``mu``.
     """
     x, y, w, l, _ = demand_rows(instance.planar[0]).T
     area = ((x + w) - x) * ((y + l) - y)
@@ -645,29 +647,32 @@ def fit_lagrangian(
     rates = np.stack([matrices[z].rates for z in scales], axis=1)
     groups = Counter(zip(root.x_sets, root.y_sets, root.z_vec)).items()
     rows = np.arange(len(area))
-    mu = rates
-    best, best_lagrangian, mark = math.inf, None, math.inf
+    mu = best_mu = rates
+    best, mark = math.inf, math.inf
     step, since_best, since_gain = FIT_STEP, 0, 0
     for n in range(FIT_STEPS):
-        lagrangian = Lagrangian.of(mu, rates, area, matrices)
         slack = rates - mu
         top = slack.argmax(axis=1)
         paid = slack[rows, top] > 0.0
         grad = np.zeros_like(mu)
         grad[rows[paid], top[paid]] = -area[paid]
-        value = lagrangian.t1
+        value = float(area @ slack.max(axis=1, initial=0.0))  # T1
+        # every scale's L_z, as Lagrangian.of tabulates it, and its first maximum
+        tables = [m.reweighted_entries(mu[:, s]) for s, m in enumerate(matrices.values())]
+        peaks = [int(t.argmax()) for t in tables]
         for (xs, ys, z), count in groups:
             if z == _UNSET:  # an open zone takes the best scale's whole grid
-                z = max(scales, key=lambda v: lagrangian.matrices[v].max_entry)
+                z = scales[max(range(len(scales)), key=lambda s: tables[s].flat[peaks[s]])]
                 xs, ys = (0, len(matrices[z].xs), None), (0, len(matrices[z].ys), None)
-            m = matrices[z]
-            block = lagrangian.matrices[z].entries[xs[0] : xs[1], ys[0] : ys[1]]
-            i, k = divmod(int(block.argmax()), block.shape[1])
+            s = scales.index(z)
+            m, table = matrices[z], tables[s]
+            block = table[xs[0] : xs[1], ys[0] : ys[1]]
+            i, k = divmod(peaks[s] if block.shape == table.shape else int(block.argmax()), block.shape[1])
             value += count * float(block[i, k])
-            grad[:, scales.index(z)] += count * m.ox[:, xs[0] + i] * m.oy[:, ys[0] + k]
+            grad[:, s] += count * m.ox[:, xs[0] + i] * m.oy[:, ys[0] + k]
         start = value if n == 0 else start
         if value < best:
-            best, best_lagrangian, since_best = value, lagrangian, 0
+            best, best_mu, since_best = value, mu, 0
         else:
             since_best += 1
             if since_best >= FIT_HALVE_AFTER:
@@ -680,7 +685,7 @@ def fit_lagrangian(
         if value <= lower or since_gain >= FIT_STALL or norm == 0.0:
             break
         mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
-    return best_lagrangian if best < start * (1.0 - FIT_GAIN) else None
+    return Lagrangian.of(best_mu, rates, area, matrices) if best < start * (1.0 - FIT_GAIN) else None
 
 
 def residual_bound(

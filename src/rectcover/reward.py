@@ -94,13 +94,21 @@ class RewardMatrix:
         error of about the number of demand zones times 2**-52.  Its block
         maxima get a memo of their own.
         """
-        return RewardMatrix(self.xs, self.ys, (self.ox * weights[:, None]).T @ self.oy, weights, self.ox, self.oy)
+        return RewardMatrix(self.xs, self.ys, self.reweighted_entries(weights), weights, self.ox, self.oy)
+
+    def reweighted_entries(self, weights: np.ndarray) -> np.ndarray:
+        """The entries of :meth:`reweighted`, without a matrix around them."""
+        return (self.ox * weights[:, None]).T @ self.oy
 
 
 #: Grid values per tile side in :func:`solve_single_zone`'s tile-bounded argmax.
 TILE = 8
-#: Relative slack under which a tile bound counts as below the lower bound.
+#: Relative slack under which a tile bound counts as below the lower bound,
+#: and a cell's product sum as below the best one in :func:`_kept_argmax`.
 TILE_MARGIN = 1e-9
+#: Cells re-summed at once in :func:`_kept_argmax`, which bounds its memory
+#: to this many times the number of pieces when many cells tie.
+RESUM_CHUNK = 256
 
 
 def _overlaps(grid: Sequence[float], ext: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -415,36 +423,33 @@ class ResidualDemand:
 def _kept_argmax(kept: np.ndarray, rates: np.ndarray, x: _Axis, y: _Axis) -> tuple[float, int, int]:
     """First maximum ``(reward, i, j)`` in row-major order over the cells of the ``kept`` tiles.
 
-    The cells are those of the full reward matrix, bit for bit.  They are
-    summed on the grid rows of every tile row and the grid columns of every
-    tile column that holds a kept tile, from the pieces whose support block
-    meets a kept tile, in demand order (:func:`_add_blocks`); a piece that
-    meets no kept tile adds only exact zeros to kept cells.  Cells outside
-    the kept tiles are left out of the maximum.
+    The reward is the full reward matrix's cell, bit for bit.  One matrix
+    product over the grid rows and columns that hold a kept tile filters the
+    cells: those at or above its maximum over the kept tiles times ``1 -
+    TILE_MARGIN`` are re-summed exactly, ``RESUM_CHUNK`` at a time, each
+    as every piece's ``rate * (ox * oy)`` added in demand order from +0.0,
+    as :func:`build_reward_matrix` adds them (a piece's terms outside its
+    support block are exact zeros).  :func:`solve_single_zone` states why
+    every cell that ties the maximum survives the filter.
     """
     rows = np.repeat(kept.any(axis=1), TILE)[: len(x.grid)].nonzero()[0]
     cols = np.repeat(kept.any(axis=0), TILE)[: len(y.grid)].nonzero()[0]
-    # summed-area table of the kept tiles: one lookup per piece block
-    table = np.zeros((kept.shape[0] + 1, kept.shape[1] + 1), dtype=np.int64)
-    kept.cumsum(axis=0).cumsum(axis=1, out=table[1:, 1:])
-    a0, a1 = x.start // TILE, (x.stop + TILE - 1) // TILE
-    b0, b1 = y.start // TILE, (y.stop + TILE - 1) // TILE
-    hits = table[a1, b1] - table[a0, b1] - table[a1, b0] + table[a0, b0]
-    touch = ((x.start < x.stop) & (y.start < y.stop) & (hits > 0)).nonzero()[0]
-    entries = np.zeros((len(rows), len(cols)))
-    _add_blocks(
-        entries,
-        rates[touch],
-        x.overlaps(touch, rows),
-        y.overlaps(touch, cols),
-        rows.searchsorted(x.start[touch]),
-        rows.searchsorted(x.stop[touch]),
-        cols.searchsorted(y.start[touch]),
-        cols.searchsorted(y.stop[touch]),
-    )
-    entries[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
-    i, j = divmod(int(entries.argmax()), len(cols))
-    return float(entries[i, j]), int(rows[i]), int(cols[j])
+    scaled = x.overlaps(at=rows)
+    scaled *= rates[:, None]
+    approx = scaled.T @ y.overlaps(at=cols)
+    approx[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
+    near = (approx >= approx.max() * (1.0 - TILE_MARGIN)).nonzero()
+    cells_i, cells_j = rows[near[0]], cols[near[1]]
+    best, bi, bj = -np.inf, 0, 0
+    for k in range(0, len(cells_i), RESUM_CHUNK):
+        i, j = cells_i[k : k + RESUM_CHUNK], cells_j[k : k + RESUM_CHUNK]
+        terms = rates[:, None] * (x.overlaps(at=i) * y.overlaps(at=j))
+        # a sequential sum; adding +0.0 turns a -0.0 total into the matrix's +0.0
+        sums = terms.cumsum(axis=0)[-1] + 0.0
+        a = int(sums.argmax())
+        if sums[a] > best:
+            best, bi, bj = float(sums[a]), int(i[a]), int(j[a])
+    return best, bi, bj
 
 
 def solve_single_zone(
@@ -466,7 +471,7 @@ def solve_single_zone(
     The result is bitwise that of taking the first maximum in row-major
     order of each scale's :func:`build_reward_matrix` and keeping a later
     scale only when its maximum is strictly larger, but most cells are never
-    summed.  Per scale:
+    summed, and few are summed in the matrix's order.  Per scale:
 
     * Both grids are cut into tiles of ``TILE`` consecutive values.  A
       piece's overlap with the zone is a trapezoid in the zone's position,
@@ -481,13 +486,21 @@ def solve_single_zone(
       sums of nonnegative terms taken by matrix products, in another order
       than the matrix entries, so they differ from the entries' sums by a
       relative error of about the number of pieces times 2**-52.
-    * The cells of the kept tiles receive, in demand order, the terms of
-      every piece whose support block meets a kept tile
-      (:func:`_kept_argmax`), so they equal the matrix entries bit for bit.
-      Every cell that holds the scale's maximum lies in a kept tile, so the
-      first maximum over the kept tiles, in row-major order, is the
-      matrix's first maximum; a later scale replaces it only when strictly
-      larger.
+    * One matrix product over the kept tiles' rows and columns sums every
+      kept cell in another order; only the cells at or above its maximum
+      times ``1 - TILE_MARGIN`` are re-summed in demand order from +0.0,
+      which gives the matrix entries bit for bit (:func:`_kept_argmax`).
+      No cell that ties the matrix's maximum ``M`` is filtered out.  With
+      ``n`` pieces, the product and the matrix each sum nonnegative terms,
+      so each is within a relative ``g`` of about ``n * 2**-53`` of the
+      exact sum.  A cell worth ``M`` in the matrix then reads at least
+      ``M * (1 - 2g)`` in the product, and no kept cell reads above ``M *
+      (1 + 2g)``; so it is within about ``4g`` of the product's maximum,
+      below ``TILE_MARGIN`` for any ``n`` below a million.
+    * Every cell that holds the scale's maximum lies in a kept tile and
+      survives the filter, so the first maximum over the re-summed cells,
+      in row-major order, is the matrix's first maximum; a later scale
+      replaces it only when strictly larger.
     """
     if len(dzs) == 0:
         return 0.0, 0.0, 0.0, qos.min_factor
