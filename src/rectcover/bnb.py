@@ -29,9 +29,11 @@ branching rule.  The bound (:func:`upper_bound`), the leaf test
 both: a line node (``bnb1d.Node1D``) carries the same per-zone candidate
 sets and scales, each zone's y set the one index of its matrix's single y
 value, and each node type names the axis its residual bound runs on.  The
-covered reward of a greedy run's placements seeds the incumbent; a node is
-cut as soon as its optimistic bound cannot beat the incumbent by more than
-``epsilon``.
+bound and both branching rules take the solve's state as one
+:class:`CandidateGrids`: its matrices, its Lagrangian bound and its two
+memos.  The covered reward of a greedy run's placements seeds the
+incumbent; a node is cut as soon as its optimistic bound cannot beat the
+incumbent by more than ``epsilon``.
 
 Per-node work scans no candidate set or demand and maps no value to an
 index.  Each scale's reward matrix, and with it the grids it is tabulated
@@ -308,15 +310,18 @@ class Lagrangian(NamedTuple):
 
 @dataclass(frozen=True)
 class CandidateGrids:
-    """Per-scale reward matrices, built once per solve, and the solve's two memos.
+    """A solve's state: per-scale reward matrices, built once, its Lagrangian bound and its two memos.
 
     ``matrices[z]`` is tabulated over scale ``z``'s grids, ``xs.values`` and
     ``ys.values``; every candidate set of a scale-``z`` zone indexes them.
     ``lagrangian`` is the fitted Lagrangian bound, or None when the solve
     keeps none (:func:`fit_lagrangian`).  ``splits`` tabulates :meth:`split` and
     ``residuals`` is the residual bound's cache, one
-    :class:`~rectcover.reward.ResidualDemand` per set of placed zones; both
-    live as long as the solve.
+    :class:`~rectcover.reward.ResidualDemand` per set of placed zones, at
+    most :data:`RESIDUAL_CACHE_SIZE`, least recently used dropped; both
+    live as long as the solve.  :func:`upper_bound` reads ``matrices``,
+    ``lagrangian`` and ``residuals``; the branching rules read ``matrices``
+    and ``splits``.
     """
 
     matrices: Mapping[float, RewardMatrix]
@@ -567,13 +572,7 @@ def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:
 
 
 def upper_bound(
-    node: Node,
-    matrices: Mapping[float, RewardMatrix],
-    instance: Instance,
-    eps: float = EPS,
-    floor: float = -math.inf,
-    cache: dict[tuple, ResidualDemand] | None = None,
-    lagrangian: Lagrangian | None = None,
+    node: Node, grids: CandidateGrids, instance: Instance, eps: float = EPS, floor: float = -math.inf
 ) -> float:
     """Optimistic value of the best completion below ``node``, plane or line.
 
@@ -583,20 +582,25 @@ def upper_bound(
     ``entries[xlo:xhi, ylo:yhi]`` of its scale's reward matrix, whose index
     ranges its sets ``(xlo, xhi, _)`` and ``(ylo, yhi, _)`` hold and whose
     maximum ``RewardMatrix.block_max`` memoises (:func:`_block_sum`).
-    ``matrices`` must be tabulated over the grids the node's sets index
-    (``CandidateGrids``).  A line zone's y set is the single index of its
-    matrix's one y value, 0.
+    ``grids.matrices`` must be tabulated over the grids the node's sets
+    index.  A line zone's y set is the single index of its matrix's one y
+    value, 0.
 
     A node at or below ``floor + eps`` on that isolated sum returns it.  A
     leaf above it is evaluated exactly with ``covered_reward`` on
     ``instance.planar``.  Any other node takes the smaller of the sum and
-    ``lagrangian``'s bound when one is given, and returns it when it is at
-    or below ``floor + eps``.  Past that, a node with a ``residual_axis``
-    (the plane's y phase, the line below its root), where every coordinate
-    on the other axis is fixed, takes the residual bound as well (module
-    docstring), whose per-``S`` state ``cache`` keeps (a fresh one per call
-    when None).  With the default ``floor`` every leaf is exact.
+    ``grids.lagrangian``'s bound when the solve keeps one, and returns it
+    when it is at or below ``floor + eps``.  Past that, a node with a
+    ``residual_axis`` (the plane's y phase, the line below its root), where
+    every coordinate on the other axis is fixed, takes the residual bound as
+    well (module docstring): ``f(S)`` plus each other zone's best gain over
+    ``S``, read from the :class:`~rectcover.reward.ResidualDemand` of ``S``
+    that ``grids.residuals`` keeps.  A set that is its zone's whole grid
+    takes the gain's maximum over every real position, a strict slice its
+    maximum over the slice; with ``S`` empty the residual bound is not taken.
+    With the default ``floor`` every leaf is exact.
     """
+    matrices, lagrangian = grids.matrices, grids.lagrangian
     total = _block_sum(node, matrices)
     if total <= floor + eps:
         return total
@@ -623,7 +627,24 @@ def upper_bound(
         total = min(total, lagrangian.bound(node))
         if total <= floor + eps:
             return total
-    return min(total, residual_bound(placed, opened, axis, instance, eps, cache))
+    if not placed:
+        return total
+    key = tuple(sorted(placed))
+    cache = grids.residuals
+    residual = cache.pop(key, None)
+    if residual is None:
+        dzs, base = instance.planar
+        residual = ResidualDemand(dzs, [Placement(x, y, z) for z, x, y in key], base, instance.eta, eps)
+        if len(cache) >= RESIDUAL_CACHE_SIZE:
+            del cache[next(iter(cache))]
+    cache[key] = residual
+    gains = residual.served
+    for z, fixed, grid, (lo, hi, _) in opened:
+        if lo == 0 and hi == len(grid):
+            gains += residual.best_gain(z, fixed, axis)
+        else:
+            gains += float(residual.gain_column(z, fixed, axis, grid)[lo:hi].max())
+    return min(total, gains)
 
 
 def fit_lagrangian(
@@ -688,45 +709,6 @@ def fit_lagrangian(
     return Lagrangian.of(best_mu, rates, area, matrices) if best < start * (1.0 - FIT_GAIN) else None
 
 
-def residual_bound(
-    placed: list[tuple[float, float, float]],
-    opened: list[tuple[float, float, Sequence[float], CandidateSet]],
-    axis: Axis,
-    instance: Instance,
-    eps: float,
-    cache: dict[tuple, ResidualDemand] | None,
-) -> float:
-    """``f(S) + sum_t`` of ``t``'s best gain over ``S`` (module docstring).
-
-    ``placed`` holds the ``(z, x, y)`` of the zones of ``S`` in planar form;
-    ``opened`` one ``(z, fixed, grid, set)`` per other zone: its scale, its
-    lower corner on the axis other than ``axis``, and its candidate set on
-    its own-scale ``grid`` along ``axis``.  A set that is its whole grid
-    takes the gain's maximum over every real position, a strict slice its
-    maximum over the slice.  With ``S`` empty the bound is infinite.
-    """
-    if not placed:
-        return math.inf
-    key = tuple(sorted(placed))
-    if cache is None:
-        cache = {}
-    residual = cache.pop(key, None)
-    if residual is None:
-        dzs, base = instance.planar
-        placements = [Placement(x, y, z) for z, x, y in key]
-        residual = ResidualDemand(dzs, placements, base, instance.eta, eps)
-        if len(cache) >= RESIDUAL_CACHE_SIZE:
-            del cache[next(iter(cache))]
-    cache[key] = residual
-    total = residual.served
-    for z, fixed, grid, (lo, hi, _) in opened:
-        if lo == 0 and hi == len(grid):
-            total += residual.best_gain(z, fixed, axis)
-        else:
-            total += float(residual.gain_column(z, fixed, axis, grid)[lo:hi].max())
-    return total
-
-
 def branch_and_bound(
     instance: Instance,
     config: SolverConfig,
@@ -740,8 +722,9 @@ def branch_and_bound(
     ``grids`` (:class:`CandidateGrids`) is built once, ``root(instance,
     grids)`` builds the root node, and the Lagrangian bound is fitted at it
     (:func:`fit_lagrangian`; ``stats.fit_s``, and the root's bound in
-    ``stats.root_bound``).  Every popped node is bounded with
-    :func:`upper_bound` against ``lower``, the incumbent's reward, and is cut
+    ``stats.root_bound``) and kept in ``grids``.  Every popped node is
+    bounded with ``upper_bound(node, grids, ...)`` against ``lower``, the
+    incumbent's reward, and is cut
     when the bound cannot beat the incumbent by more than ``epsilon``.  A
     surviving leaf (:func:`is_leaf`), whose bound is then its exact value,
     becomes the incumbent (:func:`leaf_placements`); any other node is
@@ -784,8 +767,7 @@ def branch_and_bound(
         fit_start = time.perf_counter()
         grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower))
         stats.fit_s = time.perf_counter() - fit_start
-        matrices, residuals, lagrangian = grids.matrices, grids.residuals, grids.lagrangian
-        stats.root_bound = upper_bound(top, matrices, instance, eps, -math.inf, residuals, lagrangian)
+        stats.root_bound = upper_bound(top, grids, instance, eps)
         stack = [top]
         while stack:
             if time.perf_counter() - start > config.time_limit_s:
@@ -793,12 +775,12 @@ def branch_and_bound(
                 break
             node = stack.pop()
             stats.nodes_explored += 1
-            value = upper_bound(node, matrices, instance, eps, lower, residuals, lagrangian)
+            value = upper_bound(node, grids, instance, eps, lower)
             if value <= lower + eps:
                 continue
             if is_leaf(node):
                 lower = value
-                incumbent = leaf_placements(node, matrices)
+                incumbent = leaf_placements(node, grids.matrices)
                 stats.best_reward_history.append((stats.nodes_explored, lower))
                 stats.optimal_found_time = time.perf_counter() - start
                 if lower >= enough:
@@ -811,9 +793,7 @@ def branch_and_bound(
     else:
         # Every cut node was within eps of an incumbent no better than the
         # last; the open nodes are bounded once more, exactly at leaves.
-        stats.upper_bound = max(
-            [lower + eps] + [upper_bound(n, matrices, instance, eps, -math.inf, residuals, lagrangian) for n in stack]
-        )
+        stats.upper_bound = max([lower + eps] + [upper_bound(n, grids, instance, eps) for n in stack])
     stats.gap = (stats.upper_bound - lower) / stats.upper_bound if stats.upper_bound > 0 else 0.0
     stats.wall_time = time.perf_counter() - start
     return Solution(incumbent, lower), stats

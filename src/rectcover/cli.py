@@ -237,32 +237,34 @@ def dump_solution(solution: Solution, stats: SolverStats, path: str | Path) -> N
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One instance of a sweep: its key, the exact solve's ``stats`` and greedy's ``alpha``.
+
+    A row whose solve raised keeps the message in ``error`` and no ``stats``
+    or ``alpha``.
+    """
+
     n: int
     p: int
     m: int | None
     seed: int
-    nodes: int | None = None
-    t: float | None = None
-    t1: float | None = None
-    t_h: float | None = None
+    stats: SolverStats | None = None
     alpha: float | None = None
-    optimal: bool = False
     error: str | None = None
-    upper_bound: float | None = None
-    gap: float | None = None
-    root_bound: float | None = None
-    fit_s: float | None = None
 
 
 @dataclass(frozen=True)
 class BenchReport:
     """Rows of a sweep; the CSV names each row's instance and says how far it is from proven.
 
-    ``upper_bound`` and ``gap`` are the exact solve's certified bound and
-    relative gap (``SolverStats``), written in full precision: a proven row
-    has gap 0, a timed-out one a positive gap.  ``root_bound`` is the root's
-    certified bound after the Lagrangian fit and ``fit_s`` the fit's time
-    (``-`` when the greedy seed already earns all the demand).
+    Each record is read from the row's ``SolverStats``: ``nodes``, ``T``
+    (``wall_time``), ``T1`` (``optimal_found_time``) and ``T_H``
+    (``greedy_time``).  ``upper_bound`` and ``gap`` are the exact solve's
+    certified bound and relative gap, written in full precision: a proven
+    row has gap 0, a timed-out one a positive gap.  ``root_bound`` is the
+    root's certified bound after the Lagrangian fit and ``fit_s`` the fit's
+    time (``-`` when the greedy seed already earns all the demand).  A
+    failed row has ``optimal`` False and ``-`` in every other column but
+    its key.
     """
 
     rows: tuple[BenchRow, ...]
@@ -276,21 +278,22 @@ class BenchReport:
         out = []
         for row in self.rows:
             rec = dict.fromkeys(self.COLUMNS, "-")
-            rec.update({"n": row.n, "p": row.p, "seed": row.seed, "optimal": row.optimal})
+            st = row.stats
+            rec.update({"n": row.n, "p": row.p, "seed": row.seed, "optimal": st is not None and st.optimal})
             if row.m is not None:
                 rec["m"] = row.m
-            if row.error is None:
+            if st is not None:
                 rec.update({
-                    "nodes": row.nodes,
-                    "T": f"{row.t:.6f}",
-                    "T1": f"{row.t1:.6f}",
-                    "T1_over_T": f"{row.t1 / row.t:.6f}" if row.t else "-",
-                    "T_H": f"{row.t_h:.6f}",
-                    "alpha": f"{row.alpha:.6f}" if row.optimal else "-",
-                    "upper_bound": row.upper_bound if row.upper_bound is not None else "-",
-                    "gap": row.gap if row.gap is not None else "-",
-                    "root_bound": row.root_bound if row.root_bound is not None else "-",
-                    "fit_s": f"{row.fit_s:.6f}" if row.root_bound is not None else "-",
+                    "nodes": st.nodes_explored,
+                    "T": f"{st.wall_time:.6f}",
+                    "T1": f"{st.optimal_found_time:.6f}",
+                    "T1_over_T": f"{st.optimal_found_time / st.wall_time:.6f}" if st.wall_time else "-",
+                    "T_H": f"{st.greedy_time:.6f}",
+                    "alpha": f"{row.alpha:.6f}" if st.optimal else "-",
+                    "upper_bound": st.upper_bound if st.upper_bound is not None else "-",
+                    "gap": st.gap if st.gap is not None else "-",
+                    "root_bound": st.root_bound if st.root_bound is not None else "-",
+                    "fit_s": f"{st.fit_s:.6f}" if st.root_bound is not None else "-",
                 })
             out.append(rec)
         return out
@@ -359,21 +362,7 @@ def run_bench(
             alpha = min(stats.greedy_reward / solution.reward, 1.0) if solution.reward > 0 else 1.0
             if oracle_budget > 0 and stats.optimal:
                 _cross_check(instance, solution.reward, config.epsilon, oracle_budget)
-            rows.append(
-                BenchRow(
-                    n=n, p=p, m=m, seed=seed,
-                    nodes=stats.nodes_explored,
-                    t=stats.wall_time,
-                    t1=stats.optimal_found_time,
-                    t_h=stats.greedy_time,
-                    alpha=alpha,
-                    optimal=stats.optimal,
-                    upper_bound=stats.upper_bound,
-                    gap=stats.gap,
-                    root_bound=stats.root_bound,
-                    fit_s=stats.fit_s,
-                )
-            )
+            rows.append(BenchRow(n, p, m, seed, stats, alpha))
         except Exception as exc:  # noqa: BLE001 - keep the sweep alive
             print(f"bench: n={n} p={p} m={m} seed={seed} failed: {exc}", file=sys.stderr)
             rows.append(BenchRow(n=n, p=p, m=m, seed=seed, error=str(exc)))

@@ -145,11 +145,9 @@ class _Axis:
         stop = np.where(lo < hi, np.maximum(g.searchsorted(hi, side="left"), start), start)
         return cls(g, ext, lo, hi, start, stop)
 
-    def overlaps(
-        self, pieces: np.ndarray | slice = slice(None), at: np.ndarray | slice = slice(None)
-    ) -> np.ndarray:
-        """``_overlaps`` of ``pieces`` at the grid positions ``at``."""
-        return _overlaps(self.grid[at], self.ext, self.lo[pieces], self.hi[pieces])
+    def overlaps(self, at: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """``_overlaps`` of every piece at the grid positions ``at``."""
+        return _overlaps(self.grid[at], self.ext, self.lo, self.hi)
 
     def tile_bounds(self) -> np.ndarray:
         """Per piece and tile of ``TILE`` grid values, an upper bound on its overlaps there.

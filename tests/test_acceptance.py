@@ -317,7 +317,7 @@ def _max_leaf_vs_bound(inst, cap=400_000):
         else:
             value = max((best_under[id(c)] for c in kids[id(node)]), default=0.0)
         best_under[id(node)] = value
-        worst = min(worst, upper_bound(node, mats, inst) - value)
+        worst = min(worst, upper_bound(node, grids, inst) - value)
     return worst, count
 
 
@@ -344,9 +344,9 @@ def test_09_bench_sweep(tmp_path):
     lo = 1.0 - 1.0 / math.e
     for row in report.rows:
         assert row.error is None, f"row n={row.n} m={row.m} seed={row.seed}: {row.error}"
-        assert row.optimal
+        assert row.stats.optimal
         assert row.alpha >= lo - 1e-12
-        assert row.t1 <= row.t + 1e-9
+        assert row.stats.optimal_found_time <= row.stats.wall_time + 1e-9
     out = tmp_path / "bench.csv"
     report.write_csv(out)
     with open(out, newline="") as fh:

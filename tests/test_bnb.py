@@ -233,7 +233,7 @@ def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p):
     while not is_leaf(node):
         node = branch(node, inst, grids, SolverConfig())[0]
     assert node.ba is Axis.X and node.bs == p - 1 and node.residual_axis is None
-    assert upper_bound(node, grids.matrices, inst) == 160.0
+    assert upper_bound(node, grids, inst) == 160.0
     # The greedy seed already earns all the demand at the menu's one rate,
     # which no placement beats, so the solve stops before its root.
     sol, stats = solve(inst)
@@ -245,7 +245,7 @@ def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p):
 
 def test_upper_bound_at_root():
     inst, _, _, mats, root = _square_setup()
-    assert upper_bound(root, mats, inst) == 16.0
+    assert upper_bound(root, CandidateGrids(mats), inst) == 16.0
 
 
 def test_upper_bound_at_leaf_is_exact():
@@ -257,7 +257,7 @@ def test_upper_bound_at_leaf_is_exact():
         ba=Axis.Y,
         bs=2,
     )
-    assert upper_bound(leaf, mats, inst) == 10.0
+    assert upper_bound(leaf, CandidateGrids(mats), inst) == 10.0
 
 
 def test_upper_bound_ignores_overlap_between_zones():
@@ -268,7 +268,7 @@ def test_upper_bound_ignores_overlap_between_zones():
         y_sets=((0, 1, None), _OPEN),
         z_vec=(2.0, _UNSET),
     )
-    assert upper_bound(node, mats, inst) == 16.0
+    assert upper_bound(node, CandidateGrids(mats), inst) == 16.0
 
 
 def test_upper_bound_off_grid_singleton_brackets():
@@ -284,7 +284,7 @@ def test_upper_bound_off_grid_singleton_brackets():
         ba=Axis.X,
         bs=1,
     )
-    got = upper_bound(node, mats, inst)
+    got = upper_bound(node, CandidateGrids(mats), inst)
     assert got == 4.0 + 8.0
 
 
@@ -322,10 +322,10 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
                 node = stack.pop()
                 reference = _reference_bound(node, mats, inst)
                 if is_leaf(node):
-                    assert upper_bound(node, mats, inst) == reference, node
+                    assert upper_bound(node, CandidateGrids(mats), inst) == reference, node
                     continue
-                assert upper_bound(node, mats, inst, floor=math.inf) == reference, node
-                assert upper_bound(node, mats, inst) <= reference, node
+                assert upper_bound(node, CandidateGrids(mats), inst, floor=math.inf) == reference, node
+                assert upper_bound(node, CandidateGrids(mats), inst) <= reference, node
                 stack.extend(branch(node, inst, grids, cfg))
 
 
@@ -352,7 +352,7 @@ def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
                 exact = covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
                 for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
                     exact_calls.clear()
-                    got = upper_bound(node, mats, inst, floor=floor)
+                    got = upper_bound(node, CandidateGrids(mats), inst, floor=floor)
                     if exact_calls:
                         assert got == exact, (node, floor)
                     else:
@@ -419,8 +419,8 @@ def test_timeout_reports_a_certified_upper_bound(limit, greedy_below_optimum, mo
         root = root_node(inst, grids)
         grids = replace(grids, lagrangian=fit_lagrangian(root, inst, grids.matrices, stats.best_reward_history[0][1]))
         assert stats.nodes_explored == 0
-        assert stats.upper_bound == stats.root_bound == upper_bound(root, mats, inst, lagrangian=grids.lagrangian)
-        assert stats.upper_bound < upper_bound(root, mats, inst)
+        assert stats.upper_bound == stats.root_bound == upper_bound(root, grids, inst)
+        assert stats.upper_bound < upper_bound(root, CandidateGrids(mats), inst)
 
 
 def test_proven_solve_reports_zero_gap(greedy_below_optimum):

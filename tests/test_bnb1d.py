@@ -155,11 +155,11 @@ def test_upper_bound_sound_on_micro_tree():
         best = 0.0
         for child in branch_1d(node, inst, grids, cfg):
             below = max_leaf_below(child)
-            assert upper_bound(child, mats, inst) >= below - 1e-9
+            assert upper_bound(child, CandidateGrids(mats), inst) >= below - 1e-9
             best = max(best, below)
         return best
 
-    assert max_leaf_below(root) <= upper_bound(root, mats, inst) + 1e-9
+    assert max_leaf_below(root) <= upper_bound(root, CandidateGrids(mats), inst) + 1e-9
 
 
 def test_every_node_holds_slices_or_bracketed_abutments():
@@ -206,7 +206,7 @@ def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
         exact = covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
         for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
             exact_calls.clear()
-            got = upper_bound(node, mats, inst, floor=floor)
+            got = upper_bound(node, CandidateGrids(mats), inst, floor=floor)
             if exact_calls:
                 assert got == exact, (node, floor)
             else:
@@ -233,8 +233,8 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
             expected += float(m.entries[reference_indices(values, m.xs.values), 0].max())
         # the isolated sum, returned whole when the floor is above it; the
         # bound, which may also take the residual bound, is never above it
-        assert upper_bound(node, mats, inst, floor=math.inf) == expected, node
-        assert upper_bound(node, mats, inst) <= expected, node
+        assert upper_bound(node, CandidateGrids(mats), inst, floor=math.inf) == expected, node
+        assert upper_bound(node, CandidateGrids(mats), inst) <= expected, node
         stack.extend(branch_1d(node, inst, grids, cfg))
 
 
@@ -249,7 +249,7 @@ def test_leaf_bound_on_lifted_demand_is_exact():
     assert [pl.x for pl in leaf_placements(leaf, mats)] == [28.0, 85.0]
     exact = covered_reward(inst.dzs, leaf_placements(leaf, mats), inst.base, inst.eta)
     assert exact > 0
-    assert upper_bound(leaf, mats, inst) == exact
+    assert upper_bound(leaf, grids, inst) == exact
     # the leaf read the demand lifted once for the instance
     assert inst.planar is inst.planar
     assert inst.planar == planar_form(inst.dzs, inst.base)
@@ -342,7 +342,7 @@ def test_timeout_reports_a_certified_upper_bound(limit, monkeypatch):
         grids = CandidateGrids.from_instance(inst)
         mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
         assert stats.nodes_explored == 0
-        assert stats.upper_bound == upper_bound(root_node_1d(inst, grids), mats, inst)
+        assert stats.upper_bound == upper_bound(root_node_1d(inst, grids), CandidateGrids(mats), inst)
 
 
 def test_proven_solve_reports_zero_gap():

@@ -295,10 +295,10 @@ def test_run_bench_rows_and_columns(tmp_path):
                            base_dims=(10.0, 8.0)),
     )
     assert len(report.rows) == 4  # 2 sizes x 2 seeds
-    assert all(r.error is None and r.optimal for r in report.rows)
+    assert all(r.error is None and r.stats.optimal for r in report.rows)
     for r in report.rows:
         assert 0.0 < r.alpha <= 1.0
-        assert r.t1 <= r.t + 1e-9
+        assert r.stats.optimal_found_time <= r.stats.wall_time + 1e-9
     csv_path = tmp_path / "bench.csv"
     report.write_csv(csv_path)
     with open(csv_path, newline="") as fh:
@@ -339,7 +339,7 @@ def test_run_bench_runs_greedy_once_per_row(monkeypatch):
     plane = run_bench(ps=[2], ms=[1, 2], ns=[3], seeds=2, gen_overrides=LINE_SWEEP)
     line = run_bench(ps=[2, 3], ms=[1], ns=[4], seeds=2, one_d=True, gen_overrides=LINE_SWEEP)
     rows = plane.rows + line.rows
-    assert len(rows) == 8 and all(r.error is None and r.optimal for r in rows)
+    assert len(rows) == 8 and all(r.error is None and r.stats.optimal for r in rows)
     assert len(calls) == len(rows)
     monkeypatch.undo()
     # alpha is still greedy's claimed reward over the optimum
@@ -347,7 +347,7 @@ def test_run_bench_runs_greedy_once_per_row(monkeypatch):
         inst = generate(GenConfig(seed=r.seed, n=r.n, p=r.p, m=r.m, **LINE_SWEEP))
         sol, _ = solve(inst)
         assert r.alpha == min(real(inst).solution.reward / sol.reward, 1.0)
-        assert r.t_h > 0
+        assert r.stats.greedy_time > 0
 
 
 def test_run_bench_oracle_cross_check():
@@ -376,6 +376,21 @@ def test_bench_failure_becomes_marked_row(tmp_path, capsys, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert rows[0]["nodes"] == "-"
     assert rows[0]["alpha"] == "-"
+    # the key names the instance; optimal is False and every other column is "-"
+    key = {"n": "3", "p": "2", "m": "-", "seed": "0", "optimal": "False"}
+    assert rows == [{c: key.get(c, "-") for c in BenchReport.COLUMNS}]
+
+
+def test_bench_rows_of_a_seed_that_earns_all_demand():
+    # five zones over three demand zones: the greedy seed earns all the
+    # demand, so no node is explored and no root is bounded
+    rows = run_bench(ps=[5], ms=[2], ns=[3], seeds=3).csv_rows()
+    assert [(r["n"], r["p"], r["m"], r["seed"]) for r in rows] == [(3, 5, 2, s) for s in range(3)]
+    for r in rows:
+        assert r["optimal"] is True
+        assert r["nodes"] == 0 and r["gap"] == 0.0
+        assert r["root_bound"] == "-" and r["fit_s"] == "-"
+        assert r["alpha"] == "1.000000"
 
 
 def test_bench_cli_end_to_end(tmp_path, capsys):

@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 from rectcover import (
     BaseServiceZone,
     DemandZone,
+    Dimension,
     Eta,
     GenConfig,
     Placement,
     Rect,
     covered_reward,
     generate,
+    generate_1d,
     greedy,
     solve,
+    solve_1d,
 )
+from rectcover import bnb
 from rectcover.bnb import (
     _UNSET,
     CandidateGrids,
@@ -174,8 +178,8 @@ def test_plane_columns_match_covered_reward_differences():
                 continue
             for z, x, _ in opened:
                 _check_gains(inst, placed, z, x, Axis.Y, grids.matrices[z].ys.values, seen)
-            isolated = upper_bound(node, grids.matrices, inst, floor=math.inf)
-            tighter += upper_bound(node, grids.matrices, inst) < isolated
+            isolated = upper_bound(node, grids, inst, floor=math.inf)
+            tighter += upper_bound(node, grids, inst) < isolated
         assert seen, inst
     assert tighter > 0
 
@@ -229,7 +233,7 @@ def _assert_bound_dominates(inst, grids, root, children, cap):
         else:
             below = max((best[id(c)] for c in kids[id(node)]), default=-math.inf)
         best[id(node)] = below
-        bound = upper_bound(node, grids.matrices, inst, cache=grids.residuals, lagrangian=grids.lagrangian)
+        bound = upper_bound(node, grids, inst)
         assert bound >= below - 1e-9 * max(1.0, abs(below)), node
 
 
@@ -308,7 +312,7 @@ def test_fitted_lagrangian_bound_dominates_every_leaf_below(one_d):
         if grids.lagrangian is None:
             continue
         kept += 1
-        assert grids.lagrangian.bound(root) < upper_bound(root, grids.matrices, inst)
+        assert grids.lagrangian.bound(root) < upper_bound(root, replace(grids, lagrangian=None), inst)
         _assert_bound_dominates(inst, grids, root, children, cap=20_000)
     assert kept >= 3
 
@@ -363,7 +367,7 @@ def _assert_lagrangian_bounds_drawn_placements(data, inst, grids, node):
         placements.append(Placement(x, y, z))
     covered = covered_reward(dzs, placements, base, inst.eta)
     assert lagrangian.bound(node) >= covered * (1 - 1e-12) - 1e-9, (node, placements, kind)
-    assert upper_bound(node, grids.matrices, inst, lagrangian=lagrangian) >= covered * (1 - 1e-12) - 1e-9
+    assert upper_bound(node, replace(grids, lagrangian=lagrangian), inst) >= covered * (1 - 1e-12) - 1e-9
 
 
 @settings(max_examples=150, deadline=None)
@@ -408,3 +412,59 @@ def test_planar_three_zones_eight_demand_zones_proves():
     assert stats.optimal
     assert math.isclose(sol.reward, 30396.89334300006, rel_tol=1e-9)
     assert math.isclose(covered_reward(inst.dzs, sol.placements, inst.base, inst.eta), sol.reward, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_residual_cache_cap_changes_no_search(one_d, monkeypatch):
+    # planar p=3 m=2 n=8 seed 2 (20,745 nodes) and line p=3 n=12 seed 0 (260
+    # nodes): with room for 4 states the cache drops and rebuilds states, and
+    # the search is the same as with room for 1024
+    if one_d:
+        inst, run = generate_1d(GenConfig(seed=0, n=12, p=3, dimension=Dimension.ONE_D)), solve_1d
+    else:
+        inst, run = generate(GenConfig(seed=2, n=8, p=3, m=2)), solve
+    built = []
+
+    def counted(*args):
+        built.append(1)
+        return ResidualDemand(*args)
+
+    monkeypatch.setattr(bnb, "ResidualDemand", counted)
+
+    def outcome():
+        built.clear()
+        sol, stats = run(inst)
+        history = [(k, r.hex()) for k, r in stats.best_reward_history]
+        return sol.reward.hex(), sol.placements, stats.nodes_explored, history, len(built)
+
+    *search, full_builds = outcome()
+    assert search[2] == (260 if one_d else 20_745)
+    monkeypatch.setattr(bnb, "RESIDUAL_CACHE_SIZE", 4)
+    *capped, capped_builds = outcome()
+    assert capped == search
+    assert capped_builds > full_builds
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_residual_cache_holds_at_most_its_cap(one_d, monkeypatch):
+    # every node of a full tree bounded with one grids, as a solve bounds them
+    monkeypatch.setattr(bnb, "RESIDUAL_CACHE_SIZE", 4)
+    cfg = SolverConfig()
+    if one_d:
+        inst = small_1d(seed=1, n=5, p=3)
+        grids = CandidateGrids.from_instance(inst)
+        root, children = root_node_1d(inst, grids), lambda node: branch_1d(node, inst, grids, cfg)
+    else:
+        inst = generate(GenConfig(seed=0, n=2, p=2, m=2, **TINY))
+        grids = CandidateGrids.from_instance(inst)
+        root, children = root_node(inst, grids), lambda node: branch(node, inst, grids, cfg)
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        upper_bound(node, grids, inst)
+        assert len(grids.residuals) <= 4, node
+        seen.update(grids.residuals)
+        if not is_leaf(node):
+            stack.extend(children(node))
+    assert len(seen) > 4
