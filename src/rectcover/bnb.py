@@ -30,10 +30,10 @@ both: a line node (``bnb1d.Node1D``) carries the same per-zone candidate
 sets and scales, each zone's y set the one index of its matrix's single y
 value, and each node type names the axis its residual bound runs on.  The
 bound and both branching rules take the solve's state as one
-:class:`CandidateGrids`: its matrices, its Lagrangian bound and its two
-memos.  The covered reward of a greedy run's placements seeds the
-incumbent; a node is cut as soon as its optimistic bound cannot beat the
-incumbent by more than ``epsilon``.
+:class:`CandidateGrids`: its matrices, its Lagrangian bound, greedy's
+prefixes for the reference-set bound and its memos.  The covered reward of
+a greedy run's placements seeds the incumbent; a node is cut as soon as its
+optimistic bound cannot beat the incumbent by more than ``epsilon``.
 
 Per-node work scans no candidate set or demand and maps no value to an
 index.  Each scale's reward matrix, and with it the grids it is tabulated
@@ -82,6 +82,34 @@ cover:
   concave kink of one of them: the gain is evaluated at the flush positions
   of the pieces it keeps, and is 0 with none (whatever ``scv_mode`` is; no
   grid value and no ``service_breakpoints`` of ``S`` are needed).
+
+With ``S`` empty this is the isolated sum again, so it is taken only once a
+zone is placed on the residual axis.
+
+Reference-set bound.  The inequality holds with any set of placements ``A``
+in place of ``S``: ``f(X) <= f(A + X) <= f(A) + sum over t in X of [f(A +
+t) - f(A)]``, the first step by monotonicity, the second by submodularity
+(adding ``X``'s zones to ``A`` one at a time, each gains at most what it
+gains over ``A`` alone).  The sum now runs over every zone, a zone of ``X``
+that ``A`` already holds gaining 0.  A node that has a residual axis but no
+zone placed on it (the plane's y phase before the first y is settled, the
+line below the root before the first zone is placed) takes ``min over A of
+f(A) + sum over zones t of max gain_A(t)`` over ``t``'s candidate set, with
+``A`` each proper prefix ``g1..gk`` (``k = 1 .. p - 1``) of the greedy seed's
+placements, in round order: greedy's first zones serve the most demand, so
+``f(A)`` is large and what any completion gains over it small.  Each ``A``
+is one :class:`~rectcover.reward.ResidualDemand`, built once per solve on
+first use and kept in ``CandidateGrids.reference_states``, outside the
+cache of per-``S`` states, so its memoised gains serve every node.  A
+zone's term follows the residual bound's rules: the gain's maximum over
+every real position for a whole grid (pins may still follow), over the
+slice's values for a strict slice, the grid value's gain for a grid
+singleton and the gain at the pinned value for an abutment singleton
+(``ResidualDemand.gain_at``).  The x phase is left out: a zone with both
+coordinates open needs its gain's maximum over two dimensions.  ``f(A)``
+and the gains are sums of nonnegative terms taken in another order than
+``covered_reward``'s, as for the residual bound, and ``epsilon`` covers
+their rounding as it does there.
 
 Lagrangian bound.  The isolated sum pays demand that several zones reach
 once per zone.  Dualising the coverage constraints of the maximal-covering
@@ -139,11 +167,13 @@ zones times 2**-52.  So it is scaled by ``1 + LAG_MARGIN``
 then adds ``epsilon``, the absolute slack every bound shares.
 
 A node's bound is the smallest of the isolated sum, the Lagrangian bound
-and this residual bound, each computed only while the ones before it leave
-the node above the incumbent plus ``epsilon``, so nodes the sum already
-cuts cost what they did.  The residual bound's per-``S`` state is cached for
-the solve in ``CandidateGrids.residuals``, at most
-:data:`RESIDUAL_CACHE_SIZE` states, least recently used dropped.
+and the residual or reference-set bound, each computed only while the ones
+before it leave the node above the incumbent plus ``epsilon``, so nodes the
+sum already cuts cost what they did.  Every gain is at least 0, so a sum of
+gains stops once it is above the least bound taken so far, which it can no
+longer lower; every value returned is still a bound.  The residual bound's
+per-``S`` state is cached for the solve in ``CandidateGrids.residuals``, at
+most :data:`RESIDUAL_CACHE_SIZE` states, least recently used dropped.
 
 No placement earns more than ``ceiling``, every demand zone's area paid
 at the smallest scale's rate, so the search stops, proven, once the
@@ -319,15 +349,20 @@ class CandidateGrids:
     ``residuals`` is the residual bound's cache, one
     :class:`~rectcover.reward.ResidualDemand` per set of placed zones, at
     most :data:`RESIDUAL_CACHE_SIZE`, least recently used dropped; both
-    live as long as the solve.  :func:`upper_bound` reads ``matrices``,
-    ``lagrangian`` and ``residuals``; the branching rules read ``matrices``
-    and ``splits``.
+    live as long as the solve.  ``references`` are the reference sets ``A``
+    of the reference-set bound and ``reference_states`` their states,
+    :meth:`reference`, kept for the solve outside that cache.
+    :func:`upper_bound` reads ``matrices``, ``lagrangian``, ``residuals`` and
+    the reference states; the branching rules read ``matrices`` and
+    ``splits``.
     """
 
     matrices: Mapping[float, RewardMatrix]
     lagrangian: Lagrangian | None = None
     splits: dict[tuple, tuple[CandidateSet, ...]] = field(default_factory=dict, compare=False, repr=False)
     residuals: dict[tuple, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
+    references: tuple[tuple[Placement, ...], ...] = ()
+    reference_states: dict[int, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
@@ -363,6 +398,14 @@ class CandidateGrids:
                 parts.sort(key=lambda part: m.block_max(0, nx, part[0], part[1]), reverse=True)
             out = self.splits[key] = tuple(parts)
         return out
+
+    def reference(self, k: int, instance: Instance, eps: float) -> ResidualDemand:
+        """The :class:`~rectcover.reward.ResidualDemand` of ``references[k]``, built on first use."""
+        state = self.reference_states.get(k)
+        if state is None:
+            dzs, base = instance.planar
+            state = self.reference_states[k] = ResidualDemand(dzs, self.references[k], base, instance.eta, eps)
+        return state
 
 
 def _grid(m: RewardMatrix, axis: Axis) -> tuple[float, ...]:
@@ -571,6 +614,36 @@ def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:
     return total
 
 
+def _gain_sum(
+    residual: ResidualDemand,
+    zones: Sequence[tuple[float, float, Sequence[float], CandidateSet]],
+    axis: Axis,
+    limit: float = math.inf,
+) -> float:
+    """``f(A)`` plus each of ``zones``' best gain over ``A`` across its set on ``axis`` (module docstring).
+
+    ``A`` is ``residual``'s placements and each of ``zones`` is ``(z, c,
+    grid, s)``: its scale, its fixed corner on the other axis, its grid and
+    its set on ``axis``.
+    A whole grid takes the gain's maximum over every real position, a slice
+    (a grid singleton too) its maximum over the slice's values and an
+    abutment singleton its gain at the pinned value.  Every gain is at least
+    0, so the sum stops, short of its full value, once it is above
+    ``limit``.
+    """
+    total = residual.served
+    for z, c, grid, (lo, hi, v) in zones:
+        if total > limit:
+            break
+        if v is not None:
+            total += residual.gain_at(z, c, axis, v)
+        elif lo == 0 and hi == len(grid):
+            total += residual.best_gain(z, c, axis)
+        else:
+            total += float(residual.gain_column(z, c, axis, grid)[lo:hi].max())
+    return total
+
+
 def upper_bound(
     node: Node, grids: CandidateGrids, instance: Instance, eps: float = EPS, floor: float = -math.inf
 ) -> float:
@@ -592,13 +665,16 @@ def upper_bound(
     ``grids.lagrangian``'s bound when the solve keeps one, and returns it
     when it is at or below ``floor + eps``.  Past that, a node with a
     ``residual_axis`` (the plane's y phase, the line below its root), where
-    every coordinate on the other axis is fixed, takes the residual bound as
-    well (module docstring): ``f(S)`` plus each other zone's best gain over
-    ``S``, read from the :class:`~rectcover.reward.ResidualDemand` of ``S``
-    that ``grids.residuals`` keeps.  A set that is its zone's whole grid
-    takes the gain's maximum over every real position, a strict slice its
-    maximum over the slice; with ``S`` empty the residual bound is not taken.
-    With the default ``floor`` every leaf is exact.
+    every coordinate on the other axis is fixed, takes one more bound
+    (module docstring).  With a zone placed on that axis it is the residual
+    bound: ``f(S)`` plus each other zone's best gain over ``S``, read from
+    the :class:`~rectcover.reward.ResidualDemand` of ``S`` that
+    ``grids.residuals`` keeps.  With none placed it is the reference-set
+    bound, the least over the sets ``A`` of ``grids.references`` of ``f(A)``
+    plus every zone's best gain over ``A`` (:func:`_gain_sum`); with no
+    reference set it is not taken.  Both read a set that is its zone's whole
+    grid at every real position, a strict slice at its values.  With the
+    default ``floor`` every leaf is exact.
     """
     matrices, lagrangian = grids.matrices, grids.lagrangian
     total = _block_sum(node, matrices)
@@ -628,6 +704,10 @@ def upper_bound(
         if total <= floor + eps:
             return total
     if not placed:
+        for k in range(len(grids.references)):
+            total = min(total, _gain_sum(grids.reference(k, instance, eps), opened, axis, total))
+            if total <= floor + eps:
+                break
         return total
     key = tuple(sorted(placed))
     cache = grids.residuals
@@ -638,13 +718,7 @@ def upper_bound(
         if len(cache) >= RESIDUAL_CACHE_SIZE:
             del cache[next(iter(cache))]
     cache[key] = residual
-    gains = residual.served
-    for z, fixed, grid, (lo, hi, _) in opened:
-        if lo == 0 and hi == len(grid):
-            gains += residual.best_gain(z, fixed, axis)
-        else:
-            gains += float(residual.gain_column(z, fixed, axis, grid)[lo:hi].max())
-    return min(total, gains)
+    return min(total, _gain_sum(residual, opened, axis, total))
 
 
 def fit_lagrangian(
@@ -722,10 +796,11 @@ def branch_and_bound(
     ``grids`` (:class:`CandidateGrids`) is built once, ``root(instance,
     grids)`` builds the root node, and the Lagrangian bound is fitted at it
     (:func:`fit_lagrangian`; ``stats.fit_s``, and the root's bound in
-    ``stats.root_bound``) and kept in ``grids``.  Every popped node is
-    bounded with ``upper_bound(node, grids, ...)`` against ``lower``, the
-    incumbent's reward, and is cut
-    when the bound cannot beat the incumbent by more than ``epsilon``.  A
+    ``stats.root_bound``) and kept in ``grids``, with the greedy seed's
+    proper prefixes as the reference sets of the reference-set bound.
+    Every popped node is bounded with ``upper_bound(node, grids, ...)``
+    against ``lower``, the incumbent's reward, and is cut when the bound
+    cannot beat the incumbent by more than ``epsilon``.  A
     surviving leaf (:func:`is_leaf`), whose bound is then its exact value,
     becomes the incumbent (:func:`leaf_placements`); any other node is
     replaced by ``children(node, instance, grids, config)``, explored in the
@@ -764,8 +839,9 @@ def branch_and_bound(
     if lower < enough:
         grids = CandidateGrids.from_instance(instance, eps)
         top = root(instance, grids)
+        references = tuple(seed.placements[:k] for k in range(1, instance.p))  # greedy's proper prefixes
         fit_start = time.perf_counter()
-        grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower))
+        grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower), references=references)
         stats.fit_s = time.perf_counter() - fit_start
         stats.root_bound = upper_bound(top, grids, instance, eps)
         stack = [top]

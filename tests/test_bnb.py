@@ -394,13 +394,17 @@ def test_every_node_holds_slices_or_bracketed_abutments():
 
 @pytest.fixture(scope="module")
 def greedy_below_optimum():
-    # greedy 786.13 < optimum 867.86; the incumbent improves at nodes 20, 39,
-    # 49 and 228 of a 1202-node search
+    # greedy 786.13 < optimum 867.86; the incumbent improves at nodes 19 and
+    # 30 of a 389-node search, which proves at 395 ticks of the clock of
+    # tick_search_clock (756 nodes before the reference-set bound)
     inst = small_2d(seed=2, n=4, m=2)
     return inst, brute_force_2d(inst).reward
 
 
-@pytest.mark.parametrize("limit", [0, 20, 60, 95, 400])
+# limits before the first improvement (0 at the root, 20), between the two
+# (30) and after the last (60, 95, and 300, where the open nodes' bounds are
+# below the root's)
+@pytest.mark.parametrize("limit", [0, 20, 30, 60, 95, 300])
 def test_timeout_reports_a_certified_upper_bound(limit, greedy_below_optimum, monkeypatch):
     inst, optimum = greedy_below_optimum
     tick_search_clock(monkeypatch)
@@ -510,23 +514,52 @@ def test_each_scale_grids_are_derived_once_per_solve(one_d, monkeypatch):
 @pytest.mark.parametrize(
     "seed, n, mode, nodes, reward",
     [
-        pytest.param(3, 30, "outer", 63, 28074.27451427053, id="3-419-28074.27451427053"),
-        pytest.param(19, 30, "outer", 131, 25041.271161217206, id="19-451-25041.271161217206"),
-        pytest.param(0, 10, "outer", 126, 16855.812708256984, id="0-n10-outer-2895"),
-        pytest.param(0, 10, "full", 126, 16855.812708256984, id="0-n10-full-3409"),
+        pytest.param(3, 30, "outer", 29, 28074.27451427053, id="3-419-28074.27451427053"),
+        pytest.param(19, 30, "outer", 71, 25041.271161217206, id="19-451-25041.271161217206"),
+        pytest.param(0, 10, "outer", 60, 16855.812708256984, id="0-n10-outer-2895"),
+        pytest.param(0, 10, "full", 60, 16855.812708256984, id="0-n10-full-3409"),
     ],
 )
 def test_node_count_fingerprint(seed, n, mode, nodes, reward):
-    # Recorded with the Lagrangian bound as well as the residual bound; the
+    # Recorded with the Lagrangian, residual and reference-set bounds; the
     # ids keep the counts of the isolated-sum bound alone (419, 451, 2895,
-    # 3409), and the residual bound alone took 67, 147, 771 and 869.  The
-    # Lagrangian bound cuts nodes the other two keep, and the optima stay
-    # the same.  A pure speed-up or refactor must not move them.
+    # 3409), the residual bound alone took 67, 147, 771 and 869, and with
+    # the Lagrangian bound 63, 131, 126 and 126.  The reference-set bound
+    # (greedy's prefixes) cuts y-phase nodes before the first y is settled,
+    # which the residual bound cannot bound, and the optima stay the same.
+    # A pure speed-up or refactor must not move them.
     inst = generate(GenConfig(seed=seed, n=n, p=2, m=2))
     sol, stats = solve(inst, SolverConfig(scv_mode=mode))
     assert stats.nodes_explored == nodes
     assert stats.optimal
     assert math.isclose(sol.reward, reward, rel_tol=1e-9)
+
+
+PLANE_P3 = [
+    (0, 727, "0x1.4311c68deb3d1p+14"),
+    (1, 1231, "0x1.63d879e5b5bbcp+14"),
+    (2, 14447, "0x1.daf392c881e59p+14"),
+    (3, 596, "0x1.eb62691900778p+13"),
+    (4, 3012, "0x1.70326d4c30f12p+14"),
+    (5, 900, "0x1.535c36f896df5p+14"),
+    (6, 1170, "0x1.7db9757d19c58p+14"),
+    (7, 2556, "0x1.6443a0f472db9p+14"),
+    (8, 8890, "0x1.b75f0c5f49548p+13"),
+    (9, 11455, "0x1.8bbda8a05a299p+14"),
+]
+
+
+@pytest.mark.parametrize("seed, nodes, reward", PLANE_P3, ids=[f"seed{s}" for s, _, _ in PLANE_P3])
+def test_plane_p3_fingerprint(seed, nodes, reward):
+    # planar p=3 m=2 n=8 seeds 0-9 (plane-p3), the set node totals are
+    # compared on: 44,984 nodes with the reference-set bound, 127,740
+    # without it, and the same optima bit for bit.  A pure speed-up or
+    # refactor must not move them.
+    sol, stats = solve(generate(GenConfig(seed=seed, n=8, p=3, m=2)))
+    assert stats.optimal
+    assert stats.nodes_explored == nodes
+    assert sol.reward.hex() == reward
+
 
 def test_square_solved_to_optimum():
     inst = square_instance()

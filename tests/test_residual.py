@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rectcover import (
@@ -14,7 +14,9 @@ from rectcover import (
     Dimension,
     Eta,
     GenConfig,
+    Instance,
     Placement,
+    QosSet,
     Rect,
     covered_reward,
     generate,
@@ -29,6 +31,7 @@ from rectcover.bnb import (
     CandidateGrids,
     Lagrangian,
     SolverConfig,
+    _gain_sum,
     _is_single,
     _value,
     branch,
@@ -403,10 +406,145 @@ def test_line_lagrangian_bound_holds_for_any_multipliers(seed, p, n, path, data)
     _assert_lagrangian_bounds_drawn_placements(data, inst, grids, node)
 
 
+def _assert_reference_bound_holds(data, inst, grids, path, children, root):
+    """The reference-set bound holds at every node with a residual axis on a drawn walk.
+
+    The walk starts at the node ``path`` reaches and takes drawn children
+    down to a leaf.  At each node with a residual axis, two reference sets
+    ``A`` are checked by :func:`_assert_reference_set_bounds`: the zones
+    settled on that axis, which makes the bound tight when one zone is
+    open, and a drawn set of some of them and of zones on and off the grids.
+    """
+    node = _drawn_node(root, children, path)
+    checked = 0
+    while True:
+        axis = node.residual_axis
+        if axis is not None:
+            settled = _settled(node, grids, axis)
+            reference = [pl for pl in settled if data.draw(st.booleans())]
+            base = inst.planar[1]
+            for _ in range(data.draw(st.integers(0, 2))):
+                z = data.draw(st.sampled_from(inst.scale_values()))
+                xs, ys = grids.matrices[z].xs.values, grids.matrices[z].ys.values
+                if data.draw(st.booleans()):  # on the grids
+                    x, y = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
+                else:
+                    x = data.draw(st.floats(xs[0] - base.w0 * z, xs[-1] + 1.0))
+                    y = data.draw(st.floats(ys[0] - base.l0 * z, ys[-1] + 1.0))
+                reference.append(Placement(x, y, z))
+            for ref in (settled, reference):
+                _assert_reference_set_bounds(data, inst, grids, node, ref)
+            checked += 1
+        if is_leaf(node):
+            break
+        kids = children(node)
+        node = kids[data.draw(st.integers(0, len(kids) - 1))]
+    assume(checked)
+
+
+def _at(axis, z, c, corner):
+    """A scale-``z`` placement with its corner at ``corner`` on ``axis`` and at ``c`` on the other."""
+    return Placement(corner, c, z) if axis is Axis.X else Placement(c, corner, z)
+
+
+def _zone_terms(node, grids, axis):
+    """Each zone's ``(z, c, grid, s)`` for ``bnb._gain_sum``: scale, fixed corner off ``axis``, grid and set on it."""
+    terms = []
+    for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
+        m = grids.matrices[z]
+        terms.append((z, _value(ys, m.ys.values), m.xs.values, xs) if axis is Axis.X
+                     else (z, _value(xs, m.xs.values), m.ys.values, ys))
+    return terms
+
+
+def _settled(node, grids, axis):
+    """The placements of ``node``'s zones whose set on ``axis`` is a singleton."""
+    zones = _zone_terms(node, grids, axis)
+    return [_at(axis, z, c, _value(s, grid)) for z, c, grid, s in zones if _is_single(s)]
+
+
+def _assert_reference_set_bounds(data, inst, grids, node, reference):
+    """``node``'s reference-set bound over ``reference`` is at least the covered reward of its placements.
+
+    The zones settled on the node's residual axis keep their positions.
+    The open zones are then placed one after another, each where it adds
+    the most covered reward among its candidate positions: a strict slice's
+    grid values; for a whole grid, which may still be pinned, every grid
+    value, a drawn real position and every abutment of a zone of ``A`` or of
+    a zone placed before it, where its gain over ``A`` has its kinks.
+    ``upper_bound`` with ``A`` as its one reference set must stay above as
+    well.
+    """
+    axis = node.residual_axis
+    on_x = axis is Axis.X
+    dzs, base = inst.planar
+    zones = _zone_terms(node, grids, axis)
+    placements = _settled(node, grids, axis)
+    for z, c, grid, s in zones:
+        if _is_single(s):
+            continue
+        lo, hi, _ = s
+        corners = list(grid[lo:hi])
+        if (lo, hi) == (0, len(grid)):
+            unit = base.w0 if on_x else base.l0
+            corners.append(data.draw(st.floats(grid[0] - unit * z - 1.0, grid[-1] + 1.0)))
+            corners += [b for q in reference + placements
+                        for b in service_breakpoints(q.x if on_x else q.y, q.z, z, inst.base, axis)]
+        moves = [_at(axis, z, c, corner) for corner in corners]
+        placements.append(max(moves, key=lambda t: covered_reward(dzs, placements + [t], base, inst.eta)))
+    covered = covered_reward(dzs, placements, base, inst.eta)
+    bound = _gain_sum(ResidualDemand(dzs, reference, base, inst.eta), zones, axis)
+    assert bound >= covered * (1 - 1e-12) - 1e-9, (node, reference, placements)
+    got = upper_bound(node, replace(grids, references=(tuple(reference),)), inst)
+    assert got >= covered * (1 - 1e-12) - 1e-9, (node, reference, placements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dzs=_demand_zones(),
+    p=st.integers(2, 3),
+    menu=st.sampled_from([(1.0,), (1.0, 2.0), (1.0, 1.5, 3.0)]),
+    column=st.booleans(),
+    path=st.lists(st.integers(0, 1_000), max_size=30),
+    data=st.data(),
+)
+def test_plane_reference_bound_holds_for_any_reference_set(dzs, p, menu, column, path, data):
+    # lattice demand zones, some touching or overlapping, optionally moved
+    # into one column so that every zone's x span meets every other's: a
+    # zone of A then often cuts demand where an abutment on y beats every
+    # grid value.  That is rarer than on the line, hence twice the examples.
+    if column:
+        dzs = [DemandZone(Rect(0.0, d.rect.y, d.rect.w, d.rect.l), d.v) for d in dzs]
+    inst = Instance(tuple(dzs), BaseServiceZone(10.0, 8.0), p, QosSet(menu), Eta.LINEAR)
+    grids = CandidateGrids.from_instance(inst)
+    cfg = SolverConfig()
+    children = lambda node: branch(node, inst, grids, cfg)
+    _assert_reference_bound_holds(data, inst, grids, path, children, root_node(inst, grids))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dzs=_demand_zones(),
+    scales=st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=2, max_size=4),
+    path=st.lists(st.integers(0, 1_000), max_size=30),
+    data=st.data(),
+)
+def test_line_reference_bound_holds_for_any_reference_set(dzs, scales, path, data):
+    # the lattice zones' x spans as segments, one fixed scale per zone
+    segments = tuple(DemandZone(Rect(d.rect.x, 0.0, d.rect.w, 0.0), d.v) for d in dzs)
+    qos = tuple(QosSet((z,)) for z in scales)
+    inst = Instance(segments, BaseServiceZone(10.0, 0.0), len(scales), qos, Eta.LINEAR, Dimension.ONE_D)
+    grids = CandidateGrids.from_instance(inst)
+    cfg = SolverConfig()
+    children = lambda node: branch_1d(node, inst, grids, cfg)
+    _assert_reference_bound_holds(data, inst, grids, path, children, root_node_1d(inst, grids))
+
+
 def test_planar_three_zones_eight_demand_zones_proves():
-    # plane p=3 m=2 n=8: 20,745 nodes with the Lagrangian and residual
-    # bounds, against 43,423 with the residual bound alone and 615,223 with
-    # the isolated sum alone (same optimum)
+    # plane p=3 m=2 n=8: 14,447 nodes with the Lagrangian, residual and
+    # reference-set bounds, against 20,745 without the reference-set bound,
+    # 43,423 with the residual bound alone and 615,223 with the isolated sum
+    # alone (same optimum)
     inst = generate(GenConfig(seed=2, n=8, p=3, m=2))
     sol, stats = solve(inst, SolverConfig(time_limit_s=60.0))
     assert stats.optimal
@@ -416,9 +554,10 @@ def test_planar_three_zones_eight_demand_zones_proves():
 
 @pytest.mark.parametrize("one_d", [False, True])
 def test_residual_cache_cap_changes_no_search(one_d, monkeypatch):
-    # planar p=3 m=2 n=8 seed 2 (20,745 nodes) and line p=3 n=12 seed 0 (260
-    # nodes): with room for 4 states the cache drops and rebuilds states, and
-    # the search is the same as with room for 1024
+    # planar p=3 m=2 n=8 seed 2 (14,447 nodes; 20,745 before the
+    # reference-set bound cut y-phase nodes with no y settled) and line p=3
+    # n=12 seed 0 (260 nodes): with room for 4 states the cache drops and
+    # rebuilds states, and the search is the same as with room for 1024
     if one_d:
         inst, run = generate_1d(GenConfig(seed=0, n=12, p=3, dimension=Dimension.ONE_D)), solve_1d
     else:
@@ -438,7 +577,7 @@ def test_residual_cache_cap_changes_no_search(one_d, monkeypatch):
         return sol.reward.hex(), sol.placements, stats.nodes_explored, history, len(built)
 
     *search, full_builds = outcome()
-    assert search[2] == (260 if one_d else 20_745)
+    assert search[2] == (260 if one_d else 14_447)
     monkeypatch.setattr(bnb, "RESIDUAL_CACHE_SIZE", 4)
     *capped, capped_builds = outcome()
     assert capped == search
