@@ -1,39 +1,67 @@
-"""Exact planar solver: depth-first branch and bound over candidate grids.
+"""Exact solver, plane and line: depth-first branch and bound over candidate grids.
 
 Every service zone's corner coordinates can be restricted, without losing any
 optimum, to a finite grid: the inner-demand breakpoints of its own scale plus
-the outer service breakpoints generated by zones already pinned down.  The
-search tree narrows those per-zone candidate sets step by step:
+the outer service breakpoints generated by zones already pinned down.  A line
+instance is searched as its lifted demand (``Instance.planar``), whose y
+grids hold the one value 0, so one tree serves both.  Zones with equal menus
+form a *class*.  The tree narrows the per-zone candidate sets step by step:
 
-* scale step — while a zone's scale is open, one child per menu entry fixes
-  it and swaps in that scale's grids;
+* root — a zone whose menu holds one scale (every zone on the line) starts
+  at that scale on its whole grids; every other zone starts open;
+* scale step — an open zone's first step gives one child per menu entry,
+  which fixes its scale and swaps in that scale's grids;
 * interval step — a zone's x (later y) candidate set is split at its widest
   coordinate gaps; children are visited by decreasing best isolated reward
   over their candidates (their block of the scale's reward matrix, taken
-  over every position on the other axis), and once a set is a singleton the
-  next zone is up.
+  over every position on the other axis), until the set is a singleton.
   When a zone is first split, extra children pin it directly at the abutment
-  positions of already-fixed zones (positions no demand grid contains);
+  positions of already-fixed zones (positions no own-scale grid value is
+  within ``epsilon`` of);
+* next zone on x — when no zone is being narrowed on x, the candidates are
+  the lowest-indexed zone of each class whose x is not fixed yet.  The
+  children are, candidate by candidate in index order, its first step: the
+  scale step while its scale is open, else its interval step.  With one
+  class this is index order;
+* grid-order rule — at a zone's first x split, the grid parts are generated
+  only when its index is above every zone already placed on its own grid
+  (``v`` None, a grid of one value aside); the abutment pins always are;
 * order step — once every x is fixed, y branching picks which zone to settle
-  next: the lowest-indexed zone sitting on its own scale's grid
-  (interchangeable by symmetry, so one representative suffices) plus every
-  zone sitting on an abutment value.
+  next: in each class the lowest-indexed zone sitting on its own scale's
+  grid, plus every zone sitting on an abutment value.
 
-Zones are processed in index order along x, which is harmless because zones
-sharing one scale menu are interchangeable.
+Completeness.  On each axis the candidate set holds an optimum in which some
+order of the zones puts each one on its own scale's grid or at an abutment
+of a zone placed before it (the oracle, ``oracle._axis_tuples``, enumerates
+every such order).  Take such an order on x.  The zones on their grid depend
+on no other zone, so they can all move to the front, and every abutment
+still follows the zone it abuts.  Zones of one class share a menu, so
+swapping two of their labels changes no reward: relabel each class so that
+its zones come in index order along the order, then sort the front by index
+(the class's grid zones hold its lowest labels, as they come first).  The
+search reaches that order: each next zone is the lowest-indexed unplaced
+zone of its class, so a candidate; its scale is one of its scale step's
+children; and it is either a grid part, its index being above every grid
+zone before it, or a pin of a zone before it.  On y the same swaps, among
+the zones of one class on their own x grid, which sit at the front on x and
+can take any labels there, make each next zone to settle the lowest-indexed
+of its class, and a zone pinned on x gets a child of its own.  A zone whose
+grid holds one value ``a`` on an axis is placed at ``a`` from the root:
+every demand zone then spans exactly its width from ``a`` on that axis, so
+``a`` covers a superset of what any other position covers, and a zone that
+abuts it there covers no demand on that axis and can sit on its own grid
+instead; the grid-order rule leaves such zones out.
 
-The depth-first loop, :func:`branch_and_bound`, is shared with the line
-solver (``bnb1d.solve_1d``); each solver passes only its root and its
-branching rule.  The bound (:func:`upper_bound`), the leaf test
-(:func:`is_leaf`) and the leaf placements (:func:`leaf_placements`) serve
-both: a line node (``bnb1d.Node1D``) carries the same per-zone candidate
-sets and scales, each zone's y set the one index of its matrix's single y
-value, and each node type names the axis its residual bound runs on.  The
-bound and both branching rules take the solve's state as one
-:class:`CandidateGrids`: its matrices, its Lagrangian bound, greedy's
-prefixes for the reference-set bound and its memos.  The covered reward of
-a greedy run's placements seeds the incumbent; a node is cut as soon as its
-optimistic bound cannot beat the incumbent by more than ``epsilon``.
+The residual axis of a node follows from its sets: y once every x set is a
+singleton, x once every y set is (the line, from its root on), none
+otherwise.  The bound (:func:`upper_bound`), the leaf test (:func:`is_leaf`)
+and the leaf placements (:func:`leaf_placements`) read only the sets, the
+scales and that axis.  The bound and the branching rule take the solve's
+state as one :class:`CandidateGrids`: its matrices, its Lagrangian bound,
+greedy's prefixes for the reference-set bound and its memos.  The covered
+reward of a greedy run's placements seeds the incumbent; a node is cut as
+soon as its optimistic bound cannot beat the incumbent by more than
+``epsilon``.
 
 Per-node work scans no candidate set or demand and maps no value to an
 index.  Each scale's reward matrix, and with it the grids it is tabulated
@@ -65,7 +93,7 @@ of the trimming loop of ``covered_reward`` over ``S`` gives ``f(S)`` and the
 demand pieces with the rate each is already paid (0 if unserved); adding
 ``t`` at scale ``z`` gains ``max(0, v / eta(z) - paid)`` per unit of piece
 it covers (``reward.ResidualDemand``).  The bound applies once every scale
-and x is fixed (the y phase; on the line, below the root), where ``t`` has
+and x is fixed (the y phase), or every y (the line), where ``t`` has
 a fixed corner on one axis and a candidate set on the other, so its gain
 is a function of one coordinate ``c``.  Which positions the maximum must
 cover:
@@ -93,7 +121,7 @@ t) - f(A)]``, the first step by monotonicity, the second by submodularity
 gains over ``A`` alone).  The sum now runs over every zone, a zone of ``X``
 that ``A`` already holds gaining 0.  A node that has a residual axis but no
 zone placed on it (the plane's y phase before the first y is settled, the
-line below the root before the first zone is placed) takes ``min over A of
+line before the first zone is placed) takes ``min over A of
 f(A) + sum over zones t of max gain_A(t)`` over ``t``'s candidate set, with
 ``A`` each proper prefix ``g1..gk`` (``k = 1 .. p - 1``) of the greedy seed's
 placements, in round order: greedy's first zones serve the most demand, so
@@ -196,14 +224,14 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import EPS, Axis
 from .critical import abutment_values
 from .greedy import greedy
-from .model import Dimension, Instance, Placement, QosSet, Solution, demand_rows, reward_rate
+from .model import Instance, Placement, Solution, demand_rows, reward_rate
 from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward
 
 _UNSET = 0.0  # marker for a scale not chosen yet (real scales are >= 1)
@@ -262,21 +290,23 @@ class Node(NamedTuple):
     ``x_sets[j]`` and ``y_sets[j]`` are zone ``j``'s :data:`CandidateSet` on
     the grids of its scale ``z_vec[j]`` (the ``xs`` and ``ys`` of
     ``CandidateGrids.matrices[z_vec[j]]``); ``z_vec[j] == 0`` means that
-    scale is still open and both sets are :data:`_OPEN`.  ``bs`` is the zone being narrowed; on x it
-    advances left to right and ``bs == p`` means every x is fixed.  ``ba`` is
-    the axis being narrowed.
+    scale is still open and both sets are :data:`_OPEN`.  ``ba`` is the axis
+    being narrowed and ``bs`` the zone being narrowed on it, -1 when none
+    is (on x, the next zone is then chosen; module docstring).
     """
 
     x_sets: tuple[CandidateSet, ...]
     y_sets: tuple[CandidateSet, ...]
     z_vec: tuple[float, ...]
     ba: Axis = Axis.X
-    bs: int = 0
+    bs: int = -1
 
     @property
     def residual_axis(self) -> Axis | None:
-        """The axis the residual bound runs on: y once every x is fixed, None before."""
-        return None if self.ba is Axis.X and self.bs < len(self.x_sets) else Axis.Y
+        """The axis the residual bound runs on: y once every x is fixed, x once every y is, else None."""
+        if self.ba is Axis.Y or all(map(_is_single, self.x_sets)):  # y is narrowed only once every x is fixed
+            return Axis.Y
+        return Axis.X if all(map(_is_single, self.y_sets)) else None
 
 
 @dataclass
@@ -472,17 +502,12 @@ def _pin(v: float, grid: Sequence[float], eps: float) -> CandidateSet:
 
 
 def is_leaf(node: Node) -> bool:
-    """Every scale and candidate set fixed, outside the line's dispatching root (``bs == -1``).
+    """Every candidate set fixed, and with them every scale (:data:`_OPEN` is no singleton).
 
-    On the plane this holds in the x phase too when each of a scale's grids
-    holds one value, so such a node is evaluated there and not branched.
+    This holds in the x phase too when each of a scale's grids holds one
+    value, so such a node is evaluated there and not branched.
     """
-    return (
-        node.bs >= 0
-        and _UNSET not in node.z_vec
-        and all(map(_is_single, node.x_sets))
-        and all(map(_is_single, node.y_sets))
-    )
+    return all(map(_is_single, node.x_sets)) and all(map(_is_single, node.y_sets))
 
 
 def leaf_placements(node: Node, matrices: Mapping[float, RewardMatrix]) -> tuple[Placement, ...]:
@@ -497,45 +522,67 @@ def _replace_at(sets: tuple[CandidateSet, ...], j: int, s: CandidateSet) -> tupl
     return sets[:j] + (s,) + sets[j + 1 :]
 
 
+def _first_per_class(zones: Sequence[int], instance: Instance) -> list[int]:
+    """Of ``zones``, given in index order, the lowest-indexed zone of each class of equal menus."""
+    first: dict[tuple[float, ...], int] = {}
+    for j in zones:
+        first.setdefault(instance.qos_for(j).factors, j)
+    return list(first.values())
+
+
 def _order_step_children(node: Node, instance: Instance) -> list[Node]:
     """Pick which zone settles its y next (see module docstring, order step).
 
-    Interchangeability holds only for zones sitting on their *own* scale's
-    grid (any other assignment of their (x, scale) pairs exists elsewhere in
-    the tree); a zone pinned at an abutment position is tied to the zones
-    that generated it, even if the value happens to equal some other scale's
-    grid value, so each such zone gets its own child.  Abutment positions lie
-    more than ``epsilon`` off the own-scale grid, so a set without ``v`` is on it.
+    Interchangeability holds only for zones of one class sitting on their
+    *own* scale's grid (any other assignment of their (x, scale) pairs
+    exists elsewhere in the tree); a zone pinned at an abutment position is
+    tied to the zones that generated it, even if the value happens to equal
+    some other scale's grid value, so each such zone gets its own child.
+    Abutment positions lie more than ``epsilon`` off the own-scale grid, so a
+    set without ``v`` is on it.
     """
     open_idx = [j for j in range(instance.p) if not _is_single(node.y_sets[j])]
+    pinned = [j for j in open_idx if node.x_sets[j][2] is not None]
     on_grid = [j for j in open_idx if node.x_sets[j][2] is None]
-    chosen = sorted(on_grid[:1] + [j for j in open_idx if node.x_sets[j][2] is not None])
+    chosen = sorted(_first_per_class(on_grid, instance) + pinned)
     return [Node(node.x_sets, node.y_sets, node.z_vec, Axis.Y, j) for j in chosen]
+
+
+def _with_scale(node: Node, j: int, z: float, grids: CandidateGrids) -> Node:
+    """``node`` with zone ``j`` at scale ``z`` on its whole grids, narrowed next on x."""
+    m = grids.matrices[z]
+    return Node(
+        _replace_at(node.x_sets, j, (0, len(m.xs), None)),
+        _replace_at(node.y_sets, j, (0, len(m.ys), None)),
+        node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
+        Axis.X,
+        j,
+    )
+
+
+def _x_step(node: Node, j: int, instance: Instance, grids: CandidateGrids, config: SolverConfig) -> list[Node]:
+    """Zone ``j``'s next step on x: the scale step while its scale is open, else the interval step."""
+    if node.z_vec[j] == _UNSET:
+        return [_with_scale(node, j, z, grids) for z in instance.qos_for(j).factors]
+    return _interval_children(node, j, Axis.X, instance, grids, config)
 
 
 def branch(
     node: Node, instance: Instance, grids: CandidateGrids, config: SolverConfig
 ) -> list[Node]:
-    """Children of a non-leaf node, in exploration order."""
+    """Children of a non-leaf node, plane or line, in exploration order (module docstring)."""
     j = node.bs
-    if node.ba is Axis.X and j < instance.p:
-        if node.z_vec[j] == _UNSET:
-            # Scale step: one child per menu entry for zone j, on its whole grids.
-            return [
-                Node(
-                    _replace_at(node.x_sets, j, (0, len(grids.matrices[z].xs), None)),
-                    _replace_at(node.y_sets, j, (0, len(grids.matrices[z].ys), None)),
-                    node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
-                    node.ba,
-                    j,
-                )
-                for z in instance.qos_for(j).factors
-            ]
-        return _interval_children(node, j, Axis.X, instance, grids, config)
-    if node.ba is Axis.X or _is_single(node.y_sets[j]):
-        # Every x fixed, or zone j's y settled: the order step picks who is next.
-        return _order_step_children(node, instance)
-    return _interval_children(node, j, Axis.Y, instance, grids, config)
+    if node.ba is Axis.X:
+        if j >= 0:
+            return _x_step(node, j, instance, grids, config)
+        unplaced = [k for k, s in enumerate(node.x_sets) if not _is_single(s)]
+        if unplaced:
+            # no zone is being narrowed: each class's lowest unplaced zone takes its first step
+            return [c for k in _first_per_class(unplaced, instance) for c in _x_step(node, k, instance, grids, config)]
+    elif not _is_single(node.y_sets[j]):
+        return _interval_children(node, j, Axis.Y, instance, grids, config)
+    # Every x fixed, or zone j's y settled: the order step picks who is next.
+    return _order_step_children(node, instance)
 
 
 def _interval_children(
@@ -548,8 +595,11 @@ def _interval_children(
     ``axis``.  Values on *another* scale's grid stay among them: they are
     never enumerated for this zone otherwise (with a {1, 2} menu,
     left-abutting a scale-1 zone that sits on a scale-1 grid value always
-    lands on a scale-2 grid value, so dropping them loses real optima).  On x
-    a singleton child moves on to zone ``j + 1``.
+    lands on a scale-2 grid value, so dropping them loses real optima).  On
+    x the grid parts of a first split follow the grid-order rule (module
+    docstring): a zone above ``j`` already on a grid of more than one value
+    leaves only the pins.  On x a singleton child is placed and no zone is
+    narrowed next (``bs == -1``).
     """
     on_x = axis is Axis.X
     sets = node.x_sets if on_x else node.y_sets
@@ -562,13 +612,17 @@ def _interval_children(
             for k, (s, zk) in enumerate(zip(sets, node.z_vec))
             if k != j and zk != _UNSET and _is_single(s)
         ]
+        # grid-order rule: a zone above j already on a grid value, of a grid of more than one
+        if on_x and any(s[2] is None and s[1] - s[0] == 1 < len(grids.matrices[zk].xs)
+                        for s, zk in zip(sets[j + 1 :], node.z_vec[j + 1 :])):
+            parts = ()
         full = config.scv_mode == "full"
         eps = config.epsilon
         pins = abutment_values(fixed, z, instance.base, axis, full, grid, eps)
         parts += tuple(_pin(v, grid, eps) for v in pins)
     if on_x:
         return [
-            Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, Axis.X, j + 1 if _is_single(part) else j)
+            Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, Axis.X, -1 if _is_single(part) else j)
             for part in parts
         ]
     return [Node(node.x_sets, _replace_at(sets, j, part), node.z_vec, Axis.Y, j) for part in parts]
@@ -664,8 +718,8 @@ def upper_bound(
     ``instance.planar``.  Any other node takes the smaller of the sum and
     ``grids.lagrangian``'s bound when the solve keeps one, and returns it
     when it is at or below ``floor + eps``.  Past that, a node with a
-    ``residual_axis`` (the plane's y phase, the line below its root), where
-    every coordinate on the other axis is fixed, takes one more bound
+    ``residual_axis`` (the plane's y phase, every line node), where every
+    coordinate on the other axis is fixed, takes one more bound
     (module docstring).  With a zone placed on that axis it is the residual
     bound: ``f(S)`` plus each other zone's best gain over ``S``, read from
     the :class:`~rectcover.reward.ResidualDemand` of ``S`` that
@@ -680,11 +734,9 @@ def upper_bound(
     total = _block_sum(node, matrices)
     if total <= floor + eps:
         return total
-    axis = node.residual_axis
+    axis = node.residual_axis  # y at every leaf
     if axis is None:
-        if not is_leaf(node):
-            return total if lagrangian is None else min(total, lagrangian.bound(node))
-        axis = Axis.Y  # every set is a singleton, so none is opened below
+        return total if lagrangian is None else min(total, lagrangian.bound(node))
     # the other axis is fixed from here on, so the node is a leaf when no set is open
     on_x = axis is Axis.X
     placed = []
@@ -783,18 +835,28 @@ def fit_lagrangian(
     return Lagrangian.of(best_mu, rates, area, matrices) if best < start * (1.0 - FIT_GAIN) else None
 
 
-def branch_and_bound(
-    instance: Instance,
-    config: SolverConfig,
-    root: Callable[[Instance, CandidateGrids], Node],
-    children: Callable[[Node, Instance, CandidateGrids, SolverConfig], list[Node]],
-) -> tuple[Solution, SolverStats]:
-    """Depth-first branch and bound, shared by the planar and line solvers.
+def root_node(instance: Instance, grids: CandidateGrids) -> Node:
+    """Each zone whose menu holds one scale at that scale on its whole grids, every other zone open."""
+    p = instance.p
+    node = Node((_OPEN,) * p, (_OPEN,) * p, (_UNSET,) * p)
+    for j in range(p):
+        factors = instance.qos_for(j).factors
+        if len(factors) == 1:
+            node = _with_scale(node, j, factors[0], grids)
+    return node._replace(bs=-1)
+
+
+def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solution, SolverStats]:
+    """Exact solve of a plane or line instance by depth-first branch and bound.
+
+    Returns the optimal solution unless the time limit is hit first, in which
+    case the best feasible solution found is returned with
+    ``stats.optimal == False``.
 
     A greedy run seeds the incumbent, valued at the covered reward of its
     placements; ``stats`` keeps greedy's claimed reward and run time.
-    ``grids`` (:class:`CandidateGrids`) is built once, ``root(instance,
-    grids)`` builds the root node, and the Lagrangian bound is fitted at it
+    ``grids`` (:class:`CandidateGrids`) is built once, :func:`root_node`
+    builds the root, and the Lagrangian bound is fitted at it
     (:func:`fit_lagrangian`; ``stats.fit_s``, and the root's bound in
     ``stats.root_bound``) and kept in ``grids``, with the greedy seed's
     proper prefixes as the reference sets of the reference-set bound.
@@ -803,10 +865,7 @@ def branch_and_bound(
     cannot beat the incumbent by more than ``epsilon``.  A
     surviving leaf (:func:`is_leaf`), whose bound is then its exact value,
     becomes the incumbent (:func:`leaf_placements`); any other node is
-    replaced by ``children(node, instance, grids, config)``, explored in the
-    order given.  The solvers differ only in ``root`` and ``children``; their
-    node types, :class:`Node` and ``bnb1d.Node1D``, carry the same candidate
-    sets and scales and state their own ``residual_axis``.
+    replaced by its children (:func:`branch`), explored in the order given.
 
     No placement earns more than ``ceiling``, every demand zone's area paid
     at the smallest scale's rate, so the search stops, proven, as soon as
@@ -818,6 +877,7 @@ def branch_and_bound(
     ``lower + epsilon`` and the bounds (exact at leaves) of the nodes left on
     the stack.  A proven solve reports ``upper_bound == lower``.
     """
+    config = config or SolverConfig()
     eps = config.epsilon
     stats = SolverStats()
     start = time.perf_counter()
@@ -838,7 +898,7 @@ def branch_and_bound(
 
     if lower < enough:
         grids = CandidateGrids.from_instance(instance, eps)
-        top = root(instance, grids)
+        top = root_node(instance, grids)
         references = tuple(seed.placements[:k] for k in range(1, instance.p))  # greedy's proper prefixes
         fit_start = time.perf_counter()
         grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower), references=references)
@@ -862,7 +922,7 @@ def branch_and_bound(
                 if lower >= enough:
                     break
                 continue
-            stack.extend(reversed(children(node, instance, grids, config)))
+            stack.extend(reversed(branch(node, instance, grids, config)))
 
     if stats.optimal:
         stats.upper_bound = lower
@@ -874,22 +934,3 @@ def branch_and_bound(
     stats.wall_time = time.perf_counter() - start
     return Solution(incumbent, lower), stats
 
-
-def root_node(instance: Instance, grids: CandidateGrids) -> Node:
-    """Every zone open: scale unset, candidate sets :data:`_OPEN`."""
-    p = instance.p
-    return Node(x_sets=(_OPEN,) * p, y_sets=(_OPEN,) * p, z_vec=(_UNSET,) * p)
-
-
-def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solution, SolverStats]:
-    """Exact solve of a planar instance with a shared scale menu.
-
-    Returns the optimal solution unless the time limit is hit first, in which
-    case the best feasible solution found is returned with
-    ``stats.optimal == False``.
-    """
-    if instance.dimension is not Dimension.TWO_D:
-        raise ValueError("solve() handles planar instances; use solve_1d() for segments")
-    if not isinstance(instance.qos, QosSet):
-        raise ValueError("solve() needs a shared scale menu")
-    return branch_and_bound(instance, config or SolverConfig(), root_node, branch)

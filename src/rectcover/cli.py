@@ -38,7 +38,6 @@ from .model import (
     service_rect,
 )
 from .bnb import SolverConfig, SolverStats, solve
-from .bnb1d import solve_1d
 from .greedy import greedy
 from .instgen import GenConfig, generate, generate_1d
 from .oracle import OracleSizeError, brute_force_1d, brute_force_2d
@@ -358,7 +357,7 @@ def run_bench(
         instance = _generate(one_d, seed=seed, n=n, p=p, **sizes, **overrides)
         try:
             # the solver's greedy seed gives T_H and alpha
-            solution, stats = (solve_1d if one_d else solve)(instance, config)
+            solution, stats = solve(instance, config)
             alpha = min(stats.greedy_reward / solution.reward, 1.0) if solution.reward > 0 else 1.0
             if oracle_budget > 0 and stats.optimal:
                 _cross_check(instance, solution.reward, config.epsilon, oracle_budget)
@@ -500,10 +499,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     t0 = time.perf_counter()
     if args.algo == "exact":
-        try:
-            solution, stats = (solve_1d if instance.one_d else solve)(instance, config)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        solution, stats = solve(instance, config)
     else:
         if args.algo == "greedy":
             solution, nodes, proven = greedy(instance, config.epsilon).solution, 0, False

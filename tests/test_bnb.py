@@ -134,7 +134,7 @@ def test_order_step_single_representative():
         y_sets=((0, 2, None), (0, 2, None)),
         z_vec=(1.0, 1.0),
         ba=Axis.X,
-        bs=2,
+        bs=-1,
     )
     children = branch(node, inst, grids, cfg)
     assert len(children) == 1
@@ -198,7 +198,8 @@ def test_abutment_candidates_keep_other_scale_grid_values():
     # each bounded by the grid's one column; the own-grid value 0.0 is not
     # repeated as an abutment
     assert [c.x_sets[1] for c in children] == [(0, 1, None), (0, 1, -4.0), (0, 1, 2.0)]
-    assert all(c.bs == 2 for c in children)
+    # each is a singleton, so no zone is narrowed next
+    assert all(c.bs == -1 for c in children)
 
 
 def test_leaf_detection_and_placements():
@@ -221,9 +222,10 @@ def test_leaf_detection_and_placements():
 @pytest.mark.parametrize("p", [2, 3])
 def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p):
     # one demand zone of the base's size and the menu {1}: each zone's x and
-    # y grids hold one value, so once the last zone's scale is fixed every set
-    # is a singleton while the x phase is still on.  That node is a leaf,
-    # evaluated exactly, not branched on into the y phase.
+    # y grids hold one value, and a zone whose menu holds one scale starts at
+    # it, so every set of the root is a singleton while the x phase is still
+    # on.  That node is a leaf, evaluated exactly, not branched on into the
+    # y phase.
     inst = Instance(
         dzs=(DemandZone(Rect(3.0, 4.0, 10.0, 8.0), 2.0),), base=BaseServiceZone(10.0, 8.0), p=p, qos=QosSet((1.0,))
     )
@@ -232,7 +234,7 @@ def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p):
     node = root_node(inst, grids)
     while not is_leaf(node):
         node = branch(node, inst, grids, SolverConfig())[0]
-    assert node.ba is Axis.X and node.bs == p - 1 and node.residual_axis is None
+    assert node.ba is Axis.X and node.bs == -1 and node.residual_axis is Axis.Y
     assert upper_bound(node, grids, inst) == 160.0
     # The greedy seed already earns all the demand at the menu's one rate,
     # which no placement beats, so the solve stops before its root.
@@ -284,8 +286,12 @@ def test_upper_bound_off_grid_singleton_brackets():
         ba=Axis.X,
         bs=1,
     )
-    got = upper_bound(node, CandidateGrids(mats), inst)
+    # the isolated sum, returned whole when the floor is above it
+    got = upper_bound(node, CandidateGrids(mats), inst, floor=math.inf)
     assert got == 4.0 + 8.0
+    # every x set is a singleton, so the residual bound on y applies too:
+    # zone 1 at (0, 0) earns 8, and zone 0 gains half its area's rate, 2
+    assert upper_bound(node, CandidateGrids(mats), inst) == 10.0
 
 
 def _reference_bound(node, mats, inst):
@@ -642,19 +648,100 @@ def test_empty_demand_solves_to_zero():
     assert len(sol.placements) == 2
 
 
-def test_solve_rejects_line_instances_and_per_zone_menus():
-    with pytest.raises(ValueError):
-        solve(small_1d(seed=0, n=3, p=2))
-    from rectcover import BaseServiceZone, Instance
+def test_solve_of_a_line_is_solve_1d_bit_for_bit():
+    # solve() takes line instances; solve_1d only checks the dimension first
+    inst = small_1d(seed=4, n=8, p=3)
+    sol, stats = solve(inst)
+    sol_1d, stats_1d = solve_1d(inst)
+    assert stats.optimal and stats_1d.optimal and stats.nodes_explored > 0
+    assert sol.reward.hex() == sol_1d.reward.hex() and sol.placements == sol_1d.placements
+    assert stats.nodes_explored == stats_1d.nodes_explored
+    assert stats.best_reward_history == stats_1d.best_reward_history
+    assert stats.root_bound == stats_1d.root_bound
 
-    per_zone = Instance(
-        dzs=(DemandZone(Rect(0, 0, 4, 4), 1.0),),
-        base=BaseServiceZone(2.0, 2.0),
-        p=2,
-        qos=(QosSet((1.0,)), QosSet((1.0, 2.0))),
-    )
-    with pytest.raises(ValueError):
-        solve(per_zone)
+
+TINY = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
+
+
+def _per_zone(seed, n, menus):
+    """The demand of a small generated planar instance, with zone ``j`` on the menu ``menus[j]``."""
+    inst = generate(GenConfig(seed=seed, n=n, p=len(menus), m=1, **TINY))
+    return Instance(inst.dzs, inst.base, inst.p, tuple(QosSet(m) for m in menus), inst.eta)
+
+
+def test_solve_proves_a_per_zone_planar_instance():
+    # zone 0 on the menu {1}, zone 1 on {2, 3}: solve() used to refuse
+    # per-zone menus in the plane
+    inst = _per_zone(2, 4, ((1.0,), (2.0, 3.0)))
+    sol, stats = solve(inst)
+    assert stats.optimal and stats.nodes_explored > 0
+    assert math.isclose(sol.reward, brute_force_2d(inst).reward, rel_tol=1e-9)
+    assert all(pl.z in inst.qos_for(j).factors for j, pl in enumerate(sol.placements))
+
+
+@pytest.mark.parametrize(
+    "seed, n, menus",
+    [
+        (0, 4, ((1.0,), (2.0, 3.0))),
+        (1, 4, ((1.0,), (2.0, 3.0))),
+        (0, 4, ((1.0, 2.0), (2.0,))),
+        (2, 4, ((1.0, 2.0), (2.0,))),
+        (1, 3, ((3.0,), (1.0, 3.0))),
+        (2, 3, ((3.0,), (1.0, 3.0))),
+        (2, 2, ((1.0,), (2.0,), (2.0, 3.0))),
+        (0, 2, ((2.0, 3.0), (1.0,), (2.0, 3.0))),
+    ],
+)
+def test_per_zone_menus_match_the_oracle(seed, n, menus):
+    # planar menus that mix one- and two-scale menus, so that zones fall
+    # into several classes (the last case has a class of two); the search
+    # branches on each case (24 to 8,498 nodes), and most of the time is
+    # the oracle's (about 5 s for each p=3 case)
+    inst = _per_zone(seed, n, menus)
+    sol, stats = solve(inst)
+    ref = brute_force_2d(inst)
+    assert stats.optimal and stats.nodes_explored > 0
+    assert math.isclose(sol.reward, ref.reward, rel_tol=1e-9)
+    assert math.isclose(covered_reward(inst.dzs, sol.placements, inst.base, inst.eta), sol.reward, rel_tol=1e-12)
+
+
+def test_grid_order_rule_on_per_zone_menus():
+    # zone 1 (menu {2}) placed on its scale-2 grid, zone 0 (menu {1, 2})
+    # still open: zone 0 is the lowest unplaced zone of its class and takes
+    # its scale step, and each of its scales then takes only abutment pins,
+    # the tree that places zone 0 first holding its grid values
+    inst = _per_zone(0, 4, ((1.0, 2.0), (2.0,)))
+    grids = CandidateGrids.from_instance(inst)
+    cfg = SolverConfig()
+    root = root_node(inst, grids)
+    assert root.z_vec == (_UNSET, 2.0) and root.x_sets[0] == _OPEN
+    assert root.x_sets[1] == (0, len(grids.matrices[2.0].xs), None) and root.bs == -1
+    # each zone is a class of its own, so the root's children are zone 0's
+    # scale step, then zone 1's first split (grid parts only: nothing is placed)
+    children = branch(root, inst, grids, cfg)
+    assert [(c.z_vec, c.bs) for c in children[:2]] == [((1.0, 2.0), 0), ((2.0, 2.0), 0)]
+    assert [c.x_sets[1] for c in children[2:]] == list(grids.split(2.0, Axis.X, root.x_sets[1], cfg.beta))
+    assert all(c.z_vec == root.z_vec and c.x_sets[0] == _OPEN for c in children[2:])
+    node = Node(root.x_sets[:1] + ((1, 2, None),), root.y_sets, root.z_vec)
+    for child in branch(node, inst, grids, cfg):
+        assert child.bs == 0 and child.x_sets[0] == (0, len(grids.matrices[child.z_vec[0]].xs), None)
+        pins = branch(child, inst, grids, cfg)
+        assert pins and all(c.x_sets[0][2] is not None for c in pins)
+    # zone 1 first split with zone 0 placed on its grid: grid parts as well
+    node = Node(((0, 1, None), root.x_sets[1]), ((0, len(grids.matrices[1.0].ys), None), root.y_sets[1]), (1.0, 2.0))
+    children = branch(node, inst, grids, cfg)
+    assert any(c.x_sets[1][2] is None for c in children) and any(c.x_sets[1][2] is not None for c in children)
+
+
+def test_order_step_keeps_one_representative_per_class():
+    # every x fixed on its own grid: zones 0 and 2 share the menu {1, 2},
+    # zone 1 is alone on {2}; zone 2 is left out, as zone 0 stands for it
+    inst = _per_zone(0, 4, ((1.0, 2.0), (2.0,), (1.0, 2.0)))
+    grids = CandidateGrids.from_instance(inst)
+    ny = {z: len(m.ys) for z, m in grids.matrices.items()}
+    node = Node(((0, 1, None),) * 3, tuple((0, ny[z], None) for z in (1.0, 2.0, 2.0)), (1.0, 2.0, 2.0))
+    children = branch(node, inst, grids, SolverConfig())
+    assert [(c.ba, c.bs) for c in children] == [(Axis.Y, 0), (Axis.Y, 1)]
 
 
 def test_solver_config_validation():
@@ -709,7 +796,7 @@ def test_full_scv_mode_first_split_has_more_children_than_outer():
     inst = small_2d(seed=0, n=5, m=2)
     grids = CandidateGrids.from_instance(inst)
     outer, full = SolverConfig(scv_mode="outer"), SolverConfig(scv_mode="full")
-    node = root_node(inst, grids)
+    node = branch(root_node(inst, grids), inst, grids, outer)[0]  # zone 0's scale step
     while node.bs == 0:  # zone 0 to a singleton; no zone is fixed for it to abut
         node = branch(node, inst, grids, outer)[0]
     node = next(c for c in branch(node, inst, grids, outer) if c.z_vec[1] != node.z_vec[0])

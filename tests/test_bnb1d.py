@@ -22,14 +22,16 @@ from rectcover import (
 from rectcover import bnb
 from rectcover.bnb import (
     CandidateGrids,
+    Node,
     SolverConfig,
     _axis_indices,
     _pin,
+    branch,
     is_leaf,
     leaf_placements,
+    root_node,
     upper_bound,
 )
-from rectcover.bnb1d import Node1D, branch_1d, root_node_1d
 from rectcover.geometry import EPS, Axis
 from rectcover.reward import build_reward_matrix, planar_form
 
@@ -43,9 +45,9 @@ from conftest import (
 )
 
 
-def line_node(inst, x_sets, bs, bsfl):
+def line_node(inst, x_sets, bs=-1):
     """A line node: each zone at its one scale, its y set the single index 0."""
-    return Node1D(x_sets, ((0, 1, None),) * inst.p, tuple(q.factors[0] for q in inst.qos), bs, bsfl)
+    return Node(x_sets, ((0, 1, None),) * inst.p, tuple(q.factors[0] for q in inst.qos), Axis.X, bs)
 
 
 def test_micro_line_optimum():
@@ -65,31 +67,33 @@ def test_micro_line_greedy_trace():
     assert tr.solution.reward == 3.0
 
 
-def test_root_dispatches_one_subtree_per_zone():
+def test_root_takes_each_class_first_step():
     inst = micro_line()
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
-    root = root_node_1d(inst, grids)
+    root = root_node(inst, grids)
     # every zone on its whole grid: scale 1 (0.0, 2.0), scale 2 (0.0,)
     assert {z: m.xs.values for z, m in grids.matrices.items()} == {1.0: (0.0, 2.0), 2.0: (0.0,)}
     assert root.x_sets == ((0, 2, None), (0, 1, None))
     assert root.y_sets == ((0, 1, None), (0, 1, None))
     assert root.z_vec == (1.0, 2.0)
-    assert root.bs == root.bsfl == -1 and not is_leaf(root)
-    assert root.residual_axis is None
-    children = branch_1d(root, inst, grids, cfg)
-    assert [c.bsfl for c in children] == [0, 1]
-    assert [c.bs for c in children] == [0, 1]
-    assert all(c.residual_axis is Axis.X for c in children)
-    # dispatching changes no candidate set and no scale
-    assert all(c[:3] == root[:3] for c in children)
+    assert root.bs == -1 and not is_leaf(root)
+    # every y set is a singleton, so the residual bound runs on x from the root
+    assert root.residual_axis is Axis.X
+    children = branch(root, inst, grids, cfg)
+    # zone 1's grid holds one value, so it is placed from the root; zone 0,
+    # the one unplaced zone, takes its first split: its two grid values, then
+    # the abutments of zone 1 at 0.0 (width 4), -2.0 and 4.0
+    assert [c.x_sets[0] for c in children] == [(0, 1, None), (1, 2, None), (0, 1, -2.0), (1, 2, 4.0)]
+    assert all(c.bs == -1 and c[1:3] == root[1:3] and c.x_sets[1] == root.x_sets[1] for c in children)
+    assert all(map(is_leaf, children))
 
 
 def test_leaf_uses_per_zone_scales():
     inst = micro_line()
     mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
     # zone 0 on the scale-1 grid at 0.0; zone 1 at 2.0, off the scale-2 grid (0.0,)
-    leaf = line_node(inst, ((0, 1, None), (0, 1, 2.0)), bs=1, bsfl=0)
+    leaf = line_node(inst, ((0, 1, None), (0, 1, 2.0)))
     assert is_leaf(leaf)
     assert leaf_placements(leaf, mats) == (
         Placement(0.0, 0.0, 1.0),
@@ -118,26 +122,28 @@ def test_abutment_children_generated_for_open_zones():
     assert grids.matrices[1.0].xs.values[0] == 0.0
     assert grids.matrices[2.0].xs.values == (0.0, 6.0)
     # zone 0 settled at x=0 (scale 1, width 2); zone 1 still open
-    node = line_node(inst, ((0, 1, None), (0, 2, None)), bs=0, bsfl=0)
-    children = branch_1d(node, inst, grids, cfg)
+    node = line_node(inst, ((0, 1, None), (0, 2, None)))
+    children = branch(node, inst, grids, cfg)
     pinned = [c.x_sets[1] for c in children if c.x_sets[1][2] is not None]
     # left abutment: 0 - 4 = -4 (below the grid); right abutment: 0 + 2 = 2
     # (between 0.0 and 6.0), each with the block that bounds it
     assert (0, 1, -4.0) in pinned
     assert (0, 2, 2.0) in pinned
-    # zone 1 > bsfl, so its whole grid also stays in play as one child
-    assert any(c.x_sets[1] == (0, 2, None) for c in children)
+    # zone 1 is above zone 0, the one zone placed on its grid, so every
+    # value of its whole grid also stays in play
+    assert {c.x_sets[1] for c in children if c.x_sets[1][2] is None} == {(0, 1, None), (1, 2, None)}
 
 
 def test_no_duplicate_grid_subtree_for_lower_index():
-    inst = micro_line()
+    inst = two_segment_line()
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
-    # inside subtree 1: zone 1 settled first, zone 0 open; the grid-keeping
-    # child for zone 0 must not appear (subtree 0 already owns those), so
-    # every child pins zone 0 at an abutment value
-    node = line_node(inst, ((0, 2, None), (0, 1, None)), bs=1, bsfl=1)
-    children = branch_1d(node, inst, grids, cfg)
+    # zone 1 placed first on its grid (0.0 of (0.0, 6.0)), zone 0 open; zone
+    # 0's grid values must not appear (the tree that places zone 0 first
+    # already holds those), so every child pins zone 0 at an abutment value.
+    # (micro_line's zone 1 has a grid of one value, which the rule leaves out.)
+    node = line_node(inst, ((0, len(grids.matrices[1.0].xs), None), (0, 1, None)))
+    children = branch(node, inst, grids, cfg)
     assert children
     assert all(c.x_sets[0][2] is not None for c in children)
 
@@ -147,13 +153,13 @@ def test_upper_bound_sound_on_micro_tree():
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
     mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-    root = root_node_1d(inst, grids)
+    root = root_node(inst, grids)
 
     def max_leaf_below(node):
         if is_leaf(node):
             return covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
         best = 0.0
-        for child in branch_1d(node, inst, grids, cfg):
+        for child in branch(node, inst, grids, cfg):
             below = max_leaf_below(child)
             assert upper_bound(child, CandidateGrids(mats), inst) >= below - 1e-9
             best = max(best, below)
@@ -170,7 +176,7 @@ def test_every_node_holds_slices_or_bracketed_abutments():
     grids = CandidateGrids.from_instance(inst)
     pinned = 0
     scales = tuple(inst.qos_for(j).factors[0] for j in range(inst.p))
-    stack = [root_node_1d(inst, grids)]
+    stack = [root_node(inst, grids)]
     while stack:
         node = stack.pop()
         # every zone keeps its one scale and the single y index
@@ -183,7 +189,7 @@ def test_every_node_holds_slices_or_bracketed_abutments():
                 assert (lo, hi) == _axis_indices(v, grid, cfg.epsilon), node
                 pinned += 1
         if not is_leaf(node):
-            stack.extend(branch_1d(node, inst, grids, cfg))
+            stack.extend(branch(node, inst, grids, cfg))
     assert pinned > 0
 
 
@@ -197,11 +203,11 @@ def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
         bnb, "covered_reward", lambda *args: exact_calls.append(1) or covered_reward(*args)
     )
     skipped = 0
-    stack = [root_node_1d(inst, grids)]
+    stack = [root_node(inst, grids)]
     while stack:
         node = stack.pop()
         if not is_leaf(node):
-            stack.extend(branch_1d(node, inst, grids, cfg))
+            stack.extend(branch(node, inst, grids, cfg))
             continue
         exact = covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
         for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
@@ -221,7 +227,7 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
     mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-    stack = [root_node_1d(inst, grids)]
+    stack = [root_node(inst, grids)]
     while stack:
         node = stack.pop()
         if is_leaf(node):
@@ -235,7 +241,7 @@ def test_upper_bound_equals_index_set_reference_on_every_node():
         # bound, which may also take the residual bound, is never above it
         assert upper_bound(node, CandidateGrids(mats), inst, floor=math.inf) == expected, node
         assert upper_bound(node, CandidateGrids(mats), inst) <= expected, node
-        stack.extend(branch_1d(node, inst, grids, cfg))
+        stack.extend(branch(node, inst, grids, cfg))
 
 
 def test_leaf_bound_on_lifted_demand_is_exact():
@@ -243,9 +249,7 @@ def test_leaf_bound_on_lifted_demand_is_exact():
     grids = CandidateGrids.from_instance(inst)
     mats = grids.matrices
     scales = [inst.qos_for(j).factors[0] for j in range(inst.p)]
-    leaf = line_node(
-        inst, tuple(_pin(v, grids.matrices[z].xs.values, EPS) for v, z in zip((28.0, 85.0), scales)), bs=1, bsfl=0
-    )
+    leaf = line_node(inst, tuple(_pin(v, grids.matrices[z].xs.values, EPS) for v, z in zip((28.0, 85.0), scales)))
     assert [pl.x for pl in leaf_placements(leaf, mats)] == [28.0, 85.0]
     exact = covered_reward(inst.dzs, leaf_placements(leaf, mats), inst.base, inst.eta)
     assert exact > 0
@@ -256,10 +260,9 @@ def test_leaf_bound_on_lifted_demand_is_exact():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_root_is_no_leaf_when_every_grid_holds_one_value(p):
+def test_root_is_a_leaf_when_every_grid_holds_one_value(p):
     # one segment [0, 4] and zones of width 4: every grid is (0.0,), so the
-    # root's sets are all singletons, yet it still dispatches p subtrees,
-    # each of them a leaf
+    # root's sets are all singletons and the root is the one leaf
     inst = Instance(
         dzs=(DemandZone(Rect(0.0, 0.0, 4.0, 0.0), 1.0),),
         base=BaseServiceZone(2.0, 0.0),
@@ -268,10 +271,9 @@ def test_root_is_no_leaf_when_every_grid_holds_one_value(p):
         dimension=Dimension.ONE_D,
     )
     grids = CandidateGrids.from_instance(inst)
-    root = root_node_1d(inst, grids)
-    assert root.x_sets == ((0, 1, None),) * p and not is_leaf(root)
-    children = branch_1d(root, inst, grids, SolverConfig())
-    assert [c.bs for c in children] == list(range(p)) and all(map(is_leaf, children))
+    root = root_node(inst, grids)
+    assert root.x_sets == ((0, 1, None),) * p and is_leaf(root)
+    assert upper_bound(root, grids, inst) == 2.0
     # The greedy seed already covers the whole segment, which no placement
     # beats, so the solve stops before its root.
     sol, stats = solve_1d(inst)
@@ -282,10 +284,10 @@ def test_root_is_no_leaf_when_every_grid_holds_one_value(p):
 @pytest.mark.parametrize(
     "seed, n, mode, nodes, reward",
     [
-        pytest.param(38, 12, "outer", 134, 584.8876482173569, id="38-1334-584.8876482173569"),
-        pytest.param(4, 12, "outer", 283, 953.3261811933497, id="4-2530-953.3261811933497"),
-        pytest.param(3, 8, "outer", 134, 763.7557453323485, id="3-n8-outer-7719"),
-        pytest.param(3, 8, "full", 167, 763.7557453323485, id="3-n8-full-10888"),
+        pytest.param(38, 12, "outer", 126, 584.8876482173569, id="38-1334-584.8876482173569"),
+        pytest.param(4, 12, "outer", 270, 953.3261811933497, id="4-2530-953.3261811933497"),
+        pytest.param(3, 8, "outer", 131, 763.7557453323485, id="3-n8-outer-7719"),
+        pytest.param(3, 8, "full", 149, 763.7557453323485, id="3-n8-full-10888"),
     ],
 )
 def test_node_count_fingerprint(seed, n, mode, nodes, reward):
@@ -296,7 +298,12 @@ def test_node_count_fingerprint(seed, n, mode, nodes, reward):
     # two keep, and the optima stay the same.  A pure speed-up or refactor
     # must not move them.  Seed 4 had gone from 442 to 357 nodes when
     # children came to be ranked by their reward-matrix block maximum
-    # instead of a demand-mass table.
+    # instead of a demand-mass table.  Re-recorded when the line came to be
+    # searched with the planar tree (134, 283, 134 and 167 before): the root
+    # no longer dispatches one first-level node per zone, a zone's first
+    # split lists its grid parts and pins at once instead of through a node
+    # that keeps its whole grid, and the grid-order rule replaces the
+    # first-placed-zone rule; the optima are the same bit for bit.
     inst = generate_1d(GenConfig(seed=seed, n=n, p=3, dimension=Dimension.ONE_D))
     sol, stats = solve_1d(inst, SolverConfig(scv_mode=mode))
     assert stats.nodes_explored == nodes
@@ -325,10 +332,12 @@ def test_zero_time_limit_returns_greedy_incumbent():
     assert math.isclose(sol.reward, greedy(inst).solution.reward, rel_tol=0, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("limit", [0, 10, 14, 30, 40])
+@pytest.mark.parametrize("limit", [0, 10, 14, 30, 36])
 def test_timeout_reports_a_certified_upper_bound(limit, monkeypatch):
-    # greedy 143.14 < optimum 164.43; the incumbent improves at nodes 12, 13,
-    # 26 and 27 of a 51-node search
+    # greedy 143.14 < optimum 164.43; the incumbent improves at node 12 of a
+    # 35-node search, which proves at 39 ticks of the clock of
+    # tick_search_clock (38 nodes, improving at node 16, when the line had a
+    # tree of its own, so the last limit was 40)
     inst = small_1d(seed=4, n=6, p=2)
     optimum = brute_force_1d(inst).reward
     tick_search_clock(monkeypatch)
@@ -342,7 +351,7 @@ def test_timeout_reports_a_certified_upper_bound(limit, monkeypatch):
         grids = CandidateGrids.from_instance(inst)
         mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
         assert stats.nodes_explored == 0
-        assert stats.upper_bound == upper_bound(root_node_1d(inst, grids), CandidateGrids(mats), inst)
+        assert stats.upper_bound == upper_bound(root_node(inst, grids), CandidateGrids(mats), inst)
 
 
 def test_proven_solve_reports_zero_gap():
@@ -351,3 +360,70 @@ def test_proven_solve_reports_zero_gap():
     assert stats.optimal
     assert stats.upper_bound == sol.reward
     assert stats.gap == 0.0
+
+
+def _shared_scales(seed, n, scales):
+    """``small_1d``'s segments with zone ``j`` at the scale ``scales[j]``, some of them equal."""
+    inst = small_1d(seed=seed, n=n, p=len(scales))
+    return Instance(inst.dzs, inst.base, inst.p, tuple(QosSet((z,)) for z in scales), inst.eta, Dimension.ONE_D)
+
+
+@pytest.mark.parametrize(
+    "seed, n, scales",
+    [
+        (0, 6, (1.0, 1.0, 2.0)),
+        (2, 6, (1.0, 1.0, 2.0)),
+        (1, 6, (2.0, 1.0, 2.0)),
+        (2, 5, (1.0, 1.0, 1.0)),
+        (1, 3, (1.0, 1.0, 2.0, 2.0)),
+        (2, 3, (1.0, 1.0, 2.0, 2.0)),
+        (0, 4, (1.0, 2.0, 2.0, 3.0)),
+    ],
+)
+def test_shared_scales_match_the_oracle(seed, n, scales):
+    # zones of equal scale form one class, placed in index order; the search
+    # branches on each case (62 to 2,594 nodes)
+    inst = _shared_scales(seed, n, scales)
+    sol, stats = solve_1d(inst)
+    assert stats.optimal and stats.nodes_explored > 0
+    assert math.isclose(sol.reward, brute_force_1d(inst).reward, rel_tol=1e-9)
+    assert [pl.z for pl in sol.placements] == list(scales)
+
+
+def test_zones_of_one_scale_are_one_class():
+    # zones 0 and 1 share scale 1: at the root only zone 0 of that class
+    # takes its first split, next to zone 2, alone on scale 2
+    inst = _shared_scales(0, 6, (1.0, 1.0, 2.0))
+    grids = CandidateGrids.from_instance(inst)
+    cfg = SolverConfig()
+    root = root_node(inst, grids)
+    children = branch(root, inst, grids, cfg)
+    moved = [next(j for j in range(inst.p) if c.x_sets[j] != root.x_sets[j]) for c in children]
+    parts = {z: grids.split(z, Axis.X, (0, len(grids.matrices[z].xs), None), cfg.beta) for z in (1.0, 2.0)}
+    assert moved == [0] * len(parts[1.0]) + [2] * len(parts[2.0])
+
+
+LINE_P4 = [
+    (0, 3101, "0x1.563798dc39505p+10"),
+    (1, 1666, "0x1.0ebc9c5c6492cp+10"),
+    (2, 7925, "0x1.20354558684a5p+10"),
+    (3, 6256, "0x1.f9cc142fe07fap+9"),
+    (4, 8430, "0x1.feff4da017e13p+9"),
+    (5, 12411, "0x1.276ca40ff11bdp+10"),
+    (6, 21345, "0x1.180043340299dp+10"),
+    (7, 4430, "0x1.fb3f16fadf4a5p+9"),
+    (8, 3677, "0x1.abcbd02799305p+9"),
+    (9, 10796, "0x1.917600f137aabp+10"),
+]
+
+
+@pytest.mark.parametrize("seed, nodes, reward", LINE_P4, ids=[f"seed{s}" for s, _, _ in LINE_P4])
+def test_line_p4_fingerprint(seed, nodes, reward):
+    # line p=4 n=12 seeds 0-9, the largest line size of the paper's grid:
+    # 80,037 nodes in all, against 120,761 when the line had a tree of its
+    # own, with the same optima bit for bit.  A pure speed-up or refactor
+    # must not move them.
+    sol, stats = solve_1d(generate_1d(GenConfig(seed=seed, n=12, p=4, dimension=Dimension.ONE_D)))
+    assert stats.optimal
+    assert stats.nodes_explored == nodes
+    assert sol.reward.hex() == reward

@@ -9,7 +9,19 @@ from importlib import import_module
 
 import pytest
 
-from rectcover import Dimension, GenConfig, Placement, Solution, covered_reward, generate, generate_1d, solve
+from rectcover import (
+    Dimension,
+    GenConfig,
+    Instance,
+    Placement,
+    QosSet,
+    Solution,
+    brute_force_2d,
+    covered_reward,
+    generate,
+    generate_1d,
+    solve,
+)
 from rectcover.bnb import SolverConfig, SolverStats
 from rectcover.bnb1d import solve_1d
 from rectcover.cli import (
@@ -125,6 +137,23 @@ def test_solve_exact_on_square(square_file, tmp_path, capsys):
     assert optimal
     assert math.isclose(sol.reward, 10.0, abs_tol=1e-9)
     assert "reward=10" in capsys.readouterr().out
+
+
+def test_solve_exact_on_a_planar_per_zone_instance(tmp_path, capsys):
+    # a planar instance with per-zone menus ({1} and {1, 2}) solves to a
+    # proven optimum, the oracle's
+    inst = square_instance()
+    inst = Instance(inst.dzs, inst.base, 2, (QosSet((1.0,)), QosSet((1.0, 2.0))))
+    path, out = tmp_path / "per-zone.json", tmp_path / "sol.json"
+    dump_instance(inst, path)
+    assert json.loads(path.read_text())["qos"] == {"per_sz": [[1.0], [1.0, 2.0]]}
+    code = main(["solve", "--instance", str(path), "--algo", "exact", "--out", str(out)])
+    assert code == 0
+    sol, optimal = load_solution(out)
+    assert optimal
+    assert math.isclose(sol.reward, brute_force_2d(inst).reward, rel_tol=1e-12)
+    assert math.isclose(sol.reward, 10.0, abs_tol=1e-9)
+    assert "error" not in capsys.readouterr().err
 
 
 def test_solve_greedy_on_square(square_file, tmp_path):
@@ -366,7 +395,7 @@ def test_bench_failure_becomes_marked_row(tmp_path, capsys, monkeypatch):
     def boom(instance, config):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(cli_mod, "solve_1d", boom)
+    monkeypatch.setattr(cli_mod, "solve", boom)
     out = tmp_path / "bench.csv"
     code = main(["bench", "--one-d", "--p", "2", "--n", "3", "--seeds", "1",
                  "--out", str(out)])
