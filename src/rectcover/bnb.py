@@ -58,7 +58,7 @@ otherwise.  The bound (:func:`upper_bound`), the leaf test (:func:`is_leaf`)
 and the leaf placements (:func:`leaf_placements`) read only the sets, the
 scales and that axis.  The bound and the branching rule take the solve's
 state as one :class:`CandidateGrids`: its matrices, its Lagrangian bound,
-greedy's prefixes for the reference-set bound and its memos.  The covered
+greedy's prefix states for the residual-demand bound and its memos.  The covered
 reward of a greedy run's placements seeds the incumbent; a node is cut as
 soon as its optimistic bound cannot beat the incumbent by more than
 ``epsilon``.
@@ -69,7 +69,7 @@ over, is built once per solve (``CandidateGrids``), and a candidate set is a
 triple ``(lo, hi, v)`` of positions in its zone's own-scale grid: the slice
 ``grid[lo:hi]`` when ``v`` is None (splitting only cuts slices), else the
 abutment position ``v``, on no grid, bounded by the block ``[lo, hi)``
-(:func:`_axis_indices`, computed once per child).  A zone's bound is its
+(:func:`_pin`, computed once per child).  A zone's bound is its
 matrix's maximum over the block its two sets name, memoised by
 ``RewardMatrix.block_max`` because a solve asks for few distinct blocks many
 times; a child's rank is the same memoised maximum over its range on one
@@ -83,20 +83,40 @@ exact value, which trims overlapping coverage, is never above the sum of its
 zones' isolated rewards, so a leaf whose isolated sum is already within
 ``epsilon`` of ``floor`` is cut on that sum and never evaluated exactly.
 
-Residual bound.  The isolated sum ignores that zones already placed have
-served demand.  Let ``S`` be the zones whose coordinates are all singletons
-and ``T`` the others.  Covered reward ``f`` in best-rate form (each point
-paid once, at the best rate covering it) is a weighted-coverage function,
-which is monotone submodular, so ``f(S + T) <= f(S) + sum over t in T of
-max_c [f(S + t@c) - f(S)]`` (Nemhauser, Wolsey and Fisher, 1978).  One run
-of the trimming loop of ``covered_reward`` over ``S`` gives ``f(S)`` and the
-demand pieces with the rate each is already paid (0 if unserved); adding
-``t`` at scale ``z`` gains ``max(0, v / eta(z) - paid)`` per unit of piece
-it covers (``reward.ResidualDemand``).  The bound applies once every scale
-and x is fixed (the y phase), or every y (the line), where ``t`` has
-a fixed corner on one axis and a candidate set on the other, so its gain
-is a function of one coordinate ``c``.  Which positions the maximum must
-cover:
+Residual-demand bound.  The isolated sum ignores that zones already placed
+have served demand.  Covered reward ``f`` in best-rate form (each point paid
+once, at the best rate covering it) is a weighted-coverage function, which
+is monotone submodular, so for any set of placements ``A``, ``f(X) <= f(A +
+X) <= f(A) + sum over t in X of [f(A + t) - f(A)]`` (Nemhauser, Wolsey and
+Fisher, 1978): the first step by monotonicity, the second by submodularity
+(adding ``X``'s zones to ``A`` one at a time, each gains at most what it
+gains over ``A`` alone), a zone of ``X`` that ``A`` already holds gaining 0.
+One run of the trimming loop of ``covered_reward`` over ``A`` gives ``f(A)``
+and the demand pieces with the rate each is already paid (0 if unserved);
+adding ``t`` at scale ``z`` gains ``max(0, v / eta(z) - paid)`` per unit of
+piece it covers (``reward.ResidualDemand``).  The bound applies once every
+scale and x is fixed (the y phase), or every y (the line), where ``t`` has a
+fixed corner on one axis and a candidate set on the other, so its gain is a
+function of one coordinate ``c``.  Two choices of ``A`` are taken, never
+mixed:
+
+* with some zone placed on that axis, ``A = S``, the zones whose
+  coordinates are all singletons.  They gain 0 over ``S``, so the sum runs
+  over the others, the open zones ``T``;
+* with none placed (the plane's y phase before the first y is settled, the
+  line before the first zone is placed; ``S`` empty would give back the
+  isolated sum), ``A`` is each proper prefix ``g1..gk`` (``k = 1 .. p -
+  1``) of the greedy seed's placements, in round order, and the least of
+  the sums is taken: greedy's first zones serve the most demand, so
+  ``f(A)`` is large and what any completion gains over it small.  Every
+  zone is open there.
+
+Each ``A`` is one :class:`~rectcover.reward.ResidualDemand`: greedy's
+prefixes are built once per solve (``CandidateGrids.references``) and the
+states of ``S`` are cached in ``CandidateGrids.residuals``, at most
+:data:`RESIDUAL_CACHE_SIZE`, least recently used dropped, so their memoised
+gains serve many nodes.  An open zone's term (:func:`_gain_sum`) is its
+gain's maximum over the positions its set may still reach:
 
 * a strict slice of the grid: its own values, because the search adds
   abutment positions only at a set's first split; the gain column over the
@@ -109,35 +129,14 @@ cover:
   piecewise linear and its maximum over all real positions lies at a
   concave kink of one of them: the gain is evaluated at the flush positions
   of the pieces it keeps, and is 0 with none (whatever ``scv_mode`` is; no
-  grid value and no ``service_breakpoints`` of ``S`` are needed).
+  grid value and no ``service_breakpoints`` of ``A`` are needed).
 
-With ``S`` empty this is the isolated sum again, so it is taken only once a
-zone is placed on the residual axis.
-
-Reference-set bound.  The inequality holds with any set of placements ``A``
-in place of ``S``: ``f(X) <= f(A + X) <= f(A) + sum over t in X of [f(A +
-t) - f(A)]``, the first step by monotonicity, the second by submodularity
-(adding ``X``'s zones to ``A`` one at a time, each gains at most what it
-gains over ``A`` alone).  The sum now runs over every zone, a zone of ``X``
-that ``A`` already holds gaining 0.  A node that has a residual axis but no
-zone placed on it (the plane's y phase before the first y is settled, the
-line before the first zone is placed) takes ``min over A of
-f(A) + sum over zones t of max gain_A(t)`` over ``t``'s candidate set, with
-``A`` each proper prefix ``g1..gk`` (``k = 1 .. p - 1``) of the greedy seed's
-placements, in round order: greedy's first zones serve the most demand, so
-``f(A)`` is large and what any completion gains over it small.  Each ``A``
-is one :class:`~rectcover.reward.ResidualDemand`, built once per solve on
-first use and kept in ``CandidateGrids.reference_states``, outside the
-cache of per-``S`` states, so its memoised gains serve every node.  A
-zone's term follows the residual bound's rules: the gain's maximum over
-every real position for a whole grid (pins may still follow), over the
-slice's values for a strict slice, the grid value's gain for a grid
-singleton and the gain at the pinned value for an abutment singleton
-(``ResidualDemand.gain_at``).  The x phase is left out: a zone with both
-coordinates open needs its gain's maximum over two dimensions.  ``f(A)``
-and the gains are sums of nonnegative terms taken in another order than
-``covered_reward``'s, as for the residual bound, and ``epsilon`` covers
-their rounding as it does there.
+A reference set at nodes with settled zones would need each settled zone's
+gain over ``A`` at its one position as well, which no term here takes; the
+x phase is left out, as a zone with both coordinates open needs its gain's
+maximum over two dimensions.  ``f(A)`` and the gains are sums of
+nonnegative terms taken in another order than ``covered_reward``'s, and
+``epsilon`` covers their rounding.
 
 Lagrangian bound.  The isolated sum pays demand that several zones reach
 once per zone.  Dualising the coverage constraints of the maximal-covering
@@ -195,13 +194,11 @@ zones times 2**-52.  So it is scaled by ``1 + LAG_MARGIN``
 then adds ``epsilon``, the absolute slack every bound shares.
 
 A node's bound is the smallest of the isolated sum, the Lagrangian bound
-and the residual or reference-set bound, each computed only while the ones
-before it leave the node above the incumbent plus ``epsilon``, so nodes the
-sum already cuts cost what they did.  Every gain is at least 0, so a sum of
+and the residual-demand bound, each computed only while the ones before it
+leave the node above the incumbent plus ``epsilon``, so nodes the sum
+already cuts cost what they did.  Every gain is at least 0, so a sum of
 gains stops once it is above the least bound taken so far, which it can no
-longer lower; every value returned is still a bound.  The residual bound's
-per-``S`` state is cached for the solve in ``CandidateGrids.residuals``, at
-most :data:`RESIDUAL_CACHE_SIZE` states, least recently used dropped.
+longer lower; every value returned is still a bound.
 
 No placement earns more than ``ceiling``, every demand zone's area paid
 at the smallest scale's rate, so the search stops, proven, once the
@@ -303,7 +300,7 @@ class Node(NamedTuple):
 
     @property
     def residual_axis(self) -> Axis | None:
-        """The axis the residual bound runs on: y once every x is fixed, x once every y is, else None."""
+        """The axis the residual-demand bound runs on: y once every x is fixed, x once every y is, else None."""
         if self.ba is Axis.Y or all(map(_is_single, self.x_sets)):  # y is narrowed only once every x is fixed
             return Axis.Y
         return Axis.X if all(map(_is_single, self.y_sets)) else None
@@ -370,29 +367,27 @@ class Lagrangian(NamedTuple):
 
 @dataclass(frozen=True)
 class CandidateGrids:
-    """A solve's state: per-scale reward matrices, built once, its Lagrangian bound and its two memos.
+    """A solve's state: per-scale reward matrices, built once, its Lagrangian bound, greedy's prefixes and two memos.
 
     ``matrices[z]`` is tabulated over scale ``z``'s grids, ``xs.values`` and
     ``ys.values``; every candidate set of a scale-``z`` zone indexes them.
     ``lagrangian`` is the fitted Lagrangian bound, or None when the solve
-    keeps none (:func:`fit_lagrangian`).  ``splits`` tabulates :meth:`split` and
-    ``residuals`` is the residual bound's cache, one
-    :class:`~rectcover.reward.ResidualDemand` per set of placed zones, at
-    most :data:`RESIDUAL_CACHE_SIZE`, least recently used dropped; both
-    live as long as the solve.  ``references`` are the reference sets ``A``
-    of the reference-set bound and ``reference_states`` their states,
-    :meth:`reference`, kept for the solve outside that cache.
-    :func:`upper_bound` reads ``matrices``, ``lagrangian``, ``residuals`` and
-    the reference states; the branching rules read ``matrices`` and
-    ``splits``.
+    keeps none (:func:`fit_lagrangian`).  ``references`` holds one
+    :class:`~rectcover.reward.ResidualDemand` per reference set ``A`` of the
+    residual-demand bound at nodes with nothing placed (greedy's proper
+    prefixes, built by :func:`solve`).  ``splits`` tabulates :meth:`split`
+    and ``residuals`` caches one state per set ``S`` of placed zones, at most
+    :data:`RESIDUAL_CACHE_SIZE`, least recently used dropped; both live as
+    long as the solve.  :func:`upper_bound` reads ``matrices``,
+    ``lagrangian``, ``references`` and ``residuals``; the branching rules
+    read ``matrices`` and ``splits``.
     """
 
     matrices: Mapping[float, RewardMatrix]
     lagrangian: Lagrangian | None = None
     splits: dict[tuple, tuple[CandidateSet, ...]] = field(default_factory=dict, compare=False, repr=False)
     residuals: dict[tuple, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
-    references: tuple[tuple[Placement, ...], ...] = ()
-    reference_states: dict[int, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
+    references: tuple[ResidualDemand, ...] = ()
 
     @staticmethod
     def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
@@ -428,14 +423,6 @@ class CandidateGrids:
                 parts.sort(key=lambda part: m.block_max(0, nx, part[0], part[1]), reverse=True)
             out = self.splits[key] = tuple(parts)
         return out
-
-    def reference(self, k: int, instance: Instance, eps: float) -> ResidualDemand:
-        """The :class:`~rectcover.reward.ResidualDemand` of ``references[k]``, built on first use."""
-        state = self.reference_states.get(k)
-        if state is None:
-            dzs, base = instance.planar
-            state = self.reference_states[k] = ResidualDemand(dzs, self.references[k], base, instance.eta, eps)
-        return state
 
 
 def _grid(m: RewardMatrix, axis: Axis) -> tuple[float, ...]:
@@ -496,9 +483,17 @@ def _value(s: CandidateSet, grid: Sequence[float]) -> float:
     return grid[s[0]] if s[2] is None else s[2]
 
 
-def _pin(v: float, grid: Sequence[float], eps: float) -> CandidateSet:
-    """The singleton set of an abutment position ``v``, with its bounding block."""
-    return (*_axis_indices(v, grid, eps), v)
+def _pin(v: float, grid: Sequence[float]) -> CandidateSet:
+    """The singleton set of an abutment position ``v``, off ``grid``, with the block bounding it.
+
+    The isolated reward is piecewise linear with no local maximum strictly
+    between neighbouring grid values, so ``v`` is bounded by its two
+    bracketing grid values, or by the nearest endpoint when it lies outside
+    the grid's range.  Abutment positions lie more than ``epsilon`` off the
+    grid (``critical.abutment_values``), so no grid value needs a test.
+    """
+    i = bisect_left(grid, v)
+    return max(i - 1, 0), min(i + 1, len(grid)), v
 
 
 def is_leaf(node: Node) -> bool:
@@ -617,37 +612,14 @@ def _interval_children(
                         for s, zk in zip(sets[j + 1 :], node.z_vec[j + 1 :])):
             parts = ()
         full = config.scv_mode == "full"
-        eps = config.epsilon
-        pins = abutment_values(fixed, z, instance.base, axis, full, grid, eps)
-        parts += tuple(_pin(v, grid, eps) for v in pins)
+        pins = abutment_values(fixed, z, instance.base, axis, full, grid, config.epsilon)
+        parts += tuple(_pin(v, grid) for v in pins)
     if on_x:
         return [
             Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, Axis.X, -1 if _is_single(part) else j)
             for part in parts
         ]
     return [Node(node.x_sets, _replace_at(sets, j, part), node.z_vec, Axis.Y, j) for part in parts]
-
-
-def _axis_indices(v: float, grid: Sequence[float], eps: float) -> tuple[int, int]:
-    """Half-open matrix index range bounding an off-grid singleton ``v``.
-
-    A value within ``eps`` of a grid value maps to that value alone.
-    Otherwise the isolated reward is piecewise linear with no local maximum
-    strictly between neighbouring grid values, so ``v`` is bounded by its two
-    bracketing grid values, or by the nearest endpoint when it lies outside
-    the grid's range.
-    """
-    n = len(grid)
-    i = bisect_left(grid, v)
-    if i < n and abs(grid[i] - v) < eps:
-        return i, i + 1
-    if i > 0 and abs(grid[i - 1] - v) < eps:
-        return i - 1, i
-    if i == 0:
-        return 0, 1
-    if i >= n:
-        return n - 1, n
-    return i - 1, i + 1
 
 
 def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:
@@ -678,20 +650,16 @@ def _gain_sum(
 
     ``A`` is ``residual``'s placements and each of ``zones`` is ``(z, c,
     grid, s)``: its scale, its fixed corner on the other axis, its grid and
-    its set on ``axis``.
-    A whole grid takes the gain's maximum over every real position, a slice
-    (a grid singleton too) its maximum over the slice's values and an
-    abutment singleton its gain at the pinned value.  Every gain is at least
-    0, so the sum stops, short of its full value, once it is above
-    ``limit``.
+    its open set on ``axis``, the whole grid or a strict slice of it.  A
+    whole grid takes the gain's maximum over every real position, a strict
+    slice its maximum over the slice's values.  Every gain is at least 0, so
+    the sum stops, short of its full value, once it is above ``limit``.
     """
     total = residual.served
-    for z, c, grid, (lo, hi, v) in zones:
+    for z, c, grid, (lo, hi, _) in zones:
         if total > limit:
             break
-        if v is not None:
-            total += residual.gain_at(z, c, axis, v)
-        elif lo == 0 and hi == len(grid):
+        if lo == 0 and hi == len(grid):
             total += residual.best_gain(z, c, axis)
         else:
             total += float(residual.gain_column(z, c, axis, grid)[lo:hi].max())
@@ -719,16 +687,15 @@ def upper_bound(
     ``grids.lagrangian``'s bound when the solve keeps one, and returns it
     when it is at or below ``floor + eps``.  Past that, a node with a
     ``residual_axis`` (the plane's y phase, every line node), where every
-    coordinate on the other axis is fixed, takes one more bound
-    (module docstring).  With a zone placed on that axis it is the residual
-    bound: ``f(S)`` plus each other zone's best gain over ``S``, read from
-    the :class:`~rectcover.reward.ResidualDemand` of ``S`` that
-    ``grids.residuals`` keeps.  With none placed it is the reference-set
-    bound, the least over the sets ``A`` of ``grids.references`` of ``f(A)``
-    plus every zone's best gain over ``A`` (:func:`_gain_sum`); with no
-    reference set it is not taken.  Both read a set that is its zone's whole
-    grid at every real position, a strict slice at its values.  With the
-    default ``floor`` every leaf is exact.
+    coordinate on the other axis is fixed, takes the residual-demand bound
+    (module docstring): the least, over a tuple of
+    :class:`~rectcover.reward.ResidualDemand` states of sets ``A``, of
+    ``f(A)`` plus each open zone's best gain over ``A`` (:func:`_gain_sum`),
+    stopping once it is at or below ``floor + eps``.  With a zone placed on
+    that axis the tuple is the one state of the placed zones ``S``, from
+    the cache ``grids.residuals``; with none placed it is
+    ``grids.references``, and with no reference state the bound is not
+    taken.  With the default ``floor`` every leaf is exact.
     """
     matrices, lagrangian = grids.matrices, grids.lagrangian
     total = _block_sum(node, matrices)
@@ -755,22 +722,23 @@ def upper_bound(
         total = min(total, lagrangian.bound(node))
         if total <= floor + eps:
             return total
-    if not placed:
-        for k in range(len(grids.references)):
-            total = min(total, _gain_sum(grids.reference(k, instance, eps), opened, axis, total))
-            if total <= floor + eps:
-                break
-        return total
-    key = tuple(sorted(placed))
-    cache = grids.residuals
-    residual = cache.pop(key, None)
-    if residual is None:
-        dzs, base = instance.planar
-        residual = ResidualDemand(dzs, [Placement(x, y, z) for z, x, y in key], base, instance.eta, eps)
-        if len(cache) >= RESIDUAL_CACHE_SIZE:
-            del cache[next(iter(cache))]
-    cache[key] = residual
-    return min(total, _gain_sum(residual, opened, axis, total))
+    states = grids.references
+    if placed:  # A = S; greedy's prefixes would leave out the placed zones' gains over them
+        key = tuple(sorted(placed))
+        cache = grids.residuals
+        residual = cache.pop(key, None)
+        if residual is None:
+            dzs, base = instance.planar
+            residual = ResidualDemand(dzs, [Placement(x, y, z) for z, x, y in key], base, instance.eta, eps)
+            if len(cache) >= RESIDUAL_CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[key] = residual
+        states = (residual,)
+    for state in states:
+        total = min(total, _gain_sum(state, opened, axis, total))
+        if total <= floor + eps:
+            break
+    return total
 
 
 def fit_lagrangian(
@@ -858,8 +826,9 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     ``grids`` (:class:`CandidateGrids`) is built once, :func:`root_node`
     builds the root, and the Lagrangian bound is fitted at it
     (:func:`fit_lagrangian`; ``stats.fit_s``, and the root's bound in
-    ``stats.root_bound``) and kept in ``grids``, with the greedy seed's
-    proper prefixes as the reference sets of the reference-set bound.
+    ``stats.root_bound``) and kept in ``grids``, with the states of the
+    greedy seed's proper prefixes, the reference sets of the residual-demand
+    bound at nodes with nothing placed.
     Every popped node is bounded with ``upper_bound(node, grids, ...)``
     against ``lower``, the incumbent's reward, and is cut when the bound
     cannot beat the incumbent by more than ``epsilon``.  A
@@ -891,7 +860,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     # served; the covered reward pays the better rate there.
     lower = covered_reward(instance.dzs, incumbent, instance.base, instance.eta, eps)
     stats.best_reward_history.append((0, lower))
-    dzs, _ = instance.planar
+    dzs, base = instance.planar
     z_min = instance.scale_values()[0]
     # the docstring's ceiling, less its relative margin
     enough = sum(reward_rate(d.v, z_min, instance.eta) * d.rect.w * d.rect.l for d in dzs) * (1.0 - LAG_MARGIN)
@@ -899,7 +868,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     if lower < enough:
         grids = CandidateGrids.from_instance(instance, eps)
         top = root_node(instance, grids)
-        references = tuple(seed.placements[:k] for k in range(1, instance.p))  # greedy's proper prefixes
+        prefixes = (seed.placements[:k] for k in range(1, instance.p))  # greedy's proper prefixes
+        references = tuple(ResidualDemand(dzs, a, base, instance.eta, eps) for a in prefixes)
         fit_start = time.perf_counter()
         grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower), references=references)
         stats.fit_s = time.perf_counter() - fit_start

@@ -6,7 +6,7 @@ boxes (``Instance.planar``), whose y grids hold the one value 0: each zone
 starts at its scale on its whole x grid, the zones of one scale form a
 class, and the next zone on x is chosen among the lowest-indexed unplaced
 zone of each class (``bnb`` module docstring).  Every y set is a singleton,
-so the residual and reference-set bounds run on x from the root on.
+so the residual-demand bound runs on x from the root on.
 """
 
 from __future__ import annotations

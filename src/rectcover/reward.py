@@ -356,8 +356,10 @@ class ResidualDemand:
     weight (gain rate times the piece's overlap with ``t``'s fixed span)
     times the piece's ``_overlaps`` with ``t`` on ``axis``; pieces with a
     weight ``<= 0`` (already paid at least ``t``'s rate, or off the span)
-    are dropped.  :meth:`best_gain` and :meth:`gain_column` are memoised per
-    ``(z, fixed, axis)``, :meth:`gain_at` per position too.
+    are dropped.  The search reads only open candidate sets, so a gain is
+    wanted only as a maximum: over every real position (:meth:`best_gain`)
+    or over a slice of a grid (:meth:`gain_column`), each memoised per
+    ``(z, fixed, axis)``.
     """
 
     def __init__(
@@ -377,7 +379,6 @@ class ResidualDemand:
         self._eta = eta
         self._best: dict[tuple[float, float, bool], float] = {}
         self._columns: dict[tuple[float, float, bool], np.ndarray] = {}
-        self._at: dict[tuple[float, float, bool, float], float] = {}
 
     def _terms(self, z: float, fixed: float, on_x: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """``(weights, lo, hi, ext)``: the kept pieces' weights and spans on the axis; ``t``'s extent."""
@@ -408,15 +409,6 @@ class ResidualDemand:
             flush = np.concatenate((lo, hi - ext))
             best = self._best[key] = float((weights @ _overlaps(flush, ext, lo, hi)).max(initial=0.0))
         return best
-
-    def gain_at(self, z: float, fixed: float, axis: Axis, c: float) -> float:
-        """The gain of ``t`` with its corner at ``c`` on ``axis``, memoised per ``(z, fixed, axis, c)``."""
-        key = (z, fixed, axis is Axis.X, c)
-        gain = self._at.get(key)
-        if gain is None:
-            weights, lo, hi, ext = self._terms(*key[:3])
-            gain = self._at[key] = float((weights @ _overlaps((c,), ext, lo, hi))[0])
-        return gain
 
     def gain_column(self, z: float, fixed: float, axis: Axis, grid: Sequence[float]) -> np.ndarray:
         """The gain of ``t`` at each ``grid`` value; one ``grid`` per scale and axis must be used."""

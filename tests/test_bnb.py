@@ -30,7 +30,6 @@ from rectcover.bnb import (
     SolverConfig,
     _OPEN,
     _UNSET,
-    _axis_indices,
     _pin,
     branch,
     fit_lagrangian,
@@ -277,7 +276,7 @@ def test_upper_bound_off_grid_singleton_brackets():
     # an abutment-pinned coordinate between grid values is bounded by the
     # better of its two bracketing grid columns
     inst, _, grids, mats, _ = _square_setup()
-    pinned = _pin(1.0, grids.matrices[1.0].xs.values, EPS)
+    pinned = _pin(1.0, grids.matrices[1.0].xs.values)
     assert pinned == (0, 2, 1.0)
     node = Node(
         x_sets=(pinned, (0, 1, None)),
@@ -390,8 +389,11 @@ def test_every_node_holds_slices_or_bracketed_abutments():
                         if v is None:
                             assert 0 <= lo < hi <= len(grid), node
                         else:
-                            assert (lo, hi) == _axis_indices(v, grid, cfg.epsilon), node
                             assert not contains_value(grid, v, cfg.epsilon), node
+                            if grid[0] < v < grid[-1]:  # its two neighbouring grid values
+                                assert hi - lo == 2 and grid[lo] < v < grid[hi - 1], node
+                            else:  # the nearest endpoint
+                                assert (lo, hi) == ((0, 1) if v < grid[0] else (len(grid) - 1, len(grid))), node
                             pinned += 1
                 if not is_leaf(node):
                     stack.extend(branch(node, inst, grids, cfg))

@@ -24,7 +24,6 @@ from rectcover.bnb import (
     CandidateGrids,
     Node,
     SolverConfig,
-    _axis_indices,
     _pin,
     branch,
     is_leaf,
@@ -32,7 +31,7 @@ from rectcover.bnb import (
     root_node,
     upper_bound,
 )
-from rectcover.geometry import EPS, Axis
+from rectcover.geometry import Axis
 from rectcover.reward import build_reward_matrix, planar_form
 
 from conftest import (
@@ -170,7 +169,7 @@ def test_upper_bound_sound_on_micro_tree():
 
 def test_every_node_holds_slices_or_bracketed_abutments():
     # every node of the micro tree: a non-empty slice of the zone's grid, or
-    # an abutment value (which may sit on the grid) with the block bounding it
+    # an abutment value off it with the block bracketing it
     inst = micro_line()
     cfg = SolverConfig()
     grids = CandidateGrids.from_instance(inst)
@@ -185,9 +184,11 @@ def test_every_node_holds_slices_or_bracketed_abutments():
             grid = grids.matrices[inst.qos_for(j).factors[0]].xs.values
             if v is None:
                 assert 0 <= lo < hi <= len(grid), node
-            else:
-                assert (lo, hi) == _axis_indices(v, grid, cfg.epsilon), node
-                pinned += 1
+            elif grid[0] < v < grid[-1]:  # its two neighbouring grid values
+                assert hi - lo == 2 and grid[lo] < v < grid[hi - 1], node
+            else:  # the nearest endpoint
+                assert (lo, hi) == ((0, 1) if v < grid[0] else (len(grid) - 1, len(grid))), node
+            pinned += v is not None
         if not is_leaf(node):
             stack.extend(branch(node, inst, grids, cfg))
     assert pinned > 0
@@ -249,7 +250,7 @@ def test_leaf_bound_on_lifted_demand_is_exact():
     grids = CandidateGrids.from_instance(inst)
     mats = grids.matrices
     scales = [inst.qos_for(j).factors[0] for j in range(inst.p)]
-    leaf = line_node(inst, tuple(_pin(v, grids.matrices[z].xs.values, EPS) for v, z in zip((28.0, 85.0), scales)))
+    leaf = line_node(inst, tuple(_pin(v, grids.matrices[z].xs.values) for v, z in zip((28.0, 85.0), scales)))
     assert [pl.x for pl in leaf_placements(leaf, mats)] == [28.0, 85.0]
     exact = covered_reward(inst.dzs, leaf_placements(leaf, mats), inst.base, inst.eta)
     assert exact > 0

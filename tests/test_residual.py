@@ -497,18 +497,19 @@ def _assert_reference_set_bounds(data, inst, grids, node, reference):
     grid values; for a whole grid, which may still be pinned, every grid
     value, a drawn real position and every abutment of a zone of ``A`` or of
     a zone placed before it, where its gain over ``A`` has its kinks.
-    ``upper_bound`` with ``A`` as its one reference set must stay above as
-    well.
+    ``bnb._gain_sum`` takes the open zones, as ``upper_bound`` passes them,
+    and each settled zone ``t`` adds its gain ``f(A + t) - f(A)`` here, so
+    the inequality is checked for any ``A``.  ``upper_bound`` with the state
+    of ``A`` as its one reference state must stay above as well.
     """
     axis = node.residual_axis
     on_x = axis is Axis.X
     dzs, base = inst.planar
     zones = _zone_terms(node, grids, axis)
-    placements = _settled(node, grids, axis)
-    for z, c, grid, s in zones:
-        if _is_single(s):
-            continue
-        lo, hi, _ = s
+    settled = _settled(node, grids, axis)
+    placements = list(settled)
+    opened = [zone for zone in zones if not _is_single(zone[3])]
+    for z, c, grid, (lo, hi, _) in opened:
         corners = list(grid[lo:hi])
         if (lo, hi) == (0, len(grid)):
             unit = base.w0 if on_x else base.l0
@@ -518,9 +519,12 @@ def _assert_reference_set_bounds(data, inst, grids, node, reference):
         moves = [_at(axis, z, c, corner) for corner in corners]
         placements.append(max(moves, key=lambda t: covered_reward(dzs, placements + [t], base, inst.eta)))
     covered = covered_reward(dzs, placements, base, inst.eta)
-    bound = _gain_sum(ResidualDemand(dzs, reference, base, inst.eta), zones, axis)
+    state = ResidualDemand(dzs, reference, base, inst.eta)
+    served = covered_reward(dzs, reference, base, inst.eta)
+    settled_gains = sum(covered_reward(dzs, reference + [t], base, inst.eta) - served for t in settled)
+    bound = _gain_sum(state, opened, axis) + settled_gains
     assert bound >= covered * (1 - 1e-12) - 1e-9, (node, reference, placements)
-    got = upper_bound(node, replace(grids, references=(tuple(reference),)), inst)
+    got = upper_bound(node, replace(grids, references=(state,)), inst)
     assert got >= covered * (1 - 1e-12) - 1e-9, (node, reference, placements)
 
 
@@ -563,6 +567,40 @@ def test_line_reference_bound_holds_for_any_reference_set(dzs, scales, path, dat
     cfg = SolverConfig()
     children = lambda node: branch(node, inst, grids, cfg)
     _assert_reference_bound_holds(data, inst, grids, path, children, root_node(inst, grids))
+
+
+def test_bound_reads_reference_states_only_with_nothing_placed():
+    # A y-phase node with one y settled is bounded over the state of S
+    # alone: a reference state that would lower any sum to 0 (no demand)
+    # leaves its bound as it is.  With no y settled and no reference state
+    # the bound is the smaller of the isolated sum and the Lagrangian bound,
+    # and the same zero state, now read, lowers it to 0.
+    cfg = SolverConfig()
+    for seed in range(6):
+        inst = generate(GenConfig(seed=seed, n=2, p=2, m=2, **TINY))
+        grids = CandidateGrids.from_instance(inst)
+        root = root_node(inst, grids)
+        grids = _fitted(inst, grids, root)
+        if grids.lagrangian is not None:
+            break
+    assert grids.lagrangian is not None
+    first = {}  # settled y count -> the first non-leaf y-phase node with it
+    stack = [root]
+    while stack and len(first) < 2:
+        node = stack.pop()
+        if is_leaf(node):
+            continue
+        if node.residual_axis is Axis.Y:
+            first.setdefault(sum(map(_is_single, node.y_sets)), node)
+        stack.extend(branch(node, inst, grids, cfg))
+    zero = ResidualDemand((), (), inst.planar[1], inst.eta)
+    unread, read = replace(grids, references=()), replace(grids, references=(zero,))
+    one = first[1]
+    assert upper_bound(one, read, inst) == upper_bound(one, unread, inst) > 0
+    nothing = first[0]
+    isolated = upper_bound(nothing, unread, inst, floor=math.inf)
+    assert upper_bound(nothing, unread, inst) == min(isolated, grids.lagrangian.bound(nothing))
+    assert upper_bound(nothing, read, inst) == 0.0
 
 
 def test_planar_three_zones_eight_demand_zones_proves():

@@ -1,0 +1,108 @@
+"""Record the exact search's behavioural fingerprint, or compare two records.
+
+Usage::
+
+    python tools/fingerprint.py [--out FILE]   # solve the four sets, print node totals
+    python tools/fingerprint.py --diff A B     # list the instances whose records differ
+
+The four sets are the ones node totals are compared on: ``plane-wide``
+(planar p=2 m=2 n=30, seeds 0-99), ``line`` (line p=3 n=12, seeds 0-59),
+``plane-p3`` (planar p=3 m=2 n=8, seeds 0-9) and ``line-p4`` (line p=4 n=12,
+seeds 0-9), each instance drawn by ``rectcover.instgen`` and solved with the
+default ``SolverConfig``.  Per instance the record holds the explored-node
+count, the optimum, the placements, the incumbent history and the root's
+bound, every float as ``float.hex``, so two records are equal only when the
+searches agree bit for bit.  ``--out`` writes the record as JSON.
+
+``rectcover`` is imported from wherever Python finds it (``PYTHONPATH=src``
+for a checkout), so one copy of this script records any checkout.  Native
+thread pools are pinned to one thread before numpy loads, as in the
+benchmark, so that matrix products sum in one order on every machine.
+``--diff`` exits 1 when some instance differs or is missing from one side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+#: ``name -> (line?, n, p, m, seeds)``; ``m`` is the planar scale menu ``1..m``.
+SETS = {
+    "plane-wide": (False, 30, 2, 2, range(100)),
+    "line": (True, 12, 3, None, range(60)),
+    "plane-p3": (False, 8, 3, 2, range(10)),
+    "line-p4": (True, 12, 4, None, range(10)),
+}
+
+
+def _hex(value: float | None) -> str | None:
+    return None if value is None else float(value).hex()
+
+
+def fingerprint() -> dict[str, dict[str, dict]]:
+    """Every set's records, keyed by set name and then by seed (as a string, as JSON keys are)."""
+    # imported here, after the thread pins, so that --diff needs no rectcover
+    from rectcover import Dimension, GenConfig, generate, generate_1d, solve
+
+    runs: dict[str, dict[str, dict]] = {}
+    for name, (line, n, p, m, seeds) in SETS.items():
+        runs[name] = {}
+        for seed in seeds:
+            if line:
+                instance = generate_1d(GenConfig(seed=seed, n=n, p=p, dimension=Dimension.ONE_D))
+            else:
+                instance = generate(GenConfig(seed=seed, n=n, p=p, m=m))
+            sol, stats = solve(instance)
+            runs[name][str(seed)] = {
+                "nodes": stats.nodes_explored,
+                "optimum": _hex(sol.reward),
+                "placements": [[_hex(pl.x), _hex(pl.y), _hex(pl.z)] for pl in sol.placements],
+                "history": [[k, _hex(r)] for k, r in stats.best_reward_history],
+                "root_bound": _hex(stats.root_bound),
+            }
+    return runs
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    """``set seed: fields`` for each instance whose records differ, or that one side lacks."""
+    out = []
+    for name in sorted(a.keys() | b.keys()):
+        runs_a, runs_b = a.get(name, {}), b.get(name, {})
+        for seed in sorted(runs_a.keys() | runs_b.keys(), key=int):
+            ra, rb = runs_a.get(seed), runs_b.get(seed)
+            if ra is None or rb is None:
+                out.append(f"{name} {seed}: only in {'A' if rb is None else 'B'}")
+            elif ra != rb:
+                fields = [k for k in sorted(ra.keys() | rb.keys()) if ra.get(k) != rb.get(k)]
+                out.append(f"{name} {seed}: {', '.join(fields)}")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="write the record to this JSON file")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two recorded JSON files")
+    args = parser.parse_args(argv)
+    if args.diff:
+        a, b = (json.loads(Path(path).read_text()) for path in args.diff)
+        lines = differences(a, b)
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} instances differ")
+        return 1 if lines else 0
+    runs = fingerprint()
+    for name, per_seed in runs.items():
+        print(f"{name}: {sum(r['nodes'] for r in per_seed.values())} nodes over {len(per_seed)} instances")
+    if args.out:
+        Path(args.out).write_text(json.dumps(runs, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
