@@ -16,8 +16,8 @@ form a *class*.  The tree narrows the per-zone candidate sets step by step:
   over their candidates (their block of the scale's reward matrix, taken
   over every position on the other axis), until the set is a singleton.
   When a zone is first split, extra children pin it directly at the abutment
-  positions of already-fixed zones (positions no own-scale grid value is
-  within ``epsilon`` of);
+  positions of already-fixed zones (positions off its own-scale grid, to the
+  grid's own tolerance);
 * next zone on x — when no zone is being narrowed on x, the candidates are
   the lowest-indexed zone of each class whose x is not fixed yet.  The
   children are, candidate by candidate in index order, its first step: the
@@ -60,8 +60,8 @@ scales and that axis.  The bound and the branching rule take the solve's
 state as one :class:`CandidateGrids`: its matrices, its Lagrangian bound,
 greedy's prefix states for the residual-demand bound and its memos.  The covered
 reward of a greedy run's placements seeds the incumbent; a node is cut as
-soon as its optimistic bound cannot beat the incumbent by more than
-``epsilon``.
+soon as its optimistic bound cannot beat the incumbent by more than a
+relative :data:`RTOL` (Tolerances, below).
 
 Per-node work scans no candidate set or demand and maps no value to an
 index.  Each scale's reward matrix, and with it the grids it is tabulated
@@ -80,8 +80,8 @@ the parts as a tuple.
 
 The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
 exact value, which trims overlapping coverage, is never above the sum of its
-zones' isolated rewards, so a leaf whose isolated sum is already within
-``epsilon`` of ``floor`` is cut on that sum and never evaluated exactly.
+zones' isolated rewards, so a leaf whose isolated sum is already at most
+``floor * (1 + RTOL)`` is cut on that sum and never evaluated exactly.
 
 Residual-demand bound.  The isolated sum ignores that zones already placed
 have served demand.  Covered reward ``f`` in best-rate form (each point paid
@@ -135,8 +135,8 @@ A reference set at nodes with settled zones would need each settled zone's
 gain over ``A`` at its one position as well, which no term here takes; the
 x phase is left out, as a zone with both coordinates open needs its gain's
 maximum over two dimensions.  ``f(A)`` and the gains are sums of
-nonnegative terms taken in another order than ``covered_reward``'s, and
-``epsilon`` covers their rounding.
+nonnegative terms taken in another order than ``covered_reward``'s; their
+rounding is relative, and :data:`RTOL` covers it.
 
 Lagrangian bound.  The isolated sum pays demand that several zones reach
 once per zone.  Dualising the coverage constraints of the maximal-covering
@@ -189,29 +189,40 @@ two bounds alone.
 The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
 in another order than the reward matrix and ``covered_reward``, each a sum of
 nonnegative terms off by a relative error of about the number of demand
-zones times 2**-52.  So it is scaled by ``1 + LAG_MARGIN``
-(:data:`LAG_MARGIN`, relative, 1e-12) before it is compared.  The prune test
-then adds ``epsilon``, the absolute slack every bound shares.
+zones times 2**-52.  So it is scaled by ``1 + RTOL`` before it is compared.
 
 A node's bound is the smallest of the isolated sum, the Lagrangian bound
 and the residual-demand bound, each computed only while the ones before it
-leave the node above the incumbent plus ``epsilon``, so nodes the sum
-already cuts cost what they did.  Every gain is at least 0, so a sum of
-gains stops once it is above the least bound taken so far, which it can no
-longer lower; every value returned is still a bound.
+leave the node above the incumbent's reward times ``1 + RTOL``, so nodes
+the sum already cuts cost what they did.  Every gain is at least 0, so a
+sum of gains stops once it is above the least bound taken so far, which it
+can no longer lower; every value returned is still a bound.
 
 No placement earns more than ``ceiling``, every demand zone's area paid
 at the smallest scale's rate, so the search stops, proven, once the
-incumbent is within a relative ``LAG_MARGIN`` of it.  The margin is
-relative because the incumbent's covered reward and ``ceiling`` sum the
-same terms in another order: an incumbent that earns all the demand can
-fall a few ulps short of ``ceiling``, more than an absolute ``epsilon`` at
-large coordinates.
+incumbent is at least ``ceiling * (1 - RTOL)``.  The incumbent's covered
+reward and ``ceiling`` sum the same terms in another order, so an incumbent
+that earns all the demand can fall a few ulps short of ``ceiling``.
 
-When the time limit stops a search, every node still on the stack is bounded
-once more; the largest of those bounds (at least the incumbent plus
-``epsilon``, the margin every cut node was within) is a certified upper bound
-on the optimum, reported with the relative gap in :class:`SolverStats`.
+Tolerances.  A solve that reports ``optimal`` returns a reward ``R`` such
+that no placement earns more than ``R * (1 + RTOL)``, with :data:`RTOL` =
+1e-12, up to rounding that is relative and far smaller (a few ulps per
+demand zone).  When the time limit stops a search, every node still on the
+stack is bounded once more; the largest of those bounds and ``R * (1 +
+RTOL)``, the margin every cut node was within, is a certified upper bound on
+the optimum, reported with the relative gap in :class:`SolverStats`.  No
+tolerance is a setting.  Each is in the unit of the numbers it compares and
+taken from them, so a change of units scales it with the data:
+
+* rewards: a node is cut when its bound is at most the incumbent's reward
+  times ``1 + RTOL``; the Lagrangian bound is scaled by ``1 + RTOL`` and
+  the total-demand stop is taken at ``ceiling * (1 - RTOL)``;
+* coordinates: two values of one grid are one value when they are closer
+  than ``critical.COORD_RTOL`` (1e-12) times the grid's largest magnitude
+  (``critical.grid_tol``), and an abutment position is pinned only when it
+  lies off its own-scale grid by that grid's test;
+* areas: trimming drops only the pieces whose computed area is 0
+  (``reward.serve_zone``).
 """
 
 from __future__ import annotations
@@ -225,7 +236,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import EPS, Axis
+from .geometry import Axis
 from .critical import abutment_values
 from .greedy import greedy
 from .model import Instance, Placement, Solution, demand_rows, reward_rate
@@ -256,25 +267,25 @@ FIT_STEP = 2.0
 FIT_HALVE_AFTER = 5
 FIT_STALL = 10
 FIT_GAIN = 1e-3
-#: Relative margin on the Lagrangian bound and on the total demand reward,
-#: for their rounding.
-LAG_MARGIN = 1e-12
+#: The one reward tolerance, relative (module docstring, Tolerances).
+RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by the exact solvers."""
+    """Knobs shared by the exact solvers.
+
+    The search's tolerances are no setting: each is derived from the data
+    (``bnb`` module docstring, Tolerances).
+    """
 
     beta: float = 0.5
-    epsilon: float = EPS
     time_limit_s: float = 18000.0
     scv_mode: str = "outer"
 
     def __post_init__(self) -> None:
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not self.time_limit_s >= 0:
             raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
         if self.scv_mode not in ("outer", "full"):
@@ -362,7 +373,7 @@ class Lagrangian(NamedTuple):
 
     def bound(self, node: Node) -> float:
         """``T1`` plus each zone's best ``L`` over its candidate sets, with the rounding margin."""
-        return (self.t1 + _block_sum(node, self.matrices)) * (1.0 + LAG_MARGIN)
+        return (self.t1 + _block_sum(node, self.matrices)) * (1.0 + RTOL)
 
 
 @dataclass(frozen=True)
@@ -390,9 +401,9 @@ class CandidateGrids:
     references: tuple[ResidualDemand, ...] = ()
 
     @staticmethod
-    def from_instance(instance: Instance, eps: float = EPS) -> "CandidateGrids":
+    def from_instance(instance: Instance) -> "CandidateGrids":
         dzs, base, eta = instance.dzs, instance.base, instance.eta
-        return CandidateGrids({z: build_reward_matrix(dzs, z, base, eta, eps) for z in instance.scale_values()})
+        return CandidateGrids({z: build_reward_matrix(dzs, z, base, eta) for z in instance.scale_values()})
 
     def split(self, z: float, axis: Axis, s: CandidateSet, beta: float) -> tuple[CandidateSet, ...]:
         """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
@@ -489,8 +500,8 @@ def _pin(v: float, grid: Sequence[float]) -> CandidateSet:
     The isolated reward is piecewise linear with no local maximum strictly
     between neighbouring grid values, so ``v`` is bounded by its two
     bracketing grid values, or by the nearest endpoint when it lies outside
-    the grid's range.  Abutment positions lie more than ``epsilon`` off the
-    grid (``critical.abutment_values``), so no grid value needs a test.
+    the grid's range.  Abutment positions lie off the grid by the grid's own
+    test (``critical.abutment_values``), so no grid value needs a test.
     """
     i = bisect_left(grid, v)
     return max(i - 1, 0), min(i + 1, len(grid)), v
@@ -533,8 +544,8 @@ def _order_step_children(node: Node, instance: Instance) -> list[Node]:
     exists elsewhere in the tree); a zone pinned at an abutment position is
     tied to the zones that generated it, even if the value happens to equal
     some other scale's grid value, so each such zone gets its own child.
-    Abutment positions lie more than ``epsilon`` off the own-scale grid, so a
-    set without ``v`` is on it.
+    Abutment positions lie off the own-scale grid, so a set without ``v`` is
+    on it.
     """
     open_idx = [j for j in range(instance.p) if not _is_single(node.y_sets[j])]
     pinned = [j for j in open_idx if node.x_sets[j][2] is not None]
@@ -612,7 +623,7 @@ def _interval_children(
                         for s, zk in zip(sets[j + 1 :], node.z_vec[j + 1 :])):
             parts = ()
         full = config.scv_mode == "full"
-        pins = abutment_values(fixed, z, instance.base, axis, full, grid, config.epsilon)
+        pins = abutment_values(fixed, z, instance.base, axis, full, grid)
         parts += tuple(_pin(v, grid) for v in pins)
     if on_x:
         return [
@@ -666,9 +677,7 @@ def _gain_sum(
     return total
 
 
-def upper_bound(
-    node: Node, grids: CandidateGrids, instance: Instance, eps: float = EPS, floor: float = -math.inf
-) -> float:
+def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: float = -math.inf) -> float:
     """Optimistic value of the best completion below ``node``, plane or line.
 
     Each zone contributes the best isolated reward reachable from its
@@ -681,25 +690,26 @@ def upper_bound(
     index.  A line zone's y set is the single index of its matrix's one y
     value, 0.
 
-    A node at or below ``floor + eps`` on that isolated sum returns it.  A
-    leaf above it is evaluated exactly with ``covered_reward`` on
-    ``instance.planar``.  Any other node takes the smaller of the sum and
+    A node at or below ``cut = floor * (1 + RTOL)`` on that isolated sum
+    returns it.  A leaf above it is evaluated exactly with ``covered_reward``
+    on ``instance.planar``.  Any other node takes the smaller of the sum and
     ``grids.lagrangian``'s bound when the solve keeps one, and returns it
-    when it is at or below ``floor + eps``.  Past that, a node with a
+    when it is at or below ``cut``.  Past that, a node with a
     ``residual_axis`` (the plane's y phase, every line node), where every
     coordinate on the other axis is fixed, takes the residual-demand bound
     (module docstring): the least, over a tuple of
     :class:`~rectcover.reward.ResidualDemand` states of sets ``A``, of
     ``f(A)`` plus each open zone's best gain over ``A`` (:func:`_gain_sum`),
-    stopping once it is at or below ``floor + eps``.  With a zone placed on
+    stopping once it is at or below ``cut``.  With a zone placed on
     that axis the tuple is the one state of the placed zones ``S``, from
     the cache ``grids.residuals``; with none placed it is
     ``grids.references``, and with no reference state the bound is not
     taken.  With the default ``floor`` every leaf is exact.
     """
     matrices, lagrangian = grids.matrices, grids.lagrangian
+    cut = floor * (1.0 + RTOL)
     total = _block_sum(node, matrices)
-    if total <= floor + eps:
+    if total <= cut:
         return total
     axis = node.residual_axis  # y at every leaf
     if axis is None:
@@ -717,10 +727,10 @@ def upper_bound(
             opened.append((z, _value(ys, m.ys.values) if on_x else _value(xs, m.xs.values), grid, free))
     if not opened:
         dzs, base = instance.planar
-        return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta, eps)
+        return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta)
     if lagrangian is not None:
         total = min(total, lagrangian.bound(node))
-        if total <= floor + eps:
+        if total <= cut:
             return total
     states = grids.references
     if placed:  # A = S; greedy's prefixes would leave out the placed zones' gains over them
@@ -729,14 +739,14 @@ def upper_bound(
         residual = cache.pop(key, None)
         if residual is None:
             dzs, base = instance.planar
-            residual = ResidualDemand(dzs, [Placement(x, y, z) for z, x, y in key], base, instance.eta, eps)
+            residual = ResidualDemand(dzs, [Placement(x, y, z) for z, x, y in key], base, instance.eta)
             if len(cache) >= RESIDUAL_CACHE_SIZE:
                 del cache[next(iter(cache))]
         cache[key] = residual
         states = (residual,)
     for state in states:
         total = min(total, _gain_sum(state, opened, axis, total))
-        if total <= floor + eps:
+        if total <= cut:
             break
     return total
 
@@ -830,50 +840,48 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     greedy seed's proper prefixes, the reference sets of the residual-demand
     bound at nodes with nothing placed.
     Every popped node is bounded with ``upper_bound(node, grids, ...)``
-    against ``lower``, the incumbent's reward, and is cut when the bound
-    cannot beat the incumbent by more than ``epsilon``.  A
+    against ``lower``, the incumbent's reward, and is cut when the bound is
+    at most ``lower * (1 + RTOL)``.  A
     surviving leaf (:func:`is_leaf`), whose bound is then its exact value,
     becomes the incumbent (:func:`leaf_placements`); any other node is
     replaced by its children (:func:`branch`), explored in the order given.
 
     No placement earns more than ``ceiling``, every demand zone's area paid
     at the smallest scale's rate, so the search stops, proven, as soon as
-    the incumbent is at least ``ceiling * (1 - LAG_MARGIN)`` (the greedy
-    seed included), a relative tolerance of 1e-12 for the two sums' rounding
-    (module docstring).
+    the incumbent is at least ``ceiling * (1 - RTOL)`` (the greedy seed
+    included).  The module docstring states what ``optimal`` guarantees.
     When the time limit is hit the incumbent is returned with
     ``stats.optimal == False``; ``stats.upper_bound`` is then the largest of
-    ``lower + epsilon`` and the bounds (exact at leaves) of the nodes left on
-    the stack.  A proven solve reports ``upper_bound == lower``.
+    ``lower * (1 + RTOL)`` and the bounds (exact at leaves) of the nodes left
+    on the stack.  A proven solve reports ``upper_bound == lower``.
     """
     config = config or SolverConfig()
-    eps = config.epsilon
     stats = SolverStats()
     start = time.perf_counter()
 
-    seed = greedy(instance, eps).solution
+    seed = greedy(instance).solution
     stats.greedy_time = stats.optimal_found_time = time.perf_counter() - start
     stats.greedy_reward = seed.reward
     incumbent = seed.placements
     # Greedy claims the sum of its rounds' gains, which pays a later round's
     # smaller zone nothing over demand an earlier, larger zone already
     # served; the covered reward pays the better rate there.
-    lower = covered_reward(instance.dzs, incumbent, instance.base, instance.eta, eps)
+    lower = covered_reward(instance.dzs, incumbent, instance.base, instance.eta)
     stats.best_reward_history.append((0, lower))
     dzs, base = instance.planar
     z_min = instance.scale_values()[0]
     # the docstring's ceiling, less its relative margin
-    enough = sum(reward_rate(d.v, z_min, instance.eta) * d.rect.w * d.rect.l for d in dzs) * (1.0 - LAG_MARGIN)
+    enough = sum(reward_rate(d.v, z_min, instance.eta) * d.rect.w * d.rect.l for d in dzs) * (1.0 - RTOL)
 
     if lower < enough:
-        grids = CandidateGrids.from_instance(instance, eps)
+        grids = CandidateGrids.from_instance(instance)
         top = root_node(instance, grids)
         prefixes = (seed.placements[:k] for k in range(1, instance.p))  # greedy's proper prefixes
-        references = tuple(ResidualDemand(dzs, a, base, instance.eta, eps) for a in prefixes)
+        references = tuple(ResidualDemand(dzs, a, base, instance.eta) for a in prefixes)
         fit_start = time.perf_counter()
         grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower), references=references)
         stats.fit_s = time.perf_counter() - fit_start
-        stats.root_bound = upper_bound(top, grids, instance, eps)
+        stats.root_bound = upper_bound(top, grids, instance)
         stack = [top]
         while stack:
             if time.perf_counter() - start > config.time_limit_s:
@@ -881,8 +889,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
                 break
             node = stack.pop()
             stats.nodes_explored += 1
-            value = upper_bound(node, grids, instance, eps, lower)
-            if value <= lower + eps:
+            value = upper_bound(node, grids, instance, lower)
+            if value <= lower * (1.0 + RTOL):
                 continue
             if is_leaf(node):
                 lower = value
@@ -897,9 +905,9 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     if stats.optimal:
         stats.upper_bound = lower
     else:
-        # Every cut node was within eps of an incumbent no better than the
+        # Every cut node was within RTOL of an incumbent no better than the
         # last; the open nodes are bounded once more, exactly at leaves.
-        stats.upper_bound = max([lower + eps] + [upper_bound(n, grids, instance, eps) for n in stack])
+        stats.upper_bound = max([lower * (1.0 + RTOL)] + [upper_bound(n, grids, instance) for n in stack])
     stats.gap = (stats.upper_bound - lower) / stats.upper_bound if stats.upper_bound > 0 else 0.0
     stats.wall_time = time.perf_counter() - start
     return Solution(incumbent, lower), stats

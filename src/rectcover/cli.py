@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from .geometry import EPS, Rect
+from .geometry import Rect
 from .model import (
     BaseServiceZone,
     DemandZone,
@@ -319,10 +319,10 @@ def _generate(one_d: bool, **kwargs: Any) -> Instance:
     return generate(GenConfig(**kwargs))
 
 
-def _cross_check(instance: Instance, reward: float, eps: float, budget: int) -> None:
+def _cross_check(instance: Instance, reward: float, budget: int) -> None:
     """Raise unless the brute-force optimum equals ``reward``; skip when it exceeds ``budget``."""
     try:
-        check = (brute_force_1d if instance.one_d else brute_force_2d)(instance, eps, budget)
+        check = (brute_force_1d if instance.one_d else brute_force_2d)(instance, max_evaluations=budget)
     except OracleSizeError:
         return
     if abs(check.reward - reward) > 1e-9 * max(1.0, abs(check.reward)):
@@ -360,7 +360,7 @@ def run_bench(
             solution, stats = solve(instance, config)
             alpha = min(stats.greedy_reward / solution.reward, 1.0) if solution.reward > 0 else 1.0
             if oracle_budget > 0 and stats.optimal:
-                _cross_check(instance, solution.reward, config.epsilon, oracle_budget)
+                _cross_check(instance, solution.reward, oracle_budget)
             rows.append(BenchRow(n, p, m, seed, stats, alpha))
         except Exception as exc:  # noqa: BLE001 - keep the sweep alive
             print(f"bench: n={n} p={p} m={m} seed={seed} failed: {exc}", file=sys.stderr)
@@ -490,7 +490,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     with _validated("solver options"):
         return SolverConfig(
-            beta=args.beta, epsilon=args.epsilon, time_limit_s=args.time_limit, scv_mode=args.scv_mode,
+            beta=args.beta, time_limit_s=args.time_limit, scv_mode=args.scv_mode,
         )
 
 
@@ -502,10 +502,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution, stats = solve(instance, config)
     else:
         if args.algo == "greedy":
-            solution, nodes, proven = greedy(instance, config.epsilon).solution, 0, False
+            solution, nodes, proven = greedy(instance).solution, 0, False
         else:
             try:
-                result = (brute_force_1d if instance.one_d else brute_force_2d)(instance, config.epsilon)
+                result = (brute_force_1d if instance.one_d else brute_force_2d)(instance)
             except OracleSizeError as exc:
                 raise CliError(f"oracle refused: {exc}") from None
             solution, nodes, proven = Solution(result.placements, result.reward), result.evaluations, True
@@ -579,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--time-limit", type=float, default=18000.0)
     solver_flags.add_argument("--beta", type=float, default=0.5)
-    solver_flags.add_argument("--epsilon", type=float, default=EPS)
     solver_flags.add_argument("--scv-mode", choices=("outer", "full"), default="outer")
 
     gen = sub.add_parser("generate", help="write a random instance as JSON")

@@ -23,8 +23,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import EPS, Axis
+from .geometry import Axis
 from .model import BaseServiceZone, DemandZone, demand_rows
+
+#: Relative tolerance on coordinates: two values of one grid closer than it
+#: times the grid's largest magnitude are one value (about 1e-9 at the
+#: generator's extent of about 1,000).
+COORD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,12 +42,23 @@ class CriticalValueSet:
         return len(self.values)
 
 
-def contains_value(sorted_values: Sequence[float], v: float, eps: float = EPS) -> bool:
-    """Membership test in a sorted sequence with absolute tolerance ``eps``."""
+def grid_tol(sorted_values: Sequence[float]) -> float:
+    """The coordinate tolerance of sorted values: ``COORD_RTOL`` times their largest magnitude (0 for none)."""
+    return COORD_RTOL * max(abs(sorted_values[0]), abs(sorted_values[-1])) if len(sorted_values) else 0.0
+
+
+def _same(a: float, b: float, tol: float) -> bool:
+    """``a`` and ``b`` are one coordinate: equal, or closer than ``tol``."""
+    return a == b or abs(a - b) < tol
+
+
+def contains_value(sorted_values: Sequence[float], v: float) -> bool:
+    """``v`` is one of the sorted values, to their own tolerance (:func:`grid_tol`)."""
+    tol = grid_tol(sorted_values)
     i = bisect_left(sorted_values, v)
-    if i < len(sorted_values) and abs(sorted_values[i] - v) < eps:
+    if i < len(sorted_values) and _same(sorted_values[i], v, tol):
         return True
-    return i > 0 and abs(sorted_values[i - 1] - v) < eps
+    return i > 0 and _same(sorted_values[i - 1], v, tol)
 
 
 def _span(d: DemandZone, base: BaseServiceZone, z: float, axis: Axis) -> tuple[float, float, float]:
@@ -70,19 +86,20 @@ def inner_demand_grid(
     z: float,
     base: BaseServiceZone,
     axis: Axis,
-    eps: float = EPS,
 ) -> CriticalValueSet:
     """Grid of inner demand breakpoints over all of ``dzs`` for scale ``z``.
 
     ``dzs`` is a sequence of zones or their :func:`~rectcover.model.demand_rows`
     array.  Empty input yields an empty grid.  Cardinality is at most ``2 *
     len(dzs)``.  The values are every zone's inner pair from
-    :func:`demand_breakpoints`, sorted, a value dropped when it lies closer
-    than ``eps`` above the last value kept.  They are computed with numpy:
-    after a stable sort, a value at least ``eps`` above its predecessor is
-    kept and an exact duplicate is dropped.  The rare values closer than
-    ``eps`` to a distinct predecessor are resolved in order against the last
-    kept value.
+    :func:`demand_breakpoints`, sorted, a value dropped when it equals the
+    last value kept or lies closer than ``tol`` above it.  ``tol`` is
+    :func:`grid_tol` of the values, so the grid scales with its units; it is
+    0 when every value is 0, and exact duplicates are dropped all the same.
+    They are computed with numpy: after a stable sort, a value at least
+    ``tol`` above its predecessor, and not equal to it, is kept.  The rare
+    values closer than ``tol`` to a distinct predecessor are resolved in
+    order against the last kept value.
     """
     # rows are (x, y, w, l, v); the inner pair is (lo, (lo + extent) - reach)
     rows = demand_rows(dzs)
@@ -95,15 +112,16 @@ def inner_demand_grid(
     values.sort(kind="stable")
     if not values.size:
         return CriticalValueSet(())
+    tol = grid_tol(values)
     gap = values[1:] - values[:-1]
     keep = np.empty(values.size, dtype=bool)
     keep[0] = True
-    np.greater_equal(gap, eps, out=keep[1:])
-    for i in (((gap > 0.0) & (gap < eps)).nonzero()[0] + 1).tolist():
+    np.logical_and(gap >= tol, gap > 0.0, out=keep[1:])
+    for i in (((gap > 0.0) & (gap < tol)).nonzero()[0] + 1).tolist():
         last = i - 1
         while not keep[last]:
             last -= 1
-        keep[i] = values[i] - values[last] >= eps
+        keep[i] = values[i] - values[last] >= tol
     return CriticalValueSet(tuple(values[keep].tolist()))
 
 
@@ -130,21 +148,24 @@ def abutment_values(
     axis: Axis,
     full: bool,
     exclude: Sequence[float] = (),
-    eps: float = EPS,
 ) -> list[float]:
     """Service breakpoints of positioned zones at which to try a scale-``z`` zone.
 
     ``fixed`` holds ``(coordinate, scale)`` pairs of already-positioned zones.
     The outer values of every fixed zone come first, then, when ``full``,
-    their inner values.  A value within ``eps`` of a member of the sorted
-    ``exclude`` or of an earlier value is dropped.
+    their inner values.  ``exclude`` is a sorted grid, and the tolerance is
+    its own (:func:`grid_tol`, 0 when it is empty): a value that is one of
+    its members by :func:`contains_value`, or the same as an earlier value
+    to that tolerance, is dropped, so every value kept lies off the grid by
+    the grid's own test.
     """
     points = [service_breakpoints(coord, owner, z, base, axis) for coord, owner in fixed]
     raw = [v for o1, _, _, o2 in points for v in (o1, o2)]
     if full:
         raw += [v for _, i1, i2, _ in points for v in (i1, i2)]
+    tol = grid_tol(exclude)
     out: list[float] = []
     for v in raw:
-        if not contains_value(exclude, v, eps) and not any(abs(v - u) < eps for u in out):
+        if not contains_value(exclude, v) and not any(_same(v, u, tol) for u in out):
             out.append(v)
     return out

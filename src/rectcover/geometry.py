@@ -11,8 +11,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-#: Default absolute tolerance used throughout the package when comparing
-#: coordinates, areas, and rewards.
+#: The brute-force oracle's default absolute tolerance for merging candidate
+#: coordinates.  The solvers take no absolute tolerance: theirs are derived
+#: from the data (``bnb`` module docstring, Tolerances).
 EPS = 1e-9
 
 

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import EPS
 from .model import (
     BaseServiceZone,
     Eta,
@@ -50,7 +49,7 @@ class GreedyTrace:
 _RowSolver = Callable[[np.ndarray, QosSet, BaseServiceZone, Eta], tuple[float, float, float, float]]
 
 
-def _run(instance: Instance, solver: _RowSolver, eps: float) -> GreedyTrace:
+def _run(instance: Instance, solver: _RowSolver) -> GreedyTrace:
     lifted, lifted_base = instance.planar
     rows = demand_rows(lifted).tolist()
     placements: list[Placement] = []
@@ -62,7 +61,7 @@ def _run(instance: Instance, solver: _RowSolver, eps: float) -> GreedyTrace:
         # Marginal value is re-evaluated at the returned position so the trace
         # stays truthful even if the solver's own reward claim is off.
         zone = service_rect(lifted_base, pl)
-        gain, rows = serve_zone(rows, (zone.x, zone.y, zone.x2, zone.y2), instance.eta.apply(z), eps)
+        gain, rows = serve_zone(rows, (zone.x, zone.y, zone.x2, zone.y2), instance.eta.apply(z))
         rewards.append(gain)
         placements.append(pl)
     # The claimed value is what the rounds actually collected: each round pays
@@ -71,16 +70,12 @@ def _run(instance: Instance, solver: _RowSolver, eps: float) -> GreedyTrace:
     return GreedyTrace(tuple(rewards), Solution(tuple(placements), sum(rewards)))
 
 
-def greedy(instance: Instance, eps: float = EPS) -> GreedyTrace:
+def greedy(instance: Instance) -> GreedyTrace:
     """Place all ``instance.p`` zones greedily using the exact one-zone solver."""
-
-    def exact(rows, qos, base, eta):
-        return solve_single_zone(rows, qos, base, eta, eps)
-
-    return _run(instance, exact, eps)
+    return _run(instance, solve_single_zone)
 
 
-def pseudo_greedy(instance: Instance, approx: SingleZoneSolver, eps: float = EPS) -> GreedyTrace:
+def pseudo_greedy(instance: Instance, approx: SingleZoneSolver) -> GreedyTrace:
     """Greedy rounds driven by a caller-supplied single-zone solver.
 
     ``approx`` must return a feasible ``(reward, x, y, z)`` with ``z`` drawn
@@ -93,4 +88,4 @@ def pseudo_greedy(instance: Instance, approx: SingleZoneSolver, eps: float = EPS
     def plugged(rows, qos, base, eta):
         return approx(demand_zones(rows), qos, base, eta)
 
-    return _run(instance, plugged, eps)
+    return _run(instance, plugged)

@@ -137,7 +137,7 @@ def _best(instance: Instance, eps: float, max_evaluations: int) -> OracleResult:
                 placements = tuple(
                     Placement(xt[j], yt[j], z_vec[j]) for j in range(instance.p)
                 )
-                r = covered_reward(instance.dzs, placements, instance.base, instance.eta, eps)
+                r = covered_reward(instance.dzs, placements, instance.base, instance.eta)
                 evaluations += 1
                 if r > best_reward:
                     best_reward = r

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import EPS, Axis, _trim_bounds
+from .geometry import Axis, _trim_bounds
 from .critical import CriticalValueSet, inner_demand_grid
 from .model import (
     BaseServiceZone,
@@ -188,19 +188,17 @@ class _Demand:
         else:
             self.y1, self.y2 = y, y + l
 
-    def scale(
-        self, z: float, eta: Eta, eps: float
-    ) -> tuple[CriticalValueSet, CriticalValueSet, np.ndarray, _Axis, _Axis]:
+    def scale(self, z: float, eta: Eta) -> tuple[CriticalValueSet, CriticalValueSet, np.ndarray, _Axis, _Axis]:
         """``(xs, ys, rates, x, y)`` of scale ``z``.
 
         The grid is the inner-demand grid per axis.  For one-dimensional
         input the y axis collapses to the single value ``y = 0``.
         """
-        xs = inner_demand_grid(self.rows, z, self.base, Axis.X, eps)
+        xs = inner_demand_grid(self.rows, z, self.base, Axis.X)
         if self.base.l0 == 0:
             ys = CriticalValueSet((0.0,))
         else:
-            ys = inner_demand_grid(self.rows, z, self.base, Axis.Y, eps)
+            ys = inner_demand_grid(self.rows, z, self.base, Axis.Y)
         rates = self.v / eta.apply(z)  # reward_rate per piece
         x = _Axis.of(xs.values, self.pbase.w0 * z, self.x1, self.x2)
         y = _Axis.of(ys.values, self.pbase.l0 * z, self.y1, self.y2)
@@ -235,7 +233,6 @@ def build_reward_matrix(
     z: float,
     base: BaseServiceZone,
     eta: Eta,
-    eps: float = EPS,
 ) -> RewardMatrix:
     """Tabulate isolated single-zone rewards of scale ``z`` over its grid.
 
@@ -250,7 +247,7 @@ def build_reward_matrix(
     stay on the matrix, one row per demand zone in input order, for
     :meth:`RewardMatrix.reweighted`.
     """
-    xs, ys, rates, x, y = _Demand(dzs, base).scale(z, eta, eps)
+    xs, ys, rates, x, y = _Demand(dzs, base).scale(z, eta)
     ox, oy = x.overlaps(), y.overlaps()
     entries = np.zeros((len(xs), len(ys)))
     _add_blocks(entries, rates, ox, oy, x.start, x.stop, y.start, y.stop)
@@ -262,25 +259,22 @@ def covered_reward(
     placements: Sequence[Placement],
     base: BaseServiceZone,
     eta: Eta,
-    eps: float = EPS,
 ) -> float:
     """Total reward of ``placements`` with best-scale payment on overlaps.
 
     Placements are processed by ascending scale (ties by original order);
     each is paid for its overlap with the not-yet-served demand set, which is
-    then trimmed (:func:`serve_zone`).  Near-degenerate pieces (area below
-    ``eps**2``) are dropped to bound bookkeeping growth.
+    then trimmed (:func:`serve_zone`, which drops the pieces of area 0).
     """
     if not placements or not dzs:
         return 0.0
-    return _serve(dzs, placements, base, eta, eps)[0]
+    return _serve(dzs, placements, base, eta)[0]
 
 
 def serve_zone(
     rows: Sequence[Sequence[float]],
     zone: tuple[float, float, float, float],
     eta_z: float,
-    eps: float,
     total: float = 0.0,
     paid: list[tuple[float, ...]] | None = None,
 ) -> tuple[float, list[Sequence[float]]]:
@@ -293,12 +287,12 @@ def serve_zone(
     the result equals, bit for bit, the loop over ``Rect`` pieces: each
     piece the zone meets adds ``reward_rate * area(intersect)`` to
     ``total``, one piece after another in row order, and the rows left are
-    ``trim_out`` of every piece, in row order, without those of area below
-    ``eps**2``.  When ``paid`` is a list, every served piece is appended to
+    ``trim_out`` of every piece, in row order, without those whose computed
+    area is 0 (an extent of 0, or a product of extents that underflows), in
+    any units.  When ``paid`` is a list, every served piece is appended to
     it as ``(x, y, w, l, v, rate)``, with the rate it was paid.
     """
     sx1, sy1, sx2, sy2 = zone
-    min_area = eps * eps
     left: list[Sequence[float]] = []
     for row in rows:
         x1, y1, w, l, v = row
@@ -309,7 +303,7 @@ def serve_zone(
         ix2 = x2 if x2 < sx2 else sx2
         iy2 = y2 if y2 < sy2 else sy2
         if ix2 - ix1 <= 0 or iy2 - iy1 <= 0:
-            if w > 0 and l > 0 and w * l >= min_area:
+            if w * l > 0:
                 left.append(row)
             continue
         rate = v / eta_z
@@ -317,7 +311,7 @@ def serve_zone(
         if paid is not None:
             paid.append((ix1, iy1, ix2 - ix1, iy2 - iy1, v, rate))
         for px1, py1, px2, py2 in _trim_bounds(x1, y1, x2, y2, sx1, sy1, sx2, sy2):
-            if (px2 - px1) * (py2 - py1) >= min_area:
+            if (px2 - px1) * (py2 - py1) > 0:
                 left.append((px1, py1, px2 - px1, py2 - py1, v))
     return total, left
 
@@ -327,7 +321,6 @@ def _serve(
     placements: Sequence[Placement],
     base: BaseServiceZone,
     eta: Eta,
-    eps: float,
     paid: list[tuple[float, ...]] | None = None,
 ) -> tuple[float, list[Sequence[float]]]:
     """:func:`serve_zone` for each placement by ascending scale: ``(reward, unserved rows)``."""
@@ -336,7 +329,7 @@ def _serve(
     total = 0.0
     for pl in sorted(placements, key=lambda q: q.z):  # stable: ties keep their order
         zone = (pl.x, pl.y, pl.x + pbase.w0 * pl.z, pl.y + pbase.l0 * pl.z)
-        total, rows = serve_zone(rows, zone, eta.apply(pl.z), eps, total, paid)
+        total, rows = serve_zone(rows, zone, eta.apply(pl.z), total, paid)
         if not rows:
             break
     return total, rows
@@ -368,10 +361,9 @@ class ResidualDemand:
         placements: Sequence[Placement],
         base: BaseServiceZone,
         eta: Eta,
-        eps: float = EPS,
     ) -> None:
         paid: list[tuple[float, ...]] = []
-        self.served, unserved = _serve(dzs, placements, base, eta, eps, paid)
+        self.served, unserved = _serve(dzs, placements, base, eta, paid)
         pieces = np.array(paid + [(*row, 0.0) for row in unserved], dtype=float).reshape(-1, 6)
         self._x1, self._y1, w, l, self._v, self._paid = pieces.T
         self._x2, self._y2 = self._x1 + w, self._y1 + l
@@ -457,7 +449,6 @@ def solve_single_zone(
     qos: QosSet,
     base: BaseServiceZone,
     eta: Eta,
-    eps: float = EPS,
 ) -> tuple[float, float, float, float]:
     """Best single placement ``(reward, x, y, z)`` over the candidate grids.
 
@@ -508,7 +499,7 @@ def solve_single_zone(
     best_r = -1.0
     best = (0.0, 0.0, 0.0, qos.min_factor)
     for z in qos.factors:
-        xs, ys, rates, x, y = demand.scale(z, eta, eps)
+        xs, ys, rates, x, y = demand.scale(z, eta)
         bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
         a, b = divmod(int(bound.argmax()), bound.shape[1])
         tile_x, tile_y = slice(a * TILE, (a + 1) * TILE), slice(b * TILE, (b + 1) * TILE)

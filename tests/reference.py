@@ -7,7 +7,8 @@ rectangle; ``dedup_sorted`` is the definition of a candidate grid that
 
 from typing import Iterable, Sequence
 
-from rectcover.geometry import EPS, area, intersect
+from rectcover.critical import COORD_RTOL
+from rectcover.geometry import area, intersect
 from rectcover.model import (
     BaseServiceZone,
     DemandZone,
@@ -38,10 +39,15 @@ def single_zone_reward(
     return total
 
 
-def dedup_sorted(values: Iterable[float], eps: float = EPS) -> tuple[float, ...]:
-    """Sort ``values`` and merge any pair closer than ``eps`` to the smaller one."""
+def dedup_sorted(values: Iterable[float]) -> tuple[float, ...]:
+    """Sort ``values``; drop each one equal to the last kept or closer than ``tol`` above it.
+
+    ``tol`` is ``COORD_RTOL`` times the largest magnitude among the values.
+    """
+    ordered = sorted(float(v) for v in values)
+    tol = COORD_RTOL * max(map(abs, ordered), default=0.0)
     out: list[float] = []
-    for v in sorted(float(v) for v in values):
-        if not out or v - out[-1] >= eps:
+    for v in ordered:
+        if not out or (v != out[-1] and v - out[-1] >= tol):
             out.append(v)
     return tuple(out)

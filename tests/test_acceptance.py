@@ -286,7 +286,7 @@ def _max_leaf_vs_bound(inst, cap=400_000):
     the node's upper bound.
     """
     cfg = SolverConfig()
-    grids = CandidateGrids.from_instance(inst, cfg.epsilon)
+    grids = CandidateGrids.from_instance(inst)
     mats = {
         z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta)
         for z in inst.scale_values()

@@ -217,10 +217,10 @@ def test_solve_oracle_refuses_oversized(tmp_path, capsys, monkeypatch):
     # shrink the guard so the refusal path triggers without a huge instance
     import rectcover.cli as cli_mod
 
-    def tiny_guard(instance, eps):
+    def tiny_guard(instance):
         from rectcover.oracle import brute_force_2d
 
-        return brute_force_2d(instance, eps, max_evaluations=10)
+        return brute_force_2d(instance, max_evaluations=10)
 
     monkeypatch.setattr(cli_mod, "brute_force_2d", tiny_guard)
     inst_path = tmp_path / "inst.json"
@@ -461,7 +461,7 @@ def test_bench_csv_reports_a_timed_out_search(tmp_path):
         assert row["optimal"] == "False"
         assert float(row["gap"]) > 0
         assert float(row["upper_bound"]) >= sweep_reward(int(row["seed"]), config)
-        # no node was explored: the certified bound is the root's, or the incumbent plus epsilon
+        # no node was explored: the certified bound is the root's, or the incumbent's times 1 + RTOL
         assert float(row["upper_bound"]) >= float(row["root_bound"])
         assert float(row["fit_s"]) >= 0.0
 
@@ -752,7 +752,6 @@ BAD_OPTIONS = {
     "generate base dims not numbers": (["generate", "--base-dims", "a,b"], "--base-dims"),
     "solve beta above one": (["solve", "--beta", "1.5"], "beta"),
     "bench beta zero": (["bench", "--beta", "0"], "beta"),
-    "solve negative epsilon": (["solve", "--epsilon", "-1"], "epsilon"),
     "generate out in missing directory": (["generate", "--out", "{tmp}/missing/x.json"], "--out"),
     "solve out in missing directory": (["solve", "--out", "{tmp}/missing/x.json"], "--out"),
     "bench out in missing directory": (["bench", "--out", "{tmp}/missing/x.csv"], "--out"),

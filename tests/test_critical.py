@@ -9,6 +9,7 @@ from rectcover import (
     Rect,
 )
 from rectcover.critical import (
+    COORD_RTOL,
     abutment_values,
     contains_value,
     demand_breakpoints,
@@ -91,6 +92,8 @@ def test_outer_and_inner_service_values():
 
 
 def test_abutment_values_exclude_and_dedup_within_eps():
+    # eps is the excluded grid's own tolerance, COORD_RTOL times its largest
+    # magnitude: about 1.4e-11 for a grid that ends near 14
     base = BaseServiceZone(2.0, 1.0)
     fixed = [(10.0, 2.0), (0.0, 1.0)]
     # 14.0 and 0.0 lie within eps of an excluded value; 2.0 is not excluded
@@ -98,9 +101,19 @@ def test_abutment_values_exclude_and_dedup_within_eps():
     assert abutment_values(fixed, 1.0, base, Axis.X, True, exclude) == [8.0, -2.0, 2.0, 10.0, 12.0]
     # values closer than eps keep the first one seen; farther ones stay apart
     near = [(4.0, 1.0), (4.0 + 1e-12, 1.0), (4.25, 1.0)]
-    assert abutment_values(near, 1.0, base, Axis.X, False) == [2.0, 6.0, 2.25, 6.25]
-    assert abutment_values(near, 1.0, base, Axis.X, False, eps=0.5) == [2.0, 6.0]
+    assert abutment_values(near, 1.0, base, Axis.X, False, exclude) == [2.0, 6.0, 2.25, 6.25]
+    # with no grid the tolerance is 0, and only exact duplicates are dropped
+    c = near[1][0]
+    assert abutment_values(near, 1.0, base, Axis.X, False) == [2.0, 6.0, c - 2.0, c + 2.0, 2.25, 6.25]
+    assert abutment_values(near + near, 1.0, base, Axis.X, False) == [2.0, 6.0, c - 2.0, c + 2.0, 2.25, 6.25]
     assert abutment_values((), 1.0, base, Axis.X, True) == []
+    # in other units the same values are merged and excluded
+    full = abutment_values(fixed + near, 1.0, base, Axis.X, True, exclude)
+    assert full == [8.0, -2.0, 2.0, 6.0, 2.25, 6.25, 10.0, 12.0, 4.0, 4.25]
+    s = 1e-7
+    small = abutment_values([(u * s, z) for u, z in fixed + near], 1.0, BaseServiceZone(2.0 * s, 1.0 * s),
+                            Axis.X, True, tuple(v * s for v in exclude))
+    assert len(small) == len(full) and all(abs(a / s - b) < 1e-12 for a, b in zip(small, full))
 
 
 demand_zones = st.lists(
@@ -151,31 +164,34 @@ def test_inner_demand_grid_translation_equivariant(dzs, shift):
 # ------------------------------------- inner_demand_grid against dedup_sorted
 
 
-def reference_grid(dzs, z, base, axis, eps=1e-9):
+def reference_grid(dzs, z, base, axis):
     """``dedup_sorted`` over every zone's inner pair, the grid's definition."""
-    return dedup_sorted([v for d in dzs for v in demand_breakpoints(d, z, base, axis)[1:3]], eps)
+    return dedup_sorted([v for d in dzs for v in demand_breakpoints(d, z, base, axis)[1:3]])
 
 
-def assert_grid_is_reference(dzs, z, base, eps=1e-9):
+def assert_grid_is_reference(dzs, z, base):
     for axis in (Axis.X, Axis.Y):
-        got = inner_demand_grid(dzs, z, base, axis, eps).values
-        assert got == reference_grid(dzs, z, base, axis, eps)
+        got = inner_demand_grid(dzs, z, base, axis).values
+        assert got == reference_grid(dzs, z, base, axis)
         assert all(type(v) is float for v in got)
 
 
 def test_inner_demand_grid_run_of_values_closer_than_eps():
-    # lower edges at k * 0.6 eps: the second is within eps of the first and
-    # dropped, the third is eps clear of the first kept value and stays, the
-    # fourth is not; the upper inner values form the same run near 8
-    eps = 1e-9
+    # eps is the grid's tolerance, COORD_RTOL times its largest magnitude,
+    # here about 8 (the upper inner values).  Lower edges at k * 0.6 eps: the
+    # second is within eps of the first and dropped, the third is eps clear
+    # of the first kept value and stays, the fourth is not; the upper inner
+    # values form the same run near 8
+    eps = COORD_RTOL * 8.0
     base = BaseServiceZone(2.0, 2.0)
     dzs = [DemandZone(Rect(k * 0.6 * eps, -k * 0.6 * eps, 10.0, 10.0), 1.0) for k in range(4)]
-    xs = inner_demand_grid(dzs, 1.0, base, Axis.X, eps).values
-    ys = inner_demand_grid(dzs, 1.0, base, Axis.Y, eps).values
-    assert xs[:2] == (0.0, 1.2e-9) and len(xs) == 4
-    assert ys[:2] == (-1.8e-9, -6e-10) and len(ys) == 4
-    assert_grid_is_reference(dzs, 1.0, base, eps)
-    assert_grid_is_reference(dzs[::-1], 1.0, base, eps)
+    xs = inner_demand_grid(dzs, 1.0, base, Axis.X).values
+    ys = inner_demand_grid(dzs, 1.0, base, Axis.Y).values
+    assert xs[:2] == (0.0, dzs[2].rect.x) and len(xs) == 4
+    assert ys[:2] == (dzs[3].rect.y, dzs[1].rect.y) and len(ys) == 4
+    assert_grid_is_reference(dzs, 1.0, base)
+    assert_grid_is_reference(dzs[::-1], 1.0, base)
+
 
 
 def test_inner_demand_grid_duplicates_negatives_and_oversized_zones():
@@ -190,6 +206,10 @@ def test_inner_demand_grid_duplicates_negatives_and_oversized_zones():
     for z in (1.0, 2.0, 3.0):
         assert_grid_is_reference(dzs, z, base)
     assert inner_demand_grid(dzs, 2.0, base, Axis.X).values == (-7.5, -6.0, -5.5, -2.5, -1.0, 0.0)
+    # every value 0: the tolerance is 0, and the duplicates still merge
+    zeros = [DemandZone(Rect(0.0, 0.0, 3.0, 2.0), 1.0)] * 3
+    assert inner_demand_grid(zeros, 1.0, base, Axis.X).values == (0.0,)
+    assert_grid_is_reference(zeros, 1.0, base)
 
 
 def test_inner_demand_grid_empty_both_axes():
@@ -197,9 +217,11 @@ def test_inner_demand_grid_empty_both_axes():
         assert_grid_is_reference((), 1.0, base)
 
 
-# coordinates on a coarse lattice plus offsets below, at and above eps, so
-# drawn zones produce exact duplicates and runs of values closer than eps
-near_lattice = st.tuples(st.integers(-6, 6), st.sampled_from([0.0, 3e-10, 6e-10, 1e-9, 1.5e-9])).map(
+# coordinates on a coarse lattice plus offsets below, at and above the
+# grid's tolerance (COORD_RTOL times its largest magnitude, up to about
+# 7e-12 here), so drawn zones produce exact duplicates and runs of values
+# closer than the tolerance
+near_lattice = st.tuples(st.integers(-6, 6), st.sampled_from([0.0, 1e-12, 2e-12, 4e-12, 6e-12])).map(
     lambda t: t[0] * 0.5 + t[1]
 )
 

@@ -3,8 +3,8 @@
 ``reward.serve_zone`` computes a zone's gain and trim on rect-form rows
 ``(x, y, w, l, v)``; greedy rounds, ``covered_reward`` and
 ``ResidualDemand`` all trim through it.  Its references are the object
-paths: ``single_zone_reward`` for the gain, ``trim_out`` plus the ``area >=
-eps**2`` filter for the trim, and for ``covered_reward`` the two applied
+paths: ``single_zone_reward`` for the gain, ``trim_out`` without the pieces
+of area 0 for the trim, and for ``covered_reward`` the two applied
 placement by placement in ascending scale.  Both must agree bit for bit
 (compared as ``float.hex``, which also tells ``0.0`` from ``-0.0``), piece
 for piece and in order.
@@ -27,7 +27,7 @@ from rectcover import (
     greedy,
     pseudo_greedy,
 )
-from rectcover.geometry import EPS, area, intersect, trim_out
+from rectcover.geometry import area, intersect, trim_out
 from rectcover.model import demand_rows, demand_zones, planar_form, reward_rate, service_rect
 from rectcover.reward import ResidualDemand, covered_reward, serve_zone, solve_single_zone
 
@@ -38,22 +38,22 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-def reference_trim(dzs, zone, eps):
+def reference_trim(dzs, zone):
     return [
         hexes((piece.x, piece.y, piece.w, piece.l, d.v))
         for d in dzs
         for piece in trim_out(d.rect, zone)
-        if area(piece) >= eps * eps
+        if area(piece) > 0
     ]
 
 
-def serve(dzs, zone, eta_z=1.0, eps=EPS):
-    return serve_zone(demand_rows(dzs).tolist(), (zone.x, zone.y, zone.x2, zone.y2), eta_z, eps)
+def serve(dzs, zone, eta_z=1.0):
+    return serve_zone(demand_rows(dzs).tolist(), (zone.x, zone.y, zone.x2, zone.y2), eta_z)
 
 
-def assert_trim_matches(dzs, zone, eps=EPS):
-    _, rows = serve(dzs, zone, eps=eps)
-    assert [hexes(row) for row in rows] == reference_trim(dzs, zone, eps)
+def assert_trim_matches(dzs, zone):
+    _, rows = serve(dzs, zone)
+    assert [hexes(row) for row in rows] == reference_trim(dzs, zone)
 
 
 # Coordinates on a coarse lattice, so that edges often coincide: pieces that
@@ -74,24 +74,28 @@ def rects(coord, extent):
 @given(
     pieces=st.lists(st.tuples(rects(lattice, lattice_extent), rate), max_size=12),
     zone=rects(lattice, lattice_extent),
-    # eps**2 underflows to 0 at 1e-200: the area filter then keeps zero-area
-    # pieces, and only the degenerate-demand and strip tests drop them
-    eps=st.sampled_from([EPS, 0.3, 1.0, 1e-200]),
+    # the lattice in tiny or huge units: only pieces of area 0 are dropped
+    # (an area floor such as 1e-18 would drop every piece at 1e-150)
+    unit=st.sampled_from([1.0, 1e-150, 1e150]),
 )
-def test_trim_matches_trim_out_on_a_lattice(pieces, zone, eps):
-    dzs = [DemandZone(Rect(*r), v) for r, v in pieces]
-    assert_trim_matches(dzs, Rect(*zone), eps)
+def test_trim_matches_trim_out_on_a_lattice(pieces, zone, unit):
+    dzs = [DemandZone(Rect(*(c * unit for c in r)), v) for r, v in pieces]
+    assert_trim_matches(dzs, Rect(*(c * unit for c in zone)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     pieces=st.lists(st.tuples(rects(fine, fine_extent), rate), max_size=12),
     zone=rects(fine, fine_extent),
-    eps=st.sampled_from([EPS, 1e-3, 0.5]),
 )
-def test_trim_matches_trim_out_off_the_lattice(pieces, zone, eps):
+# extents of 1e-200 give an area that underflows to 0, and the piece is
+# dropped; extents of 1e-160 give a subnormal area, and a strip 1e-200 wide
+# and 1 long an area of 1e-200, and both are kept
+@example(pieces=[((0.0, 0.0, 1e-200, 1e-200), 1.0), ((0.0, 0.0, 1e-160, 1e-160), 1.0)], zone=(5.0, 5.0, 1.0, 1.0))
+@example(pieces=[((0.0, 0.0, 1.0, 1.0), 1.0)], zone=(1e-200, -1.0, 1.0, 3.0))
+def test_trim_matches_trim_out_off_the_lattice(pieces, zone):
     dzs = [DemandZone(Rect(*r), v) for r, v in pieces]
-    assert_trim_matches(dzs, Rect(*zone), eps)
+    assert_trim_matches(dzs, Rect(*zone))
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,7 +192,7 @@ def test_pseudo_greedy_with_the_exact_solver_is_greedy(inst):
 # ------------------------------------------------------------- covered reward
 
 
-def reference_covered(dzs, placements, base, eta, eps=EPS):
+def reference_covered(dzs, placements, base, eta):
     """The object path: by ascending scale, pay each overlap, keep the filtered ``trim_out`` pieces."""
     pdzs, pbase = planar_form(dzs, base)
     pieces = [(d.rect, d.v) for d in pdzs]
@@ -200,7 +204,7 @@ def reference_covered(dzs, placements, base, eta, eps=EPS):
             overlap = intersect(r, zone)
             if overlap is not None:
                 total += reward_rate(v, pl.z, eta) * area(overlap)
-            left += [(piece, v) for piece in trim_out(r, zone) if area(piece) >= eps * eps]
+            left += [(piece, v) for piece in trim_out(r, zone) if area(piece) > 0]
         pieces = left
     return total
 

@@ -22,7 +22,7 @@ from rectcover import (
     generate_1d,
     pseudo_greedy,
 )
-from rectcover.bnb import LAG_MARGIN
+from rectcover.bnb import RTOL
 from rectcover.model import reward_rate
 from rectcover.reward import (
     build_reward_matrix,
@@ -214,7 +214,7 @@ def test_reward_matrix_reweighted_identities(seed, n, one_d):
         same, zero = m.reweighted(m.rates), m.reweighted(np.zeros_like(m.rates))
         for r in (same, zero):
             assert r.xs is m.xs and r.ys is m.ys and r.entries.shape == m.entries.shape
-        assert np.all(np.abs(same.entries - m.entries) <= LAG_MARGIN * m.entries)
+        assert np.all(np.abs(same.entries - m.entries) <= RTOL * m.entries)
         assert not zero.entries.any()
 
 
