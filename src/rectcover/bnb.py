@@ -5,14 +5,19 @@ optimum, to a finite grid: the inner-demand breakpoints of its own scale plus
 the outer service breakpoints generated by zones already pinned down.  A line
 instance is searched as its lifted demand (``Instance.planar``), whose y
 grids hold the one value 0, so one tree serves both.  Zones with equal menus
-form a *class*.  The tree narrows the per-zone candidate sets step by step:
+form a *class*.  The tree narrows the per-zone candidate sets step by step,
+first on x, then on y; the phase is not stored, as a node is in the y phase
+exactly when every x set is a singleton:
 
 * root — a zone whose menu holds one scale (every zone on the line) starts
   at that scale on its whole grids; every other zone starts open;
 * scale step — an open zone's first step gives one child per menu entry,
-  which fixes its scale and swaps in that scale's grids;
+  which fixes its scale and swaps in that scale's grids (a zone whose x grid
+  at that scale holds one value is then placed, and no zone is narrowed
+  next);
 * interval step — a zone's x (later y) candidate set is split at its widest
-  coordinate gaps; children are visited by decreasing best isolated reward
+  coordinate gaps (every gap wider than :data:`BETA` times the widest
+  other); children are visited by decreasing best isolated reward
   over their candidates (their block of the scale's reward matrix, taken
   over every position on the other axis), until the set is a singleton.
   When a zone is first split, extra children pin it directly at the abutment
@@ -46,11 +51,15 @@ zone before it, or a pin of a zone before it.  On y the same swaps, among
 the zones of one class on their own x grid, which sit at the front on x and
 can take any labels there, make each next zone to settle the lowest-indexed
 of its class, and a zone pinned on x gets a child of its own.  A zone whose
-grid holds one value ``a`` on an axis is placed at ``a`` from the root:
-every demand zone then spans exactly its width from ``a`` on that axis, so
-``a`` covers a superset of what any other position covers, and a zone that
-abuts it there covers no demand on that axis and can sit on its own grid
-instead; the grid-order rule leaves such zones out.
+grid holds one value ``a`` on an axis is placed at ``a`` as soon as its
+scale is fixed, from the root or by its scale step, and is never pinned on
+that axis: every demand zone then spans exactly its width from ``a`` on
+that axis, so at ``a`` the zone covers a superset of what it covers at any
+other position, an abutment pin included, and covered reward is monotone
+in what each zone covers, so the pins are dominated.  A zone that abuts it
+there covers no demand on that axis and can sit on its own grid instead;
+the grid-order rule leaves such zones out, and is not applied to them
+either, which only keeps more of the tree.
 
 The residual axis of a node follows from its sets: y once every x set is a
 singleton, x once every y set is (the line, from its root on), none
@@ -74,9 +83,9 @@ matrix's maximum over the block its two sets name, memoised by
 ``RewardMatrix.block_max`` because a solve asks for few distinct blocks many
 times; a child's rank is the same memoised maximum over its range on one
 axis and the whole grid on the other.  A slice's interval split depends only
-on its scale, axis and range (``beta`` is fixed per solve), so
-:meth:`CandidateGrids.split` computes and ranks it once per solve and keeps
-the parts as a tuple.
+on its scale, axis and range (the cut ratio is the constant :data:`BETA`),
+so :meth:`CandidateGrids.split` computes and ranks it once per solve and
+keeps the parts as a tuple.
 
 The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
 exact value, which trims overlapping coverage, is never above the sum of its
@@ -269,23 +278,24 @@ FIT_STALL = 10
 FIT_GAIN = 1e-3
 #: The one reward tolerance, relative (module docstring, Tolerances).
 RTOL = 1e-12
+#: The interval step cuts a slice at every gap wider than ``BETA`` times its
+#: widest other gap (:func:`partition`).
+BETA = 0.5
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by the exact solvers.
+    """Knobs shared by the exact solvers: the time limit and which service breakpoints pin a zone.
 
     The search's tolerances are no setting: each is derived from the data
-    (``bnb`` module docstring, Tolerances).
+    (``bnb`` module docstring, Tolerances), and the interval step's cut
+    ratio is the constant :data:`BETA`.
     """
 
-    beta: float = 0.5
     time_limit_s: float = 18000.0
     scv_mode: str = "outer"
 
     def __post_init__(self) -> None:
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not self.time_limit_s >= 0:
             raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
         if self.scv_mode not in ("outer", "full"):
@@ -293,26 +303,26 @@ class SolverConfig:
 
 
 class Node(NamedTuple):
-    """Search node: per-zone candidate sets plus branching bookkeeping.
+    """Search node: per-zone candidate sets plus the zone being narrowed.
 
     ``x_sets[j]`` and ``y_sets[j]`` are zone ``j``'s :data:`CandidateSet` on
     the grids of its scale ``z_vec[j]`` (the ``xs`` and ``ys`` of
     ``CandidateGrids.matrices[z_vec[j]]``); ``z_vec[j] == 0`` means that
-    scale is still open and both sets are :data:`_OPEN`.  ``ba`` is the axis
-    being narrowed and ``bs`` the zone being narrowed on it, -1 when none
-    is (on x, the next zone is then chosen; module docstring).
+    scale is still open and both sets are :data:`_OPEN`.  The phase follows
+    from the sets: x while some x set is open, y once every x set is a
+    singleton.  ``bs`` is the zone being narrowed in that phase, -1 when
+    none is (the next zone is then chosen; module docstring).
     """
 
     x_sets: tuple[CandidateSet, ...]
     y_sets: tuple[CandidateSet, ...]
     z_vec: tuple[float, ...]
-    ba: Axis = Axis.X
     bs: int = -1
 
     @property
     def residual_axis(self) -> Axis | None:
         """The axis the residual-demand bound runs on: y once every x is fixed, x once every y is, else None."""
-        if self.ba is Axis.Y or all(map(_is_single, self.x_sets)):  # y is narrowed only once every x is fixed
+        if all(map(_is_single, self.x_sets)):
             return Axis.Y
         return Axis.X if all(map(_is_single, self.y_sets)) else None
 
@@ -405,7 +415,7 @@ class CandidateGrids:
         dzs, base, eta = instance.dzs, instance.base, instance.eta
         return CandidateGrids({z: build_reward_matrix(dzs, z, base, eta) for z in instance.scale_values()})
 
-    def split(self, z: float, axis: Axis, s: CandidateSet, beta: float) -> tuple[CandidateSet, ...]:
+    def split(self, z: float, axis: Axis, s: CandidateSet) -> tuple[CandidateSet, ...]:
         """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
 
         :func:`partition` cuts the slice at its widest gaps; a slice it
@@ -413,9 +423,10 @@ class CandidateGrids:
         decreasing maximum of the reward matrix over the block they span
         (every index on the other axis), stable on ties, read through
         ``RewardMatrix.block_max``.  They depend only on ``(z, axis, lo,
-        hi)``, as ``beta`` is fixed per solve, so each range is split once
-        and its parts kept in ``splits``: at most ``2 * len(grid) - 1``
-        ranges per scale and axis, the nodes of the grid's partition tree.
+        hi)``, as the cut ratio is the constant :data:`BETA`, so each range
+        is split once and its parts kept in ``splits``: at most ``2 *
+        len(grid) - 1`` ranges per scale and axis, the nodes of the grid's
+        partition tree.
         The tuple is shared, so callers build new sequences from it.
         """
         lo, hi, _ = s
@@ -425,7 +436,7 @@ class CandidateGrids:
         if out is None:
             m = self.matrices[z]
             nx, ny = len(m.xs), len(m.ys)
-            parts = [(lo + a, lo + b, None) for a, b in partition(_grid(m, axis)[lo:hi], beta)]
+            parts = [(lo + a, lo + b, None) for a, b in partition(_grid(m, axis)[lo:hi])]
             if len(parts) == 1 and hi - lo > 1:
                 parts = [(i, i + 1, None) for i in range(lo, hi)]
             if on_x:
@@ -441,11 +452,11 @@ def _grid(m: RewardMatrix, axis: Axis) -> tuple[float, ...]:
     return m.xs.values if axis is Axis.X else m.ys.values
 
 
-def partition(values: Sequence[float], beta: float) -> list[tuple[int, int]]:
-    """Split sorted ``values`` at every gap wider than ``beta`` times the rest.
+def partition(values: Sequence[float]) -> list[tuple[int, int]]:
+    """Split sorted ``values`` at every gap wider than :data:`BETA` times the rest.
 
     The parts are returned in order as half-open position ranges ``(start,
-    stop)`` into ``values``.  A gap is cut when it exceeds ``beta`` times the
+    stop)`` into ``values``.  A gap is cut when it exceeds ``BETA`` times the
     widest *other* gap, so a two-element set (a single gap, nothing to
     compare against) always stays whole; callers that need progress on an
     unsplit set enumerate singletons instead.
@@ -458,7 +469,7 @@ def partition(values: Sequence[float], beta: float) -> list[tuple[int, int]]:
     parts: list[tuple[int, int]] = []
     start = 0
     for i, g in enumerate(gaps):
-        if g > beta * gmax:
+        if g > BETA * gmax:
             parts.append((start, i + 1))
             start = i + 1
     parts.append((start, n))
@@ -551,18 +562,21 @@ def _order_step_children(node: Node, instance: Instance) -> list[Node]:
     pinned = [j for j in open_idx if node.x_sets[j][2] is not None]
     on_grid = [j for j in open_idx if node.x_sets[j][2] is None]
     chosen = sorted(_first_per_class(on_grid, instance) + pinned)
-    return [Node(node.x_sets, node.y_sets, node.z_vec, Axis.Y, j) for j in chosen]
+    return [node._replace(bs=j) for j in chosen]
 
 
 def _with_scale(node: Node, j: int, z: float, grids: CandidateGrids) -> Node:
-    """``node`` with zone ``j`` at scale ``z`` on its whole grids, narrowed next on x."""
+    """``node`` with zone ``j`` at scale ``z`` on its whole grids, narrowed next on x.
+
+    An x grid of one value places the zone instead (module docstring,
+    Completeness), and no zone is narrowed next (``bs == -1``).
+    """
     m = grids.matrices[z]
     return Node(
         _replace_at(node.x_sets, j, (0, len(m.xs), None)),
         _replace_at(node.y_sets, j, (0, len(m.ys), None)),
         node.z_vec[:j] + (z,) + node.z_vec[j + 1 :],
-        Axis.X,
-        j,
+        j if len(m.xs) > 1 else -1,
     )
 
 
@@ -578,16 +592,14 @@ def branch(
 ) -> list[Node]:
     """Children of a non-leaf node, plane or line, in exploration order (module docstring)."""
     j = node.bs
-    if node.ba is Axis.X:
-        if j >= 0:
-            return _x_step(node, j, instance, grids, config)
-        unplaced = [k for k, s in enumerate(node.x_sets) if not _is_single(s)]
-        if unplaced:
-            # no zone is being narrowed: each class's lowest unplaced zone takes its first step
-            return [c for k in _first_per_class(unplaced, instance) for c in _x_step(node, k, instance, grids, config)]
-    elif not _is_single(node.y_sets[j]):
+    unplaced = [k for k, s in enumerate(node.x_sets) if not _is_single(s)]
+    if unplaced:  # the x phase
+        # zone j is being narrowed on x, or none is: each class's lowest unplaced zone takes its first step
+        zones = [j] if j >= 0 else _first_per_class(unplaced, instance)
+        return [c for k in zones for c in _x_step(node, k, instance, grids, config)]
+    if j >= 0 and not _is_single(node.y_sets[j]):
         return _interval_children(node, j, Axis.Y, instance, grids, config)
-    # Every x fixed, or zone j's y settled: the order step picks who is next.
+    # every x fixed, and zone j's y settled or no zone narrowed: the order step picks who is next
     return _order_step_children(node, instance)
 
 
@@ -611,7 +623,7 @@ def _interval_children(
     sets = node.x_sets if on_x else node.y_sets
     z = node.z_vec[j]
     grid = _grid(grids.matrices[z], axis)
-    parts = grids.split(z, axis, sets[j], config.beta)
+    parts = grids.split(z, axis, sets[j])
     if sets[j] == (0, len(grid), None):
         fixed = [
             (_value(s, _grid(grids.matrices[zk], axis)), zk)
@@ -627,10 +639,10 @@ def _interval_children(
         parts += tuple(_pin(v, grid) for v in pins)
     if on_x:
         return [
-            Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, Axis.X, -1 if _is_single(part) else j)
+            Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, -1 if _is_single(part) else j)
             for part in parts
         ]
-    return [Node(node.x_sets, _replace_at(sets, j, part), node.z_vec, Axis.Y, j) for part in parts]
+    return [Node(node.x_sets, _replace_at(sets, j, part), node.z_vec, j) for part in parts]
 
 
 def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:

@@ -489,9 +489,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     with _validated("solver options"):
-        return SolverConfig(
-            beta=args.beta, time_limit_s=args.time_limit, scv_mode=args.scv_mode,
-        )
+        return SolverConfig(time_limit_s=args.time_limit, scv_mode=args.scv_mode)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -577,9 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rectcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--time-limit", type=float, default=18000.0)
-    solver_flags.add_argument("--beta", type=float, default=0.5)
-    solver_flags.add_argument("--scv-mode", choices=("outer", "full"), default="outer")
+    solver_flags.add_argument("--time-limit", type=float, default=SolverConfig.time_limit_s)
+    solver_flags.add_argument("--scv-mode", choices=("outer", "full"), default=SolverConfig.scv_mode)
 
     gen = sub.add_parser("generate", help="write a random instance as JSON")
     gen.add_argument("--seed", type=int, default=0)

@@ -61,26 +61,6 @@ def contains_value(sorted_values: Sequence[float], v: float) -> bool:
     return i > 0 and _same(sorted_values[i - 1], v, tol)
 
 
-def _span(d: DemandZone, base: BaseServiceZone, z: float, axis: Axis) -> tuple[float, float, float]:
-    if axis is Axis.X:
-        return d.rect.x, d.rect.w, base.w0 * z
-    return d.rect.y, d.rect.l, base.l0 * z
-
-
-def demand_breakpoints(
-    d: DemandZone, z: float, base: BaseServiceZone, axis: Axis
-) -> tuple[float, float, float, float]:
-    """Positions where a scale-``z`` zone's overlap with ``d`` changes slope.
-
-    Returned in ascending structure ``(outer_lo, inner_lo, inner_hi,
-    outer_hi)``: outside the outer pair the zone misses ``d`` entirely; between
-    the inner pair (when the demand span is at least the zone extent) the zone
-    lies flush inside the span.
-    """
-    lo, extent, reach = _span(d, base, z, axis)
-    return (lo - reach, lo, lo + extent - reach, lo + extent)
-
-
 def inner_demand_grid(
     dzs: Sequence[DemandZone] | np.ndarray,
     z: float,
@@ -91,22 +71,24 @@ def inner_demand_grid(
 
     ``dzs`` is a sequence of zones or their :func:`~rectcover.model.demand_rows`
     array.  Empty input yields an empty grid.  Cardinality is at most ``2 *
-    len(dzs)``.  The values are every zone's inner pair from
-    :func:`demand_breakpoints`, sorted, a value dropped when it equals the
-    last value kept or lies closer than ``tol`` above it.  ``tol`` is
-    :func:`grid_tol` of the values, so the grid scales with its units; it is
-    0 when every value is 0, and exact duplicates are dropped all the same.
+    len(dzs)``.  The values are every zone's inner pair on ``axis``, ``lo``
+    and ``(lo + extent) - reach``, where a scale-``z`` zone of extent
+    ``reach`` lies flush inside the zone's span, sorted, a value dropped
+    when it equals the last value kept or lies closer than ``tol`` above
+    it.  ``tol`` is :func:`grid_tol` of the values, so the grid scales with
+    its units; it is 0 when every value is 0, and exact duplicates are
+    dropped all the same.
     They are computed with numpy: after a stable sort, a value at least
     ``tol`` above its predecessor, and not equal to it, is kept.  The rare
     values closer than ``tol`` to a distinct predecessor are resolved in
     order against the last kept value.
     """
-    # rows are (x, y, w, l, v); the inner pair is (lo, (lo + extent) - reach)
+    # rows are (x, y, w, l, v)
     rows = demand_rows(dzs)
     k = 0 if axis is Axis.X else 1
     reach = (base.w0 if axis is Axis.X else base.l0) * z
     values = np.empty(2 * len(rows))
-    # pairs interleaved as demand_breakpoints lists them, so ties sort alike
+    # each zone's pair, lo first
     values[0::2] = rows[:, k]
     values[1::2] = (rows[:, k] + rows[:, k + 2]) - reach
     values.sort(kind="stable")

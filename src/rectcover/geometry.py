@@ -1,8 +1,8 @@
 """Axis-parallel rectangle arithmetic.
 
-Everything downstream (reward evaluation, candidate generation, trimming of
-already-served demand) reduces to intersecting rectangles and decomposing the
-part of a rectangle that survives outside another one.
+Trimming already-served demand (``reward.serve_zone``) reduces to
+decomposing the part of a box that survives outside another one
+(:func:`_trim_bounds`).
 """
 
 from __future__ import annotations
@@ -10,11 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-#: The brute-force oracle's default absolute tolerance for merging candidate
-#: coordinates.  The solvers take no absolute tolerance: theirs are derived
-#: from the data (``bnb`` module docstring, Tolerances).
-EPS = 1e-9
 
 
 class Axis(Enum):
@@ -57,26 +52,6 @@ class Rect:
         return self.y + self.l
 
 
-def area(r: Rect) -> float:
-    """Area of ``r`` (zero for degenerate rectangles)."""
-    return r.w * r.l
-
-
-def intersect(a: Rect, b: Rect) -> Rect | None:
-    """Largest rectangle contained in both ``a`` and ``b``.
-
-    Returns ``None`` when the interiors are disjoint; rectangles that only
-    touch along an edge or at a corner do not count as intersecting.
-    """
-    x1 = a.x if a.x > b.x else b.x
-    y1 = a.y if a.y > b.y else b.y
-    x2 = min(a.x2, b.x2)
-    y2 = min(a.y2, b.y2)
-    if x2 - x1 <= 0 or y2 - y1 <= 0:
-        return None
-    return Rect(x1, y1, x2 - x1, y2 - y1)
-
-
 def _trim_bounds(
     dx1: float, dy1: float, dx2: float, dy2: float,
     sx1: float, sy1: float, sx2: float, sy2: float,
@@ -103,22 +78,3 @@ def _trim_bounds(
     if dx2 > ix2:
         pieces.append((ix2, iy1, dx2, iy2))
     return pieces
-
-
-def trim_out(d: Rect, s: Rect) -> list[Rect]:
-    """Disjoint rectangles covering exactly the part of ``d`` outside ``s``.
-
-    Returns 0 to 4 pieces.  When ``d`` and ``s`` do not overlap the result is
-    ``[d]`` unchanged; when ``s`` covers ``d`` entirely the result is empty.
-    The decomposition order (bottom strip, top strip, left strip, right
-    strip) is part of the contract so that downstream bookkeeping is
-    deterministic.
-    """
-    if d.w <= 0 or d.l <= 0:
-        return []
-    if intersect(d, s) is None:
-        return [d]
-    return [
-        Rect(x1, y1, x2 - x1, y2 - y1)
-        for x1, y1, x2, y2 in _trim_bounds(d.x, d.y, d.x2, d.y2, s.x, s.y, s.x2, s.y2)
-    ]

@@ -8,7 +8,8 @@ evaluates the covered reward of every complete assignment.  No search-tree
 shortcuts, no bounding, no symmetry reduction: placement orders are
 enumerated even where they are redundant.  Candidate arithmetic is written
 out locally on purpose so the oracle only shares the reward evaluator with
-the real solvers.
+the real solvers.  Its tolerance is its own: candidate coordinates closer
+than the absolute :data:`EPS` are merged, whatever the instance's units.
 """
 
 from __future__ import annotations
@@ -16,9 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 
-from .geometry import EPS
 from .model import Dimension, Instance, Placement
 from .reward import covered_reward
+
+
+#: The oracle's absolute tolerance for merging candidate coordinates.  The
+#: solvers take no absolute tolerance: theirs are derived from the data
+#: (``bnb`` module docstring, Tolerances).
+EPS = 1e-9
 
 
 class OracleSizeError(ValueError):
@@ -32,15 +38,15 @@ class OracleResult:
     evaluations: int
 
 
-def _dedup(values: list[float], eps: float) -> list[float]:
+def _dedup(values: list[float]) -> list[float]:
     out: list[float] = []
     for v in sorted(values):
-        if not out or v - out[-1] >= eps:
+        if not out or v - out[-1] >= EPS:
             out.append(v)
     return out
 
 
-def _grid(instance: Instance, z: float, axis_x: bool, eps: float) -> list[float]:
+def _grid(instance: Instance, z: float, axis_x: bool) -> list[float]:
     # Demand-edge candidates for scale z: flush at the low edge and flush
     # inside the high edge of every demand span.
     unit = instance.base.w0 if axis_x else instance.base.l0
@@ -50,7 +56,7 @@ def _grid(instance: Instance, z: float, axis_x: bool, eps: float) -> list[float]
         extent = d.rect.w if axis_x else d.rect.l
         vals.append(lo)
         vals.append(lo + extent - unit * z)
-    return _dedup(vals, eps)
+    return _dedup(vals)
 
 
 def _abutments(fixed: list[tuple[float, float]], z: float, unit: float) -> list[float]:
@@ -66,12 +72,11 @@ def _axis_tuples(
     instance: Instance,
     z_vec: tuple[float, ...],
     axis_x: bool,
-    eps: float,
 ) -> list[tuple[float, ...]]:
     """All candidate coordinate vectors along one axis for fixed scales."""
     p = instance.p
     unit = instance.base.w0 if axis_x else instance.base.l0
-    grids = {z: _grid(instance, z, axis_x, eps) for z in set(z_vec)}
+    grids = {z: _grid(instance, z, axis_x) for z in set(z_vec)}
     tuples: set[tuple[float, ...]] = set()
 
     def assign(order: tuple[int, ...], k: int, coords: dict[int, float]) -> None:
@@ -82,7 +87,7 @@ def _axis_tuples(
         cands = list(grids[z_vec[j]])
         if k > 0:
             fixed = [(coords[i], z_vec[i]) for i in order[:k]]
-            cands = _dedup(cands + _abutments(fixed, z_vec[j], unit), eps)
+            cands = _dedup(cands + _abutments(fixed, z_vec[j], unit))
         for c in cands:
             coords[j] = c
             assign(order, k + 1, coords)
@@ -115,7 +120,7 @@ def _estimate(instance: Instance, limit: int) -> int:
     return estimate
 
 
-def _best(instance: Instance, eps: float, max_evaluations: int) -> OracleResult:
+def _best(instance: Instance, max_evaluations: int) -> OracleResult:
     if not instance.dzs:
         fallback = tuple(
             Placement(0.0, 0.0, instance.qos_for(j).factors[0]) for j in range(instance.p)
@@ -128,10 +133,8 @@ def _best(instance: Instance, eps: float, max_evaluations: int) -> OracleResult:
     best_placements: tuple[Placement, ...] | None = None
     evaluations = 0
     for z_vec in product(*menus):
-        x_tuples = _axis_tuples(instance, z_vec, True, eps)
-        y_tuples = (
-            [(0.0,) * instance.p] if instance.one_d else _axis_tuples(instance, z_vec, False, eps)
-        )
+        x_tuples = _axis_tuples(instance, z_vec, True)
+        y_tuples = [(0.0,) * instance.p] if instance.one_d else _axis_tuples(instance, z_vec, False)
         for xt in x_tuples:
             for yt in y_tuples:
                 placements = tuple(
@@ -146,11 +149,7 @@ def _best(instance: Instance, eps: float, max_evaluations: int) -> OracleResult:
     return OracleResult(best_reward, best_placements, evaluations)
 
 
-def brute_force_2d(
-    instance: Instance,
-    eps: float = EPS,
-    max_evaluations: int = 10**8,
-) -> OracleResult:
+def brute_force_2d(instance: Instance, max_evaluations: int = 10**8) -> OracleResult:
     """Exhaustive reference optimum for a planar instance.
 
     Raises :class:`OracleSizeError` when the estimated work exceeds
@@ -158,15 +157,11 @@ def brute_force_2d(
     """
     if instance.dimension is not Dimension.TWO_D:
         raise ValueError("brute_force_2d needs a planar instance")
-    return _best(instance, eps, max_evaluations)
+    return _best(instance, max_evaluations)
 
 
-def brute_force_1d(
-    instance: Instance,
-    eps: float = EPS,
-    max_evaluations: int = 10**8,
-) -> OracleResult:
+def brute_force_1d(instance: Instance, max_evaluations: int = 10**8) -> OracleResult:
     """Exhaustive reference optimum for a line instance."""
     if instance.dimension is not Dimension.ONE_D:
         raise ValueError("brute_force_1d needs a line instance")
-    return _best(instance, eps, max_evaluations)
+    return _best(instance, max_evaluations)

@@ -284,12 +284,12 @@ def serve_zone(
     stores a rectangle: a far edge is recomputed as ``x + w``, exactly as
     ``Rect.x2`` does.  (In bounds form ``x1 + (x2 - x1)`` need not give back
     ``x2``, and the result would drift off the object path by a bit.)  So
-    the result equals, bit for bit, the loop over ``Rect`` pieces: each
-    piece the zone meets adds ``reward_rate * area(intersect)`` to
-    ``total``, one piece after another in row order, and the rows left are
-    ``trim_out`` of every piece, in row order, without those whose computed
-    area is 0 (an extent of 0, or a product of extents that underflows), in
-    any units.  When ``paid`` is a list, every served piece is appended to
+    the result equals, bit for bit, the loop over ``Rect`` pieces that the
+    tests' reference (``tests/reference.py``) runs: each piece the zone
+    meets adds ``reward_rate * area(intersect)`` to ``total``, one piece
+    after another in row order, and the rows left are ``trim_out`` of every
+    piece, in row order, without those whose computed area is 0 (an extent
+    of 0, or a product of extents that underflows), in any units.  When ``paid`` is a list, every served piece is appended to
     it as ``(x, y, w, l, v, rate)``, with the rate it was paid.
     """
     sx1, sy1, sx2, sy2 = zone

@@ -27,7 +27,7 @@ from rectcover import (
     generate,
     generate_1d,
 )
-from rectcover.geometry import EPS
+from rectcover.oracle import EPS
 
 
 def square_instance(m: int = 2, p: int = 2) -> Instance:

@@ -1,14 +1,17 @@
 """Reference implementations that only the tests use.
 
-``single_zone_reward`` values one zone on the object path, rectangle by
-rectangle; ``dedup_sorted`` is the definition of a candidate grid that
-``critical.inner_demand_grid`` computes with numpy.
+``area``, ``intersect`` and ``trim_out`` are rectangle arithmetic on
+:class:`~rectcover.geometry.Rect`; ``trim_out`` runs the package's own strip
+decomposition (``geometry._trim_bounds``), so its tests check the one that
+trimming uses.  ``single_zone_reward`` values one zone on the object path,
+rectangle by rectangle; ``dedup_sorted`` is the definition of a candidate
+grid that ``critical.inner_demand_grid`` computes with numpy.
 """
 
 from typing import Iterable, Sequence
 
 from rectcover.critical import COORD_RTOL
-from rectcover.geometry import area, intersect
+from rectcover.geometry import Rect, _trim_bounds
 from rectcover.model import (
     BaseServiceZone,
     DemandZone,
@@ -18,6 +21,44 @@ from rectcover.model import (
     reward_rate,
     service_rect,
 )
+
+
+def area(r: Rect) -> float:
+    """Area of ``r`` (zero for degenerate rectangles)."""
+    return r.w * r.l
+
+
+def intersect(a: Rect, b: Rect) -> Rect | None:
+    """Largest rectangle contained in both ``a`` and ``b``.
+
+    Returns ``None`` when the interiors are disjoint; rectangles that only
+    touch along an edge or at a corner do not count as intersecting.
+    """
+    x1 = a.x if a.x > b.x else b.x
+    y1 = a.y if a.y > b.y else b.y
+    x2 = min(a.x2, b.x2)
+    y2 = min(a.y2, b.y2)
+    if x2 - x1 <= 0 or y2 - y1 <= 0:
+        return None
+    return Rect(x1, y1, x2 - x1, y2 - y1)
+
+
+def trim_out(d: Rect, s: Rect) -> list[Rect]:
+    """Disjoint rectangles covering exactly the part of ``d`` outside ``s``.
+
+    Returns 0 to 4 pieces.  When ``d`` and ``s`` do not overlap the result is
+    ``[d]`` unchanged; when ``s`` covers ``d`` entirely the result is empty.
+    The pieces come in ``_trim_bounds``'s order: bottom strip, top strip,
+    left strip, right strip.
+    """
+    if d.w <= 0 or d.l <= 0:
+        return []
+    if intersect(d, s) is None:
+        return [d]
+    return [
+        Rect(x1, y1, x2 - x1, y2 - y1)
+        for x1, y1, x2, y2 in _trim_bounds(d.x, d.y, d.x2, d.y2, s.x, s.y, s.x2, s.y2)
+    ]
 
 
 def single_zone_reward(

@@ -46,11 +46,12 @@ from rectcover.cli import (
     solution_from_dict,
     solution_to_dict,
 )
-from rectcover.geometry import Rect, area, intersect, trim_out
+from rectcover.geometry import Rect
 from rectcover.oracle import brute_force_1d, brute_force_2d
 from rectcover.reward import build_reward_matrix, covered_reward, solve_single_zone
 
 from conftest import square_instance
+from reference import area, intersect, trim_out
 
 REL = 1e-9
 SMALL_GEOM = dict(region=100.0, r=27.0, dim_range=(1.0, 10.0), base_dims=(10.0, 8.0))

@@ -59,24 +59,24 @@ from conftest import (
 
 def test_partition_cuts_at_dominant_gap():
     # parts are position ranges: (0.0, 2.0) and (7.0, 9.0)
-    assert partition((0.0, 2.0, 7.0, 9.0), 0.5) == [(0, 2), (2, 4)]
+    assert partition((0.0, 2.0, 7.0, 9.0)) == [(0, 2), (2, 4)]
 
 
 def test_partition_uniform_gaps_fall_apart():
-    assert partition((0.0, 1.0, 2.0, 3.0), 0.5) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert partition((0.0, 1.0, 2.0, 3.0)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
 def test_partition_pair_stays_whole():
-    assert partition((0.0, 10.0), 0.5) == [(0, 2)]
+    assert partition((0.0, 10.0)) == [(0, 2)]
 
 
 def test_partition_singleton():
-    assert partition((5.0,), 0.5) == [(0, 1)]
+    assert partition((5.0,)) == [(0, 1)]
 
 
 def test_partition_pieces_reassemble():
     vals = (0.0, 1.0, 1.5, 8.0, 8.2, 20.0)
-    parts = partition(vals, 0.5)
+    parts = partition(vals)
     flat = tuple(v for start, stop in parts for v in vals[start:stop])
     assert flat == vals
     assert all(stop - start >= 1 for start, stop in parts)
@@ -133,12 +133,11 @@ def test_order_step_single_representative():
         x_sets=((0, 1, None), (1, 2, None)),
         y_sets=((0, 2, None), (0, 2, None)),
         z_vec=(1.0, 1.0),
-        ba=Axis.X,
         bs=-1,
     )
     children = branch(node, inst, grids, cfg)
     assert len(children) == 1
-    assert children[0].ba is Axis.Y
+    assert children[0].residual_axis is Axis.Y  # the y phase: every x set a singleton
     assert children[0].bs == 0
 
 
@@ -162,7 +161,7 @@ def test_split_table_survives_abutment_pins():
         children = branch(node, inst, grids, cfg)
         assert branch(node, inst, grids, cfg) == children
         if any(_pins(c) > _pins(node) for c in children):
-            pinned[Axis.Y if children[0].ba is Axis.Y and node.ba is Axis.Y else Axis.X] += 1
+            pinned[Axis.Y if node.residual_axis is Axis.Y else Axis.X] += 1  # y phase: every x fixed
         stack.extend(reversed(children))
     assert pinned[Axis.X] and pinned[Axis.Y]
     # every entry is a fresh partition of its range, ranked by decreasing
@@ -171,7 +170,7 @@ def test_split_table_survives_abutment_pins():
     for (z, on_x, lo, hi), parts in grids.splits.items():
         m = grids.matrices[z]
         grid = m.xs.values if on_x else m.ys.values
-        fresh = [(lo + a, lo + b, None) for a, b in partition(grid[lo:hi], cfg.beta)]
+        fresh = [(lo + a, lo + b, None) for a, b in partition(grid[lo:hi])]
         if len(fresh) == 1:
             fresh = [(i, i + 1, None) for i in range(lo, hi)]
         block = (lambda a, b: m.entries[a:b, :]) if on_x else (lambda a, b: m.entries[:, a:b])
@@ -183,13 +182,15 @@ def test_abutment_candidates_keep_other_scale_grid_values():
     # Zone 0 sits at x=0 with scale 1 (width 2).  Right-abutting a scale-2
     # zone against it lands at x=2 — a scale-1 grid value but not a scale-2
     # one.  The candidate must survive the own-grid filter; losing it here
-    # loses real optima on mixed-scale instances.
-    inst, cfg, grids, _, _ = _square_setup()
+    # loses real optima on mixed-scale instances.  A third zone is still
+    # open, so the search is in the x phase and zone 1 is narrowed on x.
+    inst = square_instance(p=3)
+    cfg = SolverConfig()
+    grids = CandidateGrids.from_instance(inst)
     node = Node(
-        x_sets=((0, 1, None), (0, 1, None)),
-        y_sets=((0, 2, None), (0, 1, None)),
-        z_vec=(1.0, 2.0),
-        ba=Axis.X,
+        x_sets=((0, 1, None), (0, 1, None), _OPEN),
+        y_sets=((0, 2, None), (0, 1, None), _OPEN),
+        z_vec=(1.0, 2.0, _UNSET),
         bs=1,
     )
     assert grids.matrices[2.0].xs.values == (0.0,)
@@ -209,7 +210,6 @@ def test_leaf_detection_and_placements():
         x_sets=((0, 1, None), (0, 1, 2.0)),
         y_sets=((0, 1, None), (0, 1, 2.0)),
         z_vec=(1.0, 2.0),
-        ba=Axis.Y,
         bs=1,
     )
     assert is_leaf(node)
@@ -223,9 +223,9 @@ def test_leaf_detection_and_placements():
 def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p):
     # one demand zone of the base's size and the menu {1}: each zone's x and
     # y grids hold one value, and a zone whose menu holds one scale starts at
-    # it, so every set of the root is a singleton while the x phase is still
-    # on.  That node is a leaf, evaluated exactly, not branched on into the
-    # y phase.
+    # it, so every set of the root is a singleton, and the root is in the y
+    # phase before any step.  That node is a leaf, evaluated exactly, not
+    # branched on.
     inst = Instance(
         dzs=(DemandZone(Rect(3.0, 4.0, 10.0, 8.0), 2.0),), base=BaseServiceZone(10.0, 8.0), p=p, qos=QosSet((1.0,))
     )
@@ -234,13 +234,32 @@ def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p):
     node = root_node(inst, grids)
     while not is_leaf(node):
         node = branch(node, inst, grids, SolverConfig())[0]
-    assert node.ba is Axis.X and node.bs == -1 and node.residual_axis is Axis.Y
+    assert node.bs == -1 and node.residual_axis is Axis.Y
     assert upper_bound(node, grids, inst) == 160.0
     # The greedy seed already earns all the demand at the menu's one rate,
     # which no placement beats, so the solve stops before its root.
     sol, stats = solve(inst)
     assert stats.nodes_explored == 0
     assert stats.optimal and sol.reward == 160.0
+
+
+@pytest.mark.parametrize("p, nodes, with_pins", [(2, 30, 52), (3, 231, 371)])
+def test_scale_step_onto_a_one_value_grid_places_the_zone(p, nodes, with_pins):
+    # one demand zone 20 wide and the base 10 wide: the scale-2 x grid holds
+    # the one value 0, where the zone covers all of the demand's width.  Its
+    # scale step places it there, with no x step and no abutment pins, which
+    # cover a subset of that (bnb module docstring, Completeness).
+    inst = Instance(
+        dzs=(DemandZone(Rect(0.0, 0.0, 20.0, 20.0), 1.0),), base=BaseServiceZone(10.0, 8.0), p=p, qos=QosSet((1.0, 2.0))
+    )
+    grids = CandidateGrids.from_instance(inst)
+    assert grids.matrices[2.0].xs.values == (0.0,)
+    one, two = branch(root_node(inst, grids), inst, grids, SolverConfig())
+    assert one.bs == 0 and two.bs == -1 and two.x_sets[0] == (0, 1, None)
+    sol, stats = solve(inst)
+    assert stats.optimal and sol.reward == brute_force_2d(inst).reward
+    # the dominated pins, and the x step that made them, are skipped: with them the search took `with_pins` nodes
+    assert stats.nodes_explored == nodes, with_pins
 
 
 # -------------------------------------------------------------- upper bound
@@ -256,7 +275,6 @@ def test_upper_bound_at_leaf_is_exact():
         x_sets=((0, 1, None), (0, 1, None)),
         y_sets=((0, 1, None), (0, 1, None)),
         z_vec=(1.0, 2.0),
-        ba=Axis.Y,
         bs=2,
     )
     assert upper_bound(leaf, CandidateGrids(mats), inst) == 10.0
@@ -283,7 +301,6 @@ def test_upper_bound_off_grid_singleton_brackets():
         x_sets=(pinned, (0, 1, None)),
         y_sets=((0, 2, None), (0, 1, None)),
         z_vec=(1.0, 2.0),
-        ba=Axis.X,
         bs=1,
     )
     # the isolated sum, returned whole when the floor is above it
@@ -730,7 +747,7 @@ def test_grid_order_rule_on_per_zone_menus():
     # scale step, then zone 1's first split (grid parts only: nothing is placed)
     children = branch(root, inst, grids, cfg)
     assert [(c.z_vec, c.bs) for c in children[:2]] == [((1.0, 2.0), 0), ((2.0, 2.0), 0)]
-    assert [c.x_sets[1] for c in children[2:]] == list(grids.split(2.0, Axis.X, root.x_sets[1], cfg.beta))
+    assert [c.x_sets[1] for c in children[2:]] == list(grids.split(2.0, Axis.X, root.x_sets[1]))
     assert all(c.z_vec == root.z_vec and c.x_sets[0] == _OPEN for c in children[2:])
     node = Node(root.x_sets[:1] + ((1, 2, None),), root.y_sets, root.z_vec)
     for child in branch(node, inst, grids, cfg):
@@ -751,14 +768,10 @@ def test_order_step_keeps_one_representative_per_class():
     ny = {z: len(m.ys) for z, m in grids.matrices.items()}
     node = Node(((0, 1, None),) * 3, tuple((0, ny[z], None) for z in (1.0, 2.0, 2.0)), (1.0, 2.0, 2.0))
     children = branch(node, inst, grids, SolverConfig())
-    assert [(c.ba, c.bs) for c in children] == [(Axis.Y, 0), (Axis.Y, 1)]
+    assert [(c.residual_axis, c.bs) for c in children] == [(Axis.Y, 0), (Axis.Y, 1)]
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(beta=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(beta=1.0)
     with pytest.raises(ValueError):
         SolverConfig(scv_mode="inner")
 

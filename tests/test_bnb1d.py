@@ -47,7 +47,7 @@ from conftest import (
 
 def line_node(inst, x_sets, bs=-1):
     """A line node: each zone at its one scale, its y set the single index 0."""
-    return Node(x_sets, ((0, 1, None),) * inst.p, tuple(q.factors[0] for q in inst.qos), Axis.X, bs)
+    return Node(x_sets, ((0, 1, None),) * inst.p, tuple(q.factors[0] for q in inst.qos), bs)
 
 
 def test_micro_line_optimum():
@@ -401,7 +401,7 @@ def test_zones_of_one_scale_are_one_class():
     root = root_node(inst, grids)
     children = branch(root, inst, grids, cfg)
     moved = [next(j for j in range(inst.p) if c.x_sets[j] != root.x_sets[j]) for c in children]
-    parts = {z: grids.split(z, Axis.X, (0, len(grids.matrices[z].xs), None), cfg.beta) for z in (1.0, 2.0)}
+    parts = {z: grids.split(z, Axis.X, (0, len(grids.matrices[z].xs), None)) for z in (1.0, 2.0)}
     assert moved == [0] * len(parts[1.0]) + [2] * len(parts[2.0])
 
 

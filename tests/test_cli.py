@@ -27,6 +27,8 @@ from rectcover.bnb1d import solve_1d
 from rectcover.cli import (
     BenchReport,
     CliError,
+    _solver_config,
+    build_parser,
     dump_instance,
     instance_from_dict,
     instance_to_dict,
@@ -750,8 +752,8 @@ def test_file_that_is_not_an_object_gives_error_line(what, square_file, tmp_path
 
 BAD_OPTIONS = {
     "generate base dims not numbers": (["generate", "--base-dims", "a,b"], "--base-dims"),
-    "solve beta above one": (["solve", "--beta", "1.5"], "beta"),
-    "bench beta zero": (["bench", "--beta", "0"], "beta"),
+    # the interval step's cut ratio is the constant bnb.BETA: --beta is no flag
+    "solve beta refused": (["solve", "--beta", "0.5"], "unrecognized arguments: --beta"),
     "generate out in missing directory": (["generate", "--out", "{tmp}/missing/x.json"], "--out"),
     "solve out in missing directory": (["solve", "--out", "{tmp}/missing/x.json"], "--out"),
     "bench out in missing directory": (["bench", "--out", "{tmp}/missing/x.csv"], "--out"),
@@ -770,6 +772,12 @@ BAD_OPTIONS = {
     "bench line p empty": (["bench", "--one-d", "--p", ","], "--p"),
     "bench oracle budget negative": (["bench", "--oracle-budget", "-1"], "--oracle-budget must be >= 0"),
 }
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_solver_flag_defaults_are_the_config_defaults(command, tmp_path):
+    argv = [command, "--out", str(tmp_path / "out.txt")] + (["--instance", "x.json"] if command == "solve" else [])
+    assert _solver_config(build_parser().parse_args(argv)) == SolverConfig()
 
 
 @pytest.mark.parametrize("case", sorted(BAD_OPTIONS))

@@ -12,7 +12,6 @@ from rectcover.critical import (
     COORD_RTOL,
     abutment_values,
     contains_value,
-    demand_breakpoints,
     inner_demand_grid,
     service_breakpoints,
 )
@@ -34,27 +33,6 @@ def test_contains_value_tolerant_membership():
     assert not contains_value(vals, 1.0)
     assert not contains_value(vals, 6.0)
     assert not contains_value((), 0.0)
-
-
-def test_demand_breakpoints_x():
-    d = DemandZone(Rect(10.0, 0.0, 6.0, 3.0), 1.0)
-    base = BaseServiceZone(2.0, 1.0)
-    # zone width 4 at scale 2: misses left of 6, flush inside on [10, 12]
-    assert demand_breakpoints(d, 2.0, base, Axis.X) == (6.0, 10.0, 12.0, 16.0)
-
-
-def test_demand_breakpoints_y():
-    d = DemandZone(Rect(0.0, 5.0, 6.0, 3.0), 1.0)
-    base = BaseServiceZone(2.0, 1.0)
-    assert demand_breakpoints(d, 1.0, base, Axis.Y) == (4.0, 5.0, 7.0, 8.0)
-
-
-def test_demand_breakpoints_oversized_zone_inverts_inner_pair():
-    # zone wider than the demand span: inner_hi < inner_lo, outer pair still brackets
-    d = DemandZone(Rect(0.0, 0.0, 3.0, 3.0), 1.0)
-    base = BaseServiceZone(2.0, 2.0)
-    o1, i1, i2, o2 = demand_breakpoints(d, 2.0, base, Axis.X)
-    assert (o1, i1, i2, o2) == (-4.0, 0.0, -1.0, 3.0)
 
 
 def test_inner_demand_grid_small_case():
@@ -165,8 +143,11 @@ def test_inner_demand_grid_translation_equivariant(dzs, shift):
 
 
 def reference_grid(dzs, z, base, axis):
-    """``dedup_sorted`` over every zone's inner pair, the grid's definition."""
-    return dedup_sorted([v for d in dzs for v in demand_breakpoints(d, z, base, axis)[1:3]])
+    """``dedup_sorted`` over every zone's inner pair, flush inside its span at either end: the grid's definition."""
+    on_x = axis is Axis.X
+    reach = (base.w0 if on_x else base.l0) * z
+    spans = [(d.rect.x, d.rect.w) if on_x else (d.rect.y, d.rect.l) for d in dzs]
+    return dedup_sorted([v for lo, extent in spans for v in (lo, lo + extent - reach)])
 
 
 def assert_grid_is_reference(dzs, z, base):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcover import Rect
-from rectcover.geometry import EPS, area, intersect, trim_out
+from rectcover.oracle import EPS
+
+from reference import area, intersect, trim_out
 
 
 def test_rect_edges():

@@ -27,11 +27,10 @@ from rectcover import (
     greedy,
     pseudo_greedy,
 )
-from rectcover.geometry import area, intersect, trim_out
 from rectcover.model import demand_rows, demand_zones, planar_form, reward_rate, service_rect
 from rectcover.reward import ResidualDemand, covered_reward, serve_zone, solve_single_zone
 
-from reference import single_zone_reward
+from reference import area, intersect, single_zone_reward, trim_out
 
 
 def hexes(values):
