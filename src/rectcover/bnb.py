@@ -23,17 +23,17 @@ exactly when every x set is a singleton:
   When a zone is first split, extra children pin it directly at the abutment
   positions of already-fixed zones (positions off its own-scale grid, to the
   grid's own tolerance);
-* next zone on x — when no zone is being narrowed on x, the candidates are
-  the lowest-indexed zone of each class whose x is not fixed yet.  The
-  children are, candidate by candidate in index order, its first step: the
-  scale step while its scale is open, else its interval step.  With one
-  class this is index order;
+* next zone — when no zone is being narrowed on the current axis (x while
+  some x set is open, else y), the candidates are the zones whose set on
+  it is open: the lowest-indexed zone of each class among those on their
+  own scale's grid on the other axis, plus every zone pinned there at an
+  abutment value (none in the x phase, as no y is narrowed before it ends).
+  The children are, candidate by candidate in index order, its first step:
+  the scale step while its scale is open, else its interval step.  With one
+  class and no pin this is index order;
 * grid-order rule — at a zone's first x split, the grid parts are generated
   only when its index is above every zone already placed on its own grid
-  (``v`` None, a grid of one value aside); the abutment pins always are;
-* order step — once every x is fixed, y branching picks which zone to settle
-  next: in each class the lowest-indexed zone sitting on its own scale's
-  grid, plus every zone sitting on an abutment value.
+  (``v`` None, a grid of one value aside); the abutment pins always are.
 
 Completeness.  On each axis the candidate set holds an optimum in which some
 order of the zones puts each one on its own scale's grid or at an abutment
@@ -47,19 +47,20 @@ its zones come in index order along the order, then sort the front by index
 search reaches that order: each next zone is the lowest-indexed unplaced
 zone of its class, so a candidate; its scale is one of its scale step's
 children; and it is either a grid part, its index being above every grid
-zone before it, or a pin of a zone before it.  On y the same swaps, among
-the zones of one class on their own x grid, which sit at the front on x and
-can take any labels there, make each next zone to settle the lowest-indexed
-of its class, and a zone pinned on x gets a child of its own.  A zone whose
-grid holds one value ``a`` on an axis is placed at ``a`` as soon as its
-scale is fixed, from the root or by its scale step, and is never pinned on
-that axis: every demand zone then spans exactly its width from ``a`` on
-that axis, so at ``a`` the zone covers a superset of what it covers at any
-other position, an abutment pin included, and covered reward is monotone
-in what each zone covers, so the pins are dominated.  A zone that abuts it
-there covers no demand on that axis and can sit on its own grid instead;
-the grid-order rule leaves such zones out, and is not applied to them
-either, which only keeps more of the tree.
+zone before it, or a pin of a zone before it.  On y the next-zone rule is
+the same with the axes swapped: the same swaps, among the zones of one
+class on their own x grid, which sit at the front on x and can take any
+labels there, make each next zone to settle the lowest-indexed of its
+class, and a zone pinned on x, tied to the zones it abuts, is a candidate
+of its own.  A zone whose grid holds one value ``a`` on an axis is placed at
+``a`` as soon as its scale is fixed, from the root or by its scale step, and
+is never pinned on that axis: every demand zone then spans exactly its width
+from ``a`` on that axis, so at ``a`` the zone covers a superset of what it
+covers at any other position, an abutment pin included, and covered reward
+is monotone in what each zone covers, so the pins are dominated.  A zone
+that abuts it there covers no demand on that axis and can sit on its own
+grid instead; the grid-order rule leaves such zones out, and is not applied
+to them either, which only keeps more of the tree.
 
 The residual axis of a node follows from its sets: y once every x set is a
 singleton, x once every y set is (the line, from its root on), none
@@ -310,8 +311,10 @@ class Node(NamedTuple):
     ``CandidateGrids.matrices[z_vec[j]]``); ``z_vec[j] == 0`` means that
     scale is still open and both sets are :data:`_OPEN`.  The phase follows
     from the sets: x while some x set is open, y once every x set is a
-    singleton.  ``bs`` is the zone being narrowed in that phase, -1 when
-    none is (the next zone is then chosen; module docstring).
+    singleton.  ``bs`` is the zone being narrowed on that axis, -1 when none
+    is: at the root, once the zone's set on the axis is a singleton, and
+    after a scale step onto an x grid of one value (the next zone is then
+    chosen; module docstring).
     """
 
     x_sets: tuple[CandidateSet, ...]
@@ -539,30 +542,24 @@ def _replace_at(sets: tuple[CandidateSet, ...], j: int, s: CandidateSet) -> tupl
     return sets[:j] + (s,) + sets[j + 1 :]
 
 
-def _first_per_class(zones: Sequence[int], instance: Instance) -> list[int]:
-    """Of ``zones``, given in index order, the lowest-indexed zone of each class of equal menus."""
-    first: dict[tuple[float, ...], int] = {}
-    for j in zones:
-        first.setdefault(instance.qos_for(j).factors, j)
-    return list(first.values())
+def _next_zones(node: Node, axis: Axis, instance: Instance) -> list[int]:
+    """The zones that may be narrowed next on ``axis``, in index order (module docstring, next zone).
 
-
-def _order_step_children(node: Node, instance: Instance) -> list[Node]:
-    """Pick which zone settles its y next (see module docstring, order step).
-
-    Interchangeability holds only for zones of one class sitting on their
-    *own* scale's grid (any other assignment of their (x, scale) pairs
-    exists elsewhere in the tree); a zone pinned at an abutment position is
-    tied to the zones that generated it, even if the value happens to equal
-    some other scale's grid value, so each such zone gets its own child.
-    Abutment positions lie off the own-scale grid, so a set without ``v`` is
-    on it.
+    Of the zones whose set on ``axis`` is open: the lowest-indexed zone of
+    each class among those on their own scale's grid on the other axis, and
+    every zone pinned there.  Interchangeability holds only for zones of one
+    class on their *own* grid; a pinned zone is tied to the zones that
+    generated its pin, even if the value happens to equal some other scale's
+    grid value, so each pinned zone is a class of its own.  Abutment
+    positions lie off the own-scale grid, so a set without ``v`` is on it.
+    In the x phase no zone is pinned on y.
     """
-    open_idx = [j for j in range(instance.p) if not _is_single(node.y_sets[j])]
-    pinned = [j for j in open_idx if node.x_sets[j][2] is not None]
-    on_grid = [j for j in open_idx if node.x_sets[j][2] is None]
-    chosen = sorted(_first_per_class(on_grid, instance) + pinned)
-    return [node._replace(bs=j) for j in chosen]
+    sets, other = (node.x_sets, node.y_sets) if axis is Axis.X else (node.y_sets, node.x_sets)
+    first: dict[object, int] = {}  # class (a menu, or a pinned zone's index) -> its lowest open zone
+    for j, (s, t) in enumerate(zip(sets, other)):
+        if not _is_single(s):
+            first.setdefault(j if t[2] is not None else instance.qos_for(j).factors, j)
+    return list(first.values())
 
 
 def _with_scale(node: Node, j: int, z: float, grids: CandidateGrids) -> Node:
@@ -580,27 +577,24 @@ def _with_scale(node: Node, j: int, z: float, grids: CandidateGrids) -> Node:
     )
 
 
-def _x_step(node: Node, j: int, instance: Instance, grids: CandidateGrids, config: SolverConfig) -> list[Node]:
-    """Zone ``j``'s next step on x: the scale step while its scale is open, else the interval step."""
-    if node.z_vec[j] == _UNSET:
-        return [_with_scale(node, j, z, grids) for z in instance.qos_for(j).factors]
-    return _interval_children(node, j, Axis.X, instance, grids, config)
-
-
 def branch(
     node: Node, instance: Instance, grids: CandidateGrids, config: SolverConfig
 ) -> list[Node]:
-    """Children of a non-leaf node, plane or line, in exploration order (module docstring)."""
-    j = node.bs
-    unplaced = [k for k, s in enumerate(node.x_sets) if not _is_single(s)]
-    if unplaced:  # the x phase
-        # zone j is being narrowed on x, or none is: each class's lowest unplaced zone takes its first step
-        zones = [j] if j >= 0 else _first_per_class(unplaced, instance)
-        return [c for k in zones for c in _x_step(node, k, instance, grids, config)]
-    if j >= 0 and not _is_single(node.y_sets[j]):
-        return _interval_children(node, j, Axis.Y, instance, grids, config)
-    # every x fixed, and zone j's y settled or no zone narrowed: the order step picks who is next
-    return _order_step_children(node, instance)
+    """Children of a non-leaf node, plane or line, in exploration order (module docstring).
+
+    The axis is x while some x set is open, else y.  Zone ``bs`` takes its
+    next interval step on it, or, with no zone narrowed, each of
+    :func:`_next_zones` takes its first step, candidate by candidate: the
+    scale step while its scale is open, else its interval step.
+    """
+    axis = Axis.Y if all(map(_is_single, node.x_sets)) else Axis.X
+    children: list[Node] = []
+    for j in [node.bs] if node.bs >= 0 else _next_zones(node, axis, instance):
+        if node.z_vec[j] == _UNSET:
+            children += [_with_scale(node, j, z, grids) for z in instance.qos_for(j).factors]
+        else:
+            children += _interval_children(node, j, axis, instance, grids, config)
+    return children
 
 
 def _interval_children(
@@ -616,8 +610,8 @@ def _interval_children(
     lands on a scale-2 grid value, so dropping them loses real optima).  On
     x the grid parts of a first split follow the grid-order rule (module
     docstring): a zone above ``j`` already on a grid of more than one value
-    leaves only the pins.  On x a singleton child is placed and no zone is
-    narrowed next (``bs == -1``).
+    leaves only the pins.  A singleton child, on either axis, has settled the
+    zone there, so no zone is narrowed next (``bs == -1``).
     """
     on_x = axis is Axis.X
     sets = node.x_sets if on_x else node.y_sets
@@ -637,12 +631,12 @@ def _interval_children(
         full = config.scv_mode == "full"
         pins = abutment_values(fixed, z, instance.base, axis, full, grid)
         parts += tuple(_pin(v, grid) for v in pins)
-    if on_x:
-        return [
-            Node(_replace_at(sets, j, part), node.y_sets, node.z_vec, -1 if _is_single(part) else j)
-            for part in parts
-        ]
-    return [Node(node.x_sets, _replace_at(sets, j, part), node.z_vec, j) for part in parts]
+    children = []
+    for part in parts:
+        narrowed = _replace_at(sets, j, part)
+        x_sets, y_sets = (narrowed, node.y_sets) if on_x else (node.x_sets, narrowed)
+        children.append(Node(x_sets, y_sets, node.z_vec, -1 if _is_single(part) else j))
+    return children
 
 
 def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:

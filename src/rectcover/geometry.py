@@ -54,20 +54,16 @@ class Rect:
 
 def _trim_bounds(
     dx1: float, dy1: float, dx2: float, dy2: float,
-    sx1: float, sy1: float, sx2: float, sy2: float,
+    ix1: float, iy1: float, ix2: float, iy2: float,
 ) -> list[tuple[float, float, float, float]]:
-    """Decompose ``d minus s`` into disjoint boxes, in bounds form.
+    """Decompose ``d minus i`` into disjoint boxes, in bounds form, for ``i`` the overlap of ``d`` with another box.
 
-    Boxes are ``(x1, y1, x2, y2)``.  The convention is fixed so results are
-    reproducible: a full-width bottom strip, a full-width top strip, then the
-    left and right strips between them.  Zero-area pieces are dropped.
+    Boxes are ``(x1, y1, x2, y2)``; ``i`` lies inside ``d`` and has positive
+    extents, as the caller computed it.  The convention is fixed so results
+    are reproducible: a full-width bottom strip, a full-width top strip, then
+    the left and right strips between them.  Strips of zero extent are
+    dropped.
     """
-    ix1 = dx1 if dx1 > sx1 else sx1
-    iy1 = dy1 if dy1 > sy1 else sy1
-    ix2 = dx2 if dx2 < sx2 else sx2
-    iy2 = dy2 if dy2 < sy2 else sy2
-    if ix2 - ix1 <= 0 or iy2 - iy1 <= 0:
-        return [(dx1, dy1, dx2, dy2)]
     pieces: list[tuple[float, float, float, float]] = []
     if iy1 > dy1:
         pieces.append((dx1, dy1, dx2, iy1))

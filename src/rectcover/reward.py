@@ -310,7 +310,7 @@ def serve_zone(
         total += rate * ((ix2 - ix1) * (iy2 - iy1))
         if paid is not None:
             paid.append((ix1, iy1, ix2 - ix1, iy2 - iy1, v, rate))
-        for px1, py1, px2, py2 in _trim_bounds(x1, y1, x2, y2, sx1, sy1, sx2, sy2):
+        for px1, py1, px2, py2 in _trim_bounds(x1, y1, x2, y2, ix1, iy1, ix2, iy2):
             if (px2 - px1) * (py2 - py1) > 0:
                 left.append((px1, py1, px2 - px1, py2 - py1, v))
     return total, left

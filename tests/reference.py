@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
-``area``, ``intersect`` and ``trim_out`` are rectangle arithmetic on
-:class:`~rectcover.geometry.Rect`; ``trim_out`` runs the package's own strip
-decomposition (``geometry._trim_bounds``), so its tests check the one that
+``area``, ``overlap_bounds``, ``intersect`` and ``trim_out`` are rectangle
+arithmetic on :class:`~rectcover.geometry.Rect`; ``trim_out`` runs the
+package's own strip decomposition (``geometry._trim_bounds``) on the overlap
+bounds that ``reward.serve_zone`` computes, so its tests check the one that
 trimming uses.  ``single_zone_reward`` values one zone on the object path,
 rectangle by rectangle; ``dedup_sorted`` is the definition of a candidate
 grid that ``critical.inner_demand_grid`` computes with numpy.
@@ -28,18 +29,28 @@ def area(r: Rect) -> float:
     return r.w * r.l
 
 
-def intersect(a: Rect, b: Rect) -> Rect | None:
-    """Largest rectangle contained in both ``a`` and ``b``.
+def overlap_bounds(a: Rect, b: Rect) -> tuple[float, float, float, float] | None:
+    """``(x1, y1, x2, y2)`` of the overlap of ``a`` and ``b``, as ``reward.serve_zone`` computes it.
 
     Returns ``None`` when the interiors are disjoint; rectangles that only
     touch along an edge or at a corner do not count as intersecting.
     """
+    ax2, ay2, bx2, by2 = a.x2, a.y2, b.x2, b.y2
     x1 = a.x if a.x > b.x else b.x
     y1 = a.y if a.y > b.y else b.y
-    x2 = min(a.x2, b.x2)
-    y2 = min(a.y2, b.y2)
+    x2 = ax2 if ax2 < bx2 else bx2
+    y2 = ay2 if ay2 < by2 else by2
     if x2 - x1 <= 0 or y2 - y1 <= 0:
         return None
+    return x1, y1, x2, y2
+
+
+def intersect(a: Rect, b: Rect) -> Rect | None:
+    """Largest rectangle contained in both ``a`` and ``b``, or ``None`` (:func:`overlap_bounds`)."""
+    bounds = overlap_bounds(a, b)
+    if bounds is None:
+        return None
+    x1, y1, x2, y2 = bounds
     return Rect(x1, y1, x2 - x1, y2 - y1)
 
 
@@ -49,15 +60,19 @@ def trim_out(d: Rect, s: Rect) -> list[Rect]:
     Returns 0 to 4 pieces.  When ``d`` and ``s`` do not overlap the result is
     ``[d]`` unchanged; when ``s`` covers ``d`` entirely the result is empty.
     The pieces come in ``_trim_bounds``'s order: bottom strip, top strip,
-    left strip, right strip.
+    left strip, right strip.  ``_trim_bounds`` takes the overlap's own
+    bounds, as ``serve_zone`` passes them: the far edges of
+    :func:`intersect`'s rectangle, recomputed as ``x1 + (x2 - x1)``, need
+    not give them back.
     """
     if d.w <= 0 or d.l <= 0:
         return []
-    if intersect(d, s) is None:
+    bounds = overlap_bounds(d, s)
+    if bounds is None:
         return [d]
     return [
         Rect(x1, y1, x2 - x1, y2 - y1)
-        for x1, y1, x2, y2 in _trim_bounds(d.x, d.y, d.x2, d.y2, s.x, s.y, s.x2, s.y2)
+        for x1, y1, x2, y2 in _trim_bounds(d.x, d.y, d.x2, d.y2, *bounds)
     ]
 
 

@@ -5,11 +5,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from importlib import import_module
+from xml.etree import ElementTree
 
 import pytest
 
 from rectcover import (
+    BaseServiceZone,
     Dimension,
     GenConfig,
     Instance,
@@ -391,6 +394,28 @@ def test_run_bench_oracle_cross_check():
     assert all(r.error is None for r in report.rows)
 
 
+def test_bench_oracle_mismatch_fails_the_row(tmp_path, capsys, monkeypatch):
+    # an oracle that claims another reward: the row within the budget fails
+    # with the mismatch and bench exits 1; the row above it is not checked
+    import rectcover.cli as cli_mod
+
+    def off_by_one(instance, max_evaluations):
+        result = brute_force_2d(instance, max_evaluations=max_evaluations)
+        return replace(result, reward=result.reward + 1.0)
+
+    monkeypatch.setattr(cli_mod, "brute_force_2d", off_by_one)
+    # seed 0 at n=2 and m=1: the oracle estimates 16 evaluations at p=1 and 2,304 at p=2
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--p", "1,2", "--m", "1", "--n", "2", "--seeds", "1",
+                 "--oracle-budget", "100", "--out", str(out)])
+    assert code == 1
+    assert "reference mismatch" in capsys.readouterr().err
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert (rows[0]["p"], rows[0]["nodes"]) == ("1", "-")
+    assert rows[1]["p"] == "2" and rows[1]["nodes"] != "-" and rows[1]["optimal"] == "True"
+
+
 def test_bench_failure_becomes_marked_row(tmp_path, capsys, monkeypatch):
     import rectcover.cli as cli_mod
 
@@ -502,6 +527,16 @@ def test_render_instance_only(square_file, tmp_path):
     assert svg.count('class="dz"') == 1
     assert svg.count('class="sz"') == 0
     assert "demand=1" in svg
+
+
+def test_render_an_instance_without_demand(tmp_path):
+    # no demand zone and no solution: nothing to draw, and still a valid SVG
+    path, out = tmp_path / "empty.json", tmp_path / "empty.svg"
+    dump_instance(Instance((), BaseServiceZone(10.0, 8.0), 2, QosSet((1.0, 2.0))), path)
+    assert main(["render", "--instance", str(path), "--out", str(out)]) == 0
+    root = ElementTree.fromstring(out.read_text())
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert [el.text for el in root] == ["demand=0"]
 
 
 def test_render_one_d_band(tmp_path):
@@ -690,6 +725,10 @@ INSTANCE_MUTATIONS = {
     "non-numeric factor": (lambda d: d["qos"].update(shared=["a"]), "instance.qos.shared[0]"),
     "menu not a list": (lambda d: d["qos"].update(shared=2), "instance.qos.shared"),
     "zero base width": (lambda d: d["base_sz"].update(w=0), "instance.base_sz"),
+    "zero base length in the plane": (
+        lambda d: d["base_sz"].update(l=0), "instance: 2d instances need a positive-length base",
+    ),
+    "negative base length": (lambda d: d["base_sz"].update(l=-1), "instance.base_sz: base length must be non-negative"),
     "zero rate": (lambda d: d["dzs"][0].update(v=0), "instance.dzs[0]"),
     "non-finite coordinate": (lambda d: d["dzs"][1].update(x=float("nan")), "instance.dzs[1].x"),
     "integer beyond float range": (lambda d: d["dzs"][1].update(l=10**400), "instance.dzs[1].l"),
@@ -771,6 +810,8 @@ BAD_OPTIONS = {
     "bench n empty": (["bench", "--n", ""], "--n"),
     "bench line p empty": (["bench", "--one-d", "--p", ","], "--p"),
     "bench oracle budget negative": (["bench", "--oracle-budget", "-1"], "--oracle-budget must be >= 0"),
+    "bench p not integers": (["bench", "--p", "2,x"], "expected a comma-separated integer list, got '2,x'"),
+    "generate base dims zero": (["generate", "--base-dims", "0,5"], "bad base_dims (0.0, 5.0)"),
 }
 
 

@@ -119,6 +119,11 @@ def test_category_probabilities_must_sum_to_one():
         GenConfig(n=-1)
 
 
+def test_rate_range_must_start_above_zero():
+    with pytest.raises(ValueError, match="bad rate_range"):
+        GenConfig(rate_range=(0.0, 1.0))
+
+
 def test_one_d_projection():
     cfg = GenConfig(seed=2, n=8, p=3, dimension=Dimension.ONE_D)
     inst = generate_1d(cfg)

@@ -604,10 +604,11 @@ def test_bound_reads_reference_states_only_with_nothing_placed():
 
 
 def test_planar_three_zones_eight_demand_zones_proves():
-    # plane p=3 m=2 n=8: 14,447 nodes with the Lagrangian, residual and
-    # reference-set bounds, against 20,745 without the reference-set bound,
-    # 43,423 with the residual bound alone and 615,223 with the isolated sum
-    # alone (same optimum)
+    # plane p=3 m=2 n=8: 13,578 nodes with the Lagrangian, residual and
+    # reference-set bounds (14,447 while y branching first pushed a copy of
+    # the node per candidate zone), against 20,745 without the reference-set
+    # bound, 43,423 with the residual bound alone and 615,223 with the
+    # isolated sum alone (same optimum)
     inst = generate(GenConfig(seed=2, n=8, p=3, m=2))
     sol, stats = solve(inst, SolverConfig(time_limit_s=60.0))
     assert stats.optimal
@@ -617,8 +618,10 @@ def test_planar_three_zones_eight_demand_zones_proves():
 
 @pytest.mark.parametrize("one_d", [False, True])
 def test_residual_cache_cap_changes_no_search(one_d, monkeypatch):
-    # planar p=3 m=2 n=8 seed 2 (14,447 nodes; 20,745 before the
-    # reference-set bound cut y-phase nodes with no y settled) and line p=3
+    # planar p=3 m=2 n=8 seed 2 (13,578 nodes; 14,447 while y branching
+    # first pushed a copy of the node per candidate zone, 869 of them
+    # popped; 20,745 before the reference-set bound cut y-phase nodes with
+    # no y settled) and line p=3
     # n=12 seed 0 (306 nodes; 260 when the line had a tree of its own): with
     # room for 4 states the cache drops and rebuilds states, and the search
     # is the same as with room for 1024
@@ -641,7 +644,7 @@ def test_residual_cache_cap_changes_no_search(one_d, monkeypatch):
         return sol.reward.hex(), sol.placements, stats.nodes_explored, history, len(built)
 
     *search, full_builds = outcome()
-    assert search[2] == (306 if one_d else 14_447)
+    assert search[2] == (306 if one_d else 13_578)
     monkeypatch.setattr(bnb, "RESIDUAL_CACHE_SIZE", 4)
     *capped, capped_builds = outcome()
     assert capped == search

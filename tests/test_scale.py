@@ -89,12 +89,15 @@ def test_reward_is_translation_invariant(case, t):
 
 def test_planar_optimum_at_tiny_units():
     # an absolute tolerance of 1e-9 proved a reward 1.6% below the optimum
-    # here at s = 1e-6 (21348.12 s**2 after 508 nodes), and 0 at s = 1e-12
+    # here at s = 1e-6 (21348.12 s**2 after 508 nodes), and 0 at s = 1e-12.
+    # The search takes 688 nodes at every scale; it took 722 while y
+    # branching first pushed a copy of the node per candidate zone, 34 of
+    # them popped.
     inst = generate(GenConfig(seed=2, n=15, p=2, m=2))
     for s in (1e-6, 1e-12):
-        _, (got, stats) = assert_same_optimum(inst, moved(inst, s=s), s * s)
+        (_, stats_at_one), (got, stats) = assert_same_optimum(inst, moved(inst, s=s), s * s)
         assert math.isclose(got.reward / (s * s), 21696.4968005529, rel_tol=1e-12)
-        assert stats.nodes_explored == 722
+        assert stats.nodes_explored == stats_at_one.nodes_explored == 688
 
 
 def test_line_optimum_at_tiny_units():
