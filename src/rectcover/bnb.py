@@ -31,36 +31,42 @@ exactly when every x set is a singleton:
   The children are, candidate by candidate in index order, its first step:
   the scale step while its scale is open, else its interval step.  With one
   class and no pin this is index order;
-* grid-order rule — at a zone's first x split, the grid parts are generated
-  only when its index is above every zone already placed on its own grid
-  (``v`` None, a grid of one value aside); the abutment pins always are.
+* grid-order rule — at a zone's first split on either axis, the grid parts
+  are generated only when its index is above every zone already settled on
+  its own grid on that axis (``v`` None, a grid of one value aside); the
+  abutment pins always are.
 
 Completeness.  On each axis the candidate set holds an optimum in which some
 order of the zones puts each one on its own scale's grid or at an abutment
 of a zone placed before it (the oracle, ``oracle._axis_tuples``, enumerates
-every such order).  Take such an order on x.  The zones on their grid depend
-on no other zone, so they can all move to the front, and every abutment
-still follows the zone it abuts.  Zones of one class share a menu, so
-swapping two of their labels changes no reward: relabel each class so that
-its zones come in index order along the order, then sort the front by index
-(the class's grid zones hold its lowest labels, as they come first).  The
-search reaches that order: each next zone is the lowest-indexed unplaced
-zone of its class, so a candidate; its scale is one of its scale step's
+every such order).  A zone whose abutment value lies on its own grid counts
+as on its grid: ``critical.abutment_values`` drops that pin, and the search
+reaches the value as a grid part.  Take such an optimum, and such an order
+on each axis in turn, x then y.  The zones on their grid depend on no other
+zone, so they can all move to the front, and every abutment still follows
+the zone it abuts.  Zones of one class share a menu, so swapping two of
+their labels changes no reward: relabel each class so that its zones come
+in index order along the order (on y only its zones on their own x grid;
+zones pinned on x keep their labels), then sort the front by index.  The
+relabelled zones of a class stay in index order, as its front zones come
+first and so hold its lowest labels.  The y relabelling leaves the x
+search's reach alone: it permutes labels only among a class's zones on
+their own x grid, which sit at the front on x in index order and may take
+any grid values there.  The search reaches the order: each next zone is a
+candidate of the next-zone rule (on y a zone pinned on x, tied to the zones
+it abuts, is a candidate of its own); its scale is one of its scale step's
 children; and it is either a grid part, its index being above every grid
-zone before it, or a pin of a zone before it.  On y the next-zone rule is
-the same with the axes swapped: the same swaps, among the zones of one
-class on their own x grid, which sit at the front on x and can take any
-labels there, make each next zone to settle the lowest-indexed of its
-class, and a zone pinned on x, tied to the zones it abuts, is a candidate
-of its own.  A zone whose grid holds one value ``a`` on an axis is placed at
-``a`` as soon as its scale is fixed, from the root or by its scale step, and
-is never pinned on that axis: every demand zone then spans exactly its width
+zone before it, or a pin of a zone before it.
+
+A zone whose grid holds one value ``a`` on an axis is placed at ``a`` as
+soon as its scale is fixed, from the root or by its scale step, and is
+never pinned on that axis: every demand zone then spans exactly its width
 from ``a`` on that axis, so at ``a`` the zone covers a superset of what it
 covers at any other position, an abutment pin included, and covered reward
 is monotone in what each zone covers, so the pins are dominated.  A zone
 that abuts it there covers no demand on that axis and can sit on its own
-grid instead; the grid-order rule leaves such zones out, and is not applied
-to them either, which only keeps more of the tree.
+grid instead; the grid-order rule leaves such zones out on both axes, and
+is not applied to them either, which only keeps more of the tree.
 
 The residual axis of a node follows from its sets: y once every x set is a
 singleton, x once every y set is (the line, from its root on), none
@@ -607,11 +613,11 @@ def _interval_children(
     ``axis``.  Values on *another* scale's grid stay among them: they are
     never enumerated for this zone otherwise (with a {1, 2} menu,
     left-abutting a scale-1 zone that sits on a scale-1 grid value always
-    lands on a scale-2 grid value, so dropping them loses real optima).  On
-    x the grid parts of a first split follow the grid-order rule (module
-    docstring): a zone above ``j`` already on a grid of more than one value
-    leaves only the pins.  A singleton child, on either axis, has settled the
-    zone there, so no zone is narrowed next (``bs == -1``).
+    lands on a scale-2 grid value, so dropping them loses real optima).  The
+    grid parts of a first split follow the grid-order rule (module
+    docstring): a zone above ``j`` already settled on ``axis`` on its own
+    grid, of more than one value, leaves only the pins.  A singleton child
+    has settled the zone there, so no zone is narrowed next (``bs == -1``).
     """
     on_x = axis is Axis.X
     sets = node.x_sets if on_x else node.y_sets
@@ -625,8 +631,8 @@ def _interval_children(
             if k != j and zk != _UNSET and _is_single(s)
         ]
         # grid-order rule: a zone above j already on a grid value, of a grid of more than one
-        if on_x and any(s[2] is None and s[1] - s[0] == 1 < len(grids.matrices[zk].xs)
-                        for s, zk in zip(sets[j + 1 :], node.z_vec[j + 1 :])):
+        if any(s[2] is None and s[1] - s[0] == 1 < len(_grid(grids.matrices[zk], axis))
+               for s, zk in zip(sets[j + 1 :], node.z_vec[j + 1 :])):
             parts = ()
         full = config.scv_mode == "full"
         pins = abutment_values(fixed, z, instance.base, axis, full, grid)
@@ -765,18 +771,19 @@ def fit_lagrangian(
     ``matrices`` are the solve's reward matrices, one per scale, whose rates
     and overlap tables the fit reads.  Returns None when the fit does not
     lower ``root``'s Lagrangian bound below its start, the isolated sum, by
-    a relative ``FIT_GAIN``.  Zones with the same scale and candidate sets
-    (at the root, every zone on the plane and every zone of one scale on the
-    line) share their argmax, so each such group adds its subgradient once,
-    times its size.  A step tabulates each scale's ``L_z`` as
-    :meth:`Lagrangian.of` does and takes its first maximum once; the
-    :class:`Lagrangian` itself is built once, for the best ``mu``.
+    a relative ``FIT_GAIN``.  ``root`` is a root node (:func:`root_node`):
+    each zone is open or at its scale's whole grids, so its term is the
+    first maximum of a whole table, and zones of one scale share it, each
+    group adding its subgradient once, times its size.  A step tabulates
+    each scale's ``L_z`` as :meth:`Lagrangian.of` does and takes its first
+    maximum once; the :class:`Lagrangian` itself is built once, for the
+    best ``mu``.
     """
     x, y, w, l, _ = demand_rows(instance.planar[0]).T
     area = ((x + w) - x) * ((y + l) - y)
     scales = list(matrices)
     rates = np.stack([matrices[z].rates for z in scales], axis=1)
-    groups = Counter(zip(root.x_sets, root.y_sets, root.z_vec)).items()
+    groups = Counter(root.z_vec).items()
     rows = np.arange(len(area))
     mu = best_mu = rates
     best, mark = math.inf, math.inf
@@ -791,16 +798,14 @@ def fit_lagrangian(
         # every scale's L_z, as Lagrangian.of tabulates it, and its first maximum
         tables = [m.reweighted_entries(mu[:, s]) for s, m in enumerate(matrices.values())]
         peaks = [int(t.argmax()) for t in tables]
-        for (xs, ys, z), count in groups:
+        for z, count in groups:
             if z == _UNSET:  # an open zone takes the best scale's whole grid
                 z = scales[max(range(len(scales)), key=lambda s: tables[s].flat[peaks[s]])]
-                xs, ys = (0, len(matrices[z].xs), None), (0, len(matrices[z].ys), None)
             s = scales.index(z)
             m, table = matrices[z], tables[s]
-            block = table[xs[0] : xs[1], ys[0] : ys[1]]
-            i, k = divmod(peaks[s] if block.shape == table.shape else int(block.argmax()), block.shape[1])
-            value += count * float(block[i, k])
-            grad[:, s] += count * m.ox[:, xs[0] + i] * m.oy[:, ys[0] + k]
+            i, k = divmod(peaks[s], table.shape[1])
+            value += count * float(table[i, k])
+            grad[:, s] += count * m.ox[:, i] * m.oy[:, k]
         start = value if n == 0 else start
         if value < best:
             best, best_mu, since_best = value, mu, 0

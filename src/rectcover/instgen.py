@@ -30,15 +30,25 @@ from .model import (
     QosSet,
 )
 
+#: Concentration centres per instance.
+NUM_CONCENTRATIONS = 3
+#: Chance that a demand zone is anchored at one given centre; the rest, 1 -
+#: ``NUM_CONCENTRATIONS * ANCHOR_PROB`` = 0.07, places it free-form.
+ANCHOR_PROB = 0.31
+#: A demand zone's rate is drawn uniformly from this range.
+RATE_RANGE = (1.0, 10.0)
+
 
 @dataclass(frozen=True)
 class GenConfig:
     """Generation parameters.
 
-    ``anchor_prob`` applies to each concentration centre separately;
-    ``num_concentrations * anchor_prob + free_prob`` must equal 1.  ``m`` is
-    the number of shared scale factors ``1..m`` (planar only); line instances
-    give zone ``j`` the fixed scale ``j`` and ignore ``m``.
+    ``m`` is the number of shared scale factors ``1..m`` (planar only); line
+    instances give zone ``j`` the fixed scale ``j`` and ignore ``m``.  The
+    settings no caller varies are module constants: each demand zone is
+    anchored at one of :data:`NUM_CONCENTRATIONS` centres with chance
+    :data:`ANCHOR_PROB` each, else, with the remaining chance 0.07, placed
+    free-form, and its rate is drawn from :data:`RATE_RANGE`.
     """
 
     seed: int = 0
@@ -47,35 +57,26 @@ class GenConfig:
     m: int = 2
     region: float = 1000.0
     r: float = 270.0
-    num_concentrations: int = 3
-    anchor_prob: float = 0.31
-    free_prob: float = 0.07
     dim_range: tuple[float, float] = (5.0, 50.0)
-    rate_range: tuple[float, float] = (1.0, 10.0)
     base_dims: tuple[float, float] = (50.0, 40.0)
     dimension: Dimension = Dimension.TWO_D
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.p < 1 or self.m < 1:
             raise ValueError("n must be >= 0, p and m >= 1")
-        if not (0 < self.region < math.inf and 0 < self.r < math.inf) or self.num_concentrations < 1:
-            raise ValueError("region and r must be finite and positive, num_concentrations >= 1")
+        if not (0 < self.region < math.inf and 0 < self.r < math.inf):
+            raise ValueError("region and r must be finite and positive")
         if not (0 < self.dim_range[0] <= self.dim_range[1]):
             raise ValueError(f"bad dim_range {self.dim_range}")
-        if not (0 < self.rate_range[0] <= self.rate_range[1]):
-            raise ValueError(f"bad rate_range {self.rate_range}")
         if self.base_dims[0] <= 0 or self.base_dims[1] <= 0:
             raise ValueError(f"bad base_dims {self.base_dims}")
-        total = self.num_concentrations * self.anchor_prob + self.free_prob
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(f"category probabilities sum to {total}, expected 1")
 
 
-def _category(rng: np.random.Generator, config: GenConfig) -> int:
+def _category(rng: np.random.Generator) -> int:
     """Index of the chosen concentration centre, or -1 for free placement."""
     u = rng.random()
-    k = int(u / config.anchor_prob)
-    return k if k < config.num_concentrations else -1
+    k = int(u / ANCHOR_PROB)
+    return k if k < NUM_CONCENTRATIONS else -1
 
 
 def _draw(config: GenConfig, plane: bool) -> tuple[DemandZone, ...]:
@@ -84,11 +85,11 @@ def _draw(config: GenConfig, plane: bool) -> tuple[DemandZone, ...]:
     std = config.r / 3.0
     centers = [
         (rng.uniform(0.0, config.region), rng.uniform(0.0, config.region) if plane else 0.0)
-        for _ in range(config.num_concentrations)
+        for _ in range(NUM_CONCENTRATIONS)
     ]
     dzs = []
     for _ in range(config.n):
-        k = _category(rng, config)
+        k = _category(rng)
         if k >= 0:
             x = rng.normal(centers[k][0], std)
             y = rng.normal(centers[k][1], std) if plane else 0.0
@@ -97,7 +98,7 @@ def _draw(config: GenConfig, plane: bool) -> tuple[DemandZone, ...]:
             y = rng.uniform(0.0, config.region) if plane else 0.0
         w = rng.uniform(*config.dim_range)
         l = rng.uniform(*config.dim_range) if plane else 0.0
-        v = rng.uniform(*config.rate_range)
+        v = rng.uniform(*RATE_RANGE)
         dzs.append(DemandZone(Rect(x, y, w, l), v))
     return tuple(dzs)
 

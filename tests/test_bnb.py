@@ -586,21 +586,23 @@ PLANE_P3 = [
     (6, 1170, "0x1.7db9757d19c58p+14"),
     (7, 2516, "0x1.6443a0f472db9p+14"),
     (8, 5670, "0x1.b75f0c5f49548p+13"),
-    (9, 10809, "0x1.8bbda8a05a299p+14"),
+    (9, 10341, "0x1.8bbda8a05a299p+14"),
 ]
 
 
 @pytest.mark.parametrize("seed, nodes, reward", PLANE_P3, ids=[f"seed{s}" for s, _, _ in PLANE_P3])
 def test_plane_p3_fingerprint(seed, nodes, reward):
     # planar p=3 m=2 n=8 seeds 0-9 (plane-p3), the set node totals are
-    # compared on: 39,789 nodes with one next-zone rule on both axes,
-    # 41,928 while y branching first pushed a copy of the node per
-    # candidate zone (seeds 2, 4, 7, 8 and 9 popped 869, 30, 40, 554 and
-    # 646 such copies), 44,984 with an absolute slack of 1e-9 (which is
-    # below the relative slack at these rewards of about 2e4, so seeds 0, 1,
-    # 3 and 8 now cut more), 127,740 without the reference-set bound, and
-    # the same optima bit for bit.  A pure speed-up or refactor must not
-    # move them.
+    # compared on: 39,321 nodes with one grid-order rule on both axes,
+    # 39,789 while the rule ordered grid placements on x only (seed 9 took
+    # 10,809, as its y phase also explored orders that settle a zone on its
+    # own y grid after a higher-indexed one), 41,928 while y branching first
+    # pushed a copy of the node per candidate zone (seeds 2, 4, 7, 8 and 9
+    # popped 869, 30, 40, 554 and 646 such copies), 44,984 with an
+    # absolute slack of 1e-9 (which is below the relative slack at these
+    # rewards of about 2e4, so seeds 0, 1, 3 and 8 now cut more), 127,740
+    # without the reference-set bound, and the same optima bit for bit.  A
+    # pure speed-up or refactor must not move them.
     sol, stats = solve(generate(GenConfig(seed=seed, n=8, p=3, m=2)))
     assert stats.optimal
     assert stats.nodes_explored == nodes
@@ -771,6 +773,56 @@ def test_grid_order_rule_on_per_zone_menus():
     node = Node(((0, 1, None), root.x_sets[1]), ((0, len(grids.matrices[1.0].ys), None), root.y_sets[1]), (1.0, 2.0))
     children = branch(node, inst, grids, cfg)
     assert any(c.x_sets[1][2] is None for c in children) and any(c.x_sets[1][2] is not None for c in children)
+
+
+def test_grid_order_rule_on_y():
+    # every x fixed; zone 1 (menu {2}, a class of its own) settled on a y
+    # value of its scale-2 grid, zone 0 (menu {1, 2}) at scale 1 with its
+    # whole y grid open: zone 0's first y split gives only abutment pins,
+    # the tree that settles zone 0 first holding its grid values
+    inst = _per_zone(0, 4, ((1.0, 2.0), (2.0,)))
+    grids = CandidateGrids.from_instance(inst)
+    cfg = SolverConfig()
+    ny = {z: len(grids.matrices[z].ys) for z in (1.0, 2.0)}
+    assert ny[2.0] > 1
+    node = Node(((0, 1, None),) * 2, ((0, ny[1.0], None), (2, 3, None)), (1.0, 2.0))
+    assert node.residual_axis is Axis.Y
+    children = branch(node, inst, grids, cfg)
+    assert children and _narrowed_on_y(node, children) == [[0]] * len(children)
+    assert all(c.y_sets[0][2] is not None for c in children)
+    # zone 1 open, zone 0 settled on its grid below it: grid parts as well
+    node = Node(((0, 1, None),) * 2, ((2, 3, None), (0, ny[2.0], None)), (1.0, 2.0))
+    children = branch(node, inst, grids, cfg)
+    assert any(c.y_sets[1][2] is None for c in children) and any(c.y_sets[1][2] is not None for c in children)
+
+
+@pytest.mark.parametrize(
+    "seed, n, menus",
+    [
+        (4, 6, ((2.0,), (1.0,))),
+        (4, 6, ((2.0,), (1.0, 2.0))),
+        (4, 8, ((2.0,), (1.0,))),
+    ],
+)
+def test_grid_order_rule_on_y_matches_the_oracle(seed, n, menus, monkeypatch):
+    # each zone a class of its own, so the y phase may settle zone 1 first;
+    # the wrapper counts the first y splits whose grid parts the rule
+    # withholds (every child a pin, on a grid of more than one value)
+    withheld = 0
+    interval_children = bnb._interval_children
+
+    def counting(node, j, axis, instance, grids, config):
+        nonlocal withheld
+        children = interval_children(node, j, axis, instance, grids, config)
+        if axis is Axis.Y and node.y_sets[j] == (0, len(grids.matrices[node.z_vec[j]].ys), None):
+            withheld += all(c.y_sets[j][2] is not None for c in children)
+        return children
+
+    monkeypatch.setattr(bnb, "_interval_children", counting)
+    inst = _per_zone(seed, n, menus)
+    sol, stats = solve(inst)
+    assert stats.optimal and withheld > 0
+    assert math.isclose(sol.reward, brute_force_2d(inst).reward, rel_tol=RTOL)
 
 
 def test_order_step_keeps_one_representative_per_class():

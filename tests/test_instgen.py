@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from rectcover import Dimension, GenConfig, QosSet, generate, generate_1d
+from rectcover.instgen import RATE_RANGE
 
 
 #: Float hex of every demand row, planar `(x, y, w, l, v)` and line `(x, w, v)`,
@@ -80,7 +81,7 @@ def test_shapes_and_ranges():
     for d in inst.dzs:
         assert cfg.dim_range[0] <= d.rect.w <= cfg.dim_range[1]
         assert cfg.dim_range[0] <= d.rect.l <= cfg.dim_range[1]
-        assert cfg.rate_range[0] <= d.v <= cfg.rate_range[1]
+        assert RATE_RANGE[0] <= d.v <= RATE_RANGE[1]
 
 
 def test_same_seed_same_instance():
@@ -110,18 +111,11 @@ def test_coordinates_are_not_clamped():
     )
 
 
-def test_category_probabilities_must_sum_to_one():
-    with pytest.raises(ValueError):
-        GenConfig(anchor_prob=0.4, free_prob=0.3)  # 3 * 0.4 + 0.3 = 1.5
+def test_bad_dim_range_or_size_raises():
     with pytest.raises(ValueError):
         GenConfig(dim_range=(0.0, 5.0))
     with pytest.raises(ValueError):
         GenConfig(n=-1)
-
-
-def test_rate_range_must_start_above_zero():
-    with pytest.raises(ValueError, match="bad rate_range"):
-        GenConfig(rate_range=(0.0, 1.0))
 
 
 def test_one_d_projection():
