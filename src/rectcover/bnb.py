@@ -15,11 +15,12 @@ exactly when every x set is a singleton:
   which fixes its scale and swaps in that scale's grids (a zone whose x grid
   at that scale holds one value is then placed, and no zone is narrowed
   next);
-* interval step — a zone's x (later y) candidate set is split at its widest
-  coordinate gaps (every gap wider than :data:`BETA` times the widest
-  other); children are visited by decreasing best isolated reward
-  over their candidates (their block of the scale's reward matrix, taken
-  over every position on the other axis), until the set is a singleton.
+* interval step — a zone's x (later y) candidate set, a slice of its grid,
+  is cut into :data:`PARTS` runs of near-equal length (fewer when it holds
+  fewer positions; :func:`partition`), whatever the coordinates; children
+  are visited by decreasing best isolated reward over their candidates
+  (their block of the scale's reward matrix, taken over every position on
+  the other axis), until the set is a singleton.
   When a zone is first split, extra children pin it directly at the abutment
   positions of already-fixed zones (positions off its own-scale grid, to the
   grid's own tolerance);
@@ -90,9 +91,9 @@ matrix's maximum over the block its two sets name, memoised by
 ``RewardMatrix.block_max`` because a solve asks for few distinct blocks many
 times; a child's rank is the same memoised maximum over its range on one
 axis and the whole grid on the other.  A slice's interval split depends only
-on its scale, axis and range (the cut ratio is the constant :data:`BETA`),
-so :meth:`CandidateGrids.split` computes and ranks it once per solve and
-keeps the parts as a tuple.
+on its length, and its ranking on its scale, axis and range, so
+:meth:`CandidateGrids.split` computes and ranks it once per solve and keeps
+the parts as a tuple.
 
 The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
 exact value, which trims overlapping coverage, is never above the sum of its
@@ -285,9 +286,9 @@ FIT_STALL = 10
 FIT_GAIN = 1e-3
 #: The one reward tolerance, relative (module docstring, Tolerances).
 RTOL = 1e-12
-#: The interval step cuts a slice at every gap wider than ``BETA`` times its
-#: widest other gap (:func:`partition`).
-BETA = 0.5
+#: The interval step cuts a slice into this many runs of near-equal length
+#: (:func:`partition`).
+PARTS = 4
 
 
 @dataclass(frozen=True)
@@ -295,8 +296,8 @@ class SolverConfig:
     """Knobs shared by the exact solvers: the time limit and which service breakpoints pin a zone.
 
     The search's tolerances are no setting: each is derived from the data
-    (``bnb`` module docstring, Tolerances), and the interval step's cut
-    ratio is the constant :data:`BETA`.
+    (``bnb`` module docstring, Tolerances), and the interval step cuts a
+    slice into the constant :data:`PARTS` runs.
     """
 
     time_limit_s: float = 18000.0
@@ -427,15 +428,13 @@ class CandidateGrids:
     def split(self, z: float, axis: Axis, s: CandidateSet) -> tuple[CandidateSet, ...]:
         """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
 
-        :func:`partition` cuts the slice at its widest gaps; a slice it
-        leaves whole falls apart into singletons.  The parts come by
-        decreasing maximum of the reward matrix over the block they span
-        (every index on the other axis), stable on ties, read through
-        ``RewardMatrix.block_max``.  They depend only on ``(z, axis, lo,
-        hi)``, as the cut ratio is the constant :data:`BETA`, so each range
-        is split once and its parts kept in ``splits``: at most ``2 *
-        len(grid) - 1`` ranges per scale and axis, the nodes of the grid's
-        partition tree.
+        :func:`partition` cuts the slice into runs of near-equal length.
+        The parts come by decreasing maximum of the reward matrix over the
+        block they span (every index on the other axis), stable on ties,
+        read through ``RewardMatrix.block_max``.  They depend only on ``(z,
+        axis, lo, hi)``, so each range is split once and its parts kept in
+        ``splits``: at most ``2 * len(grid) - 1`` ranges per scale and axis,
+        the nodes of the grid's partition tree.
         The tuple is shared, so callers build new sequences from it.
         """
         lo, hi, _ = s
@@ -445,9 +444,7 @@ class CandidateGrids:
         if out is None:
             m = self.matrices[z]
             nx, ny = len(m.xs), len(m.ys)
-            parts = [(lo + a, lo + b, None) for a, b in partition(_grid(m, axis)[lo:hi])]
-            if len(parts) == 1 and hi - lo > 1:
-                parts = [(i, i + 1, None) for i in range(lo, hi)]
+            parts = [(lo + a, lo + b, None) for a, b in partition(hi - lo)]
             if on_x:
                 parts.sort(key=lambda part: m.block_max(part[0], part[1], 0, ny), reverse=True)
             else:
@@ -461,28 +458,17 @@ def _grid(m: RewardMatrix, axis: Axis) -> tuple[float, ...]:
     return m.xs.values if axis is Axis.X else m.ys.values
 
 
-def partition(values: Sequence[float]) -> list[tuple[int, int]]:
-    """Split sorted ``values`` at every gap wider than :data:`BETA` times the rest.
+def partition(n: int) -> list[tuple[int, int]]:
+    """Cut a slice of ``n`` grid positions into ``min(n, PARTS)`` runs of near-equal length.
 
-    The parts are returned in order as half-open position ranges ``(start,
-    stop)`` into ``values``.  A gap is cut when it exceeds ``BETA`` times the
-    widest *other* gap, so a two-element set (a single gap, nothing to
-    compare against) always stays whole; callers that need progress on an
-    unsplit set enumerate singletons instead.
+    The runs are ``[n * i // PARTS, n * (i + 1) // PARTS)`` for ``i`` in
+    ``range(PARTS)``, the empty ones left out, returned in order as
+    half-open position ranges ``(start, stop)`` into the slice.  Their
+    lengths differ by at most one, and a slice of two or more positions
+    always falls into two or more runs.
     """
-    n = len(values)
-    if n <= 2:
-        return [(0, n)]
-    gaps = [b - a for a, b in zip(values, values[1:])]
-    gmax = max(gaps)
-    parts: list[tuple[int, int]] = []
-    start = 0
-    for i, g in enumerate(gaps):
-        if g > BETA * gmax:
-            parts.append((start, i + 1))
-            start = i + 1
-    parts.append((start, n))
-    return parts
+    cuts = sorted({n * i // PARTS for i in range(PARTS + 1)})
+    return list(zip(cuts, cuts[1:]))
 
 
 def priority_score(

@@ -325,7 +325,7 @@ def _cross_check(instance: Instance, reward: float, budget: int) -> None:
         check = (brute_force_1d if instance.one_d else brute_force_2d)(instance, max_evaluations=budget)
     except OracleSizeError:
         return
-    if abs(check.reward - reward) > 1e-9 * max(1.0, abs(check.reward)):
+    if abs(check.reward - reward) > 1e-9 * abs(check.reward):
         raise RuntimeError(f"reference mismatch: {check.reward} vs {reward}")
 
 
@@ -558,7 +558,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         )
         # A proven file claims exactly what its placements cover.  Any other
         # file may claim less (greedy claims its certified sum of round gains).
-        slack = 1e-6 * max(1.0, abs(recomputed))
+        slack = 1e-6 * abs(recomputed)
         too_low = optimal and solution.reward < recomputed - slack
         if solution.reward > recomputed + slack or too_low:
             raise CliError(

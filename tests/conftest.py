@@ -83,6 +83,16 @@ def small_1d(seed: int, n: int, p: int) -> Instance:
     )
 
 
+def moved(inst: Instance, s: float = 1.0, t: float = 0.0) -> Instance:
+    """``inst`` with every length times ``s``, then shifted by ``t`` on each axis it has."""
+    ty = 0.0 if inst.one_d else t
+    dzs = tuple(
+        DemandZone(Rect(d.rect.x * s + t, d.rect.y * s + ty, d.rect.w * s, d.rect.l * s), d.v) for d in inst.dzs
+    )
+    base = BaseServiceZone(inst.base.w0 * s, inst.base.l0 * s)
+    return Instance(dzs, base, inst.p, inst.qos, inst.eta, inst.dimension)
+
+
 def candidate_values(s, grid):
     """The coordinates a search node's candidate set ``(lo, hi, v)`` on ``grid`` stands for."""
     lo, hi, v = s

@@ -30,6 +30,7 @@ from rectcover.bnb1d import solve_1d
 from rectcover.cli import (
     BenchReport,
     CliError,
+    _cross_check,
     _solver_config,
     build_parser,
     dump_instance,
@@ -44,7 +45,7 @@ from rectcover.cli import (
     solution_to_dict,
 )
 
-from conftest import micro_line, small_1d, small_2d, square_instance
+from conftest import micro_line, moved, small_1d, small_2d, square_instance
 
 # The package re-exports the function ``greedy`` under the module's name.
 greedy_module = import_module("rectcover.greedy")
@@ -632,6 +633,35 @@ def _covered(inst, solution):
     return covered_reward(inst.dzs, solution.placements, inst.base, inst.eta)
 
 
+@pytest.mark.parametrize("optimal", [False, True])
+def test_render_claim_rule_is_relative(optimal, tmp_path, capsys):
+    # at lengths times 1e-6 the optimum is 2.17e-8: a claim 5e-7 above it,
+    # 24 times too much, passed an absolute slack of 1e-6
+    inst = moved(generate(GenConfig(seed=2, n=15, p=2, m=2)), s=1e-6)
+    sol, stats = solve(inst)
+    assert stats.optimal and math.isclose(sol.reward, 2.17e-8, rel_tol=1e-3)
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    dump_instance(inst, inst_path)
+    argv = ["render", "--instance", str(inst_path), "--solution", str(sol_path), "--out", str(tmp_path / "x.svg")]
+    claimed = SolverStats(nodes_explored=1, optimal=optimal)
+    sol_path.write_text(json.dumps(solution_to_dict(Solution(sol.placements, sol.reward), claimed)))
+    assert main(argv) == 0
+    sol_path.write_text(json.dumps(solution_to_dict(Solution(sol.placements, sol.reward + 5e-7), claimed)))
+    assert main(argv) == 1
+    assert "does not match" in capsys.readouterr().err
+
+
+def test_oracle_cross_check_is_relative():
+    # a line optimum of 1.2e-7 at lengths times 1e-9: a claim 0.1% above it
+    # lies within an absolute slack of 1e-9
+    inst = moved(small_1d(seed=0, n=4, p=2), s=1e-9)
+    optimum = solve_1d(inst)[0].reward
+    assert math.isclose(optimum, 1.2e-7, rel_tol=1e-2)
+    _cross_check(inst, optimum, 10**7)
+    with pytest.raises(RuntimeError, match="reference mismatch"):
+        _cross_check(inst, optimum * 1.001, 10**7)
+
+
 # ------------------------------------------------------- malformed input files
 
 def _assert_clean_error(code: int, err: str, where: str) -> None:
@@ -791,7 +821,7 @@ def test_file_that_is_not_an_object_gives_error_line(what, square_file, tmp_path
 
 BAD_OPTIONS = {
     "generate base dims not numbers": (["generate", "--base-dims", "a,b"], "--base-dims"),
-    # the interval step's cut ratio is the constant bnb.BETA: --beta is no flag
+    # the interval step cuts a slice into a fixed number of equal runs: --beta is no flag
     "solve beta refused": (["solve", "--beta", "0.5"], "unrecognized arguments: --beta"),
     "generate out in missing directory": (["generate", "--out", "{tmp}/missing/x.json"], "--out"),
     "solve out in missing directory": (["solve", "--out", "{tmp}/missing/x.json"], "--out"),

@@ -604,8 +604,9 @@ def test_bound_reads_reference_states_only_with_nothing_placed():
 
 
 def test_planar_three_zones_eight_demand_zones_proves():
-    # plane p=3 m=2 n=8: 13,578 nodes with the Lagrangian, residual and
-    # reference-set bounds (14,447 while y branching first pushed a copy of
+    # plane p=3 m=2 n=8: 11,735 nodes with the Lagrangian, residual and
+    # reference-set bounds (13,578 while the interval step cut a slice at
+    # its wide gaps, 14,447 while y branching first pushed a copy of
     # the node per candidate zone), against 20,745 without the reference-set
     # bound, 43,423 with the residual bound alone and 615,223 with the
     # isolated sum alone (same optimum)
@@ -618,13 +619,15 @@ def test_planar_three_zones_eight_demand_zones_proves():
 
 @pytest.mark.parametrize("one_d", [False, True])
 def test_residual_cache_cap_changes_no_search(one_d, monkeypatch):
-    # planar p=3 m=2 n=8 seed 2 (13,578 nodes; 14,447 while y branching
-    # first pushed a copy of the node per candidate zone, 869 of them
-    # popped; 20,745 before the reference-set bound cut y-phase nodes with
-    # no y settled) and line p=3
-    # n=12 seed 0 (306 nodes; 260 when the line had a tree of its own): with
-    # room for 4 states the cache drops and rebuilds states, and the search
-    # is the same as with room for 1024
+    # planar p=3 m=2 n=8 seed 2 (11,735 nodes; 13,578 while the interval
+    # step cut a slice at its wide gaps, 14,447 while y branching first
+    # pushed a copy of the node per candidate zone, 869 of them popped;
+    # 20,745 before the reference-set bound cut y-phase nodes with no y
+    # settled) and line p=3 n=12 seed 0 (259 nodes; 306 while the interval
+    # step cut at wide gaps, 260 when the line had a tree of its own): with
+    # room for 2 states the cache drops and rebuilds states, and the search
+    # is the same as with room for 1024 (the line search now rebuilds none
+    # with room for 4)
     if one_d:
         inst, run = generate_1d(GenConfig(seed=0, n=12, p=3, dimension=Dimension.ONE_D)), solve_1d
     else:
@@ -644,8 +647,8 @@ def test_residual_cache_cap_changes_no_search(one_d, monkeypatch):
         return sol.reward.hex(), sol.placements, stats.nodes_explored, history, len(built)
 
     *search, full_builds = outcome()
-    assert search[2] == (306 if one_d else 13_578)
-    monkeypatch.setattr(bnb, "RESIDUAL_CACHE_SIZE", 4)
+    assert search[2] == (259 if one_d else 11_735)
+    monkeypatch.setattr(bnb, "RESIDUAL_CACHE_SIZE", 2)
     *capped, capped_builds = outcome()
     assert capped == search
     assert capped_builds > full_builds

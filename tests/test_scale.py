@@ -16,27 +16,9 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectcover import (
-    BaseServiceZone,
-    DemandZone,
-    Dimension,
-    GenConfig,
-    Instance,
-    Rect,
-    generate,
-    generate_1d,
-    solve,
-)
+from rectcover import Dimension, GenConfig, generate, generate_1d, solve
 
-
-def moved(inst, s=1.0, t=0.0):
-    """``inst`` with every length times ``s``, then shifted by ``t`` on each axis it has."""
-    ty = 0.0 if inst.one_d else t
-    dzs = tuple(
-        DemandZone(Rect(d.rect.x * s + t, d.rect.y * s + ty, d.rect.w * s, d.rect.l * s), d.v) for d in inst.dzs
-    )
-    base = BaseServiceZone(inst.base.w0 * s, inst.base.l0 * s)
-    return Instance(dzs, base, inst.p, inst.qos, inst.eta, inst.dimension)
+from conftest import moved
 
 
 def small(one_d, seed, n):
@@ -90,23 +72,24 @@ def test_reward_is_translation_invariant(case, t):
 def test_planar_optimum_at_tiny_units():
     # an absolute tolerance of 1e-9 proved a reward 1.6% below the optimum
     # here at s = 1e-6 (21348.12 s**2 after 508 nodes), and 0 at s = 1e-12.
-    # The search takes 688 nodes at every scale; it took 722 while y
-    # branching first pushed a copy of the node per candidate zone, 34 of
-    # them popped.
+    # The search takes 547 nodes at every scale; it took 688 while the
+    # interval step cut a slice at its wide gaps, and 722 while y branching
+    # first pushed a copy of the node per candidate zone, 34 of them popped.
     inst = generate(GenConfig(seed=2, n=15, p=2, m=2))
     for s in (1e-6, 1e-12):
         (_, stats_at_one), (got, stats) = assert_same_optimum(inst, moved(inst, s=s), s * s)
         assert math.isclose(got.reward / (s * s), 21696.4968005529, rel_tol=1e-12)
-        assert stats.nodes_explored == stats_at_one.nodes_explored == 688
+        assert stats.nodes_explored == stats_at_one.nodes_explored == 547
 
 
 def test_line_optimum_at_tiny_units():
     # an absolute tolerance of 1e-9 proved 266.09 s at s = 1e-12, 73% below
-    # the optimum of 972.28 s
+    # the optimum of 972.28 s; the search takes 53 nodes (67 while the
+    # interval step cut a slice at its wide gaps)
     inst = generate_1d(GenConfig(seed=59, n=12, p=3, dimension=Dimension.ONE_D))
     _, (got, stats) = assert_same_optimum(inst, moved(inst, s=1e-12), 1e-12)
     assert math.isclose(got.reward / 1e-12, 972.2819554822, rel_tol=1e-12)
-    assert stats.nodes_explored == 67
+    assert stats.nodes_explored == 53
 
 
 def test_root_bound_within_the_relative_tolerance_proves_at_the_root():

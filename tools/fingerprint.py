@@ -3,7 +3,7 @@
 Usage::
 
     python tools/fingerprint.py [--out FILE]   # solve the four sets, print node totals
-    python tools/fingerprint.py --diff A B     # list the instances whose records differ
+    python tools/fingerprint.py --diff A B     # list the instances whose records differ, sum up each set
 
 The four sets are the ones node totals are compared on: ``plane-wide``
 (planar p=2 m=2 n=30, seeds 0-99), ``line`` (line p=3 n=12, seeds 0-59),
@@ -18,7 +18,10 @@ searches agree bit for bit.  ``--out`` writes the record as JSON.
 for a checkout), so one copy of this script records any checkout.  Native
 thread pools are pinned to one thread before numpy loads, as in the
 benchmark, so that matrix products sum in one order on every machine.
-``--diff`` exits 1 when some instance differs or is missing from one side.
+``--diff`` ends with one line per set: the node totals of A and B, how many
+of the instances both hold took more nodes in B and how many fewer, and how
+many of their optima differ as ``float.hex``.  It exits 1 when some instance
+differs or is missing from one side.
 """
 
 from __future__ import annotations
@@ -84,6 +87,22 @@ def differences(a: dict, b: dict) -> list[str]:
     return out
 
 
+def summary(a: dict, b: dict) -> list[str]:
+    """Per set: A's and B's node totals, the instances that rose and fell, and the optima that differ."""
+    out = []
+    for name in sorted(a.keys() | b.keys()):
+        runs_a, runs_b = a.get(name, {}), b.get(name, {})
+        both = runs_a.keys() & runs_b.keys()
+        moves = [runs_b[seed]["nodes"] - runs_a[seed]["nodes"] for seed in both]
+        optima = sum(runs_a[seed]["optimum"] != runs_b[seed]["optimum"] for seed in both)
+        total_a, total_b = (sum(r["nodes"] for r in runs.values()) for runs in (runs_a, runs_b))
+        out.append(
+            f"{name}: {total_a} -> {total_b} nodes, {sum(m > 0 for m in moves)} rose, "
+            f"{sum(m < 0 for m in moves)} fell, {optima} optima differ"
+        )
+    return out
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the record to this JSON file")
@@ -92,7 +111,7 @@ def main(argv: list[str]) -> int:
     if args.diff:
         a, b = (json.loads(Path(path).read_text()) for path in args.diff)
         lines = differences(a, b)
-        for line in lines:
+        for line in lines + summary(a, b):
             print(line)
         print(f"{len(lines)} instances differ")
         return 1 if lines else 0
