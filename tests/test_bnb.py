@@ -69,6 +69,27 @@ def test_partition_cuts_equal_runs():
         assert max(lengths) - min(lengths) <= 1, n
 
 
+def test_partition_uniform_gaps_fall_apart():
+    # four positions fall into four singletons, as they did under the gap rule
+    assert partition(len((0.0, 1.0, 2.0, 3.0))) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_partition_pair_splits_in_two():
+    assert partition(2) == [(0, 1), (1, 2)]
+
+
+def test_partition_singleton():
+    assert partition(1) == [(0, 1)]
+
+
+def test_partition_pieces_reassemble():
+    vals = (0.0, 1.0, 1.5, 8.0, 8.2, 20.0)
+    parts = partition(len(vals))
+    flat = tuple(v for start, stop in parts for v in vals[start:stop])
+    assert flat == vals
+    assert all(stop - start >= 1 for start, stop in parts)
+
+
 # ------------------------------------------------------------ priority score
 
 def test_priority_score_sums_covering_demand():
