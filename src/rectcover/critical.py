@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,14 +33,23 @@ from .model import BaseServiceZone, DemandZone, demand_rows
 COORD_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalValueSet:
-    """Sorted, deduplicated candidate coordinates along one axis for one scale."""
+    """Sorted, deduplicated candidate coordinates along one axis for one scale.
 
-    values: tuple[float, ...]
+    ``array`` holds them as floats; :attr:`values` is the same grid as a
+    tuple, built on first read.  The search indexes and bisects the tuple,
+    while greedy's single-zone solves read only the array.
+    """
+
+    array: np.ndarray
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
 
 def grid_tol(sorted_values: Sequence[float]) -> float:
@@ -93,7 +103,7 @@ def inner_demand_grid(
     values[1::2] = (rows[:, k] + rows[:, k + 2]) - reach
     values.sort(kind="stable")
     if not values.size:
-        return CriticalValueSet(())
+        return CriticalValueSet(values)
     tol = grid_tol(values)
     gap = values[1:] - values[:-1]
     keep = np.empty(values.size, dtype=bool)
@@ -104,7 +114,7 @@ def inner_demand_grid(
         while not keep[last]:
             last -= 1
         keep[i] = values[i] - values[last] >= tol
-    return CriticalValueSet(tuple(values[keep].tolist()))
+    return CriticalValueSet(values[keep])
 
 
 def service_breakpoints(

@@ -13,6 +13,25 @@ reads them as one array (:func:`~rectcover.model.demand_rows` form), and
 :func:`~rectcover.reward.serve_zone`, the trimming loop of
 :func:`~rectcover.reward.covered_reward`, yields both the round's gain and
 the rows left.
+
+A greedy run is lazy over scales, as Minoux's accelerated greedy (1978) is
+over elements: it keeps each scale's *cap*, an upper bound on that scale's
+best single-zone reward, from the round that last solved the scale, and
+:func:`~rectcover.reward.solve_single_zone` visits a round's menu by
+decreasing cap and skips a scale whose cap cannot reach the best reward
+found so far.  A cap stays valid in every later round:
+
+* a round only removes demand (the rows it leaves are pieces of the rows it
+  was given), so no position's reward grows from one round to the next;
+* the inner-demand grid holds an exact single-zone maximum, so a scale's
+  best reward on its grid is its best reward anywhere, and it cannot grow
+  either;
+* a cap and a later reward differ from exact sums only by the rounding of
+  sums of nonnegative terms, far below the ``TILE_MARGIN`` the skip test
+  adds.
+
+So the trace is bit for bit that of solving every scale of every round.
+The caps live in one run; :func:`pseudo_greedy` keeps none.
 """
 
 from __future__ import annotations
@@ -44,9 +63,9 @@ class GreedyTrace:
     solution: Solution
 
 
-#: A round's single-zone solver on the demand rows: ``(rows, qos, base, eta)
-#: -> (reward, x, y, z)``.
-_RowSolver = Callable[[np.ndarray, QosSet, BaseServiceZone, Eta], tuple[float, float, float, float]]
+#: A round's single-zone solver on the demand rows and the run's per-scale
+#: caps: ``(rows, qos, base, eta, caps) -> (reward, x, y, z)``.
+_RowSolver = Callable[[np.ndarray, QosSet, BaseServiceZone, Eta, dict[float, float]], tuple[float, float, float, float]]
 
 
 def _run(instance: Instance, solver: _RowSolver) -> GreedyTrace:
@@ -54,9 +73,10 @@ def _run(instance: Instance, solver: _RowSolver) -> GreedyTrace:
     rows = demand_rows(lifted).tolist()
     placements: list[Placement] = []
     rewards: list[float] = []
+    caps: dict[float, float] = {}
     for j in range(instance.p):
         demand = np.array(rows, dtype=float).reshape(-1, 5)
-        _, x, y, z = solver(demand, instance.qos_for(j), instance.base, instance.eta)
+        _, x, y, z = solver(demand, instance.qos_for(j), instance.base, instance.eta, caps)
         pl = Placement(x, y, z)
         # Marginal value is re-evaluated at the returned position so the trace
         # stays truthful even if the solver's own reward claim is off.
@@ -81,11 +101,11 @@ def pseudo_greedy(instance: Instance, approx: SingleZoneSolver) -> GreedyTrace:
     ``approx`` must return a feasible ``(reward, x, y, z)`` with ``z`` drawn
     from the menu it is given.  It is handed the unserved demand as
     :class:`DemandZone` objects built from the rows, which are exact because
-    the rows are in rect form.  Plugging in the exact solver reproduces
-    :func:`greedy` exactly.
+    the rows are in rect form, and no caps.  Plugging in the exact solver
+    reproduces :func:`greedy` exactly.
     """
 
-    def plugged(rows, qos, base, eta):
+    def plugged(rows, qos, base, eta, caps):
         return approx(demand_zones(rows), qos, base, eta)
 
     return _run(instance, plugged)

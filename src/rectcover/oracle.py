@@ -9,7 +9,8 @@ shortcuts, no bounding, no symmetry reduction: placement orders are
 enumerated even where they are redundant.  Candidate arithmetic is written
 out locally on purpose so the oracle only shares the reward evaluator with
 the real solvers.  Its tolerance is its own: candidate coordinates closer
-than the absolute :data:`EPS` are merged, whatever the instance's units.
+than :data:`RTOL` times the largest magnitude among them are merged, and so
+are exact duplicates, so the enumeration is the same in any units.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .model import Dimension, Instance, Placement
 from .reward import covered_reward
 
 
-#: The oracle's absolute tolerance for merging candidate coordinates.  The
-#: solvers take no absolute tolerance: theirs are derived from the data
-#: (``bnb`` module docstring, Tolerances).
-EPS = 1e-9
+#: The oracle's relative tolerance for merging candidate coordinates: two
+#: values closer than it times the largest magnitude among them are one.
+#: The solvers derive theirs from the data in their own code (``bnb``
+#: module docstring, Tolerances).
+RTOL = 1e-12
 
 
 class OracleSizeError(ValueError):
@@ -39,9 +41,11 @@ class OracleResult:
 
 
 def _dedup(values: list[float]) -> list[float]:
+    ordered = sorted(values)
+    tol = RTOL * max(abs(ordered[0]), abs(ordered[-1])) if ordered else 0.0
     out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] >= EPS:
+    for v in ordered:
+        if not out or (v != out[-1] and v - out[-1] >= tol):
             out.append(v)
     return out
 

@@ -139,15 +139,20 @@ class _Axis:
     stop: np.ndarray
 
     @classmethod
-    def of(cls, grid: Sequence[float], ext: float, lo: np.ndarray, hi: np.ndarray) -> "_Axis":
-        g = np.array(grid, dtype=float)
+    def of(cls, grid: Sequence[float] | np.ndarray, ext: float, lo: np.ndarray, hi: np.ndarray) -> "_Axis":
+        """The axis over ``grid``, which is read without a copy when it is a float array."""
+        g = np.asarray(grid, dtype=float)
         start = (g + ext).searchsorted(lo, side="right")
         stop = np.where(lo < hi, np.maximum(g.searchsorted(hi, side="left"), start), start)
         return cls(g, ext, lo, hi, start, stop)
 
-    def overlaps(self, at: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """``_overlaps`` of every piece at the grid positions ``at``."""
-        return _overlaps(self.grid[at], self.ext, self.lo, self.hi)
+    def overlaps(self, at: np.ndarray | slice = slice(None), pieces: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """``_overlaps`` of the ``pieces`` (every piece by default) at the grid positions ``at``."""
+        return _overlaps(self.grid[at], self.ext, self.lo[pieces], self.hi[pieces])
+
+    def meets(self, at: np.ndarray) -> np.ndarray:
+        """Per piece, whether its support range holds one of the sorted grid positions ``at``."""
+        return at.searchsorted(self.start) < at.searchsorted(self.stop)
 
     def tile_bounds(self) -> np.ndarray:
         """Per piece and tile of ``TILE`` grid values, an upper bound on its overlaps there.
@@ -196,12 +201,12 @@ class _Demand:
         """
         xs = inner_demand_grid(self.rows, z, self.base, Axis.X)
         if self.base.l0 == 0:
-            ys = CriticalValueSet((0.0,))
+            ys = CriticalValueSet(np.zeros(1))
         else:
             ys = inner_demand_grid(self.rows, z, self.base, Axis.Y)
         rates = self.v / eta.apply(z)  # reward_rate per piece
-        x = _Axis.of(xs.values, self.pbase.w0 * z, self.x1, self.x2)
-        y = _Axis.of(ys.values, self.pbase.l0 * z, self.y1, self.y2)
+        x = _Axis.of(xs.array, self.pbase.w0 * z, self.x1, self.x2)
+        y = _Axis.of(ys.array, self.pbase.l0 * z, self.y1, self.y2)
         return xs, ys, rates, x, y
 
 
@@ -415,27 +420,35 @@ class ResidualDemand:
 def _kept_argmax(kept: np.ndarray, rates: np.ndarray, x: _Axis, y: _Axis) -> tuple[float, int, int]:
     """First maximum ``(reward, i, j)`` in row-major order over the cells of the ``kept`` tiles.
 
-    The reward is the full reward matrix's cell, bit for bit.  One matrix
-    product over the grid rows and columns that hold a kept tile filters the
-    cells: those at or above its maximum over the kept tiles times ``1 -
-    TILE_MARGIN`` are re-summed exactly, ``RESUM_CHUNK`` at a time, each
-    as every piece's ``rate * (ox * oy)`` added in demand order from +0.0,
-    as :func:`build_reward_matrix` adds them (a piece's terms outside its
-    support block are exact zeros).  :func:`solve_single_zone` states why
-    every cell that ties the maximum survives the filter.
+    The reward is the full reward matrix's cell, bit for bit.  Only the
+    pieces whose support block meets the grid rows and columns that hold a
+    kept tile are read: every other piece adds exact zeros to those cells.
+    One matrix product over those rows and columns filters the cells: those
+    at or above its maximum over the kept tiles times ``1 - TILE_MARGIN``
+    are re-summed exactly, ``RESUM_CHUNK`` at a time, each as every read
+    piece's ``rate * (ox * oy)`` added in demand order from +0.0, as
+    :func:`build_reward_matrix` adds them (a piece's terms outside its
+    support block are exact zeros, and adding them changes no sum but a
+    -0.0, which the final +0.0 turns into the matrix's +0.0 anyway).
+    :func:`solve_single_zone` states why every cell that ties the maximum
+    survives the filter.
     """
     rows = np.repeat(kept.any(axis=1), TILE)[: len(x.grid)].nonzero()[0]
     cols = np.repeat(kept.any(axis=0), TILE)[: len(y.grid)].nonzero()[0]
-    scaled = x.overlaps(at=rows)
+    live = x.meets(rows) & y.meets(cols)
+    if not live.any():
+        live[0] = True  # every cell sums to zero: one piece's exact zeros say so
+    rates = rates[live]
+    scaled = x.overlaps(at=rows, pieces=live)
     scaled *= rates[:, None]
-    approx = scaled.T @ y.overlaps(at=cols)
+    approx = scaled.T @ y.overlaps(at=cols, pieces=live)
     approx[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
     near = (approx >= approx.max() * (1.0 - TILE_MARGIN)).nonzero()
     cells_i, cells_j = rows[near[0]], cols[near[1]]
     best, bi, bj = -np.inf, 0, 0
     for k in range(0, len(cells_i), RESUM_CHUNK):
         i, j = cells_i[k : k + RESUM_CHUNK], cells_j[k : k + RESUM_CHUNK]
-        terms = rates[:, None] * (x.overlaps(at=i) * y.overlaps(at=j))
+        terms = rates[:, None] * (x.overlaps(at=i, pieces=live) * y.overlaps(at=j, pieces=live))
         # a sequential sum; adding +0.0 turns a -0.0 total into the matrix's +0.0
         sums = terms.cumsum(axis=0)[-1] + 0.0
         a = int(sums.argmax())
@@ -449,6 +462,7 @@ def solve_single_zone(
     qos: QosSet,
     base: BaseServiceZone,
     eta: Eta,
+    caps: dict[float, float] | None = None,
 ) -> tuple[float, float, float, float]:
     """Best single placement ``(reward, x, y, z)`` over the candidate grids.
 
@@ -460,9 +474,24 @@ def solve_single_zone(
     the origin with the smallest scale.
 
     The result is bitwise that of taking the first maximum in row-major
-    order of each scale's :func:`build_reward_matrix` and keeping a later
-    scale only when its maximum is strictly larger, but most cells are never
-    summed, and few are summed in the matrix's order.  Per scale:
+    order of each scale's :func:`build_reward_matrix` and keeping the scale
+    with the largest maximum, the smallest of equal ones, but most cells are
+    never summed, and few are summed in the matrix's order.
+
+    ``caps`` maps a scale to its *cap*, an upper bound on its largest
+    reward, and receives the cap of every scale solved here.  A cap that is
+    read must hold for this demand: greedy passes one dict to every round of
+    a run, as a round only removes demand (:mod:`rectcover.greedy`).  By
+    default no cap is read and none is kept.  The scales are visited:
+
+    * by decreasing cap, the uncapped ones first, in menu order;
+    * except a scale whose cap times ``1 + TILE_MARGIN`` is below the best
+      reward found so far, which is skipped, as its maximum cannot reach
+      that reward (the margin absorbs rounding, as below);
+    * and a scale's reward replaces the best one when it is larger, or
+      equal on a smaller scale.
+
+    Per visited scale:
 
     * Both grids are cut into tiles of ``TILE`` consecutive values.  A
       piece's overlap with the zone is a trapezoid in the zone's position,
@@ -471,12 +500,13 @@ def solve_single_zone(
       the overlaps are rounded.  One matrix product of the rate times the x
       bounds with the y bounds then bounds every tile.
     * The lower bound is the larger of the best-bounded tile's maximum and
-      the best reward of the earlier scales.  A tile whose bound is below it
-      times ``1 - TILE_MARGIN`` cannot hold a maximum and is skipped.  The
-      margin absorbs rounding: the tile bounds and that tile's maximum are
-      sums of nonnegative terms taken by matrix products, in another order
-      than the matrix entries, so they differ from the entries' sums by a
-      relative error of about the number of pieces times 2**-52.
+      the best reward of the scales visited before.  A tile whose bound is
+      below it times ``1 - TILE_MARGIN`` cannot hold a winning maximum and
+      is pruned.  The margin absorbs rounding: the tile bounds and that
+      tile's maximum are sums of nonnegative terms taken by matrix
+      products, in another order than the matrix entries, so they differ
+      from the entries' sums by a relative error of about the number of
+      pieces times 2**-52.
     * One matrix product over the kept tiles' rows and columns sums every
       kept cell in another order; only the cells at or above its maximum
       times ``1 - TILE_MARGIN`` are re-summed in demand order from +0.0,
@@ -489,16 +519,25 @@ def solve_single_zone(
       (1 + 2g)``; so it is within about ``4g`` of the product's maximum,
       below ``TILE_MARGIN`` for any ``n`` below a million.
     * Every cell that holds the scale's maximum lies in a kept tile and
-      survives the filter, so the first maximum over the re-summed cells,
-      in row-major order, is the matrix's first maximum; a later scale
-      replaces it only when strictly larger.
+      survives the filter whenever that maximum can win, so the first
+      maximum over the re-summed cells, in row-major order, is the
+      matrix's first maximum.
+    * The scale's cap is the largest bound of a pruned tile times ``1 +
+      TILE_MARGIN`` (0 when none is pruned), or the re-summed maximum ``r``
+      when that is larger.  ``r`` alone is no cap: when another scale's
+      reward set the lower bound, a pruned tile may hold this scale's
+      maximum, which exceeds its tile's bound by at most the rounding
+      above.
     """
     if len(dzs) == 0:
         return 0.0, 0.0, 0.0, qos.min_factor
+    caps = {} if caps is None else caps
     demand = _Demand(dzs, base)
     best_r = -1.0
     best = (0.0, 0.0, 0.0, qos.min_factor)
-    for z in qos.factors:
+    for z in sorted(qos.factors, key=lambda z: -caps.get(z, np.inf)):  # stable: ties keep menu order
+        if caps.get(z, np.inf) * (1.0 + TILE_MARGIN) < best_r:
+            continue  # this scale cannot reach the best reward so far
         xs, ys, rates, x, y = demand.scale(z, eta)
         bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
         a, b = divmod(int(bound.argmax()), bound.shape[1])
@@ -506,10 +545,12 @@ def solve_single_zone(
         tile = (x.overlaps(at=tile_x) * rates[:, None]).T @ y.overlaps(at=tile_y)
         lower = max(float(tile.max()), best_r)
         kept = bound >= lower * (1.0 - TILE_MARGIN)
+        caps[z] = float(bound.max(where=~kept, initial=0.0)) * (1.0 + TILE_MARGIN)
         if not kept.any():
-            continue  # no tile of this scale can beat the earlier scales
+            continue  # no tile of this scale can beat the scales visited before
         r, i, j = _kept_argmax(kept, rates, x, y)
-        if r > best_r:
+        caps[z] = max(caps[z], r)
+        if r > best_r or (r == best_r and z < best[3]):
             best_r = r
-            best = (r, xs.values[i], ys.values[j], z)
+            best = (r, xs.array.item(i), ys.array.item(j), z)
     return best

@@ -27,7 +27,9 @@ from rectcover import (
     generate,
     generate_1d,
 )
-from rectcover.oracle import EPS
+
+#: Absolute slack of the tests' own coordinate checks, at unit scale.
+EPS = 1e-9
 
 
 def square_instance(m: int = 2, p: int = 2) -> Instance:

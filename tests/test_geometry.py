@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectcover import Rect
-from rectcover.oracle import EPS
-
+from conftest import EPS
 from reference import area, intersect, trim_out
 
 

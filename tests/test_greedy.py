@@ -1,9 +1,13 @@
 """Greedy placement loop and its pluggable-oracle variant."""
 
 import math
+from importlib import import_module
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rectcover.reward as reward_mod
 from rectcover import (
     BaseServiceZone,
     DemandZone,
@@ -19,6 +23,7 @@ from rectcover import (
     greedy,
     pseudo_greedy,
 )
+from rectcover.geometry import Axis
 from rectcover.reward import solve_single_zone
 
 from conftest import small_2d, square_instance
@@ -137,3 +142,83 @@ def test_greedy_fingerprint(config, rewards, placements):
     tr = greedy(make(config))
     assert tr.rewards == rewards
     assert tr.solution.placements == placements
+
+
+# ------------------------------------------------------------ per-scale caps
+#
+# A greedy run carries each scale's cap from round to round and skips the
+# scales whose cap cannot win; pseudo_greedy with the exact solver keeps no
+# caps and solves every scale of every round.  The traces must be equal.
+
+# The package re-exports the function ``greedy`` under the module's name.
+greedy_mod = import_module("rectcover.greedy")
+
+shared_menus = [(1.0,), (1.0, 2.0), (1.0, 1.5, 3.0), (1.0, 2.0, 3.0, 4.0), (1.25, 2.5, 3.75, 5.0)]
+zone_menus = [(1.0,), (1.0, 2.0), (2.0, 3.0), (1.5, 2.5, 4.0)]
+lattice = st.integers(0, 16).map(lambda k: k * 0.5)
+lattice_side = st.integers(1, 8).map(lambda k: k * 0.5)
+
+
+@st.composite
+def capped_instances(draw):
+    p = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        qos = QosSet(draw(st.sampled_from(shared_menus)))
+    else:
+        qos = tuple(QosSet(draw(st.sampled_from(zone_menus))) for _ in range(p))
+    if draw(st.booleans()):
+        config = GenConfig(seed=draw(st.integers(0, 10**6)), n=draw(st.integers(5, 64)), p=p)
+        dzs, base = generate(config).dzs, BaseServiceZone(*config.base_dims)
+    else:
+        # near ties: a few lattice shapes, each listed several times at rates
+        # whose sums change in the last bit with the order they are added in
+        shapes = draw(st.lists(st.tuples(lattice, lattice, lattice_side, lattice_side), min_size=1, max_size=6))
+        picks = draw(st.lists(st.tuples(st.integers(0, len(shapes) - 1), st.sampled_from([0.1, 0.3, 0.7])),
+                              min_size=1, max_size=30))
+        dzs = tuple(DemandZone(Rect(*shapes[k]), v) for k, v in picks)
+        base = BaseServiceZone(*draw(st.sampled_from([(1.0, 1.0), (2.0, 2.0), (1.5, 1.0), (3.0, 0.5)])))
+    return Instance(dzs, base, p, qos)
+
+
+@settings(max_examples=120, deadline=None)
+@given(inst=capped_instances())
+def test_caps_never_change_the_trace(inst):
+    assert greedy(inst) == pseudo_greedy(inst, solve_single_zone)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # a scale whose maximum lay in a tile pruned under another scale's
+        # reward: capping it at its kept tiles' maximum skipped it later
+        pytest.param(GenConfig(seed=1049, n=48, p=6, m=2), id="1049"),
+        pytest.param(GenConfig(seed=1134, n=43, p=6, m=3), id="1134"),
+    ],
+)
+def test_caps_cover_pruned_tiles(config):
+    inst = generate(config)
+    assert greedy(inst) == pseudo_greedy(inst, solve_single_zone)
+
+
+def test_caps_skip_scales_in_later_rounds(monkeypatch):
+    # Solving every scale of every round builds the grids of all 9
+    # scale-rounds; the caps leave scales 1 and 2 unsolved after round 1.
+    inst = generate(GenConfig(seed=1, n=150, p=3, m=3))
+    rounds = []
+    solve, grid = greedy_mod.solve_single_zone, reward_mod.inner_demand_grid
+
+    def one_round(*args):
+        rounds.append([])
+        return solve(*args)
+
+    def counted(dzs, z, base, axis):
+        if axis is Axis.X:
+            rounds[-1].append(z)
+        return grid(dzs, z, base, axis)
+
+    monkeypatch.setattr(greedy_mod, "solve_single_zone", one_round)
+    monkeypatch.setattr(reward_mod, "inner_demand_grid", counted)
+    greedy(inst)
+    assert len(rounds) == 3 and rounds[0] == [1.0, 2.0, 3.0]
+    assert rounds[1][0] == 3.0  # the best-capped scale is visited first
+    assert sum(map(len, rounds)) < 9
