@@ -18,9 +18,9 @@ exactly when every x set is a singleton:
 * interval step — a zone's x (later y) candidate set, a slice of its grid,
   is cut into :data:`PARTS` runs of near-equal length (fewer when it holds
   fewer positions; :func:`partition`), whatever the coordinates; children
-  are visited by decreasing best isolated reward over their candidates
-  (their block of the scale's reward matrix, taken over every position on
-  the other axis), until the set is a singleton.
+  are visited by decreasing :func:`priority_score`, the best isolated reward
+  over their candidates (their block of the scale's reward matrix, taken
+  over every position on the other axis), until the set is a singleton.
   When a zone is first split, extra children pin it directly at the abutment
   positions of already-fixed zones (positions off its own-scale grid, to the
   grid's own tolerance);
@@ -89,8 +89,8 @@ abutment position ``v``, on no grid, bounded by the block ``[lo, hi)``
 (:func:`_pin`, computed once per child).  A zone's bound is its
 matrix's maximum over the block its two sets name, memoised by
 ``RewardMatrix.block_max`` because a solve asks for few distinct blocks many
-times; a child's rank is the same memoised maximum over its range on one
-axis and the whole grid on the other.  A slice's interval split depends only
+times; a child's rank (:func:`priority_score`) is the same memoised maximum
+over its range on one axis and the whole grid on the other.  A slice's interval split depends only
 on its length, and its ranking on its scale, axis and range, so
 :meth:`CandidateGrids.split` computes and ranks it once per solve and keeps
 the parts as a tuple.
@@ -198,10 +198,8 @@ the overlap with every demand zone of the argmax of its ``L_z``.  At most
 :data:`FIT_STEPS` steps; the step factor starts at :data:`FIT_STEP` and
 halves after :data:`FIT_HALVE_AFTER` steps without a new best; the fit stops
 after :data:`FIT_STALL` steps without a gain of :data:`FIT_GAIN` relative,
-or once the bound is at or below ``lower``.  The best ``mu`` seen is kept.
-When it does not beat the start by :data:`FIT_GAIN` the solve keeps no
-Lagrangian state, and its nodes and cost per node are those of the other
-two bounds alone.
+or once the bound is at or below ``lower``.  Every solve keeps the bound of
+the best ``mu`` seen, however little it gains over the start.
 
 The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
 in another order than the reward matrix and ``covered_reward``, each a sum of
@@ -402,12 +400,13 @@ class CandidateGrids:
 
     ``matrices[z]`` is tabulated over scale ``z``'s grids, ``xs.values`` and
     ``ys.values``; every candidate set of a scale-``z`` zone indexes them.
-    ``lagrangian`` is the fitted Lagrangian bound, or None when the solve
-    keeps none (:func:`fit_lagrangian`).  ``references`` holds one
-    :class:`~rectcover.reward.ResidualDemand` per reference set ``A`` of the
-    residual-demand bound at nodes with nothing placed (greedy's proper
-    prefixes, built by :func:`solve`).  ``splits`` tabulates :meth:`split`
-    and ``residuals`` caches one state per set ``S`` of placed zones, at most
+    ``lagrangian`` is the Lagrangian bound :func:`fit_lagrangian` fitted,
+    None only on a bare ``CandidateGrids`` before the fit.  ``references``
+    holds one :class:`~rectcover.reward.ResidualDemand` per reference set
+    ``A`` of the residual-demand bound at nodes with nothing placed
+    (greedy's proper prefixes, built by :func:`solve`).  ``splits``
+    tabulates :meth:`split`, whose parts :func:`priority_score` ranks, and
+    ``residuals`` caches one state per set ``S`` of placed zones, at most
     :data:`RESIDUAL_CACHE_SIZE`, least recently used dropped; both live as
     long as the solve.  :func:`upper_bound` reads ``matrices``,
     ``lagrangian``, ``references`` and ``residuals``; the branching rules
@@ -429,26 +428,20 @@ class CandidateGrids:
         """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
 
         :func:`partition` cuts the slice into runs of near-equal length.
-        The parts come by decreasing maximum of the reward matrix over the
-        block they span (every index on the other axis), stable on ties,
-        read through ``RewardMatrix.block_max``.  They depend only on ``(z,
+        The parts come by decreasing :func:`priority_score`, stable on ties
+        (equal scores keep grid order).  They depend only on ``(z,
         axis, lo, hi)``, so each range is split once and its parts kept in
         ``splits``: at most ``2 * len(grid) - 1`` ranges per scale and axis,
         the nodes of the grid's partition tree.
         The tuple is shared, so callers build new sequences from it.
         """
         lo, hi, _ = s
-        on_x = axis is Axis.X
-        key = (z, on_x, lo, hi)
+        key = (z, axis is Axis.X, lo, hi)
         out = self.splits.get(key)
         if out is None:
             m = self.matrices[z]
-            nx, ny = len(m.xs), len(m.ys)
             parts = [(lo + a, lo + b, None) for a, b in partition(hi - lo)]
-            if on_x:
-                parts.sort(key=lambda part: m.block_max(part[0], part[1], 0, ny), reverse=True)
-            else:
-                parts.sort(key=lambda part: m.block_max(0, nx, part[0], part[1]), reverse=True)
+            parts.sort(key=lambda part: priority_score(m, axis, part[0], part[1]), reverse=True)
             out = self.splits[key] = tuple(parts)
         return out
 
@@ -471,24 +464,17 @@ def partition(n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def priority_score(
-    value: float, dzs, z: float, eta, axis: Axis = Axis.X
-) -> float:
-    """Decayed demand mass whose span contains ``value`` (spans half-open).
+def priority_score(m: RewardMatrix, axis: Axis, lo: int, hi: int) -> float:
+    """The best entry of ``m`` with its ``axis`` index in ``[lo, hi)`` and any index on the other axis.
 
-    The search no longer orders children by it (:meth:`CandidateGrids.split`
-    ranks them by the reward matrix); it is kept only for the benchmark's
-    tracer, which wraps it by name, and for its unit test.
+    An interval child's rank (:meth:`CandidateGrids.split`): the best
+    isolated reward of a zone of ``m``'s scale whose ``axis`` coordinate is
+    one of grid positions ``lo .. hi - 1``, read through the memoised
+    ``RewardMatrix.block_max``.
     """
-    total = 0.0
-    for d in dzs:
-        if axis is Axis.X:
-            lo, size = d.rect.x, d.rect.w
-        else:
-            lo, size = d.rect.y, d.rect.l
-        if lo <= value < lo + size:
-            total += reward_rate(d.v, z, eta)
-    return total
+    if axis is Axis.X:
+        return m.block_max(lo, hi, 0, len(m.ys))
+    return m.block_max(0, len(m.xs), lo, hi)
 
 
 def _is_single(s: CandidateSet) -> bool:
@@ -691,11 +677,11 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     A node at or below ``cut = floor * (1 + RTOL)`` on that isolated sum
     returns it.  A leaf above it is evaluated exactly with ``covered_reward``
     on ``instance.planar``.  Any other node takes the smaller of the sum and
-    ``grids.lagrangian``'s bound when the solve keeps one, and returns it
-    when it is at or below ``cut``.  Past that, a node with a
-    ``residual_axis`` (the plane's y phase, every line node), where every
-    coordinate on the other axis is fixed, takes the residual-demand bound
-    (module docstring): the least, over a tuple of
+    ``grids.lagrangian``'s bound (None only before the fit), and returns it
+    when it is at or below ``cut`` or the node has no ``residual_axis``.
+    Past that, a node with one (the plane's y phase, every line node), where
+    every coordinate on the other axis is fixed, takes the residual-demand
+    bound (module docstring): the least, over a tuple of
     :class:`~rectcover.reward.ResidualDemand` states of sets ``A``, of
     ``f(A)`` plus each open zone's best gain over ``A`` (:func:`_gain_sum`),
     stopping once it is at or below ``cut``.  With a zone placed on
@@ -710,26 +696,24 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     if total <= cut:
         return total
     axis = node.residual_axis  # y at every leaf
-    if axis is None:
-        return total if lagrangian is None else min(total, lagrangian.bound(node))
-    # the other axis is fixed from here on, so the node is a leaf when no set is open
-    on_x = axis is Axis.X
-    placed = []
-    opened = []
-    for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
-        m = matrices[z]
-        free, grid = (xs, m.xs.values) if on_x else (ys, m.ys.values)
-        if _is_single(free):
-            placed.append((z, _value(xs, m.xs.values), _value(ys, m.ys.values)))
-        else:
-            opened.append((z, _value(ys, m.ys.values) if on_x else _value(xs, m.xs.values), grid, free))
-    if not opened:
-        dzs, base = instance.planar
-        return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta)
+    if axis is not None:
+        # the other axis is fixed from here on, so the node is a leaf when no set is open
+        on_x = axis is Axis.X
+        placed, opened = [], []
+        for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
+            m = matrices[z]
+            free, grid = (xs, m.xs.values) if on_x else (ys, m.ys.values)
+            if _is_single(free):
+                placed.append((z, _value(xs, m.xs.values), _value(ys, m.ys.values)))
+            else:
+                opened.append((z, _value(ys, m.ys.values) if on_x else _value(xs, m.xs.values), grid, free))
+        if not opened:
+            dzs, base = instance.planar
+            return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta)
     if lagrangian is not None:
         total = min(total, lagrangian.bound(node))
-        if total <= cut:
-            return total
+    if total <= cut or axis is None:
+        return total
     states = grids.references
     if placed:  # A = S; greedy's prefixes would leave out the placed zones' gains over them
         key = tuple(sorted(placed))
@@ -751,13 +735,15 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
 
 def fit_lagrangian(
     root: Node, instance: Instance, matrices: Mapping[float, RewardMatrix], lower: float
-) -> Lagrangian | None:
+) -> Lagrangian:
     """The Lagrangian bound of the best ``mu`` a subgradient fit at ``root`` finds (module docstring).
 
     ``matrices`` are the solve's reward matrices, one per scale, whose rates
-    and overlap tables the fit reads.  Returns None when the fit does not
-    lower ``root``'s Lagrangian bound below its start, the isolated sum, by
-    a relative ``FIT_GAIN``.  ``root`` is a root node (:func:`root_node`):
+    and overlap tables the fit reads.  It always returns the bound of the
+    best ``mu`` it found, however little that gains: ``FIT_GAIN`` only stops
+    a fit that stalls, and a fit that never beats its start returns the
+    bound of ``mu = r``, the isolated sum to rounding.  ``root`` is a root
+    node (:func:`root_node`):
     each zone is open or at its scale's whole grids, so its term is the
     first maximum of a whole table, and zones of one scale share it, each
     group adding its subgradient once, times its size.  A step tabulates
@@ -774,7 +760,7 @@ def fit_lagrangian(
     mu = best_mu = rates
     best, mark = math.inf, math.inf
     step, since_best, since_gain = FIT_STEP, 0, 0
-    for n in range(FIT_STEPS):
+    for _ in range(FIT_STEPS):
         slack = rates - mu
         top = slack.argmax(axis=1)
         paid = slack[rows, top] > 0.0
@@ -792,7 +778,6 @@ def fit_lagrangian(
             i, k = divmod(peaks[s], table.shape[1])
             value += count * float(table[i, k])
             grad[:, s] += count * m.ox[:, i] * m.oy[:, k]
-        start = value if n == 0 else start
         if value < best:
             best, best_mu, since_best = value, mu, 0
         else:
@@ -807,7 +792,7 @@ def fit_lagrangian(
         if value <= lower or since_gain >= FIT_STALL or norm == 0.0:
             break
         mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
-    return Lagrangian.of(best_mu, rates, area, matrices) if best < start * (1.0 - FIT_GAIN) else None
+    return Lagrangian.of(best_mu, rates, area, matrices)
 
 
 def root_node(instance: Instance, grids: CandidateGrids) -> Node:

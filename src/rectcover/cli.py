@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -214,12 +215,20 @@ def _read_json(path: str | Path, what: str) -> Any:
         ) from None
 
 
+def _write_text(path: str | Path, what: str, text: str) -> None:
+    """Write ``text`` to the ``what`` file ``path``; a failed write is a ``CliError`` (see :func:`_read_json`)."""
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise CliError(f"cannot write {what} file {path}: {exc}") from None
+
+
 def load_instance(path: str | Path) -> Instance:
     return instance_from_dict(_read_json(path, "instance"))
 
 
 def dump_instance(instance: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(instance), indent=2) + "\n")
+    _write_text(path, "instance", json.dumps(instance_to_dict(instance), indent=2) + "\n")
 
 
 def load_solution(path: str | Path) -> tuple[Solution, bool]:
@@ -227,7 +236,7 @@ def load_solution(path: str | Path) -> tuple[Solution, bool]:
 
 
 def dump_solution(solution: Solution, stats: SolverStats, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(solution_to_dict(solution, stats), indent=2) + "\n")
+    _write_text(path, "solution", json.dumps(solution_to_dict(solution, stats), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +307,11 @@ class BenchReport:
         return out
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self.COLUMNS)
-            writer.writeheader()
-            writer.writerows(self.csv_rows())
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=self.COLUMNS)
+        writer.writeheader()
+        writer.writerows(self.csv_rows())
+        _write_text(path, "CSV", buf.getvalue())
 
     def human_table(self) -> str:
         """The CSV records right-aligned under their column names and a rule."""
@@ -450,10 +460,11 @@ def render_svg(instance: Instance, solution: Solution | None = None) -> str:
 
 
 def _out_path(text: str) -> Path:
-    """An ``--out`` file in a writable directory, checked before any work is done."""
+    """An ``--out`` file in a writable directory, and writable if it exists, checked before any work is done."""
     path = Path(text)
-    if path.is_dir() or not os.access(path.parent, os.W_OK | os.X_OK):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a file in an existing, writable directory")
+    read_only = path.exists() and not os.access(path, os.W_OK)
+    if path.is_dir() or read_only or not os.access(path.parent, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a writable file in an existing, writable directory")
     return path
 
 
@@ -566,7 +577,7 @@ def cmd_render(args: argparse.Namespace) -> int:
                 f"(recomputed {recomputed}); wrong instance/solution pair?"
             )
     svg = render_svg(instance, solution)
-    Path(args.out).write_text(svg)
+    _write_text(args.out, "SVG", svg)
     print(f"wrote {args.out}")
     return 0
 

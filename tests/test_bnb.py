@@ -10,7 +10,6 @@ import pytest
 from rectcover import (
     BaseServiceZone,
     DemandZone,
-    Eta,
     GenConfig,
     Instance,
     Placement,
@@ -25,8 +24,10 @@ from rectcover import (
 )
 from rectcover import bnb, reward
 from rectcover.bnb import (
+    FIT_GAIN,
     RTOL,
     CandidateGrids,
+    Lagrangian,
     Node,
     SolverConfig,
     _OPEN,
@@ -92,16 +93,26 @@ def test_partition_pieces_reassemble():
 
 # ------------------------------------------------------------ priority score
 
-def test_priority_score_sums_covering_demand():
-    dzs = (
-        DemandZone(Rect(0.0, 0.0, 5.0, 1.0), 2.0),
-        DemandZone(Rect(3.0, 0.0, 5.0, 1.0), 3.0),
-    )
-    assert priority_score(4.0, dzs, 1.0, Eta.LINEAR) == 5.0
-    # spans are half-open on the right
-    assert priority_score(8.0, dzs, 1.0, Eta.LINEAR) == 0.0
-    # doubling the scale halves every rate
-    assert priority_score(4.0, dzs, 2.0, Eta.LINEAR) == 2.5
+def test_priority_score_ranks_interval_children():
+    # a range's score is the best entry over it on one axis and the whole
+    # grid on the other; split returns its parts in non-increasing score,
+    # equal scores in grid order, at every range of the partition tree
+    inst = generate(GenConfig(seed=3, n=12, p=2, m=2))
+    grids = CandidateGrids.from_instance(inst)
+    for z, m in grids.matrices.items():
+        for axis, n in ((Axis.X, len(m.xs)), (Axis.Y, len(m.ys))):
+            for lo in range(n):
+                for hi in range(lo + 1, n + 1):
+                    block = m.entries[lo:hi, :] if axis is Axis.X else m.entries[:, lo:hi]
+                    assert priority_score(m, axis, lo, hi) == float(block.max())
+            stack = [(0, n, None)]
+            while stack:
+                lo, hi, _ = stack.pop()
+                parts = grids.split(z, axis, (lo, hi, None))
+                assert sorted(parts) == [(lo + a, lo + b, None) for a, b in partition(hi - lo)]
+                ranked = [(-priority_score(m, axis, a, b), a) for a, b, _ in parts]
+                assert ranked == sorted(ranked), (z, axis, lo, hi)
+                stack += [part for part in parts if part[1] - part[0] > 1]
 
 
 # ---------------------------------------------------------------- branching
@@ -464,6 +475,20 @@ def test_timeout_reports_a_certified_upper_bound(limit, greedy_below_optimum, mo
         assert stats.nodes_explored == 0
         assert stats.upper_bound == stats.root_bound == upper_bound(root, grids, inst)
         assert stats.upper_bound < upper_bound(root, CandidateGrids(mats), inst)
+
+
+@pytest.mark.parametrize("seed, nodes", [(35, 51), (47, 79)])
+def test_every_solve_keeps_its_fitted_lagrangian(seed, nodes):
+    # the fit lowers the root's bound by less than FIT_GAIN here, and the
+    # solve still keeps its best multipliers, whose bound is the root's
+    inst = generate(GenConfig(seed=seed, n=30, p=2, m=2))
+    _, stats = solve(inst)
+    grids = CandidateGrids.from_instance(inst)
+    root = root_node(inst, grids)
+    assert isinstance(fit_lagrangian(root, inst, grids.matrices, stats.best_reward_history[0][1]), Lagrangian)
+    isolated = upper_bound(root, grids, inst)
+    assert isolated * (1 - FIT_GAIN) < stats.root_bound < isolated
+    assert stats.nodes_explored == nodes
 
 
 def test_proven_solve_reports_zero_gap(greedy_below_optimum):

@@ -1,12 +1,15 @@
 """CLI surface: file formats, subcommands, exit codes, bench and render."""
 
 import csv
+import errno
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
 from importlib import import_module
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -861,3 +864,39 @@ def test_bad_option_gives_error_line(case, square_file, tmp_path, capsys):
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out.txt")]
     _assert_clean_error(main(argv), capsys.readouterr().err, where)
+
+
+# ------------------------------------------------------------ failed writes
+
+#: Per command: the arguments beside ``--out`` and the file kind its error names.
+WRITES = {
+    "generate": ([], "instance"),
+    "solve": (["--instance", "{square}", "--algo", "greedy"], "solution"),
+    "bench": (["--n", "3", "--seeds", "1"], "CSV"),
+    "render": (["--instance", "{square}"], "SVG"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_failed_write_gives_error_line(command, square_file, tmp_path, capsys, monkeypatch):
+    # a full disk fails the write after the work is done
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    args, what = WRITES[command]
+    out = tmp_path / "out.txt"
+    code = main([command] + [a.format(square=square_file) for a in args] + ["--out", str(out)])
+    _assert_clean_error(code, capsys.readouterr().err, f"cannot write {what} file {out}: [Errno {errno.ENOSPC}]")
+
+
+@pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0, reason="root may write a read-only file")
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_read_only_out_file_is_refused_before_any_work(command, square_file, tmp_path, capsys):
+    args, _ = WRITES[command]
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    out.chmod(0o444)
+    code = main([command] + [a.format(square=square_file) for a in args] + ["--out", str(out)])
+    _assert_clean_error(code, capsys.readouterr().err, "--out")
+    assert out.read_text() == "kept\n"
