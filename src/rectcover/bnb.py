@@ -82,23 +82,30 @@ relative :data:`RTOL` (Tolerances, below).
 
 Per-node work scans no candidate set or demand and maps no value to an
 index.  Each scale's reward matrix, and with it the grids it is tabulated
-over, is built once per solve (``CandidateGrids``), and a candidate set is a
-triple ``(lo, hi, v)`` of positions in its zone's own-scale grid: the slice
-``grid[lo:hi]`` when ``v`` is None (splitting only cuts slices), else the
-abutment position ``v``, on no grid, bounded by the block ``[lo, hi)``
-(:func:`_pin`, computed once per child).  A zone's bound is its
-matrix's maximum over the block its two sets name, memoised by
+over, is built once per solve (``CandidateGrids``), before the greedy seed,
+whose first round reads the same matrices; its entries are one matrix
+product of the matrix's overlap tables (``reward.RewardMatrix``).  A
+candidate set is a triple ``(lo, hi, v)`` of positions in its zone's
+own-scale grid: the slice ``grid[lo:hi]`` when ``v`` is None (splitting only
+cuts slices), else the abutment position ``v``, on no grid, bounded by the
+block ``[lo, hi)`` (:func:`_pin`, computed once per child).  A zone's bound
+is its matrix's maximum over the block its two sets name, memoised by
 ``RewardMatrix.block_max`` because a solve asks for few distinct blocks many
 times; a child's rank (:func:`priority_score`) is the same memoised maximum
-over its range on one axis and the whole grid on the other.  A slice's interval split depends only
-on its length, and its ranking on its scale, axis and range, so
-:meth:`CandidateGrids.split` computes and ranks it once per solve and keeps
-the parts as a tuple.
+over its range on one axis and the whole grid on the other.  A slice's
+interval split depends only on its length, and its ranking on its scale,
+axis and range, so :meth:`CandidateGrids.split` computes and ranks it once
+per solve and keeps the parts as a tuple.
 
 The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
 exact value, which trims overlapping coverage, is never above the sum of its
 zones' isolated rewards, so a leaf whose isolated sum is already at most
-``floor * (1 + RTOL)`` is cut on that sum and never evaluated exactly.
+``floor * (1 + RTOL)`` is cut on that sum and never evaluated exactly.  At a
+leaf each zone's block holds at most 2 x 2 cells, and the sum reads their
+in-order values (``RewardMatrix.exact_block_max``, memoised per block): each
+is the zone's reward alone, summed as ``covered_reward`` sums it, so a cut
+leaf's sum is never below its exact value by rounding.  Whether a node is a
+leaf is read off the scans that find its residual axis.
 
 Residual-demand bound.  The isolated sum ignores that zones already placed
 have served demand.  Covered reward ``f`` in best-rate form (each point paid
@@ -183,8 +190,8 @@ block of the grid, over every real position in it and over a bracketed
 abutment position alike, is read at grid values, exactly as for the reward
 matrix, whatever the nonnegative weights.  ``L_z`` is tabulated over scale
 ``z``'s own grids as ``RewardMatrix.reweighted(mu[:, z])``, the one product
-``(ox * mu[:, z]).T @ oy`` of the overlap tables that
-``build_reward_matrix`` sums and keeps on scale ``z``'s matrix
+``(ox * mu[:, z]).T @ oy`` of the overlap tables kept on scale ``z``'s
+matrix, the product ``build_reward_matrix`` takes at ``mu = r``
 (:meth:`Lagrangian.of`), and a node's Lagrangian bound is ``T1`` plus one
 memoised ``block_max`` per zone (an open zone takes the best entry over its
 menu's matrices), what the isolated sum costs.
@@ -199,11 +206,13 @@ the overlap with every demand zone of the argmax of its ``L_z``.  At most
 halves after :data:`FIT_HALVE_AFTER` steps without a new best; the fit stops
 after :data:`FIT_STALL` steps without a gain of :data:`FIT_GAIN` relative,
 or once the bound is at or below ``lower``.  Every solve keeps the bound of
-the best ``mu`` seen, however little it gains over the start.
+the best ``mu`` seen, however little it gains over the start, with the
+tables of the step that found it; the first step, at ``mu = r``, reads the
+reward matrices' own entries, which are its tables bit for bit.
 
 The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
-in another order than the reward matrix and ``covered_reward``, each a sum of
-nonnegative terms off by a relative error of about the number of demand
+in another order than the in-order sums and ``covered_reward``, each a sum
+of nonnegative terms off by a relative error of about the number of demand
 zones times 2**-52.  So it is scaled by ``1 + RTOL`` before it is compared.
 
 A node's bound is the smallest of the isolated sum, the Lagrangian bound
@@ -222,12 +231,16 @@ that earns all the demand can fall a few ulps short of ``ceiling``.
 Tolerances.  A solve that reports ``optimal`` returns a reward ``R`` such
 that no placement earns more than ``R * (1 + RTOL)``, with :data:`RTOL` =
 1e-12, up to rounding that is relative and far smaller (a few ulps per
-demand zone).  When the time limit stops a search, every node still on the
-stack is bounded once more; the largest of those bounds and ``R * (1 +
-RTOL)``, the margin every cut node was within, is a certified upper bound on
-the optimum, reported with the relative gap in :class:`SolverStats`.  No
-tolerance is a setting.  Each is in the unit of the numbers it compares and
-taken from them, so a change of units scales it with the data:
+demand zone): the isolated sums of inner nodes read matrix products, which
+differ from the in-order sums by such rounding, while a leaf is cut or
+valued on in-order sums and ``covered_reward`` alone, so every incumbent
+is an exact covered reward.  When the time limit stops a search, every node
+still on the stack is bounded once more; the largest of those bounds and
+``R * (1 + RTOL)``, the margin every cut node was within, is a certified
+upper bound on the optimum, reported with the relative gap in
+:class:`SolverStats`.  No tolerance is a setting.  Each is in the unit of
+the numbers it compares and taken from them, so a change of units scales it
+with the data:
 
 * rewards: a node is cut when its bound is at most the incumbent's reward
   times ``1 + RTOL``; the Lagrangian bound is scaled by ``1 + RTOL`` and
@@ -617,13 +630,19 @@ def _interval_children(
     return children
 
 
-def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:
+def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix], leaf: bool = False) -> float:
     """Each zone's best entry of its scale's matrix over the block its sets name, summed.
 
     A zone with an open scale takes the best entry of every matrix, taken
-    once per call and only when some scale is open.
+    once per call and only when some scale is open.  At a ``leaf`` every
+    block holds at most 2 x 2 cells, and their in-order sums are read
+    (``RewardMatrix.exact_block_max``) in place of the product entries.
     """
     total = 0.0
+    if leaf:
+        for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
+            total += matrices[z].exact_block_max(xs[0], xs[1], ys[0], ys[1])
+        return total
     best_any = None
     for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
         if z == _UNSET:
@@ -674,9 +693,11 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     index.  A line zone's y set is the single index of its matrix's one y
     value, 0.
 
-    A node at or below ``cut = floor * (1 + RTOL)`` on that isolated sum
-    returns it.  A leaf above it is evaluated exactly with ``covered_reward``
-    on ``instance.planar``.  Any other node takes the smaller of the sum and
+    At a leaf the sum reads each zone's in-order cells instead
+    (``RewardMatrix.exact_block_max``; module docstring).  A node at or
+    below ``cut = floor * (1 + RTOL)`` on that isolated sum returns it.  A
+    leaf above it is evaluated exactly with ``covered_reward`` on
+    ``instance.planar``.  Any other node takes the smaller of the sum and
     ``grids.lagrangian``'s bound (None only before the fit), and returns it
     when it is at or below ``cut`` or the node has no ``residual_axis``.
     Past that, a node with one (the plane's y phase, every line node), where
@@ -692,28 +713,30 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     """
     matrices, lagrangian = grids.matrices, grids.lagrangian
     cut = floor * (1.0 + RTOL)
-    total = _block_sum(node, matrices)
+    # the scans of node.residual_axis, which also tell a leaf
+    fixed_x = all(map(_is_single, node.x_sets))
+    leaf = fixed_x and all(map(_is_single, node.y_sets))
+    total = _block_sum(node, matrices, leaf)
     if total <= cut:
         return total
-    axis = node.residual_axis  # y at every leaf
-    if axis is not None:
-        # the other axis is fixed from here on, so the node is a leaf when no set is open
-        on_x = axis is Axis.X
-        placed, opened = [], []
-        for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
-            m = matrices[z]
-            free, grid = (xs, m.xs.values) if on_x else (ys, m.ys.values)
-            if _is_single(free):
-                placed.append((z, _value(xs, m.xs.values), _value(ys, m.ys.values)))
-            else:
-                opened.append((z, _value(ys, m.ys.values) if on_x else _value(xs, m.xs.values), grid, free))
-        if not opened:
-            dzs, base = instance.planar
-            return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta)
+    if leaf:
+        dzs, base = instance.planar
+        return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta)
     if lagrangian is not None:
         total = min(total, lagrangian.bound(node))
+    axis = Axis.Y if fixed_x else (Axis.X if all(map(_is_single, node.y_sets)) else None)
     if total <= cut or axis is None:
         return total
+    # the other axis is fixed, and some set on this one is open
+    on_x = axis is Axis.X
+    placed, opened = [], []
+    for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
+        m = matrices[z]
+        free, grid = (xs, m.xs.values) if on_x else (ys, m.ys.values)
+        if _is_single(free):
+            placed.append((z, _value(xs, m.xs.values), _value(ys, m.ys.values)))
+        else:
+            opened.append((z, _value(ys, m.ys.values) if on_x else _value(xs, m.xs.values), grid, free))
     states = grids.references
     if placed:  # A = S; greedy's prefixes would leave out the placed zones' gains over them
         key = tuple(sorted(placed))
@@ -748,38 +771,45 @@ def fit_lagrangian(
     first maximum of a whole table, and zones of one scale share it, each
     group adding its subgradient once, times its size.  A step tabulates
     each scale's ``L_z`` as :meth:`Lagrangian.of` does and takes its first
-    maximum once; the :class:`Lagrangian` itself is built once, for the
-    best ``mu``.
+    maximum once; at ``mu = r`` those tables are the matrices' own entries,
+    bit for bit, so the first step reads them.  The :class:`Lagrangian` is
+    the best step's ``T1`` and tables, a matrix's own when the best ``mu``
+    is ``r``.
     """
     x, y, w, l, _ = demand_rows(instance.planar[0]).T
     area = ((x + w) - x) * ((y + l) - y)
+    neg_area = -area
     scales = list(matrices)
-    rates = np.stack([matrices[z].rates for z in scales], axis=1)
-    groups = Counter(root.z_vec).items()
+    mats = list(matrices.values())
+    rates = np.stack([m.rates for m in mats], axis=1)
+    # per group of zones: its scale's column, None while open, and its size
+    groups = [(None if z == _UNSET else scales.index(z), count) for z, count in Counter(root.z_vec).items()]
     rows = np.arange(len(area))
     mu = best_mu = rates
-    best, mark = math.inf, math.inf
+    tables = best_tables = [m.entries for m in mats]  # L_z at mu = r
+    best = best_t1 = mark = math.inf
     step, since_best, since_gain = FIT_STEP, 0, 0
     for _ in range(FIT_STEPS):
+        if mu is not rates:
+            tables = [m.reweighted_entries(mu[:, s]) for s, m in enumerate(mats)]
         slack = rates - mu
         top = slack.argmax(axis=1)
-        paid = slack[rows, top] > 0.0
-        grad = np.zeros_like(mu)
-        grad[rows[paid], top[paid]] = -area[paid]
-        value = float(area @ slack.max(axis=1, initial=0.0))  # T1
-        # every scale's L_z, as Lagrangian.of tabulates it, and its first maximum
-        tables = [m.reweighted_entries(mu[:, s]) for s, m in enumerate(matrices.values())]
+        most = slack[rows, top]
+        paid = most > 0.0
+        grad = np.zeros(mu.shape)
+        grad[rows[paid], top[paid]] = neg_area[paid]
+        t1 = float(area @ np.maximum(most, 0.0))
+        value = t1
         peaks = [int(t.argmax()) for t in tables]
-        for z, count in groups:
-            if z == _UNSET:  # an open zone takes the best scale's whole grid
-                z = scales[max(range(len(scales)), key=lambda s: tables[s].flat[peaks[s]])]
-            s = scales.index(z)
-            m, table = matrices[z], tables[s]
+        for s, count in groups:
+            if s is None:  # an open zone takes the best scale's whole grid
+                s = max(range(len(scales)), key=lambda k: tables[k].flat[peaks[k]])
+            m, table = mats[s], tables[s]
             i, k = divmod(peaks[s], table.shape[1])
             value += count * float(table[i, k])
             grad[:, s] += count * m.ox[:, i] * m.oy[:, k]
         if value < best:
-            best, best_mu, since_best = value, mu, 0
+            best, best_t1, best_mu, best_tables, since_best = value, t1, mu, tables, 0
         else:
             since_best += 1
             if since_best >= FIT_HALVE_AFTER:
@@ -792,7 +822,10 @@ def fit_lagrangian(
         if value <= lower or since_gain >= FIT_STALL or norm == 0.0:
             break
         mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
-    return Lagrangian.of(best_mu, rates, area, matrices)
+    return Lagrangian(best_t1, {
+        z: m if t is m.entries else RewardMatrix(m.xs, m.ys, t, best_mu[:, s], m.ox, m.oy)
+        for s, (z, m, t) in enumerate(zip(scales, mats, best_tables))
+    })
 
 
 def root_node(instance: Instance, grids: CandidateGrids) -> Node:
@@ -813,14 +846,15 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     case the best feasible solution found is returned with
     ``stats.optimal == False``.
 
-    A greedy run seeds the incumbent, valued at the covered reward of its
-    placements; ``stats`` keeps greedy's claimed reward and run time.
-    ``grids`` (:class:`CandidateGrids`) is built once, :func:`root_node`
-    builds the root, and the Lagrangian bound is fitted at it
-    (:func:`fit_lagrangian`; ``stats.fit_s``, and the root's bound in
-    ``stats.root_bound``) and kept in ``grids``, with the states of the
-    greedy seed's proper prefixes, the reference sets of the residual-demand
-    bound at nodes with nothing placed.
+    ``grids`` (:class:`CandidateGrids`) is built once, first.  A greedy run,
+    whose first round reads its matrices, seeds the incumbent, valued at the
+    covered reward of its placements; ``stats`` keeps greedy's claimed
+    reward and run time.  :func:`root_node` builds the root, and the
+    Lagrangian bound is fitted at it (:func:`fit_lagrangian`;
+    ``stats.fit_s``, and the root's bound in ``stats.root_bound``) and kept
+    in ``grids``, with the states of the greedy seed's proper prefixes, the
+    reference sets of the residual-demand bound at nodes with nothing
+    placed.
     Every popped node is bounded with ``upper_bound(node, grids, ...)``
     against ``lower``, the incumbent's reward, and is cut when the bound is
     at most ``lower * (1 + RTOL)``.  A
@@ -841,8 +875,11 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     stats = SolverStats()
     start = time.perf_counter()
 
-    seed = greedy(instance).solution
-    stats.greedy_time = stats.optimal_found_time = time.perf_counter() - start
+    grids = CandidateGrids.from_instance(instance)
+    greedy_start = time.perf_counter()
+    seed = greedy(instance, grids.matrices).solution
+    now = time.perf_counter()
+    stats.greedy_time, stats.optimal_found_time = now - greedy_start, now - start
     stats.greedy_reward = seed.reward
     incumbent = seed.placements
     # Greedy claims the sum of its rounds' gains, which pays a later round's
@@ -856,7 +893,6 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     enough = sum(reward_rate(d.v, z_min, instance.eta) * d.rect.w * d.rect.l for d in dzs) * (1.0 - RTOL)
 
     if lower < enough:
-        grids = CandidateGrids.from_instance(instance)
         top = root_node(instance, grids)
         prefixes = (seed.placements[:k] for k in range(1, instance.p))  # greedy's proper prefixes
         references = tuple(ResidualDemand(dzs, a, base, instance.eta) for a in prefixes)

@@ -549,8 +549,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report = run_bench(
         ps=ps, ms=ms, ns=ns, seeds=args.seeds, one_d=args.one_d, config=config, oracle_budget=args.oracle_budget,
     )
+    print(report.human_table())  # before the write, so a failed write keeps the solved rows
     report.write_csv(args.out)
-    print(report.human_table())
     print(f"\nwrote {args.out}")
     return 0 if all(r.error is None for r in report.rows) else 1
 

@@ -32,12 +32,17 @@ found so far.  A cap stays valid in every later round:
 
 So the trace is bit for bit that of solving every scale of every round.
 The caps live in one run; :func:`pseudo_greedy` keeps none.
+
+The first round sees the whole demand, whose reward matrices an exact
+search builds anyway (``bnb.CandidateGrids``).  Given them, :func:`greedy`
+reads its first round off them (``solve_single_zone``'s ``tables``), with
+the same result and caps bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -52,7 +57,7 @@ from .model import (
     demand_zones,
     service_rect,
 )
-from .reward import SingleZoneSolver, serve_zone, solve_single_zone
+from .reward import RewardMatrix, SingleZoneSolver, serve_zone, solve_single_zone
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,16 @@ class GreedyTrace:
     solution: Solution
 
 
-#: A round's single-zone solver on the demand rows and the run's per-scale
-#: caps: ``(rows, qos, base, eta, caps) -> (reward, x, y, z)``.
-_RowSolver = Callable[[np.ndarray, QosSet, BaseServiceZone, Eta, dict[float, float]], tuple[float, float, float, float]]
+#: A round's single-zone solver on the demand rows, the run's per-scale caps
+#: and, in the first round only, the whole demand's reward matrices, if any:
+#: ``(rows, qos, base, eta, caps, tables) -> (reward, x, y, z)``.
+_RowSolver = Callable[
+    [np.ndarray, QosSet, BaseServiceZone, Eta, dict[float, float], Mapping[float, RewardMatrix] | None],
+    tuple[float, float, float, float],
+]
 
 
-def _run(instance: Instance, solver: _RowSolver) -> GreedyTrace:
+def _run(instance: Instance, solver: _RowSolver, tables: Mapping[float, RewardMatrix] | None = None) -> GreedyTrace:
     lifted, lifted_base = instance.planar
     rows = demand_rows(lifted).tolist()
     placements: list[Placement] = []
@@ -76,7 +85,7 @@ def _run(instance: Instance, solver: _RowSolver) -> GreedyTrace:
     caps: dict[float, float] = {}
     for j in range(instance.p):
         demand = np.array(rows, dtype=float).reshape(-1, 5)
-        _, x, y, z = solver(demand, instance.qos_for(j), instance.base, instance.eta, caps)
+        _, x, y, z = solver(demand, instance.qos_for(j), instance.base, instance.eta, caps, None if j else tables)
         pl = Placement(x, y, z)
         # Marginal value is re-evaluated at the returned position so the trace
         # stays truthful even if the solver's own reward claim is off.
@@ -90,9 +99,14 @@ def _run(instance: Instance, solver: _RowSolver) -> GreedyTrace:
     return GreedyTrace(tuple(rewards), Solution(tuple(placements), sum(rewards)))
 
 
-def greedy(instance: Instance) -> GreedyTrace:
-    """Place all ``instance.p`` zones greedily using the exact one-zone solver."""
-    return _run(instance, solve_single_zone)
+def greedy(instance: Instance, tables: Mapping[float, RewardMatrix] | None = None) -> GreedyTrace:
+    """Place all ``instance.p`` zones greedily using the exact one-zone solver.
+
+    ``tables``, when given, maps every scale of zone 0's menu to the
+    :func:`~rectcover.reward.build_reward_matrix` of ``instance.dzs``; the
+    first round reads them, and the trace is the same bit for bit.
+    """
+    return _run(instance, solve_single_zone, tables)
 
 
 def pseudo_greedy(instance: Instance, approx: SingleZoneSolver) -> GreedyTrace:
@@ -105,7 +119,7 @@ def pseudo_greedy(instance: Instance, approx: SingleZoneSolver) -> GreedyTrace:
     reproduces :func:`greedy` exactly.
     """
 
-    def plugged(rows, qos, base, eta, caps):
+    def plugged(rows, qos, base, eta, caps, tables):
         return approx(demand_zones(rows), qos, base, eta)
 
     return _run(instance, plugged)

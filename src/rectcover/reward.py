@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,20 +46,26 @@ SingleZoneSolver = Callable[
 class RewardMatrix:
     """Single-zone rewards of one scale tabulated over its candidate grid, with the tables they sum.
 
-    ``entries[i, j]`` is the isolated reward of a zone of that scale placed
-    at ``(xs.values[i], ys.values[j])``.  The exact search's candidate sets
-    are index ranges into these two grids.  ``rates[d]`` is demand zone
-    ``d``'s reward per unit area at this scale, and ``ox[d, i]`` and
-    ``oy[d, j]`` its overlap with the zone at ``xs.values[i]`` on x and at
-    ``ys.values[j]`` on y, so that ``entries[i, j]`` is the sum over ``d``
-    of ``rates[d] * ox[d, i] * oy[d, j]`` (summed as
-    :func:`build_reward_matrix` states).  :meth:`reweighted` reads the same
-    tables with other rates.
+    ``rates[d]`` is demand zone ``d``'s reward per unit area at this scale,
+    and ``ox[d, i]`` and ``oy[d, j]`` its overlap with the zone at
+    ``xs.values[i]`` on x and at ``ys.values[j]`` on y.  The isolated reward
+    of a zone of that scale placed at ``(xs.values[i], ys.values[j])`` is the
+    sum over ``d`` of ``rates[d] * (ox[d, i] * oy[d, j])``, added in demand
+    order from +0.0: that in-order sum is the exact contract, the value
+    ``covered_reward`` gives the zone alone, and :meth:`cell_sums` takes it.
+    ``entries`` is the one matrix product ``(ox * rates).T @ oy``, which sums
+    the same terms in another order, so each entry is within a relative
+    error of about the number of demand zones times 2**-52 of its in-order
+    sum.  The exact search's candidate sets are index ranges into the two
+    grids.  :meth:`reweighted` takes the same product with other rates, and
+    ``reweighted(rates)`` gives back ``entries`` bit for bit.
 
-    :meth:`block_max` memoises the maximum of each index block it is asked
-    for.  The search bounds every node by such blocks, and one solve asks for
-    few distinct ones (on the order of a thousand at planar n=30) many times
-    over, so the memo lives as long as the matrix, which is one solve.
+    :meth:`block_max` memoises the maximum of ``entries`` over each index
+    block it is asked for, and :meth:`exact_block_max` the in-order maximum
+    over the few cells a search leaf names.  The search bounds every node by
+    such blocks, and one solve asks for few distinct ones (on the order of a
+    thousand at planar n=30) many times over, so the memos live as long as
+    the matrix, which is one solve.
     """
 
     xs: CriticalValueSet
@@ -69,6 +75,9 @@ class RewardMatrix:
     ox: np.ndarray
     oy: np.ndarray
     _block_maxima: dict[tuple[int, int, int, int], float] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _exact_maxima: dict[tuple[int, int, int, int], float] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -85,14 +94,39 @@ class RewardMatrix:
             value = self._block_maxima[key] = float(self.entries[xlo:xhi, ylo:yhi].max())
             return value
 
+    def cell_sums(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The in-order sums of the cells ``(i[k], j[k])``."""
+        return _in_order_sums(self.rates, self.ox[:, i], self.oy[:, j])
+
+    def exact_block_max(self, xlo: int, xhi: int, ylo: int, yhi: int) -> float:
+        """The largest in-order sum over the cells of the block, computed once per block.
+
+        Meant for a leaf's blocks, which hold at most 2 x 2 cells: every
+        cell of the block is summed.
+        """
+        key = (xlo, xhi, ylo, yhi)
+        try:
+            return self._exact_maxima[key]
+        except KeyError:
+            i, j = np.mgrid[xlo:xhi, ylo:yhi].reshape(2, -1)
+            value = self._exact_maxima[key] = float(self.cell_sums(i, j).max())
+            return value
+
+    def first_max(self) -> tuple[float, int, int]:
+        """First maximum ``(reward, i, j)`` of the in-order sums, in row-major order.
+
+        Only the entries at or above ``max_entry`` times ``1 - TILE_MARGIN``
+        are summed again in demand order; :func:`solve_single_zone` states
+        why every cell that ties the in-order maximum is among them.
+        """
+        near = (self.entries >= self.max_entry * (1.0 - TILE_MARGIN)).nonzero()
+        return _first_max(near[0], near[1], self.cell_sums)
+
     def reweighted(self, weights: np.ndarray) -> "RewardMatrix":
         """The same demand paying ``weights[d]`` per unit area instead of ``rates[d]``, on the same grids.
 
-        Its entries are one matrix product, ``(ox * weights).T @ oy``, so
-        they are summed in another order than :func:`build_reward_matrix`'s
-        and ``reweighted(rates)`` equals ``entries`` only to a relative
-        error of about the number of demand zones times 2**-52.  Its block
-        maxima get a memo of their own.
+        Its entries are the product ``(ox * weights).T @ oy``, taken as
+        ``entries`` is.  Its block maxima get a memo of their own.
         """
         return RewardMatrix(self.xs, self.ys, self.reweighted_entries(weights), weights, self.ox, self.oy)
 
@@ -104,11 +138,19 @@ class RewardMatrix:
 #: Grid values per tile side in :func:`solve_single_zone`'s tile-bounded argmax.
 TILE = 8
 #: Relative slack under which a tile bound counts as below the lower bound,
-#: and a cell's product sum as below the best one in :func:`_kept_argmax`.
+#: and a cell's product sum as below the best one when cells are picked to
+#: be summed again in demand order (:func:`_first_max`).
 TILE_MARGIN = 1e-9
-#: Cells re-summed at once in :func:`_kept_argmax`, which bounds its memory
-#: to this many times the number of pieces when many cells tie.
+#: Cells summed at once in :func:`_first_max`, which bounds its memory to
+#: this many times the number of pieces when many cells tie.
 RESUM_CHUNK = 256
+#: A scale whose grid holds at most this many cells is tabulated whole in
+#: :func:`solve_single_zone`, without tile bounds, which cost more than they
+#: save on small grids.  Per call, on a two-core VM with one BLAS thread:
+#: planar n=30 (3,600 cells) 472 us with tiles, 287 us whole; the line at
+#: n=12, 213 and 92 us; planar n=75 (22,500 cells) 1.18 and 1.43 ms; n=150
+#: (90,000 cells, the size of the greedy benchmark's grids) 1.7 and 6.0 ms.
+FULL_CELLS = 8192
 
 
 def _overlaps(grid: Sequence[float], ext: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -210,27 +252,10 @@ class _Demand:
         return xs, ys, rates, x, y
 
 
-def _add_blocks(
-    entries: np.ndarray,
-    rates: np.ndarray,
-    ox: np.ndarray,
-    oy: np.ndarray,
-    x_start: np.ndarray,
-    x_stop: np.ndarray,
-    y_start: np.ndarray,
-    y_stop: np.ndarray,
-) -> None:
-    """Add ``rates[k] * outer(ox[k], oy[k])`` to ``entries`` over each piece's block, in order.
-
-    Piece ``k``'s block is rows ``[x_start[k], x_stop[k])`` by columns
-    ``[y_start[k], y_stop[k])``; outside it the term must be an exact zero.
-    Then every cell receives the same nonzero terms in the same order as a
-    sum over the whole array, and the entries are bitwise equal to that sum.
-    """
-    bounds = (x_start.tolist(), x_stop.tolist(), y_start.tolist(), y_stop.tolist())
-    for r, ax, ay, i0, i1, j0, j1 in zip(rates.tolist(), ox, oy, *bounds):
-        if i0 < i1 and j0 < j1:
-            entries[i0:i1, j0:j1] += r * (ax[i0:i1, None] * ay[j0:j1])
+def _tabulate(xs: CriticalValueSet, ys: CriticalValueSet, rates: np.ndarray, x: _Axis, y: _Axis) -> RewardMatrix:
+    """The reward matrix of one scale's ``(xs, ys, rates, x, y)``: its overlap tables and their one product."""
+    ox, oy = x.overlaps(), y.overlaps()
+    return RewardMatrix(xs, ys, (ox * rates[:, None]).T @ oy, rates, ox, oy)
 
 
 def build_reward_matrix(
@@ -245,18 +270,12 @@ def build_reward_matrix(
     grid is the inner-demand grid per axis.  For one-dimensional input the y
     axis collapses to the single index ``y = 0``.
 
-    Each demand zone adds ``r * outer(ox, oy)`` (rate times its x and y
-    overlap with the zone at every grid value) only over its support block
-    (:class:`_Axis`), so the entries are bitwise equal to the sum over the
-    whole grid (:func:`_add_blocks`).  The rates and the two overlap tables
-    stay on the matrix, one row per demand zone in input order, for
-    :meth:`RewardMatrix.reweighted`.
+    The entries are one matrix product of the overlap tables, one row per
+    demand zone in input order, which stay on the matrix with the rates for
+    :meth:`RewardMatrix.reweighted` and the in-order sums
+    (:class:`RewardMatrix`).
     """
-    xs, ys, rates, x, y = _Demand(dzs, base).scale(z, eta)
-    ox, oy = x.overlaps(), y.overlaps()
-    entries = np.zeros((len(xs), len(ys)))
-    _add_blocks(entries, rates, ox, oy, x.start, x.stop, y.start, y.stop)
-    return RewardMatrix(xs, ys, entries, rates, ox, oy)
+    return _tabulate(*_Demand(dzs, base).scale(z, eta))
 
 
 def covered_reward(
@@ -417,21 +436,48 @@ class ResidualDemand:
         return column
 
 
+def _in_order_sums(rates: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
+    """Per cell ``k``, every piece's ``rates * (ox[:, k] * oy[:, k])`` added in demand order from +0.0.
+
+    A piece whose overlap is zero at a cell adds an exact zero there, so
+    leaving such pieces out, or reading them, changes no sum: a -0.0 total
+    would be the only change, and the final +0.0 turns it into +0.0.
+    """
+    terms = rates[:, None] * (ox * oy)
+    # a sequential sum; adding +0.0 turns a -0.0 total into +0.0
+    return terms.cumsum(axis=0)[-1] + 0.0
+
+
+def _first_max(
+    cells_i: np.ndarray, cells_j: np.ndarray, sums: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> tuple[float, int, int]:
+    """First maximum ``(reward, i, j)`` of ``sums`` over the cells, in the order given.
+
+    ``sums(i, j)`` gives the in-order sums of the cells ``(i[k], j[k])``;
+    it is asked for ``RESUM_CHUNK`` cells at a time, which bounds its memory
+    to that many times the number of pieces when many cells tie.
+    """
+    best, bi, bj = -np.inf, 0, 0
+    for k in range(0, len(cells_i), RESUM_CHUNK):
+        i, j = cells_i[k : k + RESUM_CHUNK], cells_j[k : k + RESUM_CHUNK]
+        chunk = sums(i, j)
+        a = int(chunk.argmax())
+        if chunk[a] > best:
+            best, bi, bj = float(chunk[a]), int(i[a]), int(j[a])
+    return best, bi, bj
+
+
 def _kept_argmax(kept: np.ndarray, rates: np.ndarray, x: _Axis, y: _Axis) -> tuple[float, int, int]:
     """First maximum ``(reward, i, j)`` in row-major order over the cells of the ``kept`` tiles.
 
-    The reward is the full reward matrix's cell, bit for bit.  Only the
-    pieces whose support block meets the grid rows and columns that hold a
-    kept tile are read: every other piece adds exact zeros to those cells.
-    One matrix product over those rows and columns filters the cells: those
-    at or above its maximum over the kept tiles times ``1 - TILE_MARGIN``
-    are re-summed exactly, ``RESUM_CHUNK`` at a time, each as every read
-    piece's ``rate * (ox * oy)`` added in demand order from +0.0, as
-    :func:`build_reward_matrix` adds them (a piece's terms outside its
-    support block are exact zeros, and adding them changes no sum but a
-    -0.0, which the final +0.0 turns into the matrix's +0.0 anyway).
-    :func:`solve_single_zone` states why every cell that ties the maximum
-    survives the filter.
+    The reward is the cell's in-order sum (:class:`RewardMatrix`), bit for
+    bit.  Only the pieces whose support block meets the grid rows and
+    columns that hold a kept tile are read: every other piece adds exact
+    zeros to those cells (:func:`_in_order_sums`).  One matrix product over
+    those rows and columns filters the cells: those at or above its maximum
+    over the kept tiles times ``1 - TILE_MARGIN`` are summed in demand order
+    (:func:`_first_max`).  :func:`solve_single_zone` states why every cell
+    that ties the maximum survives the filter.
     """
     rows = np.repeat(kept.any(axis=1), TILE)[: len(x.grid)].nonzero()[0]
     cols = np.repeat(kept.any(axis=0), TILE)[: len(y.grid)].nonzero()[0]
@@ -444,17 +490,30 @@ def _kept_argmax(kept: np.ndarray, rates: np.ndarray, x: _Axis, y: _Axis) -> tup
     approx = scaled.T @ y.overlaps(at=cols, pieces=live)
     approx[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
     near = (approx >= approx.max() * (1.0 - TILE_MARGIN)).nonzero()
-    cells_i, cells_j = rows[near[0]], cols[near[1]]
-    best, bi, bj = -np.inf, 0, 0
-    for k in range(0, len(cells_i), RESUM_CHUNK):
-        i, j = cells_i[k : k + RESUM_CHUNK], cells_j[k : k + RESUM_CHUNK]
-        terms = rates[:, None] * (x.overlaps(at=i, pieces=live) * y.overlaps(at=j, pieces=live))
-        # a sequential sum; adding +0.0 turns a -0.0 total into the matrix's +0.0
-        sums = terms.cumsum(axis=0)[-1] + 0.0
-        a = int(sums.argmax())
-        if sums[a] > best:
-            best, bi, bj = float(sums[a]), int(i[a]), int(j[a])
-    return best, bi, bj
+
+    def sums(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return _in_order_sums(rates, x.overlaps(at=i, pieces=live), y.overlaps(at=j, pieces=live))
+
+    return _first_max(rows[near[0]], cols[near[1]], sums)
+
+
+def _tiled_max(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[float, int, int, float]:
+    """:func:`solve_single_zone`'s tile-bounded search of one scale: ``(reward, i, j, cap)``.
+
+    The reward is -inf, and ``(i, j)`` meaningless, when no tile can reach
+    ``best_r``.
+    """
+    bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
+    a, b = divmod(int(bound.argmax()), bound.shape[1])
+    tile_x, tile_y = slice(a * TILE, (a + 1) * TILE), slice(b * TILE, (b + 1) * TILE)
+    tile = (x.overlaps(at=tile_x) * rates[:, None]).T @ y.overlaps(at=tile_y)
+    lower = max(float(tile.max()), best_r)
+    kept = bound >= lower * (1.0 - TILE_MARGIN)
+    cap = float(bound.max(where=~kept, initial=0.0)) * (1.0 + TILE_MARGIN)
+    if not kept.any():
+        return -np.inf, 0, 0, cap  # no tile of this scale can beat the scales visited before
+    r, i, j = _kept_argmax(kept, rates, x, y)
+    return r, i, j, max(cap, r)
 
 
 def solve_single_zone(
@@ -463,6 +522,7 @@ def solve_single_zone(
     base: BaseServiceZone,
     eta: Eta,
     caps: dict[float, float] | None = None,
+    tables: Mapping[float, RewardMatrix] | None = None,
 ) -> tuple[float, float, float, float]:
     """Best single placement ``(reward, x, y, z)`` over the candidate grids.
 
@@ -473,10 +533,16 @@ def solve_single_zone(
     then smallest x, then smallest y.  An empty demand set returns reward 0 at
     the origin with the smallest scale.
 
-    The result is bitwise that of taking the first maximum in row-major
-    order of each scale's :func:`build_reward_matrix` and keeping the scale
-    with the largest maximum, the smallest of equal ones, but most cells are
-    never summed, and few are summed in the matrix's order.
+    The result is bitwise that of taking, for each scale, the first maximum
+    in row-major order of the in-order sums over its grid
+    (:class:`RewardMatrix`), and keeping the scale with the largest maximum,
+    the smallest of equal ones; but few cells are summed in that order.
+    ``tables``, when given, maps each scale of ``qos`` to the
+    :func:`build_reward_matrix` of exactly this demand (an exact search
+    builds them anyway), and the scale's first maximum is read from it
+    (:meth:`RewardMatrix.first_max`).  Otherwise a scale whose grid holds at
+    most :data:`FULL_CELLS` cells is tabulated whole and read the same way,
+    and a larger one is searched tile by tile.
 
     ``caps`` maps a scale to its *cap*, an upper bound on its largest
     reward, and receives the cap of every scale solved here.  A cap that is
@@ -491,7 +557,18 @@ def solve_single_zone(
     * and a scale's reward replaces the best one when it is larger, or
       equal on a smaller scale.
 
-    Per visited scale:
+    A whole table filters its cells by its product entries: those at or
+    above their maximum times ``1 - TILE_MARGIN`` are summed again in demand
+    order, and the scale's cap is its first maximum.  No cell that ties the
+    in-order maximum ``M`` is filtered out.  With ``n`` pieces, the product
+    and the in-order sum each sum nonnegative terms, so each is within a
+    relative ``g`` of about ``n * 2**-53`` of the exact sum.  A cell worth
+    ``M`` in order then reads at least ``M * (1 - 2g)`` in the product, and
+    no cell reads above ``M * (1 + 2g)``; so it is within about ``4g`` of
+    the product's maximum, below ``TILE_MARGIN`` for any ``n`` below a
+    million.
+
+    Per scale searched tile by tile:
 
     * Both grids are cut into tiles of ``TILE`` consecutive values.  A
       piece's overlap with the zone is a trapezoid in the zone's position,
@@ -504,24 +581,16 @@ def solve_single_zone(
       below it times ``1 - TILE_MARGIN`` cannot hold a winning maximum and
       is pruned.  The margin absorbs rounding: the tile bounds and that
       tile's maximum are sums of nonnegative terms taken by matrix
-      products, in another order than the matrix entries, so they differ
-      from the entries' sums by a relative error of about the number of
-      pieces times 2**-52.
+      products, in another order than the in-order sums, so they differ
+      from them by a relative error of about the number of pieces times
+      2**-52.
     * One matrix product over the kept tiles' rows and columns sums every
-      kept cell in another order; only the cells at or above its maximum
-      times ``1 - TILE_MARGIN`` are re-summed in demand order from +0.0,
-      which gives the matrix entries bit for bit (:func:`_kept_argmax`).
-      No cell that ties the matrix's maximum ``M`` is filtered out.  With
-      ``n`` pieces, the product and the matrix each sum nonnegative terms,
-      so each is within a relative ``g`` of about ``n * 2**-53`` of the
-      exact sum.  A cell worth ``M`` in the matrix then reads at least
-      ``M * (1 - 2g)`` in the product, and no kept cell reads above ``M *
-      (1 + 2g)``; so it is within about ``4g`` of the product's maximum,
-      below ``TILE_MARGIN`` for any ``n`` below a million.
+      kept cell in another order, and filters the kept cells as a whole
+      table does (:func:`_kept_argmax`).
     * Every cell that holds the scale's maximum lies in a kept tile and
       survives the filter whenever that maximum can win, so the first
-      maximum over the re-summed cells, in row-major order, is the
-      matrix's first maximum.
+      maximum over the re-summed cells, in row-major order, is the scale's
+      first maximum.
     * The scale's cap is the largest bound of a pruned tile times ``1 +
       TILE_MARGIN`` (0 when none is pruned), or the re-summed maximum ``r``
       when that is larger.  ``r`` alone is no cap: when another scale's
@@ -532,24 +601,22 @@ def solve_single_zone(
     if len(dzs) == 0:
         return 0.0, 0.0, 0.0, qos.min_factor
     caps = {} if caps is None else caps
-    demand = _Demand(dzs, base)
+    demand = _Demand(dzs, base) if tables is None else None
     best_r = -1.0
     best = (0.0, 0.0, 0.0, qos.min_factor)
     for z in sorted(qos.factors, key=lambda z: -caps.get(z, np.inf)):  # stable: ties keep menu order
         if caps.get(z, np.inf) * (1.0 + TILE_MARGIN) < best_r:
             continue  # this scale cannot reach the best reward so far
-        xs, ys, rates, x, y = demand.scale(z, eta)
-        bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
-        a, b = divmod(int(bound.argmax()), bound.shape[1])
-        tile_x, tile_y = slice(a * TILE, (a + 1) * TILE), slice(b * TILE, (b + 1) * TILE)
-        tile = (x.overlaps(at=tile_x) * rates[:, None]).T @ y.overlaps(at=tile_y)
-        lower = max(float(tile.max()), best_r)
-        kept = bound >= lower * (1.0 - TILE_MARGIN)
-        caps[z] = float(bound.max(where=~kept, initial=0.0)) * (1.0 + TILE_MARGIN)
-        if not kept.any():
-            continue  # no tile of this scale can beat the scales visited before
-        r, i, j = _kept_argmax(kept, rates, x, y)
-        caps[z] = max(caps[z], r)
+        if demand is None:
+            m = tables[z]
+        else:
+            xs, ys, rates, x, y = demand.scale(z, eta)
+            m = _tabulate(xs, ys, rates, x, y) if len(xs) * len(ys) <= FULL_CELLS else None
+        if m is None:
+            r, i, j, caps[z] = _tiled_max(rates, x, y, best_r)
+        else:
+            (r, i, j), xs, ys = m.first_max(), m.xs, m.ys
+            caps[z] = r
         if r > best_r or (r == best_r and z < best[3]):
             best_r = r
             best = (r, xs.array.item(i), ys.array.item(j), z)

@@ -7,9 +7,15 @@ bounds that ``reward.serve_zone`` computes, so its tests check the one that
 trimming uses.  ``single_zone_reward`` values one zone on the object path,
 rectangle by rectangle; ``dedup_sorted`` is the definition of a candidate
 grid that ``critical.inner_demand_grid`` computes with numpy.
+``full_grid_entries`` tabulates a scale's in-order single-zone rewards over
+whole grids, one outer product per demand zone added in demand order: the
+exact contract of ``reward.RewardMatrix``, whose entries are one matrix
+product instead.
 """
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from rectcover.critical import COORD_RTOL
 from rectcover.geometry import Rect, _trim_bounds
@@ -107,3 +113,23 @@ def dedup_sorted(values: Iterable[float]) -> tuple[float, ...]:
         if not out or (v != out[-1] and v - out[-1] >= tol):
             out.append(v)
     return tuple(out)
+
+
+def full_grid_entries(dzs, z, base, eta, xs, ys) -> np.ndarray:
+    """The in-order reward matrix of scale ``z`` over the grids ``xs`` and ``ys``.
+
+    Each demand zone, in order, adds its rate times the outer product of its
+    x and y overlaps with the zone at every grid value to an array of +0.0.
+    """
+    pdzs, pbase = planar_form(dzs, base)
+    xv = np.asarray(xs)
+    yv = np.asarray(ys)
+    entries = np.zeros((len(xv), len(yv)))
+    wz = pbase.w0 * z
+    lz = pbase.l0 * z
+    for d in pdzs:
+        r = reward_rate(d.v, z, eta)
+        ox = np.clip(np.minimum(xv + wz, d.rect.x2) - np.maximum(xv, d.rect.x), 0.0, None)
+        oy = np.clip(np.minimum(yv + lz, d.rect.y2) - np.maximum(yv, d.rect.y), 0.0, None)
+        entries += r * np.outer(ox, oy)
+    return entries

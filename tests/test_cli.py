@@ -890,6 +890,24 @@ def test_failed_write_gives_error_line(command, square_file, tmp_path, capsys, m
     _assert_clean_error(code, capsys.readouterr().err, f"cannot write {what} file {out}: [Errno {errno.ENOSPC}]")
 
 
+def test_failed_bench_write_still_prints_the_solved_rows(tmp_path, capsys, monkeypatch):
+    # the sweep's table is printed before the CSV is written, so a full disk
+    # loses only the file: the rows stay on stdout, and the exit code is 1
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    out = tmp_path / "out.csv"
+    code = main(["bench", "--n", "3", "--seeds", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    _assert_clean_error(code, captured.err, f"cannot write CSV file {out}")
+    lines = captured.out.splitlines()
+    header = next(k for k, line in enumerate(lines) if line.split()[:4] == ["n", "p", "m", "seed"])
+    rows = [line.split() for line in lines[header + 2 :] if line.strip()]
+    assert [row[:4] for row in rows] == [["3", "2", "2", "0"], ["3", "2", "2", "1"]]
+    assert "wrote" not in captured.out and not out.exists()
+
+
 @pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0, reason="root may write a read-only file")
 @pytest.mark.parametrize("command", sorted(WRITES))
 def test_read_only_out_file_is_refused_before_any_work(command, square_file, tmp_path, capsys):

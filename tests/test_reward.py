@@ -22,8 +22,6 @@ from rectcover import (
     generate_1d,
     pseudo_greedy,
 )
-from rectcover.bnb import RTOL
-from rectcover.model import reward_rate
 from rectcover.reward import (
     build_reward_matrix,
     planar_form,
@@ -31,7 +29,7 @@ from rectcover.reward import (
 )
 
 from conftest import small_2d, square_instance
-from reference import single_zone_reward
+from reference import full_grid_entries, single_zone_reward
 
 
 def test_single_zone_reward_spot_values():
@@ -203,8 +201,8 @@ def test_reward_matrix_block_max_equals_numpy_max_and_is_memoised():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(0, 30), one_d=st.booleans())
 def test_reward_matrix_reweighted_identities(seed, n, one_d):
-    # at its own rates the demand gives back the entries, up to the
-    # product's rounding; at zero rates it earns nothing; the grids are shared
+    # at its own rates the demand gives back the entries, bit for bit, as
+    # both are one product; at zero rates it earns nothing; the grids are shared
     if one_d:
         inst = generate_1d(GenConfig(seed=seed, n=n, p=3, dimension=Dimension.ONE_D))
     else:
@@ -214,33 +212,38 @@ def test_reward_matrix_reweighted_identities(seed, n, one_d):
         same, zero = m.reweighted(m.rates), m.reweighted(np.zeros_like(m.rates))
         for r in (same, zero):
             assert r.xs is m.xs and r.ys is m.ys and r.entries.shape == m.entries.shape
-        assert np.all(np.abs(same.entries - m.entries) <= RTOL * m.entries)
+        assert np.array_equal(bits(same.entries), bits(m.entries))
         assert not zero.entries.any()
 
 
-# ------------------------------------------------- support-block bitwise check
+# ------------------------------------------------- in-order cells, bit for bit
 
 
-def full_grid_entries(dzs, z, base, eta, xs, ys):
-    """The reward matrix as one full-grid outer product per demand zone."""
-    pdzs, pbase = planar_form(dzs, base)
-    xv = np.asarray(xs)
-    yv = np.asarray(ys)
-    entries = np.zeros((len(xv), len(yv)))
-    wz = pbase.w0 * z
-    lz = pbase.l0 * z
-    for d in pdzs:
-        r = reward_rate(d.v, z, eta)
-        ox = np.clip(np.minimum(xv + wz, d.rect.x2) - np.maximum(xv, d.rect.x), 0.0, None)
-        oy = np.clip(np.minimum(yv + lz, d.rect.y2) - np.maximum(yv, d.rect.y), 0.0, None)
-        entries += r * np.outer(ox, oy)
-    return entries
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def assert_bitwise_full_grid(dzs, z, base, eta):
+    # The exact contract is the in-order sum: every cell's, the leaf cells'
+    # memoised maxima and the re-summed first maximum are the full-grid
+    # reference's bit for bit.  The entries are the product reweighted takes.
     m = build_reward_matrix(dzs, z, base, eta)
     want = full_grid_entries(dzs, z, base, eta, m.xs.values, m.ys.values)
-    assert np.array_equal(m.entries, want)
+    nx, ny = want.shape
+    columns = np.arange(ny)
+    for i in range(nx):  # a row at a time keeps the terms' memory to pieces x ny
+        assert np.array_equal(bits(m.cell_sums(np.full(ny, i), columns)), bits(want[i])), i
+    for xlo in range(0, nx, max(1, nx // 7)):
+        for ylo in range(0, ny, max(1, ny // 7)):
+            for xhi, yhi in ((xlo + 1, ylo + 1), (min(xlo + 2, nx), min(ylo + 2, ny))):
+                block = float(want[xlo:xhi, ylo:yhi].max())
+                assert m.exact_block_max(xlo, xhi, ylo, yhi).hex() == block.hex()
+    if want.size:
+        k = int(want.argmax())
+        first = (float(want.flat[k]).hex(), *divmod(k, ny))
+        r, i, j = m.first_max()
+        assert (r.hex(), i, j) == first
+    assert np.array_equal(bits(m.entries), bits(m.reweighted(m.rates).entries))
 
 
 def test_reward_matrix_bitwise_equal_to_full_grid_on_trimmed_greedy_rounds():

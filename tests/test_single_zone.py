@@ -1,11 +1,13 @@
-"""The tile-bounded single-zone argmax against the full reward matrices.
+"""The single-zone argmax against the full in-order reward tables.
 
-The reference is the loop ``solve_single_zone`` replaced: every scale's full
-``build_reward_matrix``, its first maximum in row-major order, and a later
-scale kept only when its maximum is strictly larger.  The tile-bounded search
-must return the same ``(reward, x, y, z)`` bit for bit.
+The reference tabulates every scale's in-order sums over its whole grids
+(``reference.full_grid_entries``), takes their first maximum in row-major
+order, and keeps a later scale only when its maximum is strictly larger.
+The search, tile-bounded on large grids and tabulated whole on small ones
+(``FULL_CELLS``), must return the same ``(reward, x, y, z)`` bit for bit.
 """
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,18 @@ from rectcover import (
     greedy,
     pseudo_greedy,
 )
-from rectcover.reward import RESUM_CHUNK, TILE, _Axis, _overlaps, build_reward_matrix, planar_form, solve_single_zone
+from rectcover.reward import (
+    FULL_CELLS,
+    RESUM_CHUNK,
+    TILE,
+    _Axis,
+    _overlaps,
+    build_reward_matrix,
+    planar_form,
+    solve_single_zone,
+)
+
+from reference import full_grid_entries
 
 
 def reference_single_zone(dzs, qos, base, eta):
@@ -36,11 +49,12 @@ def reference_single_zone(dzs, qos, base, eta):
     best_r = -1.0
     best = (0.0, 0.0, 0.0, qos.min_factor)
     for z in qos.factors:
-        m = build_reward_matrix(dzs, z, base, eta)
-        if m.entries.size == 0:
+        m = build_reward_matrix(dzs, z, base, eta)  # for its grids
+        entries = full_grid_entries(dzs, z, base, eta, m.xs.values, m.ys.values)
+        if entries.size == 0:
             continue
-        i, j = divmod(int(np.argmax(m.entries)), m.entries.shape[1])
-        r = float(m.entries[i, j])
+        i, j = divmod(int(np.argmax(entries)), entries.shape[1])
+        r = float(entries[i, j])
         if r > best_r:
             best_r = r
             best = (r, m.xs.values[i], m.ys.values[j], z)
@@ -138,14 +152,15 @@ def test_matches_full_matrices_on_near_ties(dzs, menu, dims):
 
 def test_order_dependent_near_tie_takes_the_matrix_maximum():
     # Two unit squares, each listed five times with the same rates in another
-    # order: the exact sums are equal, the matrix's in-order sums are not.
+    # order: the exact sums are equal, the in-order sums are not.
     low, high = (0.3, 0.3, 0.1, 0.1, 0.7), (0.7, 0.3, 0.3, 0.1, 0.1)
     base = BaseServiceZone(1.0, 1.0)
     for first, second in ((low, high), (high, low)):
         dzs = [DemandZone(Rect(0.0, 0.0, 1.0, 1.0), v) for v in first]
         dzs += [DemandZone(Rect(10.0, 0.0, 1.0, 1.0), v) for v in second]
         m = build_reward_matrix(dzs, 1.0, base, Eta.LINEAR)
-        assert m.entries.shape == (2, 1) and m.entries[0, 0] != m.entries[1, 0]
+        in_order = full_grid_entries(dzs, 1.0, base, Eta.LINEAR, m.xs.values, m.ys.values)
+        assert in_order.shape == (2, 1) and in_order[0, 0] != in_order[1, 0]
         assert_same(dzs, QosSet((1.0,)), base)
     got = solve_single_zone(dzs, QosSet((1.0,)), base, Eta.LINEAR)
     assert got == (sum(high), 0.0, 0.0, 1.0) and sum(high) > sum(low)
@@ -168,6 +183,37 @@ def test_all_tie_grid_is_re_summed_in_bounded_chunks():
     finally:
         tracemalloc.stop()
     assert peak < len(dzs) * cells * 8 / 4
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grids_either_side_of_full_cells(seed, monkeypatch):
+    # The largest demand whose grid holds at most FULL_CELLS cells is
+    # tabulated whole; one zone more is searched tile by tile.  Both give
+    # the reference's result bit for bit.
+    rng = random.Random(seed)
+
+    def draw():
+        x, y = (round(rng.uniform(0.0, 300.0), 2) for _ in range(2))
+        w, l = (round(rng.uniform(2.0, 40.0), 1) for _ in range(2))
+        return DemandZone(Rect(x, y, w, l), round(rng.uniform(0.1, 5.0), 2))
+
+    dzs = [draw() for _ in range(80)]
+    base = BaseServiceZone(10.0, 8.0)
+
+    def cells(k):
+        m = build_reward_matrix(dzs[:k], 1.0, base, Eta.LINEAR)
+        return len(m.xs) * len(m.ys)
+
+    below = max(k for k in range(1, len(dzs) + 1) if cells(k) <= FULL_CELLS)
+    assert cells(below) > 0.9 * FULL_CELLS and cells(below + 1) > FULL_CELLS
+    tiled = []
+    kept_argmax = reward_mod._kept_argmax
+    monkeypatch.setattr(reward_mod, "_kept_argmax", lambda *args: tiled.append(1) or kept_argmax(*args))
+    for k, by_tiles in ((below, False), (below + 1, True)):
+        tiled.clear()
+        assert_same(dzs[:k], QosSet((1.0,)), base)
+        assert bool(tiled) is by_tiles, k
+        assert_same(dzs[:k], QosSet((1.0, 2.0)), base)
 
 
 # ------------------------------------------------------------------ built ties
