@@ -206,9 +206,10 @@ the overlap with every demand zone of the argmax of its ``L_z``.  At most
 halves after :data:`FIT_HALVE_AFTER` steps without a new best; the fit stops
 after :data:`FIT_STALL` steps without a gain of :data:`FIT_GAIN` relative,
 or once the bound is at or below ``lower``.  Every solve keeps the bound of
-the best ``mu`` seen, however little it gains over the start, with the
-tables of the step that found it; the first step, at ``mu = r``, reads the
-reward matrices' own entries, which are its tables bit for bit.
+the best ``mu`` seen, however little it gains over the start: the fit keeps
+only that ``mu`` and ends with :meth:`Lagrangian.of` of it, one product per
+scale.  The first step, at ``mu = r``, reads the reward matrices' own
+entries, which are its tables bit for bit.
 
 The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
 in another order than the in-order sums and ``covered_reward``, each a sum
@@ -772,9 +773,9 @@ def fit_lagrangian(
     group adding its subgradient once, times its size.  A step tabulates
     each scale's ``L_z`` as :meth:`Lagrangian.of` does and takes its first
     maximum once; at ``mu = r`` those tables are the matrices' own entries,
-    bit for bit, so the first step reads them.  The :class:`Lagrangian` is
-    the best step's ``T1`` and tables, a matrix's own when the best ``mu``
-    is ``r``.
+    bit for bit, so the first step reads them.  Only the best ``mu`` is
+    kept, and the result is its :meth:`Lagrangian.of`, which tabulates each
+    ``L_z`` once more.
     """
     x, y, w, l, _ = demand_rows(instance.planar[0]).T
     area = ((x + w) - x) * ((y + l) - y)
@@ -786,8 +787,8 @@ def fit_lagrangian(
     groups = [(None if z == _UNSET else scales.index(z), count) for z, count in Counter(root.z_vec).items()]
     rows = np.arange(len(area))
     mu = best_mu = rates
-    tables = best_tables = [m.entries for m in mats]  # L_z at mu = r
-    best = best_t1 = mark = math.inf
+    tables = [m.entries for m in mats]  # L_z at mu = r
+    best = mark = math.inf
     step, since_best, since_gain = FIT_STEP, 0, 0
     for _ in range(FIT_STEPS):
         if mu is not rates:
@@ -809,7 +810,7 @@ def fit_lagrangian(
             value += count * float(table[i, k])
             grad[:, s] += count * m.ox[:, i] * m.oy[:, k]
         if value < best:
-            best, best_t1, best_mu, best_tables, since_best = value, t1, mu, tables, 0
+            best, best_mu, since_best = value, mu, 0
         else:
             since_best += 1
             if since_best >= FIT_HALVE_AFTER:
@@ -822,10 +823,7 @@ def fit_lagrangian(
         if value <= lower or since_gain >= FIT_STALL or norm == 0.0:
             break
         mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
-    return Lagrangian(best_t1, {
-        z: m if t is m.entries else RewardMatrix(m.xs, m.ys, t, best_mu[:, s], m.ox, m.oy)
-        for s, (z, m, t) in enumerate(zip(scales, mats, best_tables))
-    })
+    return Lagrangian.of(best_mu, rates, area, matrices)
 
 
 def root_node(instance: Instance, grids: CandidateGrids) -> Node:

@@ -58,7 +58,10 @@ class RewardMatrix:
     error of about the number of demand zones times 2**-52 of its in-order
     sum.  The exact search's candidate sets are index ranges into the two
     grids.  :meth:`reweighted` takes the same product with other rates, and
-    ``reweighted(rates)`` gives back ``entries`` bit for bit.
+    ``reweighted(rates)`` gives back ``entries`` bit for bit.  A
+    tile-by-tile single-zone search tabulates only the grid rows and columns
+    of the tiles it keeps, and sets ``entries`` to -inf off those tiles
+    (:func:`_tiled_table`).
 
     :meth:`block_max` memoises the maximum of ``entries`` over each index
     block it is asked for, and :meth:`exact_block_max` the in-order maximum
@@ -95,8 +98,15 @@ class RewardMatrix:
             return value
 
     def cell_sums(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The in-order sums of the cells ``(i[k], j[k])``."""
-        return _in_order_sums(self.rates, self.ox[:, i], self.oy[:, j])
+        """The in-order sums of the cells ``(i[k], j[k])``: every piece's term added in demand order from +0.0.
+
+        A piece whose overlap is zero at a cell adds an exact zero there, so
+        leaving such pieces out, or reading them, changes no sum: a -0.0 total
+        would be the only change, and the final +0.0 turns it into +0.0.
+        """
+        terms = self.rates[:, None] * (self.ox[:, i] * self.oy[:, j])
+        # a sequential sum; adding +0.0 turns a -0.0 total into +0.0
+        return terms.cumsum(axis=0)[-1] + 0.0
 
     def exact_block_max(self, xlo: int, xhi: int, ylo: int, yhi: int) -> float:
         """The largest in-order sum over the cells of the block, computed once per block.
@@ -116,11 +126,19 @@ class RewardMatrix:
         """First maximum ``(reward, i, j)`` of the in-order sums, in row-major order.
 
         Only the entries at or above ``max_entry`` times ``1 - TILE_MARGIN``
-        are summed again in demand order; :func:`solve_single_zone` states
-        why every cell that ties the in-order maximum is among them.
+        are summed again in demand order, ``RESUM_CHUNK`` cells at a time;
+        :func:`solve_single_zone` states why every cell that ties the
+        in-order maximum is among them.
         """
-        near = (self.entries >= self.max_entry * (1.0 - TILE_MARGIN)).nonzero()
-        return _first_max(near[0], near[1], self.cell_sums)
+        cells_i, cells_j = (self.entries >= self.max_entry * (1.0 - TILE_MARGIN)).nonzero()
+        best, bi, bj = -np.inf, 0, 0
+        for k in range(0, len(cells_i), RESUM_CHUNK):
+            i, j = cells_i[k : k + RESUM_CHUNK], cells_j[k : k + RESUM_CHUNK]
+            chunk = self.cell_sums(i, j)
+            a = int(chunk.argmax())
+            if chunk[a] > best:
+                best, bi, bj = float(chunk[a]), int(i[a]), int(j[a])
+        return best, bi, bj
 
     def reweighted(self, weights: np.ndarray) -> "RewardMatrix":
         """The same demand paying ``weights[d]`` per unit area instead of ``rates[d]``, on the same grids.
@@ -139,10 +157,10 @@ class RewardMatrix:
 TILE = 8
 #: Relative slack under which a tile bound counts as below the lower bound,
 #: and a cell's product sum as below the best one when cells are picked to
-#: be summed again in demand order (:func:`_first_max`).
+#: be summed again in demand order (:meth:`RewardMatrix.first_max`).
 TILE_MARGIN = 1e-9
-#: Cells summed at once in :func:`_first_max`, which bounds its memory to
-#: this many times the number of pieces when many cells tie.
+#: Cells summed at once in :meth:`RewardMatrix.first_max`, which bounds its
+#: memory to this many times the number of pieces when many cells tie.
 RESUM_CHUNK = 256
 #: A scale whose grid holds at most this many cells is tabulated whole in
 #: :func:`solve_single_zone`, without tile bounds, which cost more than they
@@ -252,9 +270,10 @@ class _Demand:
         return xs, ys, rates, x, y
 
 
-def _tabulate(xs: CriticalValueSet, ys: CriticalValueSet, rates: np.ndarray, x: _Axis, y: _Axis) -> RewardMatrix:
-    """The reward matrix of one scale's ``(xs, ys, rates, x, y)``: its overlap tables and their one product."""
-    ox, oy = x.overlaps(), y.overlaps()
+def _tabulate(
+    xs: CriticalValueSet, ys: CriticalValueSet, rates: np.ndarray, ox: np.ndarray, oy: np.ndarray
+) -> RewardMatrix:
+    """The reward matrix over ``xs`` and ``ys`` of the overlap tables ``ox`` and ``oy``, with their one product."""
     return RewardMatrix(xs, ys, (ox * rates[:, None]).T @ oy, rates, ox, oy)
 
 
@@ -275,7 +294,8 @@ def build_reward_matrix(
     :meth:`RewardMatrix.reweighted` and the in-order sums
     (:class:`RewardMatrix`).
     """
-    return _tabulate(*_Demand(dzs, base).scale(z, eta))
+    xs, ys, rates, x, y = _Demand(dzs, base).scale(z, eta)
+    return _tabulate(xs, ys, rates, x.overlaps(), y.overlaps())
 
 
 def covered_reward(
@@ -436,72 +456,16 @@ class ResidualDemand:
         return column
 
 
-def _in_order_sums(rates: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
-    """Per cell ``k``, every piece's ``rates * (ox[:, k] * oy[:, k])`` added in demand order from +0.0.
+def _tiled_table(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[RewardMatrix | None, float]:
+    """:func:`solve_single_zone`'s tile-bounded search of one scale: ``(table, cap)``.
 
-    A piece whose overlap is zero at a cell adds an exact zero there, so
-    leaving such pieces out, or reading them, changes no sum: a -0.0 total
-    would be the only change, and the final +0.0 turns it into +0.0.
-    """
-    terms = rates[:, None] * (ox * oy)
-    # a sequential sum; adding +0.0 turns a -0.0 total into +0.0
-    return terms.cumsum(axis=0)[-1] + 0.0
-
-
-def _first_max(
-    cells_i: np.ndarray, cells_j: np.ndarray, sums: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> tuple[float, int, int]:
-    """First maximum ``(reward, i, j)`` of ``sums`` over the cells, in the order given.
-
-    ``sums(i, j)`` gives the in-order sums of the cells ``(i[k], j[k])``;
-    it is asked for ``RESUM_CHUNK`` cells at a time, which bounds its memory
-    to that many times the number of pieces when many cells tie.
-    """
-    best, bi, bj = -np.inf, 0, 0
-    for k in range(0, len(cells_i), RESUM_CHUNK):
-        i, j = cells_i[k : k + RESUM_CHUNK], cells_j[k : k + RESUM_CHUNK]
-        chunk = sums(i, j)
-        a = int(chunk.argmax())
-        if chunk[a] > best:
-            best, bi, bj = float(chunk[a]), int(i[a]), int(j[a])
-    return best, bi, bj
-
-
-def _kept_argmax(kept: np.ndarray, rates: np.ndarray, x: _Axis, y: _Axis) -> tuple[float, int, int]:
-    """First maximum ``(reward, i, j)`` in row-major order over the cells of the ``kept`` tiles.
-
-    The reward is the cell's in-order sum (:class:`RewardMatrix`), bit for
-    bit.  Only the pieces whose support block meets the grid rows and
-    columns that hold a kept tile are read: every other piece adds exact
-    zeros to those cells (:func:`_in_order_sums`).  One matrix product over
-    those rows and columns filters the cells: those at or above its maximum
-    over the kept tiles times ``1 - TILE_MARGIN`` are summed in demand order
-    (:func:`_first_max`).  :func:`solve_single_zone` states why every cell
-    that ties the maximum survives the filter.
-    """
-    rows = np.repeat(kept.any(axis=1), TILE)[: len(x.grid)].nonzero()[0]
-    cols = np.repeat(kept.any(axis=0), TILE)[: len(y.grid)].nonzero()[0]
-    live = x.meets(rows) & y.meets(cols)
-    if not live.any():
-        live[0] = True  # every cell sums to zero: one piece's exact zeros say so
-    rates = rates[live]
-    scaled = x.overlaps(at=rows, pieces=live)
-    scaled *= rates[:, None]
-    approx = scaled.T @ y.overlaps(at=cols, pieces=live)
-    approx[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
-    near = (approx >= approx.max() * (1.0 - TILE_MARGIN)).nonzero()
-
-    def sums(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return _in_order_sums(rates, x.overlaps(at=i, pieces=live), y.overlaps(at=j, pieces=live))
-
-    return _first_max(rows[near[0]], cols[near[1]], sums)
-
-
-def _tiled_max(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[float, int, int, float]:
-    """:func:`solve_single_zone`'s tile-bounded search of one scale: ``(reward, i, j, cap)``.
-
-    The reward is -inf, and ``(i, j)`` meaningless, when no tile can reach
-    ``best_r``.
+    ``table`` is None when no tile can reach ``best_r``.  Otherwise it spans
+    the grid rows and columns that hold a kept tile, and its entries read
+    -inf off the kept tiles, so its :meth:`~RewardMatrix.first_max` is the
+    first maximum over the kept tiles' cells in row-major order.  It holds
+    only the pieces whose support block meets those rows and columns: every
+    other piece adds exact zeros to those cells
+    (:meth:`RewardMatrix.cell_sums`).
     """
     bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
     a, b = divmod(int(bound.argmax()), bound.shape[1])
@@ -511,9 +475,16 @@ def _tiled_max(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[fl
     kept = bound >= lower * (1.0 - TILE_MARGIN)
     cap = float(bound.max(where=~kept, initial=0.0)) * (1.0 + TILE_MARGIN)
     if not kept.any():
-        return -np.inf, 0, 0, cap  # no tile of this scale can beat the scales visited before
-    r, i, j = _kept_argmax(kept, rates, x, y)
-    return r, i, j, max(cap, r)
+        return None, cap
+    rows = np.repeat(kept.any(axis=1), TILE)[: len(x.grid)].nonzero()[0]
+    cols = np.repeat(kept.any(axis=0), TILE)[: len(y.grid)].nonzero()[0]
+    live = x.meets(rows) & y.meets(cols)
+    if not live.any():
+        live[0] = True  # every cell sums to zero: one piece's exact zeros say so
+    ox, oy = x.overlaps(at=rows, pieces=live), y.overlaps(at=cols, pieces=live)
+    m = _tabulate(CriticalValueSet(x.grid[rows]), CriticalValueSet(y.grid[cols]), rates[live], ox, oy)
+    m.entries[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
+    return m, cap
 
 
 def solve_single_zone(
@@ -537,12 +508,13 @@ def solve_single_zone(
     in row-major order of the in-order sums over its grid
     (:class:`RewardMatrix`), and keeping the scale with the largest maximum,
     the smallest of equal ones; but few cells are summed in that order.
-    ``tables``, when given, maps each scale of ``qos`` to the
+    Every scale's first maximum is read off one :class:`RewardMatrix`
+    (:meth:`RewardMatrix.first_max`): the scale's entry of ``tables``, when
+    given, which maps each scale of ``qos`` to the
     :func:`build_reward_matrix` of exactly this demand (an exact search
-    builds them anyway), and the scale's first maximum is read from it
-    (:meth:`RewardMatrix.first_max`).  Otherwise a scale whose grid holds at
-    most :data:`FULL_CELLS` cells is tabulated whole and read the same way,
-    and a larger one is searched tile by tile.
+    builds them anyway); otherwise the whole table, when the scale's grid
+    holds at most :data:`FULL_CELLS` cells; otherwise the table of the tiles
+    a tile-by-tile search keeps (:func:`_tiled_table`).
 
     ``caps`` maps a scale to its *cap*, an upper bound on its largest
     reward, and receives the cap of every scale solved here.  A cap that is
@@ -584,9 +556,9 @@ def solve_single_zone(
       products, in another order than the in-order sums, so they differ
       from them by a relative error of about the number of pieces times
       2**-52.
-    * One matrix product over the kept tiles' rows and columns sums every
-      kept cell in another order, and filters the kept cells as a whole
-      table does (:func:`_kept_argmax`).
+    * The table of the kept tiles' rows and columns sums every kept cell
+      in its one product, reads -inf at every other cell, and filters its
+      cells as a whole table does.
     * Every cell that holds the scale's maximum lies in a kept tile and
       survives the filter whenever that maximum can win, so the first
       maximum over the re-summed cells, in row-major order, is the scale's
@@ -608,16 +580,19 @@ def solve_single_zone(
         if caps.get(z, np.inf) * (1.0 + TILE_MARGIN) < best_r:
             continue  # this scale cannot reach the best reward so far
         if demand is None:
-            m = tables[z]
+            m, cap = tables[z], 0.0
         else:
             xs, ys, rates, x, y = demand.scale(z, eta)
-            m = _tabulate(xs, ys, rates, x, y) if len(xs) * len(ys) <= FULL_CELLS else None
+            if len(xs) * len(ys) <= FULL_CELLS:
+                m, cap = _tabulate(xs, ys, rates, x.overlaps(), y.overlaps()), 0.0
+            else:
+                m, cap = _tiled_table(rates, x, y, best_r)
         if m is None:
-            r, i, j, caps[z] = _tiled_max(rates, x, y, best_r)
-        else:
-            (r, i, j), xs, ys = m.first_max(), m.xs, m.ys
-            caps[z] = r
+            caps[z] = cap  # no tile of this scale can reach the best reward so far
+            continue
+        r, i, j = m.first_max()
+        caps[z] = max(cap, r)
         if r > best_r or (r == best_r and z < best[3]):
             best_r = r
-            best = (r, xs.array.item(i), ys.array.item(j), z)
+            best = (r, m.xs.array.item(i), m.ys.array.item(j), z)
     return best

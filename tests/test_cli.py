@@ -908,13 +908,30 @@ def test_failed_bench_write_still_prints_the_solved_rows(tmp_path, capsys, monke
     assert "wrote" not in captured.out and not out.exists()
 
 
-@pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0, reason="root may write a read-only file")
+@pytest.mark.parametrize(
+    "deny",
+    [
+        pytest.param(
+            "chmod",
+            marks=pytest.mark.skipif(
+                hasattr(os, "geteuid") and os.geteuid() == 0, reason="root may write a read-only file"
+            ),
+        ),
+        "access",  # for any user: the access check the CLI makes denies writing the file
+    ],
+)
 @pytest.mark.parametrize("command", sorted(WRITES))
-def test_read_only_out_file_is_refused_before_any_work(command, square_file, tmp_path, capsys):
+def test_read_only_out_file_is_refused_before_any_work(command, deny, square_file, tmp_path, capsys, monkeypatch):
+    import rectcover.cli as cli_mod
+
     args, _ = WRITES[command]
     out = tmp_path / "out.txt"
     out.write_text("kept\n")
-    out.chmod(0o444)
+    if deny == "chmod":
+        out.chmod(0o444)
+    else:
+        access = os.access
+        monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: Path(path) != out and access(path, mode))
     code = main([command] + [a.format(square=square_file) for a in args] + ["--out", str(out)])
     _assert_clean_error(code, capsys.readouterr().err, "--out")
     assert out.read_text() == "kept\n"

@@ -113,14 +113,15 @@ def test_bound_skips_tiles_on_a_large_instance(monkeypatch):
     inst = generate(GenConfig(seed=0, n=150, p=3, m=3))
     summed = []
     full = []
-    kept_argmax = reward_mod._kept_argmax
+    tiled_table = reward_mod._tiled_table
 
-    def counting(kept, rates, x, y):
-        summed.append(int(kept.sum()) * TILE * TILE)
+    def counting(rates, x, y, best_r):
+        m, cap = tiled_table(rates, x, y, best_r)
+        summed.append(0 if m is None else int(np.isfinite(m.entries).sum()))
         full.append(len(x.grid) * len(y.grid))
-        return kept_argmax(kept, rates, x, y)
+        return m, cap
 
-    monkeypatch.setattr(reward_mod, "_kept_argmax", counting)
+    monkeypatch.setattr(reward_mod, "_tiled_table", counting)
     assert_same(inst.dzs, inst.qos, inst.base, inst.eta)
     assert len(full) == 3 and sum(summed) < 0.2 * sum(full)
 
@@ -207,8 +208,8 @@ def test_grids_either_side_of_full_cells(seed, monkeypatch):
     below = max(k for k in range(1, len(dzs) + 1) if cells(k) <= FULL_CELLS)
     assert cells(below) > 0.9 * FULL_CELLS and cells(below + 1) > FULL_CELLS
     tiled = []
-    kept_argmax = reward_mod._kept_argmax
-    monkeypatch.setattr(reward_mod, "_kept_argmax", lambda *args: tiled.append(1) or kept_argmax(*args))
+    tiled_table = reward_mod._tiled_table
+    monkeypatch.setattr(reward_mod, "_tiled_table", lambda *args: tiled.append(1) or tiled_table(*args))
     for k, by_tiles in ((below, False), (below + 1, True)):
         tiled.clear()
         assert_same(dzs[:k], QosSet((1.0,)), base)
