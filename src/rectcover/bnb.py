@@ -100,12 +100,13 @@ per solve and keeps the parts as a tuple.
 The driver passes the incumbent's reward to the bound as ``floor``.  A leaf's
 exact value, which trims overlapping coverage, is never above the sum of its
 zones' isolated rewards, so a leaf whose isolated sum is already at most
-``floor * (1 + RTOL)`` is cut on that sum and never evaluated exactly.  At a
-leaf each zone's block holds at most 2 x 2 cells, and the sum reads their
-in-order values (``RewardMatrix.exact_block_max``, memoised per block): each
-is the zone's reward alone, summed as ``covered_reward`` sums it, so a cut
-leaf's sum is never below its exact value by rounding.  Whether a node is a
-leaf is read off the scans that find its residual axis.
+``floor * (1 + RTOL)`` is cut on that sum and never evaluated exactly.  A
+leaf's sum reads the same memoised product entries as any other node's (each
+zone's block holds at most 2 x 2 cells), and is scaled once by ``1 + RTOL``
+before it is compared, so a cut leaf's returned sum is never below its exact
+value by rounding (Tolerances, below).  A leaf that survives is valued by
+``covered_reward`` alone.  Whether a node is a leaf is read off the scans
+that find its residual axis.
 
 Residual-demand bound.  The isolated sum ignores that zones already placed
 have served demand.  Covered reward ``f`` in best-rate form (each point paid
@@ -214,7 +215,8 @@ entries, which are its tables bit for bit.
 The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
 in another order than the in-order sums and ``covered_reward``, each a sum
 of nonnegative terms off by a relative error of about the number of demand
-zones times 2**-52.  So it is scaled by ``1 + RTOL`` before it is compared.
+zones times 2**-52.  So it is scaled by ``1 + RTOL`` before it is compared
+(Tolerances, below).
 
 A node's bound is the smallest of the isolated sum, the Lagrangian bound
 and the residual-demand bound, each computed only while the ones before it
@@ -233,19 +235,26 @@ Tolerances.  A solve that reports ``optimal`` returns a reward ``R`` such
 that no placement earns more than ``R * (1 + RTOL)``, with :data:`RTOL` =
 1e-12, up to rounding that is relative and far smaller (a few ulps per
 demand zone): the isolated sums of inner nodes read matrix products, which
-differ from the in-order sums by such rounding, while a leaf is cut or
-valued on in-order sums and ``covered_reward`` alone, so every incumbent
-is an exact covered reward.  When the time limit stops a search, every node
-still on the stack is bounded once more; the largest of those bounds and
-``R * (1 + RTOL)``, the margin every cut node was within, is a certified
-upper bound on the optimum, reported with the relative gap in
-:class:`SolverStats`.  No tolerance is a setting.  Each is in the unit of
-the numbers it compares and taken from them, so a change of units scales it
-with the data:
+differ from the in-order sums by such rounding.  A product entry over ``n``
+demand pieces differs from its in-order sum, the zone's reward alone as
+``covered_reward`` sums it, by at most about ``n * 2**-52`` relative, below
+``RTOL`` for ``n`` up to about 4,500.  That premise carries both margins
+that must stay above an exact value: a leaf's sum scaled by ``1 + RTOL``
+before its cut, and the Lagrangian bound's.  Inner nodes' sums are compared
+unscaled: their rounding is the far smaller slack above, and scaling them as
+well only grows the search.  A surviving leaf is valued by
+``covered_reward`` alone, so every incumbent is an exact covered reward.
+When the time limit stops a search, every node still on the stack is
+bounded once more; the largest of those bounds and ``R * (1 + RTOL)``, the
+margin every cut node was within, is a certified upper bound on the
+optimum, reported with the relative gap in :class:`SolverStats`.  No
+tolerance is a setting.  Each is in the unit of the numbers it compares and
+taken from them, so a change of units scales it with the data:
 
 * rewards: a node is cut when its bound is at most the incumbent's reward
-  times ``1 + RTOL``; the Lagrangian bound is scaled by ``1 + RTOL`` and
-  the total-demand stop is taken at ``ceiling * (1 - RTOL)``;
+  times ``1 + RTOL``; a leaf's isolated sum and the Lagrangian bound are
+  scaled by ``1 + RTOL``, and the total-demand stop is taken at ``ceiling *
+  (1 - RTOL)``;
 * coordinates: two values of one grid are one value when they are closer
   than ``critical.COORD_RTOL`` (1e-12) times the grid's largest magnitude
   (``critical.grid_tol``), and an abutment position is pinned only when it
@@ -631,19 +640,15 @@ def _interval_children(
     return children
 
 
-def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix], leaf: bool = False) -> float:
+def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:
     """Each zone's best entry of its scale's matrix over the block its sets name, summed.
 
-    A zone with an open scale takes the best entry of every matrix, taken
-    once per call and only when some scale is open.  At a ``leaf`` every
-    block holds at most 2 x 2 cells, and their in-order sums are read
-    (``RewardMatrix.exact_block_max``) in place of the product entries.
+    Every entry is the matrix's product, read through the memo
+    ``RewardMatrix.block_max``, at a leaf as at any other node.  A zone with
+    an open scale takes the best entry of every matrix, taken once per call
+    and only when some scale is open.
     """
     total = 0.0
-    if leaf:
-        for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
-            total += matrices[z].exact_block_max(xs[0], xs[1], ys[0], ys[1])
-        return total
     best_any = None
     for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
         if z == _UNSET:
@@ -694,10 +699,10 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     index.  A line zone's y set is the single index of its matrix's one y
     value, 0.
 
-    At a leaf the sum reads each zone's in-order cells instead
-    (``RewardMatrix.exact_block_max``; module docstring).  A node at or
-    below ``cut = floor * (1 + RTOL)`` on that isolated sum returns it.  A
-    leaf above it is evaluated exactly with ``covered_reward`` on
+    At a leaf the sum is scaled by ``1 + RTOL``, which covers the
+    product's rounding (module docstring, Tolerances).  A node at or below
+    ``cut = floor * (1 + RTOL)`` on that isolated sum returns it.  A leaf
+    above it is evaluated exactly with ``covered_reward`` on
     ``instance.planar``.  Any other node takes the smaller of the sum and
     ``grids.lagrangian``'s bound (None only before the fit), and returns it
     when it is at or below ``cut`` or the node has no ``residual_axis``.
@@ -717,7 +722,9 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     # the scans of node.residual_axis, which also tell a leaf
     fixed_x = all(map(_is_single, node.x_sets))
     leaf = fixed_x and all(map(_is_single, node.y_sets))
-    total = _block_sum(node, matrices, leaf)
+    total = _block_sum(node, matrices)
+    if leaf:
+        total *= 1.0 + RTOL  # the product's rounding (module docstring, Tolerances)
     if total <= cut:
         return total
     if leaf:

@@ -61,14 +61,14 @@ class RewardMatrix:
     ``reweighted(rates)`` gives back ``entries`` bit for bit.  A
     tile-by-tile single-zone search tabulates only the grid rows and columns
     of the tiles it keeps, and sets ``entries`` to -inf off those tiles
-    (:func:`_tiled_table`).
+    (:func:`_tiled_table`).  In-order sums are taken only where greedy
+    breaks ties (:meth:`first_max`).
 
     :meth:`block_max` memoises the maximum of ``entries`` over each index
-    block it is asked for, and :meth:`exact_block_max` the in-order maximum
-    over the few cells a search leaf names.  The search bounds every node by
-    such blocks, and one solve asks for few distinct ones (on the order of a
-    thousand at planar n=30) many times over, so the memos live as long as
-    the matrix, which is one solve.
+    block it is asked for.  The search bounds every node, leaves included,
+    by such blocks, and one solve asks for few distinct ones (on the order
+    of a thousand at planar n=30) many times over, so the memo lives as long
+    as the matrix, which is one solve.
     """
 
     xs: CriticalValueSet
@@ -78,9 +78,6 @@ class RewardMatrix:
     ox: np.ndarray
     oy: np.ndarray
     _block_maxima: dict[tuple[int, int, int, int], float] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _exact_maxima: dict[tuple[int, int, int, int], float] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -107,20 +104,6 @@ class RewardMatrix:
         terms = self.rates[:, None] * (self.ox[:, i] * self.oy[:, j])
         # a sequential sum; adding +0.0 turns a -0.0 total into +0.0
         return terms.cumsum(axis=0)[-1] + 0.0
-
-    def exact_block_max(self, xlo: int, xhi: int, ylo: int, yhi: int) -> float:
-        """The largest in-order sum over the cells of the block, computed once per block.
-
-        Meant for a leaf's blocks, which hold at most 2 x 2 cells: every
-        cell of the block is summed.
-        """
-        key = (xlo, xhi, ylo, yhi)
-        try:
-            return self._exact_maxima[key]
-        except KeyError:
-            i, j = np.mgrid[xlo:xhi, ylo:yhi].reshape(2, -1)
-            value = self._exact_maxima[key] = float(self.cell_sums(i, j).max())
-            return value
 
     def first_max(self) -> tuple[float, int, int]:
         """First maximum ``(reward, i, j)`` of the in-order sums, in row-major order.
@@ -179,40 +162,21 @@ def _overlaps(grid: Sequence[float], ext: float, lo: np.ndarray, hi: np.ndarray)
 
 @dataclass(frozen=True)
 class _Axis:
-    """One axis of one scale: the grid, the zone's extent, each piece's span and support.
-
-    ``[start[k], stop[k])`` is the index range of ``grid`` outside which
-    piece ``k``'s ``_overlaps`` row is an exact zero.  ``_overlaps`` is
-    positive exactly where ``g + ext > lo``, ``g < hi``, ``lo < hi`` and
-    ``g + ext > g`` hold as computed.  The first two hold on a suffix and a
-    prefix of the sorted grid, so the range is found by bisection.  It runs
-    from the first to the last nonzero entry whenever ``ext`` is not lost in
-    rounding (``g + ext > g`` on the whole grid), and contains that range
-    otherwise.
-    """
+    """One axis of one scale: the grid, the zone's extent and each piece's span ``[lo, hi]``."""
 
     grid: np.ndarray
     ext: float
     lo: np.ndarray
     hi: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
 
     @classmethod
     def of(cls, grid: Sequence[float] | np.ndarray, ext: float, lo: np.ndarray, hi: np.ndarray) -> "_Axis":
         """The axis over ``grid``, which is read without a copy when it is a float array."""
-        g = np.asarray(grid, dtype=float)
-        start = (g + ext).searchsorted(lo, side="right")
-        stop = np.where(lo < hi, np.maximum(g.searchsorted(hi, side="left"), start), start)
-        return cls(g, ext, lo, hi, start, stop)
+        return cls(np.asarray(grid, dtype=float), ext, lo, hi)
 
-    def overlaps(self, at: np.ndarray | slice = slice(None), pieces: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """``_overlaps`` of the ``pieces`` (every piece by default) at the grid positions ``at``."""
-        return _overlaps(self.grid[at], self.ext, self.lo[pieces], self.hi[pieces])
-
-    def meets(self, at: np.ndarray) -> np.ndarray:
-        """Per piece, whether its support range holds one of the sorted grid positions ``at``."""
-        return at.searchsorted(self.start) < at.searchsorted(self.stop)
+    def overlaps(self, at: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """``_overlaps`` of every piece at the grid positions ``at``."""
+        return _overlaps(self.grid[at], self.ext, self.lo, self.hi)
 
     def tile_bounds(self) -> np.ndarray:
         """Per piece and tile of ``TILE`` grid values, an upper bound on its overlaps there.
@@ -463,9 +427,8 @@ def _tiled_table(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[
     the grid rows and columns that hold a kept tile, and its entries read
     -inf off the kept tiles, so its :meth:`~RewardMatrix.first_max` is the
     first maximum over the kept tiles' cells in row-major order.  It holds
-    only the pieces whose support block meets those rows and columns: every
-    other piece adds exact zeros to those cells
-    (:meth:`RewardMatrix.cell_sums`).
+    every piece: one that misses those rows and columns adds exact zeros to
+    their cells (:meth:`RewardMatrix.cell_sums`).
     """
     bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
     a, b = divmod(int(bound.argmax()), bound.shape[1])
@@ -478,11 +441,8 @@ def _tiled_table(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[
         return None, cap
     rows = np.repeat(kept.any(axis=1), TILE)[: len(x.grid)].nonzero()[0]
     cols = np.repeat(kept.any(axis=0), TILE)[: len(y.grid)].nonzero()[0]
-    live = x.meets(rows) & y.meets(cols)
-    if not live.any():
-        live[0] = True  # every cell sums to zero: one piece's exact zeros say so
-    ox, oy = x.overlaps(at=rows, pieces=live), y.overlaps(at=cols, pieces=live)
-    m = _tabulate(CriticalValueSet(x.grid[rows]), CriticalValueSet(y.grid[cols]), rates[live], ox, oy)
+    ox, oy = x.overlaps(at=rows), y.overlaps(at=cols)
+    m = _tabulate(CriticalValueSet(x.grid[rows]), CriticalValueSet(y.grid[cols]), rates, ox, oy)
     m.entries[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
     return m, cap
 

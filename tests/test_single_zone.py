@@ -288,12 +288,7 @@ def test_zero_width_and_zero_height_zones():
     assert solve_single_zone([flat, thin], QosSet((1.0, 2.0)), base, Eta.LINEAR)[0] == 0.0
 
 
-# ------------------------------------------------------- supports and tile bounds
-
-
-def nonzero_range(row):
-    nz = np.flatnonzero(row > 0.0)
-    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else None
+# ------------------------------------------------------- overlaps and tile bounds
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,29 +297,21 @@ def nonzero_range(row):
     spans=st.lists(st.tuples(coord, extent), min_size=1, max_size=10),
     ext=st.sampled_from([0.5, 2.0, 7.25]),
 )
-def test_support_ranges_and_tile_bounds(grid, spans, ext):
+def test_tile_bounds_hold_the_computed_overlaps(grid, spans, ext):
     grid = sorted(grid)
     lo = np.array([a for a, _ in spans])
     hi = np.array([a + w for a, w in spans])
-    axis = _Axis.of(grid, ext, lo, hi)
     over = _overlaps(grid, ext, lo, hi)
-    bounds = axis.tile_bounds()
+    bounds = _Axis.of(grid, ext, lo, hi).tile_bounds()
     for k in range(len(spans)):
-        start, stop = int(axis.start[k]), int(axis.stop[k])
-        # the bisected range is exactly the first-to-last nonzero range
-        want = nonzero_range(over[k])
-        assert (start, stop) == want if want else (start == stop)
         for t in range(bounds.shape[1]):
             assert bounds[k, t] >= over[k, t * TILE:(t + 1) * TILE].max()
 
 
-def test_support_range_contains_nonzeros_when_extent_is_lost_in_rounding():
+def test_overlaps_are_zero_when_extent_is_lost_in_rounding():
     grid = [1e9, 1e9 + 1.0, 1e9 + 2.0]
     lo, hi = np.array([1e9 - 1.0]), np.array([1e9 + 1.5])
-    axis = _Axis.of(grid, 1e-8, lo, hi)  # g + ext == g: every overlap is zero
-    assert not _overlaps(grid, 1e-8, lo, hi).any()
-    # the bisected range still holds the first two values; they add exact zeros
-    assert (int(axis.start[0]), int(axis.stop[0])) == (0, 2)
+    assert not _overlaps(grid, 1e-8, lo, hi).any()  # g + ext == g: every overlap is zero
 
 
 def test_lifted_line_demand_is_read_as_planar_form():
