@@ -60,9 +60,9 @@ class RewardMatrix:
     grids.  :meth:`reweighted` takes the same product with other rates, and
     ``reweighted(rates)`` gives back ``entries`` bit for bit.  A
     tile-by-tile single-zone search tabulates only the grid rows and columns
-    of the tiles it keeps, and sets ``entries`` to -inf off those tiles
-    (:func:`_tiled_table`).  In-order sums are taken only where greedy
-    breaks ties (:meth:`first_max`).
+    of the tiles it keeps, and only the pieces that reach them, and sets
+    ``entries`` to -inf off those tiles (:func:`_tiled_table`).  In-order
+    sums are taken only where greedy breaks ties (:meth:`first_max`).
 
     :meth:`block_max` memoises the maximum of ``entries`` over each index
     block it is asked for.  The search bounds every node, leaves included,
@@ -147,10 +147,11 @@ TILE_MARGIN = 1e-9
 RESUM_CHUNK = 256
 #: A scale whose grid holds at most this many cells is tabulated whole in
 #: :func:`solve_single_zone`, without tile bounds, which cost more than they
-#: save on small grids.  Per call, on a two-core VM with one BLAS thread:
-#: planar n=30 (3,600 cells) 472 us with tiles, 287 us whole; the line at
-#: n=12, 213 and 92 us; planar n=75 (22,500 cells) 1.18 and 1.43 ms; n=150
-#: (90,000 cells, the size of the greedy benchmark's grids) 1.7 and 6.0 ms.
+#: save on small grids.  Per call, on a two-core VM with one BLAS thread
+#: (median over ten seeds): planar n=30 (3,600 cells) 301 us with tiles,
+#: 185 us whole; the line at n=12, 135 and 52 us; planar n=75 (22,500
+#: cells) 0.67 and 1.11 ms; n=150 (90,000 cells, the size of the greedy
+#: benchmark's grids) 1.1 and 5.3 ms.
 FULL_CELLS = 8192
 
 
@@ -423,12 +424,25 @@ class ResidualDemand:
 def _tiled_table(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[RewardMatrix | None, float]:
     """:func:`solve_single_zone`'s tile-bounded search of one scale: ``(table, cap)``.
 
-    ``table`` is None when no tile can reach ``best_r``.  Otherwise it spans
-    the grid rows and columns that hold a kept tile, and its entries read
-    -inf off the kept tiles, so its :meth:`~RewardMatrix.first_max` is the
-    first maximum over the kept tiles' cells in row-major order.  It holds
-    every piece: one that misses those rows and columns adds exact zeros to
-    their cells (:meth:`RewardMatrix.cell_sums`).
+    ``bound`` bounds every tile (:meth:`_Axis.tile_bounds`), ``lower`` is
+    the larger of ``best_r`` and the largest overlap sum in the
+    best-bounded tile, and the tiles with ``bound >= lower * (1 -
+    TILE_MARGIN)`` are kept.  ``table`` is None when none is.  Otherwise it
+    spans the grid rows and columns that hold a kept tile, and its entries
+    read -inf off the kept tiles, so its :meth:`~RewardMatrix.first_max` is
+    the first maximum over the kept tiles' cells in row-major order.
+
+    It holds only the pieces that reach the box those rows and columns
+    span: ``hi > gx[0]`` and ``lo < gx[-1] + ext`` on x, with ``gx`` the
+    rows' grid values, and the same on y.  ``gx[-1] + ext`` is the sum
+    ``_overlaps`` takes at that row, so a piece left out overlaps the zone
+    by an exact 0 at every row and column, and adds exact zeros to every
+    in-order sum (:meth:`RewardMatrix.cell_sums`).  The table holds at least
+    one piece, as its in-order sums need.  With a positive ``lower`` every
+    kept tile's bound is positive, so some piece's x and y tile bounds are
+    positive there, and that piece reaches the box.  With ``lower`` 0 every
+    tile is kept, and so is every piece: no piece need reach the box then,
+    as when every zone's extent is lost in rounding against its position.
     """
     bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
     a, b = divmod(int(bound.argmax()), bound.shape[1])
@@ -439,11 +453,17 @@ def _tiled_table(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[
     cap = float(bound.max(where=~kept, initial=0.0)) * (1.0 + TILE_MARGIN)
     if not kept.any():
         return None, cap
-    rows = np.repeat(kept.any(axis=1), TILE)[: len(x.grid)].nonzero()[0]
-    cols = np.repeat(kept.any(axis=0), TILE)[: len(y.grid)].nonzero()[0]
-    ox, oy = x.overlaps(at=rows), y.overlaps(at=cols)
-    m = _tabulate(CriticalValueSet(x.grid[rows]), CriticalValueSet(y.grid[cols]), rates, ox, oy)
-    m.entries[~kept[(rows // TILE)[:, None], cols // TILE]] = -np.inf
+    kr, kc = kept.any(axis=1), kept.any(axis=0)
+    rows = np.repeat(kr, TILE)[: len(x.grid)].nonzero()[0]
+    cols = np.repeat(kc, TILE)[: len(y.grid)].nonzero()[0]
+    gx, gy = x.grid[rows], y.grid[cols]
+    near = (x.hi > gx[0]) & (x.lo < gx[-1] + x.ext) & (y.hi > gy[0]) & (y.lo < gy[-1] + y.ext)
+    near |= lower == 0.0
+    ox = _overlaps(gx, x.ext, x.lo[near], x.hi[near])
+    oy = _overlaps(gy, y.ext, y.lo[near], y.hi[near])
+    m = _tabulate(CriticalValueSet(gx), CriticalValueSet(gy), rates[near], ox, oy)
+    on_tiles = np.repeat(np.repeat(kept[kr][:, kc], TILE, axis=0), TILE, axis=1)
+    m.entries[~on_tiles[: len(rows), : len(cols)]] = -np.inf
     return m, cap
 
 
@@ -517,8 +537,9 @@ def solve_single_zone(
       from them by a relative error of about the number of pieces times
       2**-52.
     * The table of the kept tiles' rows and columns sums every kept cell
-      in its one product, reads -inf at every other cell, and filters its
-      cells as a whole table does.
+      in its one product, over the pieces that reach the box those rows and
+      columns span (the others add exact zeros to every cell there), reads
+      -inf at every other cell, and filters its cells as a whole table does.
     * Every cell that holds the scale's maximum lies in a kept tile and
       survives the filter whenever that maximum can win, so the first
       maximum over the re-summed cells, in row-major order, is the scale's

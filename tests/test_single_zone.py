@@ -33,6 +33,7 @@ from rectcover.reward import (
     FULL_CELLS,
     RESUM_CHUNK,
     TILE,
+    TILE_MARGIN,
     _Axis,
     _overlaps,
     build_reward_matrix,
@@ -111,19 +112,82 @@ def test_greedy_trace_equals_full_matrix_greedy_line(seed):
 def test_bound_skips_tiles_on_a_large_instance(monkeypatch):
     # the optimisation is engaged: far fewer cells are summed than the grids hold
     inst = generate(GenConfig(seed=0, n=150, p=3, m=3))
+    # and the kept tables hold only the pieces that reach their rows and columns
     summed = []
     full = []
+    held = []
+    pieces = []
     tiled_table = reward_mod._tiled_table
 
     def counting(rates, x, y, best_r):
         m, cap = tiled_table(rates, x, y, best_r)
         summed.append(0 if m is None else int(np.isfinite(m.entries).sum()))
         full.append(len(x.grid) * len(y.grid))
+        if m is not None:
+            held.append(len(m.rates))
+            pieces.append(len(rates))
         return m, cap
 
     monkeypatch.setattr(reward_mod, "_tiled_table", counting)
     assert_same(inst.dzs, inst.qos, inst.base, inst.eta)
     assert len(full) == 3 and sum(summed) < 0.2 * sum(full)
+    assert held and sum(held) < sum(pieces)
+
+
+def test_kept_tiles_are_the_finite_cells_on_partial_tiles(monkeypatch):
+    # Neither grid holds a multiple of TILE values, and two heavy zones, one
+    # before and one past the others, put equal best placements in the first
+    # tile and in the last, partial tile on both axes, so the table's rows
+    # and columns hold tiles that are not kept.  Its finite cells must be
+    # exactly the kept tiles' cells, with `kept` recomputed from the table's
+    # inputs as _tiled_table states it.
+    rng = random.Random(1)
+
+    def draw():
+        x, y = (round(rng.uniform(0.0, 300.0), 2) for _ in range(2))
+        w, l = (round(rng.uniform(2.0, 40.0), 1) for _ in range(2))
+        return DemandZone(Rect(x, y, w, l), round(rng.uniform(0.1, 5.0), 2))
+
+    dzs = [draw() for _ in range(60)] + [DemandZone(Rect(c, c, 12.0, 10.0), 50.0) for c in (-40.0, 330.0)]
+    base = BaseServiceZone(10.0, 8.0)
+    tables = []
+    tiled_table = reward_mod._tiled_table
+
+    def checking(rates, x, y, best_r):
+        m, cap = tiled_table(rates, x, y, best_r)
+        if m is not None:
+            bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
+            a, b = divmod(int(bound.argmax()), bound.shape[1])
+            ox, oy = x.overlaps(at=slice(a * TILE, (a + 1) * TILE)), y.overlaps(at=slice(b * TILE, (b + 1) * TILE))
+            lower = max(float(((ox * rates[:, None]).T @ oy).max()), best_r)
+            kept = bound >= lower * (1.0 - TILE_MARGIN)
+            rows = np.flatnonzero(np.isin(x.grid, m.xs.array))
+            cols = np.flatnonzero(np.isin(y.grid, m.ys.array))
+            assert np.array_equal(np.isfinite(m.entries), kept[(rows // TILE)[:, None], cols // TILE])
+            tables.append((x.grid, y.grid, rows, cols, kept))
+        return m, cap
+
+    monkeypatch.setattr(reward_mod, "_tiled_table", checking)
+    assert_same(dzs, QosSet((1.0, 2.0)), base)
+    gx, gy, rows, cols, kept = tables[0]
+    assert len(gx) % TILE and len(gy) % TILE
+    assert rows[-1] == len(gx) - 1 and cols[-1] == len(gy) - 1
+    assert not kept[(rows // TILE)[:, None], cols // TILE].all()
+
+
+def test_table_holds_every_piece_when_every_tile_bound_is_zero():
+    # A zone of extent 1 at 1e17 covers nothing in floating point, so every
+    # tile bound and every reward is 0.  Every piece but the last lies at the
+    # top of the y grid, the last at the end of the x grid, so none reaches
+    # the span of the whole grid on both axes; the table must still hold a
+    # piece for its in-order sums, and the first cell wins at reward 0.
+    n = FULL_CELLS // 2
+    dzs = [DemandZone(Rect(1e17 + 2e5 * k, 1e17 + 4e5, 16.0, 16.0), 1.0) for k in range(n)]
+    dzs.append(DemandZone(Rect(1e17 + 2e5 * n, 1e17, 16.0, 16.0), 1.0))
+    base = BaseServiceZone(1.0, 1.0)
+    m = build_reward_matrix(dzs, 1.0, base, Eta.LINEAR)
+    assert len(m.xs) * len(m.ys) > FULL_CELLS and m.max_entry == 0.0
+    assert_same(dzs, QosSet((1.0,)), base)
 
 
 # Near ties: duplicated and abutting zones on a coarse lattice, paying rates
