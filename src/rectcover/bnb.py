@@ -799,7 +799,7 @@ def fit_lagrangian(
     step, since_best, since_gain = FIT_STEP, 0, 0
     for _ in range(FIT_STEPS):
         if mu is not rates:
-            tables = [m.reweighted_entries(mu[:, s]) for s, m in enumerate(mats)]
+            tables = [m.reweighted(mu[:, s]).entries for s, m in enumerate(mats)]
         slack = rates - mu
         top = slack.argmax(axis=1)
         most = slack[rows, top]

@@ -49,6 +49,17 @@ class CliError(Exception):
     """Any user-facing failure: bad flags, bad files, oversized oracle calls."""
 
 
+#: The most service zones ``solve`` (exact or greedy) and ``bench`` place:
+#: greedy runs one round per zone, and a solution lists every zone.
+MAX_ZONES = 100_000
+
+
+def _check_zones(p: int, field: str) -> None:
+    """Refuse ``p`` above :data:`MAX_ZONES` before any work, naming ``field``."""
+    if p > MAX_ZONES:
+        raise CliError(f"{field}: at most {MAX_ZONES} service zones can be placed, got {p}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise CliError(message)
@@ -506,6 +517,8 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 def cmd_solve(args: argparse.Namespace) -> int:
     config = _solver_config(args)
     instance = load_instance(args.instance)
+    if args.algo != "oracle":  # the oracle refuses a huge p by its own size estimate
+        _check_zones(instance.p, "instance.p")
     t0 = time.perf_counter()
     if args.algo == "exact":
         solution, stats = solve(instance, config)
@@ -538,6 +551,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _solver_config(args)
     ps = _parse_int_list("--p", args.p)
+    _check_zones(max(ps), "--p")
     ms = _parse_int_list("--m", args.m)
     ns = _parse_int_list("--n", args.n)
     for option, value, low in (("--seeds", args.seeds, 1), ("--oracle-budget", args.oracle_budget, 0)):

@@ -7,9 +7,11 @@ always better than ``1 - 1/e``).  :func:`pseudo_greedy` runs the same loop
 with a pluggable, possibly approximate single-zone solver; a solver within
 factor ``a`` of the exact one yields at least ``1 - ((p-a)/p)**p``.
 
-The unserved demand is a list of planar rect-form rows ``(x, y, w, l, v)``
-from the lifted instance to the last round.  Each round's single-zone solver
-reads them as one array (:func:`~rectcover.model.demand_rows` form), and
+Both run one round loop, which takes one callback, ``solve_round(j, rows)
+-> (reward, x, y, z)``, the placement of round ``j``.  The unserved demand
+is a list of planar rect-form rows ``(x, y, w, l, v)`` from the lifted
+instance to the last round.  Each round's callback reads them as one array
+(:func:`~rectcover.model.demand_rows` form), and
 :func:`~rectcover.reward.serve_zone`, the trimming loop of
 :func:`~rectcover.reward.covered_reward`, yields both the round's gain and
 the rows left.
@@ -31,12 +33,13 @@ found so far.  A cap stays valid in every later round:
   adds.
 
 So the trace is bit for bit that of solving every scale of every round.
-The caps live in one run; :func:`pseudo_greedy` keeps none.
+The caps belong to one :func:`greedy` call, whose callback hands the same
+dict to every round; :func:`pseudo_greedy` keeps none.
 
 The first round sees the whole demand, whose reward matrices an exact
-search builds anyway (``bnb.CandidateGrids``).  Given them, :func:`greedy`
-reads its first round off them (``solve_single_zone``'s ``tables``), with
-the same result and caps bit for bit.
+search builds anyway (``bnb.CandidateGrids``).  Given them, :func:`greedy`'s
+callback reads its first round off them (``solve_single_zone``'s
+``tables``), with the same result and caps bit for bit.
 """
 
 from __future__ import annotations
@@ -46,17 +49,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import (
-    BaseServiceZone,
-    Eta,
-    Instance,
-    Placement,
-    QosSet,
-    Solution,
-    demand_rows,
-    demand_zones,
-    service_rect,
-)
+from .model import Instance, Placement, Solution, demand_rows, demand_zones, service_rect
 from .reward import RewardMatrix, SingleZoneSolver, serve_zone, solve_single_zone
 
 
@@ -68,24 +61,17 @@ class GreedyTrace:
     solution: Solution
 
 
-#: A round's single-zone solver on the demand rows, the run's per-scale caps
-#: and, in the first round only, the whole demand's reward matrices, if any:
-#: ``(rows, qos, base, eta, caps, tables) -> (reward, x, y, z)``.
-_RowSolver = Callable[
-    [np.ndarray, QosSet, BaseServiceZone, Eta, dict[float, float], Mapping[float, RewardMatrix] | None],
-    tuple[float, float, float, float],
-]
+def _run(instance: Instance, solve_round: Callable[[int, np.ndarray], tuple[float, float, float, float]]) -> GreedyTrace:
+    """The greedy rounds: round ``j`` places the zone ``solve_round(j, rows)`` returns as ``(reward, x, y, z)``.
 
-
-def _run(instance: Instance, solver: _RowSolver, tables: Mapping[float, RewardMatrix] | None = None) -> GreedyTrace:
+    ``rows`` is the demand the earlier rounds left, as one array.
+    """
     lifted, lifted_base = instance.planar
     rows = demand_rows(lifted).tolist()
     placements: list[Placement] = []
     rewards: list[float] = []
-    caps: dict[float, float] = {}
     for j in range(instance.p):
-        demand = np.array(rows, dtype=float).reshape(-1, 5)
-        _, x, y, z = solver(demand, instance.qos_for(j), instance.base, instance.eta, caps, None if j else tables)
+        _, x, y, z = solve_round(j, np.array(rows, dtype=float).reshape(-1, 5))
         pl = Placement(x, y, z)
         # Marginal value is re-evaluated at the returned position so the trace
         # stays truthful even if the solver's own reward claim is off.
@@ -106,7 +92,12 @@ def greedy(instance: Instance, tables: Mapping[float, RewardMatrix] | None = Non
     :func:`~rectcover.reward.build_reward_matrix` of ``instance.dzs``; the
     first round reads them, and the trace is the same bit for bit.
     """
-    return _run(instance, solve_single_zone, tables)
+    caps: dict[float, float] = {}
+
+    def solve_round(j: int, rows: np.ndarray) -> tuple[float, float, float, float]:
+        return solve_single_zone(rows, instance.qos_for(j), instance.base, instance.eta, caps, None if j else tables)
+
+    return _run(instance, solve_round)
 
 
 def pseudo_greedy(instance: Instance, approx: SingleZoneSolver) -> GreedyTrace:
@@ -119,7 +110,7 @@ def pseudo_greedy(instance: Instance, approx: SingleZoneSolver) -> GreedyTrace:
     reproduces :func:`greedy` exactly.
     """
 
-    def plugged(rows, qos, base, eta, caps, tables):
-        return approx(demand_zones(rows), qos, base, eta)
+    def solve_round(j: int, rows: np.ndarray) -> tuple[float, float, float, float]:
+        return approx(demand_zones(rows), instance.qos_for(j), instance.base, instance.eta)
 
-    return _run(instance, plugged)
+    return _run(instance, solve_round)

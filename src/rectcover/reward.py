@@ -127,13 +127,10 @@ class RewardMatrix:
         """The same demand paying ``weights[d]`` per unit area instead of ``rates[d]``, on the same grids.
 
         Its entries are the product ``(ox * weights).T @ oy``, taken as
-        ``entries`` is.  Its block maxima get a memo of their own.
+        ``entries`` is (:func:`_tabulate`); the Lagrangian fit reads them for
+        each step's weights.  Its block maxima get a memo of their own.
         """
-        return RewardMatrix(self.xs, self.ys, self.reweighted_entries(weights), weights, self.ox, self.oy)
-
-    def reweighted_entries(self, weights: np.ndarray) -> np.ndarray:
-        """The entries of :meth:`reweighted`, without a matrix around them."""
-        return (self.ox * weights[:, None]).T @ self.oy
+        return _tabulate(self.xs, self.ys, weights, self.ox, self.oy)
 
 
 #: Grid values per tile side in :func:`solve_single_zone`'s tile-bounded argmax.
@@ -170,11 +167,6 @@ class _Axis:
     lo: np.ndarray
     hi: np.ndarray
 
-    @classmethod
-    def of(cls, grid: Sequence[float] | np.ndarray, ext: float, lo: np.ndarray, hi: np.ndarray) -> "_Axis":
-        """The axis over ``grid``, which is read without a copy when it is a float array."""
-        return cls(np.asarray(grid, dtype=float), ext, lo, hi)
-
     def overlaps(self, at: np.ndarray | slice = slice(None)) -> np.ndarray:
         """``_overlaps`` of every piece at the grid positions ``at``."""
         return _overlaps(self.grid[at], self.ext, self.lo, self.hi)
@@ -200,39 +192,25 @@ class _Axis:
         return np.maximum(np.minimum(bound, (self.hi - self.lo)[:, None]), 0.0)
 
 
-class _Demand:
-    """Demand zones as planar-form arrays, from which each scale's grids and axes are built.
+def _scale(
+    rows: np.ndarray, z: float, base: BaseServiceZone, eta: Eta
+) -> tuple[CriticalValueSet, CriticalValueSet, np.ndarray, _Axis, _Axis]:
+    """``(xs, ys, rates, x, y)`` of scale ``z`` over the :func:`demand_rows` array ``rows``.
 
-    ``dzs`` is a sequence of zones or their :func:`demand_rows` array, which
-    is read without a copy.
+    The grid is the inner-demand grid per axis, and each axis spans every
+    piece in planar form.  For one-dimensional input the y axis collapses
+    to the single value ``y = 0``.
     """
-
-    def __init__(self, dzs: Sequence[DemandZone] | np.ndarray, base: BaseServiceZone) -> None:
-        self.rows = demand_rows(dzs)
-        self.base = base
-        self.pbase = planar_form((), base)[1]
-        x, y, w, l, self.v = self.rows.T
-        self.x1, self.x2 = x, x + w
-        if base.l0 == 0:  # planar_form lifts a segment to the box [0, 1] in y
-            self.y1, self.y2 = np.zeros(len(x)), np.ones(len(x))
-        else:
-            self.y1, self.y2 = y, y + l
-
-    def scale(self, z: float, eta: Eta) -> tuple[CriticalValueSet, CriticalValueSet, np.ndarray, _Axis, _Axis]:
-        """``(xs, ys, rates, x, y)`` of scale ``z``.
-
-        The grid is the inner-demand grid per axis.  For one-dimensional
-        input the y axis collapses to the single value ``y = 0``.
-        """
-        xs = inner_demand_grid(self.rows, z, self.base, Axis.X)
-        if self.base.l0 == 0:
-            ys = CriticalValueSet(np.zeros(1))
-        else:
-            ys = inner_demand_grid(self.rows, z, self.base, Axis.Y)
-        rates = self.v / eta.apply(z)  # reward_rate per piece
-        x = _Axis.of(xs.array, self.pbase.w0 * z, self.x1, self.x2)
-        y = _Axis.of(ys.array, self.pbase.l0 * z, self.y1, self.y2)
-        return xs, ys, rates, x, y
+    px, py, w, l, v = rows.T
+    xs = inner_demand_grid(rows, z, base, Axis.X)
+    x = _Axis(xs.array, base.w0 * z, px, px + w)
+    if base.l0 == 0:  # planar_form lifts a segment to the box [0, 1] in y, and the base to length 1
+        ys = CriticalValueSet(np.zeros(1))
+        y = _Axis(ys.array, z, np.zeros(len(px)), np.ones(len(px)))
+    else:
+        ys = inner_demand_grid(rows, z, base, Axis.Y)
+        y = _Axis(ys.array, base.l0 * z, py, py + l)
+    return xs, ys, v / eta.apply(z), x, y  # v / eta(z) is each piece's reward_rate
 
 
 def _tabulate(
@@ -259,7 +237,7 @@ def build_reward_matrix(
     :meth:`RewardMatrix.reweighted` and the in-order sums
     (:class:`RewardMatrix`).
     """
-    xs, ys, rates, x, y = _Demand(dzs, base).scale(z, eta)
+    xs, ys, rates, x, y = _scale(demand_rows(dzs), z, base, eta)
     return _tabulate(xs, ys, rates, x.overlaps(), y.overlaps())
 
 
@@ -498,9 +476,10 @@ def solve_single_zone(
 
     ``caps`` maps a scale to its *cap*, an upper bound on its largest
     reward, and receives the cap of every scale solved here.  A cap that is
-    read must hold for this demand: greedy passes one dict to every round of
-    a run, as a round only removes demand (:mod:`rectcover.greedy`).  By
-    default no cap is read and none is kept.  The scales are visited:
+    read must hold for this demand: :func:`~rectcover.greedy.greedy` keeps
+    one dict per run and passes it to every round, as a round only removes
+    demand (:mod:`rectcover.greedy`).  By default no cap is read and none is
+    kept.  The scales are visited:
 
     * by decreasing cap, the uncapped ones first, in menu order;
     * except a scale whose cap times ``1 + TILE_MARGIN`` is below the best
@@ -554,16 +533,16 @@ def solve_single_zone(
     if len(dzs) == 0:
         return 0.0, 0.0, 0.0, qos.min_factor
     caps = {} if caps is None else caps
-    demand = _Demand(dzs, base) if tables is None else None
+    rows = demand_rows(dzs) if tables is None else None
     best_r = -1.0
     best = (0.0, 0.0, 0.0, qos.min_factor)
     for z in sorted(qos.factors, key=lambda z: -caps.get(z, np.inf)):  # stable: ties keep menu order
         if caps.get(z, np.inf) * (1.0 + TILE_MARGIN) < best_r:
             continue  # this scale cannot reach the best reward so far
-        if demand is None:
+        if rows is None:
             m, cap = tables[z], 0.0
         else:
-            xs, ys, rates, x, y = demand.scale(z, eta)
+            xs, ys, rates, x, y = _scale(rows, z, base, eta)
             if len(xs) * len(ys) <= FULL_CELLS:
                 m, cap = _tabulate(xs, ys, rates, x.overlaps(), y.overlaps()), 0.0
             else:

@@ -48,6 +48,7 @@ from rectcover.reward import build_reward_matrix, solve_single_zone
 
 from conftest import (
     candidate_values,
+    micro_line,
     reference_indices,
     small_1d,
     small_2d,
@@ -353,93 +354,94 @@ def _reference_bound(node, mats, inst):
     return total
 
 
-def test_upper_bound_equals_index_set_reference_on_every_node():
-    # the full trees that acceptance check 8 walks, without pruning: a leaf's
-    # bound is exact; elsewhere the isolated sum (returned whole when the
-    # floor is above it) equals the reference, and the bound, which may also
-    # take the residual bound, is never above it
-    tiny = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
+TINY = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
+#: The full trees walked below: in the plane, the trees acceptance check 8
+#: walks; on the line, the micro tree and a generated one.
+TREES = {
+    "plane": lambda: [generate(GenConfig(seed=seed, n=2, p=2, m=m, **TINY)) for seed in range(5) for m in (1, 2)],
+    "line": lambda: [micro_line(), small_1d(seed=1, n=5, p=2)],
+}
+every_tree = pytest.mark.parametrize("trees", list(TREES))
+
+
+def full_trees(trees):
+    """``(inst, grids, mats, node)`` for every node of each tree of the set ``trees``, walked without pruning.
+
+    On the line every node keeps each zone's one scale and the single y index.
+    """
     cfg = SolverConfig()
-    for seed in range(5):
-        for m in (1, 2):
-            inst = generate(GenConfig(seed=seed, n=2, p=2, m=m, **tiny))
-            grids = CandidateGrids.from_instance(inst)
-            mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-            stack = [root_node(inst, grids)]
-            while stack:
-                node = stack.pop()
-                reference = _reference_bound(node, mats, inst)
-                if is_leaf(node):
-                    assert upper_bound(node, CandidateGrids(mats), inst) == reference, node
-                    continue
-                assert upper_bound(node, CandidateGrids(mats), inst, floor=math.inf) == reference, node
-                assert upper_bound(node, CandidateGrids(mats), inst) <= reference, node
+    for inst in TREES[trees]():
+        grids = CandidateGrids.from_instance(inst)
+        mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
+        scales = tuple(inst.qos_for(j).factors[0] for j in range(inst.p))
+        stack = [root_node(inst, grids)]
+        while stack:
+            node = stack.pop()
+            if inst.one_d:
+                assert node.z_vec == scales and node.y_sets == ((0, 1, None),) * inst.p, node
+            yield inst, grids, mats, node
+            if not is_leaf(node):
                 stack.extend(branch(node, inst, grids, cfg))
 
 
-def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
-    # every leaf of the full trees that acceptance check 8 walks
-    tiny = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
-    cfg = SolverConfig()
+@every_tree
+def test_upper_bound_equals_index_set_reference_on_every_node(trees):
+    # a leaf's bound is exact; elsewhere the isolated sum (returned whole
+    # when the floor is above it) equals the reference, and the bound, which
+    # may also take the residual bound, is never above it
+    for inst, _, mats, node in full_trees(trees):
+        reference = _reference_bound(node, mats, inst)
+        if is_leaf(node):
+            assert upper_bound(node, CandidateGrids(mats), inst) == reference, node
+            continue
+        assert upper_bound(node, CandidateGrids(mats), inst, floor=math.inf) == reference, node
+        assert upper_bound(node, CandidateGrids(mats), inst) <= reference, node
+
+
+@every_tree
+def test_leaf_pretest_is_exact_or_cut_at_the_floor(trees, monkeypatch):
     exact_calls = []
     monkeypatch.setattr(
         bnb, "covered_reward", lambda *args: exact_calls.append(1) or covered_reward(*args)
     )
     skipped = 0
-    for seed in range(5):
-        for m in (1, 2):
-            inst = generate(GenConfig(seed=seed, n=2, p=2, m=m, **tiny))
-            grids = CandidateGrids.from_instance(inst)
-            mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-            stack = [root_node(inst, grids)]
-            while stack:
-                node = stack.pop()
-                if not is_leaf(node):
-                    stack.extend(branch(node, inst, grids, cfg))
-                    continue
-                exact = covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
-                for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
-                    exact_calls.clear()
-                    got = upper_bound(node, CandidateGrids(mats), inst, floor=floor)
-                    if exact_calls:
-                        assert got == exact, (node, floor)
-                    else:
-                        assert floor >= exact, (node, floor)
-                        assert exact <= got <= floor * (1 + RTOL), (node, floor)
-                        skipped += 1
+    for inst, _, mats, node in full_trees(trees):
+        if not is_leaf(node):
+            continue
+        exact = covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
+        for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
+            exact_calls.clear()
+            got = upper_bound(node, CandidateGrids(mats), inst, floor=floor)
+            if exact_calls:
+                assert got == exact, (node, floor)
+            else:
+                assert floor >= exact, (node, floor)
+                assert exact <= got <= floor * (1 + RTOL), (node, floor)
+                skipped += 1
     assert skipped > 0
 
 
-def test_every_node_holds_slices_or_bracketed_abutments():
-    # every node of the full trees that acceptance check 8 walks: a zone with
-    # a fixed scale holds a non-empty slice of its own grid, or an abutment
-    # value off that grid (by the grid's own test) with the block bracketing it
-    tiny = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
-    cfg = SolverConfig()
+@every_tree
+def test_every_node_holds_slices_or_bracketed_abutments(trees):
+    # a zone with a fixed scale holds a non-empty slice of its own grid, or
+    # an abutment value off that grid (by the grid's own test) with the
+    # block bracketing it
     pinned = 0
-    for seed in range(5):
-        for m in (1, 2):
-            inst = generate(GenConfig(seed=seed, n=2, p=2, m=m, **tiny))
-            grids = CandidateGrids.from_instance(inst)
-            stack = [root_node(inst, grids)]
-            while stack:
-                node = stack.pop()
-                for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
-                    if z == _UNSET:
-                        assert xs == ys == _OPEN, node
-                        continue
-                    for (lo, hi, v), grid in ((xs, grids.matrices[z].xs.values), (ys, grids.matrices[z].ys.values)):
-                        if v is None:
-                            assert 0 <= lo < hi <= len(grid), node
-                        else:
-                            assert not contains_value(grid, v), node
-                            if grid[0] < v < grid[-1]:  # its two neighbouring grid values
-                                assert hi - lo == 2 and grid[lo] < v < grid[hi - 1], node
-                            else:  # the nearest endpoint
-                                assert (lo, hi) == ((0, 1) if v < grid[0] else (len(grid) - 1, len(grid))), node
-                            pinned += 1
-                if not is_leaf(node):
-                    stack.extend(branch(node, inst, grids, cfg))
+    for _, grids, _, node in full_trees(trees):
+        for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
+            if z == _UNSET:
+                assert xs == ys == _OPEN, node
+                continue
+            for (lo, hi, v), grid in ((xs, grids.matrices[z].xs.values), (ys, grids.matrices[z].ys.values)):
+                if v is None:
+                    assert 0 <= lo < hi <= len(grid), node
+                else:
+                    assert not contains_value(grid, v), node
+                    if grid[0] < v < grid[-1]:  # its two neighbouring grid values
+                        assert hi - lo == 2 and grid[lo] < v < grid[hi - 1], node
+                    else:  # the nearest endpoint
+                        assert (lo, hi) == ((0, 1) if v < grid[0] else (len(grid) - 1, len(grid))), node
+                    pinned += 1
     assert pinned > 0
 
 
@@ -738,9 +740,6 @@ def test_solve_of_a_line_is_solve_1d_bit_for_bit():
     assert stats.nodes_explored == stats_1d.nodes_explored
     assert stats.best_reward_history == stats_1d.best_reward_history
     assert stats.root_bound == stats_1d.root_bound
-
-
-TINY = dict(region=40.0, r=12.0, dim_range=(1.0, 8.0), base_dims=(10.0, 8.0))
 
 
 def _per_zone(seed, n, menus):

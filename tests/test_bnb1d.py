@@ -19,7 +19,6 @@ from rectcover import (
     greedy,
     solve_1d,
 )
-from rectcover import bnb
 from rectcover.bnb import (
     RTOL,
     CandidateGrids,
@@ -36,9 +35,7 @@ from rectcover.geometry import Axis
 from rectcover.reward import build_reward_matrix, planar_form
 
 from conftest import (
-    candidate_values,
     micro_line,
-    reference_indices,
     small_1d,
     square_instance,
     tick_search_clock,
@@ -166,84 +163,6 @@ def test_upper_bound_sound_on_micro_tree():
         return best
 
     assert max_leaf_below(root) <= upper_bound(root, CandidateGrids(mats), inst) + 1e-9
-
-
-def test_every_node_holds_slices_or_bracketed_abutments():
-    # every node of the micro tree: a non-empty slice of the zone's grid, or
-    # an abutment value off it with the block bracketing it
-    inst = micro_line()
-    cfg = SolverConfig()
-    grids = CandidateGrids.from_instance(inst)
-    pinned = 0
-    scales = tuple(inst.qos_for(j).factors[0] for j in range(inst.p))
-    stack = [root_node(inst, grids)]
-    while stack:
-        node = stack.pop()
-        # every zone keeps its one scale and the single y index
-        assert node.z_vec == scales and node.y_sets == ((0, 1, None),) * inst.p, node
-        for j, (lo, hi, v) in enumerate(node.x_sets):
-            grid = grids.matrices[inst.qos_for(j).factors[0]].xs.values
-            if v is None:
-                assert 0 <= lo < hi <= len(grid), node
-            elif grid[0] < v < grid[-1]:  # its two neighbouring grid values
-                assert hi - lo == 2 and grid[lo] < v < grid[hi - 1], node
-            else:  # the nearest endpoint
-                assert (lo, hi) == ((0, 1) if v < grid[0] else (len(grid) - 1, len(grid))), node
-            pinned += v is not None
-        if not is_leaf(node):
-            stack.extend(branch(node, inst, grids, cfg))
-    assert pinned > 0
-
-
-def test_leaf_pretest_is_exact_or_cut_at_the_floor(monkeypatch):
-    inst = micro_line()
-    cfg = SolverConfig()
-    grids = CandidateGrids.from_instance(inst)
-    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-    exact_calls = []
-    monkeypatch.setattr(
-        bnb, "covered_reward", lambda *args: exact_calls.append(1) or covered_reward(*args)
-    )
-    skipped = 0
-    stack = [root_node(inst, grids)]
-    while stack:
-        node = stack.pop()
-        if not is_leaf(node):
-            stack.extend(branch(node, inst, grids, cfg))
-            continue
-        exact = covered_reward(inst.dzs, leaf_placements(node, mats), inst.base, inst.eta)
-        for floor in (-math.inf, exact - 1.0, exact, exact + 1.0):
-            exact_calls.clear()
-            got = upper_bound(node, CandidateGrids(mats), inst, floor=floor)
-            if exact_calls:
-                assert got == exact, (node, floor)
-            else:
-                assert floor >= exact, (node, floor)
-                assert exact <= got <= floor * (1 + RTOL), (node, floor)
-                skipped += 1
-    assert skipped > 0
-
-
-def test_upper_bound_equals_index_set_reference_on_every_node():
-    inst = small_1d(seed=1, n=5, p=2)
-    cfg = SolverConfig()
-    grids = CandidateGrids.from_instance(inst)
-    mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-    stack = [root_node(inst, grids)]
-    while stack:
-        node = stack.pop()
-        if is_leaf(node):
-            continue
-        expected = 0.0
-        for j in range(inst.p):
-            m = mats[inst.qos_for(j).factors[0]]
-            values = candidate_values(node.x_sets[j], m.xs.values)
-            expected += float(m.entries[reference_indices(values, m.xs.values), 0].max())
-        # the isolated sum, returned whole when the floor is above it; the
-        # bound, which may also take the residual bound, is never above it
-        assert upper_bound(node, CandidateGrids(mats), inst, floor=math.inf) == expected, node
-        assert upper_bound(node, CandidateGrids(mats), inst) <= expected, node
-        stack.extend(branch(node, inst, grids, cfg))
 
 
 def test_leaf_bound_on_lifted_demand_is_exact():

@@ -31,6 +31,7 @@ from rectcover import (
 from rectcover.bnb import SolverConfig, SolverStats
 from rectcover.bnb1d import solve_1d
 from rectcover.cli import (
+    MAX_ZONES,
     BenchReport,
     CliError,
     _cross_check,
@@ -253,6 +254,41 @@ def test_solve_oracle_refuses_a_huge_p_at_once(p, tmp_path, capsys):
     _assert_clean_error(code, capsys.readouterr().err,
                         "oracle refused: more than 100000000 evaluations estimated")
     assert not (tmp_path / "s.json").exists()
+
+
+def _p_file(tmp_path, p):
+    data = instance_to_dict(generate(GenConfig(seed=1, n=4)))
+    data["p"] = p
+    path = tmp_path / f"p{p}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command", ["exact", "greedy", "bench"])
+def test_a_huge_p_is_refused_before_any_work(command, tmp_path, capsys):
+    # greedy runs one round per zone: 10**30 rounds would never end
+    out = tmp_path / "out"
+    if command == "bench":
+        field = "--p"
+        args = ["bench", "--p", f"2,{10**30}", "--n", "4", "--seeds", "1", "--out", str(out)]
+    else:
+        field = "instance.p"
+        args = ["solve", "--instance", str(_p_file(tmp_path, 10**30)), "--algo", command, "--out", str(out)]
+    t0 = time.perf_counter()
+    code = main(args)
+    assert time.perf_counter() - t0 < 1.0
+    _assert_clean_error(code, capsys.readouterr().err, f"{field}: at most {MAX_ZONES} service zones can be placed")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["exact", "greedy"])
+def test_max_zones_is_the_largest_p_solved(algo, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rectcover.cli.MAX_ZONES", 5)
+    out = tmp_path / "s.json"
+    assert main(["solve", "--instance", str(_p_file(tmp_path, 5)), "--algo", algo, "--out", str(out)]) == 0
+    assert len(load_solution(out)[0].placements) == 5
+    code = main(["solve", "--instance", str(_p_file(tmp_path, 6)), "--algo", algo, "--out", str(tmp_path / "t.json")])
+    _assert_clean_error(code, capsys.readouterr().err, "instance.p: at most 5 service zones can be placed, got 6")
 
 
 def test_bad_flags_exit_one(square_file, tmp_path, capsys):

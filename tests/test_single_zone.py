@@ -73,27 +73,37 @@ coord = st.floats(-60, 60).map(lambda v: round(v, 2))
 extent = st.floats(0.0, 30).map(lambda v: round(v, 1))
 rate = st.floats(0.1, 5).map(lambda v: round(v, 2))
 menus = st.sampled_from([(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0), (1.5, 2.5)])
+# Each property runs on the whole tables and, with FULL_CELLS 0, on the tiled
+# search; hypothesis takes no function-scoped fixture, so the bodies patch
+# FULL_CELLS in a MonkeyPatch context of their own.
+both_paths = pytest.mark.parametrize("full_cells", [FULL_CELLS, 0], ids=["whole", "tiled"])
 
 
+@both_paths
 @settings(max_examples=150, deadline=None)
 @given(
     rects=st.lists(st.tuples(coord, coord, extent, extent, rate), min_size=1, max_size=40),
     menu=menus,
     dims=st.sampled_from([(10.0, 8.0), (3.0, 2.0), (25.0, 4.0)]),
 )
-def test_matches_full_matrices_on_planar_instances(rects, menu, dims):
+def test_matches_full_matrices_on_planar_instances(full_cells, rects, menu, dims):
     dzs = [DemandZone(Rect(x, y, w, l), v) for x, y, w, l, v in rects]
-    assert_same(dzs, QosSet(menu), BaseServiceZone(*dims))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reward_mod, "FULL_CELLS", full_cells)
+        assert_same(dzs, QosSet(menu), BaseServiceZone(*dims))
 
 
+@both_paths
 @settings(max_examples=100, deadline=None)
 @given(
     segments=st.lists(st.tuples(coord, extent, rate), min_size=1, max_size=40),
     z=st.sampled_from([1.0, 2.0, 3.0]),
 )
-def test_matches_full_matrices_on_line_instances(segments, z):
+def test_matches_full_matrices_on_line_instances(full_cells, segments, z):
     dzs = [DemandZone(Rect(x, 0.0, w, 0.0), v) for x, w, v in segments]
-    assert_same(dzs, QosSet((z,)), BaseServiceZone(6.0, 0.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reward_mod, "FULL_CELLS", full_cells)
+        assert_same(dzs, QosSet((z,)), BaseServiceZone(6.0, 0.0))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 24, 41])
@@ -205,14 +215,17 @@ def near_tie_demand(draw):
     return [DemandZone(Rect(*shapes[k]), v) for k, v in picks]
 
 
+@both_paths
 @settings(max_examples=150, deadline=None)
 @given(
     dzs=near_tie_demand(),
     menu=st.sampled_from([(1.0,), (1.0, 2.0), (1.0, 1.5, 3.0)]),
     dims=st.sampled_from([(1.0, 1.0), (2.0, 2.0), (1.5, 1.0), (3.0, 0.5)]),
 )
-def test_matches_full_matrices_on_near_ties(dzs, menu, dims):
-    assert_same(dzs, QosSet(menu), BaseServiceZone(*dims))
+def test_matches_full_matrices_on_near_ties(full_cells, dzs, menu, dims):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reward_mod, "FULL_CELLS", full_cells)
+        assert_same(dzs, QosSet(menu), BaseServiceZone(*dims))
 
 
 def test_order_dependent_near_tie_takes_the_matrix_maximum():
@@ -366,7 +379,7 @@ def test_tile_bounds_hold_the_computed_overlaps(grid, spans, ext):
     lo = np.array([a for a, _ in spans])
     hi = np.array([a + w for a, w in spans])
     over = _overlaps(grid, ext, lo, hi)
-    bounds = _Axis.of(grid, ext, lo, hi).tile_bounds()
+    bounds = _Axis(np.asarray(grid, dtype=float), ext, lo, hi).tile_bounds()
     for k in range(len(spans)):
         for t in range(bounds.shape[1]):
             assert bounds[k, t] >= over[k, t * TILE:(t + 1) * TILE].max()
