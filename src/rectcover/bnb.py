@@ -105,8 +105,8 @@ leaf's sum reads the same memoised product entries as any other node's (each
 zone's block holds at most 2 x 2 cells), and is scaled once by ``1 + RTOL``
 before it is compared, so a cut leaf's returned sum is never below its exact
 value by rounding (Tolerances, below).  A leaf that survives is valued by
-``covered_reward`` alone.  Whether a node is a leaf is read off the scans
-that find its residual axis.
+``covered_reward`` alone.  A node is a leaf when its residual axis is y
+and every y set is a singleton.
 
 Residual-demand bound.  The isolated sum ignores that zones already placed
 have served demand.  Covered reward ``f`` in best-rate form (each point paid
@@ -192,10 +192,11 @@ abutment position alike, is read at grid values, exactly as for the reward
 matrix, whatever the nonnegative weights.  ``L_z`` is tabulated over scale
 ``z``'s own grids as ``RewardMatrix.reweighted(mu[:, z])``, the one product
 ``(ox * mu[:, z]).T @ oy`` of the overlap tables kept on scale ``z``'s
-matrix, the product ``build_reward_matrix`` takes at ``mu = r``
-(:meth:`Lagrangian.of`), and a node's Lagrangian bound is ``T1`` plus one
-memoised ``block_max`` per zone (an open zone takes the best entry over its
-menu's matrices), what the isolated sum costs.
+matrix, the product ``build_reward_matrix`` takes at ``mu = r``, and a
+node's Lagrangian bound is ``T1`` plus one memoised ``block_max`` per zone
+(an open zone takes the best entry over its menu's matrices), what the
+isolated sum costs.  :meth:`Lagrangian.of` builds the bound of multipliers
+found by any means.
 
 ``mu`` is fitted once per solve, at the root, by projected subgradient
 (:func:`fit_lagrangian`): it starts at ``mu = r``, where the root bound is
@@ -207,10 +208,11 @@ the overlap with every demand zone of the argmax of its ``L_z``.  At most
 halves after :data:`FIT_HALVE_AFTER` steps without a new best; the fit stops
 after :data:`FIT_STALL` steps without a gain of :data:`FIT_GAIN` relative,
 or once the bound is at or below ``lower``.  Every solve keeps the bound of
-the best ``mu`` seen, however little it gains over the start: the fit keeps
-only that ``mu`` and ends with :meth:`Lagrangian.of` of it, one product per
-scale.  The first step, at ``mu = r``, reads the reward matrices' own
-entries, which are its tables bit for bit.
+the best ``mu`` seen, however little it gains over the start.  Each step,
+the first at ``mu = r`` included, tabulates each scale's ``L_z`` with
+``RewardMatrix.reweighted``, one product per scale, and the fit returns
+the ``T1`` and tables of its best step as they are, with no product after
+its last step.
 
 The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
 in another order than the in-order sums and ``covered_reward``, each a sum
@@ -299,7 +301,8 @@ RESIDUAL_CACHE_SIZE = 1024
 
 #: The Lagrangian fit (module docstring): most steps, first Polyak step
 #: factor, steps without a new best before it halves, steps without a
-#: relative gain of ``FIT_GAIN`` before the fit stops.
+#: relative gain of ``FIT_GAIN`` before the fit stops.  The fit takes at
+#: least one step, so ``FIT_STEPS`` is at least 1.
 FIT_STEPS = 40
 FIT_STEP = 2.0
 FIT_HALVE_AFTER = 5
@@ -407,7 +410,9 @@ class Lagrangian(NamedTuple):
         ``matrices`` are a solve's reward matrices, ``rates[d, s]`` the
         ``rates[d]`` of the ``s``-th of them, and ``area[d]`` demand zone
         ``d``'s area in planar form; ``L_z`` is
-        ``matrices[z].reweighted(mu[:, s])``.
+        ``matrices[z].reweighted(mu[:, s])``.  It takes one product per
+        scale, so it serves multipliers found outside :func:`fit_lagrangian`,
+        which keeps the tables its steps tabulate instead.
         """
         t1 = float(area @ (rates - mu).max(axis=1, initial=0.0))
         return cls(t1, {z: m.reweighted(mu[:, s]) for s, (z, m) in enumerate(matrices.items())})
@@ -588,7 +593,7 @@ def branch(
     :func:`_next_zones` takes its first step, candidate by candidate: the
     scale step while its scale is open, else its interval step.
     """
-    axis = Axis.Y if all(map(_is_single, node.x_sets)) else Axis.X
+    axis = node.residual_axis or Axis.X
     children: list[Node] = []
     for j in [node.bs] if node.bs >= 0 else _next_zones(node, axis, instance):
         if node.z_vec[j] == _UNSET:
@@ -719,9 +724,8 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     """
     matrices, lagrangian = grids.matrices, grids.lagrangian
     cut = floor * (1.0 + RTOL)
-    # the scans of node.residual_axis, which also tell a leaf
-    fixed_x = all(map(_is_single, node.x_sets))
-    leaf = fixed_x and all(map(_is_single, node.y_sets))
+    axis = node.residual_axis
+    leaf = axis is Axis.Y and all(map(_is_single, node.y_sets))
     total = _block_sum(node, matrices)
     if leaf:
         total *= 1.0 + RTOL  # the product's rounding (module docstring, Tolerances)
@@ -732,7 +736,6 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
         return covered_reward(dzs, leaf_placements(node, matrices), base, instance.eta)
     if lagrangian is not None:
         total = min(total, lagrangian.bound(node))
-    axis = Axis.Y if fixed_x else (Axis.X if all(map(_is_single, node.y_sets)) else None)
     if total <= cut or axis is None:
         return total
     # the other axis is fixed, and some set on this one is open
@@ -777,47 +780,44 @@ def fit_lagrangian(
     node (:func:`root_node`):
     each zone is open or at its scale's whole grids, so its term is the
     first maximum of a whole table, and zones of one scale share it, each
-    group adding its subgradient once, times its size.  A step tabulates
-    each scale's ``L_z`` as :meth:`Lagrangian.of` does and takes its first
-    maximum once; at ``mu = r`` those tables are the matrices' own entries,
-    bit for bit, so the first step reads them.  Only the best ``mu`` is
-    kept, and the result is its :meth:`Lagrangian.of`, which tabulates each
-    ``L_z`` once more.
+    group adding its subgradient once, times its size.  Every step, the
+    first at ``mu = r`` included, tabulates each scale's ``L_z`` with
+    ``RewardMatrix.reweighted`` and takes its first maximum once; the
+    result is the ``Lagrangian`` of the best step's ``T1`` and tables, so
+    no ``L_z`` is tabulated twice.  At ``mu = r`` those tables are the
+    matrices' own entries, bit for bit, and ``T1`` is 0.
     """
     x, y, w, l, _ = demand_rows(instance.planar[0]).T
     area = ((x + w) - x) * ((y + l) - y)
-    neg_area = -area
     scales = list(matrices)
     mats = list(matrices.values())
     rates = np.stack([m.rates for m in mats], axis=1)
     # per group of zones: its scale's column, None while open, and its size
     groups = [(None if z == _UNSET else scales.index(z), count) for z, count in Counter(root.z_vec).items()]
     rows = np.arange(len(area))
-    mu = best_mu = rates
-    tables = [m.entries for m in mats]  # L_z at mu = r
+    mu = rates
     best = mark = math.inf
     step, since_best, since_gain = FIT_STEP, 0, 0
     for _ in range(FIT_STEPS):
-        if mu is not rates:
-            tables = [m.reweighted(mu[:, s]).entries for s, m in enumerate(mats)]
+        tables = [m.reweighted(mu[:, s]) for s, m in enumerate(mats)]
         slack = rates - mu
         top = slack.argmax(axis=1)
         most = slack[rows, top]
         paid = most > 0.0
         grad = np.zeros(mu.shape)
-        grad[rows[paid], top[paid]] = neg_area[paid]
+        grad[rows[paid], top[paid]] = -area[paid]
         t1 = float(area @ np.maximum(most, 0.0))
         value = t1
-        peaks = [int(t.argmax()) for t in tables]
+        peaks = [int(t.entries.argmax()) for t in tables]
         for s, count in groups:
             if s is None:  # an open zone takes the best scale's whole grid
-                s = max(range(len(scales)), key=lambda k: tables[k].flat[peaks[k]])
-            m, table = mats[s], tables[s]
+                s = max(range(len(scales)), key=lambda k: tables[k].entries.flat[peaks[k]])
+            m, table = mats[s], tables[s].entries
             i, k = divmod(peaks[s], table.shape[1])
             value += count * float(table[i, k])
             grad[:, s] += count * m.ox[:, i] * m.oy[:, k]
         if value < best:
-            best, best_mu, since_best = value, mu, 0
+            best, since_best, fitted = value, 0, Lagrangian(t1, dict(zip(scales, tables)))
         else:
             since_best += 1
             if since_best >= FIT_HALVE_AFTER:
@@ -830,7 +830,7 @@ def fit_lagrangian(
         if value <= lower or since_gain >= FIT_STALL or norm == 0.0:
             break
         mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
-    return Lagrangian.of(best_mu, rates, area, matrices)
+    return fitted
 
 
 def root_node(instance: Instance, grids: CandidateGrids) -> Node:

@@ -490,6 +490,7 @@ def _parse_int_list(option: str, text: str) -> list[int]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _check_zones(args.p, "--p")
     kwargs = dict(
         seed=args.seed, n=args.n, p=args.p, m=args.m,
         region=args.region, r=args.r,

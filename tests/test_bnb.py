@@ -10,11 +10,13 @@ import pytest
 from rectcover import (
     BaseServiceZone,
     DemandZone,
+    Dimension,
     GenConfig,
     Instance,
     Placement,
     QosSet,
     Rect,
+    brute_force_1d,
     brute_force_2d,
     covered_reward,
     generate,
@@ -446,18 +448,33 @@ def test_every_node_holds_slices_or_bracketed_abutments(trees):
 
 
 @pytest.fixture(scope="module")
-def greedy_below_optimum():
-    # greedy 786.13 < optimum 867.86; the incumbent improves at nodes 19 and
-    # 30 of a 389-node search, which proves at 395 ticks of the clock of
-    # tick_search_clock (756 nodes before the reference-set bound)
-    inst = small_2d(seed=2, n=4, m=2)
-    return inst, brute_force_2d(inst).reward
+def greedy_below_optimum(request):
+    """A plane or a line instance (``request.param``) whose greedy seed is below its optimum, and that optimum."""
+    if request.param == "plane":
+        # greedy 786.13 < optimum 867.86; the incumbent improves at nodes 19
+        # and 30 of a 389-node search, which proves at 395 ticks of the clock
+        # of tick_search_clock (756 nodes before the reference-set bound)
+        inst = small_2d(seed=2, n=4, m=2)
+        return inst, brute_force_2d(inst).reward
+    # greedy 143.14 < optimum 164.43; the incumbent improves at node 9 of a
+    # 27-node search, which proves at 31 ticks of the clock of
+    # tick_search_clock (35 nodes, improving at node 12 and proving at 39
+    # ticks, while the interval step cut a slice at its wide gaps, so the
+    # last limit was 36; 38 nodes, improving at node 16, when the line had a
+    # tree of its own, so the last limit was 40)
+    inst = small_1d(seed=4, n=6, p=2)
+    return inst, brute_force_1d(inst).reward
 
 
-# limits before the first improvement (0 at the root, 20), between the two
-# (30) and after the last (60, 95, and 300, where the open nodes' bounds are
-# below the root's)
-@pytest.mark.parametrize("limit", [0, 20, 30, 60, 95, 300])
+# plane: limits before the first improvement (0 at the root, 20), between the
+# two (30) and after the last (60, 95, and 300, where the open nodes' bounds
+# are below the root's); line: 0 at the root, then limits short of the 31
+# ticks at which its search proves
+@pytest.mark.parametrize(
+    "greedy_below_optimum, limit",
+    [("plane", limit) for limit in (0, 20, 30, 60, 95, 300)] + [("line", limit) for limit in (0, 10, 14, 20, 30)],
+    indirect=["greedy_below_optimum"],
+)
 def test_timeout_reports_a_certified_upper_bound(limit, greedy_below_optimum, monkeypatch):
     inst, optimum = greedy_below_optimum
     tick_search_clock(monkeypatch)
@@ -468,15 +485,16 @@ def test_timeout_reports_a_certified_upper_bound(limit, greedy_below_optimum, mo
     assert stats.upper_bound >= sol.reward * (1 + RTOL)
     assert stats.gap == (stats.upper_bound - sol.reward) / stats.upper_bound
     if limit == 0:
-        # the root's bound, tightened by the fitted Lagrangian bound below
-        # the isolated sum
         grids = CandidateGrids.from_instance(inst)
         mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
         root = root_node(inst, grids)
-        grids = replace(grids, lagrangian=fit_lagrangian(root, inst, grids.matrices, stats.best_reward_history[0][1]))
         assert stats.nodes_explored == 0
-        assert stats.upper_bound == stats.root_bound == upper_bound(root, grids, inst)
-        assert stats.upper_bound < upper_bound(root, CandidateGrids(mats), inst)
+        if inst.dimension is Dimension.ONE_D:  # the bound of the bare grids
+            assert stats.upper_bound == upper_bound(root, CandidateGrids(mats), inst)
+        else:  # the root's bound, tightened by the fitted Lagrangian bound below the isolated sum
+            grids = replace(grids, lagrangian=fit_lagrangian(root, inst, grids.matrices, stats.best_reward_history[0][1]))
+            assert stats.upper_bound == stats.root_bound == upper_bound(root, grids, inst)
+            assert stats.upper_bound < upper_bound(root, CandidateGrids(mats), inst)
 
 
 @pytest.mark.parametrize("seed, nodes", [(35, 51), (47, 79)])
@@ -493,6 +511,7 @@ def test_every_solve_keeps_its_fitted_lagrangian(seed, nodes):
     assert stats.nodes_explored == nodes
 
 
+@pytest.mark.parametrize("greedy_below_optimum", ["plane", "line"], indirect=True)
 def test_proven_solve_reports_zero_gap(greedy_below_optimum):
     inst, optimum = greedy_below_optimum
     sol, stats = solve(inst)
@@ -689,8 +708,8 @@ def test_solution_reward_matches_its_placements():
     assert math.isclose(sol.reward, recomputed, rel_tol=1e-9)
 
 
-def test_zero_time_limit_returns_greedy_incumbent():
-    inst = small_2d(seed=0, n=6, m=2)
+@pytest.mark.parametrize("inst", [small_2d(seed=0, n=6, m=2), small_1d(seed=3, n=6, p=2)], ids=["plane", "line"])
+def test_zero_time_limit_returns_greedy_incumbent(inst):
     sol, stats = solve(inst, SolverConfig(time_limit_s=0.0))
     assert not stats.optimal
     assert math.isclose(sol.reward, greedy(inst).solution.reward, rel_tol=0, abs_tol=1e-12)

@@ -20,7 +20,6 @@ from rectcover import (
     solve_1d,
 )
 from rectcover.bnb import (
-    RTOL,
     CandidateGrids,
     Node,
     SolverConfig,
@@ -38,7 +37,6 @@ from conftest import (
     micro_line,
     small_1d,
     square_instance,
-    tick_search_clock,
 )
 
 
@@ -246,45 +244,6 @@ def test_matches_reference_on_generated_lines():
 def test_rejects_planar_instances():
     with pytest.raises(ValueError):
         solve_1d(square_instance())
-
-
-def test_zero_time_limit_returns_greedy_incumbent():
-    inst = small_1d(seed=3, n=6, p=2)
-    sol, stats = solve_1d(inst, SolverConfig(time_limit_s=0.0))
-    assert not stats.optimal
-    assert math.isclose(sol.reward, greedy(inst).solution.reward, rel_tol=0, abs_tol=1e-12)
-
-
-@pytest.mark.parametrize("limit", [0, 10, 14, 20, 30])
-def test_timeout_reports_a_certified_upper_bound(limit, monkeypatch):
-    # greedy 143.14 < optimum 164.43; the incumbent improves at node 9 of a
-    # 27-node search, which proves at 31 ticks of the clock of
-    # tick_search_clock (35 nodes, improving at node 12 and proving at 39
-    # ticks, while the interval step cut a slice at its wide gaps, so the
-    # last limit was 36; 38 nodes, improving at node 16, when the line had a
-    # tree of its own, so the last limit was 40)
-    inst = small_1d(seed=4, n=6, p=2)
-    optimum = brute_force_1d(inst).reward
-    tick_search_clock(monkeypatch)
-    sol, stats = solve_1d(inst, SolverConfig(time_limit_s=limit))
-    assert not stats.optimal
-    assert sol.reward <= optimum + 1e-9
-    assert optimum <= stats.upper_bound
-    assert stats.upper_bound >= sol.reward * (1 + RTOL)
-    assert stats.gap == (stats.upper_bound - sol.reward) / stats.upper_bound
-    if limit == 0:
-        grids = CandidateGrids.from_instance(inst)
-        mats = {z: build_reward_matrix(inst.dzs, z, inst.base, inst.eta) for z in inst.scale_values()}
-        assert stats.nodes_explored == 0
-        assert stats.upper_bound == upper_bound(root_node(inst, grids), CandidateGrids(mats), inst)
-
-
-def test_proven_solve_reports_zero_gap():
-    inst = small_1d(seed=4, n=6, p=2)
-    sol, stats = solve_1d(inst)
-    assert stats.optimal
-    assert stats.upper_bound == sol.reward
-    assert stats.gap == 0.0
 
 
 def _shared_scales(seed, n, scales):

@@ -264,13 +264,16 @@ def _p_file(tmp_path, p):
     return path
 
 
-@pytest.mark.parametrize("command", ["exact", "greedy", "bench"])
+@pytest.mark.parametrize("command", ["exact", "greedy", "bench", "generate"])
 def test_a_huge_p_is_refused_before_any_work(command, tmp_path, capsys):
     # greedy runs one round per zone: 10**30 rounds would never end
     out = tmp_path / "out"
     if command == "bench":
         field = "--p"
         args = ["bench", "--p", f"2,{10**30}", "--n", "4", "--seeds", "1", "--out", str(out)]
+    elif command == "generate":
+        field = "--p"  # an instance that solve and bench would refuse is never written
+        args = ["generate", "--seed", "1", "--n", "4", "--p", str(10**30), "--out", str(out)]
     else:
         field = "instance.p"
         args = ["solve", "--instance", str(_p_file(tmp_path, 10**30)), "--algo", command, "--out", str(out)]
