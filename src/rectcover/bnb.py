@@ -340,12 +340,14 @@ class Node(NamedTuple):
     ``x_sets[j]`` and ``y_sets[j]`` are zone ``j``'s :data:`CandidateSet` on
     the grids of its scale ``z_vec[j]`` (the ``xs`` and ``ys`` of
     ``CandidateGrids.matrices[z_vec[j]]``); ``z_vec[j] == 0`` means that
-    scale is still open and both sets are :data:`_OPEN`.  The phase follows
-    from the sets: x while some x set is open, y once every x set is a
-    singleton.  ``bs`` is the zone being narrowed on that axis, -1 when none
-    is: at the root, once the zone's set on the axis is a singleton, and
-    after a scale step onto an x grid of one value (the next zone is then
-    chosen; module docstring).
+    scale is still open and both sets are :data:`_OPEN`.  The two come
+    first, x then y, so ``node[axis]`` is the sets on ``axis`` and
+    ``node[1 - axis]`` those on the other (:class:`~rectcover.geometry.Axis`).
+    The phase follows from the sets: x while some x set is open, y once
+    every x set is a singleton.  ``bs`` is the zone being narrowed on that
+    axis, -1 when none is: at the root, once the zone's set on the axis is
+    a singleton, and after a scale step onto an x grid of one value (the
+    next zone is then chosen; module docstring).
     """
 
     x_sets: tuple[CandidateSet, ...]
@@ -354,7 +356,7 @@ class Node(NamedTuple):
     bs: int = -1
 
     @property
-    def residual_axis(self) -> Axis | None:
+    def residual_axis(self) -> int | None:
         """The axis the residual-demand bound runs on: y once every x is fixed, x once every y is, else None."""
         if all(map(_is_single, self.x_sets)):
             return Axis.Y
@@ -452,7 +454,7 @@ class CandidateGrids:
         dzs, base, eta = instance.dzs, instance.base, instance.eta
         return CandidateGrids({z: build_reward_matrix(dzs, z, base, eta) for z in instance.scale_values()})
 
-    def split(self, z: float, axis: Axis, s: CandidateSet) -> tuple[CandidateSet, ...]:
+    def split(self, z: float, axis: int, s: CandidateSet) -> tuple[CandidateSet, ...]:
         """Interval step on the slice ``s`` of scale ``z``'s grid on ``axis``, shared by plane and line.
 
         :func:`partition` cuts the slice into runs of near-equal length.
@@ -464,7 +466,7 @@ class CandidateGrids:
         The tuple is shared, so callers build new sequences from it.
         """
         lo, hi, _ = s
-        key = (z, axis is Axis.X, lo, hi)
+        key = (z, axis, lo, hi)
         out = self.splits.get(key)
         if out is None:
             m = self.matrices[z]
@@ -474,9 +476,9 @@ class CandidateGrids:
         return out
 
 
-def _grid(m: RewardMatrix, axis: Axis) -> tuple[float, ...]:
+def _grid(m: RewardMatrix, axis: int) -> tuple[float, ...]:
     """The grid ``m`` is tabulated over on ``axis``."""
-    return m.xs.values if axis is Axis.X else m.ys.values
+    return (m.xs, m.ys)[axis].values
 
 
 def partition(n: int) -> list[tuple[int, int]]:
@@ -492,7 +494,7 @@ def partition(n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def priority_score(m: RewardMatrix, axis: Axis, lo: int, hi: int) -> float:
+def priority_score(m: RewardMatrix, axis: int, lo: int, hi: int) -> float:
     """The best entry of ``m`` with its ``axis`` index in ``[lo, hi)`` and any index on the other axis.
 
     An interval child's rank (:meth:`CandidateGrids.split`): the best
@@ -500,7 +502,7 @@ def priority_score(m: RewardMatrix, axis: Axis, lo: int, hi: int) -> float:
     one of grid positions ``lo .. hi - 1``, read through the memoised
     ``RewardMatrix.block_max``.
     """
-    if axis is Axis.X:
+    if axis == Axis.X:
         return m.block_max(lo, hi, 0, len(m.ys))
     return m.block_max(0, len(m.xs), lo, hi)
 
@@ -548,7 +550,7 @@ def _replace_at(sets: tuple[CandidateSet, ...], j: int, s: CandidateSet) -> tupl
     return sets[:j] + (s,) + sets[j + 1 :]
 
 
-def _next_zones(node: Node, axis: Axis, instance: Instance) -> list[int]:
+def _next_zones(node: Node, axis: int, instance: Instance) -> list[int]:
     """The zones that may be narrowed next on ``axis``, in index order (module docstring, next zone).
 
     Of the zones whose set on ``axis`` is open: the lowest-indexed zone of
@@ -560,7 +562,7 @@ def _next_zones(node: Node, axis: Axis, instance: Instance) -> list[int]:
     positions lie off the own-scale grid, so a set without ``v`` is on it.
     In the x phase no zone is pinned on y.
     """
-    sets, other = (node.x_sets, node.y_sets) if axis is Axis.X else (node.y_sets, node.x_sets)
+    sets, other = node[axis], node[1 - axis]
     first: dict[object, int] = {}  # class (a menu, or a pinned zone's index) -> its lowest open zone
     for j, (s, t) in enumerate(zip(sets, other)):
         if not _is_single(s):
@@ -604,7 +606,7 @@ def branch(
 
 
 def _interval_children(
-    node: Node, j: int, axis: Axis, instance: Instance, grids: CandidateGrids, config: SolverConfig
+    node: Node, j: int, axis: int, instance: Instance, grids: CandidateGrids, config: SolverConfig
 ) -> list[Node]:
     """Interval step: split zone ``j``'s candidate set on ``axis``.
 
@@ -619,8 +621,7 @@ def _interval_children(
     grid, of more than one value, leaves only the pins.  A singleton child
     has settled the zone there, so no zone is narrowed next (``bs == -1``).
     """
-    on_x = axis is Axis.X
-    sets = node.x_sets if on_x else node.y_sets
+    sets = node[axis]
     z = node.z_vec[j]
     grid = _grid(grids.matrices[z], axis)
     parts = grids.split(z, axis, sets[j])
@@ -637,11 +638,11 @@ def _interval_children(
         full = config.scv_mode == "full"
         pins = abutment_values(fixed, z, instance.base, axis, full, grid)
         parts += tuple(_pin(v, grid) for v in pins)
+    pair = list(node[:2])  # the x and y sets; each child narrows those on axis
     children = []
     for part in parts:
-        narrowed = _replace_at(sets, j, part)
-        x_sets, y_sets = (narrowed, node.y_sets) if on_x else (node.x_sets, narrowed)
-        children.append(Node(x_sets, y_sets, node.z_vec, -1 if _is_single(part) else j))
+        pair[axis] = _replace_at(sets, j, part)
+        children.append(Node(*pair, node.z_vec, -1 if _is_single(part) else j))
     return children
 
 
@@ -668,7 +669,7 @@ def _block_sum(node: Node, matrices: Mapping[float, RewardMatrix]) -> float:
 def _gain_sum(
     residual: ResidualDemand,
     zones: Sequence[tuple[float, float, Sequence[float], CandidateSet]],
-    axis: Axis,
+    axis: int,
     limit: float = math.inf,
 ) -> float:
     """``f(A)`` plus each of ``zones``' best gain over ``A`` across its set on ``axis`` (module docstring).
@@ -725,7 +726,7 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     matrices, lagrangian = grids.matrices, grids.lagrangian
     cut = floor * (1.0 + RTOL)
     axis = node.residual_axis
-    leaf = axis is Axis.Y and all(map(_is_single, node.y_sets))
+    leaf = axis == Axis.Y and all(map(_is_single, node.y_sets))
     total = _block_sum(node, matrices)
     if leaf:
         total *= 1.0 + RTOL  # the product's rounding (module docstring, Tolerances)
@@ -739,15 +740,14 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     if total <= cut or axis is None:
         return total
     # the other axis is fixed, and some set on this one is open
-    on_x = axis is Axis.X
     placed, opened = [], []
-    for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
+    for *sets, z in zip(node.x_sets, node.y_sets, node.z_vec):
         m = matrices[z]
-        free, grid = (xs, m.xs.values) if on_x else (ys, m.ys.values)
-        if _is_single(free):
-            placed.append((z, _value(xs, m.xs.values), _value(ys, m.ys.values)))
+        values = (m.xs.values, m.ys.values)
+        if _is_single(sets[axis]):
+            placed.append((z, _value(sets[0], values[0]), _value(sets[1], values[1])))
         else:
-            opened.append((z, _value(ys, m.ys.values) if on_x else _value(xs, m.xs.values), grid, free))
+            opened.append((z, _value(sets[1 - axis], values[1 - axis]), values[axis], sets[axis]))
     states = grids.references
     if placed:  # A = S; greedy's prefixes would leave out the placed zones' gains over them
         key = tuple(sorted(placed))

@@ -215,8 +215,8 @@ def solution_from_dict(data: Any, path: str = "solution") -> tuple[Solution, boo
 
 def _read_json(path: str | Path, what: str) -> Any:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: the bytes are not UTF-8
         raise CliError(f"cannot read {what} file {path}: {exc}") from None
     try:
         return json.loads(text)
@@ -224,6 +224,8 @@ def _read_json(path: str | Path, what: str) -> Any:
         raise CliError(
             f"{what} file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, or nesting too deep
+        raise CliError(f"cannot read {what} file {path} as JSON: {exc}") from None
 
 
 def _write_text(path: str | Path, what: str, text: str) -> None:

@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Axis
 from .model import BaseServiceZone, DemandZone, demand_rows
 
 #: Relative tolerance on coordinates: two values of one grid closer than it
@@ -75,7 +74,7 @@ def inner_demand_grid(
     dzs: Sequence[DemandZone] | np.ndarray,
     z: float,
     base: BaseServiceZone,
-    axis: Axis,
+    axis: int,
 ) -> CriticalValueSet:
     """Grid of inner demand breakpoints over all of ``dzs`` for scale ``z``.
 
@@ -95,12 +94,11 @@ def inner_demand_grid(
     """
     # rows are (x, y, w, l, v)
     rows = demand_rows(dzs)
-    k = 0 if axis is Axis.X else 1
-    reach = (base.w0 if axis is Axis.X else base.l0) * z
+    reach = (base.w0, base.l0)[axis] * z
     values = np.empty(2 * len(rows))
     # each zone's pair, lo first
-    values[0::2] = rows[:, k]
-    values[1::2] = (rows[:, k] + rows[:, k + 2]) - reach
+    values[0::2] = rows[:, axis]
+    values[1::2] = (rows[:, axis] + rows[:, axis + 2]) - reach
     values.sort(kind="stable")
     if not values.size:
         return CriticalValueSet(values)
@@ -118,7 +116,7 @@ def inner_demand_grid(
 
 
 def service_breakpoints(
-    coord: float, owner_scale: float, z: float, base: BaseServiceZone, axis: Axis
+    coord: float, owner_scale: float, z: float, base: BaseServiceZone, axis: int
 ) -> tuple[float, float, float, float]:
     """Positions where a scale-``z`` zone interacts with a fixed zone's edges.
 
@@ -127,7 +125,7 @@ def service_breakpoints(
     outer_hi)``: the outer pair abuts the new zone against either side of the
     fixed one, the inner pair nests it flush inside.
     """
-    unit = base.w0 if axis is Axis.X else base.l0
+    unit = (base.w0, base.l0)[axis]
     reach = unit * z
     size = unit * owner_scale
     return (coord - reach, coord, coord + size - reach, coord + size)
@@ -137,7 +135,7 @@ def abutment_values(
     fixed: Iterable[tuple[float, float]],
     z: float,
     base: BaseServiceZone,
-    axis: Axis,
+    axis: int,
     full: bool,
     exclude: Sequence[float] = (),
 ) -> list[float]:

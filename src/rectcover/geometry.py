@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 
-class Axis(Enum):
-    """Coordinate axis selector."""
+class Axis:
+    """A coordinate axis as the index into per-axis pairs, x first: ``(x, y)[Axis.Y]`` is ``y``.
 
-    X = "x"
-    Y = "y"
+    ``1 - axis`` is the other axis.  Compare axes with ``==``, never by
+    truth: x is 0.
+    """
+
+    X = 0
+    Y = 1
 
 
 @dataclass(frozen=True)

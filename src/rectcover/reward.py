@@ -340,6 +340,10 @@ class ResidualDemand:
     wanted only as a maximum: over every real position (:meth:`best_gain`)
     or over a slice of a grid (:meth:`gain_column`), each memoised per
     ``(z, fixed, axis)``.
+
+    The pieces' lower and upper edges, ``_lo`` and ``_hi``, and the lifted
+    base's extents, ``_unit``, are ``(x, y)`` pairs, so each axis reads its
+    own by index (:class:`~rectcover.geometry.Axis`).
     """
 
     def __init__(
@@ -352,26 +356,26 @@ class ResidualDemand:
         paid: list[tuple[float, ...]] = []
         self.served, unserved = _serve(dzs, placements, base, eta, paid)
         pieces = np.array(paid + [(*row, 0.0) for row in unserved], dtype=float).reshape(-1, 6)
-        self._x1, self._y1, w, l, self._v, self._paid = pieces.T
-        self._x2, self._y2 = self._x1 + w, self._y1 + l
-        self._base = planar_form((), base)[1]
+        x1, y1, w, l, self._v, self._paid = pieces.T
+        self._lo, self._hi = (x1, y1), (x1 + w, y1 + l)
+        self._unit = (base.w0, planar_form((), base)[1].l0)  # the lifted base's extents
         self._eta = eta
-        self._best: dict[tuple[float, float, bool], float] = {}
-        self._columns: dict[tuple[float, float, bool], np.ndarray] = {}
+        self._best: dict[tuple[float, float, int], float] = {}
+        self._columns: dict[tuple[float, float, int], np.ndarray] = {}
 
-    def _terms(self, z: float, fixed: float, on_x: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """``(weights, lo, hi, ext)``: the kept pieces' weights and spans on the axis; ``t``'s extent."""
-        w0, l0 = self._base.w0, self._base.l0
-        if on_x:
-            lo, hi, ext, other_lo, other_hi, other_ext = self._x1, self._x2, w0 * z, self._y1, self._y2, l0 * z
-        else:
-            lo, hi, ext, other_lo, other_hi, other_ext = self._y1, self._y2, l0 * z, self._x1, self._x2, w0 * z
-        overlap = np.maximum(np.minimum(fixed + other_ext, other_hi) - np.maximum(fixed, other_lo), 0.0)
+    def _terms(self, z: float, fixed: float, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """``(weights, lo, hi, ext)``: the kept pieces' weights and spans on ``axis``; ``t``'s extent on it.
+
+        Each pair is read at ``axis`` and, for ``t``'s fixed span from
+        ``fixed``, at the other axis ``1 - axis``.
+        """
+        lo, hi, unit, other = self._lo, self._hi, self._unit, 1 - axis
+        overlap = np.maximum(np.minimum(fixed + unit[other] * z, hi[other]) - np.maximum(fixed, lo[other]), 0.0)
         weights = (self._v / self._eta.apply(z) - self._paid) * overlap
         keep = weights > 0.0
-        return weights[keep], lo[keep], hi[keep], ext
+        return weights[keep], lo[axis][keep], hi[axis][keep], unit[axis] * z
 
-    def best_gain(self, z: float, fixed: float, axis: Axis) -> float:
+    def best_gain(self, z: float, fixed: float, axis: int) -> float:
         """The largest gain ``f(S + t) - f(S)`` over every real position of ``t``.
 
         A piece's overlap with ``t`` is a trapezoid in ``t``'s position ``c``
@@ -381,7 +385,7 @@ class ResidualDemand:
         flush inside a piece: ``c = lo`` or ``c = hi - ext`` of some piece.
         Only those positions are evaluated; the gain is 0 with no piece.
         """
-        key = (z, fixed, axis is Axis.X)
+        key = (z, fixed, axis)
         best = self._best.get(key)
         if best is None:
             weights, lo, hi, ext = self._terms(*key)
@@ -389,9 +393,9 @@ class ResidualDemand:
             best = self._best[key] = float((weights @ _overlaps(flush, ext, lo, hi)).max(initial=0.0))
         return best
 
-    def gain_column(self, z: float, fixed: float, axis: Axis, grid: Sequence[float]) -> np.ndarray:
+    def gain_column(self, z: float, fixed: float, axis: int, grid: Sequence[float]) -> np.ndarray:
         """The gain of ``t`` at each ``grid`` value; one ``grid`` per scale and axis must be used."""
-        key = (z, fixed, axis is Axis.X)
+        key = (z, fixed, axis)
         column = self._columns.get(key)
         if column is None:
             weights, lo, hi, ext = self._terms(*key)

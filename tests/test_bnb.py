@@ -44,9 +44,9 @@ from rectcover.bnb import (
     root_node,
     upper_bound,
 )
-from rectcover.critical import contains_value
+from rectcover.critical import contains_value, inner_demand_grid, service_breakpoints
 from rectcover.geometry import Axis
-from rectcover.reward import build_reward_matrix, solve_single_zone
+from rectcover.reward import ResidualDemand, build_reward_matrix, solve_single_zone
 
 from conftest import (
     candidate_values,
@@ -106,7 +106,7 @@ def test_priority_score_ranks_interval_children():
         for axis, n in ((Axis.X, len(m.xs)), (Axis.Y, len(m.ys))):
             for lo in range(n):
                 for hi in range(lo + 1, n + 1):
-                    block = m.entries[lo:hi, :] if axis is Axis.X else m.entries[:, lo:hi]
+                    block = m.entries[lo:hi, :] if axis == Axis.X else m.entries[:, lo:hi]
                     assert priority_score(m, axis, lo, hi) == float(block.max())
             stack = [(0, n, None)]
             while stack:
@@ -165,7 +165,7 @@ def test_order_step_single_representative():
         bs=-1,
     )
     children = branch(node, inst, grids, cfg)
-    assert node.residual_axis is Axis.Y  # the y phase: every x set a singleton
+    assert node.residual_axis == Axis.Y  # the y phase: every x set a singleton
     assert children and _narrowed_on_y(node, children) == [[0]] * len(children)
     assert all(c.x_sets == node.x_sets and c.z_vec == node.z_vec for c in children)
 
@@ -190,18 +190,18 @@ def test_split_table_survives_abutment_pins():
         children = branch(node, inst, grids, cfg)
         assert branch(node, inst, grids, cfg) == children
         if any(_pins(c) > _pins(node) for c in children):
-            pinned[Axis.Y if node.residual_axis is Axis.Y else Axis.X] += 1  # y phase: every x fixed
+            pinned[Axis.Y if node.residual_axis == Axis.Y else Axis.X] += 1  # y phase: every x fixed
         stack.extend(reversed(children))
     assert pinned[Axis.X] and pinned[Axis.Y]
     # every entry is a fresh partition of its range, ranked by decreasing
     # maximum of the reward matrix over each part's block (the whole other axis)
     assert grids.splits
-    for (z, on_x, lo, hi), parts in grids.splits.items():
+    for (z, axis, lo, hi), parts in grids.splits.items():
         m = grids.matrices[z]
         fresh = [(lo + a, lo + b, None) for a, b in partition(hi - lo)]
-        block = (lambda a, b: m.entries[a:b, :]) if on_x else (lambda a, b: m.entries[:, a:b])
+        block = (lambda a, b: m.entries[a:b, :]) if axis == Axis.X else (lambda a, b: m.entries[:, a:b])
         fresh.sort(key=lambda part: float(block(part[0], part[1]).max()), reverse=True)
-        assert parts == tuple(fresh), (z, on_x, lo, hi)
+        assert parts == tuple(fresh), (z, axis, lo, hi)
 
 
 def test_abutment_candidates_keep_other_scale_grid_values():
@@ -260,7 +260,7 @@ def test_x_phase_node_whose_grids_hold_one_value_is_a_leaf(p):
     node = root_node(inst, grids)
     while not is_leaf(node):
         node = branch(node, inst, grids, SolverConfig())[0]
-    assert node.bs == -1 and node.residual_axis is Axis.Y
+    assert node.bs == -1 and node.residual_axis == Axis.Y
     assert upper_bound(node, grids, inst) == 160.0
     # The greedy seed already earns all the demand at the menu's one rate,
     # which no placement beats, so the solve stops before its root.
@@ -761,6 +761,50 @@ def test_solve_of_a_line_is_solve_1d_bit_for_bit():
     assert stats.root_bound == stats_1d.root_bound
 
 
+def _transposed(inst: Instance) -> Instance:
+    """``inst`` with its axes swapped: x<->y and w<->l for every demand zone, w0<->l0 for the base."""
+    dzs = tuple(DemandZone(Rect(d.rect.y, d.rect.x, d.rect.l, d.rect.w), d.v) for d in inst.dzs)
+    return Instance(dzs, BaseServiceZone(inst.base.l0, inst.base.w0), inst.p, inst.qos, inst.eta, inst.dimension)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_transposing_a_planar_instance_swaps_its_axes():
+    # Every choice by axis, in the grids, the service breakpoints, the
+    # residual gains and the search, reads the transposed instance's x data
+    # where it read the original's y data, and the other way round.
+    cases = [(2, 2, 12, range(20)), (3, 2, 8, range(5)), (2, 3, 20, range(20))]  # p, m, n, seeds
+    for p, m, n, seeds in cases:
+        for seed in seeds:
+            inst = generate(GenConfig(seed=seed, n=n, p=p, m=m))
+            flip = _transposed(inst)
+            empty = ResidualDemand(inst.dzs, [], inst.base, inst.eta)
+            flip_empty = ResidualDemand(flip.dzs, [], flip.base, flip.eta)
+            for z in inst.scale_values():
+                for axis in (Axis.X, Axis.Y):
+                    key = (p, m, n, seed, z, axis)
+                    grid = inner_demand_grid(inst.dzs, z, inst.base, axis).values
+                    assert _bits(inner_demand_grid(flip.dzs, z, flip.base, 1 - axis).values) == _bits(grid), key
+                    for d in inst.dzs:
+                        coord = (d.rect.x, d.rect.y)[axis]
+                        for owner in inst.scale_values():
+                            got = service_breakpoints(coord, owner, z, flip.base, 1 - axis)
+                            assert _bits(got) == _bits(service_breakpoints(coord, owner, z, inst.base, axis)), key
+                    for fixed in inner_demand_grid(inst.dzs, z, inst.base, 1 - axis).values:
+                        got = flip_empty.best_gain(z, fixed, 1 - axis)
+                        assert got.hex() == empty.best_gain(z, fixed, axis).hex(), key
+                        got = flip_empty.gain_column(z, fixed, 1 - axis, grid)
+                        assert _bits(got) == _bits(empty.gain_column(z, fixed, axis, grid)), key
+            sol, stats = solve(inst)
+            flip_sol, flip_stats = solve(flip)
+            assert stats.optimal and flip_stats.optimal
+            assert abs(flip_sol.reward - sol.reward) <= RTOL * sol.reward, (p, m, n, seed)
+            back = [Placement(q.y, q.x, q.z) for q in flip_sol.placements]
+            assert math.isclose(covered_reward(inst.dzs, back, inst.base, inst.eta), flip_sol.reward, rel_tol=RTOL)
+
+
 def _per_zone(seed, n, menus):
     """The demand of a small generated planar instance, with zone ``j`` on the menu ``menus[j]``."""
     inst = generate(GenConfig(seed=seed, n=n, p=len(menus), m=1, **TINY))
@@ -842,7 +886,7 @@ def test_grid_order_rule_on_y():
     ny = {z: len(grids.matrices[z].ys) for z in (1.0, 2.0)}
     assert ny[2.0] > 1
     node = Node(((0, 1, None),) * 2, ((0, ny[1.0], None), (2, 3, None)), (1.0, 2.0))
-    assert node.residual_axis is Axis.Y
+    assert node.residual_axis == Axis.Y
     children = branch(node, inst, grids, cfg)
     assert children and _narrowed_on_y(node, children) == [[0]] * len(children)
     assert all(c.y_sets[0][2] is not None for c in children)
@@ -870,7 +914,7 @@ def test_grid_order_rule_on_y_matches_the_oracle(seed, n, menus, monkeypatch):
     def counting(node, j, axis, instance, grids, config):
         nonlocal withheld
         children = interval_children(node, j, axis, instance, grids, config)
-        if axis is Axis.Y and node.y_sets[j] == (0, len(grids.matrices[node.z_vec[j]].ys), None):
+        if axis == Axis.Y and node.y_sets[j] == (0, len(grids.matrices[node.z_vec[j]].ys), None):
             withheld += all(c.y_sets[j][2] is not None for c in children)
         return children
 
@@ -889,7 +933,7 @@ def test_order_step_keeps_one_representative_per_class():
     grids = CandidateGrids.from_instance(inst)
     ny = {z: len(m.ys) for z, m in grids.matrices.items()}
     node = Node(((0, 1, None),) * 3, tuple((0, ny[z], None) for z in (1.0, 2.0, 2.0)), (1.0, 2.0, 2.0))
-    assert node.residual_axis is Axis.Y
+    assert node.residual_axis == Axis.Y
     narrowed = _narrowed_on_y(node, branch(node, inst, grids, SolverConfig()))
     assert narrowed == sorted(narrowed) and {j for (j,) in narrowed} == {0, 1}
 

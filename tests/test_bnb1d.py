@@ -74,7 +74,7 @@ def test_root_takes_each_class_first_step():
     assert root.z_vec == (1.0, 2.0)
     assert root.bs == -1 and not is_leaf(root)
     # every y set is a singleton, so the residual bound runs on x from the root
-    assert root.residual_axis is Axis.X
+    assert root.residual_axis == Axis.X
     children = branch(root, inst, grids, cfg)
     # zone 1's grid holds one value, so it is placed from the root; zone 0,
     # the one unplaced zone, takes its first split: its two grid values, then

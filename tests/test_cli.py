@@ -859,6 +859,33 @@ def test_file_that_is_not_an_object_gives_error_line(what, square_file, tmp_path
     _assert_clean_error(code, capsys.readouterr().err, f"{what}: expected an object")
 
 
+# files json.loads or the UTF-8 decode cannot read, each raising something other than JSONDecodeError
+UNREADABLE_FILES = {
+    "deep nesting": b"[" * 100000 + b"]" * 100000,  # RecursionError
+    "not UTF-8": b"\xff\xfe",  # UnicodeDecodeError
+    # ValueError: an integer literal beyond the default 4300 digits
+    "p of 5000 digits": json.dumps({**instance_to_dict(square_instance()), "p": 0})
+    .replace('"p": 0', '"p": ' + "9" * 5000)
+    .encode(),
+}
+
+
+@pytest.mark.parametrize("option", ["solve --instance", "render --instance", "render --solution"])
+@pytest.mark.parametrize("content", sorted(UNREADABLE_FILES))
+def test_unreadable_json_file_gives_error_line(content, option, square_file, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNREADABLE_FILES[content])
+    argv = {
+        "solve --instance": ["solve", "--algo", "greedy", "--out", str(tmp_path / "s.json")],
+        "render --instance": ["render", "--out", str(tmp_path / "x.svg")],
+        "render --solution": ["render", "--instance", str(square_file), "--out", str(tmp_path / "x.svg")],
+    }[option]
+    code = main(argv + [option.split()[1], str(path)])
+    err = capsys.readouterr().err
+    _assert_clean_error(code, err, str(path))
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------- bad command-line values
 
 BAD_OPTIONS = {

@@ -144,7 +144,7 @@ def test_inner_demand_grid_translation_equivariant(dzs, shift):
 
 def reference_grid(dzs, z, base, axis):
     """``dedup_sorted`` over every zone's inner pair, flush inside its span at either end: the grid's definition."""
-    on_x = axis is Axis.X
+    on_x = axis == Axis.X
     reach = (base.w0 if on_x else base.l0) * z
     spans = [(d.rect.x, d.rect.w) if on_x else (d.rect.y, d.rect.l) for d in dzs]
     return dedup_sorted([v for lo, extent in spans for v in (lo, lo + extent - reach)])

@@ -212,7 +212,7 @@ def test_caps_skip_scales_in_later_rounds(monkeypatch):
         return solve(*args)
 
     def counted(dzs, z, base, axis):
-        if axis is Axis.X:
+        if axis == Axis.X:
             rounds[-1].append(z)
         return grid(dzs, z, base, axis)
 

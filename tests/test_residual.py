@@ -82,14 +82,14 @@ def _check_gains(inst, placed, z, fixed, axis, grid, seen):
     best = residual.best_gain(z, fixed, axis)
 
     def gain(c):
-        t = Placement(c, fixed, z) if axis is Axis.X else Placement(fixed, c, z)
+        t = Placement(c, fixed, z) if axis == Axis.X else Placement(fixed, c, z)
         return covered_reward(dzs, placed + [t], base, inst.eta) - served
 
     for g, got in zip(grid, column):
         assert math.isclose(got, gain(g), rel_tol=1e-9, abs_tol=1e-9), (placed, z, fixed, g)
-    reach = (base.w0 if axis is Axis.X else base.l0) * z
+    reach = (base.w0 if axis == Axis.X else base.l0) * z
     kinks = [b for pl in placed for b in service_breakpoints(
-        pl.x if axis is Axis.X else pl.y, pl.z, z, base, axis)]
+        pl.x if axis == Axis.X else pl.y, pl.z, z, base, axis)]
     sweep = np.concatenate([np.linspace(min(grid) - reach, max(grid) + reach, 121), grid, kinks])
     swept = [gain(c) for c in sweep]
     assert max(swept) <= best + 1e-9, (placed, z, fixed)
@@ -138,7 +138,7 @@ def test_whole_grid_maximum_is_read_at_flush_positions(dzs, placed, z, fixed, ax
         column = fresh.gain_column(z, fixed, axis, np.asarray(points, float))
         return float(column.max(initial=0.0))
 
-    on_x = axis is Axis.X
+    on_x = axis == Axis.X
     # what the whole-grid maximum used to be taken over: t's own-scale
     # inner demand grid and the four service breakpoints of every zone of S
     old = list(inner_demand_grid(dzs, z, base, axis).values)
@@ -173,7 +173,7 @@ def test_plane_columns_match_covered_reward_differences():
             if is_leaf(node):
                 continue
             stack.extend(branch(node, inst, grids, cfg))
-            if node.residual_axis is not Axis.Y:
+            if node.residual_axis != Axis.Y:
                 continue
             placed, opened = _plane_split(node, grids)
             if len(placed) != want:
@@ -481,7 +481,7 @@ def _assert_reference_bound_holds(data, inst, grids, path, children, root):
 
 def _at(axis, z, c, corner):
     """A scale-``z`` placement with its corner at ``corner`` on ``axis`` and at ``c`` on the other."""
-    return Placement(corner, c, z) if axis is Axis.X else Placement(c, corner, z)
+    return Placement(corner, c, z) if axis == Axis.X else Placement(c, corner, z)
 
 
 def _zone_terms(node, grids, axis):
@@ -489,7 +489,7 @@ def _zone_terms(node, grids, axis):
     terms = []
     for xs, ys, z in zip(node.x_sets, node.y_sets, node.z_vec):
         m = grids.matrices[z]
-        terms.append((z, _value(ys, m.ys.values), m.xs.values, xs) if axis is Axis.X
+        terms.append((z, _value(ys, m.ys.values), m.xs.values, xs) if axis == Axis.X
                      else (z, _value(xs, m.xs.values), m.ys.values, ys))
     return terms
 
@@ -515,7 +515,7 @@ def _assert_reference_set_bounds(data, inst, grids, node, reference):
     of ``A`` as its one reference state must stay above as well.
     """
     axis = node.residual_axis
-    on_x = axis is Axis.X
+    on_x = axis == Axis.X
     dzs, base = inst.planar
     zones = _zone_terms(node, grids, axis)
     settled = _settled(node, grids, axis)
@@ -602,7 +602,7 @@ def test_bound_reads_reference_states_only_with_nothing_placed():
         node = stack.pop()
         if is_leaf(node):
             continue
-        if node.residual_axis is Axis.Y:
+        if node.residual_axis == Axis.Y:
             first.setdefault(sum(map(_is_single, node.y_sets)), node)
         stack.extend(branch(node, inst, grids, cfg))
     zero = ResidualDemand((), (), inst.planar[1], inst.eta)
