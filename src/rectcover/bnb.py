@@ -75,7 +75,7 @@ otherwise.  The bound (:func:`upper_bound`), the leaf test (:func:`is_leaf`)
 and the leaf placements (:func:`leaf_placements`) read only the sets, the
 scales and that axis.  The bound and the branching rule take the solve's
 state as one :class:`CandidateGrids`: its matrices, its Lagrangian bound,
-greedy's prefix states for the residual-demand bound and its memos.  The covered
+greedy's prefix states for the plane's residual-demand bound and its memos.  The covered
 reward of a greedy run's placements seeds the incumbent; a node is cut as
 soon as its optimistic bound cannot beat the incumbent by more than a
 relative :data:`RTOL` (Tolerances, below).
@@ -128,19 +128,31 @@ mixed:
 * with some zone placed on that axis, ``A = S``, the zones whose
   coordinates are all singletons.  They gain 0 over ``S``, so the sum runs
   over the others, the open zones ``T``;
-* with none placed (the plane's y phase before the first y is settled, the
-  line before the first zone is placed; ``S`` empty would give back the
-  isolated sum), ``A`` is each proper prefix ``g1..gk`` (``k = 1 .. p -
-  1``) of the greedy seed's placements, in round order, and the least of
-  the sums is taken: greedy's first zones serve the most demand, so
-  ``f(A)`` is large and what any completion gains over it small.  Every
-  zone is open there.
+* with none placed in the plane's y phase (before the first y is
+  settled; ``S`` empty would give back the isolated sum), ``A`` is each
+  proper prefix ``g1..gk`` (``k = 1 .. p - 1``) of the greedy seed's
+  placements, in round order, and the least of the sums is taken:
+  greedy's first zones serve the most demand, so ``f(A)`` is large and
+  what any completion gains over it small.  Every zone is open there.
+
+A line node with no zone placed takes no residual-demand bound: there
+greedy's prefixes cut 2 of the 16,972 nodes of the ``line`` fingerprint
+set (``tools/fingerprint.py``) and none of ``line-p4``'s 75,698, while
+every line solve built ``p - 1`` prefix states and summed gains over each
+at every node above the first placement.
 
 Each ``A`` is one :class:`~rectcover.reward.ResidualDemand`: greedy's
 prefixes are built once per solve (``CandidateGrids.references``) and the
 states of ``S`` are cached in ``CandidateGrids.residuals``, at most
 :data:`RESIDUAL_CACHE_SIZE`, least recently used dropped, so their memoised
-gains serve many nodes.  An open zone's term (:func:`_gain_sum`) is its
+gains serve many nodes.  A state of ``S`` keyed ``(z, x, y)`` in sorted
+order extends the cached state of the key less its last zone, when there
+is one, by serving that zone over the parent's unserved rows
+(``ResidualDemand.extended``): the trimming loop serves zones by ascending
+scale, ties in order, so the rows the parent leaves are those the loop
+leaves before that zone, and the state is the one built from the demand,
+bit for bit.  Only a state without a cached parent is built from the
+demand.  An open zone's term (:func:`_gain_sum`) is its
 gain's maximum over the positions its set may still reach:
 
 * a strict slice of the grid: its own values, because the search adds
@@ -190,13 +202,14 @@ and outside the grid's range monotone toward it.  So its maximum over any
 block of the grid, over every real position in it and over a bracketed
 abutment position alike, is read at grid values, exactly as for the reward
 matrix, whatever the nonnegative weights.  ``L_z`` is tabulated over scale
-``z``'s own grids as ``RewardMatrix.reweighted(mu[:, z])``, the one product
-``(ox * mu[:, z]).T @ oy`` of the overlap tables kept on scale ``z``'s
-matrix, the product ``build_reward_matrix`` takes at ``mu = r``, and a
-node's Lagrangian bound is ``T1`` plus one memoised ``block_max`` per zone
-(an open zone takes the best entry over its menu's matrices), what the
-isolated sum costs.  :meth:`Lagrangian.of` builds the bound of multipliers
-found by any means.
+``z``'s own grids as ``reward.table_product(mu[:, z], ox, oy)``, the one
+product ``(ox * mu[:, z]).T @ oy`` of the overlap tables kept on scale
+``z``'s matrix, the product ``build_reward_matrix`` takes at ``mu = r``,
+and a node's Lagrangian bound is ``T1`` plus one memoised ``block_max`` per
+zone of that table wrapped as a ``RewardMatrix`` (an open zone takes the
+best entry over its menu's matrices), what the isolated sum costs.
+:meth:`Lagrangian.of` builds the bound of multipliers found by any means,
+through ``RewardMatrix.reweighted``, the same product.
 
 ``mu`` is fitted once per solve, at the root, by projected subgradient
 (:func:`fit_lagrangian`): it starts at ``mu = r``, where the root bound is
@@ -209,10 +222,10 @@ halves after :data:`FIT_HALVE_AFTER` steps without a new best; the fit stops
 after :data:`FIT_STALL` steps without a gain of :data:`FIT_GAIN` relative,
 or once the bound is at or below ``lower``.  Every solve keeps the bound of
 the best ``mu`` seen, however little it gains over the start.  Each step,
-the first at ``mu = r`` included, tabulates each scale's ``L_z`` with
-``RewardMatrix.reweighted``, one product per scale, and the fit returns
-the ``T1`` and tables of its best step as they are, with no product after
-its last step.
+the first at ``mu = r`` included, tabulates each scale's ``L_z`` as a bare
+array, one ``table_product`` per scale; the fit keeps the ``T1``,
+``mu`` and arrays of its best step and wraps only those arrays in
+``RewardMatrix`` es when it returns, with no product after its last step.
 
 The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
 in another order than the in-order sums and ``covered_reward``, each a sum
@@ -280,7 +293,7 @@ from .geometry import Axis
 from .critical import abutment_values
 from .greedy import greedy
 from .model import Instance, Placement, Solution, demand_rows, reward_rate
-from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward
+from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward, table_product
 
 _UNSET = 0.0  # marker for a scale not chosen yet (real scales are >= 1)
 
@@ -414,7 +427,7 @@ class Lagrangian(NamedTuple):
         ``d``'s area in planar form; ``L_z`` is
         ``matrices[z].reweighted(mu[:, s])``.  It takes one product per
         scale, so it serves multipliers found outside :func:`fit_lagrangian`,
-        which keeps the tables its steps tabulate instead.
+        which wraps the bare tables of its best step instead.
         """
         t1 = float(area @ (rates - mu).max(axis=1, initial=0.0))
         return cls(t1, {z: m.reweighted(mu[:, s]) for s, (z, m) in enumerate(matrices.items())})
@@ -433,8 +446,9 @@ class CandidateGrids:
     ``lagrangian`` is the Lagrangian bound :func:`fit_lagrangian` fitted,
     None only on a bare ``CandidateGrids`` before the fit.  ``references``
     holds one :class:`~rectcover.reward.ResidualDemand` per reference set
-    ``A`` of the residual-demand bound at nodes with nothing placed
-    (greedy's proper prefixes, built by :func:`solve`).  ``splits``
+    ``A`` of the residual-demand bound at y-phase nodes with nothing placed
+    (greedy's proper prefixes, built by :func:`solve` unless the root's
+    residual axis is x, as on the line, where no bound reads them).  ``splits``
     tabulates :meth:`split`, whose parts :func:`priority_score` ranks, and
     ``residuals`` caches one state per set ``S`` of placed zones, at most
     :data:`RESIDUAL_CACHE_SIZE`, least recently used dropped; both live as
@@ -719,9 +733,11 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     ``f(A)`` plus each open zone's best gain over ``A`` (:func:`_gain_sum`),
     stopping once it is at or below ``cut``.  With a zone placed on
     that axis the tuple is the one state of the placed zones ``S``, from
-    the cache ``grids.residuals``; with none placed it is
-    ``grids.references``, and with no reference state the bound is not
-    taken.  With the default ``floor`` every leaf is exact.
+    the cache ``grids.residuals``, where a missing state extends its
+    parent's when that is cached; with none placed it is
+    ``grids.references`` on y, and on x (the line) or with no reference
+    state the bound is not taken.  With the default ``floor`` every leaf is
+    exact.
     """
     matrices, lagrangian = grids.matrices, grids.lagrangian
     cut = floor * (1.0 + RTOL)
@@ -748,18 +764,26 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
             placed.append((z, _value(sets[0], values[0]), _value(sets[1], values[1])))
         else:
             opened.append((z, _value(sets[1 - axis], values[1 - axis]), values[axis], sets[axis]))
-    states = grids.references
     if placed:  # A = S; greedy's prefixes would leave out the placed zones' gains over them
         key = tuple(sorted(placed))
         cache = grids.residuals
         residual = cache.pop(key, None)
         if residual is None:
-            dzs, base = instance.planar
-            residual = ResidualDemand(dzs, [Placement(x, y, z) for z, x, y in key], base, instance.eta)
+            parent = cache.get(key[:-1])
+            if parent is not None:  # key[-1] comes last in the trimming loop's order
+                z, x, y = key[-1]
+                residual = parent.extended(Placement(x, y, z))
+            else:
+                dzs, base = instance.planar
+                residual = ResidualDemand(dzs, [Placement(x, y, z) for z, x, y in key], base, instance.eta)
             if len(cache) >= RESIDUAL_CACHE_SIZE:
                 del cache[next(iter(cache))]
         cache[key] = residual
         states = (residual,)
+    elif axis == Axis.Y:
+        states = grids.references
+    else:  # nothing placed on x, as on the line: greedy's prefixes cut almost nothing there
+        return total
     for state in states:
         total = min(total, _gain_sum(state, opened, axis, total))
         if total <= cut:
@@ -781,11 +805,13 @@ def fit_lagrangian(
     each zone is open or at its scale's whole grids, so its term is the
     first maximum of a whole table, and zones of one scale share it, each
     group adding its subgradient once, times its size.  Every step, the
-    first at ``mu = r`` included, tabulates each scale's ``L_z`` with
-    ``RewardMatrix.reweighted`` and takes its first maximum once; the
-    result is the ``Lagrangian`` of the best step's ``T1`` and tables, so
-    no ``L_z`` is tabulated twice.  At ``mu = r`` those tables are the
-    matrices' own entries, bit for bit, and ``T1`` is 0.
+    first at ``mu = r`` included, tabulates each scale's ``L_z`` as a bare
+    array (``reward.table_product``, the product ``RewardMatrix.reweighted``
+    takes) and takes its first maximum once; the result is the
+    ``Lagrangian`` of the best step's ``T1`` and arrays, each wrapped in a
+    ``RewardMatrix`` with that step's ``mu`` on its scale's grids and
+    overlap tables, so no ``L_z`` is tabulated twice.  At ``mu = r`` those
+    tables are the matrices' own entries, bit for bit, and ``T1`` is 0.
     """
     x, y, w, l, _ = demand_rows(instance.planar[0]).T
     area = ((x + w) - x) * ((y + l) - y)
@@ -799,7 +825,7 @@ def fit_lagrangian(
     best = mark = math.inf
     step, since_best, since_gain = FIT_STEP, 0, 0
     for _ in range(FIT_STEPS):
-        tables = [m.reweighted(mu[:, s]) for s, m in enumerate(mats)]
+        tables = [table_product(mu[:, s], m.ox, m.oy) for s, m in enumerate(mats)]
         slack = rates - mu
         top = slack.argmax(axis=1)
         most = slack[rows, top]
@@ -808,16 +834,16 @@ def fit_lagrangian(
         grad[rows[paid], top[paid]] = -area[paid]
         t1 = float(area @ np.maximum(most, 0.0))
         value = t1
-        peaks = [int(t.entries.argmax()) for t in tables]
+        peaks = [int(t.argmax()) for t in tables]
         for s, count in groups:
             if s is None:  # an open zone takes the best scale's whole grid
-                s = max(range(len(scales)), key=lambda k: tables[k].entries.flat[peaks[k]])
-            m, table = mats[s], tables[s].entries
+                s = max(range(len(scales)), key=lambda k: tables[k].flat[peaks[k]])
+            m, table = mats[s], tables[s]
             i, k = divmod(peaks[s], table.shape[1])
             value += count * float(table[i, k])
             grad[:, s] += count * m.ox[:, i] * m.oy[:, k]
         if value < best:
-            best, since_best, fitted = value, 0, Lagrangian(t1, dict(zip(scales, tables)))
+            best, since_best, fitted = value, 0, (t1, mu, tables)
         else:
             since_best += 1
             if since_best >= FIT_HALVE_AFTER:
@@ -830,7 +856,11 @@ def fit_lagrangian(
         if value <= lower or since_gain >= FIT_STALL or norm == 0.0:
             break
         mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
-    return fitted
+    t1, mu, tables = fitted
+    return Lagrangian(t1, {
+        z: RewardMatrix(m.xs, m.ys, table, mu[:, s], m.ox, m.oy)
+        for s, (z, m, table) in enumerate(zip(scales, mats, tables))
+    })
 
 
 def root_node(instance: Instance, grids: CandidateGrids) -> Node:
@@ -858,8 +888,9 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     Lagrangian bound is fitted at it (:func:`fit_lagrangian`;
     ``stats.fit_s``, and the root's bound in ``stats.root_bound``) and kept
     in ``grids``, with the states of the greedy seed's proper prefixes, the
-    reference sets of the residual-demand bound at nodes with nothing
-    placed.
+    reference sets of the residual-demand bound at y-phase nodes with
+    nothing placed; they are built only when the root's residual axis is
+    not x, which no line root has.
     Every popped node is bounded with ``upper_bound(node, grids, ...)``
     against ``lower``, the incumbent's reward, and is cut when the bound is
     at most ``lower * (1 + RTOL)``.  A
@@ -899,8 +930,10 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
 
     if lower < enough:
         top = root_node(instance, grids)
-        prefixes = (seed.placements[:k] for k in range(1, instance.p))  # greedy's proper prefixes
-        references = tuple(ResidualDemand(dzs, a, base, instance.eta) for a in prefixes)
+        references = ()
+        if top.residual_axis != Axis.X:  # the bound reads greedy's proper prefixes in the y phase alone
+            prefixes = (seed.placements[:k] for k in range(1, instance.p))
+            references = tuple(ResidualDemand(dzs, a, base, instance.eta) for a in prefixes)
         fit_start = time.perf_counter()
         grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower), references=references)
         stats.fit_s = time.perf_counter() - fit_start

@@ -38,7 +38,7 @@ from .model import (
     Solution,
     service_rect,
 )
-from .bnb import SolverConfig, SolverStats, solve
+from .bnb import RTOL, SolverConfig, SolverStats, solve
 from .greedy import greedy
 from .instgen import GenConfig, generate, generate_1d
 from .oracle import OracleSizeError, brute_force_1d, brute_force_2d
@@ -58,6 +58,36 @@ def _check_zones(p: int, field: str) -> None:
     """Refuse ``p`` above :data:`MAX_ZONES` before any work, naming ``field``."""
     if p > MAX_ZONES:
         raise CliError(f"{field}: at most {MAX_ZONES} service zones can be placed, got {p}")
+
+
+#: The most grid cells an exact solve (``solve --algo exact``, ``bench``)
+#: tabulates over all its scales, as bounded from the demand count ``n``
+#: and the menus before any grid is built: an inner-demand grid holds at
+#: most ``2n`` values per axis, so ``(2n)**2`` cells per scale in the
+#: plane and ``2n`` on a line.  Every cell costs about 45 bytes at its
+#: peak (several copies of the 8-byte table): planar n=1,000 with two
+#: scales, 8M cells, peaks at 359 MB (seeds 0 and 1, one BLAS thread), so
+#: the budget allows about 0.7 GB.
+MAX_CELLS = 16_000_000
+#: The most demand zones for which an exact solve's product entries lie
+#: within ``RTOL`` of their in-order sums (``bnb`` module docstring,
+#: Tolerances): ``n * 2**-52 < RTOL``.
+MAX_EXACT_DEMAND = math.ceil(RTOL * 2.0**52) - 1
+
+
+def _check_exact_size(n: int, scales: int, one_d: bool, field: str) -> None:
+    """Refuse an exact solve of ``n`` demand zones over ``scales`` scales outside its envelope, naming ``field``."""
+    cells = scales * (2 * n if one_d else (2 * n) ** 2)
+    if cells > MAX_CELLS:
+        raise CliError(
+            f"{field}: an exact solve of n={n} demand zones at {scales} scales tabulates up to "
+            f"{cells} grid cells, above the budget of {MAX_CELLS}"
+        )
+    if n > MAX_EXACT_DEMAND:
+        raise CliError(
+            f"{field}: an exact solve keeps its tolerance RTOL={RTOL:g} for at most {MAX_EXACT_DEMAND} "
+            f"demand zones (n * 2**-52 < RTOL), got n={n}"
+        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -522,6 +552,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     if args.algo != "oracle":  # the oracle refuses a huge p by its own size estimate
         _check_zones(instance.p, "instance.p")
+    if args.algo == "exact":
+        _check_exact_size(len(instance.dzs), len(instance.scale_values()), instance.one_d, "instance")
     t0 = time.perf_counter()
     if args.algo == "exact":
         solution, stats = solve(instance, config)
@@ -563,6 +595,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with _validated("bench sizes"):
         for p, m, n in itertools.product(ps, ms, ns):
             GenConfig(n=n, p=p, m=m)
+    for p, m, n in itertools.product(ps, ms, ns):
+        _check_exact_size(n, p if args.one_d else m, args.one_d, "bench sizes")  # a line's zones have a scale each
     report = run_bench(
         ps=ps, ms=ms, ns=ns, seeds=args.seeds, one_d=args.one_d, config=config, oracle_budget=args.oracle_budget,
     )

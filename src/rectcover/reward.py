@@ -126,9 +126,10 @@ class RewardMatrix:
     def reweighted(self, weights: np.ndarray) -> "RewardMatrix":
         """The same demand paying ``weights[d]`` per unit area instead of ``rates[d]``, on the same grids.
 
-        Its entries are the product ``(ox * weights).T @ oy``, taken as
-        ``entries`` is (:func:`_tabulate`); the Lagrangian fit reads them for
-        each step's weights.  Its block maxima get a memo of their own.
+        Its entries are :func:`table_product` of ``weights``, taken as
+        ``entries`` is (:func:`_tabulate`); ``bnb.Lagrangian.of`` reads them
+        for multipliers found outside the fit, which steps on bare products.
+        Its block maxima get a memo of their own.
         """
         return _tabulate(self.xs, self.ys, weights, self.ox, self.oy)
 
@@ -213,11 +214,16 @@ def _scale(
     return xs, ys, v / eta.apply(z), x, y  # v / eta(z) is each piece's reward_rate
 
 
+def table_product(rates: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
+    """The one product ``(ox * rates).T @ oy`` of the overlap tables: each cell's rate-weighted overlap sum."""
+    return (ox * rates[:, None]).T @ oy
+
+
 def _tabulate(
     xs: CriticalValueSet, ys: CriticalValueSet, rates: np.ndarray, ox: np.ndarray, oy: np.ndarray
 ) -> RewardMatrix:
     """The reward matrix over ``xs`` and ``ys`` of the overlap tables ``ox`` and ``oy``, with their one product."""
-    return RewardMatrix(xs, ys, (ox * rates[:, None]).T @ oy, rates, ox, oy)
+    return RewardMatrix(xs, ys, table_product(rates, ox, oy), rates, ox, oy)
 
 
 def build_reward_matrix(
@@ -303,6 +309,11 @@ def serve_zone(
     return total, left
 
 
+def _bounds(pl: Placement, w0: float, l0: float) -> tuple[float, float, float, float]:
+    """The bounds ``(x1, y1, x2, y2)`` :func:`serve_zone` takes of ``pl`` on a base of extents ``w0`` by ``l0``."""
+    return pl.x, pl.y, pl.x + w0 * pl.z, pl.y + l0 * pl.z
+
+
 def _serve(
     dzs: Sequence[DemandZone],
     placements: Sequence[Placement],
@@ -315,8 +326,7 @@ def _serve(
     rows: list[Sequence[float]] = [d.row for d in pdzs]
     total = 0.0
     for pl in sorted(placements, key=lambda q: q.z):  # stable: ties keep their order
-        zone = (pl.x, pl.y, pl.x + pbase.w0 * pl.z, pl.y + pbase.l0 * pl.z)
-        total, rows = serve_zone(rows, zone, eta.apply(pl.z), total, paid)
+        total, rows = serve_zone(rows, _bounds(pl, pbase.w0, pbase.l0), eta.apply(pl.z), total, paid)
         if not rows:
             break
     return total, rows
@@ -330,6 +340,11 @@ class ResidualDemand:
     ``S`` that served it, or 0 for the unserved pieces.  Adding a scale-``z``
     zone ``t`` gains ``max(0, v / eta(z) - paid)`` per unit of a piece it
     covers, because covered reward pays each point at its best rate.
+
+    The state keeps the trimming loop's unserved rows and paid pieces, so
+    :meth:`extended` serves one more placement over them alone; the state of
+    ``S`` plus one zone served last equals, bit for bit, the state built
+    from the demand.
 
     ``t``'s lower corner is at ``fixed`` on the axis other than ``axis`` and
     moves along ``axis``.  Its gain is then a sum over the pieces of a
@@ -354,14 +369,43 @@ class ResidualDemand:
         eta: Eta,
     ) -> None:
         paid: list[tuple[float, ...]] = []
-        self.served, unserved = _serve(dzs, placements, base, eta, paid)
+        served, unserved = _serve(dzs, placements, base, eta, paid)
+        pbase = planar_form((), base)[1]
+        self._keep(served, paid, unserved, (pbase.w0, pbase.l0), eta)
+
+    def _keep(
+        self,
+        served: float,
+        paid: list[tuple[float, ...]],
+        unserved: list[Sequence[float]],
+        unit: tuple[float, float],
+        eta: Eta,
+    ) -> None:
+        """Hold the trimming loop's result and the piece columns the gains read."""
+        self.served, self._paid_pieces, self._unserved = served, paid, unserved
         pieces = np.array(paid + [(*row, 0.0) for row in unserved], dtype=float).reshape(-1, 6)
         x1, y1, w, l, self._v, self._paid = pieces.T
         self._lo, self._hi = (x1, y1), (x1 + w, y1 + l)
-        self._unit = (base.w0, planar_form((), base)[1].l0)  # the lifted base's extents
+        self._unit = unit  # the lifted base's extents
         self._eta = eta
         self._best: dict[tuple[float, float, int], float] = {}
         self._columns: dict[tuple[float, float, int], np.ndarray] = {}
+
+    def extended(self, pl: Placement) -> "ResidualDemand":
+        """The state of ``S`` plus ``pl``, served after every zone of ``S``.
+
+        :func:`serve_zone` serves ``pl`` over the unserved rows alone, from
+        ``f(S)``, and its paid pieces follow those of ``S``: the steps the
+        trimming loop over ``S`` and then ``pl`` takes, so the result equals
+        the state built from the demand when ``pl`` comes last in the
+        loop's order (ascending scale, ties in order).
+        """
+        paid = list(self._paid_pieces)
+        zone = _bounds(pl, *self._unit)
+        served, unserved = serve_zone(self._unserved, zone, self._eta.apply(pl.z), self.served, paid)
+        state = ResidualDemand.__new__(ResidualDemand)
+        state._keep(served, paid, unserved, self._unit, self._eta)
+        return state
 
     def _terms(self, z: float, fixed: float, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """``(weights, lo, hi, ext)``: the kept pieces' weights and spans on ``axis``; ``t``'s extent on it.

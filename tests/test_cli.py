@@ -28,9 +28,10 @@ from rectcover import (
     generate_1d,
     solve,
 )
-from rectcover.bnb import SolverConfig, SolverStats
+from rectcover.bnb import RTOL, SolverConfig, SolverStats
 from rectcover.bnb1d import solve_1d
 from rectcover.cli import (
+    MAX_EXACT_DEMAND,
     MAX_ZONES,
     BenchReport,
     CliError,
@@ -292,6 +293,75 @@ def test_max_zones_is_the_largest_p_solved(algo, tmp_path, capsys, monkeypatch):
     assert len(load_solution(out)[0].placements) == 5
     code = main(["solve", "--instance", str(_p_file(tmp_path, 6)), "--algo", algo, "--out", str(tmp_path / "t.json")])
     _assert_clean_error(code, capsys.readouterr().err, "instance.p: at most 5 service zones can be placed, got 6")
+
+
+def _sized_file(tmp_path, n, one_d):
+    """A p=2 instance of ``n`` demand zones at two scales: shared {1, 2} in the plane, one per zone on a line."""
+    if one_d:
+        inst = generate_1d(GenConfig(seed=1, n=n, p=2, dimension=Dimension.ONE_D))
+    else:
+        inst = generate(GenConfig(seed=1, n=n, p=2, m=2))
+    path = tmp_path / f"{'line' if one_d else 'plane'}-n{n}.json"
+    dump_instance(inst, path)
+    return path
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_max_cells_is_the_largest_exact_solve(one_d, tmp_path, capsys, monkeypatch):
+    # two scales of (2n)**2 cells in the plane, of 2n on a line: n=4 is 128 or 16 cells, n=5 200 or 20
+    monkeypatch.setattr("rectcover.cli.MAX_CELLS", 16 if one_d else 128)
+    out = tmp_path / "s.json"
+    assert main(["solve", "--instance", str(_sized_file(tmp_path, 4, one_d)), "--algo", "exact", "--out", str(out)]) == 0
+    assert load_solution(out)[1]
+    big = _sized_file(tmp_path, 5, one_d)
+
+    def no_table(*args):
+        raise AssertionError("a refused solve built a reward matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("rectcover.bnb.build_reward_matrix", no_table)
+        code = main(["solve", "--instance", str(big), "--algo", "exact", "--out", str(tmp_path / "t.json")])
+    cells = 20 if one_d else 200
+    _assert_clean_error(code, capsys.readouterr().err,
+                        f"instance: an exact solve of n=5 demand zones at 2 scales tabulates up to {cells} grid cells, "
+                        f"above the budget of {16 if one_d else 128}")
+    assert not (tmp_path / "t.json").exists()
+    # greedy has no such budget: its rounds tabulate tile by tile
+    assert main(["solve", "--instance", str(big), "--algo", "greedy", "--out", str(tmp_path / "g.json")]) == 0
+
+
+def test_max_exact_demand_is_the_largest_n_within_the_rounding_premise():
+    assert MAX_EXACT_DEMAND == 4503
+    assert MAX_EXACT_DEMAND * 2.0**-52 < RTOL <= (MAX_EXACT_DEMAND + 1) * 2.0**-52
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_exact_solves_beyond_the_envelope_are_refused_before_any_work(command, tmp_path, capsys):
+    # a line of 4,504 segments at two scales is 18,016 cells, within the cell
+    # budget, but its n breaks n * 2**-52 < RTOL; planar n=6,000 at two scales
+    # is 288M cells
+    out = tmp_path / "out"
+    if command == "solve":
+        args = ["solve", "--instance", str(_sized_file(tmp_path, 4504, True)), "--algo", "exact", "--out", str(out)]
+        field = "instance"
+    else:
+        args = ["bench", "--one-d", "--p", "2", "--n", "4504", "--seeds", "1", "--out", str(out)]
+        field = "bench sizes"
+    t0 = time.perf_counter()
+    code = main(args)
+    assert time.perf_counter() - t0 < 2.0
+    _assert_clean_error(code, capsys.readouterr().err,
+                        f"{field}: an exact solve keeps its tolerance RTOL=1e-12 for at most 4503 demand zones "
+                        f"(n * 2**-52 < RTOL), got n=4504")
+    assert not out.exists()
+    if command == "bench":
+        t0 = time.perf_counter()
+        code = main(["bench", "--p", "2", "--m", "2", "--n", "8,6000", "--seeds", "1", "--out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        _assert_clean_error(code, capsys.readouterr().err,
+                            "bench sizes: an exact solve of n=6000 demand zones at 2 scales tabulates up to "
+                            "288000000 grid cells, above the budget of 16000000")
+        assert not out.exists()
 
 
 def test_bad_flags_exit_one(square_file, tmp_path, capsys):

@@ -156,6 +156,45 @@ def test_whole_grid_maximum_is_read_at_flush_positions(dzs, placed, z, fixed, ax
     assert math.isclose(best, gain_at(corners), rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _state_bits(state, z, fixed, axis, grid):
+    """Every figure of ``state`` a bound reads, as bytes: ``f(S)``, each piece column and the gains at ``(z, fixed, axis)``."""
+    columns = (*state._lo, *state._hi, state._v, state._paid)
+    gains = (np.float64(state.best_gain(z, fixed, axis)), state.gain_column(z, fixed, axis, grid))
+    return [np.float64(state.served).tobytes()] + [np.asarray(a).tobytes() for a in columns + gains]
+
+
+_COORD = st.one_of(_LATTICE, st.floats(-5.0, 40.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dzs=_demand_zones(),
+    one_d=st.booleans(),
+    placed=st.lists(st.tuples(st.sampled_from([1.0, 1.5, 2.0]), _COORD, _COORD), min_size=1, max_size=4),
+    start=st.integers(0, 3),
+    z=st.sampled_from([1.0, 2.0]),
+    fixed=_COORD,
+    axis=st.sampled_from([Axis.X, Axis.Y]),
+)
+def test_an_extended_state_equals_the_state_built_from_the_demand(dzs, one_d, placed, start, z, fixed, axis):
+    # keys as upper_bound sorts them, (z, x, y), ties in z included: a state
+    # built from the demand over a prefix of the key, extended by each zone
+    # after it, equals bit for bit the state built over the longer prefix
+    base, eta = BaseServiceZone(10.0, 8.0), Eta.LINEAR
+    if one_d:  # the lattice zones' x spans as segments, every zone at y 0
+        dzs = [DemandZone(Rect(d.rect.x, 0.0, d.rect.w, 0.0), d.v) for d in dzs]
+        base, placed, axis, fixed = BaseServiceZone(10.0, 0.0), [(s, x, 0.0) for s, x, _ in placed], Axis.X, 0.0
+    key = sorted(placed)
+    start = 1 + start % len(key)
+    grid = np.linspace(-15.0, 45.0, 61)
+    state = ResidualDemand(dzs, [Placement(x, y, s) for s, x, y in key[:start]], base, eta)
+    for k in range(start, len(key)):
+        s, x, y = key[k]
+        state = state.extended(Placement(x, y, s))
+        built = ResidualDemand(dzs, [Placement(x, y, s) for s, x, y in key[: k + 1]], base, eta)
+        assert _state_bits(state, z, fixed, axis, grid) == _state_bits(built, z, fixed, axis, grid), key[: k + 1]
+
+
 def test_plane_columns_match_covered_reward_differences():
     # every y-phase node with a placed zone in the ten full trees of
     # acceptance check 8 (S is one zone there), plus one planar p=3 subtree
@@ -571,6 +610,13 @@ def test_plane_reference_bound_holds_for_any_reference_set(dzs, p, menu, column,
     data=st.data(),
 )
 def test_line_reference_bound_holds_for_any_reference_set(dzs, scales, path, data):
+    """The reference-set bound's property holds on the line, for any reference set.
+
+    ``upper_bound`` no longer reads reference states on the line (its
+    nodes with nothing placed take the isolated sum and the Lagrangian
+    bound alone), so the ``_gain_sum`` assertion of
+    :func:`_assert_reference_set_bounds` carries the property here.
+    """
     # the lattice zones' x spans as segments, one fixed scale per zone
     segments = tuple(DemandZone(Rect(d.rect.x, 0.0, d.rect.w, 0.0), d.v) for d in dzs)
     qos = tuple(QosSet((z,)) for z in scales)
@@ -613,6 +659,48 @@ def test_bound_reads_reference_states_only_with_nothing_placed():
     isolated = upper_bound(nothing, unread, inst, floor=math.inf)
     assert upper_bound(nothing, unread, inst) == min(isolated, grids.lagrangian.bound(nothing))
     assert upper_bound(nothing, read, inst) == 0.0
+
+
+def test_line_bound_reads_no_reference_state():
+    # A line node with nothing placed is bounded by the smaller of the
+    # isolated sum and the Lagrangian bound: a reference state that would
+    # lower any sum to 0 (no demand) leaves its bound as it is, as greedy's
+    # prefix states cut almost no line node.
+    cfg = SolverConfig()
+    inst = small_1d(seed=0, n=5, p=3)
+    grids = CandidateGrids.from_instance(inst)
+    root = root_node(inst, grids)
+    grids = _fitted(inst, grids, root)
+    nothing = [root] + branch(root, inst, grids, cfg)
+    nothing = [node for node in nothing if not any(map(_is_single, node.x_sets))]
+    assert len(nothing) > 1 and all(node.residual_axis == Axis.X for node in nothing)
+    zero = ResidualDemand((), (), inst.planar[1], inst.eta)
+    unread, read = replace(grids, references=()), replace(grids, references=(zero,))
+    for node in nothing:
+        isolated = upper_bound(node, unread, inst, floor=math.inf)
+        assert upper_bound(node, read, inst) == upper_bound(node, unread, inst) > 0
+        assert upper_bound(node, read, inst) == min(isolated, grids.lagrangian.bound(node))
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_solve_builds_reference_states_for_the_plane_alone(one_d, monkeypatch):
+    # every bound of a solve sees greedy's p - 1 proper prefixes in the plane
+    # and none on the line
+    if one_d:
+        inst = generate_1d(GenConfig(seed=0, n=12, p=3, dimension=Dimension.ONE_D))
+    else:
+        inst = generate(GenConfig(seed=2, n=8, p=3, m=2))
+    seen = set()
+    bound = bnb.upper_bound
+
+    def recorded(node, grids, *args, **kwargs):
+        seen.add(len(grids.references))
+        return bound(node, grids, *args, **kwargs)
+
+    monkeypatch.setattr(bnb, "upper_bound", recorded)
+    _, stats = solve(inst)
+    assert stats.nodes_explored > 1
+    assert seen == ({0} if one_d else {inst.p - 1})
 
 
 def test_planar_three_zones_eight_demand_zones_proves():
