@@ -595,8 +595,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with _validated("bench sizes"):
         for p, m, n in itertools.product(ps, ms, ns):
             GenConfig(n=n, p=p, m=m)
-    for p, m, n in itertools.product(ps, ms, ns):
-        _check_exact_size(n, p if args.one_d else m, args.one_d, "bench sizes")  # a line's zones have a scale each
+            _check_exact_size(n, p if args.one_d else m, args.one_d, "bench sizes")  # a line's zones have a scale each
     report = run_bench(
         ps=ps, ms=ms, ns=ns, seeds=args.seeds, one_d=args.one_d, config=config, oracle_budget=args.oracle_budget,
     )
