@@ -75,10 +75,11 @@ otherwise.  The bound (:func:`upper_bound`), the leaf test (:func:`is_leaf`)
 and the leaf placements (:func:`leaf_placements`) read only the sets, the
 scales and that axis.  The bound and the branching rule take the solve's
 state as one :class:`CandidateGrids`: its matrices, its Lagrangian bound,
-greedy's prefix states for the plane's residual-demand bound and its memos.  The covered
-reward of a greedy run's placements seeds the incumbent; a node is cut as
-soon as its optimistic bound cannot beat the incumbent by more than a
-relative :data:`RTOL` (Tolerances, below).
+the keys of greedy's prefixes for the residual-demand bound, and its memos,
+one of which holds every residual-demand state.  The covered reward of a
+greedy run's placements seeds the incumbent; a node is cut as soon as its
+optimistic bound cannot beat the incumbent by more than a relative
+:data:`RTOL` (Tolerances, below).
 
 Per-node work scans no candidate set or demand and maps no value to an
 index.  Each scale's reward matrix, and with it the grids it is tabulated
@@ -135,24 +136,27 @@ mixed:
   greedy's first zones serve the most demand, so ``f(A)`` is large and
   what any completion gains over it small.  Every zone is open there.
 
-A line node with no zone placed takes no residual-demand bound: there
-greedy's prefixes cut 2 of the 16,972 nodes of the ``line`` fingerprint
-set (``tools/fingerprint.py``) and none of ``line-p4``'s 75,698, while
-every line solve built ``p - 1`` prefix states and summed gains over each
-at every node above the first placement.
+A node on x with no zone placed, as a line node above the first
+placement, takes no residual-demand bound: there greedy's prefixes cut 2 of
+the 16,972 nodes of the ``line`` fingerprint set (``tools/fingerprint.py``)
+and none of ``line-p4``'s 75,698, for ``p - 1`` states per solve and a sum
+of gains over each at every such node.
 
-Each ``A`` is one :class:`~rectcover.reward.ResidualDemand`: greedy's
-prefixes are built once per solve (``CandidateGrids.references``) and the
-states of ``S`` are cached in ``CandidateGrids.residuals``, at most
-:data:`RESIDUAL_CACHE_SIZE`, least recently used dropped, so their memoised
-gains serve many nodes.  A state of ``S`` keyed ``(z, x, y)`` in sorted
-order extends the cached state of the key less its last zone, when there
-is one, by serving that zone over the parent's unserved rows
-(``ResidualDemand.extended``): the trimming loop serves zones by ascending
-scale, ties in order, so the rows the parent leaves are those the loop
-leaves before that zone, and the state is the one built from the demand,
-bit for bit.  Only a state without a cached parent is built from the
-demand.  An open zone's term (:func:`_gain_sum`) is its
+Each ``A`` is one :class:`~rectcover.reward.ResidualDemand`, named by a
+key (:data:`Key`): its zones ``(z, x, y)`` in the trimming loop's order, by
+ascending scale with ties in order (``S`` sorted, greedy's prefixes with
+ties in round order).  Every state lives in one cache,
+``CandidateGrids.residuals``, at most :data:`RESIDUAL_CACHE_SIZE`, least
+recently used dropped, so its memoised gains serve many nodes, and is built
+one way (``CandidateGrids.residual``): a missing state extends the longest
+cached prefix of its key, or the demand itself when none is cached, by
+serving the rest of the key over the prefix's unserved rows
+(``ResidualDemand.extended``).  The loop serves the key's zones in the
+key's order, so the rows a prefix leaves are those the loop leaves before
+the rest, and the state is the one built from the demand, bit for bit.
+``CandidateGrids.references`` holds greedy's prefixes as keys alone, so a
+solve whose bound never reads them, as a line solve, builds none of their
+states.  An open zone's term (:func:`_gain_sum`) is its
 gain's maximum over the positions its set may still reach:
 
 * a strict slice of the grid: its own values, because the search adds
@@ -305,6 +309,10 @@ CandidateSet = tuple[int, int, float | None]
 #: The candidate set of a zone whose scale is still open; it indexes no grid.
 _OPEN: CandidateSet = (0, 0, None)
 
+#: The key of a placement set's residual-demand state: each zone's ``(z, x,
+#: y)``, in the order the trimming loop serves them (:func:`_key`).
+Key = tuple[tuple[float, float, float], ...]
+
 #: Most residual states a solve keeps, least recently used dropped first.
 #: At planar p=3 m=2 n=8 (seed 9, 161k nodes) a solve builds 9.5k distinct
 #: states: keeping all of them raises its peak memory by about 35 MB,
@@ -445,23 +453,24 @@ class CandidateGrids:
     ``ys.values``; every candidate set of a scale-``z`` zone indexes them.
     ``lagrangian`` is the Lagrangian bound :func:`fit_lagrangian` fitted,
     None only on a bare ``CandidateGrids`` before the fit.  ``references``
-    holds one :class:`~rectcover.reward.ResidualDemand` per reference set
-    ``A`` of the residual-demand bound at y-phase nodes with nothing placed
-    (greedy's proper prefixes, built by :func:`solve` unless the root's
-    residual axis is x, as on the line, where no bound reads them).  ``splits``
-    tabulates :meth:`split`, whose parts :func:`priority_score` ranks, and
-    ``residuals`` caches one state per set ``S`` of placed zones, at most
-    :data:`RESIDUAL_CACHE_SIZE`, least recently used dropped; both live as
-    long as the solve.  :func:`upper_bound` reads ``matrices``,
-    ``lagrangian``, ``references`` and ``residuals``; the branching rules
-    read ``matrices`` and ``splits``.
+    holds the keys of the reference sets ``A`` of the residual-demand bound
+    at y-phase nodes with nothing placed: greedy's proper prefixes, each its
+    zones ``(z, x, y)`` in the trimming loop's order (:func:`solve`).
+    ``splits`` tabulates :meth:`split`, whose parts :func:`priority_score`
+    ranks, and ``residuals`` holds every
+    :class:`~rectcover.reward.ResidualDemand` state, of a set ``S`` of placed
+    zones or of a reference key, at most :data:`RESIDUAL_CACHE_SIZE`, least
+    recently used dropped (:meth:`residual`); both live as long as the
+    solve.  :func:`upper_bound` reads ``matrices``, ``lagrangian``,
+    ``references`` and ``residuals``; the branching rules read ``matrices``
+    and ``splits``.
     """
 
     matrices: Mapping[float, RewardMatrix]
     lagrangian: Lagrangian | None = None
     splits: dict[tuple, tuple[CandidateSet, ...]] = field(default_factory=dict, compare=False, repr=False)
     residuals: dict[tuple, ResidualDemand] = field(default_factory=dict, compare=False, repr=False)
-    references: tuple[ResidualDemand, ...] = ()
+    references: tuple[Key, ...] = ()
 
     @staticmethod
     def from_instance(instance: Instance) -> "CandidateGrids":
@@ -488,6 +497,35 @@ class CandidateGrids:
             parts.sort(key=lambda part: priority_score(m, axis, part[0], part[1]), reverse=True)
             out = self.splits[key] = tuple(parts)
         return out
+
+    def residual(self, key: Key, instance: Instance) -> ResidualDemand:
+        """The state of the placements ``key``, read from ``residuals`` and moved to its end.
+
+        A missing state extends the longest cached prefix of ``key`` by the
+        rest of it (``ResidualDemand.extended``); the empty prefix holds the
+        demand itself, built when it is missing.  The least recently used
+        state is dropped once :data:`RESIDUAL_CACHE_SIZE` are kept.
+        """
+        cache = self.residuals
+        state = cache.pop(key, None)
+        if state is None:
+            k = len(key)
+            while state is None and k > 0:
+                k -= 1
+                state = cache.get(key[:k])
+            if state is None:  # the demand itself
+                dzs, base = instance.planar
+                state = cache[()] = ResidualDemand(dzs, (), base, instance.eta)
+            state = state.extended(*[Placement(x, y, z) for z, x, y in key[k:]])
+            while len(cache) >= RESIDUAL_CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[key] = state
+        return state
+
+
+def _key(placements: Sequence[Placement]) -> Key:
+    """The :data:`Key` of ``placements``: by ascending scale, as the trimming loop serves them, ties in order."""
+    return tuple((q.z, q.x, q.y) for q in sorted(placements, key=lambda q: q.z))
 
 
 def _grid(m: RewardMatrix, axis: int) -> tuple[float, ...]:
@@ -728,16 +766,15 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
     when it is at or below ``cut`` or the node has no ``residual_axis``.
     Past that, a node with one (the plane's y phase, every line node), where
     every coordinate on the other axis is fixed, takes the residual-demand
-    bound (module docstring): the least, over a tuple of
-    :class:`~rectcover.reward.ResidualDemand` states of sets ``A``, of
-    ``f(A)`` plus each open zone's best gain over ``A`` (:func:`_gain_sum`),
-    stopping once it is at or below ``cut``.  With a zone placed on
-    that axis the tuple is the one state of the placed zones ``S``, from
-    the cache ``grids.residuals``, where a missing state extends its
-    parent's when that is cached; with none placed it is
-    ``grids.references`` on y, and on x (the line) or with no reference
-    state the bound is not taken.  With the default ``floor`` every leaf is
-    exact.
+    bound (module docstring): the least, over a tuple of keys of sets
+    ``A``, of ``f(A)`` plus each open zone's best gain over ``A``
+    (:func:`_gain_sum`), stopping once it is at or below ``cut``.  With a
+    zone placed on that axis the tuple is the one key of the placed zones
+    ``S``, sorted; with none placed it is ``grids.references`` on y, and on
+    x (a line node) or with no reference key the bound is not taken.  Every
+    key's :class:`~rectcover.reward.ResidualDemand` state is read through
+    the one lookup :meth:`CandidateGrids.residual`.  With the default
+    ``floor`` every leaf is exact.
     """
     matrices, lagrangian = grids.matrices, grids.lagrangian
     cut = floor * (1.0 + RTOL)
@@ -765,27 +802,13 @@ def upper_bound(node: Node, grids: CandidateGrids, instance: Instance, floor: fl
         else:
             opened.append((z, _value(sets[1 - axis], values[1 - axis]), values[axis], sets[axis]))
     if placed:  # A = S; greedy's prefixes would leave out the placed zones' gains over them
-        key = tuple(sorted(placed))
-        cache = grids.residuals
-        residual = cache.pop(key, None)
-        if residual is None:
-            parent = cache.get(key[:-1])
-            if parent is not None:  # key[-1] comes last in the trimming loop's order
-                z, x, y = key[-1]
-                residual = parent.extended(Placement(x, y, z))
-            else:
-                dzs, base = instance.planar
-                residual = ResidualDemand(dzs, [Placement(x, y, z) for z, x, y in key], base, instance.eta)
-            if len(cache) >= RESIDUAL_CACHE_SIZE:
-                del cache[next(iter(cache))]
-        cache[key] = residual
-        states = (residual,)
+        keys = (tuple(sorted(placed)),)
     elif axis == Axis.Y:
-        states = grids.references
+        keys = grids.references
     else:  # nothing placed on x, as on the line: greedy's prefixes cut almost nothing there
         return total
-    for state in states:
-        total = min(total, _gain_sum(state, opened, axis, total))
+    for key in keys:
+        total = min(total, _gain_sum(grids.residual(key, instance), opened, axis, total))
         if total <= cut:
             break
     return total
@@ -887,10 +910,9 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     reward and run time.  :func:`root_node` builds the root, and the
     Lagrangian bound is fitted at it (:func:`fit_lagrangian`;
     ``stats.fit_s``, and the root's bound in ``stats.root_bound``) and kept
-    in ``grids``, with the states of the greedy seed's proper prefixes, the
+    in ``grids``, with the keys of the greedy seed's proper prefixes, the
     reference sets of the residual-demand bound at y-phase nodes with
-    nothing placed; they are built only when the root's residual axis is
-    not x, which no line root has.
+    nothing placed; their states are built only when a bound reads them.
     Every popped node is bounded with ``upper_bound(node, grids, ...)``
     against ``lower``, the incumbent's reward, and is cut when the bound is
     at most ``lower * (1 + RTOL)``.  A
@@ -930,10 +952,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
 
     if lower < enough:
         top = root_node(instance, grids)
-        references = ()
-        if top.residual_axis != Axis.X:  # the bound reads greedy's proper prefixes in the y phase alone
-            prefixes = (seed.placements[:k] for k in range(1, instance.p))
-            references = tuple(ResidualDemand(dzs, a, base, instance.eta) for a in prefixes)
+        references = tuple(_key(seed.placements[:k]) for k in range(1, instance.p))  # greedy's proper prefixes
         fit_start = time.perf_counter()
         grids = replace(grids, lagrangian=fit_lagrangian(top, instance, grids.matrices, lower), references=references)
         stats.fit_s = time.perf_counter() - fit_start

@@ -6,7 +6,8 @@ boxes (``Instance.planar``), whose y grids hold the one value 0: each zone
 starts at its scale on its whole x grid, the zones of one scale form a
 class, and the next zone on x is chosen among the lowest-indexed unplaced
 zone of each class (``bnb`` module docstring).  Every y set is a singleton,
-so the residual-demand bound runs on x from the root on.
+so the residual-demand bound runs on x, once some zone is placed: a line node
+with nothing placed takes none.
 """
 
 from __future__ import annotations

@@ -257,11 +257,19 @@ def covered_reward(
 
     Placements are processed by ascending scale (ties by original order);
     each is paid for its overlap with the not-yet-served demand set, which is
-    then trimmed (:func:`serve_zone`, which drops the pieces of area 0).
+    then trimmed (:func:`serve_zone`, which drops the pieces of area 0),
+    until no demand is left.
     """
     if not placements or not dzs:
         return 0.0
-    return _serve(dzs, placements, base, eta)[0]
+    pdzs, pbase = planar_form(dzs, base)
+    rows: list[Sequence[float]] = [d.row for d in pdzs]
+    total = 0.0
+    for pl in sorted(placements, key=lambda q: q.z):  # stable: ties keep their order
+        total, rows = serve_zone(rows, _bounds(pl, pbase.w0, pbase.l0), eta.apply(pl.z), total)
+        if not rows:
+            break
+    return total
 
 
 def serve_zone(
@@ -314,24 +322,6 @@ def _bounds(pl: Placement, w0: float, l0: float) -> tuple[float, float, float, f
     return pl.x, pl.y, pl.x + w0 * pl.z, pl.y + l0 * pl.z
 
 
-def _serve(
-    dzs: Sequence[DemandZone],
-    placements: Sequence[Placement],
-    base: BaseServiceZone,
-    eta: Eta,
-    paid: list[tuple[float, ...]] | None = None,
-) -> tuple[float, list[Sequence[float]]]:
-    """:func:`serve_zone` for each placement by ascending scale: ``(reward, unserved rows)``."""
-    pdzs, pbase = planar_form(dzs, base)
-    rows: list[Sequence[float]] = [d.row for d in pdzs]
-    total = 0.0
-    for pl in sorted(placements, key=lambda q: q.z):  # stable: ties keep their order
-        total, rows = serve_zone(rows, _bounds(pl, pbase.w0, pbase.l0), eta.apply(pl.z), total, paid)
-        if not rows:
-            break
-    return total, rows
-
-
 class ResidualDemand:
     """The demand a set of placements ``S`` leaves, for marginal gains over ``S``.
 
@@ -341,10 +331,12 @@ class ResidualDemand:
     zone ``t`` gains ``max(0, v / eta(z) - paid)`` per unit of a piece it
     covers, because covered reward pays each point at its best rate.
 
-    The state keeps the trimming loop's unserved rows and paid pieces, so
-    :meth:`extended` serves one more placement over them alone; the state of
-    ``S`` plus one zone served last equals, bit for bit, the state built
-    from the demand.
+    The state keeps the trimming loop's unserved rows and paid pieces.  One
+    loop (``_serve``) serves placements over them: the constructor runs it
+    from the demand, over ``placements`` by ascending scale (ties in order),
+    and :meth:`extended` from where a state ends, so the state of ``S``
+    plus zones served last equals, bit for bit, the state built from the
+    demand.
 
     ``t``'s lower corner is at ``fixed`` on the axis other than ``axis`` and
     moves along ``axis``.  Its gain is then a sum over the pieces of a
@@ -368,44 +360,45 @@ class ResidualDemand:
         base: BaseServiceZone,
         eta: Eta,
     ) -> None:
-        paid: list[tuple[float, ...]] = []
-        served, unserved = _serve(dzs, placements, base, eta, paid)
-        pbase = planar_form((), base)[1]
-        self._keep(served, paid, unserved, (pbase.w0, pbase.l0), eta)
+        pdzs, pbase = planar_form(dzs, base)
+        self.served, self._paid_pieces, self._unserved = 0.0, [], [d.row for d in pdzs]
+        self._unit, self._eta = (pbase.w0, pbase.l0), eta  # the lifted base's extents
+        self._serve(sorted(placements, key=lambda q: q.z))  # stable: ties keep their order
 
-    def _keep(
-        self,
-        served: float,
-        paid: list[tuple[float, ...]],
-        unserved: list[Sequence[float]],
-        unit: tuple[float, float],
-        eta: Eta,
-    ) -> None:
-        """Hold the trimming loop's result and the piece columns the gains read."""
-        self.served, self._paid_pieces, self._unserved = served, paid, unserved
-        pieces = np.array(paid + [(*row, 0.0) for row in unserved], dtype=float).reshape(-1, 6)
+    def extended(self, *placements: Placement) -> "ResidualDemand":
+        """The state of ``S`` plus ``placements``, served in the order given after every zone of ``S``.
+
+        A new state starts where this one ends, with ``f(S)``, the paid
+        pieces and the unserved rows, and serves them in the constructor's
+        loop: the steps the trimming loop over ``S`` and then
+        ``placements`` takes, so the result equals the state built from the
+        demand when ``placements`` come last in the loop's order (ascending
+        scale, ties in order).  It sets the fields the constructor sets, in
+        its order; copying ``__dict__`` instead (as ``copy.copy`` does)
+        slows every later attribute read of the state.
+        """
+        state = object.__new__(ResidualDemand)
+        state.served, state._paid_pieces, state._unserved = self.served, self._paid_pieces, self._unserved
+        state._unit, state._eta = self._unit, self._eta
+        state._serve(placements)
+        return state
+
+    def _serve(self, placements: Sequence[Placement]) -> None:
+        """Serve ``placements`` in the order given (:func:`serve_zone`), then hold the piece columns the gains read.
+
+        The one serve loop of a state.  It copies the paid pieces before it
+        appends to them, so a state extended from another shares no list
+        that changes.
+        """
+        served, paid, rows = self.served, list(self._paid_pieces), self._unserved
+        for pl in placements:
+            served, rows = serve_zone(rows, _bounds(pl, *self._unit), self._eta.apply(pl.z), served, paid)
+        self.served, self._paid_pieces, self._unserved = served, paid, rows
+        pieces = np.array(paid + [row + (0.0,) for row in rows], dtype=float).reshape(-1, 6)
         x1, y1, w, l, self._v, self._paid = pieces.T
         self._lo, self._hi = (x1, y1), (x1 + w, y1 + l)
-        self._unit = unit  # the lifted base's extents
-        self._eta = eta
         self._best: dict[tuple[float, float, int], float] = {}
         self._columns: dict[tuple[float, float, int], np.ndarray] = {}
-
-    def extended(self, pl: Placement) -> "ResidualDemand":
-        """The state of ``S`` plus ``pl``, served after every zone of ``S``.
-
-        :func:`serve_zone` serves ``pl`` over the unserved rows alone, from
-        ``f(S)``, and its paid pieces follow those of ``S``: the steps the
-        trimming loop over ``S`` and then ``pl`` takes, so the result equals
-        the state built from the demand when ``pl`` comes last in the
-        loop's order (ascending scale, ties in order).
-        """
-        paid = list(self._paid_pieces)
-        zone = _bounds(pl, *self._unit)
-        served, unserved = serve_zone(self._unserved, zone, self._eta.apply(pl.z), self.served, paid)
-        state = ResidualDemand.__new__(ResidualDemand)
-        state._keep(served, paid, unserved, self._unit, self._eta)
-        return state
 
     def _terms(self, z: float, fixed: float, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """``(weights, lo, hi, ext)``: the kept pieces' weights and spans on ``axis``; ``t``'s extent on it.

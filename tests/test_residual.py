@@ -187,12 +187,19 @@ def test_an_extended_state_equals_the_state_built_from_the_demand(dzs, one_d, pl
     key = sorted(placed)
     start = 1 + start % len(key)
     grid = np.linspace(-15.0, 45.0, 61)
-    state = ResidualDemand(dzs, [Placement(x, y, s) for s, x, y in key[:start]], base, eta)
+    first = ResidualDemand(dzs, [Placement(x, y, s) for s, x, y in key[:start]], base, eta)
+    state = first
     for k in range(start, len(key)):
         s, x, y = key[k]
         state = state.extended(Placement(x, y, s))
         built = ResidualDemand(dzs, [Placement(x, y, s) for s, x, y in key[: k + 1]], base, eta)
         assert _state_bits(state, z, fixed, axis, grid) == _state_bits(built, z, fixed, axis, grid), key[: k + 1]
+    # the rest of the key served at once, and the whole key from the demand itself
+    built = ResidualDemand(dzs, [Placement(x, y, s) for s, x, y in key], base, eta)
+    demand = ResidualDemand(dzs, (), base, eta)
+    for head, rest in ((first, key[start:]), (demand, key)):
+        at_once = head.extended(*[Placement(x, y, s) for s, x, y in rest])
+        assert _state_bits(at_once, z, fixed, axis, grid) == _state_bits(built, z, fixed, axis, grid), (key, len(rest))
 
 
 def test_plane_columns_match_covered_reward_differences():
@@ -550,8 +557,9 @@ def _assert_reference_set_bounds(data, inst, grids, node, reference):
     a zone placed before it, where its gain over ``A`` has its kinks.
     ``bnb._gain_sum`` takes the open zones, as ``upper_bound`` passes them,
     and each settled zone ``t`` adds its gain ``f(A + t) - f(A)`` here, so
-    the inequality is checked for any ``A``.  ``upper_bound`` with the state
-    of ``A`` as its one reference state must stay above as well.
+    the inequality is checked for any ``A``.  ``upper_bound`` with the key
+    of ``A`` as its one reference key, whose state it builds, must stay
+    above as well.
     """
     axis = node.residual_axis
     on_x = axis == Axis.X
@@ -575,7 +583,8 @@ def _assert_reference_set_bounds(data, inst, grids, node, reference):
     settled_gains = sum(covered_reward(dzs, reference + [t], base, inst.eta) - served for t in settled)
     bound = _gain_sum(state, opened, axis) + settled_gains
     assert bound >= covered * (1 - 1e-12) - 1e-9, (node, reference, placements)
-    got = upper_bound(node, replace(grids, references=(state,)), inst)
+    # upper_bound with the key of A as its one reference key, its state built by the store
+    got = upper_bound(node, replace(grids, references=(bnb._key(reference),), residuals={}), inst)
     assert got >= covered * (1 - 1e-12) - 1e-9, (node, reference, placements)
 
 
@@ -627,12 +636,23 @@ def test_line_reference_bound_holds_for_any_reference_set(dzs, scales, path, dat
     _assert_reference_bound_holds(data, inst, grids, path, children, root_node(inst, grids))
 
 
+#: A reference key of no placement a search makes (no scale is 0), under
+#: which a probe state is seeded into the store.
+_PROBE = ((0.0, 0.0, 0.0),)
+
+
+def _probed(grids, inst):
+    """``grids`` reading the one reference key :data:`_PROBE`, whose state in a store of its own is the zero-demand state."""
+    zero = ResidualDemand((), (), inst.planar[1], inst.eta)
+    return replace(grids, references=(_PROBE,), residuals={_PROBE: zero})
+
+
 def test_bound_reads_reference_states_only_with_nothing_placed():
     # A y-phase node with one y settled is bounded over the state of S
-    # alone: a reference state that would lower any sum to 0 (no demand)
-    # leaves its bound as it is.  With no y settled and no reference state
-    # the bound is the smaller of the isolated sum and the Lagrangian bound,
-    # and the same zero state, now read, lowers it to 0.
+    # alone: a reference key whose stored state would lower any sum to 0
+    # (no demand) leaves its bound as it is.  With no y settled and no
+    # reference key the bound is the smaller of the isolated sum and the
+    # Lagrangian bound, and the same probe key, now read, lowers it to 0.
     cfg = SolverConfig()
     for seed in range(6):
         inst = generate(GenConfig(seed=seed, n=2, p=2, m=2, **TINY))
@@ -651,8 +671,7 @@ def test_bound_reads_reference_states_only_with_nothing_placed():
         if node.residual_axis == Axis.Y:
             first.setdefault(sum(map(_is_single, node.y_sets)), node)
         stack.extend(branch(node, inst, grids, cfg))
-    zero = ResidualDemand((), (), inst.planar[1], inst.eta)
-    unread, read = replace(grids, references=()), replace(grids, references=(zero,))
+    unread, read = replace(grids, references=()), _probed(grids, inst)
     one = first[1]
     assert upper_bound(one, read, inst) == upper_bound(one, unread, inst) > 0
     nothing = first[0]
@@ -663,9 +682,10 @@ def test_bound_reads_reference_states_only_with_nothing_placed():
 
 def test_line_bound_reads_no_reference_state():
     # A line node with nothing placed is bounded by the smaller of the
-    # isolated sum and the Lagrangian bound: a reference state that would
-    # lower any sum to 0 (no demand) leaves its bound as it is, as greedy's
-    # prefix states cut almost no line node.
+    # isolated sum and the Lagrangian bound: a reference key whose stored
+    # state would lower any sum to 0 (no demand) leaves its bound as it is,
+    # as greedy's prefix states cut almost no line node, and no state is
+    # read or built.
     cfg = SolverConfig()
     inst = small_1d(seed=0, n=5, p=3)
     grids = CandidateGrids.from_instance(inst)
@@ -674,33 +694,104 @@ def test_line_bound_reads_no_reference_state():
     nothing = [root] + branch(root, inst, grids, cfg)
     nothing = [node for node in nothing if not any(map(_is_single, node.x_sets))]
     assert len(nothing) > 1 and all(node.residual_axis == Axis.X for node in nothing)
-    zero = ResidualDemand((), (), inst.planar[1], inst.eta)
-    unread, read = replace(grids, references=()), replace(grids, references=(zero,))
+    unread, read = replace(grids, references=()), _probed(grids, inst)
+    store = dict(read.residuals)
     for node in nothing:
         isolated = upper_bound(node, unread, inst, floor=math.inf)
         assert upper_bound(node, read, inst) == upper_bound(node, unread, inst) > 0
         assert upper_bound(node, read, inst) == min(isolated, grids.lagrangian.bound(node))
+    assert read.residuals == store and not unread.residuals
+
+
+def _recorded_solve(inst, monkeypatch):
+    """Solve ``inst`` and record every state lookup: ``(references, the bounded node's placed key or None, key)``.
+
+    The placed key is that of the zones settled on the node's residual
+    axis, sorted as ``upper_bound`` sorts them, or None with none settled.
+    """
+    bound, lookup = bnb.upper_bound, CandidateGrids.residual
+    placed, reads = [], []
+
+    def recorded(node, grids, *args, **kwargs):
+        axis = node.residual_axis
+        settled = [] if axis is None else _settled(node, grids, axis)
+        placed.append(tuple(sorted((q.z, q.x, q.y) for q in settled)) or None)
+        return bound(node, grids, *args, **kwargs)
+
+    def looked_up(grids, key, instance):
+        reads.append((grids.references, placed[-1], key))
+        return lookup(grids, key, instance)
+
+    monkeypatch.setattr(bnb, "upper_bound", recorded)
+    monkeypatch.setattr(CandidateGrids, "residual", looked_up)
+    _, stats = solve(inst)
+    assert stats.nodes_explored > 1 and reads
+    return reads
+
+
+def _prefix_key(placements):
+    """The key of ``placements`` written out: each ``(z, x, y)``, by ascending scale with ties in round order."""
+    return tuple((q.z, q.x, q.y) for q in sorted(placements, key=lambda q: q.z))
 
 
 @pytest.mark.parametrize("one_d", [False, True])
 def test_solve_builds_reference_states_for_the_plane_alone(one_d, monkeypatch):
-    # every bound of a solve sees greedy's p - 1 proper prefixes in the plane
-    # and none on the line
+    # every bound of a solve holds greedy's p - 1 proper prefixes as keys, in
+    # the plane and on the line; their states are read, and so built, at
+    # nodes with nothing placed in the plane, and never on the line
     if one_d:
         inst = generate_1d(GenConfig(seed=0, n=12, p=3, dimension=Dimension.ONE_D))
     else:
         inst = generate(GenConfig(seed=2, n=8, p=3, m=2))
-    seen = set()
-    bound = bnb.upper_bound
+    seed = greedy(inst).solution.placements
+    prefixes = tuple(_prefix_key(seed[:k]) for k in range(1, inst.p))
+    reads = _recorded_solve(inst, monkeypatch)
+    assert {references for references, _, _ in reads} == {prefixes}
+    unplaced = {key for _, placed, key in reads if placed is None}
+    assert unplaced == (set() if one_d else set(prefixes))
 
-    def recorded(node, grids, *args, **kwargs):
-        seen.add(len(grids.references))
-        return bound(node, grids, *args, **kwargs)
 
-    monkeypatch.setattr(bnb, "upper_bound", recorded)
-    _, stats = solve(inst)
-    assert stats.nodes_explored > 1
-    assert seen == ({0} if one_d else {inst.p - 1})
+def test_a_line_solve_builds_no_state_for_a_reference_key(monkeypatch):
+    # every state a line solve reads is that of the bounded node's placed
+    # zones, so none is built for one of greedy's prefixes, which the
+    # solve still holds as keys
+    for seed in range(3):
+        inst = generate_1d(GenConfig(seed=seed, n=12, p=3, dimension=Dimension.ONE_D))
+        reads = _recorded_solve(inst, monkeypatch)
+        assert all(len(references) == inst.p - 1 for references, _, _ in reads)
+        assert all(key == placed for _, placed, key in reads), seed
+        monkeypatch.undo()
+
+
+def test_plane_reference_states_are_greedys_prefixes_bit_for_bit(monkeypatch):
+    # planar p=3 m=2 n=8 seed 2: greedy's first two zones share scale 1 and
+    # the second lies left of the first, so round order is not sorted
+    # order.  Each reference key is greedy's prefix in the trimming loop's
+    # order, and the state the store holds under it equals, bit for bit,
+    # the state built from the demand over that prefix in round order.
+    inst = generate(GenConfig(seed=2, n=8, p=3, m=2))
+    seed = greedy(inst).solution.placements
+    assert seed[0].z == seed[1].z and seed[1].x < seed[0].x
+    dzs, base = inst.planar
+    lookup = CandidateGrids.residual
+    states = {}
+
+    def looked_up(grids, key, instance):
+        state = lookup(grids, key, instance)
+        if key in grids.references:
+            states.setdefault(key, state)
+        return state
+
+    monkeypatch.setattr(CandidateGrids, "residual", looked_up)
+    solve(inst)
+    keys = [tuple((q.z, q.x, q.y) for q in seed[:1]), ((seed[0].z, seed[0].x, seed[0].y), (seed[1].z, seed[1].x, seed[1].y))]
+    assert list(states) == keys
+    matrices = CandidateGrids.from_instance(inst).matrices  # a column is memoised over its scale's own grid
+    for k, key in enumerate(keys, start=1):
+        built = ResidualDemand(dzs, seed[:k], base, inst.eta)
+        for z, fixed, axis in [(1.0, seed[2].x, Axis.Y), (inst.scale_values()[-1], 500.0, Axis.X)]:
+            grid = (matrices[z].xs.values, matrices[z].ys.values)[axis]
+            assert _state_bits(states[key], z, fixed, axis, grid) == _state_bits(built, z, fixed, axis, grid), key
 
 
 def test_planar_three_zones_eight_demand_zones_proves():
@@ -727,18 +818,19 @@ def test_residual_cache_cap_changes_no_search(one_d, monkeypatch):
     # step cut at wide gaps, 260 when the line had a tree of its own): with
     # room for 2 states the cache drops and rebuilds states, and the search
     # is the same as with room for 1024 (the line search now rebuilds none
-    # with room for 4)
+    # with room for 4).  Every state the store builds is an extension.
     if one_d:
         inst, run = generate_1d(GenConfig(seed=0, n=12, p=3, dimension=Dimension.ONE_D)), solve_1d
     else:
         inst, run = generate(GenConfig(seed=2, n=8, p=3, m=2)), solve
     built = []
+    extended = ResidualDemand.extended
 
-    def counted(*args):
+    def counted(state, *placements):
         built.append(1)
-        return ResidualDemand(*args)
+        return extended(state, *placements)
 
-    monkeypatch.setattr(bnb, "ResidualDemand", counted)
+    monkeypatch.setattr(ResidualDemand, "extended", counted)
 
     def outcome():
         built.clear()

@@ -7,6 +7,7 @@ The search, tile-bounded on large grids and tabulated whole on small ones
 (``FULL_CELLS``), must return the same ``(reward, x, y, z)`` bit for bit.
 """
 
+import functools
 import random
 import tracemalloc
 
@@ -77,6 +78,19 @@ menus = st.sampled_from([(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0), (1.5, 2.5)])
 # search; hypothesis takes no function-scoped fixture, so the bodies patch
 # FULL_CELLS in a MonkeyPatch context of their own.
 both_paths = pytest.mark.parametrize("full_cells", [FULL_CELLS, 0], ids=["whole", "tiled"])
+
+
+def on_both_paths(test):
+    """Run a fixed-instance test on the whole tables and then, with FULL_CELLS 0, on the tiled search, under one test id."""
+
+    @functools.wraps(test)
+    def run():
+        for full_cells in (FULL_CELLS, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reward_mod, "FULL_CELLS", full_cells)
+                test()
+
+    return run
 
 
 @both_paths
@@ -297,6 +311,7 @@ def test_grids_either_side_of_full_cells(seed, monkeypatch):
 # ------------------------------------------------------------------ built ties
 
 
+@on_both_paths
 def test_plateau_of_duplicated_zones_takes_the_first_cell():
     # One wide zone listed three times plus scattered small ones: the zone
     # fits flush at many grid positions across several tiles, all with the
@@ -311,6 +326,7 @@ def test_plateau_of_duplicated_zones_takes_the_first_cell():
     assert_same(dzs, QosSet((1.0, 2.0)), base)
 
 
+@on_both_paths
 def test_plateau_of_identical_zones_across_tiles():
     # 8x8 disjoint 6x6 squares and a 4x4 zone: it pays 16 flush anywhere in
     # any square, at 256 cells spread over four tiles; smallest x, then y, wins
@@ -324,6 +340,7 @@ def test_plateau_of_identical_zones_across_tiles():
     assert_same(list(reversed(dzs)), QosSet((1.0,)), base)
 
 
+@on_both_paths
 def test_equal_best_reward_on_two_scales_keeps_the_smaller():
     # A 4x2 strip at rate 1 and a 2x2 base: scale 1 fills half the strip and
     # pays 4; scale 2 covers the whole strip at rate 1/2 and pays 4 as well.
@@ -340,6 +357,7 @@ def test_equal_best_reward_on_two_scales_keeps_the_smaller():
     assert_same(dzs, QosSet((2.0, 3.0)), base)
 
 
+@on_both_paths
 def test_single_tile_grid():
     dzs = [DemandZone(Rect(0.0, 0.0, 5.0, 5.0), 1.0), DemandZone(Rect(3.0, 2.0, 4.0, 1.0), 2.0)]
     base = BaseServiceZone(2.0, 2.0)
@@ -354,6 +372,7 @@ def test_empty_demand():
         assert_same((), QosSet((1.5, 2.0)), base)
 
 
+@on_both_paths
 def test_zero_width_and_zero_height_zones():
     square = DemandZone(Rect(0.0, 0.0, 4.0, 4.0), 1.0)
     flat = DemandZone(Rect(1.0, 3.0, 2.0, 0.0), 5.0)
@@ -391,6 +410,7 @@ def test_overlaps_are_zero_when_extent_is_lost_in_rounding():
     assert not _overlaps(grid, 1e-8, lo, hi).any()  # g + ext == g: every overlap is zero
 
 
+@on_both_paths
 def test_lifted_line_demand_is_read_as_planar_form():
     seg = (DemandZone(Rect(3.0, 0.0, 5.0, 0.0), 2.0),)
     base = BaseServiceZone(2.0, 0.0)

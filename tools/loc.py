@@ -1,9 +1,14 @@
 """Count code lines in a package: non-blank lines that are neither comments nor docstrings.
 
-Usage: ``python tools/loc.py [DIR]`` (default ``src``).  Prints one line per
-module, then the total.  A line counts when ``tokenize`` finds a token on it
-other than a comment or layout, and no docstring (the leading string
-statement of a module, class or function, found with ``ast``) spans it.
+Usage::
+
+    python tools/loc.py [DIR]      # one line per module under DIR (default src), then the total
+    python tools/loc.py BASE HEAD  # per module: its lines under BASE, under HEAD and the change
+
+A line counts when ``tokenize`` finds a token on it other than a comment or
+layout, and no docstring (the leading string statement of a module, class
+or function, found with ``ast``) spans it.  With two directories a module
+found under only one of them counts 0 lines under the other.
 """
 
 from __future__ import annotations
@@ -38,14 +43,24 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def counts(root: Path) -> dict[str, int]:
+    """Code lines of every module under ``root``, keyed by its path relative to ``root``."""
+    return {str(path.relative_to(root)): code_lines(path) for path in sorted(root.rglob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src")
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+    if len(argv) == 2:
+        base, head = counts(Path(argv[0])), counts(Path(argv[1]))
+        rows = [(base.get(name, 0), head.get(name, 0), name) for name in sorted(base.keys() | head.keys())]
+        rows.append((sum(base.values()), sum(head.values()), "total"))
+        print(f"{'base':>6}  {'head':>6}  {'change':>6}")
+        for b, h, name in rows:
+            print(f"{b:6d}  {h:6d}  {h - b:+6d}  {name}")
+        return 0
+    lines = counts(Path(argv[0] if argv else "src"))
+    for name, count in lines.items():
+        print(f"{count:6d}  {name}")
+    print(f"{sum(lines.values()):6d}  total")
     return 0
 
 
