@@ -7,7 +7,8 @@ instance plus an optional solution).
 
 Exit codes: 0 on success (exact results are proven optimal), 2 when the time
 limit stopped the exact solver with a feasible-but-unproven solution, 1 on
-any error.
+any error.  ``bench`` exits 1 when a row failed and 0 otherwise: a row the
+time limit stopped reads ``optimal`` False in its report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -285,84 +285,47 @@ def dump_solution(solution: Solution, stats: SolverStats, path: str | Path) -> N
 # ---------------------------------------------------------------------------
 # bench
 
+#: The columns of ``bench``'s CSV and table, in order: :func:`run_bench`'s records are keyed by them.
+BENCH_COLUMNS = (
+    "n", "p", "m", "seed", "nodes", "T", "T1", "T1_over_T", "T_H", "alpha",
+    "optimal", "upper_bound", "gap", "root_bound", "fit_s",
+)
 
-@dataclass(frozen=True)
-class BenchRow:
-    """One instance of a sweep: its key, the exact solve's ``stats`` and greedy's ``alpha``.
 
-    A row whose solve raised keeps the message in ``error`` and no ``stats``
-    or ``alpha``.
+def _bench_record(n: int, p: int, m: int | None, seed: int, stats: SolverStats | None) -> dict[str, Any]:
+    """The CSV record of one instance of a sweep: its key, then its exact solve's ``stats``.
+
+    ``nodes``, ``T`` (``wall_time``), ``T1`` (``optimal_found_time``) and
+    ``T_H`` (``greedy_time``) are read from the stats, and so is ``alpha =
+    greedy / exact``, the greedy seed's claimed reward over the optimum,
+    which a proven solve reports as its ``upper_bound``.  ``upper_bound``
+    and ``gap`` are the exact solve's certified bound and relative gap,
+    written in full precision: a proven row has gap 0, a timed-out one a
+    positive gap.  ``root_bound`` is the root's certified bound after the
+    Lagrangian fit and ``fit_s`` the fit's time (``-`` when the greedy seed
+    already earns all the demand).  A failed row (``stats`` None) has
+    ``optimal`` False and ``-`` in every other column but its key.
     """
-
-    n: int
-    p: int
-    m: int | None
-    seed: int
-    stats: SolverStats | None = None
-    alpha: float | None = None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Rows of a sweep; the CSV names each row's instance and says how far it is from proven.
-
-    Each record is read from the row's ``SolverStats``: ``nodes``, ``T``
-    (``wall_time``), ``T1`` (``optimal_found_time``) and ``T_H``
-    (``greedy_time``).  ``upper_bound`` and ``gap`` are the exact solve's
-    certified bound and relative gap, written in full precision: a proven
-    row has gap 0, a timed-out one a positive gap.  ``root_bound`` is the
-    root's certified bound after the Lagrangian fit and ``fit_s`` the fit's
-    time (``-`` when the greedy seed already earns all the demand).  A
-    failed row has ``optimal`` False and ``-`` in every other column but
-    its key.
-    """
-
-    rows: tuple[BenchRow, ...]
-
-    COLUMNS = (
-        "n", "p", "m", "seed", "nodes", "T", "T1", "T1_over_T", "T_H", "alpha",
-        "optimal", "upper_bound", "gap", "root_bound", "fit_s",
-    )
-
-    def csv_rows(self) -> list[dict[str, Any]]:
-        out = []
-        for row in self.rows:
-            rec = dict.fromkeys(self.COLUMNS, "-")
-            st = row.stats
-            rec.update({"n": row.n, "p": row.p, "seed": row.seed, "optimal": st is not None and st.optimal})
-            if row.m is not None:
-                rec["m"] = row.m
-            if st is not None:
-                rec.update({
-                    "nodes": st.nodes_explored,
-                    "T": f"{st.wall_time:.6f}",
-                    "T1": f"{st.optimal_found_time:.6f}",
-                    "T1_over_T": f"{st.optimal_found_time / st.wall_time:.6f}" if st.wall_time else "-",
-                    "T_H": f"{st.greedy_time:.6f}",
-                    "alpha": f"{row.alpha:.6f}" if st.optimal else "-",
-                    "upper_bound": st.upper_bound if st.upper_bound is not None else "-",
-                    "gap": st.gap if st.gap is not None else "-",
-                    "root_bound": st.root_bound if st.root_bound is not None else "-",
-                    "fit_s": f"{st.fit_s:.6f}" if st.root_bound is not None else "-",
-                })
-            out.append(rec)
-        return out
-
-    def write_csv(self, path: str | Path) -> None:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=self.COLUMNS)
-        writer.writeheader()
-        writer.writerows(self.csv_rows())
-        _write_text(path, "CSV", buf.getvalue())
-
-    def human_table(self) -> str:
-        """The CSV records right-aligned under their column names and a rule."""
-        cells = [self.COLUMNS] + [tuple(str(rec[c]) for c in self.COLUMNS) for rec in self.csv_rows()]
-        widths = [max(len(row[k]) for row in cells) for k in range(len(self.COLUMNS))]
-        lines = [" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
-        lines.insert(1, "-" * len(lines[0]))
-        return "\n".join(lines)
+    rec = dict.fromkeys(BENCH_COLUMNS, "-")
+    rec.update({"n": n, "p": p, "seed": seed, "optimal": stats is not None and stats.optimal})
+    if m is not None:
+        rec["m"] = m
+    if stats is not None:
+        bound = stats.upper_bound
+        alpha = min(stats.greedy_reward / bound, 1.0) if bound > 0 else 1.0
+        rec.update({
+            "nodes": stats.nodes_explored,
+            "T": f"{stats.wall_time:.6f}",
+            "T1": f"{stats.optimal_found_time:.6f}",
+            "T1_over_T": f"{stats.optimal_found_time / stats.wall_time:.6f}" if stats.wall_time else "-",
+            "T_H": f"{stats.greedy_time:.6f}",
+            "alpha": f"{alpha:.6f}" if stats.optimal else "-",
+            "upper_bound": bound,
+            "gap": stats.gap,
+            "root_bound": stats.root_bound if stats.root_bound is not None else "-",
+            "fit_s": f"{stats.fit_s:.6f}" if stats.root_bound is not None else "-",
+        })
+    return rec
 
 
 def _generate(one_d: bool, **kwargs: Any) -> Instance:
@@ -391,34 +354,35 @@ def run_bench(
     config: SolverConfig | None = None,
     gen_overrides: dict[str, Any] | None = None,
     oracle_budget: int = 0,
-) -> BenchReport:
-    """Seeded sweep over ``ps x ms x ns x seeds``.
+) -> tuple[list[dict[str, Any]], int]:
+    """Seeded sweep over ``ps x ms x ns x seeds``: its CSV records, one per instance, and how many rows failed.
 
     Per instance: exact solver (``nodes``, ``T``, ``T1``), the run time of
     its greedy seed (``T_H``), and the quality ratio ``alpha = greedy /
     exact`` of the seed's claimed reward, so greedy runs once per instance
-    (``SolverStats.greedy_time``, ``greedy_reward``).  When ``oracle_budget``
-    is positive, instances whose estimated enumeration fits the budget are
-    additionally cross-checked against the brute-force reference.  Failures
-    are captured as marked rows rather than aborting the sweep.
+    (``SolverStats.greedy_time``, ``greedy_reward``; :func:`_bench_record`).
+    When ``oracle_budget`` is positive, instances whose estimated
+    enumeration fits the budget are additionally cross-checked against the
+    brute-force reference.  A row whose solve or cross-check raises is
+    marked failed, with its message on stderr, rather than aborting the
+    sweep.
     """
     config = config or SolverConfig()
     overrides = gen_overrides or {}
-    rows: list[BenchRow] = []
+    records, failed = [], 0
     for p, m, n, seed in itertools.product(ps, [None] if one_d else ms, ns, range(seeds)):
         sizes = {} if one_d else {"m": m}
         instance = _generate(one_d, seed=seed, n=n, p=p, **sizes, **overrides)
         try:
             # the solver's greedy seed gives T_H and alpha
             solution, stats = solve(instance, config)
-            alpha = min(stats.greedy_reward / solution.reward, 1.0) if solution.reward > 0 else 1.0
             if oracle_budget > 0 and stats.optimal:
                 _cross_check(instance, solution.reward, oracle_budget)
-            rows.append(BenchRow(n, p, m, seed, stats, alpha))
         except Exception as exc:  # noqa: BLE001 - keep the sweep alive
             print(f"bench: n={n} p={p} m={m} seed={seed} failed: {exc}", file=sys.stderr)
-            rows.append(BenchRow(n=n, p=p, m=m, seed=seed, error=str(exc)))
-    return BenchReport(tuple(rows))
+            stats, failed = None, failed + 1
+        records.append(_bench_record(n, p, m, seed, stats))
+    return records, failed
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +560,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for p, m, n in itertools.product(ps, ms, ns):
             GenConfig(n=n, p=p, m=m)
             _check_exact_size(n, p if args.one_d else m, args.one_d, "bench sizes")  # a line's zones have a scale each
-    report = run_bench(
+    records, failed = run_bench(
         ps=ps, ms=ms, ns=ns, seeds=args.seeds, one_d=args.one_d, config=config, oracle_budget=args.oracle_budget,
     )
-    print(report.human_table())  # before the write, so a failed write keeps the solved rows
-    report.write_csv(args.out)
+    # the records right-aligned under their column names and a rule, printed
+    # before the write, so a failed write keeps the solved rows
+    cells = [BENCH_COLUMNS] + [tuple(str(rec[c]) for c in BENCH_COLUMNS) for rec in records]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = [" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
+    print("\n".join(lines[:1] + ["-" * len(lines[0])] + lines[1:]))
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
+    writer.writeheader()
+    writer.writerows(records)
+    _write_text(args.out, "CSV", buf.getvalue())
     print(f"\nwrote {args.out}")
-    return 0 if all(r.error is None for r in report.rows) else 1
+    return 1 if failed else 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:

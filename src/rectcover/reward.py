@@ -346,7 +346,8 @@ class ResidualDemand:
     are dropped.  The search reads only open candidate sets, so a gain is
     wanted only as a maximum: over every real position (:meth:`best_gain`)
     or over a slice of a grid (:meth:`gain_column`), each memoised per
-    ``(z, fixed, axis)``.
+    ``(z, fixed, axis)``.  The two share that key's terms, computed once
+    (:meth:`_key_terms`).
 
     The pieces' lower and upper edges, ``_lo`` and ``_hi``, and the lifted
     base's extents, ``_unit``, are ``(x, y)`` pairs, so each axis reads its
@@ -397,6 +398,7 @@ class ResidualDemand:
         pieces = np.array(paid + [row + (0.0,) for row in rows], dtype=float).reshape(-1, 6)
         x1, y1, w, l, self._v, self._paid = pieces.T
         self._lo, self._hi = (x1, y1), (x1 + w, y1 + l)
+        self._terms_of: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
         self._best: dict[tuple[float, float, int], float] = {}
         self._columns: dict[tuple[float, float, int], np.ndarray] = {}
 
@@ -412,6 +414,13 @@ class ResidualDemand:
         keep = weights > 0.0
         return weights[keep], lo[axis][keep], hi[axis][keep], unit[axis] * z
 
+    def _key_terms(self, key: tuple[float, float, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """:meth:`_terms` of ``key``, computed at its first read."""
+        terms = self._terms_of.get(key)
+        if terms is None:
+            terms = self._terms_of[key] = self._terms(*key)
+        return terms
+
     def best_gain(self, z: float, fixed: float, axis: int) -> float:
         """The largest gain ``f(S + t) - f(S)`` over every real position of ``t``.
 
@@ -425,7 +434,7 @@ class ResidualDemand:
         key = (z, fixed, axis)
         best = self._best.get(key)
         if best is None:
-            weights, lo, hi, ext = self._terms(*key)
+            weights, lo, hi, ext = self._key_terms(key)
             flush = np.concatenate((lo, hi - ext))
             best = self._best[key] = float((weights @ _overlaps(flush, ext, lo, hi)).max(initial=0.0))
         return best
@@ -435,7 +444,7 @@ class ResidualDemand:
         key = (z, fixed, axis)
         column = self._columns.get(key)
         if column is None:
-            weights, lo, hi, ext = self._terms(*key)
+            weights, lo, hi, ext = self._key_terms(key)
             column = self._columns[key] = weights @ _overlaps(grid, ext, lo, hi)
         return column
 

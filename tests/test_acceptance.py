@@ -8,7 +8,6 @@ formats are exercised end to end.  Tests run in file order: the final check
 re-validates every instance and solution produced by the earlier ones.
 """
 
-import csv
 import json
 import math
 import random
@@ -39,7 +38,7 @@ from rectcover.bnb import (
     upper_bound,
 )
 from rectcover.cli import (
-    BenchReport,
+    BENCH_COLUMNS,
     instance_from_dict,
     instance_to_dict,
     run_bench,
@@ -339,29 +338,28 @@ def test_08_upper_bound_dominates_every_leaf():
             f"10 full trees ({total} nodes), worst slack {worst:.3g}")
 
 
-def test_09_bench_sweep(tmp_path):
-    report = run_bench(ps=[2], ms=[2, 3], ns=[10, 50], seeds=3)
-    assert len(report.rows) == 12
+def test_09_bench_sweep():
+    records, failed = run_bench(ps=[2], ms=[2, 3], ns=[10, 50], seeds=3)
+    assert len(records) == 12 and failed == 0
     lo = 1.0 - 1.0 / math.e
-    for row in report.rows:
-        assert row.error is None, f"row n={row.n} m={row.m} seed={row.seed}: {row.error}"
-        assert row.stats.optimal
-        assert row.alpha >= lo - 1e-12
-        assert row.stats.optimal_found_time <= row.stats.wall_time + 1e-9
-    out = tmp_path / "bench.csv"
-    report.write_csv(out)
-    with open(out, newline="") as fh:
-        header = tuple(next(csv.reader(fh)))
-    assert header == BenchReport.COLUMNS
-    # the sweep's instances join the re-validation pool (same seeded draws)
-    for p in (2,):
-        for m in (2, 3):
-            for n in (10, 50):
-                for seed in range(3):
-                    inst = generate(GenConfig(seed=seed, n=n, p=p, m=m))
-                    trace = greedy(inst)
-                    _REGISTRY.append((inst, [(trace.solution, _stats(0, False))]))
-    alphas = sorted(row.alpha for row in report.rows)
+    alphas = []
+    for rec in records:
+        assert tuple(rec) == BENCH_COLUMNS
+        assert rec["optimal"] is True, f"row n={rec['n']} m={rec['m']} seed={rec['seed']} not proven"
+        assert float(rec["T1"]) <= float(rec["T"]) + 1e-9
+        # the sweep's instances join the re-validation pool (same seeded draws)
+        inst = generate(GenConfig(seed=rec["seed"], n=rec["n"], p=rec["p"], m=rec["m"]))
+        trace = greedy(inst)
+        _REGISTRY.append((inst, [(trace.solution, _stats(0, False))]))
+        # alpha is greedy's claimed reward over the proven optimum
+        alpha = min(trace.solution.reward / rec["upper_bound"], 1.0)
+        assert rec["alpha"] == f"{alpha:.6f}"
+        assert alpha >= lo - 1e-12
+        alphas.append(alpha)
+    assert [(rec["m"], rec["n"], rec["seed"]) for rec in records] == [
+        (m, n, seed) for m in (2, 3) for n in (10, 50) for seed in range(3)
+    ]
+    alphas.sort()
     _report(9, "bench sweep", True,
             f"12/12 rows optimal, alpha range {alphas[0]:.4f}..{alphas[-1]:.4f}")
 

@@ -33,7 +33,7 @@ from rectcover.bnb1d import solve_1d
 from rectcover.cli import (
     MAX_EXACT_DEMAND,
     MAX_ZONES,
-    BenchReport,
+    BENCH_COLUMNS,
     CliError,
     _cross_check,
     _solver_config,
@@ -435,36 +435,31 @@ def test_solve_refuses_demand_that_vanishes_in_floating_point(tmp_path, capsys, 
 
 # ------------------------------------------------------------------- bench
 
-def test_run_bench_rows_and_columns(tmp_path):
-    report = run_bench(
+def test_run_bench_rows_and_columns():
+    records, failed = run_bench(
         ps=[2], ms=[1], ns=[3, 4], seeds=2, one_d=True,
         gen_overrides=dict(region=100.0, r=27.0, dim_range=(1.0, 10.0),
                            base_dims=(10.0, 8.0)),
     )
-    assert len(report.rows) == 4  # 2 sizes x 2 seeds
-    assert all(r.error is None and r.stats.optimal for r in report.rows)
-    for r in report.rows:
-        assert 0.0 < r.alpha <= 1.0
-        assert r.stats.optimal_found_time <= r.stats.wall_time + 1e-9
-    csv_path = tmp_path / "bench.csv"
-    report.write_csv(csv_path)
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == BenchReport.COLUMNS
-    assert len(rows) == 1 + 4
-    table = report.human_table().splitlines()
-    assert [line.split() for line in table[2:]] == rows[1:]
+    assert len(records) == 4 and failed == 0  # 2 sizes x 2 seeds
+    assert [(rec["n"], rec["seed"]) for rec in records] == [(3, 0), (3, 1), (4, 0), (4, 1)]
+    for rec in records:
+        assert tuple(rec) == BENCH_COLUMNS
+        assert rec["optimal"] is True
+        assert 0.0 < float(rec["alpha"]) <= 1.0
+        assert float(rec["T1"]) <= float(rec["T"]) + 1e-9
 
 
-def test_human_table_prints_the_csv_records():
-    report = run_bench(ps=[2], ms=[1], ns=[3], seeds=2, one_d=True, gen_overrides=LINE_SWEEP)
-    lines = report.human_table().splitlines()
-    assert tuple(lines[0].split()) == BenchReport.COLUMNS
+def test_human_table_prints_the_csv_records(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--one-d", "--p", "2", "--n", "3", "--seeds", "2", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with open(out, newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert tuple(header) == tuple(lines[0].split()) == BENCH_COLUMNS
     assert set(lines[1]) == {"-"}
-    records = report.csv_rows()
-    assert len(lines) == 2 + len(records)
-    for line, rec in zip(lines[2:], records):
-        assert line.split() == [str(rec[c]) for c in BenchReport.COLUMNS]
+    assert [line.split() for line in lines[2 : 2 + len(records)]] == records
+    assert len(records) == 2 and lines[2 + len(records) :] == ["", f"wrote {out}"]
     # right-aligned: every column ends where its header ends
     assert len({len(line) for line in lines[: 2 + len(records)]}) == 1
 
@@ -483,28 +478,29 @@ def test_run_bench_runs_greedy_once_per_row(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, key, counted)
-    plane = run_bench(ps=[2], ms=[1, 2], ns=[3], seeds=2, gen_overrides=LINE_SWEEP)
-    line = run_bench(ps=[2, 3], ms=[1], ns=[4], seeds=2, one_d=True, gen_overrides=LINE_SWEEP)
-    rows = plane.rows + line.rows
-    assert len(rows) == 8 and all(r.error is None and r.stats.optimal for r in rows)
-    assert len(calls) == len(rows)
+    plane, plane_failed = run_bench(ps=[2], ms=[1, 2], ns=[3], seeds=2, gen_overrides=LINE_SWEEP)
+    line, line_failed = run_bench(ps=[2, 3], ms=[1], ns=[4], seeds=2, one_d=True, gen_overrides=LINE_SWEEP)
+    records = plane + line
+    assert len(records) == 8 and plane_failed == line_failed == 0
+    assert all(rec["optimal"] is True for rec in records)
+    assert len(calls) == len(records)
     monkeypatch.undo()
     # alpha is still greedy's claimed reward over the optimum
-    for r in plane.rows:
-        inst = generate(GenConfig(seed=r.seed, n=r.n, p=r.p, m=r.m, **LINE_SWEEP))
+    for rec in plane:
+        inst = generate(GenConfig(seed=rec["seed"], n=rec["n"], p=rec["p"], m=rec["m"], **LINE_SWEEP))
         sol, _ = solve(inst)
-        assert r.alpha == min(real(inst).solution.reward / sol.reward, 1.0)
-        assert r.stats.greedy_time > 0
+        assert rec["alpha"] == f"{min(real(inst).solution.reward / sol.reward, 1.0):.6f}"
+        assert float(rec["T_H"]) > 0
 
 
 def test_run_bench_oracle_cross_check():
-    report = run_bench(
+    records, failed = run_bench(
         ps=[2], ms=[1], ns=[3], seeds=2, one_d=True,
         gen_overrides=dict(region=100.0, r=27.0, dim_range=(1.0, 10.0),
                            base_dims=(10.0, 8.0)),
         oracle_budget=10**7,
     )
-    assert all(r.error is None for r in report.rows)
+    assert failed == 0 and [rec["optimal"] for rec in records] == [True, True]
 
 
 def test_bench_oracle_mismatch_fails_the_row(tmp_path, capsys, monkeypatch):
@@ -547,13 +543,44 @@ def test_bench_failure_becomes_marked_row(tmp_path, capsys, monkeypatch):
     assert rows[0]["alpha"] == "-"
     # the key names the instance; optimal is False and every other column is "-"
     key = {"n": "3", "p": "2", "m": "-", "seed": "0", "optimal": "False"}
-    assert rows == [{c: key.get(c, "-") for c in BenchReport.COLUMNS}]
+    assert rows == [{c: key.get(c, "-") for c in BENCH_COLUMNS}]
+
+
+def test_bench_exit_code_tells_a_time_out_from_a_failure(tmp_path, capsys, monkeypatch):
+    # a row stopped by the time limit is a result, so the sweep exits 0;
+    # a row whose solve raised fails the sweep, which exits 1
+    import rectcover.cli as cli_mod
+
+    out = tmp_path / "bench.csv"
+    sweep = ["bench", "--one-d", "--p", "3", "--n", "8", "--seeds", "2", "--time-limit", "0", "--out", str(out)]
+
+    def written():
+        with open(out, newline="") as fh:
+            return [(row["seed"], row["optimal"], row["gap"]) for row in csv.DictReader(fh)]
+
+    assert main(sweep) == 0
+    rows = written()
+    assert [seed for seed, _, _ in rows] == ["0", "1"]
+    assert all(optimal == "False" and float(gap) > 0 for _, optimal, gap in rows)
+    real, calls = cli_mod.solve, []
+
+    def second_fails(instance, config):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure")
+        return real(instance, config)
+
+    monkeypatch.setattr(cli_mod, "solve", second_fails)
+    assert main(sweep) == 1
+    assert "seed=1 failed: injected failure" in capsys.readouterr().err
+    assert written() == [rows[0], ("1", "False", "-")]
 
 
 def test_bench_rows_of_a_seed_that_earns_all_demand():
     # five zones over three demand zones: the greedy seed earns all the
     # demand, so no node is explored and no root is bounded
-    rows = run_bench(ps=[5], ms=[2], ns=[3], seeds=3).csv_rows()
+    rows, failed = run_bench(ps=[5], ms=[2], ns=[3], seeds=3)
+    assert failed == 0
     assert [(r["n"], r["p"], r["m"], r["seed"]) for r in rows] == [(3, 5, 2, s) for s in range(3)]
     for r in rows:
         assert r["optimal"] is True
@@ -578,13 +605,12 @@ def test_bench_cli_end_to_end(tmp_path, capsys):
 LINE_SWEEP = dict(region=100.0, r=27.0, dim_range=(1.0, 10.0), base_dims=(10.0, 8.0))
 
 
-def bench_csv_rows(tmp_path, config):
-    report = run_bench(ps=[2], ms=[1], ns=[4], seeds=2, one_d=True, config=config,
-                       gen_overrides=LINE_SWEEP)
-    path = tmp_path / "bench.csv"
-    report.write_csv(path)
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+def bench_csv_rows(config):
+    # each record as the CSV writes it: every value by its str()
+    records, failed = run_bench(ps=[2], ms=[1], ns=[4], seeds=2, one_d=True, config=config,
+                                gen_overrides=LINE_SWEEP)
+    assert failed == 0
+    return [{c: str(rec[c]) for c in BENCH_COLUMNS} for rec in records]
 
 
 def sweep_reward(seed, config):
@@ -593,9 +619,9 @@ def sweep_reward(seed, config):
     return solve_1d(inst, config)[0].reward
 
 
-def test_bench_csv_reports_a_timed_out_search(tmp_path):
+def test_bench_csv_reports_a_timed_out_search():
     config = SolverConfig(time_limit_s=0)
-    rows = bench_csv_rows(tmp_path, config)
+    rows = bench_csv_rows(config)
     assert [row["seed"] for row in rows] == ["0", "1"]
     for row in rows:
         assert row["optimal"] == "False"
@@ -606,9 +632,9 @@ def test_bench_csv_reports_a_timed_out_search(tmp_path):
         assert float(row["fit_s"]) >= 0.0
 
 
-def test_bench_csv_reports_a_proven_search(tmp_path):
+def test_bench_csv_reports_a_proven_search():
     config = SolverConfig()
-    rows = bench_csv_rows(tmp_path, config)
+    rows = bench_csv_rows(config)
     assert [row["seed"] for row in rows] == ["0", "1"]
     for row in rows:
         assert row["optimal"] == "True"

@@ -1,6 +1,7 @@
 """The residual-demand bound: marginal gains, their maxima and soundness on search trees."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -869,3 +870,24 @@ def test_residual_cache_holds_at_most_its_cap(one_d, monkeypatch):
         if not is_leaf(node):
             stack.extend(children(node))
     assert len(seen) > 4
+
+
+def test_each_state_computes_a_keys_terms_once(monkeypatch):
+    # best_gain and gain_column share a (z, fixed, axis) key's terms: over
+    # line p=3 n=12 and planar p=2 m=2 n=30, seeds 0-9, no state computes
+    # them twice, as it did when a strict slice's gain_column followed the
+    # whole grid's best_gain
+    terms = ResidualDemand._terms
+    states, computed = [], Counter()
+
+    def counted(state, *key):
+        states.append(state)  # held, so no other state takes its id
+        computed[id(state), key] += 1
+        return terms(state, *key)
+
+    monkeypatch.setattr(ResidualDemand, "_terms", counted)
+    for seed in range(10):
+        solve(generate_1d(GenConfig(seed=seed, n=12, p=3, dimension=Dimension.ONE_D)))
+        solve(generate(GenConfig(seed=seed, n=30, p=2, m=2)))
+    assert len(computed) > 1000
+    assert sum(computed.values()) == len(computed)
