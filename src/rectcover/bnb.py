@@ -41,7 +41,7 @@ Completeness.  On each axis the candidate set holds an optimum in which some
 order of the zones puts each one on its own scale's grid or at an abutment
 of a zone placed before it (the oracle, ``oracle._axis_tuples``, enumerates
 every such order).  A zone whose abutment value lies on its own grid counts
-as on its grid: ``critical.abutment_values`` drops that pin, and the search
+as on its grid: ``critical.abutment_pins`` drops that pin, and the search
 reaches the value as a grid part.  Take such an optimum, and such an order
 on each axis in turn, x then y.  The zones on their grid depend on no other
 zone, so they can all move to the front, and every abutment still follows
@@ -89,8 +89,8 @@ product of the matrix's overlap tables (``reward.RewardMatrix``).  A
 candidate set is a triple ``(lo, hi, v)`` of positions in its zone's
 own-scale grid: the slice ``grid[lo:hi]`` when ``v`` is None (splitting only
 cuts slices), else the abutment position ``v``, on no grid, bounded by the
-block ``[lo, hi)`` (:func:`_pin`, computed once per child).  A zone's bound
-is its matrix's maximum over the block its two sets name, memoised by
+block ``[lo, hi)`` (``critical.abutment_pins``, once per child).  A zone's
+bound is its matrix's maximum over the block its two sets name, memoised by
 ``RewardMatrix.block_max`` because a solve asks for few distinct blocks many
 times; a child's rank (:func:`priority_score`) is the same memoised maximum
 over its range on one axis and the whole grid on the other.  A slice's
@@ -286,7 +286,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
@@ -294,7 +293,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import Axis
-from .critical import abutment_values
+from .critical import abutment_pins
 from .greedy import greedy
 from .model import Instance, Placement, Solution, demand_rows, reward_rate
 from .reward import ResidualDemand, RewardMatrix, build_reward_matrix, covered_reward, table_product
@@ -568,19 +567,6 @@ def _value(s: CandidateSet, grid: Sequence[float]) -> float:
     return grid[s[0]] if s[2] is None else s[2]
 
 
-def _pin(v: float, grid: Sequence[float]) -> CandidateSet:
-    """The singleton set of an abutment position ``v``, off ``grid``, with the block bounding it.
-
-    The isolated reward is piecewise linear with no local maximum strictly
-    between neighbouring grid values, so ``v`` is bounded by its two
-    bracketing grid values, or by the nearest endpoint when it lies outside
-    the grid's range.  Abutment positions lie off the grid by the grid's own
-    test (``critical.abutment_values``), so no grid value needs a test.
-    """
-    i = bisect_left(grid, v)
-    return max(i - 1, 0), min(i + 1, len(grid)), v
-
-
 def is_leaf(node: Node) -> bool:
     """Every candidate set fixed, and with them every scale (:data:`_OPEN` is no singleton).
 
@@ -687,9 +673,7 @@ def _interval_children(
         if any(s[2] is None and s[1] - s[0] == 1 < len(_grid(grids.matrices[zk], axis))
                for s, zk in zip(sets[j + 1 :], node.z_vec[j + 1 :])):
             parts = ()
-        full = config.scv_mode == "full"
-        pins = abutment_values(fixed, z, instance.base, axis, full, grid)
-        parts += tuple(_pin(v, grid) for v in pins)
+        parts += tuple(abutment_pins(fixed, z, instance.base, axis, config.scv_mode == "full", grid))
     pair = list(node[:2])  # the x and y sets; each child narrows those on axis
     children = []
     for part in parts:
@@ -945,7 +929,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> tuple[Solut
     # served; the covered reward pays the better rate there.
     lower = covered_reward(instance.dzs, incumbent, instance.base, instance.eta)
     stats.best_reward_history.append((0, lower))
-    dzs, base = instance.planar
+    dzs = instance.planar[0]
     z_min = instance.scale_values()[0]
     # the docstring's ceiling, less its relative margin
     enough = sum(reward_rate(d.v, z_min, instance.eta) * d.rect.w * d.rect.l for d in dzs) * (1.0 - RTOL)

@@ -13,6 +13,9 @@ matter:
   pair places a new zone snugly against the fixed one (the relevant extra
   candidates when several zones interact), while the *inner* pair nests it
   against the far edge.
+
+:func:`abutment_pins` alone decides where the exact search pins a zone off
+its grid and which block of the grid bounds each pin.
 """
 
 from __future__ import annotations
@@ -54,20 +57,6 @@ class CriticalValueSet:
 def grid_tol(sorted_values: Sequence[float]) -> float:
     """The coordinate tolerance of sorted values: ``COORD_RTOL`` times their largest magnitude (0 for none)."""
     return COORD_RTOL * max(abs(sorted_values[0]), abs(sorted_values[-1])) if len(sorted_values) else 0.0
-
-
-def _same(a: float, b: float, tol: float) -> bool:
-    """``a`` and ``b`` are one coordinate: equal, or closer than ``tol``."""
-    return a == b or abs(a - b) < tol
-
-
-def contains_value(sorted_values: Sequence[float], v: float) -> bool:
-    """``v`` is one of the sorted values, to their own tolerance (:func:`grid_tol`)."""
-    tol = grid_tol(sorted_values)
-    i = bisect_left(sorted_values, v)
-    if i < len(sorted_values) and _same(sorted_values[i], v, tol):
-        return True
-    return i > 0 and _same(sorted_values[i - 1], v, tol)
 
 
 def inner_demand_grid(
@@ -131,31 +120,40 @@ def service_breakpoints(
     return (coord - reach, coord, coord + size - reach, coord + size)
 
 
-def abutment_values(
+def abutment_pins(
     fixed: Iterable[tuple[float, float]],
     z: float,
     base: BaseServiceZone,
     axis: int,
     full: bool,
-    exclude: Sequence[float] = (),
-) -> list[float]:
-    """Service breakpoints of positioned zones at which to try a scale-``z`` zone.
+    grid: Sequence[float],
+) -> list[tuple[int, int, float]]:
+    """Service breakpoints of positioned zones at which to pin a scale-``z`` zone, each with its block.
 
     ``fixed`` holds ``(coordinate, scale)`` pairs of already-positioned zones.
     The outer values of every fixed zone come first, then, when ``full``,
-    their inner values.  ``exclude`` is a sorted grid, and the tolerance is
-    its own (:func:`grid_tol`, 0 when it is empty): a value that is one of
-    its members by :func:`contains_value`, or the same as an earlier value
-    to that tolerance, is dropped, so every value kept lies off the grid by
-    the grid's own test.
+    their inner values.  ``grid`` is the zone's sorted own-scale grid on
+    ``axis``, and the tolerance is its own (:func:`grid_tol`, 0 when it is
+    empty).  Each value ``v`` is bisected into the grid once, at ``i``; it is
+    dropped when it equals, or lies closer than the tolerance to, a
+    neighbouring grid value (``grid[i - 1]`` or ``grid[i]``) or a value
+    already kept, so every value kept lies off the grid by the grid's own
+    test, and the search reaches the dropped ones as grid values.  A kept
+    value is returned as the candidate set ``(max(i - 1, 0), min(i + 1,
+    len(grid)), v)``: the block of its two bracketing grid values, or of the
+    nearest endpoint when it lies outside the grid's range.  That block
+    bounds it, as the isolated reward is piecewise linear with no local
+    maximum strictly between neighbouring grid values.
     """
     points = [service_breakpoints(coord, owner, z, base, axis) for coord, owner in fixed]
     raw = [v for o1, _, _, o2 in points for v in (o1, o2)]
     if full:
         raw += [v for _, i1, i2, _ in points for v in (i1, i2)]
-    tol = grid_tol(exclude)
-    out: list[float] = []
+    tol = grid_tol(grid)
+    pins: list[tuple[int, int, float]] = []
     for v in raw:
-        if not contains_value(exclude, v) and not any(_same(v, u, tol) for u in out):
-            out.append(v)
-    return out
+        i = bisect_left(grid, v)
+        near = (*grid[max(i - 1, 0) : i + 1], *(u for _, _, u in pins))  # neighbouring grid values, then kept pins
+        if not any(u == v or abs(u - v) < tol for u in near):
+            pins.append((max(i - 1, 0), min(i + 1, len(grid)), v))
+    return pins

@@ -16,6 +16,8 @@ import itertools
 from types import SimpleNamespace
 
 from rectcover import bnb
+from rectcover.critical import abutment_pins
+from rectcover.geometry import Axis
 from rectcover import (
     BaseServiceZone,
     DemandZone,
@@ -127,3 +129,13 @@ def tick_search_clock(monkeypatch):
     """
     ticks = itertools.count()
     monkeypatch.setattr(bnb, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+
+
+def pin_at(v, grid):
+    """The candidate set pinning a zone at ``v`` off ``grid``, read through ``critical.abutment_pins``.
+
+    Every service breakpoint of a fixed scale-0 zone at ``v`` for a scale-0
+    zone is ``v`` itself, so the one pin kept is ``v``'s, with its block.
+    """
+    (pin,) = abutment_pins([(v, 0.0)], 0.0, BaseServiceZone(1.0, 1.0), Axis.X, False, grid)
+    return pin

@@ -34,7 +34,6 @@ from rectcover.bnb import (
     SolverConfig,
     _OPEN,
     _UNSET,
-    _pin,
     branch,
     fit_lagrangian,
     is_leaf,
@@ -44,7 +43,7 @@ from rectcover.bnb import (
     root_node,
     upper_bound,
 )
-from rectcover.critical import contains_value, inner_demand_grid, service_breakpoints
+from rectcover.critical import abutment_pins, grid_tol, inner_demand_grid, service_breakpoints
 from rectcover.geometry import Axis
 from rectcover.reward import ResidualDemand, build_reward_matrix, solve_single_zone
 
@@ -321,10 +320,11 @@ def test_upper_bound_ignores_overlap_between_zones():
 
 def test_upper_bound_off_grid_singleton_brackets():
     # an abutment-pinned coordinate between grid values is bounded by the
-    # better of its two bracketing grid columns
+    # better of its two bracketing grid columns: a scale-1 zone left of a
+    # scale-1 zone at x = 3 sits at 1.0, between the grid's 0.0 and 2.0
     inst, _, grids, mats, _ = _square_setup()
-    pinned = _pin(1.0, grids.matrices[1.0].xs.values)
-    assert pinned == (0, 2, 1.0)
+    pinned, right = abutment_pins([(3.0, 1.0)], 1.0, inst.base, Axis.X, False, grids.matrices[1.0].xs.values)
+    assert pinned == (0, 2, 1.0) and right == (1, 2, 5.0)
     node = Node(
         x_sets=(pinned, (0, 1, None)),
         y_sets=((0, 2, None), (0, 1, None)),
@@ -438,7 +438,7 @@ def test_every_node_holds_slices_or_bracketed_abutments(trees):
                 if v is None:
                     assert 0 <= lo < hi <= len(grid), node
                 else:
-                    assert not contains_value(grid, v), node
+                    assert all(g != v and abs(g - v) >= grid_tol(grid) for g in grid), node
                     if grid[0] < v < grid[-1]:  # its two neighbouring grid values
                         assert hi - lo == 2 and grid[lo] < v < grid[hi - 1], node
                     else:  # the nearest endpoint

@@ -23,7 +23,6 @@ from rectcover.bnb import (
     CandidateGrids,
     Node,
     SolverConfig,
-    _pin,
     branch,
     is_leaf,
     leaf_placements,
@@ -35,6 +34,7 @@ from rectcover.reward import build_reward_matrix, planar_form
 
 from conftest import (
     micro_line,
+    pin_at,
     small_1d,
     square_instance,
 )
@@ -168,7 +168,7 @@ def test_leaf_bound_on_lifted_demand_is_exact():
     grids = CandidateGrids.from_instance(inst)
     mats = grids.matrices
     scales = [inst.qos_for(j).factors[0] for j in range(inst.p)]
-    leaf = line_node(inst, tuple(_pin(v, grids.matrices[z].xs.values) for v, z in zip((28.0, 85.0), scales)))
+    leaf = line_node(inst, tuple(pin_at(v, grids.matrices[z].xs.values) for v, z in zip((28.0, 85.0), scales)))
     assert [pl.x for pl in leaf_placements(leaf, mats)] == [28.0, 85.0]
     exact = covered_reward(inst.dzs, leaf_placements(leaf, mats), inst.base, inst.eta)
     assert exact > 0

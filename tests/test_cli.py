@@ -224,6 +224,38 @@ def test_solve_timeout_exits_two(tmp_path):
     assert sol.reward > 0
 
 
+#: The CI's exact-solve instances, as ``generate`` arguments.
+CI_INSTANCES = {
+    "plane": ["--seed", "2", "--n", "15", "--p", "2", "--m", "2"],
+    "line": ["--one-d", "--seed", "3", "--p", "3", "--n", "12"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CI_INSTANCES))
+def test_solve_scv_mode_full_proves_the_outer_reward(case, tmp_path):
+    # the inner service breakpoints add pins, and so nodes, but no reward
+    inst = tmp_path / "inst.json"
+    assert main(["generate", *CI_INSTANCES[case], "--out", str(inst)]) == 0
+    runs = {}
+    for mode in ("outer", "full"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["solve", "--instance", str(inst), "--scv-mode", mode, "--out", str(out)]) == 0
+        runs[mode] = json.loads(out.read_text())
+        assert runs[mode]["optimal"] is True
+    assert runs["full"]["reward"] == runs["outer"]["reward"]
+    assert runs["full"]["stats"]["nodes"] > runs["outer"]["stats"]["nodes"]
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_bench_scv_mode_full_proves_every_row(one_d, tmp_path):
+    out = tmp_path / "bench.csv"
+    sizes = ["--one-d", "--p", "3", "--n", "8"] if one_d else ["--p", "2", "--m", "2", "--n", "10"]
+    assert main(["bench", *sizes, "--seeds", "2", "--scv-mode", "full", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and all(row["optimal"] == "True" for row in rows)
+
+
 def test_solve_oracle_refuses_oversized(tmp_path, capsys, monkeypatch):
     # shrink the guard so the refusal path triggers without a huge instance
     import rectcover.cli as cli_mod
@@ -988,6 +1020,8 @@ BAD_OPTIONS = {
     "generate base dims not numbers": (["generate", "--base-dims", "a,b"], "--base-dims"),
     # the interval step cuts a slice into a fixed number of equal runs: --beta is no flag
     "solve beta refused": (["solve", "--beta", "0.5"], "unrecognized arguments: --beta"),
+    "solve scv mode half": (["solve", "--scv-mode", "half"], "--scv-mode"),
+    "bench scv mode half": (["bench", "--scv-mode", "half"], "--scv-mode"),
     "generate out in missing directory": (["generate", "--out", "{tmp}/missing/x.json"], "--out"),
     "solve out in missing directory": (["solve", "--out", "{tmp}/missing/x.json"], "--out"),
     "bench out in missing directory": (["bench", "--out", "{tmp}/missing/x.csv"], "--out"),
