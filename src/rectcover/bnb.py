@@ -206,14 +206,15 @@ and outside the grid's range monotone toward it.  So its maximum over any
 block of the grid, over every real position in it and over a bracketed
 abutment position alike, is read at grid values, exactly as for the reward
 matrix, whatever the nonnegative weights.  ``L_z`` is tabulated over scale
-``z``'s own grids as ``reward.table_product(mu[:, z], ox, oy)``, the one
-product ``(ox * mu[:, z]).T @ oy`` of the overlap tables kept on scale
-``z``'s matrix, the product ``build_reward_matrix`` takes at ``mu = r``,
-and a node's Lagrangian bound is ``T1`` plus one memoised ``block_max`` per
-zone of that table wrapped as a ``RewardMatrix`` (an open zone takes the
-best entry over its menu's matrices), what the isolated sum costs.
-:meth:`Lagrangian.of` builds the bound of multipliers found by any means,
-through ``RewardMatrix.reweighted``, the same product.
+``z``'s own grids as the ``RewardMatrix`` of rates ``mu[:, z]`` on the
+overlap tables kept on scale ``z``'s matrix: its entries are the one
+product ``(ox * mu[:, z]).T @ oy`` (``reward.table_product``) that
+``build_reward_matrix`` takes at ``mu = r``.  A node's Lagrangian bound is
+``T1`` plus one memoised ``block_max`` per zone of those tables (an open
+zone takes the best entry over its menu's tables), what the isolated sum
+costs.  One constructor, :meth:`Lagrangian.of`, builds the bound of any
+multipliers, the fit's and those found by other means alike, reading each
+scale's rates off its matrix.
 
 ``mu`` is fitted once per solve, at the root, by projected subgradient
 (:func:`fit_lagrangian`): it starts at ``mu = r``, where the root bound is
@@ -227,9 +228,8 @@ after :data:`FIT_STALL` steps without a gain of :data:`FIT_GAIN` relative,
 or once the bound is at or below ``lower``.  Every solve keeps the bound of
 the best ``mu`` seen, however little it gains over the start.  Each step,
 the first at ``mu = r`` included, tabulates each scale's ``L_z`` as a bare
-array, one ``table_product`` per scale; the fit keeps the ``T1``,
-``mu`` and arrays of its best step and wraps only those arrays in
-``RewardMatrix`` es when it returns, with no product after its last step.
+array, one ``table_product`` per scale; the fit keeps only the best step's
+``mu`` and returns ``Lagrangian.of`` of it, one more product per scale.
 
 The bound is not bit-exact: ``T1`` and ``L_z`` are matrix products summed
 in another order than the in-order sums and ``covered_reward``, each a sum
@@ -424,20 +424,19 @@ class Lagrangian(NamedTuple):
     matrices: Mapping[float, RewardMatrix]
 
     @classmethod
-    def of(
-        cls, mu: np.ndarray, rates: np.ndarray, area: np.ndarray, matrices: Mapping[float, RewardMatrix]
-    ) -> "Lagrangian":
+    def of(cls, mu: np.ndarray, area: np.ndarray, matrices: Mapping[float, RewardMatrix]) -> "Lagrangian":
         """The bound of the multipliers ``mu[d, s]``, column ``s`` for the ``s``-th scale of ``matrices``.
 
-        ``matrices`` are a solve's reward matrices, ``rates[d, s]`` the
-        ``rates[d]`` of the ``s``-th of them, and ``area[d]`` demand zone
-        ``d``'s area in planar form; ``L_z`` is
-        ``matrices[z].reweighted(mu[:, s])``.  It takes one product per
-        scale, so it serves multipliers found outside :func:`fit_lagrangian`,
-        which wraps the bare tables of its best step instead.
+        ``matrices`` are a solve's reward matrices, whose ``rates`` are the
+        ``r[d, z]`` of ``T1``, and ``area[d]`` is demand zone ``d``'s area
+        in planar form.  ``L_z`` is the ``RewardMatrix`` of ``mu[:, s]`` on
+        ``matrices[z]``'s grids and overlap tables, one product per scale.
+        Every Lagrangian bound is built here, the fit's included, so no
+        table can disagree with the rates it pairs.
         """
+        rates = np.stack([m.rates for m in matrices.values()], axis=1)
         t1 = float(area @ (rates - mu).max(axis=1, initial=0.0))
-        return cls(t1, {z: m.reweighted(mu[:, s]) for s, (z, m) in enumerate(matrices.items())})
+        return cls(t1, {z: RewardMatrix(m.xs, m.ys, mu[:, s], m.ox, m.oy) for s, (z, m) in enumerate(matrices.items())})
 
     def bound(self, node: Node) -> float:
         """``T1`` plus each zone's best ``L`` over its candidate sets, with the rounding margin."""
@@ -633,7 +632,8 @@ def branch(
     :func:`_next_zones` takes its first step, candidate by candidate: the
     scale step while its scale is open, else its interval step.
     """
-    axis = node.residual_axis or Axis.X
+    axis = node.residual_axis
+    axis = Axis.X if axis is None else axis
     children: list[Node] = []
     for j in [node.bs] if node.bs >= 0 else _next_zones(node, axis, instance):
         if node.z_vec[j] == _UNSET:
@@ -813,12 +813,12 @@ def fit_lagrangian(
     first maximum of a whole table, and zones of one scale share it, each
     group adding its subgradient once, times its size.  Every step, the
     first at ``mu = r`` included, tabulates each scale's ``L_z`` as a bare
-    array (``reward.table_product``, the product ``RewardMatrix.reweighted``
-    takes) and takes its first maximum once; the result is the
-    ``Lagrangian`` of the best step's ``T1`` and arrays, each wrapped in a
-    ``RewardMatrix`` with that step's ``mu`` on its scale's grids and
-    overlap tables, so no ``L_z`` is tabulated twice.  At ``mu = r`` those
-    tables are the matrices' own entries, bit for bit, and ``T1`` is 0.
+    array (``reward.table_product``, the product a ``RewardMatrix`` takes)
+    and takes its first maximum once.  The fit keeps only the best step's
+    ``mu`` and returns :meth:`Lagrangian.of` of it, which takes the same
+    product once more per scale, so its ``T1`` and tables are that step's
+    bit for bit.  At ``mu = r`` those tables are the matrices' own entries,
+    bit for bit, and ``T1`` is 0.
     """
     x, y, w, l, _ = demand_rows(instance.planar[0]).T
     area = ((x + w) - x) * ((y + l) - y)
@@ -839,8 +839,7 @@ def fit_lagrangian(
         paid = most > 0.0
         grad = np.zeros(mu.shape)
         grad[rows[paid], top[paid]] = -area[paid]
-        t1 = float(area @ np.maximum(most, 0.0))
-        value = t1
+        value = float(area @ np.maximum(most, 0.0))  # T1
         peaks = [int(t.argmax()) for t in tables]
         for s, count in groups:
             if s is None:  # an open zone takes the best scale's whole grid
@@ -850,7 +849,7 @@ def fit_lagrangian(
             value += count * float(table[i, k])
             grad[:, s] += count * m.ox[:, i] * m.oy[:, k]
         if value < best:
-            best, since_best, fitted = value, 0, (t1, mu, tables)
+            best, since_best, best_mu = value, 0, mu
         else:
             since_best += 1
             if since_best >= FIT_HALVE_AFTER:
@@ -863,11 +862,7 @@ def fit_lagrangian(
         if value <= lower or since_gain >= FIT_STALL or norm == 0.0:
             break
         mu = np.maximum(mu - (step * (value - lower) / norm) * grad, 0.0)
-    t1, mu, tables = fitted
-    return Lagrangian(t1, {
-        z: RewardMatrix(m.xs, m.ys, table, mu[:, s], m.ox, m.oy)
-        for s, (z, m, table) in enumerate(zip(scales, mats, tables))
-    })
+    return Lagrangian.of(best_mu, area, matrices)
 
 
 def root_node(instance: Instance, grids: CandidateGrids) -> Node:

@@ -49,8 +49,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import Instance, Placement, Solution, demand_rows, demand_zones, service_rect
-from .reward import RewardMatrix, SingleZoneSolver, serve_zone, solve_single_zone
+from .model import Instance, Placement, Solution, demand_rows, demand_zones
+from .reward import RewardMatrix, SingleZoneSolver, serve_zone, solve_single_zone, zone_bounds
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def _run(instance: Instance, solve_round: Callable[[int, np.ndarray], tuple[floa
         pl = Placement(x, y, z)
         # Marginal value is re-evaluated at the returned position so the trace
         # stays truthful even if the solver's own reward claim is off.
-        zone = service_rect(lifted_base, pl)
-        gain, rows = serve_zone(rows, (zone.x, zone.y, zone.x2, zone.y2), instance.eta.apply(z))
+        gain, rows = serve_zone(rows, zone_bounds(pl, lifted_base.w0, lifted_base.l0), instance.eta.apply(z))
         rewards.append(gain)
         placements.append(pl)
     # The claimed value is what the rounds actually collected: each round pays

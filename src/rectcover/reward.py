@@ -53,16 +53,18 @@ class RewardMatrix:
     sum over ``d`` of ``rates[d] * (ox[d, i] * oy[d, j])``, added in demand
     order from +0.0: that in-order sum is the exact contract, the value
     ``covered_reward`` gives the zone alone, and :meth:`cell_sums` takes it.
-    ``entries`` is the one matrix product ``(ox * rates).T @ oy``, which sums
+    ``entries`` is computed on construction as :func:`table_product` of the
+    rates and tables, the one product ``(ox * rates).T @ oy``, which sums
     the same terms in another order, so each entry is within a relative
     error of about the number of demand zones times 2**-52 of its in-order
-    sum.  The exact search's candidate sets are index ranges into the two
-    grids.  :meth:`reweighted` takes the same product with other rates, and
-    ``reweighted(rates)`` gives back ``entries`` bit for bit.  A
-    tile-by-tile single-zone search tabulates only the grid rows and columns
-    of the tiles it keeps, and only the pieces that reach them, and sets
-    ``entries`` to -inf off those tiles (:func:`_tiled_table`).  In-order
-    sums are taken only where greedy breaks ties (:meth:`first_max`).
+    sum.  Every table is built this one way: the same demand paying other
+    rates on the same grids is ``RewardMatrix(xs, ys, weights, ox, oy)``
+    (``bnb.Lagrangian.of``).  The exact search's candidate sets are index
+    ranges into the two grids.  A tile-by-tile single-zone search tabulates
+    only the grid rows and columns of the tiles it keeps, and only the
+    pieces that reach them, and sets ``entries`` to -inf off those tiles
+    (:func:`_tiled_table`).  In-order sums are taken only where greedy
+    breaks ties (:meth:`first_max`).
 
     :meth:`block_max` memoises the maximum of ``entries`` over each index
     block it is asked for.  The search bounds every node, leaves included,
@@ -73,13 +75,16 @@ class RewardMatrix:
 
     xs: CriticalValueSet
     ys: CriticalValueSet
-    entries: np.ndarray
     rates: np.ndarray
     ox: np.ndarray
     oy: np.ndarray
+    entries: np.ndarray = field(init=False)
     _block_maxima: dict[tuple[int, int, int, int], float] = field(
         default_factory=dict, init=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", table_product(self.rates, self.ox, self.oy))
 
     @cached_property
     def max_entry(self) -> float:
@@ -122,16 +127,6 @@ class RewardMatrix:
             if chunk[a] > best:
                 best, bi, bj = float(chunk[a]), int(i[a]), int(j[a])
         return best, bi, bj
-
-    def reweighted(self, weights: np.ndarray) -> "RewardMatrix":
-        """The same demand paying ``weights[d]`` per unit area instead of ``rates[d]``, on the same grids.
-
-        Its entries are :func:`table_product` of ``weights``, taken as
-        ``entries`` is (:func:`_tabulate`); ``bnb.Lagrangian.of`` reads them
-        for multipliers found outside the fit, which steps on bare products.
-        Its block maxima get a memo of their own.
-        """
-        return _tabulate(self.xs, self.ys, weights, self.ox, self.oy)
 
 
 #: Grid values per tile side in :func:`solve_single_zone`'s tile-bounded argmax.
@@ -215,15 +210,12 @@ def _scale(
 
 
 def table_product(rates: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
-    """The one product ``(ox * rates).T @ oy`` of the overlap tables: each cell's rate-weighted overlap sum."""
+    """The one product ``(ox * rates).T @ oy`` of two per-piece tables: each cell's rate-weighted sum.
+
+    Every reward table is this product of its overlap tables
+    (:class:`RewardMatrix`), and :func:`_tiled_table` bounds tiles by it.
+    """
     return (ox * rates[:, None]).T @ oy
-
-
-def _tabulate(
-    xs: CriticalValueSet, ys: CriticalValueSet, rates: np.ndarray, ox: np.ndarray, oy: np.ndarray
-) -> RewardMatrix:
-    """The reward matrix over ``xs`` and ``ys`` of the overlap tables ``ox`` and ``oy``, with their one product."""
-    return RewardMatrix(xs, ys, table_product(rates, ox, oy), rates, ox, oy)
 
 
 def build_reward_matrix(
@@ -238,13 +230,12 @@ def build_reward_matrix(
     grid is the inner-demand grid per axis.  For one-dimensional input the y
     axis collapses to the single index ``y = 0``.
 
-    The entries are one matrix product of the overlap tables, one row per
-    demand zone in input order, which stay on the matrix with the rates for
-    :meth:`RewardMatrix.reweighted` and the in-order sums
+    The matrix keeps the rates and the overlap tables, one row per demand
+    zone in input order, and computes its entries as their one product
     (:class:`RewardMatrix`).
     """
     xs, ys, rates, x, y = _scale(demand_rows(dzs), z, base, eta)
-    return _tabulate(xs, ys, rates, x.overlaps(), y.overlaps())
+    return RewardMatrix(xs, ys, rates, x.overlaps(), y.overlaps())
 
 
 def covered_reward(
@@ -266,7 +257,7 @@ def covered_reward(
     rows: list[Sequence[float]] = [d.row for d in pdzs]
     total = 0.0
     for pl in sorted(placements, key=lambda q: q.z):  # stable: ties keep their order
-        total, rows = serve_zone(rows, _bounds(pl, pbase.w0, pbase.l0), eta.apply(pl.z), total)
+        total, rows = serve_zone(rows, zone_bounds(pl, pbase.w0, pbase.l0), eta.apply(pl.z), total)
         if not rows:
             break
     return total
@@ -317,8 +308,12 @@ def serve_zone(
     return total, left
 
 
-def _bounds(pl: Placement, w0: float, l0: float) -> tuple[float, float, float, float]:
-    """The bounds ``(x1, y1, x2, y2)`` :func:`serve_zone` takes of ``pl`` on a base of extents ``w0`` by ``l0``."""
+def zone_bounds(pl: Placement, w0: float, l0: float) -> tuple[float, float, float, float]:
+    """The bounds ``(x1, y1, x2, y2)`` :func:`serve_zone` takes of ``pl`` on a base of extents ``w0`` by ``l0``.
+
+    ``x2`` is ``x + w0 * z``, the float ``Rect.x2`` of ``model.service_rect``
+    gives, and likewise ``y2``.
+    """
     return pl.x, pl.y, pl.x + w0 * pl.z, pl.y + l0 * pl.z
 
 
@@ -393,7 +388,7 @@ class ResidualDemand:
         """
         served, paid, rows = self.served, list(self._paid_pieces), self._unserved
         for pl in placements:
-            served, rows = serve_zone(rows, _bounds(pl, *self._unit), self._eta.apply(pl.z), served, paid)
+            served, rows = serve_zone(rows, zone_bounds(pl, *self._unit), self._eta.apply(pl.z), served, paid)
         self.served, self._paid_pieces, self._unserved = served, paid, rows
         pieces = np.array(paid + [row + (0.0,) for row in rows], dtype=float).reshape(-1, 6)
         x1, y1, w, l, self._v, self._paid = pieces.T
@@ -472,10 +467,10 @@ def _tiled_table(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[
     tile is kept, and so is every piece: no piece need reach the box then,
     as when every zone's extent is lost in rounding against its position.
     """
-    bound = (x.tile_bounds() * rates[:, None]).T @ y.tile_bounds()
+    bound = table_product(rates, x.tile_bounds(), y.tile_bounds())
     a, b = divmod(int(bound.argmax()), bound.shape[1])
     tile_x, tile_y = slice(a * TILE, (a + 1) * TILE), slice(b * TILE, (b + 1) * TILE)
-    tile = (x.overlaps(at=tile_x) * rates[:, None]).T @ y.overlaps(at=tile_y)
+    tile = table_product(rates, x.overlaps(at=tile_x), y.overlaps(at=tile_y))
     lower = max(float(tile.max()), best_r)
     kept = bound >= lower * (1.0 - TILE_MARGIN)
     cap = float(bound.max(where=~kept, initial=0.0)) * (1.0 + TILE_MARGIN)
@@ -489,7 +484,7 @@ def _tiled_table(rates: np.ndarray, x: _Axis, y: _Axis, best_r: float) -> tuple[
     near |= lower == 0.0
     ox = _overlaps(gx, x.ext, x.lo[near], x.hi[near])
     oy = _overlaps(gy, y.ext, y.lo[near], y.hi[near])
-    m = _tabulate(CriticalValueSet(gx), CriticalValueSet(gy), rates[near], ox, oy)
+    m = RewardMatrix(CriticalValueSet(gx), CriticalValueSet(gy), rates[near], ox, oy)
     on_tiles = np.repeat(np.repeat(kept[kr][:, kc], TILE, axis=0), TILE, axis=1)
     m.entries[~on_tiles[: len(rows), : len(cols)]] = -np.inf
     return m, cap
@@ -594,7 +589,7 @@ def solve_single_zone(
         else:
             xs, ys, rates, x, y = _scale(rows, z, base, eta)
             if len(xs) * len(ys) <= FULL_CELLS:
-                m, cap = _tabulate(xs, ys, rates, x.overlaps(), y.overlaps()), 0.0
+                m, cap = RewardMatrix(xs, ys, rates, x.overlaps(), y.overlaps()), 0.0
             else:
                 m, cap = _tiled_table(rates, x, y, best_r)
         if m is None:

@@ -44,6 +44,7 @@ from rectcover.bnb import (
 )
 from rectcover.critical import inner_demand_grid, service_breakpoints
 from rectcover.geometry import Axis
+from rectcover.model import demand_rows
 from rectcover.reward import ResidualDemand
 
 from conftest import micro_line, small_1d
@@ -385,7 +386,7 @@ def test_fitted_lagrangian_bound_dominates_every_leaf_below(one_d):
 @pytest.mark.parametrize("one_d", [False, True])
 def test_a_one_step_fit_returns_the_reward_matrices_tables(one_d, monkeypatch):
     # the one step is at mu = r: T1 is 0 and each L_z is its scale's reward
-    # matrix, reweighted by its own rates, on the same grids and overlap tables
+    # matrix rebuilt at its own rates, on the same grids and overlap tables
     monkeypatch.setattr(bnb, "FIT_STEPS", 1)
     inst = small_1d(seed=0, n=5, p=3) if one_d else generate(GenConfig(seed=0, n=4, p=2, m=2, **TINY))
     grids = CandidateGrids.from_instance(inst)
@@ -397,6 +398,37 @@ def test_a_one_step_fit_returns_the_reward_matrices_tables(one_d, monkeypatch):
         assert table.entries.dtype == m.entries.dtype and table.entries.shape == m.entries.shape
         assert table.entries.tobytes() == m.entries.tobytes()
         assert table.xs is m.xs and table.ys is m.ys and table.ox is m.ox and table.oy is m.oy
+
+
+@pytest.mark.parametrize("one_d", [False, True])
+def test_longer_fits_never_raise_the_root_bound_and_return_lagrangian_of_their_multipliers(one_d, monkeypatch):
+    # a fit of k + 1 steps takes the k steps of a fit of k first and keeps the
+    # best mu it sees, so its root bound is no higher, to rounding; and the
+    # bound it returns is Lagrangian.of the multipliers its tables carry, bit
+    # for bit, on the areas the fit reads
+    for seed in range(5):
+        if one_d:
+            inst = generate_1d(GenConfig(seed=seed, n=12, p=3, dimension=Dimension.ONE_D))
+        else:
+            inst = generate(GenConfig(seed=seed, n=30, p=2, m=2))
+        grids = CandidateGrids.from_instance(inst)
+        root = root_node(inst, grids)
+        lower = covered_reward(inst.dzs, greedy(inst).solution.placements, inst.base, inst.eta)
+        x, y, w, l, _ = demand_rows(inst.planar[0]).T
+        area = ((x + w) - x) * ((y + l) - y)
+        lowest = math.inf
+        for steps in range(1, 41):
+            monkeypatch.setattr(bnb, "FIT_STEPS", steps)
+            lagrangian = fit_lagrangian(root, inst, grids.matrices, lower)
+            bound = lagrangian.bound(root)
+            assert bound <= lowest * (1.0 + 1e-12), (seed, steps, bound, lowest)
+            lowest = min(lowest, bound)
+            mu = np.stack([m.rates for m in lagrangian.matrices.values()], axis=1)
+            again = Lagrangian.of(mu, area, grids.matrices)
+            assert again.t1.hex() == lagrangian.t1.hex()
+            assert list(again.matrices) == list(lagrangian.matrices) == list(grids.matrices)
+            for z, table in lagrangian.matrices.items():
+                assert table.entries.tobytes() == again.matrices[z].entries.tobytes(), (seed, steps, z)
 
 
 def _drawn_node(root, children, path):
@@ -443,7 +475,7 @@ def _assert_lagrangian_bounds_drawn_placements(data, inst, grids, node):
     elif kind == "large":
         mu *= 10.0
     dzs, base = inst.planar
-    lagrangian = Lagrangian.of(mu, rates, np.array([d.rect.w * d.rect.l for d in dzs]), grids.matrices)
+    lagrangian = Lagrangian.of(mu, np.array([d.rect.w * d.rect.l for d in dzs]), grids.matrices)
     placements = []
     for j, (xs, ys, z) in enumerate(zip(node.x_sets, node.y_sets, node.z_vec)):
         if z == _UNSET:

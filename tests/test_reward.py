@@ -24,6 +24,7 @@ from rectcover import (
 )
 from rectcover.bnb import RTOL
 from rectcover.reward import (
+    RewardMatrix,
     build_reward_matrix,
     planar_form,
     solve_single_zone,
@@ -202,15 +203,16 @@ def test_reward_matrix_block_max_equals_numpy_max_and_is_memoised():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(0, 30), one_d=st.booleans())
 def test_reward_matrix_reweighted_identities(seed, n, one_d):
-    # at its own rates the demand gives back the entries, bit for bit, as
-    # both are one product; at zero rates it earns nothing; the grids are shared
+    # rebuilt at its own rates on its grids and tables, a matrix gives back
+    # its entries, bit for bit, as both are one product; at zero rates it
+    # earns nothing; the grids are shared
     if one_d:
         inst = generate_1d(GenConfig(seed=seed, n=n, p=3, dimension=Dimension.ONE_D))
     else:
         inst = generate(GenConfig(seed=seed, n=n, p=2, m=3))
     for z in inst.scale_values():
         m = build_reward_matrix(inst.dzs, z, inst.base, inst.eta)
-        same, zero = m.reweighted(m.rates), m.reweighted(np.zeros_like(m.rates))
+        same, zero = (RewardMatrix(m.xs, m.ys, w, m.ox, m.oy) for w in (m.rates, np.zeros_like(m.rates)))
         for r in (same, zero):
             assert r.xs is m.xs and r.ys is m.ys and r.entries.shape == m.entries.shape
         assert np.array_equal(bits(same.entries), bits(m.entries))
@@ -235,7 +237,7 @@ def assert_within_rtol(entries, sums):
 def assert_bitwise_full_grid(dzs, z, base, eta):
     # The exact contract is the in-order sum: every cell's and the re-summed
     # first maximum are the full-grid reference's bit for bit.  The entries
-    # are the product reweighted takes, each within RTOL of its cell's sum.
+    # are the one product any RewardMatrix takes, each within RTOL of its cell's sum.
     m = build_reward_matrix(dzs, z, base, eta)
     want = full_grid_entries(dzs, z, base, eta, m.xs.values, m.ys.values)
     nx, ny = want.shape
@@ -247,7 +249,7 @@ def assert_bitwise_full_grid(dzs, z, base, eta):
         first = (float(want.flat[k]).hex(), *divmod(k, ny))
         r, i, j = m.first_max()
         assert (r.hex(), i, j) == first
-    assert np.array_equal(bits(m.entries), bits(m.reweighted(m.rates).entries))
+    assert np.array_equal(bits(m.entries), bits(RewardMatrix(m.xs, m.ys, m.rates, m.ox, m.oy).entries))
     assert_within_rtol(m.entries, want)
 
 

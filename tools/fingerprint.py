@@ -24,9 +24,9 @@ thread pools are pinned to one thread before numpy loads, as in the
 benchmark, so that matrix products sum in one order on every machine.
 ``--diff`` ends with one line per set: for an exact set, the node totals of
 A and B, how many of the instances both hold took more nodes in B and how
-many fewer, and how many of their optima differ as ``float.hex``; for the
-greedy set, how many of the traces both hold differ.  It exits 1 when some
-instance differs or is missing from one side.
+many fewer, and how many of their optima and of their root bounds differ
+as ``float.hex``; for the greedy set, how many of the traces both hold
+differ.  It exits 1 when some instance differs or is missing from one side.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def differences(a: dict, b: dict) -> list[str]:
 
 
 def summary(a: dict, b: dict) -> list[str]:
-    """Per exact set: A's and B's node totals, the instances that rose and fell, and the optima that differ.
+    """Per exact set: A's and B's node totals, the instances that rose and fell, the optima and root bounds that differ.
 
     Per greedy set: how many of the traces both records hold differ.
     """
@@ -114,11 +114,11 @@ def summary(a: dict, b: dict) -> list[str]:
             out.append(f"{name}: {sum(runs_a[seed] != runs_b[seed] for seed in both)} of {len(both)} traces differ")
             continue
         moves = [runs_b[seed]["nodes"] - runs_a[seed]["nodes"] for seed in both]
-        optima = sum(runs_a[seed]["optimum"] != runs_b[seed]["optimum"] for seed in both)
+        optima, roots = (sum(runs_a[s][key] != runs_b[s][key] for s in both) for key in ("optimum", "root_bound"))
         total_a, total_b = (sum(r["nodes"] for r in runs.values()) for runs in (runs_a, runs_b))
         out.append(
             f"{name}: {total_a} -> {total_b} nodes, {sum(m > 0 for m in moves)} rose, "
-            f"{sum(m < 0 for m in moves)} fell, {optima} optima differ"
+            f"{sum(m < 0 for m in moves)} fell, {optima} optima and {roots} root bounds differ"
         )
     return out
 
